@@ -102,8 +102,8 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_netsim.json
 	$(GO) test ./internal/netsim/ -run xxx -bench . -benchmem
 
-## bench-gate: fail if PipelineThroughput regressed >10% vs the
-## committed baseline (re-measures on this machine)
+## bench-gate: fail if PipelineThroughput or PipelineThroughputTraced
+## regressed >10% vs the committed baseline (re-measures on this machine)
 bench-gate:
 	$(GO) run ./cmd/benchjson -check BENCH_netsim.json -tolerance 0.10
 
@@ -115,14 +115,16 @@ bench-profile:
 		-benchtime 50x -benchmem -cpuprofile cpu.prof -memprofile mem.prof \
 		-o benchjson.test
 
-## fuzz-smoke: short fuzzing passes over the wire codec and DDPM marking
-## (go test allows one -fuzz target per invocation)
+## fuzz-smoke: short fuzzing passes over the wire codec, DDPM marking
+## and the pipeline's trace-lane equivalence (go test allows one -fuzz
+## target per invocation)
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzRecordRoundTrip -fuzztime 5s
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzReader -fuzztime 5s
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzResyncReader -fuzztime 5s
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzTraceContext -fuzztime 5s
 	$(GO) test ./internal/marking/ -run xxx -fuzz FuzzDDPMMarkIdentify -fuzztime 5s
+	$(GO) test ./internal/pipeline/ -run xxx -fuzz FuzzSubmitSlabLaneEquivalence -fuzztime 5s
 
 ## trace-smoke: end-to-end tracing proof on a live daemon — a traced
 ## loadgen flood must leave at least one tail-sampled block-outcome
@@ -146,13 +148,19 @@ trace-smoke: build
 	echo "trace-smoke: saved /debug/traces dump to trace-dump.json"
 
 ## fleet-trace-smoke: cross-node tracing proof on a live three-instance
-## fleet (DESIGN.md §14) — a traced flood sprayed across every ingress
-## must yield at least one blocking record whose stitched timeline (the
-## ingress's forwarded span + the owner's block span under one id) is
-## retrievable from a member via `ddpmd fleet trace`; the stitched
-## document lands in fleet-trace-dump.json for the CI artifact. Boring
-## traces are sampled out as in trace-smoke, so both halves of the
-## timeline got there by tail sampling alone.
+## fleet (DESIGN.md §14) — a traced flood sprayed across the two
+## ingresses that do not own the victim must yield at least one blocking
+## record whose stitched timeline (the ingress's forwarded span + the
+## owner's block span under one id) is retrievable from a member via
+## `ddpmd fleet trace`; the stitched document lands in
+## fleet-trace-dump.json for the CI artifact. The ring is a pure
+## function of the member addresses, so node 63's owner is always
+## :37440 here. Spraying past the owner matters: blocks
+## land at victim-group granularity (DESIGN.md §11.3), so the zombies
+## are all blocked by the one frame that raises the alarm, and that
+## frame must have crossed a forward hop for there to be two spans.
+## Boring traces are sampled out as in trace-smoke, so both halves of
+## the timeline got there by tail sampling alone.
 fleet-trace-smoke: build
 	@set -e; \
 	$(BIN)/ddpmd serve -topo torus -dims 8x8 -tcp 127.0.0.1:37420 -http 127.0.0.1:37421 \
@@ -176,7 +184,7 @@ fleet-trace-smoke: build
 		[ $$ok -eq 1 ] || { echo "fleet-trace-smoke: instance on $$port never became ready"; exit 1; }; \
 	done; \
 	$(BIN)/ddpmd loadgen -topo torus -dims 8x8 -zombies 8 -trace \
-		-targets 127.0.0.1:37420,127.0.0.1:37430,127.0.0.1:37440; \
+		-targets 127.0.0.1:37420,127.0.0.1:37430; \
 	stitched=""; \
 	for i in $$(seq 1 30); do \
 		for port in 37421 37431 37441; do \
@@ -188,7 +196,7 @@ fleet-trace-smoke: build
 		done; \
 		sleep 0.5; \
 	done; \
-	[ -n "$$stitched" ] || { echo "fleet-trace-smoke: no blocking record produced a stitched cross-node timeline"; exit 1; }; \
+	[ -n "$$stitched" ] || { echo "fleet-trace-smoke: no blocking record produced a stitched cross-node timeline (does :37440 still own node 63?)"; exit 1; }; \
 	$(BIN)/ddpmd fleet trace $$stitched -http 127.0.0.1:37421 -min 2; \
 	$(BIN)/ddpmd fleet trace $$stitched -http 127.0.0.1:37421 -min 2 -json > fleet-trace-dump.json; \
 	echo "fleet-trace-smoke: stitched timeline for $$stitched saved to fleet-trace-dump.json"

@@ -10,6 +10,10 @@ import (
 // flags; `benchjson -check` runs the same function via testing.Benchmark.
 func BenchmarkPipelineThroughput(b *testing.B) { benchPipeline(b) }
 
+// BenchmarkPipelineThroughputTraced is the gate benchmark with every
+// record carrying a trace context — benchjson's PipelineThroughputTraced.
+func BenchmarkPipelineThroughputTraced(b *testing.B) { benchPipelineTraced(b) }
+
 // BenchmarkPipelineThroughputBatch sweeps the ingest batch size — the
 // same sub-benchmarks benchjson records as PipelineThroughputBatch/N.
 func BenchmarkPipelineThroughputBatch(b *testing.B) {
@@ -23,5 +27,5 @@ func BenchmarkPipelineThroughputBatch(b *testing.B) {
 // against BenchmarkPipelineThroughput is the observability overhead;
 // DESIGN.md documents the measured figure (budget: <= 5%).
 func BenchmarkPipelineObservabilityOff(b *testing.B) {
-	benchPipelineOpts(1024, -1)(b)
+	benchPipelineOpts(1024, -1, false)(b)
 }

@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/eventq"
 	"repro/internal/marking"
@@ -229,17 +230,19 @@ func pipelineBenchRecords(b *testing.B, net topology.Network) []wire.Record {
 // detectors keep rolling forward instead of replaying time. Submission
 // is paced by SlabsOutstanding so the slab pool recycles (a real
 // exporter gets the same pacing from the socket); batchSize 1 is the
-// single-record Submit discipline, 1024 the exporter client default.
+// record-at-a-time discipline, 1024 the exporter client default.
 func benchPipelineBatch(batchSize int) func(b *testing.B) {
-	return benchPipelineOpts(batchSize, 0)
+	return benchPipelineOpts(batchSize, 0, false)
 }
 
 // benchPipelineOpts additionally exposes the stage-latency sampling
 // knob so the observability overhead is measurable: sampleEvery 0 is
 // the production default (1 in 64), -1 disables stage histograms and
 // exemplars entirely. Compare BenchmarkPipelineThroughput against
-// BenchmarkPipelineObservabilityOff to quantify the cost.
-func benchPipelineOpts(batchSize, sampleEvery int) func(b *testing.B) {
+// BenchmarkPipelineObservabilityOff to quantify the cost. traced stamps
+// every record with a trace context (AppendTraced), so each one also
+// commits a trace to the flight recorder at its default settings.
+func benchPipelineOpts(batchSize, sampleEvery int, traced bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		net := topology.NewTorus2D(8)
 		recs := pipelineBenchRecords(b, net)
@@ -252,6 +255,7 @@ func benchPipelineOpts(batchSize, sampleEvery int) func(b *testing.B) {
 		}
 		const maxOutstanding = 20 // under the pool size, so slabs recycle
 		var epoch eventq.Time
+		var id uint64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -264,9 +268,17 @@ func benchPipelineOpts(batchSize, sampleEvery int) func(b *testing.B) {
 					runtime.Gosched()
 				}
 				s := p.GetSlab()
+				var sent int64
+				if traced {
+					sent = time.Now().UnixNano() // one send stamp per frame, as an exporter would
+				}
 				for _, rec := range recs[off:end] {
 					rec.T += epoch
-					s.Append(rec)
+					if id++; traced {
+						s.AppendTraced(wire.TracedRecord{Record: rec, Ctx: wire.TraceContext{ID: id, Sent: sent}})
+					} else {
+						s.Append(rec)
+					}
 				}
 				p.SubmitSlab(s)
 			}
@@ -281,15 +293,31 @@ func benchPipelineOpts(batchSize, sampleEvery int) func(b *testing.B) {
 	}
 }
 
-// benchPipeline is the headline (and CI-gated) pipeline benchmark:
-// batch ingest at the exporter client's default frame size.
-var benchPipeline = benchPipelineBatch(1024)
+// benchPipeline is the headline pipeline benchmark: batch ingest at the
+// exporter client's default frame size. benchPipelineTraced is the same
+// record set with the trace lane on.
+var (
+	benchPipeline       = benchPipelineBatch(1024)
+	benchPipelineTraced = benchPipelineOpts(1024, 0, true)
+)
 
-// checkPipeline is the CI regression gate: rerun PipelineThroughput
-// and compare records/sec against the committed baseline file, failing
-// when the measured rate falls more than tolerance below it. Only the
-// pipeline bench gates — the fabric benches are too machine-sensitive
-// to compare across CI runners without a stored reference host.
+// gatedRows are the pipeline benchmarks main records and bench-gate
+// re-measures: the untraced lane and the traced one, so a regression
+// confined to either is caught.
+var gatedRows = []struct {
+	name string
+	fn   func(b *testing.B)
+}{
+	{"PipelineThroughput", benchPipeline},
+	{"PipelineThroughputTraced", benchPipelineTraced},
+}
+
+// checkPipeline is the CI regression gate: rerun the gated pipeline
+// rows and compare records/sec against the committed baseline file,
+// failing when a measured rate falls more than tolerance below it. Only
+// the pipeline benches gate — the fabric benches are too
+// machine-sensitive to compare across CI runners without a stored
+// reference host.
 func checkPipeline(baselinePath string, tolerance float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -299,23 +327,25 @@ func checkPipeline(baselinePath string, tolerance float64) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("%s: %w", baselinePath, err)
 	}
-	want := 0.0
-	for _, r := range base.Results {
-		if r.Name == "PipelineThroughput" {
-			want = r.Extra["records_per_sec"]
+	for _, row := range gatedRows {
+		want := 0.0
+		for _, r := range base.Results {
+			if r.Name == row.name {
+				want = r.Extra["records_per_sec"]
+			}
 		}
-	}
-	if want <= 0 {
-		return fmt.Errorf("%s has no PipelineThroughput records_per_sec", baselinePath)
-	}
-	fmt.Fprintln(os.Stderr, "benchjson: running PipelineThroughput ...")
-	got := testing.Benchmark(benchPipeline).Extra["records/sec"]
-	ratio := got / want
-	fmt.Fprintf(os.Stderr, "benchjson: PipelineThroughput %.0f records/sec vs baseline %.0f (%.1f%%)\n",
-		got, want, 100*ratio)
-	if ratio < 1-tolerance {
-		return fmt.Errorf("PipelineThroughput regressed %.1f%% (tolerance %.0f%%): %.0f < %.0f records/sec",
-			100*(1-ratio), 100*tolerance, got, want)
+		if want <= 0 {
+			return fmt.Errorf("%s has no %s records_per_sec", baselinePath, row.name)
+		}
+		fmt.Fprintln(os.Stderr, "benchjson: running", row.name, "...")
+		got := testing.Benchmark(row.fn).Extra["records/sec"]
+		ratio := got / want
+		fmt.Fprintf(os.Stderr, "benchjson: %s %.0f records/sec vs baseline %.0f (%.1f%%)\n",
+			row.name, got, want, 100*ratio)
+		if ratio < 1-tolerance {
+			return fmt.Errorf("%s regressed %.1f%% (tolerance %.0f%%): %.0f < %.0f records/sec",
+				row.name, 100*(1-ratio), 100*tolerance, got, want)
+		}
 	}
 	// The sparse-victim run gates on its invariants (bounded state,
 	// exactness, flat memory), not on rate — those break functionally,
@@ -332,8 +362,8 @@ func checkPipeline(baselinePath string, tolerance float64) error {
 
 func main() {
 	out := flag.String("o", "BENCH_netsim.json", "output path ('-' for stdout)")
-	check := flag.String("check", "", "regression-gate mode: compare PipelineThroughput against this baseline JSON and exit 1 on regression")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional PipelineThroughput regression in -check mode")
+	check := flag.String("check", "", "regression-gate mode: compare PipelineThroughput and PipelineThroughputTraced against this baseline JSON and exit 1 on regression")
+	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional records/sec regression per gated row in -check mode")
 	flag.Parse()
 
 	if *check != "" {
@@ -375,9 +405,10 @@ func main() {
 		rep.Results = append(rep.Results, record(s.name, br, "pkts/sec"))
 	}
 
-	fmt.Fprintln(os.Stderr, "benchjson: running PipelineThroughput ...")
-	pt := testing.Benchmark(benchPipeline)
-	rep.Results = append(rep.Results, record("PipelineThroughput", pt, "records/sec"))
+	for _, row := range gatedRows {
+		fmt.Fprintln(os.Stderr, "benchjson: running", row.name, "...")
+		rep.Results = append(rep.Results, record(row.name, testing.Benchmark(row.fn), "records/sec"))
+	}
 
 	fmt.Fprintln(os.Stderr, "benchjson: running PipelineSparseVictims ...")
 	var sparseErr error
@@ -388,7 +419,7 @@ func main() {
 	}
 	rep.Results = append(rep.Results, record("PipelineSparseVictims", sv, "records/sec"))
 
-	// Ingest batch-size sweep: 1 (per-record Submit discipline), 16
+	// Ingest batch-size sweep: 1 (record-at-a-time discipline), 16
 	// (small UDP datagrams), 150 (traced sealed frames), 1024 (exporter
 	// client default).
 	for _, n := range []int{1, 16, 150, 1024} {

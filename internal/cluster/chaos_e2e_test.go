@@ -55,7 +55,7 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 	// Ground truth: the same seeded flood the single-instance chaos
 	// test uses.
 	res, err := loadgen.Generate(loadgen.Scenario{
-		Topo: core.Torus2D(8), Zombies: 3, Seed: 42,
+		Topo: core.Torus2D(8), Victim: -1, Zombies: 3, Seed: 42,
 		AttackGap: 2, Background: 0.002, Warmup: 3000, Attack: 6000,
 	})
 	if err != nil {
@@ -458,11 +458,9 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 	// record: the survivor's forwarded span and the owner's block span
 	// under the same id, wire → forward → ingest → identify → detect →
 	// block.
-	// Victim 0 is skipped: loadgen treats a zero Victim as unset and
-	// substitutes the default, which would silently flood the wrong node.
 	ring3 := rnode.Ring()
 	v2 := topology.NodeID(-1)
-	for v := topology.NodeID(1); v < 64; v++ {
+	for v := topology.NodeID(0); v < 64; v++ {
 		if v != res.Victim && ring3.Owner(v) == owner {
 			v2 = v
 			break

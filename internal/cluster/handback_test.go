@@ -207,13 +207,7 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 		s.Append(wire.Record{Victim: victim, MF: uint16(i), Topo: p.TopoID()})
 	}
 	p.SubmitSlab(s)
-	deadline := time.Now().Add(5 * time.Second)
-	for p.C.Processed.Load() < 10 {
-		if time.Now().After(deadline) {
-			t.Fatal("records never processed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitTallied(t, p, victim, 10)
 	want, ok := p.ExportVictim(victim)
 	if !ok {
 		t.Fatal("no exact state before the ring change")
@@ -230,7 +224,7 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 		t.Fatalf("ring version %d, want 2", got)
 	}
 
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for n.handbackFailures.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("handback never failed over to the replica store")

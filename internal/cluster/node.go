@@ -633,7 +633,9 @@ func (n *Node) reroute(from *peer, rec wire.Record) {
 	owner := n.ring.Load().Owner(rec.Victim)
 	switch {
 	case owner == n.self:
-		if !n.p.Submit(rec) {
+		s := n.p.GetSlab()
+		s.Append(rec)
+		if n.p.SubmitSlab(s) == 0 {
 			n.forwardLost.Add(1)
 		}
 	case owner == from.id:

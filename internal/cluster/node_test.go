@@ -46,6 +46,21 @@ func newTestNode(t *testing.T, self string, peers []string, incarnation uint64, 
 	return n, p
 }
 
+// waitTallied blocks until the pipeline's exact state for victim holds
+// n records. (Processed is not that barrier: it ticks when a worker
+// picks a sub-batch up, before the victim's state exists.)
+func waitTallied(t *testing.T, p *pipeline.Pipeline, victim topology.NodeID, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if snap, ok := p.ExportVictim(victim); ok && snap.Identified()+snap.Undecodable == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("victim %d never tallied %d records", victim, n)
+		}
+	}
+}
+
 // exchange performs one full anti-entropy round-trip: client sends its
 // request to server (which absorbs it) and absorbs the response — the
 // exact dance gossipWith/HandleGossip do over TCP.
@@ -383,13 +398,7 @@ func TestReplicaShippedToSuccessor(t *testing.T) {
 		s.Append(wire.Record{Victim: victim, MF: uint16(i), Topo: p.TopoID()})
 	}
 	p.SubmitSlab(s)
-	deadline := time.Now().Add(5 * time.Second)
-	for p.C.Processed.Load() < 10 {
-		if time.Now().After(deadline) {
-			t.Fatal("records never processed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitTallied(t, p, victim, 10)
 
 	succ := ring.Successor(victim)
 	for _, pr := range n.members.Load().list {
@@ -406,5 +415,31 @@ func TestReplicaShippedToSuccessor(t *testing.T) {
 		if pr.id != succ && found {
 			t.Fatalf("non-successor %x got a replica of victim %d", pr.id, victim)
 		}
+	}
+}
+
+// TestRerouteOwnedRecordSubmitsLocally: a record a forwarder abandoned
+// whose victim the ring has since moved here goes through the
+// pipeline's one ingest door as a single-record slab — processed, no
+// loss counted, the slab back in the pool.
+func TestRerouteOwnedRecordSubmitsLocally(t *testing.T) {
+	var now atomic.Int64
+	now.Store(int64(time.Second))
+	peer := "10.8.0.2:1"
+	a, pa := newTestNode(t, "10.8.0.1:1", []string{peer}, 801, &now)
+	from := a.members.Load().byID[MemberID(peer)]
+	ring := a.Ring()
+	v := topology.NodeID(0)
+	for ring.Owner(v) != a.self {
+		v++
+	}
+	a.reroute(from, wire.Record{Victim: v, Topo: pa.TopoID()})
+	for deadline := time.Now().Add(5 * time.Second); pa.C.Processed.Load() != 1 || pa.SlabsOutstanding() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("processed %d, slabs outstanding %d; want 1 and 0", pa.C.Processed.Load(), pa.SlabsOutstanding())
+		}
+	}
+	if got := a.forwardLost.Load(); got != 0 {
+		t.Fatalf("forwardLost = %d after a local reroute", got)
 	}
 }

@@ -43,6 +43,37 @@ func TestStatusForwardSessionLag(t *testing.T) {
 	}
 	a.Route(s)
 
+	// The same slab with a trace lane: every context gets exactly one
+	// ending on this node — a worker trace for the records a owns, an
+	// origin-side forwarded span for the rest — and the lane changes
+	// nothing about who owns or queues what.
+	s = pa.GetSlab()
+	owned := uint64(0)
+	for i := 0; i < 256; i++ {
+		v := topology.NodeID(i % 64)
+		s.AppendTraced(wire.TracedRecord{
+			Record: wire.Record{Victim: v, MF: uint16(i), Topo: pa.TopoID()},
+			Ctx:    wire.TraceContext{ID: uint64(i) + 1, Sent: now.Load() - 1000},
+		})
+		if owner := ring.Owner(v); owner != a.self {
+			wantQueued[owner]++
+		} else {
+			owned++
+		}
+	}
+	a.Route(s)
+	fr := pa.Recorder()
+	for deadline := time.Now().Add(5 * time.Second); fr.Observed() < 256; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("recorder observed %d endings for 256 traced records", fr.Observed())
+		}
+	}
+	fwd := pipeline.AllTraces()
+	fwd.Outcome, fwd.HasOut = pipeline.OutcomeForwarded, true
+	if got := uint64(len(fr.Snapshot(fwd))); fr.Observed() != 256 || got != 256-owned {
+		t.Fatalf("%d endings, %d forwarded spans; want 256 and %d", fr.Observed(), got, 256-owned)
+	}
+
 	// One completed gossip exchange with b (which has advertised an
 	// admin address), none with c; then let 250ms pass.
 	b.SetAdminAddr("10.7.0.2:7421")

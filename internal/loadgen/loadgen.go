@@ -22,7 +22,7 @@ import (
 // defaults noted per field.
 type Scenario struct {
 	Topo    core.TopoSpec   // required
-	Victim  topology.NodeID // default: highest-numbered node
+	Victim  topology.NodeID // negative: highest-numbered node (0 is a real node, not "unset")
 	Zombies int             // default 3
 	Seed    uint64          // deterministic scenario seed
 
@@ -68,7 +68,7 @@ func Generate(s Scenario) (*Result, error) {
 		return nil, err
 	}
 	victim := s.Victim
-	if victim <= 0 {
+	if victim < 0 {
 		victim = topology.NodeID(cl.Net.NumNodes() - 1)
 	}
 	if int(victim) >= cl.Net.NumNodes() {

@@ -33,7 +33,7 @@ func TestBatchBackpressureShedsWholeSubBatch(t *testing.T) {
 
 	// One batch enters the worker and stalls on the clock; a second
 	// fills the depth-1 queue.
-	if got := p.Submit(rec); !got {
+	if got := submit(p, rec); !got {
 		t.Fatal("first submit rejected")
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -159,5 +159,62 @@ func TestSlabLifecycleAcrossPipeline(t *testing.T) {
 	snap := p.Snapshot()
 	if snap.Processed != snap.Accepted {
 		t.Errorf("processed %d != accepted %d after drain", snap.Processed, snap.Accepted)
+	}
+}
+
+// drainAllocs measures the steady-state allocations of one full slab
+// lifecycle — GetSlab → n appends → SubmitSlab → workers drained — over
+// eight victims on two shards. The quiesce barrier allocates a little
+// itself, identically in every configuration compared.
+func drainAllocs(t *testing.T, traceBuffer, n int, traced bool) float64 {
+	t.Helper()
+	net := topology.NewMesh2D(4)
+	p, err := New(Config{Net: net, Shards: 2, TraceBuffer: traceBuffer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	mf := mkMF(t, net, 9, 5)
+	var id uint64
+	return testing.AllocsPerRun(50, func() {
+		s := p.GetSlab()
+		for i := 0; i < n; i++ {
+			rec := wire.Record{Topo: p.TopoID(), Victim: topology.NodeID(i % 8), MF: mf}
+			if id++; traced {
+				s.AppendTraced(wire.TracedRecord{Record: rec, Ctx: wire.TraceContext{ID: id, Sent: 1}})
+			} else {
+				s.Append(rec)
+			}
+		}
+		p.SubmitSlab(s)
+		quiesce(p)
+	})
+}
+
+// TestSubmitUntracedZeroExtraAlloc pins the untraced lane's cost: a
+// 16-record slab without contexts allocates exactly the same with the
+// flight recorder armed as with tracing disabled outright — an armed
+// recorder costs slabs that carry no lane nothing.
+func TestSubmitUntracedZeroExtraAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts race-detector shadow allocations")
+	}
+	armed, disabled := drainAllocs(t, 4096, 16, false), drainAllocs(t, -1, 16, false)
+	if armed != disabled {
+		t.Fatalf("untraced slab allocates %.1f/op with the recorder armed, %.1f/op with tracing disabled — the trace lane leaked onto the untraced path", armed, disabled)
+	}
+}
+
+// TestTracedSlabDrainsWithoutAllocating: at steady state a 1 024-record
+// traced slab — one trace committed per record — allocates nothing the
+// same slab without its lane does not: the slab's context buffer, the
+// shard's outcome scratch and the recorder's ring are all reused.
+func TestTracedSlabDrainsWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts race-detector shadow allocations")
+	}
+	traced, plain := drainAllocs(t, 4096, 1024, true), drainAllocs(t, 4096, 1024, false)
+	if traced != plain {
+		t.Fatalf("traced 1024-record slab allocates %.1f/op, untraced %.1f/op — want 0 allocations per traced record", traced, plain)
 	}
 }

@@ -41,7 +41,7 @@ func TestChaosIngestLosesNothingSilently(t *testing.T) {
 	// 1. Seeded ground truth: the same flood scenario the clean e2e
 	// test uses.
 	res, err := loadgen.Generate(loadgen.Scenario{
-		Topo: core.Torus2D(8), Zombies: 3, Seed: 42,
+		Topo: core.Torus2D(8), Victim: -1, Zombies: 3, Seed: 42,
 		AttackGap: 2, Background: 0.002, Warmup: 3000, Attack: 6000,
 	})
 	if err != nil {
@@ -240,6 +240,20 @@ func TestChaosIngestLosesNothingSilently(t *testing.T) {
 		}
 		if _, ok := fr.Find(id); !ok {
 			t.Errorf("trace %s served over HTTP but not findable in the recorder", bt.ID)
+		}
+	}
+	// Interesting endings are always retained and the ring is too big
+	// to evict, so the recorder's tally of them must equal the
+	// pipeline's counters: decisions and traces come from one pass.
+	snapNow := p.Snapshot()
+	for out, want := range map[pipeline.Outcome]uint64{
+		pipeline.OutcomeBlock:      snapNow.Blocks,
+		pipeline.OutcomeBlockedHit: snapNow.BlockedHits,
+	} {
+		f := pipeline.AllTraces()
+		f.Outcome, f.HasOut = out, true
+		if got := uint64(len(fr.Snapshot(f))); got != want {
+			t.Errorf("%d %v traces retained, counters say %d", got, out, want)
 		}
 	}
 	// Detect-stage bins can only be stamped by full-journey traces, and

@@ -9,7 +9,7 @@ package pipeline
 // locally) or a peer does (re-export over a forwarding session).
 //
 // Victim-state handoff rides the same shard queues as records:
-// SeedVictim enqueues a replica snapshot to the owning shard, so the
+// SeedVictim enqueues a control batch to the owning shard, so the
 // merge happens on the worker goroutine that owns the victim map —
 // single-writer discipline is preserved and a seed enqueued before a
 // record batch is applied before it.
@@ -105,6 +105,23 @@ func snapshotState(v topology.NodeID, st *victimState) VictimSnapshot {
 	return snap
 }
 
+// control hands fn to the worker that owns victim v as a control
+// batch: fn runs on that worker, after every batch enqueued before it
+// and before every batch enqueued after. Returns false when the victim
+// is out of range or the pipeline is closed.
+func (p *Pipeline) control(v topology.NodeID, fn func(*shard)) bool {
+	if v < 0 || int(v) >= p.cfg.Net.NumNodes() {
+		return false
+	}
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.closed {
+		return false
+	}
+	p.shards[int(v)%len(p.shards)].ch <- batch{ctl: fn}
+	return true
+}
+
 // SeedVictim merges a replica snapshot into the owning shard's victim
 // state, creating it if absent. The merge is additive, which is exact
 // when ownership transfers are exclusive: the replica covers records
@@ -114,16 +131,28 @@ func snapshotState(v topology.NodeID, st *victimState) VictimSnapshot {
 // submitted after it. Returns false when the pipeline is closed or the
 // victim is out of range.
 func (p *Pipeline) SeedVictim(snap VictimSnapshot) bool {
-	if snap.Victim < 0 || int(snap.Victim) >= p.cfg.Net.NumNodes() {
-		return false
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return false
-	}
-	p.shards[int(snap.Victim)%len(p.shards)].ch <- batch{seed: &snap}
-	return true
+	return p.control(snap.Victim, func(s *shard) {
+		st := s.victims[snap.Victim]
+		if st == nil {
+			if p.schemeErr != nil {
+				return // unbuildable scheme; nothing to seed into
+			}
+			// Seeds bypass the admission gate: a replica handed over on
+			// takeover is evidence the victim was already hot on its owner.
+			st = p.materialize(s, snap.Victim)
+		}
+		id := st.ident.Lock()
+		for _, sc := range snap.Sources {
+			id.AddTally(topology.NodeID(sc.Node), sc.Count)
+		}
+		id.AddUndecodable(snap.Undecodable)
+		st.ident.Unlock()
+		if snap.Alarmed {
+			// Inherit the latch without counting a fresh alarm: the dead
+			// owner already counted (and journaled) this attack.
+			st.alarmed.Store(true)
+		}
+	})
 }
 
 // DetachVictim removes one victim's exact state from the pipeline and
@@ -137,53 +166,20 @@ func (p *Pipeline) SeedVictim(snap VictimSnapshot) bool {
 // runs, so callers can sequence against the queue either way). Returns
 // false when the pipeline is closed or the victim is out of range.
 func (p *Pipeline) DetachVictim(v topology.NodeID, fn func(VictimSnapshot, bool)) bool {
-	if v < 0 || int(v) >= p.cfg.Net.NumNodes() || fn == nil {
+	if fn == nil {
 		return false
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return false
-	}
-	p.shards[int(v)%len(p.shards)].ch <- batch{detach: &detachReq{victim: v, fn: fn}}
-	return true
-}
-
-// applyDetach runs on the shard worker goroutine (see run).
-func (p *Pipeline) applyDetach(s *shard, req *detachReq) {
-	st := s.victims[req.victim]
-	if st == nil {
-		req.fn(VictimSnapshot{Victim: req.victim}, false)
-		return
-	}
-	snap := snapshotState(req.victim, st)
-	s.mu.Lock()
-	delete(s.victims, req.victim)
-	s.mu.Unlock()
-	p.C.VictimsDetached.Add(1)
-	req.fn(snap, true)
-}
-
-// applySeed runs on the shard worker goroutine (see run).
-func (p *Pipeline) applySeed(s *shard, snap *VictimSnapshot) {
-	st := s.victims[snap.Victim]
-	if st == nil {
-		if p.schemeErr != nil {
-			return // unbuildable scheme; nothing to seed into
+	return p.control(v, func(s *shard) {
+		st := s.victims[v]
+		if st == nil {
+			fn(VictimSnapshot{Victim: v}, false)
+			return
 		}
-		// Seeds bypass the admission gate: a replica handed over on
-		// takeover is evidence the victim was already hot on its owner.
-		st = p.materialize(s, snap.Victim)
-	}
-	id := st.ident.Lock()
-	for _, sc := range snap.Sources {
-		id.AddTally(topology.NodeID(sc.Node), sc.Count)
-	}
-	id.AddUndecodable(snap.Undecodable)
-	st.ident.Unlock()
-	if snap.Alarmed {
-		// Inherit the latch without counting a fresh alarm: the dead
-		// owner already counted (and journaled) this attack.
-		st.alarmed.Store(true)
-	}
+		snap := snapshotState(v, st)
+		s.mu.Lock()
+		delete(s.victims, v)
+		s.mu.Unlock()
+		p.C.VictimsDetached.Add(1)
+		fn(snap, true)
+	})
 }

@@ -23,7 +23,7 @@ func TestDetachVictim(t *testing.T) {
 	mf := mkMF(t, net, src, victim)
 	const n = 25
 	for i := 0; i < n; i++ {
-		if !p.Submit(wire.Record{Topo: p.TopoID(), Victim: victim, MF: mf}) {
+		if !submit(p, wire.Record{Topo: p.TopoID(), Victim: victim, MF: mf}) {
 			t.Fatal("submit rejected")
 		}
 	}
@@ -89,7 +89,7 @@ func TestDetachVictim(t *testing.T) {
 	}
 
 	// A detached victim re-materializes from scratch on later records.
-	if !p.Submit(wire.Record{Topo: p.TopoID(), Victim: victim, MF: mf}) {
+	if !submit(p, wire.Record{Topo: p.TopoID(), Victim: victim, MF: mf}) {
 		t.Fatal("post-detach submit rejected")
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -101,5 +101,50 @@ func TestDetachVictim(t *testing.T) {
 			t.Fatal("victim never re-materialized after detach")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSeedVictimOrdersBeforeLaterBatches: a seed rides the shard queue
+// as a control batch, so a record batch submitted right after it is
+// processed against the seeded tallies and the inherited alarm latch —
+// here that makes the very next record cross the block threshold —
+// without counting a fresh alarm.
+func TestSeedVictimOrdersBeforeLaterBatches(t *testing.T) {
+	net := topology.NewMesh2D(4)
+	p, err := New(Config{Net: net, Shards: 2, BlockThreshold: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim, src = topology.NodeID(5), topology.NodeID(9)
+	seed := VictimSnapshot{
+		Victim: victim, Alarmed: true, Undecodable: 2,
+		Sources: []SourceCount{{Node: int64(src), Count: 50}},
+	}
+	if !p.SeedVictim(seed) {
+		t.Fatal("SeedVictim rejected a valid snapshot")
+	}
+	if !submit(p, wire.Record{Topo: p.TopoID(), Victim: victim, MF: mkMF(t, net, src, victim)}) {
+		t.Fatal("submit rejected")
+	}
+	if p.SeedVictim(VictimSnapshot{Victim: topology.NodeID(net.NumNodes())}) {
+		t.Fatal("out-of-range victim accepted")
+	}
+	p.Close()
+
+	snap, ok := p.ExportVictim(victim)
+	if !ok || snap.Identified() != 51 || snap.Undecodable != 2 || !snap.Alarmed {
+		t.Fatalf("state after seed+record = %+v (ok %v), want 51 identified, 2 undecodable, alarmed", snap, ok)
+	}
+	if got := p.C.Blocks.Load(); got != 1 || !p.Blocklist().BlockedAt(src, 0) {
+		t.Fatalf("blocks = %d, want the seeded tally + one record to block source %d", got, src)
+	}
+	if got := p.C.Alarms.Load(); got != 0 {
+		t.Fatalf("alarms = %d, want 0: the dead owner already counted this attack", got)
+	}
+	if p.SeedVictim(seed) {
+		t.Fatal("SeedVictim accepted on a closed pipeline")
+	}
+	if got := p.SlabsOutstanding(); got != 0 {
+		t.Fatalf("slabs outstanding = %d, want 0", got)
 	}
 }

@@ -27,9 +27,9 @@ const (
 	OutcomeIdentified  Outcome = iota // decoded to a source, nothing notable
 	OutcomeUndecodable                // MF decode rejected
 	OutcomeBlockedHit                 // source already blocked; dropped pre-detector
-	OutcomeAlarm                      // this record latched the victim's alarm
-	OutcomeBlock                      // this record pushed its source over the auto-block threshold
-	OutcomeDrop                       // shed at Submit: shard queue full
+	OutcomeAlarm                      // the record at which a detector first read alarmed
+	OutcomeBlock                      // the record at which the block pass inserted its source's block
+	OutcomeDrop                       // shed at SubmitSlab: shard queue full
 	OutcomeRejected                   // failed validation (topo mismatch, bad victim, closed)
 	OutcomeResync                     // synthetic stream-level event: reader skipped to next magic
 	OutcomeSuppressed                 // tallied sketch-only, below the admission threshold
@@ -76,20 +76,25 @@ const SpanMissing int64 = -1
 //
 // Span semantics (all nanoseconds):
 //
-//	Wire     exporter Send stamp → first daemon's Submit entry (or, for
-//	         a forwarded record, → the origin's route decision):
+//	Wire     exporter Send stamp → first daemon's SubmitSlab entry (or,
+//	         for a forwarded record, → the origin's route decision):
 //	         wall-clock delta across hosts; skew-prone, still invaluable
-//	Forward  origin's route decision → owner's Submit entry (route →
+//	Forward  origin's route decision → owner's SubmitSlab entry (route →
 //	         forward queue → wire → remote ingest); SpanMissing unless
 //	         the record crossed a cluster forward hop
-//	Ingest   Submit entry → shard worker dequeue (validation + queue wait)
-//	Identify victim-state lookup + MF decode
+//	Ingest   SubmitSlab entry → shard worker dequeue (validation + queue wait)
+//	Identify MF decode + blocklist prefilter
 //	Detect   CUSUM/entropy update + alarm latch
-//	Block    blocklist consult (+ insertion and journaling on a block)
+//	Block    threshold check (+ insertion and journaling on a block)
+//
+// Identify, Detect and Block are the wall time of the victim group's
+// pass ÷ group length — the amortized figure the stage histograms
+// record — so every trace of a group reads the same; the outcome says
+// which record alarmed or blocked.
 type Trace struct {
 	ID      uint64
 	Sent    int64 // exporter send time, unix nanos (0 = unknown)
-	Start   int64 // Submit entry, unix nanos
+	Start   int64 // SubmitSlab entry, unix nanos
 	Victim  int64 // -1 for stream-level events
 	Source  int64 // identified source; -1 when unknown/undecodable
 	Shard   int32

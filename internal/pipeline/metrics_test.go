@@ -54,8 +54,8 @@ func TestMetricsGolden(t *testing.T) {
 	submitWait(t, p, wire.Record{T: 1, Topo: p.TopoID(), Victim: 1, MF: 0})
 	submitWait(t, p, wire.Record{T: 2, Topo: p.TopoID(), Victim: 2, MF: 0})
 	submitWait(t, p, wire.Record{T: 3, Topo: p.TopoID(), Victim: 2, MF: 0x7F7F}) // undecodable
-	p.Submit(wire.Record{T: 4, Topo: 12345, Victim: 1})                          // topo mismatch
-	p.Submit(wire.Record{T: 5, Topo: p.TopoID(), Victim: 99})                    // bad victim
+	submit(p, wire.Record{T: 4, Topo: 12345, Victim: 1})                         // topo mismatch
+	submit(p, wire.Record{T: 5, Topo: p.TopoID(), Victim: 99})                   // bad victim
 	p.Blocklist().BlockUntil(3, clock.Load()+int64(time.Hour))
 	p.Close() // drain and flush shard counters
 

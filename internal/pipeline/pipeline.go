@@ -93,7 +93,7 @@ type Config struct {
 	// N ingest units, rounded up to a power of two (default 64; 1
 	// times every unit; negative disables the histograms). A unit is
 	// one submitted slab on the ingest stage and one sub-batch on the
-	// shard stages — with single-record Submit that degenerates to one
+	// shard stages — with single-record slabs that degenerates to one
 	// in every N records. Sampled batches report the per-record
 	// amortized stage cost, so the histograms stay comparable across
 	// batch sizes. The sampled stages are ingest→enqueue,
@@ -117,9 +117,9 @@ type Config struct {
 	JournalTopK int
 
 	// TraceBuffer is the flight-recorder capacity in traces (default
-	// 4096; negative disables per-record tracing — SubmitTraced then
-	// degrades to Submit). Records without a trace context cost one
-	// branch regardless, so the recorder can stay on in production.
+	// 4096; negative disables per-record tracing — a slab's trace lane
+	// is then ignored). Slabs without a lane cost one nil test per
+	// victim group regardless, so the recorder can stay on in production.
 	TraceBuffer int
 
 	// TraceSampleN is the tail-sampling rate for boring traces: 1 in N
@@ -206,7 +206,7 @@ func (c *Config) applyDefaults() error {
 
 // Pipeline stages instrumented with latency histograms.
 const (
-	stageIngest   = iota // Submit entry → shard-queue enqueue
+	stageIngest   = iota // SubmitSlab entry → shard-queue enqueue
 	stageIdentify        // victim-state lookup + MF decode/identify
 	stageDetect          // CUSUM/entropy update + alarm latch
 	stageBlock           // blocklist consult + auto-block insertion
@@ -253,9 +253,9 @@ func (l *stageLat) observe(hint uint64, d time.Duration) {
 // monotone total; read them consistently with the Snapshot method
 // (which adds the non-monotone gauges: queue depths, active blocks).
 type Counters struct {
-	Ingested       atomic.Uint64 // records offered to Submit
+	Ingested       atomic.Uint64 // records offered to SubmitSlab
 	Dropped        atomic.Uint64 // backpressure: shard queue full
-	RejectedClosed atomic.Uint64 // Submit after Close — a lifecycle bug upstream, not load shed
+	RejectedClosed atomic.Uint64 // SubmitSlab after Close — a lifecycle bug upstream, not load shed
 	TopoMismatch   atomic.Uint64 // record's TopoID != the pipeline's
 	BadVictim      atomic.Uint64 // victim outside the topology
 	Processed      atomic.Uint64 // records a shard worker consumed
@@ -322,41 +322,20 @@ type victimState struct {
 	entropyL detect.InnerLocker
 }
 
-// job is the traced slow path's per-record unit: the record plus its
-// trace context and the Submit-entry wall clock (unix nanos, 0 when
-// neither traced nor latency-sampled). Untraced records never become
-// jobs — they stay in the slab and take the grouped fast path.
-type job struct {
-	rec wire.Record
-	tc  wire.TraceContext
-	t0  int64
-}
-
-// batch is one shard-queue element: a [start, end) view into a
-// partitioned slab (records contiguous and victim-grouped) plus the
-// Submit-entry wall clock. The receiving worker owns one slab
-// reference and releases it when done. A batch with seed set instead
-// carries a cluster victim-state replica to merge (see SeedVictim);
-// one with detach set asks the worker to snapshot-and-remove a victim's
-// state (see DetachVictim); one with sweep set asks the worker to run a
-// VictimTTL sweep over its shard (done, when non-nil, receives one ack
-// per sweep — the deterministic handle SweepVictims uses); all three
-// carry a nil slab.
+// batch is one shard-queue element, of two kinds. A record batch is a
+// [start, end) view into a partitioned slab (records contiguous and
+// victim-grouped) plus the SubmitSlab-entry wall clock (unix nanos, 0
+// when the slab is neither latency-sampled nor traced); the receiving
+// worker owns one slab reference and releases it when done. A control
+// batch carries only ctl, which the worker runs between record batches:
+// that is how SeedVictim, DetachVictim and the TTL sweeps reach
+// worker-owned state in queue order, keeping the single-writer
+// discipline without a lock.
 type batch struct {
 	slab       *wire.Slab
 	start, end int32
 	t0         int64
-	seed       *VictimSnapshot
-	detach     *detachReq
-	sweep      bool
-	done       chan<- struct{}
-}
-
-// detachReq asks a shard worker to hand a victim's exact state out of
-// the pipeline: snapshot it, delete it, and pass the snapshot to fn.
-type detachReq struct {
-	victim topology.NodeID
-	fn     func(VictimSnapshot, bool)
+	ctl        func(*shard)
 }
 
 type shard struct {
@@ -364,9 +343,11 @@ type shard struct {
 	mu      sync.Mutex // guards victims map shape (worker writes, admin reads)
 	victims map[topology.NodeID]*victimState
 
-	// srcs is the fast path's per-group identification scratch: the
-	// identified source per record, or a negative sentinel.
+	// srcs is the per-group identification scratch: the identified
+	// source per record, or a negative sentinel. outs is the trace
+	// lane's per-group outcome scratch, sized when a lane is first seen.
 	srcs []int32
+	outs []Outcome
 
 	// Admission gate (nil when SketchAdmit < 0): destinations must look
 	// hot in the count-min sketch + space-saving table before they earn
@@ -385,24 +366,17 @@ type shard struct {
 	gated  atomic.Int64
 
 	// Per-shard worker counters behind the shard="N" metric labels.
-	// seen and batches are worker-local latency-sampling clocks (seen
-	// ticks per record on the traced slow path, batches per sub-batch
-	// on the fast path); the pend fields batch counts between flushes
-	// so the hot path pays two atomic adds per flushEvery records (or
-	// per queue drain) instead of per record. The atomics are what the
-	// admin plane reads.
-	seen           uint64
+	// batches is the worker-local latency-sampling clock, one tick per
+	// sub-batch; the pend fields batch counts between flushes so the hot
+	// path pays two atomic adds per flushEvery records (or per queue
+	// drain) instead of per record. The atomics are what the admin
+	// plane reads.
 	batches        uint64
 	pendProcessed  uint64
 	pendIdentified uint64
 	processed      atomic.Uint64
 	identified     atomic.Uint64
 	dropped        atomic.Uint64
-
-	// tr is the worker-local trace under construction, reused across
-	// records so the untraced hot path never zeroes a Trace (Commit
-	// copies it into the ring, keeping reuse safe).
-	tr Trace
 }
 
 // flushEvery bounds how stale a shard's published counters may be
@@ -423,7 +397,7 @@ func (s *shard) flush() {
 }
 
 // Pipeline is the running sharded service. Build with New, feed with
-// Submit (any goroutine), stop with Close (drains queues).
+// SubmitSlab (any goroutine), stop with Close (drains queues).
 type Pipeline struct {
 	cfg    Config
 	topoID uint32
@@ -455,7 +429,7 @@ type Pipeline struct {
 	rateWin    *stats.RateWindow
 	fr         *FlightRecorder // nil when tracing disabled
 
-	mu     sync.RWMutex // serializes Submit against Close
+	mu     sync.RWMutex // serializes SubmitSlab and control hand-offs against Close
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -534,30 +508,6 @@ func (p *Pipeline) GetSlab() *wire.Slab { return p.pool.Get() }
 // queues have drained (the leak check).
 func (p *Pipeline) SlabsOutstanding() int64 { return p.pool.Outstanding() }
 
-// Submit offers one record to the pipeline without blocking. It
-// reports false when the record was not queued — validation failure or
-// backpressure — with the reason visible in the counters.
-func (p *Pipeline) Submit(rec wire.Record) bool {
-	s := p.pool.Get()
-	s.Append(rec)
-	return p.SubmitSlab(s) == 1
-}
-
-// SubmitTraced is Submit for records carrying a wire trace context. A
-// zero context (ID 0) behaves exactly like Submit; a nonzero one has
-// its journey recorded into the flight recorder, including the
-// rejection paths (every trace gets an ending, even "the queue was
-// full").
-func (p *Pipeline) SubmitTraced(tr wire.TracedRecord) bool {
-	s := p.pool.Get()
-	if tr.Ctx.ID != 0 {
-		s.AppendTraced(tr)
-	} else {
-		s.Append(tr.Record) // keep the untraced single-record path on the slab fast path
-	}
-	return p.SubmitSlab(s) == 1
-}
-
 // SubmitSlab offers a filled slab to the pipeline without blocking and
 // returns how many of its records were enqueued. The slab is
 // partitioned in place by victim shard; each shard's contiguous
@@ -580,23 +530,24 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 	traced := s.Ctxs != nil && p.fr != nil
 	// Sample one submit in every period: the unit is the slab, not the
 	// record, so batch ingest keeps the same sampling overhead as
-	// single-record Submit instead of multiplying it by the batch size.
+	// single-record slabs instead of multiplying it by the batch size.
 	sampled := p.sampleOn && (p.submitSeq.Add(1)-1)&p.sampleMask == 0
 	var t0 time.Time
+	var t0ns int64
 	if sampled || traced {
 		t0 = time.Now()
+		t0ns = t0.UnixNano()
 	}
 	groups, valid := s.Partition(p.topoID, p.cfg.Net.NumNodes(), len(p.shards))
 	for i := valid; i < n; i++ {
-		rec := s.Recs[i]
-		if rec.Topo != p.topoID {
+		if s.Recs[i].Topo != p.topoID {
 			p.C.TopoMismatch.Add(1)
 		} else {
 			p.C.BadVictim.Add(1)
 		}
-		if traced && s.Ctxs[i].ID != 0 {
-			p.traceIngestFail(true, &wire.TracedRecord{Record: rec, Ctx: s.Ctxs[i]}, t0, OutcomeRejected)
-		}
+	}
+	if traced {
+		p.traceEnded(s.Recs[valid:], s.Ctxs[valid:], t0ns, -1, SpanMissing, OutcomeRejected)
 	}
 	p.mu.RLock()
 	if p.closed {
@@ -605,18 +556,10 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 		p.mu.RUnlock()
 		p.C.RejectedClosed.Add(uint64(valid))
 		if traced {
-			for i := 0; i < valid; i++ {
-				if s.Ctxs[i].ID != 0 {
-					p.traceIngestFail(true, &wire.TracedRecord{Record: s.Recs[i], Ctx: s.Ctxs[i]}, t0, OutcomeRejected)
-				}
-			}
+			p.traceEnded(s.Recs[:valid], s.Ctxs[:valid], t0ns, -1, SpanMissing, OutcomeRejected)
 		}
 		s.Release()
 		return 0
-	}
-	var t0ns int64
-	if sampled || traced {
-		t0ns = t0.UnixNano()
 	}
 	for _, g := range groups {
 		sh := p.shards[g.Shard]
@@ -630,11 +573,7 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 			p.C.Dropped.Add(cnt) // bounded queue full: shed the sub-batch, don't stall ingest
 			sh.dropped.Add(cnt)
 			if traced {
-				for i := g.Start; i < g.End; i++ {
-					if s.Ctxs[i].ID != 0 {
-						p.traceIngestFail(true, &wire.TracedRecord{Record: s.Recs[i], Ctx: s.Ctxs[i]}, t0, OutcomeDrop)
-					}
-				}
+				p.traceEnded(s.Recs[g.Start:g.End], s.Ctxs[g.Start:g.End], t0ns, -1, SpanMissing, OutcomeDrop)
 			}
 		}
 	}
@@ -648,40 +587,56 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 	return accepted
 }
 
-// traceIngestFail commits a trace for a record that never reached a
-// shard worker: validation rejection or queue-full shed. Only the Wire
-// span is known; everything downstream is SpanMissing.
-func (p *Pipeline) traceIngestFail(traced bool, tr *wire.TracedRecord, t0 time.Time, out Outcome) {
-	if !traced {
-		return
-	}
+// newTrace starts one record's timeline: its identity, the SubmitSlab
+// entry clock and the cross-host spans its context implies. Every
+// daemon-side span starts SpanMissing; the caller fills in as far as
+// the record got.
+func newTrace(tc *wire.TraceContext, start int64, victim topology.NodeID, shard int) Trace {
 	t := Trace{
-		ID: tr.Ctx.ID, Sent: tr.Ctx.Sent, Start: t0.UnixNano(),
-		Victim: int64(tr.Victim), Source: -1, Shard: -1, Outcome: out,
+		ID: tc.ID, Sent: tc.Sent, Start: start,
+		Victim: int64(victim), Source: -1, Shard: int32(shard),
 		Wire: SpanMissing, Forward: SpanMissing, Ingest: SpanMissing,
 		Identify: SpanMissing, Detect: SpanMissing, Block: SpanMissing,
 	}
-	if tr.Ctx.Routed > 0 {
-		if tr.Ctx.Sent > 0 {
-			t.Wire = tr.Ctx.Routed - tr.Ctx.Sent
+	if tc.Routed > 0 {
+		// The record crossed a cluster forward hop: Wire ends at the
+		// origin's route decision, Forward covers route → forward
+		// queue → wire → this node's SubmitSlab entry.
+		if tc.Sent > 0 {
+			t.Wire = tc.Routed - tc.Sent
 		}
-		t.Forward = t.Start - tr.Ctx.Routed
-		t.Origin = tr.Ctx.Origin
-	} else if tr.Ctx.Sent > 0 {
-		t.Wire = t.Start - tr.Ctx.Sent
+		t.Forward = start - tc.Routed
+		t.Origin = tc.Origin
+	} else if tc.Sent > 0 {
+		t.Wire = start - tc.Sent
 	}
-	p.commitTrace(&t)
+	return t
+}
+
+// traceEnded commits a trace for every traced record of a run whose
+// journey ended short of a victim's exact state: rejected or shed in
+// SubmitSlab (shard −1, ingest SpanMissing — no worker saw it), or, on
+// a worker, kept sketch-only by the admission gate or addressed to a
+// fabric the scheme cannot cover. No pass ran for such records, so
+// every worker span stays SpanMissing.
+func (p *Pipeline) traceEnded(recs []wire.Record, ctxs []wire.TraceContext, start int64, shard int, ingest int64, out Outcome) {
+	for i := range ctxs {
+		if ctxs[i].ID == 0 {
+			continue
+		}
+		t := newTrace(&ctxs[i], start, recs[i].Victim, shard)
+		t.Ingest, t.Outcome = ingest, out
+		p.commitTrace(&t)
+	}
 }
 
 // observeDetection records one send-to-block detection latency sample.
 // Unlike the stage histograms it is unsampled — blocks are rare and
 // each one's latency is the paper's headline quantity.
 func (p *Pipeline) observeDetection(hint uint64, ns int64) {
-	if p.detLat.hist == nil || ns <= 0 {
-		return
+	if p.detLat.hist != nil && ns > 0 {
+		p.detLat.observe(hint, time.Duration(ns))
 	}
-	p.detLat.sumNS.Add(ns)
-	p.detLat.hist.Observe(hint, stats.Log2NS(ns))
 }
 
 // DetectionLatency returns the send-to-block histogram and exact
@@ -729,22 +684,11 @@ func (p *Pipeline) Close() {
 func (p *Pipeline) run(s *shard, si int) {
 	defer p.wg.Done()
 	for b := range s.ch {
-		if b.sweep {
-			p.sweepShard(s)
-			if b.done != nil {
-				b.done <- struct{}{}
-			}
+		if b.ctl != nil {
+			b.ctl(s)
 			continue
 		}
-		if b.seed != nil {
-			p.applySeed(s, b.seed)
-			continue
-		}
-		if b.detach != nil {
-			p.applyDetach(s, b.detach)
-			continue
-		}
-		p.processBatch(s, si, b)
+		p.processSub(s, si, b)
 		b.slab.Release()
 		if s.pendProcessed >= flushEvery || len(s.ch) == 0 {
 			s.flush()
@@ -762,38 +706,44 @@ func (p *Pipeline) run(s *shard, si int) {
 	s.flush()
 }
 
-// processBatch consumes one sub-batch view. Traced slabs take the
-// per-record slow path (exact span semantics per trace); untraced
-// slabs — the hot path — run grouped per victim.
-func (p *Pipeline) processBatch(s *shard, si int, b batch) {
-	slab := b.slab
-	if slab.Ctxs != nil {
-		for i := b.start; i < b.end; i++ {
-			p.process(s, si, job{rec: slab.Recs[i], tc: slab.Ctxs[i], t0: b.t0})
-		}
-		return
-	}
-	p.processFast(s, si, slab.Recs[b.start:b.end])
-}
-
 // srcBlocked marks a record whose identified source was already
 // blocked at observation time (dropped before the detectors, like the
-// in-fabric filter would).
+// in-fabric filter would). The source stays recoverable — the scratch
+// holds srcBlocked − src, so every value at or below srcBlocked is a
+// blocked hit — because the trace lane names it.
 const srcBlocked = int32(-2)
 
-// fastCtx accumulates one batch's worth of tallies and sampled stage
+// fastCtx accumulates one sub-batch's worth of tallies and stage
 // timings across its victim groups — including groups replayed through
-// the admission gate — flushed to the atomic counters once per batch.
+// the admission gate — flushed to the atomic counters once per
+// sub-batch. The stage clock runs (timed) when the sub-batch is
+// latency-sampled or carries a trace lane; only sampled sub-batches
+// feed the histograms.
 type fastCtx struct {
-	sampled bool
-	tMark   time.Time
+	sampled, timed bool
+	tMark          time.Time
 
 	durIdent, durDetect, durBlock time.Duration
+
+	// What every trace of the sub-batch shares: the shard, the
+	// SubmitSlab entry clock and the entry → worker-dequeue span.
+	si         int
+	t0, ingest int64
 
 	identified, undecodable, blockedHits uint64
 	alarms, blocks                       uint64
 	suppressed, deferred, replayed       uint64
 	admitted, unbuildable                uint64
+}
+
+// lap charges the wall time since the previous mark to one stage's
+// sub-batch total and returns it.
+func (fc *fastCtx) lap(total *time.Duration) time.Duration {
+	t := time.Now()
+	d := t.Sub(fc.tMark)
+	fc.tMark = t
+	*total += d
+	return d
 }
 
 // flush publishes the accumulated tallies. The worker-local pending
@@ -832,14 +782,19 @@ func (fc *fastCtx) flush(p *Pipeline, s *shard) {
 	}
 }
 
-// processFast is the untraced batch path: records are already grouped
-// by victim, so each group runs three passes — identify under one
-// identifier lock, detect under one detector lock, block under the
-// identifier lock again — and counters/latency histograms are written
-// once per batch instead of once per record. Groups for destinations
-// without exact state first clear the sketch admission gate (see
-// gateRecord); the rest of the group from the crossing record on takes
-// the exact path.
+// processSub consumes one sub-batch view — the only unit a worker
+// processes. Records are already grouped by victim, so each group runs
+// three passes — identify under one identifier lock, detect under one
+// detector lock, block under the identifier lock again — and
+// counters/latency histograms are written once per sub-batch instead
+// of once per record. Groups for destinations without exact state
+// first clear the sketch admission gate (see gateRecord); the rest of
+// the group from the crossing record on takes the exact path.
+//
+// A slab's trace lane rides along as the matching slice of contexts
+// per group (nil without a lane or with the recorder off) and never
+// changes a decision: it only makes the group commit one trace per
+// nonzero context once its passes are done.
 //
 // Batch granularity shifts two per-record behaviors by design: a block
 // inserted while processing a group takes effect from the next group
@@ -849,15 +804,22 @@ func (fc *fastCtx) flush(p *Pipeline, s *shard) {
 // latch is set, not only records after the alarming one. Both keep the
 // end state — who is blocked, who alarmed — identical for steady
 // streams; see DESIGN.md §11.
-func (p *Pipeline) processFast(s *shard, si int, recs []wire.Record) {
+func (p *Pipeline) processSub(s *shard, si int, b batch) {
+	recs := b.slab.Recs[b.start:b.end]
 	n := len(recs)
 	p.C.Processed.Add(uint64(n))
 	s.pendProcessed += uint64(n)
-	fc := fastCtx{sampled: p.sampleOn && s.batches&p.sampleMask == 0}
+	fc := fastCtx{sampled: p.sampleOn && s.batches&p.sampleMask == 0, si: si, t0: b.t0}
 	s.batches++
-	s.seen += uint64(n)
-	if fc.sampled {
+	var lane []wire.TraceContext
+	if b.slab.Ctxs != nil && p.fr != nil {
+		lane = b.slab.Ctxs[b.start:b.end]
+	}
+	fc.timed = fc.sampled || lane != nil
+	if fc.timed {
 		fc.tMark = time.Now()
+		// SubmitSlab entry → worker dequeue: validation plus queue wait.
+		fc.ingest = fc.tMark.UnixNano() - b.t0
 	}
 	for gi := 0; gi < n; {
 		v := recs[gi].Victim
@@ -866,6 +828,10 @@ func (p *Pipeline) processFast(s *shard, si int, recs []wire.Record) {
 			ge++
 		}
 		group := recs[gi:ge]
+		var ctxs []wire.TraceContext
+		if lane != nil {
+			ctxs = lane[gi:ge]
+		}
 		gi = ge
 		st := s.victims[v]
 		if st == nil {
@@ -873,6 +839,7 @@ func (p *Pipeline) processFast(s *shard, si int, recs []wire.Record) {
 				// Unbuildable scheme for this fabric, cached at New: count
 				// and move on instead of retrying construction per batch.
 				fc.unbuildable += uint64(len(group))
+				p.traceEnded(group, ctxs, b.t0, si, fc.ingest, OutcomeUndecodable)
 				continue
 			}
 			if s.cm != nil {
@@ -886,6 +853,10 @@ func (p *Pipeline) processFast(s *shard, si int, recs []wire.Record) {
 					}
 					k++
 				}
+				if ctxs != nil {
+					p.traceEnded(group[:k], ctxs[:k], b.t0, si, fc.ingest, OutcomeSuppressed)
+					ctxs = ctxs[k:]
+				}
 				if st == nil {
 					continue // the whole group stayed sketch-only
 				}
@@ -894,7 +865,7 @@ func (p *Pipeline) processFast(s *shard, si int, recs []wire.Record) {
 				st = p.materialize(s, v)
 			}
 		}
-		p.processGroup(s, st, v, group, &fc)
+		p.processGroup(s, st, v, group, ctxs, &fc)
 	}
 	fc.flush(p, s)
 	if fc.sampled {
@@ -914,7 +885,9 @@ func (p *Pipeline) processFast(s *shard, si int, recs []wire.Record) {
 // through the exact path, so admission loses no identification
 // evidence from the moment the destination started being tracked. The
 // crossing record itself is not replayed; the caller processes it (and
-// the rest of its group) normally.
+// the rest of its group) normally. Replays run untraced: the buffer
+// holds records, not contexts, and each buffered record already
+// committed its suppressed ending.
 func (p *Pipeline) gateRecord(s *shard, v topology.NodeID, rec wire.Record, fc *fastCtx) *victimState {
 	key := uint64(v)
 	est := s.cm.Add(key)
@@ -950,7 +923,7 @@ func (p *Pipeline) gateRecord(s *shard, v topology.NodeID, rec wire.Record, fc *
 	}
 	if len(buf) > 0 {
 		fc.replayed += uint64(len(buf))
-		p.processGroup(s, st, v, buf, fc)
+		p.processGroup(s, st, v, buf, nil, fc)
 	}
 	s.hh.Remove(key)
 	s.gated.Store(int64(s.hh.Len()))
@@ -968,10 +941,13 @@ func (p *Pipeline) materialize(s *shard, v topology.NodeID) *victimState {
 }
 
 // processGroup runs one victim group through the three exact passes —
-// identify, detect, block — accumulating tallies and sampled stage
-// timings into fc. Called from processFast per partitioned group and
-// from gateRecord for admission replays.
-func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, group []wire.Record, fc *fastCtx) {
+// identify, detect, block — accumulating tallies and stage timings
+// into fc: the one implementation of identify → detect → block. Called
+// from processSub per partitioned group and from gateRecord for
+// admission replays. ctxs is the group's slice of the trace lane (nil
+// without one); with it, passes B and C also mark the alarming and
+// blocking records for traceGroup.
+func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, group []wire.Record, ctxs []wire.TraceContext, fc *fastCtx) {
 	now := p.cfg.Now()
 	st.lastSeen.Store(now)
 	if need := len(group); cap(s.srcs) < need {
@@ -980,6 +956,18 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 		}
 		s.srcs = make([]int32, 0, need)
 	}
+	var outs []Outcome
+	if ctxs != nil {
+		// A traced group is a slice of one slab, so SlabCap bounds it.
+		// Zeroed scratch reads OutcomeIdentified: the ending of every
+		// record passes B and C leave unmarked.
+		if s.outs == nil {
+			s.outs = make([]Outcome, wire.SlabCap)
+		}
+		outs = s.outs[:len(group)]
+		clear(outs)
+	}
+	var dIdent, dDetect, dBlock time.Duration
 
 	// Pass A: identify the whole group under one identifier lock,
 	// then prefilter already-blocked sources (skipped entirely while
@@ -999,15 +987,13 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 	if !p.bl.Empty() {
 		for k := range srcs {
 			if srcs[k] >= 0 && p.bl.BlockedAt(topology.NodeID(srcs[k]), now) {
-				srcs[k] = srcBlocked
+				srcs[k] = srcBlocked - srcs[k]
 				fc.blockedHits++
 			}
 		}
 	}
-	if fc.sampled {
-		t := time.Now()
-		fc.durIdent += t.Sub(fc.tMark)
-		fc.tMark = t
+	if fc.timed {
+		dIdent = fc.lap(&fc.durIdent)
 	}
 
 	// Pass B: feed both detectors under one lock each. Blocked
@@ -1019,7 +1005,7 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 	newAlarm := st.alarmed.Load()
 	var cuA, enA bool
 	for k := range group {
-		if srcs[k] == srcBlocked {
+		if srcs[k] <= srcBlocked {
 			continue
 		}
 		pk.Hdr.Src = group[k].Src
@@ -1029,6 +1015,9 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 		if !newAlarm && (cu.Alarmed() || en.Alarmed()) {
 			newAlarm = true
 			cuA, enA = cu.Alarmed(), en.Alarmed()
+			if outs != nil {
+				outs[k] = OutcomeAlarm
+			}
 		}
 	}
 	st.entropyL.UnlockInner()
@@ -1038,10 +1027,8 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 		fc.alarms++
 		p.journalAlarmDetail(now, v, cuA, enA)
 	}
-	if fc.sampled {
-		t := time.Now()
-		fc.durDetect += t.Sub(fc.tMark)
-		fc.tMark = t
+	if fc.timed {
+		dDetect = fc.lap(&fc.durDetect)
 	}
 
 	// Pass C: once the victim's alarm latch is set, block every
@@ -1061,205 +1048,63 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 				p.bl.BlockUntilFor(src, until, v)
 				fc.blocks++
 				p.journalBlockInner(now, v, src, cnt, until, id)
+				if outs != nil {
+					outs[k] = OutcomeBlock
+					if ctxs[k].ID != 0 && ctxs[k].Sent > 0 {
+						// True send-to-block latency: the exporter's original
+						// send stamp survives forwarding, so this holds across
+						// owner changes and cluster hops.
+						p.observeDetection(uint64(fc.si), now-ctxs[k].Sent)
+					}
+				}
 			}
 		}
 		st.ident.Unlock()
 	}
-	if fc.sampled {
-		t := time.Now()
-		fc.durBlock += t.Sub(fc.tMark)
-		fc.tMark = t
+	if fc.timed {
+		dBlock = fc.lap(&fc.durBlock)
+	}
+
+	if outs != nil {
+		p.traceGroup(fc, v, ctxs, srcs, outs, dIdent, dDetect, dBlock)
 	}
 }
 
-// process is the traced slow path: one record, full span accounting.
-func (p *Pipeline) process(s *shard, si int, j job) {
-	rec := j.rec
-	p.C.Processed.Add(1)
-	s.pendProcessed++
-	sampled := p.sampleOn && s.seen&p.sampleMask == 0
-	s.seen++
-	traced := j.tc.ID != 0 && p.fr != nil
-	timed := sampled || traced
-	var t0, t1, t2 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	tr := &s.tr
-	if traced {
-		*tr = Trace{
-			ID: j.tc.ID, Sent: j.tc.Sent, Start: j.t0,
-			Victim: int64(rec.Victim), Source: -1, Shard: int32(si),
-			Wire: SpanMissing, Forward: SpanMissing, Ingest: SpanMissing,
-			Identify: SpanMissing, Detect: SpanMissing, Block: SpanMissing,
-		}
-		if j.tc.Routed > 0 {
-			// The record crossed a cluster forward hop: Wire ends at the
-			// origin's route decision, Forward covers route → forward
-			// queue → wire → this node's Submit entry.
-			if j.tc.Sent > 0 {
-				tr.Wire = j.tc.Routed - j.tc.Sent
+// traceGroup is the trace lane's one extra pass over a processed
+// group: it commits a trace per nonzero context. Every worker span is
+// its pass's wall time ÷ group length — the amortized figure the stage
+// histograms record, so an exemplar read off a histogram bin resolves
+// to a trace whose span falls in that bin. A group's traces therefore
+// all stamp the same bins and the last one committed keeps them, so
+// blocking records commit in a second sweep: the record that triggered
+// a block is the one an operator following a bin's exemplar is after.
+func (p *Pipeline) traceGroup(fc *fastCtx, v topology.NodeID, ctxs []wire.TraceContext, srcs []int32, outs []Outcome, dIdent, dDetect, dBlock time.Duration) {
+	n := int64(len(ctxs))
+	for _, blocking := range [2]bool{false, true} {
+		for k := range ctxs {
+			if ctxs[k].ID == 0 || (outs[k] == OutcomeBlock) != blocking {
+				continue
 			}
-			if j.t0 > 0 {
-				tr.Forward = j.t0 - j.tc.Routed
-			}
-			tr.Origin = j.tc.Origin
-		} else if j.tc.Sent > 0 && j.t0 > 0 {
-			tr.Wire = j.t0 - j.tc.Sent
-		}
-		if j.t0 > 0 {
-			// Submit entry → worker dequeue: validation plus queue wait.
-			tr.Ingest = t0.UnixNano() - j.t0
-		}
-	}
-	st := s.victims[rec.Victim]
-	if st == nil {
-		if p.schemeErr != nil {
-			// Unbuildable scheme for this fabric, cached at New: count and
-			// return rather than wedging the worker.
-			p.C.SchemeUnbuildable.Add(1)
-			if traced {
-				tr.Outcome = OutcomeUndecodable
-				p.commitTrace(tr)
-			}
-			return
-		}
-		if s.cm != nil {
-			// Traced records clear the same admission gate as the fast
-			// path (any replay it triggers runs grouped, untraced).
-			var fc fastCtx
-			st = p.gateRecord(s, rec.Victim, rec, &fc)
-			fc.flush(p, s)
-			if st == nil {
-				if timed {
-					d := time.Since(t0)
-					if sampled {
-						p.lat[stageIdentify].observe(uint64(si), d)
-					}
-					if traced {
-						tr.Identify = d.Nanoseconds()
-						tr.Outcome = OutcomeSuppressed
-						p.commitTrace(tr)
-					}
-				}
-				return
-			}
-			// This record crossed the threshold; it continues on the
-			// exact path like any other.
-		} else {
-			st = p.materialize(s, rec.Victim)
-		}
-	}
-
-	src, ok := st.ident.ObserveMF(rec.MF)
-	if !ok {
-		p.C.Undecodable.Add(1)
-	} else {
-		p.C.Identified.Add(1)
-		s.pendIdentified++
-		if traced {
-			tr.Source = int64(src)
-		}
-	}
-	if timed {
-		t1 = time.Now()
-		if sampled {
-			p.lat[stageIdentify].observe(uint64(si), t1.Sub(t0))
-		}
-		if traced {
-			tr.Identify = t1.Sub(t0).Nanoseconds()
-		}
-	}
-
-	now := p.cfg.Now()
-	st.lastSeen.Store(now)
-	if ok && p.bl.BlockedAt(src, now) {
-		// Already-blocked traffic is dropped before the victim's
-		// detectors — exactly what the in-fabric filter would do.
-		p.C.BlockedHits.Add(1)
-		if timed {
-			d := time.Since(t1)
-			if sampled {
-				p.lat[stageBlock].observe(uint64(si), d)
-			}
-			if traced {
-				tr.Block = d.Nanoseconds()
-				tr.Outcome = OutcomeBlockedHit
-				p.commitTrace(tr)
-			}
-		}
-		return
-	}
-
-	st.scratch.Hdr.Src = rec.Src
-	st.scratch.Hdr.Proto = rec.Proto
-	st.cusum.Observe(rec.T, &st.scratch)
-	st.entropy.Observe(rec.T, &st.scratch)
-	alarmedNow := false
-	if !st.alarmed.Load() && (st.cusum.Alarmed() || st.entropy.Alarmed()) {
-		st.alarmed.Store(true)
-		p.C.Alarms.Add(1)
-		alarmedNow = true
-		p.journalAlarm(now, rec.Victim, st)
-	}
-	if timed {
-		t2 = time.Now()
-		if sampled {
-			p.lat[stageDetect].observe(uint64(si), t2.Sub(t1))
-		}
-		if traced {
-			tr.Detect = t2.Sub(t1).Nanoseconds()
-		}
-	}
-	blockedNow := false
-	if st.alarmed.Load() && ok {
-		if cnt := st.ident.Count(src); cnt > p.cfg.BlockThreshold {
-			until := filter.Permanent
-			if p.cfg.BlockTTL > 0 {
-				until = now + p.cfg.BlockTTL.Nanoseconds()
-			}
-			p.bl.BlockUntilFor(src, until, rec.Victim)
-			p.C.Blocks.Add(1)
-			blockedNow = true
-			p.journalBlock(now, rec.Victim, src, cnt, until, st)
-			if traced && j.tc.Sent > 0 {
-				// True send-to-block latency: the exporter's original send
-				// stamp survives forwarding, so this holds across owner
-				// changes and cluster hops.
-				p.observeDetection(uint64(si), now-j.tc.Sent)
-			}
-		}
-	}
-	if timed {
-		d := time.Since(t2)
-		if sampled {
-			p.lat[stageBlock].observe(uint64(si), d)
-		}
-		if traced {
-			tr.Block = d.Nanoseconds()
+			t := newTrace(&ctxs[k], fc.t0, v, fc.si)
+			t.Ingest = fc.ingest
+			t.Identify, t.Detect, t.Block = int64(dIdent)/n, int64(dDetect)/n, int64(dBlock)/n
+			src, out := srcs[k], outs[k]
 			switch {
-			case blockedNow:
-				tr.Outcome = OutcomeBlock
-			case alarmedNow:
-				tr.Outcome = OutcomeAlarm
-			case !ok:
-				tr.Outcome = OutcomeUndecodable
-			default:
-				tr.Outcome = OutcomeIdentified
+			case src <= srcBlocked:
+				src, out = srcBlocked-src, OutcomeBlockedHit
+				t.Detect = SpanMissing // dropped before the detectors
+			case src < 0 && out == OutcomeIdentified:
+				out = OutcomeUndecodable
 			}
-			p.commitTrace(tr)
+			t.Source, t.Outcome = int64(src), out
+			p.commitTrace(&t)
 		}
 	}
 }
 
-// journalAlarm records a victim's first detector firing (traced path).
-func (p *Pipeline) journalAlarm(now int64, victim topology.NodeID, st *victimState) {
-	p.journalAlarmDetail(now, victim, st.cusum.Alarmed(), st.entropy.Alarmed())
-}
-
-// journalAlarmDetail is journalAlarm from captured alarm states — the
-// batch path reads the detectors while it holds their locks and emits
-// after release.
+// journalAlarmDetail records a victim's first detector firing from
+// captured alarm states: the detect pass reads the detectors while it
+// holds their locks and emits after release.
 func (p *Pipeline) journalAlarmDetail(now int64, victim topology.NodeID, cuAlarmed, enAlarmed bool) {
 	if p.cfg.Journal == nil {
 		return
@@ -1278,20 +1123,10 @@ func (p *Pipeline) journalAlarmDetail(now int64, victim topology.NodeID, cuAlarm
 	})
 }
 
-// journalBlock records an auto-block with the victim's top-k
-// identified sources at block time as evidence (traced path — takes
-// the identifier lock itself).
-func (p *Pipeline) journalBlock(now int64, victim, src topology.NodeID, cnt, until int64, st *victimState) {
-	if p.cfg.Journal == nil {
-		return
-	}
-	p.journalBlockInner(now, victim, src, cnt, until, st.ident.Lock())
-	st.ident.Unlock()
-}
-
-// journalBlockInner is journalBlock against an already-locked inner
-// identifier — the batch path calls it from inside its block pass,
-// where re-locking the sync wrapper would deadlock.
+// journalBlockInner records an auto-block with the victim's top-k
+// identified sources at block time as evidence. It takes the inner
+// identifier the block pass already holds locked — re-locking the sync
+// wrapper there would deadlock.
 func (p *Pipeline) journalBlockInner(now int64, victim, src topology.NodeID, cnt, until int64, id *traceback.DDPMIdentifier) {
 	if p.cfg.Journal == nil {
 		return
@@ -1398,6 +1233,7 @@ func (p *Pipeline) sweepLoop() {
 	}
 	t := time.NewTicker(iv)
 	defer t.Stop()
+	sweep := batch{ctl: p.sweepShard}
 	for {
 		select {
 		case <-p.sweepQuit:
@@ -1407,7 +1243,7 @@ func (p *Pipeline) sweepLoop() {
 			if !p.closed {
 				for _, s := range p.shards {
 					select {
-					case s.ch <- batch{sweep: true}:
+					case s.ch <- sweep:
 					default:
 					}
 				}
@@ -1426,11 +1262,15 @@ func (p *Pipeline) SweepVictims() {
 		return
 	}
 	done := make(chan struct{}, len(p.shards))
+	sweep := batch{ctl: func(s *shard) {
+		p.sweepShard(s)
+		done <- struct{}{}
+	}}
 	sent := 0
 	p.mu.RLock()
 	if !p.closed {
 		for _, s := range p.shards {
-			s.ch <- batch{sweep: true, done: done}
+			s.ch <- sweep
 			sent++
 		}
 	}

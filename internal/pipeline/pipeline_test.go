@@ -40,16 +40,16 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	defer p.Close()
 
-	if p.Submit(wire.Record{Topo: 12345, Victim: 0}) {
+	if submit(p, wire.Record{Topo: 12345, Victim: 0}) {
 		t.Error("foreign topo id accepted")
 	}
-	if p.Submit(wire.Record{Topo: p.TopoID(), Victim: 99}) {
+	if submit(p, wire.Record{Topo: p.TopoID(), Victim: 99}) {
 		t.Error("out-of-range victim accepted")
 	}
-	if p.Submit(wire.Record{Topo: p.TopoID(), Victim: -2}) {
+	if submit(p, wire.Record{Topo: p.TopoID(), Victim: -2}) {
 		t.Error("negative victim accepted")
 	}
-	if !p.Submit(wire.Record{Topo: p.TopoID(), Victim: 5, MF: 0}) {
+	if !submit(p, wire.Record{Topo: p.TopoID(), Victim: 5, MF: 0}) {
 		t.Error("valid record rejected")
 	}
 	if got := p.C.TopoMismatch.Load(); got != 1 {
@@ -71,7 +71,7 @@ func TestBackpressureDropsInsteadOfBlocking(t *testing.T) {
 		Net: net, Shards: 1, QueueLen: 4,
 		Now: func() int64 {
 			if !released.Load() {
-				<-gate // stall the worker inside process()
+				<-gate // stall the worker inside its victim group
 			}
 			return 0
 		},
@@ -80,9 +80,9 @@ func TestBackpressureDropsInsteadOfBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := wire.Record{Topo: p.TopoID(), Victim: 3}
-	// One record enters process() and stalls on the clock; QueueLen
+	// One record enters the worker and stalls on the clock; QueueLen
 	// more fill the queue. Wait until the worker has picked one up.
-	p.Submit(rec)
+	submit(p, rec)
 	deadline := time.Now().Add(5 * time.Second)
 	for p.C.Processed.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -92,7 +92,7 @@ func TestBackpressureDropsInsteadOfBlocking(t *testing.T) {
 	}
 	accepted := 0
 	for i := 0; i < 4; i++ {
-		if p.Submit(rec) {
+		if submit(p, rec) {
 			accepted++
 		}
 	}
@@ -101,7 +101,7 @@ func TestBackpressureDropsInsteadOfBlocking(t *testing.T) {
 	}
 	// Queue is now full: further submits must shed, not block.
 	done := make(chan bool)
-	go func() { done <- p.Submit(rec) }()
+	go func() { done <- submit(p, rec) }()
 	select {
 	case ok := <-done:
 		if ok {
@@ -121,7 +121,7 @@ func TestBackpressureDropsInsteadOfBlocking(t *testing.T) {
 	}
 	// Submit after Close is rejected and counted apart from load shed:
 	// Dropped stays a pure backpressure signal.
-	if p.Submit(rec) {
+	if submit(p, rec) {
 		t.Error("submit after Close reported success")
 	}
 	if got := p.C.RejectedClosed.Load(); got != 1 {
@@ -132,11 +132,19 @@ func TestBackpressureDropsInsteadOfBlocking(t *testing.T) {
 	}
 }
 
+// submit offers one record as a single-record slab — the shape of a
+// record-at-a-time caller — and reports whether it was enqueued.
+func submit(p *Pipeline, rec wire.Record) bool {
+	s := p.GetSlab()
+	s.Append(rec)
+	return p.SubmitSlab(s) == 1
+}
+
 // submitWait submits and fails the test on shed — these tests size
 // queues so nothing legitimate is dropped.
 func submitWait(t *testing.T, p *Pipeline, rec wire.Record) {
 	t.Helper()
-	if !p.Submit(rec) {
+	if !submit(p, rec) {
 		t.Fatalf("record shed unexpectedly: %+v", rec)
 	}
 }
@@ -245,7 +253,7 @@ func TestUndecodableRecordsAreCountedNotFatal(t *testing.T) {
 
 // waitProcessed blocks until every ingested-and-queued record has been
 // consumed (queues empty is not enough: the last record may still be
-// in process()).
+// in the worker).
 func waitProcessed(t *testing.T, p *Pipeline) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -335,10 +343,10 @@ func TestSnapshotDerivedAcceptedAndShardCounters(t *testing.T) {
 	submitWait(t, p, wire.Record{T: 1, Topo: p.TopoID(), Victim: 1, MF: 0})
 	submitWait(t, p, wire.Record{T: 2, Topo: p.TopoID(), Victim: 2, MF: 0})
 	submitWait(t, p, wire.Record{T: 3, Topo: p.TopoID(), Victim: 2, MF: 0x7F7F}) // undecodable
-	p.Submit(wire.Record{T: 4, Topo: 12345, Victim: 1})                          // topo mismatch
-	p.Submit(wire.Record{T: 5, Topo: p.TopoID(), Victim: 99})                    // bad victim
+	submit(p, wire.Record{T: 4, Topo: 12345, Victim: 1})                         // topo mismatch
+	submit(p, wire.Record{T: 5, Topo: p.TopoID(), Victim: 99})                   // bad victim
 	p.Close()
-	p.Submit(wire.Record{T: 6, Topo: p.TopoID(), Victim: 1}) // rejected: closed
+	submit(p, wire.Record{T: 6, Topo: p.TopoID(), Victim: 1}) // rejected: closed
 
 	s := p.Snapshot()
 	if s.Ingested != 6 || s.Accepted != 3 {

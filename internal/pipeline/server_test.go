@@ -228,7 +228,7 @@ func TestVictimsEndpointAndPprofGate(t *testing.T) {
 	defer d.Shutdown(context.Background())
 	p := d.Pipeline()
 	for _, v := range []topology.NodeID{9, 2} {
-		if !p.Submit(wire.Record{T: 1, Topo: p.TopoID(), Victim: v, MF: 0}) {
+		if !submit(p, wire.Record{T: 1, Topo: p.TopoID(), Victim: v, MF: 0}) {
 			t.Fatal("submit shed")
 		}
 	}

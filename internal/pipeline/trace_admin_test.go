@@ -159,6 +159,8 @@ func TestSIGQUITDumpAndTracesUnderConcurrentIngest(t *testing.T) {
 	stop := d.WatchDumpSignal(&dump, syscall.SIGQUIT)
 	defer stop()
 
+	// Even writers submit record-at-a-time (groups of one), odd writers
+	// 16-record slabs: both shapes commit through the same group pass.
 	const writers, perWriter = 4, 2000
 	mf := mkMF(t, net, 9, 5)
 	p := d.Pipeline()
@@ -167,15 +169,21 @@ func TestSIGQUITDumpAndTracesUnderConcurrentIngest(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			s := p.GetSlab()
 			for i := 0; i < perWriter; i++ {
-				p.SubmitTraced(wire.TracedRecord{
+				s.AppendTraced(wire.TracedRecord{
 					Record: wire.Record{Topo: p.TopoID(), Victim: 5, MF: mf},
 					Ctx: wire.TraceContext{
 						ID:   wire.SplitMix64(uint64(w*perWriter + i + 1)),
 						Sent: time.Now().UnixNano(),
 					},
 				})
+				if w%2 == 0 || s.Len() == 16 || i == perWriter-1 {
+					p.SubmitSlab(s)
+					s = p.GetSlab()
+				}
 			}
+			s.Release()
 		}(w)
 	}
 
