@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: check vet lint build race bench bench-gate bench-profile fuzz-smoke trace-smoke cluster-smoke fleet-trace-smoke run-ddpmd clean
+.PHONY: check vet lint build race bench bench-gate bench-profile fuzz-smoke loc trace-smoke cluster-smoke fleet-trace-smoke run-ddpmd clean
 
 ## check: lint, build, test, fuzz-smoke and trace-smoke everything (the
 ## tier-1 gate). The clustered chaos e2e — kill the victim's owner
@@ -115,16 +115,26 @@ bench-profile:
 		-benchtime 50x -benchmem -cpuprofile cpu.prof -memprofile mem.prof \
 		-o benchjson.test
 
-## fuzz-smoke: short fuzzing passes over the wire codec, DDPM marking
-## and the pipeline's trace-lane equivalence (go test allows one -fuzz
-## target per invocation)
+## fuzz-smoke: a 5 s fuzzing pass over every Fuzz* target in the tree.
+## Targets are discovered, not listed, so a new one cannot be forgotten
+## (go test allows one -fuzz target per invocation, hence the loop).
 fuzz-smoke:
-	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzRecordRoundTrip -fuzztime 5s
-	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzReader -fuzztime 5s
-	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzResyncReader -fuzztime 5s
-	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzTraceContext -fuzztime 5s
-	$(GO) test ./internal/marking/ -run xxx -fuzz FuzzDDPMMarkIdentify -fuzztime 5s
-	$(GO) test ./internal/pipeline/ -run xxx -fuzz FuzzSubmitSlabLaneEquivalence -fuzztime 5s
+	@set -e; \
+	list="$$($(GO) test -list '^Fuzz' ./...)"; \
+	echo "$$list" \
+		| awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' \
+		| while read -r pkg target; do \
+			echo "fuzz-smoke: $$pkg $$target"; \
+			$(GO) test "$$pkg" -run xxx -fuzz "^$$target\$$" -fuzztime 5s; \
+		done
+
+## loc: non-test line counts of the three daemon packages and their sum
+## — the figure ROADMAP and CHANGES quote at each re-anchor
+loc:
+	@total=0; for p in pipeline wire cluster; do \
+		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
+		printf '%-18s %6d\n' internal/$$p $$n; total=$$((total + n)); \
+	done; printf '%-18s %6d\n' total $$total
 
 ## trace-smoke: end-to-end tracing proof on a live daemon — a traced
 ## loadgen flood must leave at least one tail-sampled block-outcome

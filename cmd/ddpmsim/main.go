@@ -71,13 +71,11 @@ func main() {
 		cl.Router.Alg.Name(), cl.Scheme.Name())
 
 	victim := topology.NodeID(cl.Net.NumNodes() - 1)
-	zstream := cl.Rng.Stream("zombies")
-	zset := map[topology.NodeID]bool{}
-	for len(zset) < *zombies {
-		z := topology.NodeID(zstream.Intn(cl.Net.NumNodes()))
-		if z != victim {
-			zset[z] = true
-		}
+	zset, err := drawZombies(cl.Rng.Stream("zombies").Intn, cl.Net.NumNodes(), victim, *zombies)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ddpmsim:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	// Sorted node order: iterating the map directly would leak its
 	// random order into the banner and event tie-breaking.
@@ -160,6 +158,22 @@ func main() {
 	}
 	fmt.Printf("result: %d/%d zombies identified, %d false positives\n",
 		correct, len(zset), len(srcs)-correct)
+}
+
+// drawZombies draws n distinct nodes other than the victim. It refuses
+// an n the fabric cannot supply — the draw would never fill the set.
+func drawZombies(intn func(int) int, numNodes int, victim topology.NodeID, n int) (map[topology.NodeID]bool, error) {
+	if n > numNodes-1 {
+		return nil, fmt.Errorf("-zombies %d: the fabric has only %d nodes besides the victim", n, numNodes-1)
+	}
+	zset := map[topology.NodeID]bool{}
+	for len(zset) < n {
+		z := topology.NodeID(intn(numNodes))
+		if z != victim {
+			zset[z] = true
+		}
+	}
+	return zset, nil
 }
 
 func parseDims(s string) ([]int, error) {

@@ -235,7 +235,7 @@ func (n *Node) shipOnce(pr *peer, frame []byte, seq uint64) error {
 	if ftype != wire.TypeAck {
 		return fmt.Errorf("cluster: handback got frame type %d", ftype)
 	}
-	ack, err := wire.ParseAck(payload)
+	ack, _, err := wire.ParseAck(payload)
 	if err != nil {
 		return err
 	}

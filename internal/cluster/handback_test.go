@@ -311,7 +311,7 @@ func TestHandbackDelivery(t *testing.T) {
 			if err != nil {
 				return
 			}
-			conn.Write(wire.AppendAck(nil, ack))
+			conn.Write(wire.AppendAck(nil, ack, 0))
 		}
 	}()
 

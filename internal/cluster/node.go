@@ -94,13 +94,13 @@ func (c *Config) applyDefaults() error {
 	if c.ForwardBatch <= 0 {
 		c.ForwardBatch = 512
 	}
-	if c.ForwardBatch > wire.MaxRecordsPerForwarded {
+	if limit := wire.MaxRecords(wire.TypeForwarded); c.ForwardBatch > limit {
 		return fmt.Errorf("cluster: ForwardBatch %d exceeds the %d records one forwarded frame can carry",
-			c.ForwardBatch, wire.MaxRecordsPerForwarded)
+			c.ForwardBatch, limit)
 	}
-	if c.ForwardBatch > wire.MaxTracedPerForwarded {
+	if limit := wire.MaxRecords(wire.TypeTracedForwarded); c.ForwardBatch > limit {
 		return fmt.Errorf("cluster: ForwardBatch %d exceeds the %d records one traced forwarded frame can carry",
-			c.ForwardBatch, wire.MaxTracedPerForwarded)
+			c.ForwardBatch, limit)
 	}
 	if c.MaxReplicasPerMsg <= 0 {
 		c.MaxReplicasPerMsg = 8
@@ -554,18 +554,7 @@ func (n *Node) forward(pr *peer) {
 		n.cfg.Logf("cluster: forwarder %s: %v", pr.addr, err)
 		return
 	}
-	var tbuf []wire.TracedRecord
-	send := func(fw fwBatch) {
-		if fw.ctxs == nil {
-			client.Send(fw.recs)
-			return
-		}
-		tbuf = tbuf[:0]
-		for i := range fw.recs {
-			tbuf = append(tbuf, wire.TracedRecord{Record: fw.recs[i], Ctx: fw.ctxs[i]})
-		}
-		client.SendTraced(tbuf)
-	}
+	send := func(fw fwBatch) { client.SendTraced(fw.recs, fw.ctxs) }
 	flushDelivered := func() {
 		client.Flush()
 		pr.delivered.Store(client.Delivered())

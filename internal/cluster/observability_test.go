@@ -166,6 +166,8 @@ func TestForwardTraceDowngradeInterop(t *testing.T) {
 			go func(conn net.Conn) {
 				defer conn.Close()
 				rd := wire.NewReader(conn)
+				slab := wire.NewSlabPool(1).Get()
+				defer slab.Release()
 				var accepted uint64
 				for {
 					ftype, payload, err := rd.ReadFrame()
@@ -174,19 +176,19 @@ func TestForwardTraceDowngradeInterop(t *testing.T) {
 					}
 					switch ftype {
 					case wire.TypeHello:
-						_, _, flags, err := wire.ParseHelloFlags(payload)
+						_, _, flags, err := wire.ParseHello(payload)
 						if err != nil {
 							return
 						}
-						conn.Write(wire.AppendAckFlags(nil, accepted, flags&wire.HelloFlagForward))
+						conn.Write(wire.AppendAck(nil, accepted, flags&wire.HelloFlagForward))
 					case wire.TypeForwarded:
-						_, _, recs, err := wire.ParseForwarded(payload, nil)
-						if err != nil {
+						slab.Reset()
+						if _, err := slab.AppendBatch(ftype, payload); err != nil {
 							return
 						}
-						accepted += uint64(len(recs))
-						received.Add(uint64(len(recs)))
-						conn.Write(wire.AppendAck(nil, accepted))
+						accepted += uint64(slab.Len())
+						received.Add(uint64(slab.Len()))
+						conn.Write(wire.AppendAck(nil, accepted, 0))
 					case wire.TypeTracedForwarded:
 						tracedFrames.Add(1)
 						return

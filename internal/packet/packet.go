@@ -109,7 +109,7 @@ func (h *Header) Marshal() []byte {
 }
 
 // Unmarshal parses a header serialized by Marshal, verifying version,
-// length and checksum.
+// length and checksum, and that the fields Marshal leaves zero are zero.
 func Unmarshal(b []byte) (Header, error) {
 	var h Header
 	if len(b) < HeaderLen {
@@ -118,8 +118,18 @@ func Unmarshal(b []byte) (Header, error) {
 	if b[0] != 0x45 {
 		return h, fmt.Errorf("packet: bad version/IHL byte %#x", b[0])
 	}
-	if Verify(b[:HeaderLen]) != 0 {
+	// Compared, not folded with Verify: when the other fields sum to
+	// 0xFFFF a stored 0x0000 and a stored 0xFFFF both fold to a valid
+	// header (one's complement has two zeros), and Marshal writes only
+	// the first.
+	if binary.BigEndian.Uint16(b[10:12]) != Checksum(b[:HeaderLen]) {
 		return h, fmt.Errorf("packet: header checksum mismatch")
+	}
+	// The model carries neither field, so Marshal writes them as zero: a
+	// header with either set is not one of ours, and accepting it would
+	// silently drop the bits.
+	if tos, frag := b[1], binary.BigEndian.Uint16(b[6:8]); tos != 0 || frag != 0 {
+		return h, fmt.Errorf("packet: unsupported TOS %#x or flags/fragment word %#x", tos, frag)
 	}
 	h.Length = binary.BigEndian.Uint16(b[2:4])
 	h.ID = binary.BigEndian.Uint16(b[4:6])

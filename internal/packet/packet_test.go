@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,15 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	b2[0] = 0x46
 	if _, err := Unmarshal(b2); err == nil {
 		t.Error("bad version accepted")
+	}
+	// Fields the model does not carry must be zero, valid checksum or not.
+	for _, off := range []int{1, 6, 7} {
+		b3 := h.Marshal()
+		b3[off] = 0x01
+		binary.BigEndian.PutUint16(b3[10:12], Checksum(b3))
+		if _, err := Unmarshal(b3); err == nil {
+			t.Errorf("nonzero byte %d (TOS / flags / fragment) accepted", off)
+		}
 	}
 }
 

@@ -487,28 +487,17 @@ func (d *Daemon) servePlain(conn net.Conn, r *wire.Reader, ftype uint8, payload 
 	r.EnableResync()
 	var lastResyncs, lastSkipped uint64
 	for {
-		var s *wire.Slab
-		var derr error
-		switch ftype {
-		case wire.TypeRecords:
-			s = d.p.GetSlab()
-			derr = s.AppendRecordsPayload(payload)
-		case wire.TypeTracedRecords:
-			s = d.p.GetSlab()
-			derr = s.AppendTracedPayload(payload)
-		case wire.TypeSealed:
+		// Hello is handled by the dispatcher; stray acks and other
+		// control frames are noise.
+		if wire.IsBatch(ftype) {
+			s := d.p.GetSlab()
 			// Sealed frames outside a session still carry records; the
-			// CRC makes them safe to tally without acks.
-			s = d.p.GetSlab()
-			_, derr = s.AppendSealedPayload(payload)
-		case wire.TypeTracedSealed:
-			s = d.p.GetSlab()
-			_, derr = s.AppendTracedSealedPayload(payload)
-		default:
-			// Hello handled by the dispatcher; stray acks are noise.
-		}
-		if s != nil {
-			if derr != nil {
+			// CRC makes them safe to tally without acks. Forwarded
+			// frames do not: outside a cluster session they must never
+			// be flattened into plain ingest (they would be re-routed
+			// and loop), so they are refused — and counted, like every
+			// other frame whose records did not reach the pipeline.
+			if h, err := s.AppendBatch(ftype, payload); err != nil || h.Forwarded {
 				d.decodeErrs.Add(1)
 				s.Release()
 			} else {
@@ -551,7 +540,7 @@ func (d *Daemon) traceResync(stream uint64) {
 // the client resends from the last acked count, which is exactly what
 // keeps accepted records counted once.
 func (d *Daemon) serveSession(conn net.Conn, r *wire.Reader, helloPayload []byte) {
-	streamID, base, flags, err := wire.ParseHelloFlags(helloPayload)
+	streamID, base, flags, err := wire.ParseHello(helloPayload)
 	if err != nil {
 		d.decodeErrs.Add(1)
 		return
@@ -572,22 +561,25 @@ func (d *Daemon) serveSession(conn net.Conn, r *wire.Reader, helloPayload []byte
 	if !d.ackHello(conn, sess, base, &scratch, ackFlags) {
 		return
 	}
+	// lose accounts the protocol violation that ends the session. The
+	// reader stays strict: the client resends from the acked count.
+	lose := func(why string) {
+		d.decodeErrs.Add(1)
+		d.journalStream(EventSessionLoss, streamID, why)
+	}
 	// submitSlab dedups one sealed batch against the session count and
-	// feeds the unseen suffix to the pipeline as a single slab; shared
-	// by the plain, traced and forwarded sealed paths. Consumes the slab
-	// reference. The session count advances by the full batch regardless
-	// of what the pipeline sheds downstream — delivery is what the ack
-	// attests. direct bypasses cluster routing: forwarded-in records are
-	// always processed locally (the sender already resolved ownership),
-	// which is what makes forwarding loop-free.
+	// feeds the unseen suffix to the pipeline as a single slab. Consumes
+	// the slab reference. The session count advances by the full batch
+	// regardless of what the pipeline sheds downstream — delivery is what
+	// the ack attests. direct bypasses cluster routing: forwarded-in
+	// records are always processed locally (the sender already resolved
+	// ownership), which is what makes forwarding loop-free.
 	submitSlab := func(seq uint64, s *wire.Slab, direct bool) (count, fresh uint64, ok bool) {
 		sess.mu.Lock()
 		if seq > sess.count {
 			sess.mu.Unlock()
 			s.Release()
-			d.decodeErrs.Add(1)
-			// Gap before the accepted count: protocol violation.
-			d.journalStream(EventSessionLoss, streamID, "sequence gap")
+			lose("sequence gap") // gap before the accepted count
 			return 0, 0, false
 		}
 		n := uint64(s.Len())
@@ -615,84 +607,40 @@ func (d *Daemon) serveSession(conn net.Conn, r *wire.Reader, helloPayload []byte
 			d.noteReadErr(err)
 			return
 		}
-		switch ftype {
-		case wire.TypeSealed:
+		switch {
+		case wire.IsBatch(ftype):
 			s := d.p.GetSlab()
-			seq, err := s.AppendSealedPayload(payload)
-			if err != nil {
+			h, err := s.AppendBatch(ftype, payload)
+			var why string
+			switch {
+			case err != nil:
+				why = fmt.Sprintf("type-%d frame rejected", ftype)
+			case !h.Sealed:
+				// A bare batch has no sequence number to dedup or ack.
+				why = "non-session frame"
+			case h.Forwarded && d.cluster == nil:
+				why = "forwarded frame without cluster tier"
+			}
+			if why != "" {
 				s.Release()
-				d.decodeErrs.Add(1)
-				// Strict: the client resends from the acked count.
-				d.journalStream(EventSessionLoss, streamID, "sealed frame rejected")
+				lose(why)
 				return
 			}
-			c, _, ok := submitSlab(seq, s, false)
-			if !ok || !d.writeAck(conn, &scratch, c, ackFlags) {
-				return
-			}
-		case wire.TypeTracedSealed:
-			s := d.p.GetSlab()
-			seq, err := s.AppendTracedSealedPayload(payload)
-			if err != nil {
-				s.Release()
-				d.decodeErrs.Add(1)
-				d.journalStream(EventSessionLoss, streamID, "traced sealed frame rejected")
-				return
-			}
-			c, _, ok := submitSlab(seq, s, false)
-			if !ok || !d.writeAck(conn, &scratch, c, ackFlags) {
-				return
-			}
-		case wire.TypeForwarded:
-			if d.cluster == nil {
-				d.decodeErrs.Add(1)
-				d.journalStream(EventSessionLoss, streamID, "forwarded frame without cluster tier")
-				return
-			}
-			s := d.p.GetSlab()
-			origin, seq, err := s.AppendForwardedPayload(payload)
-			if err != nil {
-				s.Release()
-				d.decodeErrs.Add(1)
-				d.journalStream(EventSessionLoss, streamID, "forwarded frame rejected")
-				return
-			}
-			c, fresh, ok := submitSlab(seq, s, true)
+			c, fresh, ok := submitSlab(h.Seq, s, h.Forwarded)
 			if !ok {
 				return
 			}
-			d.cluster.NoteForwardedIn(origin, int(fresh))
+			if h.Forwarded {
+				d.cluster.NoteForwardedIn(h.Origin, int(fresh))
+			}
 			if !d.writeAck(conn, &scratch, c, ackFlags) {
 				return
 			}
-		case wire.TypeTracedForwarded:
-			if d.cluster == nil {
-				d.decodeErrs.Add(1)
-				d.journalStream(EventSessionLoss, streamID, "forwarded frame without cluster tier")
-				return
-			}
-			s := d.p.GetSlab()
-			origin, seq, err := s.AppendTracedForwardedPayload(payload)
-			if err != nil {
-				s.Release()
-				d.decodeErrs.Add(1)
-				d.journalStream(EventSessionLoss, streamID, "traced forwarded frame rejected")
-				return
-			}
-			c, fresh, ok := submitSlab(seq, s, true)
-			if !ok {
-				return
-			}
-			d.cluster.NoteForwardedIn(origin, int(fresh))
-			if !d.writeAck(conn, &scratch, c, ackFlags) {
-				return
-			}
-		case wire.TypeHello:
+		case ftype == wire.TypeHello:
 			// A re-hello on a live conn re-synchronizes the client.
-			_, b, f, err := wire.ParseHelloFlags(payload)
+			_, b, f, err := wire.ParseHello(payload)
 			if err != nil {
-				d.decodeErrs.Add(1)
-				d.journalStream(EventSessionLoss, streamID, "re-hello rejected")
+				lose("re-hello rejected")
 				return
 			}
 			ackFlags = f & flagMask
@@ -700,9 +648,7 @@ func (d *Daemon) serveSession(conn net.Conn, r *wire.Reader, helloPayload []byte
 				return
 			}
 		default:
-			d.decodeErrs.Add(1)
-			// Plain frames on a session conn: protocol violation.
-			d.journalStream(EventSessionLoss, streamID, "non-session frame")
+			lose("non-session frame")
 			return
 		}
 	}
@@ -725,7 +671,7 @@ func (d *Daemon) writeAck(conn net.Conn, scratch *[]byte, count uint64, flags ui
 	if t := d.cfg.IdleTimeout; t > 0 {
 		conn.SetWriteDeadline(time.Now().Add(t))
 	}
-	*scratch = wire.AppendAckFlags((*scratch)[:0], count, flags)
+	*scratch = wire.AppendAck((*scratch)[:0], count, flags)
 	_, err := conn.Write(*scratch)
 	return err == nil
 }

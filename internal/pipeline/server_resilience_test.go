@@ -59,13 +59,20 @@ func TestPlainStreamSurvivesMidStreamCorruption(t *testing.T) {
 	var b []byte
 	b = wire.AppendFrame(b, recs[:4])
 	b = append(b, 0xDE, 0xAD, 0xBE, 0xEF, 0x42) // mid-stream garbage, no 0xD0
+	// A well-formed forwarded frame on a hello-less stream is refused —
+	// its records must not be flattened into plain ingest — but not
+	// silently: it is one decode error, like the resync skip above.
+	b = wire.AppendForwarded(b, 0xF00D, 0, recs[:3])
 	b = wire.AppendFrame(b, recs[4:])
 	if _, err := conn.Write(b); err != nil {
 		t.Fatal(err)
 	}
 	waitIngested(t, d, 8)
-	if d.DecodeErrors() == 0 {
-		t.Error("resync skips not counted as decode errors")
+	if got := d.DecodeErrors(); got != 2 {
+		t.Errorf("decode errors = %d, want 2 (one resync skip, one refused forwarded frame)", got)
+	}
+	if got := d.Pipeline().C.Ingested.Load(); got != 8 {
+		t.Errorf("ingested %d records, want 8 (forwarded records leaked into plain ingest)", got)
 	}
 	if _, body := httpGet(t, d, "/metrics"); !strings.Contains(body, "ddpmd_resync_skipped_bytes_total 5") {
 		t.Errorf("metrics missing skipped-bytes counter:\n%s", body)
@@ -93,7 +100,7 @@ func TestSessionIngestDeduplicatesRetransmits(t *testing.T) {
 			if ftype != wire.TypeAck {
 				continue
 			}
-			count, err := wire.ParseAck(payload)
+			count, _, err := wire.ParseAck(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +112,7 @@ func TestSessionIngestDeduplicatesRetransmits(t *testing.T) {
 	}
 
 	recs := daemonRecords(d, 20)
-	if _, err := conn.Write(wire.AppendHello(nil, 0xBEEF, 0)); err != nil {
+	if _, err := conn.Write(wire.AppendHello(nil, 0xBEEF, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	readAck(0)
@@ -146,7 +153,7 @@ func TestSessionHelloFastForwardsRestartedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(wire.AppendHello(nil, 0xBEEF, 500)); err != nil {
+	if _, err := conn.Write(wire.AppendHello(nil, 0xBEEF, 500, 0)); err != nil {
 		t.Fatal(err)
 	}
 	r := wire.NewReader(conn)
@@ -154,7 +161,7 @@ func TestSessionHelloFastForwardsRestartedServer(t *testing.T) {
 	if err != nil || ftype != wire.TypeAck {
 		t.Fatalf("ack read: type=%d err=%v", ftype, err)
 	}
-	count, err := wire.ParseAck(payload)
+	count, _, err := wire.ParseAck(payload)
 	if err != nil || count != 500 {
 		t.Fatalf("ack %d err=%v, want 500", count, err)
 	}

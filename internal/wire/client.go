@@ -34,13 +34,20 @@ type Client struct {
 	bw   *bufio.Writer
 	rd   *Reader
 
-	buf     []TracedRecord // unacked records; buf[0] has stream index `base`
+	// The unacked buffer, in the shape the Slab, the cluster's forward
+	// queue and the encoder share, so a batch is copied once (here) on
+	// its way from a slab to the socket. ctxs is either empty — no
+	// buffered record carries a context — or parallel to recs.
+	recs    []Record       // recs[0] has stream index `base`
+	ctxs    []TraceContext // trace lane, materialized by the first context
 	base    uint64         // cumulative records acked by the server
-	next    int            // index into buf of the first unsent record
+	next    int            // index into recs of the first unsent record
 	backoff int            // consecutive failed connection attempts
 
 	scratch []byte
-	plain   []Record // reused downgrade scratch for untraced sealed frames
+	// The frame types this client ships: sealed or forwarded, and the
+	// traced sibling used when the server echoed the trace flag.
+	plainType, tracedType uint8
 
 	traceSeq uint64 // trace-id counter (stamping enabled by cfg.Trace)
 	traceOK  bool   // server echoed HelloFlagTrace on this connection
@@ -178,30 +185,24 @@ var ErrClientClosed = errors.New("wire: client closed")
 // for a throughput target, and shipping smaller frames than asked for
 // should be a loud configuration error, not a quiet downgrade.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.MaxBatch > MaxRecordsPerSealed {
-		return nil, fmt.Errorf("wire: MaxBatch %d exceeds the %d records one sealed frame can carry",
-			cfg.MaxBatch, MaxRecordsPerSealed)
-	}
-	if cfg.Trace && cfg.MaxBatch > MaxTracedPerSealed {
-		return nil, fmt.Errorf("wire: traced MaxBatch %d exceeds the %d traced records one sealed frame can carry",
-			cfg.MaxBatch, MaxTracedPerSealed)
-	}
+	c := &Client{plainType: TypeSealed, tracedType: TypeTracedSealed}
 	if cfg.ForwardOrigin != 0 {
-		if cfg.MaxBatch > MaxRecordsPerForwarded {
-			return nil, fmt.Errorf("wire: forwarding MaxBatch %d exceeds the %d records one forwarded frame can carry",
-				cfg.MaxBatch, MaxRecordsPerForwarded)
-		}
-		if cfg.Trace && cfg.MaxBatch > MaxTracedPerForwarded {
-			return nil, fmt.Errorf("wire: traced forwarding MaxBatch %d exceeds the %d records one traced forwarded frame can carry",
-				cfg.MaxBatch, MaxTracedPerForwarded)
-		}
+		c.plainType, c.tracedType = TypeForwarded, TypeTracedForwarded
+	}
+	// The traced sibling holds fewer records (same wrapping, wider
+	// records), so it alone bounds a client that may ship it.
+	tightest := c.plainType
+	if cfg.Trace {
+		tightest = c.tracedType
+	}
+	if limit := MaxRecords(tightest); cfg.MaxBatch > limit {
+		return nil, fmt.Errorf("wire: MaxBatch %d exceeds the %d records one %s frame can carry",
+			cfg.MaxBatch, limit, batchLayouts[tightest].name)
 	}
 	cfg.applyDefaults()
-	return &Client{
-		cfg:      cfg,
-		streamID: cfg.StreamID,
-		jitter:   rand.New(rand.NewSource(int64(cfg.Seed))),
-	}, nil
+	c.cfg, c.streamID = cfg, cfg.StreamID
+	c.jitter = rand.New(rand.NewSource(int64(cfg.Seed)))
+	return c, nil
 }
 
 // Counters. Sent counts records offered to Send; Delivered counts
@@ -221,7 +222,7 @@ func (c *Client) Reconnects() uint64 {
 }
 
 // Buffered reports records held but not yet acknowledged.
-func (c *Client) Buffered() int { return len(c.buf) }
+func (c *Client) Buffered() int { return len(c.recs) }
 
 // Send offers records for delivery. It blocks only for bounded work —
 // at most MaxAttempts connection attempts — and sheds (counts + calls
@@ -229,15 +230,22 @@ func (c *Client) Buffered() int { return len(c.buf) }
 // unreachable. The returned error is advisory (the delivery state is
 // fully described by the counters): it reports shedding or a dead
 // daemon, and Send may be called again after it.
-func (c *Client) Send(recs []Record) error {
+func (c *Client) Send(recs []Record) error { return c.SendTraced(recs, nil) }
+
+// SendTraced is Send for records that already carry trace contexts —
+// the cluster forward path, where contexts were minted by the original
+// exporter and must cross the hop unchanged rather than be re-stamped.
+// ctxs is parallel to recs, or nil for none; zero-context entries ride
+// along untraced.
+func (c *Client) SendTraced(recs []Record, ctxs []TraceContext) error {
 	if c.closed {
 		return ErrClientClosed
 	}
 	for len(recs) > 0 {
-		free := c.cfg.BufferRecords - len(c.buf)
+		free := c.cfg.BufferRecords - len(c.recs)
 		if free == 0 {
 			err := c.pump()
-			if len(c.buf) < c.cfg.BufferRecords {
+			if len(c.recs) < c.cfg.BufferRecords {
 				continue // acked progress freed space, even if pump errored
 			}
 			// Unreachable with a full buffer: shed the rest of the
@@ -251,11 +259,12 @@ func (c *Client) Send(recs []Record) error {
 		}
 		n := min(free, len(recs))
 		c.sent += uint64(n)
-		for _, r := range recs[:n] {
-			c.buf = append(c.buf, TracedRecord{Record: r, Ctx: c.stamp()})
-		}
+		c.buffer(recs[:n], ctxs)
 		recs = recs[n:]
-		if len(c.buf) >= c.cfg.MaxBatch {
+		if ctxs != nil {
+			ctxs = ctxs[n:]
+		}
+		if len(c.recs) >= c.cfg.MaxBatch {
 			// Opportunistic flush; on failure records just stay
 			// buffered for the next Send, Flush or Close to retry.
 			c.pump()
@@ -264,52 +273,30 @@ func (c *Client) Send(recs []Record) error {
 	return nil
 }
 
-// SendTraced offers records that already carry trace contexts — the
-// cluster forward path, where contexts were minted by the original
-// exporter and must cross the hop unchanged rather than be re-stamped.
-// Zero-context entries ride along untraced. Buffering, shedding and
-// the counters behave exactly like Send.
-func (c *Client) SendTraced(trs []TracedRecord) error {
-	if c.closed {
-		return ErrClientClosed
-	}
-	for len(trs) > 0 {
-		free := c.cfg.BufferRecords - len(c.buf)
-		if free == 0 {
-			err := c.pump()
-			if len(c.buf) < c.cfg.BufferRecords {
-				continue
-			}
-			c.sent += uint64(len(trs))
-			for _, tr := range trs {
-				c.drop(tr.Record)
-			}
-			return fmt.Errorf("wire: client shed %d records: %w", len(trs), err)
-		}
-		n := min(free, len(trs))
-		c.sent += uint64(n)
-		c.buf = append(c.buf, trs[:n]...)
-		trs = trs[n:]
-		if len(c.buf) >= c.cfg.MaxBatch {
-			c.pump()
-		}
-	}
-	return nil
-}
-
-// stamp mints the next trace context, or a zero one when tracing is
-// off. Forwarding clients never stamp: their contexts were minted by
+// buffer appends recs to the unacked buffer with their contexts: the
+// ones supplied (the head of ctxs), else fresh stamps when this client
+// mints them, else none. Forwarding clients never stamp: their contexts were minted by
 // the original exporter and arrive through SendTraced — a record
 // forwarded through Send rides the hop untraced rather than acquiring
 // a second identity.
-func (c *Client) stamp() TraceContext {
-	if !c.cfg.Trace || c.cfg.ForwardOrigin != 0 {
-		return TraceContext{}
+func (c *Client) buffer(recs []Record, ctxs []TraceContext) {
+	stamp := ctxs == nil && c.cfg.Trace && c.cfg.ForwardOrigin == 0
+	held := len(c.recs)
+	c.recs = append(c.recs, recs...)
+	if ctxs == nil && !stamp && len(c.ctxs) == 0 {
+		return // no lane, and nothing here starts one
 	}
-	c.traceSeq++
-	return TraceContext{
-		ID:   SplitMix64(c.streamID ^ c.traceSeq),
-		Sent: c.cfg.NowNano(),
+	// Zero contexts for whatever was buffered before the lane existed,
+	// and for this batch until it is filled in below.
+	c.ctxs = append(c.ctxs, make([]TraceContext, len(c.recs)-len(c.ctxs))...)
+	switch {
+	case ctxs != nil:
+		copy(c.ctxs[held:], ctxs)
+	case stamp:
+		for i := range c.ctxs[held:] {
+			c.traceSeq++
+			c.ctxs[held+i] = TraceContext{ID: SplitMix64(c.streamID ^ c.traceSeq), Sent: c.cfg.NowNano()}
+		}
 	}
 }
 
@@ -336,11 +323,11 @@ func (c *Client) Close() error {
 	}
 	err := c.pump()
 	c.closed = true
-	abandoned := len(c.buf)
-	for _, r := range c.buf {
-		c.drop(r.Record)
+	abandoned := len(c.recs)
+	for _, r := range c.recs {
+		c.drop(r)
 	}
-	c.buf = nil
+	c.recs, c.ctxs = nil, nil
 	c.disconnect()
 	if abandoned > 0 {
 		return fmt.Errorf("wire: client abandoned %d unacknowledged records: %w", abandoned, err)
@@ -360,7 +347,7 @@ func (c *Client) drop(r Record) {
 // MaxAttempts consecutive connection attempts have failed.
 func (c *Client) pump() error {
 	var lastErr error
-	for len(c.buf) > 0 {
+	for len(c.recs) > 0 {
 		if c.conn == nil {
 			if c.backoff >= c.cfg.MaxAttempts {
 				c.backoff = 0 // next pump starts a fresh attempt budget
@@ -418,7 +405,7 @@ func (c *Client) connect() error {
 	if c.cfg.ForwardOrigin != 0 {
 		flags |= HelloFlagForward
 	}
-	c.scratch = AppendHelloFlags(c.scratch[:0], c.streamID, c.base, flags)
+	c.scratch = AppendHello(c.scratch[:0], c.streamID, c.base, flags)
 	if _, err := c.bw.Write(c.scratch); err != nil {
 		c.disconnect()
 		return fmt.Errorf("wire: hello: %w", err)
@@ -452,7 +439,7 @@ func (c *Client) connect() error {
 	}
 	// Everything still buffered must be (re)transmitted on this conn.
 	if c.next > 0 {
-		c.resent += uint64(min(c.next, len(c.buf)))
+		c.resent += uint64(min(c.next, len(c.recs)))
 	}
 	c.next = 0
 	return nil
@@ -462,37 +449,22 @@ func (c *Client) connect() error {
 // flushes, and consumes acks until the server has confirmed the lot.
 func (c *Client) shipAndAwait() error {
 	c.conn.SetWriteDeadline(time.Now().Add(c.cfg.AckTimeout))
-	for c.next < len(c.buf) {
-		n := min(c.cfg.MaxBatch, len(c.buf)-c.next)
-		seq := c.base + uint64(c.next)
-		batch := c.buf[c.next : c.next+n]
-		switch {
-		case c.traceOK && c.cfg.ForwardOrigin != 0 && batchTraced(batch):
-			c.scratch = AppendTracedForwarded(c.scratch[:0], c.cfg.ForwardOrigin, seq, batch)
-		case c.traceOK && c.cfg.ForwardOrigin == 0:
-			c.scratch = AppendTracedSealed(c.scratch[:0], seq, batch)
-		case c.cfg.ForwardOrigin != 0:
-			c.plain = c.plain[:0]
-			for _, tr := range batch {
-				c.plain = append(c.plain, tr.Record)
-			}
-			c.scratch = AppendForwarded(c.scratch[:0], c.cfg.ForwardOrigin, seq, c.plain)
-		default:
-			c.plain = c.plain[:0]
-			for _, tr := range batch {
-				c.plain = append(c.plain, tr.Record)
-			}
-			c.scratch = AppendSealed(c.scratch[:0], seq, c.plain)
+	for c.next < len(c.recs) {
+		end := c.next + min(c.cfg.MaxBatch, len(c.recs)-c.next)
+		ftype, ctxs := c.plainType, []TraceContext(nil)
+		if c.traceOK && len(c.ctxs) != 0 && batchTraced(c.ctxs[c.next:end]) {
+			ftype, ctxs = c.tracedType, c.ctxs[c.next:end]
 		}
+		c.scratch = appendBatch(c.scratch[:0], ftype, c.cfg.ForwardOrigin, c.base+uint64(c.next), c.recs[c.next:end], ctxs)
 		if _, err := c.bw.Write(c.scratch); err != nil {
 			return err
 		}
-		c.next += n
+		c.next = end
 	}
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	target := c.base + uint64(len(c.buf))
+	target := c.base + uint64(len(c.recs))
 	for c.base < target {
 		acked, _, err := c.readAck()
 		if err != nil {
@@ -507,12 +479,12 @@ func (c *Client) shipAndAwait() error {
 }
 
 // batchTraced reports whether any record of a batch carries a trace
-// context. An all-zero batch on a traced forwarding session ships as a
-// plain forwarded frame — the untraced forward hot path pays no
-// per-record wire overhead for the negotiated trace lane.
-func batchTraced(batch []TracedRecord) bool {
-	for i := range batch {
-		if batch[i].Ctx.ID != 0 {
+// context. An all-zero batch ships in the plain layout even on a
+// session that negotiated the trace lane — the untraced forward hot
+// path pays no per-record wire overhead for the offer.
+func batchTraced(ctxs []TraceContext) bool {
+	for i := range ctxs {
+		if ctxs[i].ID != 0 {
 			return true
 		}
 	}
@@ -530,18 +502,21 @@ func (c *Client) readAck() (uint64, uint32, error) {
 		if ftype != TypeAck {
 			continue // a session server only sends acks; tolerate noise
 		}
-		return ParseAckFlags(payload)
+		return ParseAck(payload)
 	}
 }
 
 // advance reconciles the server's cumulative count with the buffer.
 func (c *Client) advance(acked uint64) error {
-	if acked < c.base || acked > c.base+uint64(len(c.buf)) {
+	if acked < c.base || acked > c.base+uint64(len(c.recs)) {
 		return fmt.Errorf("%w: ack %d outside window [%d, %d]",
-			ErrBadFrame, acked, c.base, c.base+uint64(len(c.buf)))
+			ErrBadFrame, acked, c.base, c.base+uint64(len(c.recs)))
 	}
 	d := int(acked - c.base)
-	c.buf = c.buf[:copy(c.buf, c.buf[d:])]
+	c.recs = c.recs[:copy(c.recs, c.recs[d:])]
+	if len(c.ctxs) != 0 {
+		c.ctxs = c.ctxs[:copy(c.ctxs, c.ctxs[d:])] // drained to empty ⇒ lane off
+	}
 	c.base = acked
 	c.next = max(0, c.next-d)
 	return nil

@@ -69,7 +69,8 @@ func (s *sessionServer) handle(conn net.Conn) {
 	r := NewReader(conn)
 	frames := 0
 	var scratch []byte
-	var recs []Record
+	slab := NewSlabPool(1).Get()
+	defer slab.Release()
 	for {
 		ftype, payload, err := r.ReadFrame()
 		if err != nil {
@@ -77,7 +78,7 @@ func (s *sessionServer) handle(conn net.Conn) {
 		}
 		switch ftype {
 		case TypeHello:
-			_, base, err := ParseHello(payload)
+			_, base, _, err := ParseHello(payload)
 			if err != nil {
 				return
 			}
@@ -87,16 +88,17 @@ func (s *sessionServer) handle(conn net.Conn) {
 			}
 			c := s.count
 			s.mu.Unlock()
-			scratch = AppendAck(scratch[:0], c)
+			scratch = AppendAck(scratch[:0], c, 0)
 			if _, err := conn.Write(scratch); err != nil {
 				return
 			}
 		case TypeSealed:
-			seq, batch, err := ParseSealed(payload, recs[:0])
+			slab.Reset()
+			h, err := slab.AppendBatch(ftype, payload)
 			if err != nil {
 				return
 			}
-			recs = batch[:0]
+			seq, batch := h.Seq, slab.Recs
 			s.mu.Lock()
 			if seq > s.count {
 				s.mu.Unlock()
@@ -108,7 +110,7 @@ func (s *sessionServer) handle(conn net.Conn) {
 			}
 			c := s.count
 			s.mu.Unlock()
-			scratch = AppendAck(scratch[:0], c)
+			scratch = AppendAck(scratch[:0], c, 0)
 			if _, err := conn.Write(scratch); err != nil {
 				return
 			}

@@ -1,6 +1,6 @@
 package wire
 
-// Cluster extension: two frame types that let ddpmd instances talk to
+// Cluster extension: the frame types that let ddpmd instances talk to
 // each other over the same framing exporters use.
 //
 // TypeForwarded is a sealed record batch relayed by a non-owning
@@ -12,108 +12,71 @@ package wire
 // HelloFlagForward; a server that does not echo the flag (cluster mode
 // off) refuses the session and the forwarder backs off.
 //
-// TypeGossip carries an opaque anti-entropy payload (blocklist deltas,
-// victim-state replicas, liveness) whose layout belongs to
-// internal/cluster; the wire layer only frames and CRC-seals it.
+// TypeTracedForwarded keeps each record's trace context across the
+// hop: the relay forwards the trace id and the exporter's original send
+// timestamp unchanged and adds the route timestamp taken when it
+// decided to forward, so the owner stitches a `forward` span (route →
+// queue → wire → remote ingest) into the record's timeline and still
+// observes true send-to-block latency. A forwarding client sets
+// HelloFlagForward|HelloFlagTrace and sends the traced type only when
+// the server echoed BOTH; a server that echoes forwarding but not
+// tracing gets plain TypeForwarded frames — records are delivered
+// unchanged, contexts are shed (the clean downgrade the trace
+// extension has always promised).
+//
+// TypeGossip (blocklist deltas, victim-state replicas, liveness) and
+// TypeHandback (a victim's cumulative identification state shipped back
+// to its ring owner when membership changes re-route the victim) carry
+// opaque payloads whose layout belongs to internal/cluster; the wire
+// layer only frames and CRC-seals them. Gossip is request/response;
+// a handback is acked: the sender reads one TypeAck back before
+// releasing the state — the ack is what makes dropping the local copy
+// safe.
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
+import "fmt"
 
 const (
-	// TypeForwarded is a sealed record batch relayed between cluster
-	// instances: origin-instance id, cumulative sequence number,
-	// records, CRC tail.
-	TypeForwarded uint8 = 7
+	// FwdCtxSize is the per-record forward-hop context: trace id(8) +
+	// exporter send time(8) + origin route time(8). It is wider than
+	// the exporter-facing TraceCtxSize because the hop adds the route
+	// timestamp the owner needs for the forward span.
+	FwdCtxSize = 24
 
-	// TypeGossip is a CRC-tailed opaque cluster anti-entropy payload.
-	// Unlike session frames it is request/response on a dedicated
-	// connection: the dialer sends one TypeGossip and reads one back.
-	TypeGossip uint8 = 8
-
-	// ForwardedOverhead is the non-record part of a TypeForwarded
-	// payload: origin(8) + seq(8) leading, crc32(4) trailing.
-	ForwardedOverhead = 20
-
-	// GossipOverhead is the crc32(4) tail sealing a gossip payload.
-	GossipOverhead = 4
+	// TracedFwdRecordSize is one record plus its forward-hop context.
+	TracedFwdRecordSize = RecordSize + FwdCtxSize
 
 	// HelloFlagForward, set in an extended hello's flags word, declares
 	// the session will carry TypeForwarded frames from a peer instance.
 	// The server echoes it only when running in cluster mode.
 	HelloFlagForward uint32 = 1 << 1
 
-	// MaxRecordsPerForwarded is the per-frame record capacity of a
-	// forwarded frame under the 16-bit payload length.
-	MaxRecordsPerForwarded = (MaxFramePayload - ForwardedOverhead) / RecordSize
-
-	// MaxGossipBody is the largest gossip body that fits one frame.
-	MaxGossipBody = MaxFramePayload - GossipOverhead
+	// MaxGossipBody is the largest opaque body — gossip or handback —
+	// that fits one frame in front of the CRC tail.
+	MaxGossipBody = MaxFramePayload - crcSize
 )
 
-// AppendForwarded appends one forwarded session frame: the relaying
-// instance's origin id, the cumulative index of recs[0] in the forward
-// stream, and the records, CRC-sealed like AppendSealed. It panics past
-// MaxRecordsPerForwarded — splitting is the Client's job.
-func AppendForwarded(b []byte, origin, seq uint64, recs []Record) []byte {
-	if len(recs) > MaxRecordsPerForwarded {
-		panic(fmt.Sprintf("wire: %d records exceed the %d-record forwarded-frame limit", len(recs), MaxRecordsPerForwarded))
-	}
-	b = appendHeader(b, TypeForwarded, ForwardedOverhead+len(recs)*RecordSize)
-	start := len(b)
-	b = binary.BigEndian.AppendUint64(b, origin)
-	b = binary.BigEndian.AppendUint64(b, seq)
-	for _, r := range recs {
-		b = AppendRecord(b, r)
-	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
-}
-
-// ParseForwarded decodes a TypeForwarded payload, appending the records
-// to recs (pass a reused slice's [:0] to avoid per-frame allocation).
-func ParseForwarded(payload []byte, recs []Record) (origin, seq uint64, out []Record, err error) {
-	if len(payload) < ForwardedOverhead || (len(payload)-ForwardedOverhead)%RecordSize != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: forwarded payload %d bytes", ErrBadFrame, len(payload))
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, 0, nil, fmt.Errorf("%w: forwarded crc mismatch", ErrBadFrame)
-	}
-	origin = binary.BigEndian.Uint64(body[0:8])
-	seq = binary.BigEndian.Uint64(body[8:16])
-	for off := 16; off < len(body); off += RecordSize {
-		r, err := DecodeRecord(body[off:])
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		recs = append(recs, r)
-	}
-	return origin, seq, recs, nil
-}
-
-// AppendGossip appends one TypeGossip frame sealing body with a CRC
-// tail. It panics past MaxGossipBody — gossip senders cap their
-// payloads instead of splitting.
-func AppendGossip(b, body []byte) []byte {
+// appendOpaque appends one frame sealing body with a CRC tail — the
+// codec both opaque cluster frames share. It panics when body does not
+// fit one frame: gossip and handback senders cap their payloads instead
+// of splitting.
+func appendOpaque(b []byte, ftype uint8, body []byte) []byte {
 	if len(body) > MaxGossipBody {
-		panic(fmt.Sprintf("wire: %d-byte gossip body exceeds the %d-byte limit", len(body), MaxGossipBody))
+		panic(fmt.Sprintf("wire: %d-byte body exceeds the %d-byte limit of a type-%d frame", len(body), MaxGossipBody, ftype))
 	}
-	b = appendHeader(b, TypeGossip, len(body)+GossipOverhead)
-	b = append(b, body...)
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(body))
+	b = appendHeader(b, ftype, len(body)+crcSize)
+	start := len(b)
+	return appendSeal(append(b, body...), start)
 }
+
+// AppendGossip appends one TypeGossip frame carrying body.
+func AppendGossip(b, body []byte) []byte { return appendOpaque(b, TypeGossip, body) }
+
+// AppendHandback appends one TypeHandback frame carrying body.
+func AppendHandback(b, body []byte) []byte { return appendOpaque(b, TypeHandback, body) }
 
 // ParseGossip verifies a TypeGossip payload's CRC tail and returns the
 // body. The body aliases payload — copy it before the next ReadFrame.
-func ParseGossip(payload []byte) ([]byte, error) {
-	if len(payload) < GossipOverhead {
-		return nil, fmt.Errorf("%w: gossip payload %d bytes", ErrBadFrame, len(payload))
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return nil, fmt.Errorf("%w: gossip crc mismatch", ErrBadFrame)
-	}
-	return body, nil
-}
+func ParseGossip(payload []byte) ([]byte, error) { return openSeal(payload) }
+
+// ParseHandback does the same for a TypeHandback payload.
+func ParseHandback(payload []byte) ([]byte, error) { return openSeal(payload) }

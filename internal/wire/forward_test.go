@@ -37,18 +37,18 @@ func TestForwardedRoundTrip(t *testing.T) {
 	if ftype != TypeForwarded {
 		t.Fatalf("frame type = %d, want %d", ftype, TypeForwarded)
 	}
-	origin, seq, out, err := ParseForwarded(b[HeaderSize:HeaderSize+n], nil)
+	h, out, err := decodeBatch(ftype, b[HeaderSize:HeaderSize+n])
 	if err != nil {
-		t.Fatalf("ParseForwarded: %v", err)
+		t.Fatalf("AppendBatch: %v", err)
 	}
-	if origin != 0xFEEDFACE || seq != 42 {
-		t.Fatalf("origin/seq = %#x/%d, want 0xfeedface/42", origin, seq)
+	if want := (BatchHeader{Origin: 0xFEEDFACE, Seq: 42, Sealed: true, Forwarded: true}); h != want {
+		t.Fatalf("header = %+v, want %+v", h, want)
 	}
 	if len(out) != len(recs) {
 		t.Fatalf("decoded %d records, want %d", len(out), len(recs))
 	}
 	for i := range recs {
-		if out[i] != recs[i] {
+		if out[i] != (TracedRecord{Record: recs[i]}) {
 			t.Fatalf("record %d = %+v, want %+v", i, out[i], recs[i])
 		}
 	}
@@ -57,7 +57,7 @@ func TestForwardedRoundTrip(t *testing.T) {
 func TestForwardedCorruptionDetected(t *testing.T) {
 	b := AppendForwarded(nil, 1, 0, fwdTestRecords(3))
 	b[HeaderSize+20] ^= 0xFF
-	if _, _, _, err := ParseForwarded(b[HeaderSize:], nil); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := decodeBatch(TypeForwarded, b[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("corrupted forwarded frame parsed: err = %v", err)
 	}
 }
@@ -164,7 +164,7 @@ func TestForwardClientNegotiation(t *testing.T) {
 				}
 				switch ftype {
 				case TypeHello:
-					_, _, flags, err := ParseHelloFlags(payload)
+					_, _, flags, err := ParseHello(payload)
 					if err != nil {
 						ch <- res
 						return
@@ -173,17 +173,19 @@ func TestForwardClientNegotiation(t *testing.T) {
 					if echo {
 						ack = flags & HelloFlagForward
 					}
-					conn.Write(AppendAckFlags(nil, accepted, ack))
+					conn.Write(AppendAck(nil, accepted, ack))
 				case TypeForwarded:
-					origin, _, recs, err := ParseForwarded(payload, nil)
+					h, trs, err := decodeBatch(ftype, payload)
 					if err != nil {
 						ch <- res
 						return
 					}
-					res.origins = append(res.origins, origin)
-					res.recs = append(res.recs, recs...)
-					accepted += uint64(len(recs))
-					conn.Write(AppendAck(nil, accepted))
+					res.origins = append(res.origins, h.Origin)
+					for _, tr := range trs {
+						res.recs = append(res.recs, tr.Record)
+					}
+					accepted += uint64(len(trs))
+					conn.Write(AppendAck(nil, accepted, 0))
 				}
 			}
 		}()
@@ -265,19 +267,19 @@ func TestTracedForwardedRoundTrip(t *testing.T) {
 	if ftype != TypeTracedForwarded {
 		t.Fatalf("frame type = %d, want %d", ftype, TypeTracedForwarded)
 	}
-	origin, seq, out, err := ParseTracedForwarded(b[HeaderSize:HeaderSize+n], nil)
+	h, out, err := decodeBatch(ftype, b[HeaderSize:HeaderSize+n])
 	if err != nil {
-		t.Fatalf("ParseTracedForwarded: %v", err)
+		t.Fatalf("AppendBatch: %v", err)
 	}
-	if origin != 0xFEEDFACE || seq != 42 {
-		t.Fatalf("origin/seq = %#x/%d, want 0xfeedface/42", origin, seq)
+	if want := (BatchHeader{Origin: 0xFEEDFACE, Seq: 42, Sealed: true, Forwarded: true}); h != want {
+		t.Fatalf("header = %+v, want %+v", h, want)
 	}
 	if len(out) != len(trs) {
 		t.Fatalf("decoded %d records, want %d", len(out), len(trs))
 	}
 	for i := range trs {
 		want := trs[i]
-		want.Ctx.Origin = 0xFEEDFACE // parse stamps the frame origin per record
+		want.Ctx.Origin = 0xFEEDFACE // the decoder stamps the frame origin per record
 		if out[i] != want {
 			t.Fatalf("record %d = %+v, want %+v", i, out[i], want)
 		}
@@ -287,7 +289,7 @@ func TestTracedForwardedRoundTrip(t *testing.T) {
 func TestTracedForwardedCorruptionDetected(t *testing.T) {
 	b := AppendTracedForwarded(nil, 1, 0, fwdTestTraced(3))
 	b[HeaderSize+30] ^= 0xFF
-	if _, _, _, err := ParseTracedForwarded(b[HeaderSize:], nil); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := decodeBatch(TypeTracedForwarded, b[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("corrupted traced forwarded frame parsed: err = %v", err)
 	}
 }
@@ -299,12 +301,12 @@ func TestTracedForwardedSlabDecode(t *testing.T) {
 	pool := NewSlabPool(1)
 	s := pool.Get()
 	defer s.Release()
-	origin, seq, err := s.AppendTracedForwardedPayload(b[HeaderSize:])
+	h, err := s.AppendBatch(TypeTracedForwarded, b[HeaderSize:])
 	if err != nil {
-		t.Fatalf("AppendTracedForwardedPayload: %v", err)
+		t.Fatalf("AppendBatch: %v", err)
 	}
-	if origin != 77 || seq != 13 {
-		t.Fatalf("origin/seq = %d/%d, want 77/13", origin, seq)
+	if h.Origin != 77 || h.Seq != 13 {
+		t.Fatalf("origin/seq = %d/%d, want 77/13", h.Origin, h.Seq)
 	}
 	if len(s.Recs) != len(trs) || len(s.Ctxs) != len(trs) {
 		t.Fatalf("slab holds %d records / %d ctxs, want %d", len(s.Recs), len(s.Ctxs), len(trs))
@@ -380,34 +382,26 @@ func TestTracedForwardNegotiation(t *testing.T) {
 				}
 				switch ftype {
 				case TypeHello:
-					_, _, flags, err := ParseHelloFlags(payload)
+					_, _, flags, err := ParseHello(payload)
 					if err != nil {
 						ch <- res
 						return
 					}
-					conn.Write(AppendAckFlags(nil, accepted, flags&echoMask))
-				case TypeTracedForwarded:
-					_, _, trs, err := ParseTracedForwarded(payload, nil)
+					conn.Write(AppendAck(nil, accepted, flags&echoMask))
+				case TypeTracedForwarded, TypeForwarded:
+					_, trs, err := decodeBatch(ftype, payload)
 					if err != nil {
 						ch <- res
 						return
 					}
-					res.tracedFrames++
+					if ftype == TypeTracedForwarded {
+						res.tracedFrames++
+					} else {
+						res.plainFrames++
+					}
 					res.trs = append(res.trs, trs...)
 					accepted += uint64(len(trs))
-					conn.Write(AppendAck(nil, accepted))
-				case TypeForwarded:
-					_, _, recs, err := ParseForwarded(payload, nil)
-					if err != nil {
-						ch <- res
-						return
-					}
-					res.plainFrames++
-					for _, r := range recs {
-						res.trs = append(res.trs, TracedRecord{Record: r})
-					}
-					accepted += uint64(len(recs))
-					conn.Write(AppendAck(nil, accepted))
+					conn.Write(AppendAck(nil, accepted, 0))
 				}
 			}
 		}()
@@ -421,7 +415,7 @@ func TestTracedForwardNegotiation(t *testing.T) {
 			t.Fatalf("NewClient: %v", err)
 		}
 		trs := fwdTestTraced(6)
-		if err := c.SendTraced(trs); err != nil {
+		if err := c.SendTraced(splitTraced(trs)); err != nil {
 			t.Fatalf("SendTraced: %v", err)
 		}
 		if err := c.Flush(); err != nil {
@@ -455,7 +449,7 @@ func TestTracedForwardNegotiation(t *testing.T) {
 			t.Fatalf("NewClient: %v", err)
 		}
 		trs := fwdTestTraced(6)
-		if err := c.SendTraced(trs); err != nil {
+		if err := c.SendTraced(splitTraced(trs)); err != nil {
 			t.Fatalf("SendTraced: %v", err)
 		}
 		if err := c.Flush(); err != nil {
@@ -491,7 +485,7 @@ func TestTracedForwardNegotiation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewClient: %v", err)
 		}
-		if err := c.SendTraced(fwdTestTraced(2)); err != nil {
+		if err := c.SendTraced(splitTraced(fwdTestTraced(2))); err != nil {
 			t.Fatalf("SendTraced should buffer without error, got %v", err)
 		}
 		if err := c.Flush(); err == nil {

@@ -37,6 +37,37 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
+// clusterSeeds are the two cluster batch frames — whole, cut off inside
+// a record or a context, and with one bit flipped under the CRC. The
+// same bytes are checked in under testdata/fuzz/ (seed-*forwarded*),
+// written there by the per-type encoders the layout table replaced.
+// Two-record frames fill partFilled's slabs exactly; the three-record
+// one does not fit them.
+func clusterSeeds() [][]byte {
+	trs := []TracedRecord{
+		{Record: Record{T: 1, Topo: 2, Victim: 3, MF: 4, Src: 5, Proto: 6}, Ctx: TraceContext{ID: 7, Sent: 8, Routed: 9}},
+		{Record: Record{T: 10, MF: 11}},
+		{Record: Record{T: -1, Topo: 2, Victim: 1, MF: 0xA5A5, Src: 12, Proto: 17}, Ctx: TraceContext{ID: ^uint64(0), Sent: -5, Routed: 13}},
+	}
+	recs, _ := splitTraced(trs)
+	fwd := AppendForwarded(nil, 0xF00D, 0, recs[:2])
+	tfwd := AppendTracedForwarded(nil, 0xF00D, 2, trs[:2])
+	flip := func(b []byte, off int) []byte {
+		c := append([]byte(nil), b...)
+		c[off] ^= 0x10
+		return c
+	}
+	return [][]byte{
+		fwd,
+		tfwd,
+		AppendTracedForwarded(nil, 0xF00D, 4, trs),
+		fwd[:HeaderSize+16+RecordSize+7],
+		tfwd[:HeaderSize+16+RecordSize+10],
+		flip(fwd, HeaderSize+16+5),
+		flip(tfwd, HeaderSize+16+RecordSize+3),
+	}
+}
+
 // FuzzReader throws arbitrary bytes at the stream reader: it must
 // never panic, must classify every failure as io.EOF or ErrBadFrame,
 // and everything it does decode must re-encode to a parseable stream
@@ -50,7 +81,10 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{0xD0, 0x5E, 1, 1, 0xFF, 0xFF})
 	// Mid-stream garbage before a valid magic, and session frames.
 	f.Add(append([]byte{0xDE, 0xAD, 0xD0, 0x00}, AppendFrame(nil, []Record{{MF: 3}})...))
-	f.Add(append(AppendHello(nil, 7, 0), AppendSealed(nil, 0, []Record{{MF: 4}})...))
+	f.Add(append(AppendHello(nil, 7, 0, 0), AppendSealed(nil, 0, []Record{{MF: 4}})...))
+	for _, seed := range clusterSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		var decoded []Record
@@ -88,12 +122,60 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
+// partFilled returns a slab with room for exactly two more records,
+// with or without a trace lane, so frames of a few records reach the
+// decoder's capacity edge and both of its back-fill branches.
+func partFilled(lane bool) *Slab {
+	s := NewSlabPool(1).Get()
+	for s.Free() > 2 {
+		if lane {
+			s.AppendTraced(TracedRecord{Ctx: TraceContext{ID: 1}})
+		} else {
+			s.Append(Record{})
+		}
+	}
+	return s
+}
+
+// checkAppendBatch feeds one frame ReadFrame accepted to a part-filled
+// slab and checks the decoder's contract from outside: it fails with
+// ErrSlabFull exactly when the frame's records outnumber the free
+// slots, any failure leaves the slab as it was, and success grows it by
+// exactly the frame's records with the lane still parallel.
+func checkAppendBatch(t *testing.T, s *Slab, ftype uint8, payload []byte) {
+	t.Helper()
+	l, batch := layoutOf(ftype)
+	if !batch {
+		return
+	}
+	n := (len(payload) - l.overhead()) / l.rec // ReadFrame checked the alignment
+	held, free, lane := s.Len(), s.Free(), s.Ctxs != nil
+	_, err := s.AppendBatch(ftype, payload)
+	switch {
+	case (err == ErrSlabFull) != (n > free):
+		t.Fatalf("type %d: %d records into %d free slots: err = %v", ftype, n, free, err)
+	case err != nil:
+		if s.Len() != held || (s.Ctxs != nil) != lane {
+			t.Fatalf("type %d: failed decode (%v) moved the slab from %d records, lane %v to %d, lane %v",
+				ftype, err, held, lane, s.Len(), s.Ctxs != nil)
+		}
+	case s.Len() != held+n || s.Len() > SlabCap:
+		t.Fatalf("type %d: %d records grew the slab from %d to %d (cap %d)", ftype, n, held, s.Len(), SlabCap)
+	case s.Ctxs != nil && len(s.Ctxs) != s.Len():
+		t.Fatalf("type %d: lane has %d contexts beside %d records", ftype, len(s.Ctxs), s.Len())
+	case s.Ctxs == nil && (lane || l.rec != RecordSize):
+		t.Fatalf("type %d: slab lost or never grew its lane", ftype)
+	}
+}
+
 // FuzzTraceContext throws arbitrary bytes at the trace-aware reader:
 // NextTraced must never panic, must classify failures like Next, and
 // every traced record it decodes must re-encode to a byte-identical
 // parse. Legacy frames (TypeRecords/TypeSealed, the pre-trace corpus
 // shapes) must keep round-tripping with exactly zero trace contexts —
-// the backward-compat contract of the extension.
+// the backward-compat contract of the extension. Every frame of the
+// input is also decoded into part-filled slabs, where the reader's
+// always-empty slab never goes.
 func FuzzTraceContext(f *testing.F) {
 	f.Add([]byte{})
 	legacy := AppendFrame(nil, []Record{{T: 1, Topo: 2, Victim: 3, MF: 4, Src: 5, Proto: 6}})
@@ -105,13 +187,18 @@ func FuzzTraceContext(f *testing.F) {
 	}
 	f.Add(AppendTracedFrame(nil, traced))
 	f.Add(AppendTracedSealed(nil, 9, traced))
-	f.Add(append(AppendHelloFlags(nil, 1, 0, HelloFlagTrace), AppendTracedSealed(nil, 0, traced)...))
+	f.Add(append(AppendHello(nil, 1, 0, HelloFlagTrace), AppendTracedSealed(nil, 0, traced)...))
 	f.Add(append(legacy, AppendTracedFrame(nil, traced)...))
 	// Truncations and bit flips around the traced layouts.
 	f.Add(AppendTracedFrame(nil, traced)[:HeaderSize+TracedRecordSize-1])
 	damaged := AppendTracedSealed(nil, 9, traced)
 	damaged[HeaderSize+10] ^= 0x80
 	f.Add(damaged)
+	for _, seed := range clusterSeeds() {
+		f.Add(seed)
+	}
+	// Fuzz inputs run one at a time per process, so the slabs are shared.
+	slabs := [2]*Slab{partFilled(false), partFilled(true)}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		var decoded []TracedRecord
@@ -125,19 +212,39 @@ func FuzzTraceContext(f *testing.F) {
 			}
 			decoded = append(decoded, tr)
 		}
+
+		frames := NewReader(bytes.NewReader(data))
+		for {
+			ftype, payload, err := frames.ReadFrame()
+			if err != nil {
+				break
+			}
+			for _, s := range slabs {
+				held, lane := s.Len(), s.Ctxs != nil
+				checkAppendBatch(t, s, ftype, payload)
+				// Back to part-filled for the next frame.
+				s.Recs = s.Recs[:held]
+				if lane {
+					s.Ctxs = s.Ctxs[:held]
+				} else {
+					s.Ctxs = nil
+				}
+			}
+		}
+
 		if len(decoded) == 0 {
 			return
 		}
 		// Re-encode everything as traced frames; the re-parse must be
 		// exact, including the records that decoded with zero contexts.
-		reenc := AppendTracedFrame(nil, decoded[:min(len(decoded), MaxTracedPerFrame)])
-		got, _, err := ParseAnyFrame(reenc, nil)
+		want := decoded[:min(len(decoded), MaxRecords(TypeTracedRecords))]
+		_, got, err := decodeBatch(TypeTracedRecords, AppendTracedFrame(nil, want)[HeaderSize:])
 		if err != nil {
 			t.Fatalf("re-parse: %v", err)
 		}
-		for i, want := range decoded[:min(len(decoded), MaxTracedPerFrame)] {
-			if got[i] != want {
-				t.Fatalf("re-parse record %d: got %+v want %+v", i, got[i], want)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("re-parse record %d: got %+v want %+v", i, got[i], want[i])
 			}
 		}
 	})

@@ -142,65 +142,77 @@ func TestReaderWithoutResyncStillFailsHard(t *testing.T) {
 
 // TestReaderCapsEmptyFrameRuns is the regression test for the
 // empty-frame spin: a peer streaming valid zero-record frames used to
-// loop Next forever with no progress or accounting.
+// loop Next forever with no progress or accounting. The cap covers
+// every batch type — a zero-record sealed or forwarded frame is the
+// same six-plus bytes of no progress, and on a session it would also
+// earn an ack write per frame.
 func TestReaderCapsEmptyFrameRuns(t *testing.T) {
-	var b []byte
-	for i := 0; i < MaxEmptyFrames+1; i++ {
-		b = AppendFrame(b, nil)
-	}
-	r := NewReader(bytes.NewReader(b))
-	_, err := r.Next()
-	if !errors.Is(err, ErrEmptyFlood) || !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("empty-frame flood: got %v, want ErrEmptyFlood wrapping ErrBadFrame", err)
-	}
-
-	// Runs at or below the cap are tolerated, and a record frame
-	// resets the run.
 	recs := plainRecords(2)
-	b = b[:0]
-	for i := 0; i < MaxEmptyFrames; i++ {
-		b = AppendFrame(b, nil)
-	}
-	b = AppendFrame(b, recs[:1])
-	for i := 0; i < MaxEmptyFrames; i++ {
-		b = AppendFrame(b, nil)
-	}
-	b = AppendFrame(b, recs[1:])
-	r = NewReader(bytes.NewReader(b))
-	for i := range recs {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d after empty runs: %v", i, err)
+	for name, frame := range map[string]func(b []byte, recs []Record) []byte{
+		"records":          AppendFrame,
+		"traced records":   func(b []byte, recs []Record) []byte { return appendBatch(b, TypeTracedRecords, 0, 0, recs, nil) },
+		"sealed":           func(b []byte, recs []Record) []byte { return AppendSealed(b, 0, recs) },
+		"traced sealed":    func(b []byte, recs []Record) []byte { return appendBatch(b, TypeTracedSealed, 0, 0, recs, nil) },
+		"forwarded":        func(b []byte, recs []Record) []byte { return AppendForwarded(b, 9, 0, recs) },
+		"traced forwarded": func(b []byte, recs []Record) []byte { return appendBatch(b, TypeTracedForwarded, 9, 0, recs, nil) },
+	} {
+		var b []byte
+		for i := 0; i < MaxEmptyFrames+1; i++ {
+			b = frame(b, nil)
 		}
-		if rec != recs[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, rec, recs[i])
+		r := NewReader(bytes.NewReader(b))
+		_, err := r.Next()
+		if !errors.Is(err, ErrEmptyFlood) || !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%s: empty-frame flood: got %v, want ErrEmptyFlood wrapping ErrBadFrame", name, err)
 		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
+
+		// Runs at or below the cap are tolerated, and a record frame
+		// resets the run.
+		b = b[:0]
+		for i := 0; i < MaxEmptyFrames; i++ {
+			b = frame(b, nil)
+		}
+		b = frame(b, recs[:1])
+		for i := 0; i < MaxEmptyFrames; i++ {
+			b = frame(b, nil)
+		}
+		b = frame(b, recs[1:])
+		r = NewReader(bytes.NewReader(b))
+		for i := range recs {
+			rec, err := r.Next()
+			if err != nil {
+				t.Fatalf("%s: record %d after empty runs: %v", name, i, err)
+			}
+			if rec != recs[i] {
+				t.Fatalf("%s: record %d: got %+v want %+v", name, i, rec, recs[i])
+			}
+		}
+		if _, err := r.Next(); err != io.EOF {
+			t.Fatalf("%s: want EOF, got %v", name, err)
+		}
 	}
 }
 
 func TestSessionFrameRoundTrips(t *testing.T) {
 	// Hello.
-	b := AppendHello(nil, 0xCAFEBABE, 42)
+	b := AppendHello(nil, 0xCAFEBABE, 42, 0)
 	ftype, n, err := checkHeader(b)
 	if err != nil || ftype != TypeHello || n != HelloPayloadSize {
 		t.Fatalf("hello header: type=%d n=%d err=%v", ftype, n, err)
 	}
-	id, base, err := ParseHello(b[HeaderSize:])
-	if err != nil || id != 0xCAFEBABE || base != 42 {
-		t.Fatalf("hello round trip: id=%#x base=%d err=%v", id, base, err)
+	id, base, flags, err := ParseHello(b[HeaderSize:])
+	if err != nil || id != 0xCAFEBABE || base != 42 || flags != 0 {
+		t.Fatalf("hello round trip: id=%#x base=%d flags=%#x err=%v", id, base, flags, err)
 	}
 
 	// Ack.
-	b = AppendAck(nil, 12345)
+	b = AppendAck(nil, 12345, 0)
 	if ftype, _, err = checkHeader(b); err != nil || ftype != TypeAck {
 		t.Fatalf("ack header: type=%d err=%v", ftype, err)
 	}
-	count, err := ParseAck(b[HeaderSize:])
-	if err != nil || count != 12345 {
-		t.Fatalf("ack round trip: count=%d err=%v", count, err)
+	count, flags, err := ParseAck(b[HeaderSize:])
+	if err != nil || count != 12345 || flags != 0 {
+		t.Fatalf("ack round trip: count=%d flags=%#x err=%v", count, flags, err)
 	}
 
 	// Sealed.
@@ -209,12 +221,12 @@ func TestSessionFrameRoundTrips(t *testing.T) {
 	if ftype, _, err = checkHeader(b); err != nil || ftype != TypeSealed {
 		t.Fatalf("sealed header: type=%d err=%v", ftype, err)
 	}
-	seq, got, err := ParseSealed(b[HeaderSize:], nil)
-	if err != nil || seq != 99 {
-		t.Fatalf("sealed round trip: seq=%d err=%v", seq, err)
+	h, got, err := decodeBatch(ftype, b[HeaderSize:])
+	if err != nil || h.Seq != 99 || len(got) != len(recs) {
+		t.Fatalf("sealed round trip: %d records, header %+v, err=%v", len(got), h, err)
 	}
 	for i := range recs {
-		if got[i] != recs[i] {
+		if got[i].Record != recs[i] {
 			t.Fatalf("sealed record %d mismatch", i)
 		}
 	}
@@ -228,19 +240,19 @@ func TestSealedCRCDetectsCorruption(t *testing.T) {
 	for off := HeaderSize; off < len(frame); off++ {
 		b := append([]byte(nil), frame...)
 		b[off] ^= 0x20
-		if _, _, err := ParseSealed(b[HeaderSize:], nil); !errors.Is(err, ErrBadFrame) {
+		if _, _, err := decodeBatch(TypeSealed, b[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("corruption at byte %d not detected: %v", off, err)
 		}
 	}
 	// Control frames are CRC-guarded too.
-	hello := AppendHello(nil, 1, 2)
+	hello := AppendHello(nil, 1, 2, 0)
 	hello[HeaderSize] ^= 0x01
-	if _, _, err := ParseHello(hello[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := ParseHello(hello[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("hello corruption not detected: %v", err)
 	}
-	ack := AppendAck(nil, 3)
+	ack := AppendAck(nil, 3, 0)
 	ack[HeaderSize] ^= 0x01
-	if _, err := ParseAck(ack[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := ParseAck(ack[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("ack corruption not detected: %v", err)
 	}
 }
@@ -250,9 +262,9 @@ func TestSealedCRCDetectsCorruption(t *testing.T) {
 func TestNextSkipsControlFramesAndUnwrapsSealed(t *testing.T) {
 	recs := plainRecords(6)
 	var b []byte
-	b = AppendHello(b, 1, 0)
+	b = AppendHello(b, 1, 0, 0)
 	b = AppendSealed(b, 0, recs[:4])
-	b = AppendAck(b, 4)
+	b = AppendAck(b, 4, 0)
 	b = AppendFrame(b, recs[4:])
 	r := NewReader(bytes.NewReader(b))
 	for i := range recs {

@@ -12,7 +12,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"slices"
 	"sync/atomic"
 
@@ -139,150 +138,107 @@ func (s *Slab) AppendTraced(tr TracedRecord) {
 	s.Ctxs = append(s.Ctxs, tr.Ctx)
 }
 
-// AppendRecordsPayload decodes a TypeRecords payload (alignment checked
-// at the frame header) into the slab.
-func (s *Slab) AppendRecordsPayload(payload []byte) error {
-	n := len(payload) / RecordSize
-	if n > s.Free() {
-		return ErrSlabFull
+// AppendBatch verifies and decodes one batch payload of any record-
+// bearing frame type into the slab and returns its frame-level header:
+// the one decoder, behind the daemon's listeners, the cluster's forward
+// sessions and Reader.Next alike. Checks run in this order and any
+// failure leaves the slab exactly as it was: ftype is a batch type, the
+// payload is its layout's overhead plus whole records, the records fit
+// (ErrSlabFull — the caller submits the slab and retries the frame on a
+// fresh one, so no CRC work is spent on a frame that cannot land), the
+// CRC tail matches.
+//
+// The trace lane follows the frames: a traced frame materializes it
+// (zero contexts for what the slab already holds), an untraced frame
+// landing beside a lane appends zero contexts. A traced forward's
+// contexts carry the frame's origin next to their route stamp.
+func (s *Slab) AppendBatch(ftype uint8, payload []byte) (h BatchHeader, err error) {
+	l, ok := layoutOf(ftype)
+	if !ok {
+		return h, fmt.Errorf("%w: frame type %d carries no records", ErrBadFrame, ftype)
 	}
-	return s.appendPlain(payload)
-}
+	n, ok := l.count(len(payload))
+	if !ok {
+		return h, fmt.Errorf("%w: %s payload %d bytes", ErrBadFrame, l.name, len(payload))
+	}
+	if n > s.Free() {
+		return h, ErrSlabFull
+	}
+	body := payload
+	if l.sealed {
+		if body, err = openSeal(payload); err != nil {
+			return h, fmt.Errorf("%s frame: %w", l.name, err)
+		}
+	}
+	h.Sealed, h.Forwarded = l.sealed, l.lead == leadOriginSeq
+	if h.Forwarded {
+		h.Origin = binary.BigEndian.Uint64(body[0:8])
+	}
+	if l.lead != 0 {
+		h.Seq = binary.BigEndian.Uint64(body[l.lead-8 : l.lead])
+	}
+	body = body[l.lead:]
 
-func (s *Slab) appendPlain(body []byte) error {
+	at := len(s.Recs)
 	if s.Recs == nil {
 		s.Recs = s.recsBuf[:0]
 	}
-	for off := 0; off+RecordSize <= len(body); off += RecordSize {
-		rec, err := DecodeRecord(body[off:])
-		if err != nil {
-			return err
+	if l.rec != RecordSize {
+		s.ensureCtxs() // before the records grow: it back-fills to len(s.Recs)
+	}
+	s.Recs = s.Recs[:at+n]
+	recs := s.Recs[at:]
+	for i := range recs {
+		recs[i] = decodeRecord(body[i*l.rec:])
+	}
+	if s.Ctxs == nil {
+		return h, nil
+	}
+	s.Ctxs = s.Ctxs[:at+n]
+	ctxs := s.Ctxs[at:]
+	if l.rec == RecordSize {
+		clear(ctxs)
+		return h, nil
+	}
+	for i := range ctxs {
+		c := body[i*l.rec+RecordSize : (i+1)*l.rec]
+		ctxs[i] = TraceContext{
+			ID:   binary.BigEndian.Uint64(c[0:8]),
+			Sent: int64(binary.BigEndian.Uint64(c[8:16])),
 		}
-		s.Recs = append(s.Recs, rec)
-		if s.Ctxs != nil {
-			s.Ctxs = append(s.Ctxs, TraceContext{})
+		if len(c) == FwdCtxSize {
+			ctxs[i].Routed = int64(binary.BigEndian.Uint64(c[16:24]))
+			ctxs[i].Origin = h.Origin
 		}
 	}
-	return nil
+	return h, nil
 }
 
-// AppendTracedPayload decodes a TypeTracedRecords payload into the
-// slab, keeping the trace contexts.
-func (s *Slab) AppendTracedPayload(payload []byte) error {
-	n := len(payload) / TracedRecordSize
-	if n > s.Free() {
-		return ErrSlabFull
-	}
-	return s.appendTraced(payload)
-}
-
-func (s *Slab) appendTraced(body []byte) error {
-	if s.Recs == nil {
-		s.Recs = s.recsBuf[:0]
-	}
-	s.ensureCtxs()
-	for off := 0; off+TracedRecordSize <= len(body); off += TracedRecordSize {
-		tr, err := decodeTracedRecord(body[off:])
-		if err != nil {
-			return err
-		}
-		s.Recs = append(s.Recs, tr.Record)
-		s.Ctxs = append(s.Ctxs, tr.Ctx)
-	}
-	return nil
-}
-
-// AppendSealedPayload verifies and decodes a TypeSealed payload into
-// the slab, returning the batch's cumulative sequence number.
+// AppendSealedPayload is AppendBatch with the type fixed to TypeSealed.
+// It and the next two exist for bench/, which times each as a layer
+// row.
 func (s *Slab) AppendSealedPayload(payload []byte) (seq uint64, err error) {
-	if len(payload) < SealedOverhead || (len(payload)-SealedOverhead)%RecordSize != 0 {
-		return 0, fmt.Errorf("%w: sealed payload %d bytes", ErrBadFrame, len(payload))
-	}
-	if (len(payload)-SealedOverhead)/RecordSize > s.Free() {
-		return 0, ErrSlabFull
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, fmt.Errorf("%w: sealed crc mismatch", ErrBadFrame)
-	}
-	return binary.BigEndian.Uint64(body[0:8]), s.appendPlain(body[8:])
+	h, err := s.AppendBatch(TypeSealed, payload)
+	return h.Seq, err
 }
 
-// AppendForwardedPayload verifies and decodes a TypeForwarded payload
-// into the slab, returning the relaying instance's origin id and the
-// batch's cumulative sequence number in the forward stream.
-func (s *Slab) AppendForwardedPayload(payload []byte) (origin, seq uint64, err error) {
-	if len(payload) < ForwardedOverhead || (len(payload)-ForwardedOverhead)%RecordSize != 0 {
-		return 0, 0, fmt.Errorf("%w: forwarded payload %d bytes", ErrBadFrame, len(payload))
-	}
-	if (len(payload)-ForwardedOverhead)/RecordSize > s.Free() {
-		return 0, 0, ErrSlabFull
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, 0, fmt.Errorf("%w: forwarded crc mismatch", ErrBadFrame)
-	}
-	return binary.BigEndian.Uint64(body[0:8]), binary.BigEndian.Uint64(body[8:16]), s.appendPlain(body[16:])
-}
-
-// AppendTracedForwardedPayload verifies and decodes a
-// TypeTracedForwarded payload into the slab, keeping the full
-// forward-hop contexts (id, sent, routed, origin), and returning the
-// relaying instance's origin id and the batch's cumulative sequence
-// number in the forward stream.
-func (s *Slab) AppendTracedForwardedPayload(payload []byte) (origin, seq uint64, err error) {
-	if len(payload) < TracedForwardedOverhead || (len(payload)-TracedForwardedOverhead)%TracedFwdRecordSize != 0 {
-		return 0, 0, fmt.Errorf("%w: traced forwarded payload %d bytes", ErrBadFrame, len(payload))
-	}
-	if (len(payload)-TracedForwardedOverhead)/TracedFwdRecordSize > s.Free() {
-		return 0, 0, ErrSlabFull
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, 0, fmt.Errorf("%w: traced forwarded crc mismatch", ErrBadFrame)
-	}
-	origin = binary.BigEndian.Uint64(body[0:8])
-	seq = binary.BigEndian.Uint64(body[8:16])
-	if s.Recs == nil {
-		s.Recs = s.recsBuf[:0]
-	}
-	s.ensureCtxs()
-	for off := 16; off+TracedFwdRecordSize <= len(body); off += TracedFwdRecordSize {
-		rec, err := DecodeRecord(body[off:])
-		if err != nil {
-			return 0, 0, err
-		}
-		s.Recs = append(s.Recs, rec)
-		s.Ctxs = append(s.Ctxs, TraceContext{
-			ID:     binary.BigEndian.Uint64(body[off+RecordSize : off+RecordSize+8]),
-			Sent:   int64(binary.BigEndian.Uint64(body[off+RecordSize+8 : off+RecordSize+16])),
-			Routed: int64(binary.BigEndian.Uint64(body[off+RecordSize+16 : off+RecordSize+24])),
-			Origin: origin,
-		})
-	}
-	return origin, seq, nil
-}
-
-// AppendTracedSealedPayload verifies and decodes a TypeTracedSealed
-// payload into the slab, keeping contexts and returning the sequence.
+// AppendTracedSealedPayload is AppendBatch for TypeTracedSealed.
 func (s *Slab) AppendTracedSealedPayload(payload []byte) (seq uint64, err error) {
-	if len(payload) < SealedOverhead || (len(payload)-SealedOverhead)%TracedRecordSize != 0 {
-		return 0, fmt.Errorf("%w: traced sealed payload %d bytes", ErrBadFrame, len(payload))
-	}
-	if (len(payload)-SealedOverhead)/TracedRecordSize > s.Free() {
-		return 0, ErrSlabFull
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, fmt.Errorf("%w: traced sealed crc mismatch", ErrBadFrame)
-	}
-	return binary.BigEndian.Uint64(body[0:8]), s.appendTraced(body[8:])
+	h, err := s.AppendBatch(TypeTracedSealed, payload)
+	return h.Seq, err
 }
 
-// AppendDatagramFrame decodes one complete record-bearing frame from b
-// (the UDP entry point: TypeRecords or TypeTracedRecords) into the
-// slab and returns the bytes consumed, so callers loop over packed
-// datagrams. ErrSlabFull leaves b unconsumed.
+// AppendForwardedPayload is AppendBatch for TypeForwarded.
+func (s *Slab) AppendForwardedPayload(payload []byte) (origin, seq uint64, err error) {
+	h, err := s.AppendBatch(TypeForwarded, payload)
+	return h.Origin, h.Seq, err
+}
+
+// AppendDatagramFrame decodes one complete frame from b — the UDP entry
+// point, which accepts only the two bare batch types: a datagram has no
+// session to dedup or ack a sealed frame against — and returns the
+// bytes consumed, so callers loop over packed datagrams. ErrSlabFull
+// leaves b unconsumed.
 func (s *Slab) AppendDatagramFrame(b []byte) (consumed int, err error) {
 	ftype, n, err := checkHeader(b)
 	if err != nil {
@@ -292,16 +248,10 @@ func (s *Slab) AppendDatagramFrame(b []byte) (consumed int, err error) {
 		return 0, fmt.Errorf("%w: truncated payload: have %d of %d bytes",
 			ErrBadFrame, len(b)-HeaderSize, n)
 	}
-	payload := b[HeaderSize : HeaderSize+n]
-	switch ftype {
-	case TypeRecords:
-		err = s.AppendRecordsPayload(payload)
-	case TypeTracedRecords:
-		err = s.AppendTracedPayload(payload)
-	default:
+	if l, batch := layoutOf(ftype); !batch || l.sealed {
 		return 0, fmt.Errorf("%w: frame type %d in a datagram", ErrBadFrame, ftype)
 	}
-	if err != nil {
+	if _, err := s.AppendBatch(ftype, b[HeaderSize:HeaderSize+n]); err != nil {
 		return 0, err
 	}
 	return HeaderSize + n, nil

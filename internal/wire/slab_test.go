@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 		frame := AppendFrame(nil, recs)
 		s := pool.Get()
 		defer s.Release()
-		if err := s.AppendRecordsPayload(frame[HeaderSize:]); err != nil {
+		if _, err := s.AppendBatch(TypeRecords, frame[HeaderSize:]); err != nil {
 			t.Fatal(err)
 		}
 		if s.Ctxs != nil {
@@ -72,7 +73,7 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 		frame := AppendTracedFrame(nil, trs)
 		s := pool.Get()
 		defer s.Release()
-		if err := s.AppendTracedPayload(frame[HeaderSize:]); err != nil {
+		if _, err := s.AppendBatch(TypeTracedRecords, frame[HeaderSize:]); err != nil {
 			t.Fatal(err)
 		}
 		checkRecords(t, s.Recs, recs)
@@ -99,23 +100,27 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 		s := pool.Get()
 		defer s.Release()
 		plain := AppendFrame(nil, recs[:5])
-		if err := s.AppendRecordsPayload(plain[HeaderSize:]); err != nil {
+		if _, err := s.AppendBatch(TypeRecords, plain[HeaderSize:]); err != nil {
 			t.Fatal(err)
 		}
 		traced := AppendTracedFrame(nil, []TracedRecord{{Record: recs[5], Ctx: TraceContext{ID: 99}}})
-		if err := s.AppendTracedPayload(traced[HeaderSize:]); err != nil {
+		if _, err := s.AppendBatch(TypeTracedRecords, traced[HeaderSize:]); err != nil {
 			t.Fatal(err)
 		}
-		if len(s.Ctxs) != 6 {
-			t.Fatalf("ctxs len = %d, want 6", len(s.Ctxs))
+		// And the reverse: an untraced frame landing beside the lane.
+		if _, err := s.AppendBatch(TypeSealed, AppendSealed(nil, 0, recs[6:8])[HeaderSize:]); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 5; i++ {
-			if s.Ctxs[i].ID != 0 {
-				t.Errorf("backfilled ctx %d nonzero: %+v", i, s.Ctxs[i])
+		checkRecords(t, s.Recs, recs[:8])
+		if len(s.Ctxs) != 8 {
+			t.Fatalf("ctxs len = %d, want 8", len(s.Ctxs))
+		}
+		for i, c := range s.Ctxs {
+			if want := (TraceContext{ID: 99}); i == 5 && c != want {
+				t.Errorf("traced ctx lost: %+v", c)
+			} else if i != 5 && c != (TraceContext{}) {
+				t.Errorf("backfilled ctx %d nonzero: %+v", i, c)
 			}
-		}
-		if s.Ctxs[5].ID != 99 {
-			t.Errorf("traced ctx lost: %+v", s.Ctxs[5])
 		}
 	})
 
@@ -142,10 +147,104 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 			s.Append(recs[0])
 		}
 		frame := AppendFrame(nil, recs[:1])
-		if err := s.AppendRecordsPayload(frame[HeaderSize:]); err != ErrSlabFull {
+		if _, err := s.AppendBatch(TypeRecords, frame[HeaderSize:]); err != ErrSlabFull {
 			t.Fatalf("append past capacity: %v, want ErrSlabFull", err)
 		}
 	})
+}
+
+// TestDecodeErrorLeavesSlabUntouched is the property none of the
+// per-type decoders had a test for: whatever makes AppendBatch fail —
+// a type that is not a batch, a misaligned payload, a frame that does
+// not fit, a bad CRC — the slab's length and the presence of its trace
+// lane are exactly what they were, on an empty slab and on a part-full
+// one, with and without a lane.
+func TestDecodeErrorLeavesSlabUntouched(t *testing.T) {
+	trs := goldenTraced(3)
+	recs, _ := splitTraced(trs)
+	flipped := func(frame []byte, off int) []byte {
+		frame[off] ^= 0x04
+		return frame[HeaderSize:]
+	}
+	big := make([]Record, SlabCap/2+1)
+	cases := []struct {
+		name    string
+		ftype   uint8
+		payload []byte
+		want    error
+	}{
+		{"hello is not a batch", TypeHello, AppendHello(nil, 1, 2, 0)[HeaderSize:], ErrBadFrame},
+		{"gossip is not a batch", TypeGossip, AppendGossip(nil, goldenBody)[HeaderSize:], ErrBadFrame},
+		{"type 0", 0, nil, ErrBadFrame},
+		{"unknown type", TypeTracedForwarded + 1, nil, ErrBadFrame},
+		{"records misaligned", TypeRecords, AppendFrame(nil, recs)[HeaderSize+1:], ErrBadFrame},
+		{"traced records misaligned", TypeTracedRecords, AppendFrame(nil, recs)[HeaderSize:], ErrBadFrame},
+		{"sealed shorter than its overhead", TypeSealed, make([]byte, batchLayouts[TypeSealed].overhead()-1), ErrBadFrame},
+		{"sealed misaligned", TypeSealed, AppendSealed(nil, 1, recs)[HeaderSize+1:], ErrBadFrame},
+		{"traced sealed read as sealed", TypeSealed, AppendTracedSealed(nil, 1, trs[:1])[HeaderSize:], ErrBadFrame},
+		{"sealed crc, flip in seq", TypeSealed, flipped(AppendSealed(nil, 1, recs), HeaderSize+3), ErrBadFrame},
+		{"traced sealed crc, flip in a context", TypeTracedSealed, flipped(AppendTracedSealed(nil, 1, trs), HeaderSize+8+RecordSize+5), ErrBadFrame},
+		{"forwarded crc, flip in origin", TypeForwarded, flipped(AppendForwarded(nil, 1, 2, recs), HeaderSize), ErrBadFrame},
+		{"traced forwarded crc, flip in the tail", TypeTracedForwarded, flipped(AppendTracedForwarded(nil, 1, 2, trs), len(AppendTracedForwarded(nil, 1, 2, trs))-1), ErrBadFrame},
+		{"records past capacity", TypeRecords, AppendFrame(nil, big)[HeaderSize:], ErrSlabFull},
+		// Capacity is judged before the CRC: a frame that cannot fit is
+		// retried on a fresh slab, so its checksum is not this slab's work.
+		{"sealed past capacity, crc also bad", TypeSealed, flipped(AppendSealed(nil, 0, big), HeaderSize+9), ErrSlabFull},
+	}
+	fills := []struct {
+		name string
+		fill func(*Slab)
+	}{
+		{"empty", func(*Slab) {}},
+		{"half full, no lane", func(s *Slab) {
+			for i := 0; i < SlabCap/2; i++ {
+				s.Append(recs[0])
+			}
+		}},
+		{"half full, lane", func(s *Slab) {
+			for i := 0; i < SlabCap/2; i++ {
+				s.AppendTraced(trs[0])
+			}
+		}},
+	}
+	for _, f := range fills {
+		for _, c := range cases {
+			s := NewSlabPool(1).Get()
+			f.fill(s)
+			if c.want == ErrSlabFull && s.Len() == 0 {
+				continue // half a slab of records always fits an empty slab
+			}
+			n, lane := s.Len(), s.Ctxs != nil
+			_, err := s.AppendBatch(c.ftype, c.payload)
+			if !errors.Is(err, c.want) {
+				t.Errorf("%s / %s: err = %v, want %v", f.name, c.name, err, c.want)
+			}
+			if s.Len() != n || (s.Ctxs != nil) != lane || (lane && len(s.Ctxs) != n) {
+				t.Errorf("%s / %s: slab went from (%d records, lane %v) to (%d records, lane %v, %d ctxs)",
+					f.name, c.name, n, lane, s.Len(), s.Ctxs != nil, len(s.Ctxs))
+			}
+			s.Release()
+		}
+	}
+}
+
+// decodeBatch runs the one decoder on a fresh slab and returns what it
+// read as traced records (zero contexts when the frame had no lane).
+func decodeBatch(ftype uint8, payload []byte) (BatchHeader, []TracedRecord, error) {
+	s := NewSlabPool(1).Get()
+	defer s.Release()
+	h, err := s.AppendBatch(ftype, payload)
+	if err != nil {
+		return h, nil, err
+	}
+	trs := make([]TracedRecord, s.Len())
+	for i := range trs {
+		trs[i].Record = s.Recs[i]
+		if s.Ctxs != nil {
+			trs[i].Ctx = s.Ctxs[i]
+		}
+	}
+	return h, trs, nil
 }
 
 func checkRecords(t *testing.T, got, want []Record) {
@@ -346,13 +445,19 @@ func TestSlabConcurrentStress(t *testing.T) {
 }
 
 func TestClientRejectsOversizeMaxBatch(t *testing.T) {
-	if _, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecordsPerSealed + 1}); err == nil {
+	if _, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecords(TypeSealed) + 1}); err == nil {
 		t.Error("MaxBatch over the sealed-frame cap accepted")
 	}
-	if _, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxTracedPerSealed + 1, Trace: true}); err == nil {
+	if _, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecords(TypeTracedSealed) + 1, Trace: true}); err == nil {
 		t.Error("traced MaxBatch over the traced sealed-frame cap accepted")
 	}
-	if c, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecordsPerSealed}); err != nil {
+	if _, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecords(TypeForwarded) + 1, ForwardOrigin: 1}); err == nil {
+		t.Error("forwarding MaxBatch over the forwarded-frame cap accepted")
+	}
+	if _, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecords(TypeTracedForwarded) + 1, ForwardOrigin: 1, Trace: true}); err == nil {
+		t.Error("traced forwarding MaxBatch over the traced forwarded-frame cap accepted")
+	}
+	if c, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecords(TypeSealed)}); err != nil {
 		t.Errorf("MaxBatch at the cap rejected: %v", err)
 	} else {
 		c.Close()

@@ -9,23 +9,7 @@ package wire
 // unchanged; session clients negotiate it with a flag in the hello and
 // fall back to plain frames when the server does not echo it.
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
-
 const (
-	// TypeTracedRecords is a bare record batch where every record is
-	// followed by a 16-byte trace context — the traced sibling of
-	// TypeRecords, valid on streams and in datagrams.
-	TypeTracedRecords uint8 = 5
-
-	// TypeTracedSealed is the traced sibling of TypeSealed: cumulative
-	// sequence number, traced records, CRC tail. Sent by session
-	// clients after the server acked the trace hello flag.
-	TypeTracedSealed uint8 = 6
-
 	// TraceCtxSize is the encoded trace context: id(8) + sent(8).
 	TraceCtxSize = 16
 
@@ -36,20 +20,6 @@ const (
 	// server to accept TypeTracedSealed frames on this session. The
 	// server echoes the flag in an extended ack when it will.
 	HelloFlagTrace uint32 = 1 << 0
-
-	// HelloTracePayloadSize is the extended hello: streamID(8) +
-	// base(8) + flags(4) + crc32(4). Legacy 20-byte hellos remain
-	// valid and mean flags == 0.
-	HelloTracePayloadSize = 24
-
-	// AckTracePayloadSize is the extended ack: count(8) + flags(4) +
-	// crc32(4). Legacy 12-byte acks remain valid (flags == 0).
-	AckTracePayloadSize = 16
-
-	// MaxTracedPerFrame and MaxTracedPerSealed are the per-frame traced
-	// record capacities under the 16-bit payload length.
-	MaxTracedPerFrame  = MaxFramePayload / TracedRecordSize
-	MaxTracedPerSealed = (MaxFramePayload - SealedOverhead) / TracedRecordSize
 )
 
 // TraceContext is the per-record tracing extension. A zero ID means
@@ -73,222 +43,6 @@ type TraceContext struct {
 type TracedRecord struct {
 	Record
 	Ctx TraceContext
-}
-
-// AppendTraceContext appends tc's 16-byte encoding (id + sent) to b.
-// The forward-hop fields (Routed, Origin) are not part of this layout;
-// they are carried only by TypeTracedForwarded frames.
-func AppendTraceContext(b []byte, tc TraceContext) []byte {
-	var buf [TraceCtxSize]byte
-	binary.BigEndian.PutUint64(buf[0:8], tc.ID)
-	binary.BigEndian.PutUint64(buf[8:16], uint64(tc.Sent))
-	return append(b, buf[:]...)
-}
-
-// DecodeTraceContext decodes one trace context from the first
-// TraceCtxSize bytes of b.
-func DecodeTraceContext(b []byte) (TraceContext, error) {
-	if len(b) < TraceCtxSize {
-		return TraceContext{}, fmt.Errorf("%w: short trace context: %d bytes", ErrBadFrame, len(b))
-	}
-	return TraceContext{
-		ID:   binary.BigEndian.Uint64(b[0:8]),
-		Sent: int64(binary.BigEndian.Uint64(b[8:16])),
-	}, nil
-}
-
-// appendTracedRecord appends one record + context pair.
-func appendTracedRecord(b []byte, tr TracedRecord) []byte {
-	b = AppendRecord(b, tr.Record)
-	return AppendTraceContext(b, tr.Ctx)
-}
-
-// decodeTracedRecord decodes one record + context pair from b.
-func decodeTracedRecord(b []byte) (TracedRecord, error) {
-	if len(b) < TracedRecordSize {
-		return TracedRecord{}, fmt.Errorf("%w: short traced record: %d bytes", ErrBadFrame, len(b))
-	}
-	rec, err := DecodeRecord(b)
-	if err != nil {
-		return TracedRecord{}, err
-	}
-	tc, err := DecodeTraceContext(b[RecordSize:])
-	if err != nil {
-		return TracedRecord{}, err
-	}
-	return TracedRecord{Record: rec, Ctx: tc}, nil
-}
-
-// AppendTracedFrame appends one TypeTracedRecords frame holding trs.
-// It panics if trs exceeds MaxTracedPerFrame, like AppendFrame.
-func AppendTracedFrame(b []byte, trs []TracedRecord) []byte {
-	if len(trs) > MaxTracedPerFrame {
-		panic(fmt.Sprintf("wire: %d traced records exceed the %d-record frame limit", len(trs), MaxTracedPerFrame))
-	}
-	b = appendHeader(b, TypeTracedRecords, len(trs)*TracedRecordSize)
-	for _, tr := range trs {
-		b = appendTracedRecord(b, tr)
-	}
-	return b
-}
-
-// AppendTracedSealed appends one traced session frame: seq plus traced
-// records, CRC-tailed like AppendSealed. It panics past
-// MaxTracedPerSealed — splitting is the Client's job.
-func AppendTracedSealed(b []byte, seq uint64, trs []TracedRecord) []byte {
-	if len(trs) > MaxTracedPerSealed {
-		panic(fmt.Sprintf("wire: %d traced records exceed the %d-record sealed-frame limit", len(trs), MaxTracedPerSealed))
-	}
-	b = appendHeader(b, TypeTracedSealed, SealedOverhead+len(trs)*TracedRecordSize)
-	start := len(b)
-	b = binary.BigEndian.AppendUint64(b, seq)
-	for _, tr := range trs {
-		b = appendTracedRecord(b, tr)
-	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
-}
-
-// ParseTracedSealed decodes a TypeTracedSealed payload, appending the
-// traced records to trs (pass a reused slice's [:0] to avoid per-frame
-// allocation).
-func ParseTracedSealed(payload []byte, trs []TracedRecord) (seq uint64, out []TracedRecord, err error) {
-	if len(payload) < SealedOverhead || (len(payload)-SealedOverhead)%TracedRecordSize != 0 {
-		return 0, nil, fmt.Errorf("%w: traced sealed payload %d bytes", ErrBadFrame, len(payload))
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, nil, fmt.Errorf("%w: traced sealed crc mismatch", ErrBadFrame)
-	}
-	seq = binary.BigEndian.Uint64(body[0:8])
-	for off := 8; off < len(body); off += TracedRecordSize {
-		tr, err := decodeTracedRecord(body[off:])
-		if err != nil {
-			return 0, nil, err
-		}
-		trs = append(trs, tr)
-	}
-	return seq, trs, nil
-}
-
-// ParseTracedRecords decodes a TypeTracedRecords payload (alignment
-// validated at the frame header) into trs — the stream-reader sibling
-// of ParseAnyFrame for callers that already consumed the header.
-func ParseTracedRecords(payload []byte, trs []TracedRecord) ([]TracedRecord, error) {
-	return parseTracedPayload(payload, trs)
-}
-
-// parseTracedPayload decodes a TypeTracedRecords payload into trs.
-func parseTracedPayload(payload []byte, trs []TracedRecord) ([]TracedRecord, error) {
-	for off := 0; off+TracedRecordSize <= len(payload); off += TracedRecordSize {
-		tr, err := decodeTracedRecord(payload[off:])
-		if err != nil {
-			return trs, err
-		}
-		trs = append(trs, tr)
-	}
-	return trs, nil
-}
-
-// AppendHelloFlags appends a session-open frame carrying a flags word
-// (extension negotiation: the server honors the flags it echoes back in
-// the extended ack). flags == 0 degrades to the legacy 20-byte hello so
-// old servers keep parsing new clients that have nothing to negotiate.
-func AppendHelloFlags(b []byte, streamID, base uint64, flags uint32) []byte {
-	if flags == 0 {
-		return AppendHello(b, streamID, base)
-	}
-	b = appendHeader(b, TypeHello, HelloTracePayloadSize)
-	var p [HelloTracePayloadSize]byte
-	binary.BigEndian.PutUint64(p[0:8], streamID)
-	binary.BigEndian.PutUint64(p[8:16], base)
-	binary.BigEndian.PutUint32(p[16:20], flags)
-	binary.BigEndian.PutUint32(p[20:24], crc32.ChecksumIEEE(p[:20]))
-	return append(b, p[:]...)
-}
-
-// ParseHelloFlags decodes either hello layout: the legacy 20-byte
-// payload (flags 0) or the extended 24-byte one.
-func ParseHelloFlags(payload []byte) (streamID, base uint64, flags uint32, err error) {
-	switch len(payload) {
-	case HelloPayloadSize:
-		streamID, base, err = ParseHello(payload)
-		return streamID, base, 0, err
-	case HelloTracePayloadSize:
-		if got := binary.BigEndian.Uint32(payload[20:24]); got != crc32.ChecksumIEEE(payload[:20]) {
-			return 0, 0, 0, fmt.Errorf("%w: hello crc mismatch", ErrBadFrame)
-		}
-		return binary.BigEndian.Uint64(payload[0:8]),
-			binary.BigEndian.Uint64(payload[8:16]),
-			binary.BigEndian.Uint32(payload[16:20]), nil
-	default:
-		return 0, 0, 0, fmt.Errorf("%w: hello payload %d bytes", ErrBadFrame, len(payload))
-	}
-}
-
-// AppendAckFlags appends the server→client cumulative-accepted frame
-// with a flags word echoing the negotiated hello extensions. flags == 0
-// degrades to the legacy 12-byte ack.
-func AppendAckFlags(b []byte, count uint64, flags uint32) []byte {
-	if flags == 0 {
-		return AppendAck(b, count)
-	}
-	b = appendHeader(b, TypeAck, AckTracePayloadSize)
-	var p [AckTracePayloadSize]byte
-	binary.BigEndian.PutUint64(p[0:8], count)
-	binary.BigEndian.PutUint32(p[8:12], flags)
-	binary.BigEndian.PutUint32(p[12:16], crc32.ChecksumIEEE(p[:12]))
-	return append(b, p[:]...)
-}
-
-// ParseAckFlags decodes either ack layout: legacy 12-byte (flags 0) or
-// extended 16-byte.
-func ParseAckFlags(payload []byte) (count uint64, flags uint32, err error) {
-	switch len(payload) {
-	case AckPayloadSize:
-		count, err = ParseAck(payload)
-		return count, 0, err
-	case AckTracePayloadSize:
-		if got := binary.BigEndian.Uint32(payload[12:16]); got != crc32.ChecksumIEEE(payload[:12]) {
-			return 0, 0, fmt.Errorf("%w: ack crc mismatch", ErrBadFrame)
-		}
-		return binary.BigEndian.Uint64(payload[0:8]), binary.BigEndian.Uint32(payload[8:12]), nil
-	default:
-		return 0, 0, fmt.Errorf("%w: ack payload %d bytes", ErrBadFrame, len(payload))
-	}
-}
-
-// ParseAnyFrame decodes a complete record-bearing frame held in b —
-// the datagram entry point once traced frames exist. It handles both
-// TypeRecords (zero trace contexts) and TypeTracedRecords, appends the
-// decoded traced records to trs, and returns the bytes consumed so
-// callers can loop over packed datagrams.
-func ParseAnyFrame(b []byte, trs []TracedRecord) (out []TracedRecord, consumed int, err error) {
-	ftype, n, err := checkHeader(b)
-	if err != nil {
-		return trs, 0, err
-	}
-	if len(b) < HeaderSize+n {
-		return trs, 0, fmt.Errorf("%w: truncated payload: have %d of %d bytes",
-			ErrBadFrame, len(b)-HeaderSize, n)
-	}
-	payload := b[HeaderSize : HeaderSize+n]
-	switch ftype {
-	case TypeRecords:
-		for off := 0; off+RecordSize <= len(payload); off += RecordSize {
-			rec, err := DecodeRecord(payload[off:])
-			if err != nil {
-				return trs, 0, err
-			}
-			trs = append(trs, TracedRecord{Record: rec})
-		}
-	case TypeTracedRecords:
-		if trs, err = parseTracedPayload(payload, trs); err != nil {
-			return trs, 0, err
-		}
-	default:
-		return trs, 0, fmt.Errorf("%w: frame type %d in a datagram", ErrBadFrame, ftype)
-	}
-	return trs, HeaderSize + n, nil
 }
 
 // SplitMix64 spreads a counter into a well-distributed 64-bit id — the

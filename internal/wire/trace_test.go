@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"net"
 	"sync"
 	"testing"
@@ -15,20 +17,24 @@ func TestTraceContextRoundTrip(t *testing.T) {
 		{ID: ^uint64(0), Sent: -1},
 		{ID: 0xDEADBEEF, Sent: time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC).UnixNano()},
 	}
-	for _, tc := range cases {
-		b := AppendTraceContext(nil, tc)
-		if len(b) != TraceCtxSize {
-			t.Fatalf("encoded %d bytes, want %d", len(b), TraceCtxSize)
-		}
-		got, err := DecodeTraceContext(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tc {
-			t.Fatalf("round trip %+v -> %+v", tc, got)
+	trs := make([]TracedRecord, len(cases))
+	for i, tc := range cases {
+		trs[i] = TracedRecord{Record: Record{MF: uint16(i)}, Ctx: tc}
+	}
+	b := AppendTracedFrame(nil, trs)
+	if got, want := len(b), HeaderSize+len(cases)*(RecordSize+TraceCtxSize); got != want {
+		t.Fatalf("encoded %d bytes, want %d", got, want)
+	}
+	_, got, err := decodeBatch(TypeTracedRecords, b[HeaderSize:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range cases {
+		if got[i].Ctx != tc {
+			t.Fatalf("round trip %+v -> %+v", tc, got[i].Ctx)
 		}
 	}
-	if _, err := DecodeTraceContext(make([]byte, TraceCtxSize-1)); err == nil {
+	if _, _, err := decodeBatch(TypeTracedRecords, b[HeaderSize:len(b)-1]); err == nil {
 		t.Fatal("short trace context decoded")
 	}
 }
@@ -44,19 +50,21 @@ func testTracedRecords() []TracedRecord {
 func TestTracedFrameRoundTrip(t *testing.T) {
 	want := testTracedRecords()
 	b := AppendTracedFrame(nil, want)
-	got, consumed, err := ParseAnyFrame(b, nil)
+	s := NewSlabPool(1).Get()
+	defer s.Release()
+	consumed, err := s.AppendDatagramFrame(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if consumed != len(b) {
 		t.Fatalf("consumed %d of %d bytes", consumed, len(b))
 	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(want))
+	if s.Len() != len(want) {
+		t.Fatalf("decoded %d records, want %d", s.Len(), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, got[i], want[i])
+		if got := (TracedRecord{Record: s.Recs[i], Ctx: s.Ctxs[i]}); got != want[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, got, want[i])
 		}
 	}
 }
@@ -64,16 +72,25 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 func TestParseAnyFrameLegacyRecordsGetZeroContext(t *testing.T) {
 	recs := []Record{{T: 1, MF: 2}, {T: 3, MF: 4}}
 	b := AppendFrame(nil, recs)
-	got, _, err := ParseAnyFrame(b, nil)
-	if err != nil {
+	s := NewSlabPool(1).Get()
+	defer s.Release()
+	if _, err := s.AppendDatagramFrame(b); err != nil {
 		t.Fatal(err)
 	}
-	for i, tr := range got {
+	if s.Ctxs != nil {
+		t.Fatal("legacy frame materialized a trace lane")
+	}
+	r := NewReader(bytes.NewReader(b))
+	for i := range recs {
+		tr, err := r.NextTraced()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if tr.Ctx != (TraceContext{}) {
 			t.Fatalf("record %d: legacy frame produced context %+v", i, tr.Ctx)
 		}
-		if tr.Record != recs[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, tr.Record, recs[i])
+		if tr.Record != recs[i] || s.Recs[i] != recs[i] {
+			t.Fatalf("record %d: got %+v / %+v want %+v", i, tr.Record, s.Recs[i], recs[i])
 		}
 	}
 }
@@ -82,12 +99,12 @@ func TestTracedSealedRoundTrip(t *testing.T) {
 	want := testTracedRecords()
 	b := AppendTracedSealed(nil, 42, want)
 	payload := b[HeaderSize:]
-	seq, got, err := ParseTracedSealed(payload, nil)
+	h, got, err := decodeBatch(TypeTracedSealed, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 42 {
-		t.Fatalf("seq = %d, want 42", seq)
+	if h.Seq != 42 {
+		t.Fatalf("seq = %d, want 42", h.Seq)
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -97,31 +114,39 @@ func TestTracedSealedRoundTrip(t *testing.T) {
 	// Any flipped byte must fail the CRC.
 	corrupt := append([]byte(nil), payload...)
 	corrupt[9] ^= 0x40
-	if _, _, err := ParseTracedSealed(corrupt, nil); err == nil {
+	if _, _, err := decodeBatch(TypeTracedSealed, corrupt); err == nil {
 		t.Fatal("corrupted traced sealed payload parsed")
 	}
 }
 
 func TestHelloAckFlagLayouts(t *testing.T) {
-	// flags == 0 degrades to the byte-identical legacy layouts.
-	if got, want := AppendHelloFlags(nil, 7, 9, 0), AppendHello(nil, 7, 9); !bytes.Equal(got, want) {
+	// flags == 0 encodes as the byte-identical legacy layouts: no flags
+	// word, the CRC straight after the last field.
+	legacy := func(ftype uint8, words ...uint64) []byte {
+		b := appendHeader(nil, ftype, len(words)*8+4)
+		for _, w := range words {
+			b = binary.BigEndian.AppendUint64(b, w)
+		}
+		return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[HeaderSize:]))
+	}
+	if got, want := AppendHello(nil, 7, 9, 0), legacy(TypeHello, 7, 9); !bytes.Equal(got, want) {
 		t.Fatalf("flagless hello %x != legacy hello %x", got, want)
 	}
-	if got, want := AppendAckFlags(nil, 5, 0), AppendAck(nil, 5); !bytes.Equal(got, want) {
+	if got, want := AppendAck(nil, 5, 0), legacy(TypeAck, 5); !bytes.Equal(got, want) {
 		t.Fatalf("flagless ack %x != legacy ack %x", got, want)
 	}
 
 	// Extended layouts round-trip stream id, base and flags.
-	hb := AppendHelloFlags(nil, 7, 9, HelloFlagTrace)
-	stream, base, flags, err := ParseHelloFlags(hb[HeaderSize:])
+	hb := AppendHello(nil, 7, 9, HelloFlagTrace)
+	stream, base, flags, err := ParseHello(hb[HeaderSize:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stream != 7 || base != 9 || flags != HelloFlagTrace {
 		t.Fatalf("extended hello decoded (%d, %d, %#x)", stream, base, flags)
 	}
-	ab := AppendAckFlags(nil, 11, HelloFlagTrace)
-	count, aflags, err := ParseAckFlags(ab[HeaderSize:])
+	ab := AppendAck(nil, 11, HelloFlagTrace)
+	count, aflags, err := ParseAck(ab[HeaderSize:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,23 +154,21 @@ func TestHelloAckFlagLayouts(t *testing.T) {
 		t.Fatalf("extended ack decoded (%d, %#x)", count, aflags)
 	}
 
-	// Legacy payloads parse through the flag-aware parsers as flags 0.
-	lh := AppendHello(nil, 3, 4)
-	if _, _, flags, err := ParseHelloFlags(lh[HeaderSize:]); err != nil || flags != 0 {
-		t.Fatalf("legacy hello via ParseHelloFlags: flags %#x err %v", flags, err)
+	// Legacy payloads parse as flags 0.
+	if stream, base, flags, err := ParseHello(legacy(TypeHello, 3, 4)[HeaderSize:]); err != nil || stream != 3 || base != 4 || flags != 0 {
+		t.Fatalf("legacy hello decoded (%d, %d, %#x), err %v", stream, base, flags, err)
 	}
-	la := AppendAck(nil, 6)
-	if _, flags, err := ParseAckFlags(la[HeaderSize:]); err != nil || flags != 0 {
-		t.Fatalf("legacy ack via ParseAckFlags: flags %#x err %v", flags, err)
+	if count, flags, err := ParseAck(legacy(TypeAck, 6)[HeaderSize:]); err != nil || count != 6 || flags != 0 {
+		t.Fatalf("legacy ack decoded (%d, %#x), err %v", count, flags, err)
 	}
 
 	// Corrupt extended CRCs are rejected.
 	hb[HeaderSize] ^= 0x01
-	if _, _, _, err := ParseHelloFlags(hb[HeaderSize:]); err == nil {
+	if _, _, _, err := ParseHello(hb[HeaderSize:]); err == nil {
 		t.Fatal("corrupted extended hello parsed")
 	}
 	ab[HeaderSize] ^= 0x01
-	if _, _, err := ParseAckFlags(ab[HeaderSize:]); err == nil {
+	if _, _, err := ParseAck(ab[HeaderSize:]); err == nil {
 		t.Fatal("corrupted extended ack parsed")
 	}
 }
@@ -261,7 +284,7 @@ func (s *traceServer) handle(conn net.Conn) {
 		s.mu.Unlock()
 		switch ftype {
 		case TypeHello:
-			_, base, flags, err := ParseHelloFlags(payload)
+			_, base, flags, err := ParseHello(payload)
 			if err != nil {
 				return
 			}
@@ -274,29 +297,16 @@ func (s *traceServer) handle(conn net.Conn) {
 			}
 			c := s.count
 			s.mu.Unlock()
-			scratch = AppendAckFlags(scratch[:0], c, ackFlags)
+			scratch = AppendAck(scratch[:0], c, ackFlags)
 			if _, err := conn.Write(scratch); err != nil {
 				return
 			}
-		case TypeSealed:
-			seq, batch, err := ParseSealed(payload, nil)
+		case TypeSealed, TypeTracedSealed:
+			h, batch, err := decodeBatch(ftype, payload)
 			if err != nil {
 				return
 			}
-			trs := make([]TracedRecord, len(batch))
-			for i, rec := range batch {
-				trs[i] = TracedRecord{Record: rec}
-			}
-			scratch = AppendAckFlags(scratch[:0], ingest(seq, trs), ackFlags)
-			if _, err := conn.Write(scratch); err != nil {
-				return
-			}
-		case TypeTracedSealed:
-			seq, batch, err := ParseTracedSealed(payload, nil)
-			if err != nil {
-				return
-			}
-			scratch = AppendAckFlags(scratch[:0], ingest(seq, batch), ackFlags)
+			scratch = AppendAck(scratch[:0], ingest(h.Seq, batch), ackFlags)
 			if _, err := conn.Write(scratch); err != nil {
 				return
 			}

@@ -32,6 +32,32 @@ const (
 	Magic   uint16 = 0xD05E
 	Version uint8  = 1
 
+	// HeaderSize is the frame header: magic(2) version(1) type(1)
+	// payload-length(2), big-endian throughout.
+	HeaderSize = 6
+
+	// RecordSize is the fixed encoded size of one Record.
+	RecordSize = 24
+
+	// MaxFramePayload is the largest payload a frame can carry (the
+	// length field is 16-bit). MaxRecordsPerFrame is what a bare record
+	// frame holds under it; MaxRecords gives every batch type's capacity.
+	MaxFramePayload    = 1<<16 - 1
+	MaxRecordsPerFrame = MaxFramePayload / RecordSize
+
+	// MaxEmptyFrames caps how many consecutive zero-record batch frames
+	// a Reader tolerates before declaring the peer abusive: each one is
+	// valid framing and zero progress, so an unbounded run would spin
+	// the read loop (and, on a session, the ack writer) forever with no
+	// counter moving.
+	MaxEmptyFrames = 16
+)
+
+// The ten frame types. Six carry records and differ only in what wraps
+// the one 24-byte record layout (see batchLayouts); of the four that
+// carry none, two are session control and two seal an opaque cluster
+// body.
+const (
 	// TypeRecords is a bare record batch — the original exporter
 	// format, still what UDP datagrams and one-shot TCP streams carry.
 	TypeRecords uint8 = 1
@@ -53,34 +79,35 @@ const (
 	// prefix.
 	TypeSealed uint8 = 4
 
-	// HeaderSize is the frame header: magic(2) version(1) type(1)
-	// payload-length(2), big-endian throughout.
-	HeaderSize = 6
+	// TypeTracedRecords is a bare record batch where every record is
+	// followed by a 16-byte trace context — the traced sibling of
+	// TypeRecords, valid on streams and in datagrams.
+	TypeTracedRecords uint8 = 5
 
-	// RecordSize is the fixed encoded size of one Record.
-	RecordSize = 24
+	// TypeTracedSealed is the traced sibling of TypeSealed: cumulative
+	// sequence number, traced records, CRC tail. Sent by session
+	// clients after the server acked the trace hello flag.
+	TypeTracedSealed uint8 = 6
 
-	// HelloPayloadSize is streamID(8) + base(8) + crc32(4).
-	HelloPayloadSize = 20
+	// TypeForwarded is a sealed record batch relayed between cluster
+	// instances: origin-instance id, cumulative sequence number,
+	// records, CRC tail.
+	TypeForwarded uint8 = 7
 
-	// AckPayloadSize is count(8) + crc32(4).
-	AckPayloadSize = 12
+	// TypeGossip is a CRC-tailed opaque cluster anti-entropy payload.
+	// Unlike session frames it is request/response on a dedicated
+	// connection: the dialer sends one TypeGossip and reads one back.
+	TypeGossip uint8 = 8
 
-	// SealedOverhead is the non-record part of a TypeSealed payload:
-	// seq(8) leading + crc32(4) trailing.
-	SealedOverhead = 12
+	// TypeHandback is a CRC-tailed opaque victim-state handback
+	// payload. The receiver answers each frame with a TypeAck carrying
+	// the sender's sequence number plus one.
+	TypeHandback uint8 = 9
 
-	// MaxFramePayload is the largest payload a frame can carry (the
-	// length field is 16-bit); the per-type record capacities follow.
-	MaxFramePayload     = 1<<16 - 1
-	MaxRecordsPerFrame  = MaxFramePayload / RecordSize
-	MaxRecordsPerSealed = (MaxFramePayload - SealedOverhead) / RecordSize
-
-	// MaxEmptyFrames caps how many consecutive zero-record frames a
-	// Reader tolerates before declaring the peer abusive: each empty
-	// frame is 6 valid bytes of zero progress, so an unbounded run
-	// would spin the read loop forever with no accounting.
-	MaxEmptyFrames = 16
+	// TypeTracedForwarded is a forwarded session frame whose records
+	// carry a forward-hop trace context: origin-instance id, cumulative
+	// sequence number, N×(record + id + sent + routed), CRC tail.
+	TypeTracedForwarded uint8 = 10
 )
 
 // ErrBadFrame tags every framing-level decode failure (bad magic,
@@ -140,6 +167,13 @@ func DecodeRecord(b []byte) (Record, error) {
 	if len(b) < RecordSize {
 		return Record{}, fmt.Errorf("%w: short record: %d bytes", ErrBadFrame, len(b))
 	}
+	return decodeRecord(b), nil
+}
+
+// decodeRecord is DecodeRecord for callers that already know b holds a
+// whole record (the batch decoder checks the payload length once).
+func decodeRecord(b []byte) Record {
+	_ = b[RecordSize-1]
 	return Record{
 		T:      eventq.Time(binary.BigEndian.Uint64(b[0:8])),
 		Topo:   binary.BigEndian.Uint32(b[8:12]),
@@ -147,48 +181,7 @@ func DecodeRecord(b []byte) (Record, error) {
 		MF:     binary.BigEndian.Uint16(b[16:18]),
 		Src:    packet.Addr(binary.BigEndian.Uint32(b[18:22])),
 		Proto:  packet.Proto(b[22]),
-	}, nil
-}
-
-// AppendFrame appends one frame holding recs to b. It panics if recs
-// exceeds MaxRecordsPerFrame — splitting across frames is the Writer's
-// job.
-func AppendFrame(b []byte, recs []Record) []byte {
-	if len(recs) > MaxRecordsPerFrame {
-		panic(fmt.Sprintf("wire: %d records exceed the %d-record frame limit", len(recs), MaxRecordsPerFrame))
 	}
-	b = appendHeader(b, TypeRecords, len(recs)*RecordSize)
-	for _, r := range recs {
-		b = AppendRecord(b, r)
-	}
-	return b
-}
-
-// ParseFrame decodes a complete TypeRecords frame held in b — the UDP
-// entry point. A datagram may carry several frames back to back, so it
-// returns the decoded records and the number of bytes consumed;
-// callers loop until the datagram is exhausted.
-func ParseFrame(b []byte) ([]Record, int, error) {
-	ftype, n, err := checkHeader(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	if ftype != TypeRecords {
-		return nil, 0, fmt.Errorf("%w: frame type %d in a datagram", ErrBadFrame, ftype)
-	}
-	if len(b) < HeaderSize+n {
-		return nil, 0, fmt.Errorf("%w: truncated payload: have %d of %d bytes",
-			ErrBadFrame, len(b)-HeaderSize, n)
-	}
-	recs := make([]Record, 0, n/RecordSize)
-	for off := HeaderSize; off < HeaderSize+n; off += RecordSize {
-		r, err := DecodeRecord(b[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		recs = append(recs, r)
-	}
-	return recs, HeaderSize + n, nil
 }
 
 // appendHeader appends a 6-byte frame header for ftype with an n-byte
@@ -202,92 +195,114 @@ func appendHeader(b []byte, ftype uint8, n int) []byte {
 	return append(b, hdr[:]...)
 }
 
-// AppendHello appends a session-open frame: the exporter's stream id
-// and the cumulative record count its buffer starts at (records below
-// base are gone from the exporter and can never be retransmitted; a
-// server that has not seen this stream fast-forwards to base).
-func AppendHello(b []byte, streamID, base uint64) []byte {
-	b = appendHeader(b, TypeHello, HelloPayloadSize)
-	var p [HelloPayloadSize]byte
-	binary.BigEndian.PutUint64(p[0:8], streamID)
-	binary.BigEndian.PutUint64(p[8:16], base)
-	binary.BigEndian.PutUint32(p[16:20], crc32.ChecksumIEEE(p[:16]))
-	return append(b, p[:]...)
-}
+// crcSize is the crc32 tail that seals every frame type except the two
+// bare record batches.
+const crcSize = 4
 
-// ParseHello decodes a TypeHello payload.
-func ParseHello(payload []byte) (streamID, base uint64, err error) {
-	if len(payload) != HelloPayloadSize {
-		return 0, 0, fmt.Errorf("%w: hello payload %d bytes", ErrBadFrame, len(payload))
-	}
-	if got := binary.BigEndian.Uint32(payload[16:20]); got != crc32.ChecksumIEEE(payload[:16]) {
-		return 0, 0, fmt.Errorf("%w: hello crc mismatch", ErrBadFrame)
-	}
-	return binary.BigEndian.Uint64(payload[0:8]), binary.BigEndian.Uint64(payload[8:16]), nil
-}
-
-// AppendAck appends the server→client cumulative-accepted frame.
-func AppendAck(b []byte, count uint64) []byte {
-	b = appendHeader(b, TypeAck, AckPayloadSize)
-	var p [AckPayloadSize]byte
-	binary.BigEndian.PutUint64(p[0:8], count)
-	binary.BigEndian.PutUint32(p[8:12], crc32.ChecksumIEEE(p[:8]))
-	return append(b, p[:]...)
-}
-
-// ParseAck decodes a TypeAck payload.
-func ParseAck(payload []byte) (count uint64, err error) {
-	if len(payload) != AckPayloadSize {
-		return 0, fmt.Errorf("%w: ack payload %d bytes", ErrBadFrame, len(payload))
-	}
-	if got := binary.BigEndian.Uint32(payload[8:12]); got != crc32.ChecksumIEEE(payload[:8]) {
-		return 0, fmt.Errorf("%w: ack crc mismatch", ErrBadFrame)
-	}
-	return binary.BigEndian.Uint64(payload[0:8]), nil
-}
-
-// AppendSealed appends one session record frame: seq is the cumulative
-// index of recs[0] in the stream, and the CRC seals seq plus every
-// record byte so in-flight corruption is detected instead of tallied.
-// It panics if recs exceeds MaxRecordsPerSealed — splitting is the
-// Client's job.
-func AppendSealed(b []byte, seq uint64, recs []Record) []byte {
-	if len(recs) > MaxRecordsPerSealed {
-		panic(fmt.Sprintf("wire: %d records exceed the %d-record sealed-frame limit", len(recs), MaxRecordsPerSealed))
-	}
-	b = appendHeader(b, TypeSealed, SealedOverhead+len(recs)*RecordSize)
-	start := len(b)
-	b = binary.BigEndian.AppendUint64(b, seq)
-	for _, r := range recs {
-		b = AppendRecord(b, r)
-	}
+// appendSeal appends the CRC of b[start:] — the payload written so far.
+// Every sealed frame type gets its tail here.
+func appendSeal(b []byte, start int) []byte {
 	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
-// ParseSealed decodes a TypeSealed payload, appending the records to
-// recs (pass a reused slice's [:0] to avoid per-frame allocation).
-func ParseSealed(payload []byte, recs []Record) (seq uint64, out []Record, err error) {
-	if len(payload) < SealedOverhead || (len(payload)-SealedOverhead)%RecordSize != 0 {
-		return 0, nil, fmt.Errorf("%w: sealed payload %d bytes", ErrBadFrame, len(payload))
+// openSeal verifies a sealed payload's CRC tail and returns the body in
+// front of it. Every sealed frame type is checked here, so in-flight
+// corruption is detected instead of tallied.
+func openSeal(payload []byte) ([]byte, error) {
+	if len(payload) < crcSize {
+		return nil, fmt.Errorf("%w: %d-byte payload has no crc tail", ErrBadFrame, len(payload))
 	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, nil, fmt.Errorf("%w: sealed crc mismatch", ErrBadFrame)
+	body, tail := payload[:len(payload)-crcSize], payload[len(payload)-crcSize:]
+	if binary.BigEndian.Uint32(tail) != crc32.ChecksumIEEE(body) {
+		return nil, fmt.Errorf("%w: crc mismatch", ErrBadFrame)
 	}
-	seq = binary.BigEndian.Uint64(body[0:8])
-	for off := 8; off < len(body); off += RecordSize {
-		r, err := DecodeRecord(body[off:])
-		if err != nil {
-			return 0, nil, err
-		}
-		recs = append(recs, r)
+	return body, nil
+}
+
+// Control payload sizes. The legacy hello is streamID(8) + base(8) +
+// crc32(4) and the legacy ack count(8) + crc32(4); the extended layouts
+// put a flags(4) word in front of the CRC. Both sizes of each stay
+// valid forever: a legacy payload means flags == 0.
+const (
+	HelloPayloadSize      = 20
+	HelloTracePayloadSize = 24
+	AckPayloadSize        = 12
+	AckTracePayloadSize   = 16
+)
+
+// AppendHello appends a session-open frame: the exporter's stream id,
+// the cumulative record count its buffer starts at (records below base
+// are gone from the exporter and can never be retransmitted; a server
+// that has not seen this stream fast-forwards to base), and a flags
+// word negotiating extensions (the server honors the flags it echoes
+// back in the ack). flags == 0 encodes as the legacy 20-byte hello so
+// old servers keep parsing new clients that have nothing to negotiate.
+func AppendHello(b []byte, streamID, base uint64, flags uint32) []byte {
+	n := HelloPayloadSize
+	if flags != 0 {
+		n = HelloTracePayloadSize
 	}
-	return seq, recs, nil
+	b = appendHeader(b, TypeHello, n)
+	start := len(b)
+	b = binary.BigEndian.AppendUint64(b, streamID)
+	b = binary.BigEndian.AppendUint64(b, base)
+	if flags != 0 {
+		b = binary.BigEndian.AppendUint32(b, flags)
+	}
+	return appendSeal(b, start)
+}
+
+// ParseHello decodes a TypeHello payload of either size.
+func ParseHello(payload []byte) (streamID, base uint64, flags uint32, err error) {
+	if len(payload) != HelloPayloadSize && len(payload) != HelloTracePayloadSize {
+		return 0, 0, 0, fmt.Errorf("%w: hello payload %d bytes", ErrBadFrame, len(payload))
+	}
+	body, err := openSeal(payload)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("hello: %w", err)
+	}
+	if len(body) > 16 {
+		flags = binary.BigEndian.Uint32(body[16:20])
+	}
+	return binary.BigEndian.Uint64(body[0:8]), binary.BigEndian.Uint64(body[8:16]), flags, nil
+}
+
+// AppendAck appends the server→client cumulative-accepted frame with a
+// flags word echoing the negotiated hello extensions. flags == 0
+// encodes as the legacy 12-byte ack.
+func AppendAck(b []byte, count uint64, flags uint32) []byte {
+	n := AckPayloadSize
+	if flags != 0 {
+		n = AckTracePayloadSize
+	}
+	b = appendHeader(b, TypeAck, n)
+	start := len(b)
+	b = binary.BigEndian.AppendUint64(b, count)
+	if flags != 0 {
+		b = binary.BigEndian.AppendUint32(b, flags)
+	}
+	return appendSeal(b, start)
+}
+
+// ParseAck decodes a TypeAck payload of either size.
+func ParseAck(payload []byte) (count uint64, flags uint32, err error) {
+	if len(payload) != AckPayloadSize && len(payload) != AckTracePayloadSize {
+		return 0, 0, fmt.Errorf("%w: ack payload %d bytes", ErrBadFrame, len(payload))
+	}
+	body, err := openSeal(payload)
+	if err != nil {
+		return 0, 0, fmt.Errorf("ack: %w", err)
+	}
+	if len(body) > 8 {
+		flags = binary.BigEndian.Uint32(body[8:12])
+	}
+	return binary.BigEndian.Uint64(body[0:8]), flags, nil
 }
 
 // checkHeader validates the 6-byte header and returns the frame type
-// and payload length. Length sanity is per type: record batches must
-// be record-aligned, control frames have fixed shapes.
+// and payload length. Length sanity is per type: a batch payload must
+// be its layout's leading bytes plus whole records plus its tail,
+// control frames have fixed shapes, opaque frames at least their seal.
 func checkHeader(b []byte) (ftype uint8, n int, err error) {
 	if len(b) < HeaderSize {
 		return 0, 0, fmt.Errorf("%w: short header: %d bytes", ErrBadFrame, len(b))
@@ -298,52 +313,25 @@ func checkHeader(b []byte) (ftype uint8, n int, err error) {
 	if b[2] != Version {
 		return 0, 0, fmt.Errorf("%w: version %d", ErrBadFrame, b[2])
 	}
-	n = int(binary.BigEndian.Uint16(b[4:6]))
-	switch b[3] {
-	case TypeRecords:
-		if n%RecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: payload length %d not a multiple of %d", ErrBadFrame, n, RecordSize)
-		}
-	case TypeTracedRecords:
-		if n%TracedRecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: traced payload length %d not a multiple of %d", ErrBadFrame, n, TracedRecordSize)
-		}
-	case TypeHello:
-		if n != HelloPayloadSize && n != HelloTracePayloadSize {
-			return 0, 0, fmt.Errorf("%w: hello length %d", ErrBadFrame, n)
-		}
-	case TypeAck:
-		if n != AckPayloadSize && n != AckTracePayloadSize {
-			return 0, 0, fmt.Errorf("%w: ack length %d", ErrBadFrame, n)
-		}
-	case TypeSealed:
-		if n < SealedOverhead || (n-SealedOverhead)%RecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: sealed length %d", ErrBadFrame, n)
-		}
-	case TypeTracedSealed:
-		if n < SealedOverhead || (n-SealedOverhead)%TracedRecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: traced sealed length %d", ErrBadFrame, n)
-		}
-	case TypeForwarded:
-		if n < ForwardedOverhead || (n-ForwardedOverhead)%RecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: forwarded length %d", ErrBadFrame, n)
-		}
-	case TypeTracedForwarded:
-		if n < TracedForwardedOverhead || (n-TracedForwardedOverhead)%TracedFwdRecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: traced forwarded length %d", ErrBadFrame, n)
-		}
-	case TypeGossip:
-		if n < GossipOverhead {
-			return 0, 0, fmt.Errorf("%w: gossip length %d", ErrBadFrame, n)
-		}
-	case TypeHandback:
-		if n < HandbackOverhead {
-			return 0, 0, fmt.Errorf("%w: handback length %d", ErrBadFrame, n)
-		}
+	ftype, n = b[3], int(binary.BigEndian.Uint16(b[4:6]))
+	l, batch := layoutOf(ftype)
+	var ok bool
+	switch {
+	case batch:
+		_, ok = l.count(n)
+	case ftype == TypeHello:
+		ok = n == HelloPayloadSize || n == HelloTracePayloadSize
+	case ftype == TypeAck:
+		ok = n == AckPayloadSize || n == AckTracePayloadSize
+	case ftype == TypeGossip, ftype == TypeHandback:
+		ok = n >= crcSize
 	default:
-		return 0, 0, fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, b[3])
+		return 0, 0, fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, ftype)
 	}
-	return b[3], n, nil
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: type-%d payload length %d", ErrBadFrame, ftype, n)
+	}
+	return ftype, n, nil
 }
 
 // Writer encodes records onto a TCP stream, splitting into maximal
@@ -401,9 +389,12 @@ type Reader struct {
 	br      *bufio.Reader
 	carry   []byte // bytes over-read during a resync scan, consumed first
 	payload []byte // reused per-frame payload buffer
-	pending []TracedRecord
-	recs    []Record // reused scratch for unwrapping untraced sealed batches
-	pendIdx int
+
+	// Next/NextTraced iterate a Reader-owned slab filled by the decoder
+	// the daemon runs. Created on first use: connections that only call
+	// ReadFrame (server, client, gossip) never pay for it.
+	iter   *Slab
+	iterAt int
 
 	resync   bool
 	frames   uint64
@@ -515,7 +506,7 @@ func (r *Reader) ReadFrame() (ftype uint8, payload []byte, err error) {
 		if err := r.readFull(payload); err != nil {
 			return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 		}
-		if (ftype == TypeRecords || ftype == TypeTracedRecords) && n == 0 {
+		if l, batch := layoutOf(ftype); batch && n == l.overhead() {
 			r.emptyRun++
 			if r.emptyRun > MaxEmptyFrames {
 				r.emptyRun = 0
@@ -538,63 +529,35 @@ func (r *Reader) Next() (Record, error) {
 }
 
 // NextTraced returns the next record together with its trace context
-// (zero for legacy untraced frames), skipping session control frames.
+// (zero for untraced frames), skipping control, gossip and handback
+// frames, which carry no records.
 func (r *Reader) NextTraced() (TracedRecord, error) {
-	for r.pendIdx >= len(r.pending) {
+	for r.iter == nil || r.iterAt >= r.iter.Len() {
 		ftype, payload, err := r.ReadFrame()
 		if err != nil {
 			return TracedRecord{}, err
 		}
-		r.pending = r.pending[:0]
-		r.pendIdx = 0
-		switch ftype {
-		case TypeRecords:
-			for off := 0; off < len(payload); off += RecordSize {
-				rec, err := DecodeRecord(payload[off:])
-				if err != nil {
-					return TracedRecord{}, err
-				}
-				r.pending = append(r.pending, TracedRecord{Record: rec})
-			}
-		case TypeTracedRecords:
-			if r.pending, err = parseTracedPayload(payload, r.pending); err != nil {
-				return TracedRecord{}, err
-			}
-		case TypeSealed:
-			if _, r.recs, err = ParseSealed(payload, r.recs[:0]); err != nil {
-				return TracedRecord{}, err
-			}
-			for _, rec := range r.recs {
-				r.pending = append(r.pending, TracedRecord{Record: rec})
-			}
-		case TypeTracedSealed:
-			if _, r.pending, err = ParseTracedSealed(payload, r.pending); err != nil {
-				return TracedRecord{}, err
-			}
-		case TypeForwarded:
-			if _, _, r.recs, err = ParseForwarded(payload, r.recs[:0]); err != nil {
-				return TracedRecord{}, err
-			}
-			for _, rec := range r.recs {
-				r.pending = append(r.pending, TracedRecord{Record: rec})
-			}
-		case TypeTracedForwarded:
-			if _, _, r.pending, err = ParseTracedForwarded(payload, r.pending); err != nil {
-				return TracedRecord{}, err
-			}
-			// NextTraced exposes the exporter-facing context only: the
-			// forward-hop lane (Routed, Origin) is cluster-internal and
-			// must not leak into contexts that re-encode as 16-byte
-			// trace frames. The slab decoder keeps the full context.
-			for i := range r.pending {
-				r.pending[i].Ctx.Routed = 0
-				r.pending[i].Ctx.Origin = 0
-			}
-		case TypeHello, TypeAck, TypeGossip, TypeHandback:
-			// control, gossip and handback frames carry no records
+		if !IsBatch(ftype) {
+			continue
+		}
+		if r.iter == nil {
+			r.iter = newSlab(nil)
+		}
+		r.iter.Reset()
+		r.iterAt = 0
+		if _, err := r.iter.AppendBatch(ftype, payload); err != nil {
+			return TracedRecord{}, err
 		}
 	}
-	tr := r.pending[r.pendIdx]
-	r.pendIdx++
+	tr := TracedRecord{Record: r.iter.Recs[r.iterAt]}
+	if r.iter.Ctxs != nil {
+		// NextTraced exposes the exporter-facing context only: the
+		// forward-hop lane (Routed, Origin) is cluster-internal and
+		// must not leak into contexts that re-encode as 16-byte
+		// trace frames. The slab keeps the full context.
+		c := r.iter.Ctxs[r.iterAt]
+		tr.Ctx = TraceContext{ID: c.ID, Sent: c.Sent}
+	}
+	r.iterAt++
 	return tr, nil
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/eventq"
 	"repro/internal/packet"
@@ -74,19 +76,58 @@ func TestFrameRoundTripAndStreamReader(t *testing.T) {
 	}
 }
 
+// TestReadFrameAloneAllocatesNoSlab: server, client and gossip
+// connections only ever call ReadFrame, so a Reader must not pay for
+// the Next/NextTraced iterator's slab (≈ 107 KB) until something
+// iterates.
+func TestReadFrameAloneAllocatesNoSlab(t *testing.T) {
+	stream := AppendSealed(nil, 0, sampleRecords(4))
+	src := bytes.NewReader(stream)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewReader(src)
+	_, _, err := r.ReadFrame()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slabBytes := uint64(SlabCap) * uint64(unsafe.Sizeof(Record{}))
+	if got := after.TotalAlloc - before.TotalAlloc; r.iter != nil || got > slabBytes/4 {
+		t.Errorf("NewReader + ReadFrame allocated %d bytes (iterator slab present: %v); a slab is %d",
+			got, r.iter != nil, slabBytes)
+	}
+	r = NewReader(bytes.NewReader(stream))
+	if _, err := r.Next(); err != nil || r.iter == nil {
+		t.Errorf("first Next: err %v, iterator slab present: %v", err, r.iter != nil)
+	}
+}
+
 func TestParseFrameDatagram(t *testing.T) {
 	recs := sampleRecords(5)
 	b := AppendFrame(nil, recs)
-	got, n, err := ParseFrame(b)
+	s := NewSlabPool(1).Get()
+	defer s.Release()
+	n, err := s.AppendDatagramFrame(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(b) {
 		t.Fatalf("consumed %d of %d bytes", n, len(b))
 	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d mismatch", i)
+	checkRecords(t, s.Recs, recs)
+
+	// Only the two bare batch types are datagram frames: every sealed
+	// layout belongs to a session, control frames to a stream.
+	for name, b := range map[string][]byte{
+		"sealed":           AppendSealed(nil, 0, recs),
+		"traced sealed":    AppendTracedSealed(nil, 0, nil),
+		"forwarded":        AppendForwarded(nil, 1, 0, recs),
+		"traced forwarded": AppendTracedForwarded(nil, 1, 0, nil),
+		"hello":            AppendHello(nil, 1, 0, 0),
+		"gossip":           AppendGossip(nil, nil),
+	} {
+		if n, err := s.AppendDatagramFrame(b); !errors.Is(err, ErrBadFrame) || n != 0 || s.Len() != len(recs) {
+			t.Errorf("%s in a datagram: consumed %d, slab at %d records, err %v", name, n, s.Len(), err)
 		}
 	}
 }
@@ -101,8 +142,10 @@ func TestFramingErrors(t *testing.T) {
 		"misaligned length": append(append([]byte{}, good[:4]...), append([]byte{0, 5}, good[6:]...)...),
 		"truncated payload": good[:HeaderSize+RecordSize-1],
 	}
+	s := NewSlabPool(1).Get()
+	defer s.Release()
 	for name, b := range cases {
-		if _, _, err := ParseFrame(b); !errors.Is(err, ErrBadFrame) {
+		if _, err := s.AppendDatagramFrame(b); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: want ErrBadFrame, got %v", name, err)
 		}
 	}
