@@ -6,13 +6,14 @@ BIN := bin
 ## check: lint, build, test, fuzz-smoke and trace-smoke everything (the
 ## tier-1 gate). The clustered chaos e2e — kill the victim's owner
 ## mid-campaign, survivors take over, the owner rejoins and gets its
-## state handed back — and the forwarding-gate scan-suppression e2e run
-## under the race detector here because their value is precisely their
-## concurrency.
+## state handed back — the forwarding-gate scan-suppression e2e, and the
+## pipeline's admin-reads-vs-workers hammer run under the race detector
+## here because their value is precisely their concurrency.
 check: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race -count=1 -run 'TestClusterChaosKillOwnerMidCampaign|TestClusterScanSuppression' ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestAdminReadsRaceWorkers' ./internal/pipeline/
 	$(MAKE) fuzz-smoke
 	$(MAKE) trace-smoke
 
@@ -129,12 +130,15 @@ fuzz-smoke:
 		done
 
 ## loc: non-test line counts of the three daemon packages and their sum
-## — the figure ROADMAP and CHANGES quote at each re-anchor
+## — the figure ROADMAP and CHANGES quote at each re-anchor — then the
+## three packages the daemon's per-victim machinery lives in, and the
+## six-package total, so code moving between the two groups shows up
 loc:
-	@total=0; for p in pipeline wire cluster; do \
+	@total=0; for p in pipeline wire cluster -- sketch traceback detect; do \
+		if [ $$p = -- ]; then printf '%-18s %6d\n' total $$total; continue; fi; \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
 		printf '%-18s %6d\n' internal/$$p $$n; total=$$((total + n)); \
-	done; printf '%-18s %6d\n' total $$total
+	done; printf '%-18s %6d\n' 'total (six)' $$total
 
 ## trace-smoke: end-to-end tracing proof on a live daemon — a traced
 ## loadgen flood must leave at least one tail-sampled block-outcome

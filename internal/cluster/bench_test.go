@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -124,6 +125,11 @@ func BenchmarkClusterRouteForwardTraced(b *testing.B)   { benchRouteForward(b, t
 // recorder armed as with tracing disabled outright — the trace lane's
 // cost (clock read, context batches, origin-span commits) is paid only
 // by slabs that actually carry contexts.
+//
+// AllocsPerRun counts process-wide mallocs, and Route's consumers
+// (forward goroutines, shard workers materialising a victim) allocate
+// asynchronously inside the window. A stray background allocation can
+// only raise a reading, so each side is the minimum of three.
 func TestRouteUntracedZeroExtraAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-detector shadow allocations")
@@ -132,13 +138,17 @@ func TestRouteUntracedZeroExtraAlloc(t *testing.T) {
 		n, p := newBenchNode(t, traceBuffer)
 		vs := peerVictims(n)
 		topo := p.TopoID()
-		return testing.AllocsPerRun(50, func() {
-			s := p.GetSlab()
-			for j := 0; j < 256; j++ {
-				s.Append(wire.Record{Victim: vs[j%len(vs)], MF: uint16(j), Topo: topo})
-			}
-			n.Route(s)
-		})
+		least := math.Inf(1)
+		for i := 0; i < 3; i++ {
+			least = min(least, testing.AllocsPerRun(50, func() {
+				s := p.GetSlab()
+				for j := 0; j < 256; j++ {
+					s.Append(wire.Record{Victim: vs[j%len(vs)], MF: uint16(j), Topo: topo})
+				}
+				n.Route(s)
+			}))
+		}
+		return least
 	}
 	armed, disabled := measure(4096), measure(-1)
 	if armed != disabled {

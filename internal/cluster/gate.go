@@ -1,28 +1,26 @@
 package cluster
 
-// Forwarding sketch gate: the cluster-tier reuse of the pipeline's
-// admission machinery (internal/sketch) for records this instance does
-// NOT own. Without it, a scan sweeping millions of destination ids
-// against a non-owner turns 1:1 into forwarded frames — the forwarding
-// tier amplifies exactly the traffic pattern the daemon exists to
-// suppress. With the gate armed, an unowned destination must earn its
-// forward the same way an owned one earns exact state: a count-min
-// estimate feeds a space-saving table, and only a guaranteed count at
-// the admission threshold opens the path to the owner.
+// Forwarding sketch gate: the cluster tier runs the same sketch.Gate
+// the pipeline's shards admit victims with, over the records this
+// instance does NOT own. Without it, a scan sweeping millions of
+// destination ids against a non-owner turns 1:1 into forwarded frames —
+// the forwarding tier amplifies exactly the traffic pattern the daemon
+// exists to suppress. With the gate armed, an unowned destination must
+// earn its forward the same way an owned one earns exact state.
 //
 // Exactness: while a destination is below threshold its records are
-// buffered in the space-saving slot (bufCap == the admission
-// threshold), and on admission the buffered prefix is replayed into
-// the forward queue ahead of the crossing record. The owner therefore
-// tallies every record of an admitted victim bit-for-bit — suppression
-// only ever drops records of destinations that never got hot, which is
-// the same contract the pipeline's own gate provides locally.
+// buffered in its gate slot, and on admission the buffered prefix is
+// replayed into the forward queue ahead of the crossing record. The
+// owner therefore tallies every record of an admitted victim
+// bit-for-bit — suppression only ever drops records of destinations
+// that never got hot, which is the same contract the pipeline's own
+// gate provides locally.
 //
-// Unlike the pipeline's per-shard single-writer instances, Route is
-// called from many daemon connection goroutines, so the gate is one
-// mutex-guarded instance. That is acceptable because the gate only
-// sees unowned records (a 1/N slice of traffic) and the critical
-// section is a handful of hash probes.
+// Unlike the pipeline's per-shard instances, each guarded by its
+// shard's lock, Route is called from many daemon connection goroutines,
+// so the gate is one mutex-guarded instance. That is acceptable because
+// the gate only sees unowned records (a 1/N slice of traffic) and the
+// critical section is a handful of hash probes.
 
 import (
 	"sync"
@@ -32,31 +30,22 @@ import (
 	"repro/internal/wire"
 )
 
-// Gate sizing mirrors the pipeline's admission defaults.
-const (
-	fwSketchWidth = 1 << 15
-	fwSketchDepth = 4
-	fwHeavySlots  = 512
-	fwDecayEvery  = 1 << 20
-)
-
 // fwGate decides, per unowned record, whether it is forwarded to its
-// owner or suppressed (tallied sketch-only). All state is guarded by
-// mu; see the package comment for why this is not per-shard.
+// owner or suppressed (tallied sketch-only): a sketch.Gate at the shared
+// default sizing plus what a node-level instance needs around it — the
+// mutex guarding it all (see the package comment for why not per-shard),
+// a wholesale reset on ring change, and the map of victims holding a pass.
 type fwGate struct {
 	mu    sync.Mutex
 	admit int
 
-	ringVer uint64 // ring generation the sketches were built under
-	cm      *sketch.CountMin
-	hh      *sketch.SpaceSaving[wire.Record]
+	ringVer uint64 // ring generation the gate was built under
+	gate    *sketch.Gate[wire.Record]
 
-	// admitted maps victims that earned a forward to the decay
-	// generation of their most recent record, so entries idle for two
-	// full decay windows age out instead of pinning the map forever.
+	// admitted maps victims that earned a forward to the gate's decay
+	// count at their most recent record, so entries idle for two full
+	// decay windows age out instead of pinning the map forever.
 	admitted map[topology.NodeID]uint64
-	gen      uint64 // decay generation, bumped at each Halve
-	since    int    // records since the last decay
 }
 
 func newFwGate(admit int) *fwGate {
@@ -65,17 +54,15 @@ func newFwGate(admit int) *fwGate {
 	return g
 }
 
-// resetLocked rebuilds the sketches for a new ring generation. A ring
+// resetLocked rebuilds the gate for a new ring generation. A ring
 // change re-partitions ownership, so counts earned against the old
 // partition say nothing about the new one; restarting clean costs at
 // most one re-earn per hot victim.
 func (g *fwGate) resetLocked(ringVer uint64) {
 	g.ringVer = ringVer
-	g.cm = sketch.NewCountMin(fwSketchWidth, fwSketchDepth)
-	g.hh = sketch.NewSpaceSaving[wire.Record](fwHeavySlots, g.admit)
+	g.gate = sketch.NewGate[wire.Record](sketch.DefaultWidth, sketch.DefaultDepth,
+		sketch.DefaultSlots, g.admit, sketch.DefaultDecayEvery)
 	g.admitted = make(map[topology.NodeID]uint64)
-	g.gen = 0
-	g.since = 0
 }
 
 // filter runs one unowned record through the gate. pass reports
@@ -91,40 +78,29 @@ func (g *fwGate) filter(ringVer uint64, rec wire.Record) (pass bool, replay []wi
 	if ringVer != g.ringVer {
 		g.resetLocked(ringVer)
 	}
+	gen := g.gate.Decays()
 	if _, ok := g.admitted[v]; ok {
-		g.admitted[v] = g.gen
+		g.admitted[v] = gen
 		return true, nil, false
 	}
-	key := uint64(rec.Victim)
-	est := g.cm.Add(key)
-	if g.since++; g.since >= fwDecayEvery {
-		g.since = 0
-		g.cm.Halve()
-		g.hh.Halve()
-		g.gen++
+	prefix, hot := g.gate.Offer(uint64(v), rec)
+	if now := g.gate.Decays(); now != gen {
+		gen = now
 		for av, agen := range g.admitted {
-			if g.gen-agen >= 2 {
+			if gen-agen >= 2 {
 				delete(g.admitted, av)
 			}
 		}
 	}
-	slot := g.hh.Touch(key, est, rec)
-	if slot == nil || int(slot.Guaranteed()) < g.admit {
+	if !hot {
 		return false, nil, false
 	}
-	// Admission: replay the buffered prefix (everything before the
-	// crossing record — the buffer's last element is rec unless the
-	// buffer filled first). Copy it out: Remove recycles the slot's
-	// backing array for future slots.
-	buf := slot.Buf
-	if n := len(buf); n > 0 && buf[n-1] == rec {
-		buf = buf[:n-1]
+	// Copy the prefix out: it aliases the slot Admit is about to recycle.
+	if len(prefix) > 0 {
+		replay = append(make([]wire.Record, 0, len(prefix)), prefix...)
 	}
-	if len(buf) > 0 {
-		replay = append(make([]wire.Record, 0, len(buf)), buf...)
-	}
-	g.hh.Remove(key)
-	g.admitted[v] = g.gen
+	g.gate.Admit(uint64(v))
+	g.admitted[v] = gen
 	return true, replay, true
 }
 

@@ -374,6 +374,80 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 	}
 }
 
+// TestGossipBuildRacesVictimExpiry pins the lock order the cluster
+// relies on, Node.mu → shard lock and never the reverse: answering
+// gossip reads the pipeline (Victims, ExportVictim) while holding
+// Node.mu, and the TTL sweep's victim-expired hook takes Node.mu on the
+// shard worker. A worker still inside its shard lock when the hook
+// fires would deadlock the pair.
+func TestGossipBuildRacesVictimExpiry(t *testing.T) {
+	var now, pipeNow atomic.Int64
+	addrs := []string{"10.6.0.1:1", "10.6.0.2:1"}
+	p, err := pipeline.New(pipeline.Config{
+		Net: topology.NewTorus2D(8), Shards: 2, QueueLen: 1 << 12,
+		VictimTTL: time.Minute, Now: pipeNow.Load,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(p, Config{
+		Self: addrs[0], Peers: addrs[1:],
+		GossipInterval: time.Hour, FailAfter: time.Second,
+		Incarnation: 601, MaxReplicasPerMsg: 64,
+		Dial: func(string) (net.Conn, error) { return nil, errors.New("test: no network") },
+		Now:  now.Load,
+	})
+	if err != nil {
+		p.Close()
+		t.Fatal(err)
+	}
+	b, _ := newTestNode(t, addrs[1], addrs[:1], 602, &now)
+	req := appendGossipMsg(nil, b.buildMsg(b.members.Load().byID[a.self], nil))
+
+	// Few victims, few rounds: each materialized state allocates its
+	// 256 KB decode memo afresh.
+	const rounds, victims = 100, 16
+	swept, done := make(chan struct{}), make(chan struct{})
+	go func() { // every victim materializes, idles past the TTL, is swept
+		defer close(swept)
+		for i := 0; i < rounds; i++ {
+			s := p.GetSlab()
+			for v := topology.NodeID(0); v < victims; v++ {
+				s.Append(wire.Record{Victim: v, Topo: p.TopoID()})
+			}
+			p.SubmitSlab(s)
+			p.SweepVictims() // expires nothing; returns once the slab is tallied
+			pipeNow.Add(2 * time.Minute.Nanoseconds())
+			p.SweepVictims()
+		}
+	}()
+	go func() { // the peer's gossip, answered under a.mu, for as long as the sweeps last
+		defer close(done)
+		for {
+			select {
+			case <-swept:
+				return
+			default:
+			}
+			if _, err := a.HandleGossip(req); err != nil {
+				t.Errorf("HandleGossip: %v", err)
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		// No Close on this path: it would wait on the stuck worker.
+		t.Fatal("deadlock between gossip message building and victim expiry")
+	}
+	a.Close()
+	p.Close()
+	if got := p.C.VictimsExpired.Load(); got == 0 {
+		t.Fatal("no victim ever expired; the hook never ran")
+	}
+}
+
 // TestReplicaShippedToSuccessor: buildMsg includes replicas only for
 // victims this instance owns whose ring successor is the receiving
 // peer — after feeding the pipeline some records for an owned victim.

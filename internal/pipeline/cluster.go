@@ -9,10 +9,10 @@ package pipeline
 // locally) or a peer does (re-export over a forwarding session).
 //
 // Victim-state handoff rides the same shard queues as records:
-// SeedVictim enqueues a control batch to the owning shard, so the
-// merge happens on the worker goroutine that owns the victim map —
-// single-writer discipline is preserved and a seed enqueued before a
-// record batch is applied before it.
+// SeedVictim and DetachVictim enqueue a control batch to the owning
+// shard, so the mutation is ordered against records — a seed enqueued
+// before a record batch is applied before it. Reads (ExportVictim) take
+// the shard lock instead and never wait on a worker.
 
 import (
 	"io"
@@ -85,23 +85,17 @@ func (p *Pipeline) NumNodes() int { return p.cfg.Net.NumNodes() }
 // ExportVictim snapshots one victim's replicable state; ok is false
 // when the pipeline holds no state for it.
 func (p *Pipeline) ExportVictim(v topology.NodeID) (snap VictimSnapshot, ok bool) {
-	st := p.state(v)
-	if st == nil {
-		return VictimSnapshot{}, false
-	}
-	return snapshotState(v, st), true
+	ok = p.read(v, func(st *victimState) { snap = snapshotState(v, st) })
+	return snap, ok
 }
 
-// snapshotState copies one victim's replicable state. The caller must
-// not hold the identifier lock.
+// snapshotState copies one victim's replicable state. The caller holds
+// the shard lock.
 func snapshotState(v topology.NodeID, st *victimState) VictimSnapshot {
-	snap := VictimSnapshot{Victim: v, Alarmed: st.alarmed.Load()}
-	id := st.ident.Lock()
-	snap.Undecodable = id.Undecodable()
-	id.EachSource(func(src topology.NodeID, count int64) {
+	snap := VictimSnapshot{Victim: v, Alarmed: st.alarmed, Undecodable: st.ident.Undecodable()}
+	st.ident.EachSource(func(src topology.NodeID, count int64) {
 		snap.Sources = append(snap.Sources, SourceCount{Node: int64(src), Count: count})
 	})
-	st.ident.Unlock()
 	return snap
 }
 
@@ -132,6 +126,8 @@ func (p *Pipeline) control(v topology.NodeID, fn func(*shard)) bool {
 // victim is out of range.
 func (p *Pipeline) SeedVictim(snap VictimSnapshot) bool {
 	return p.control(snap.Victim, func(s *shard) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		st := s.victims[snap.Victim]
 		if st == nil {
 			if p.schemeErr != nil {
@@ -141,16 +137,14 @@ func (p *Pipeline) SeedVictim(snap VictimSnapshot) bool {
 			// takeover is evidence the victim was already hot on its owner.
 			st = p.materialize(s, snap.Victim)
 		}
-		id := st.ident.Lock()
 		for _, sc := range snap.Sources {
-			id.AddTally(topology.NodeID(sc.Node), sc.Count)
+			st.ident.AddTally(topology.NodeID(sc.Node), sc.Count)
 		}
-		id.AddUndecodable(snap.Undecodable)
-		st.ident.Unlock()
+		st.ident.AddUndecodable(snap.Undecodable)
 		if snap.Alarmed {
 			// Inherit the latch without counting a fresh alarm: the dead
 			// owner already counted (and journaled) this attack.
-			st.alarmed.Store(true)
+			st.alarmed = true
 		}
 	})
 }
@@ -159,27 +153,26 @@ func (p *Pipeline) SeedVictim(snap VictimSnapshot) bool {
 // hands its final snapshot to fn — the ownership-transfer primitive a
 // cluster node uses when a membership change moves a victim to another
 // instance. Like SeedVictim it rides the owning shard's queue, so every
-// record submitted before the detach is tallied into the snapshot and
-// the single-writer discipline holds; fn runs on the shard worker with
-// no pipeline locks held (keep it non-blocking). fn's second argument
-// is false when the pipeline held no state for the victim (fn still
-// runs, so callers can sequence against the queue either way). Returns
-// false when the pipeline is closed or the victim is out of range.
+// record submitted before the detach is tallied into the snapshot; fn
+// runs on the shard worker with no pipeline locks held (keep it
+// non-blocking). fn's second argument is false when the pipeline held
+// no state for the victim (fn still runs, so callers can sequence
+// against the queue either way). Returns false when the pipeline is
+// closed or the victim is out of range.
 func (p *Pipeline) DetachVictim(v topology.NodeID, fn func(VictimSnapshot, bool)) bool {
 	if fn == nil {
 		return false
 	}
 	return p.control(v, func(s *shard) {
-		st := s.victims[v]
-		if st == nil {
-			fn(VictimSnapshot{Victim: v}, false)
-			return
-		}
-		snap := snapshotState(v, st)
+		snap := VictimSnapshot{Victim: v}
 		s.mu.Lock()
-		delete(s.victims, v)
+		st := s.victims[v]
+		if st != nil {
+			snap = snapshotState(v, st)
+			delete(s.victims, v)
+			p.C.VictimsDetached.Add(1)
+		}
 		s.mu.Unlock()
-		p.C.VictimsDetached.Add(1)
-		fn(snap, true)
+		fn(snap, st != nil)
 	})
 }

@@ -5,11 +5,10 @@
 // counting sort partitions each slab by victim shard (grouped by
 // victim within a shard), and every shard receives its sub-batch as a
 // single channel element. Workers then run identification and
-// detection per victim group — one identifier lock and one detector
-// lock per (victim, batch) instead of per record. Each victim gets a
-// DDPM identifier (single-packet source identification, the paper's
-// §5), CUSUM + entropy detectors, and auto-blocking into a TTL'd
-// blocklist.
+// detection per victim group, under one lock per sub-batch: the shard's
+// own, which guards everything the shard owns. Each victim gets a DDPM
+// identifier (single-packet source identification, the paper's §5),
+// CUSUM + entropy detectors, and auto-blocking into a TTL'd blocklist.
 //
 // Backpressure is explicit and batch-granular: a full shard queue
 // sheds that shard's whole sub-batch and counts every record in it,
@@ -169,16 +168,16 @@ func (c *Config) applyDefaults() error {
 		c.SketchAdmit = 1
 	}
 	if c.SketchWidth <= 0 {
-		c.SketchWidth = 1 << 15
+		c.SketchWidth = sketch.DefaultWidth
 	}
 	if c.SketchDepth <= 0 {
-		c.SketchDepth = 4
+		c.SketchDepth = sketch.DefaultDepth
 	}
 	if c.SketchHeavyHitters <= 0 {
-		c.SketchHeavyHitters = 512
+		c.SketchHeavyHitters = sketch.DefaultSlots
 	}
 	if c.SketchDecayEvery <= 0 {
-		c.SketchDecayEvery = 1 << 20
+		c.SketchDecayEvery = sketch.DefaultDecayEvery
 	}
 	if c.Now == nil {
 		c.Now = func() int64 { return time.Now().UnixNano() }
@@ -299,27 +298,16 @@ type Snapshot struct {
 	ShardGatedVictims []int64
 }
 
-// victimState is everything the pipeline keeps per victim node. It is
-// created lazily on the victim's first record and lives in exactly one
-// shard, so the detectors are fed single-threaded; the Synchronized/
-// Sync wrappers exist for the admin plane reading alongside.
+// victimState is everything the pipeline keeps per victim node: a plain
+// struct, created lazily (on admission, or by a seed), living in exactly
+// one shard, whose mu guards every field.
 type victimState struct {
-	ident   *traceback.SyncDDPMIdentifier
-	cusum   detect.Detector
-	entropy detect.Detector
-	alarmed atomic.Bool   // latch: worker sets once, admin plane reads
-	scratch packet.Packet // reused to feed packet-shaped detectors
-
-	// lastSeen is the cfg.Now() instant of the victim's latest record
-	// (or its creation), read by the TTL sweep. Atomic because the
-	// admin plane reports it while the worker updates it.
-	lastSeen atomic.Int64
-
-	// Batch views of the detectors: LockInner hands the worker the
-	// unsynchronized detector under a held lock, so a victim group of N
-	// records costs one acquisition, not N.
-	cusumL   detect.InnerLocker
-	entropyL detect.InnerLocker
+	ident    *traceback.DDPMIdentifier
+	cusum    detect.Detector
+	entropy  detect.Detector
+	alarmed  bool          // latch: set once, on the first detector firing or by a seed
+	scratch  packet.Packet // reused to feed packet-shaped detectors
+	lastSeen int64         // cfg.Now() of the latest record (or of creation), read by the TTL sweep
 }
 
 // batch is one shard-queue element, of two kinds. A record batch is a
@@ -328,9 +316,8 @@ type victimState struct {
 // when the slab is neither latency-sampled nor traced); the receiving
 // worker owns one slab reference and releases it when done. A control
 // batch carries only ctl, which the worker runs between record batches:
-// that is how SeedVictim, DetachVictim and the TTL sweeps reach
-// worker-owned state in queue order, keeping the single-writer
-// discipline without a lock.
+// that is how SeedVictim, DetachVictim and the TTL sweeps mutate shard
+// state in queue order with the records. A ctl takes shard.mu itself.
 type batch struct {
 	slab       *wire.Slab
 	start, end int32
@@ -338,32 +325,35 @@ type batch struct {
 	ctl        func(*shard)
 }
 
+// shard is one worker's queue plus everything that worker owns. Its one
+// mutex guards the victims map, every field of every victimState in it
+// and the gate. The worker holds mu for the length of one sub-batch;
+// control closures and sweeps hold it while they touch state; the admin
+// reads (Alarmed … Snapshot) hold it and read plain fields — they do not
+// ride the queue, so they work after Close and never wait on a worker.
+//
+// Lock order is cluster.Node.mu → shard.mu, never the reverse, and mu
+// is never held across a call that can call back into the pipeline: the
+// victim-expired hook and DetachVictim's fn fire after Unlock. Leaf
+// sinks that neither call back nor block (Journal.Emit, the blocklist,
+// FlightRecorder.Commit) may be called under it.
 type shard struct {
 	ch      chan batch
-	mu      sync.Mutex // guards victims map shape (worker writes, admin reads)
+	mu      sync.Mutex
 	victims map[topology.NodeID]*victimState
 
+	// Admission gate a destination must be hot in before it earns a
+	// victimState (nil when SketchAdmit < 0 or the scheme is unbuildable).
+	gate *sketch.Gate[wire.Record]
+
+	// Worker-only scratch and clocks, never read by another goroutine.
 	// srcs is the per-group identification scratch: the identified
 	// source per record, or a negative sentinel. outs is the trace
 	// lane's per-group outcome scratch, sized when a lane is first seen.
-	srcs []int32
-	outs []Outcome
-
-	// Admission gate (nil when SketchAdmit < 0): destinations must look
-	// hot in the count-min sketch + space-saving table before they earn
-	// a victimState. Owned by the worker goroutine — no locks. gateN is
-	// the windowed-decay clock (gated records since the last Halve);
 	// lastSweep is the in-band TTL-sweep clock in cfg.Now() nanos.
-	cm        *sketch.CountMin
-	hh        *sketch.SpaceSaving[wire.Record]
-	gateN     uint64
+	srcs      []int32
+	outs      []Outcome
 	lastSweep int64
-
-	// Sketch occupancy, published for the admin plane: decays counts
-	// windowed Halve passes, gated mirrors hh.Len() (the worker owns hh,
-	// so concurrent readers get the mirror, not the structure).
-	decays atomic.Uint64
-	gated  atomic.Int64
 
 	// Per-shard worker counters behind the shard="N" metric labels.
 	// batches is the worker-local latency-sampling clock, one tick per
@@ -468,8 +458,8 @@ func New(cfg Config) (*Pipeline, error) {
 			victims: make(map[topology.NodeID]*victimState),
 		}
 		if cfg.SketchAdmit > 0 && p.schemeErr == nil {
-			s.cm = sketch.NewCountMin(cfg.SketchWidth, cfg.SketchDepth)
-			s.hh = sketch.NewSpaceSaving[wire.Record](cfg.SketchHeavyHitters, cfg.SketchAdmit)
+			s.gate = sketch.NewGate[wire.Record](cfg.SketchWidth, cfg.SketchDepth,
+				cfg.SketchHeavyHitters, cfg.SketchAdmit, cfg.SketchDecayEvery)
 		}
 		p.shards = append(p.shards, s)
 		p.wg.Add(1)
@@ -688,7 +678,9 @@ func (p *Pipeline) run(s *shard, si int) {
 			b.ctl(s)
 			continue
 		}
+		s.mu.Lock()
 		p.processSub(s, si, b)
+		s.mu.Unlock()
 		b.slab.Release()
 		if s.pendProcessed >= flushEvery || len(s.ch) == 0 {
 			s.flush()
@@ -783,13 +775,13 @@ func (fc *fastCtx) flush(p *Pipeline, s *shard) {
 }
 
 // processSub consumes one sub-batch view — the only unit a worker
-// processes. Records are already grouped by victim, so each group runs
-// three passes — identify under one identifier lock, detect under one
-// detector lock, block under the identifier lock again — and
-// counters/latency histograms are written once per sub-batch instead
-// of once per record. Groups for destinations without exact state
-// first clear the sketch admission gate (see gateRecord); the rest of
-// the group from the crossing record on takes the exact path.
+// processes — with s.mu held by the caller for all of it. Records are
+// already grouped by victim, so each group runs three passes —
+// identify, detect, block — and counters/latency histograms are
+// written once per sub-batch instead of once per record. Groups for
+// destinations without exact state first clear the sketch admission
+// gate (see gateRecord); the rest of the group from the crossing
+// record on takes the exact path.
 //
 // A slab's trace lane rides along as the matching slice of contexts
 // per group (nil without a lane or with the recorder off) and never
@@ -842,7 +834,7 @@ func (p *Pipeline) processSub(s *shard, si int, b batch) {
 				p.traceEnded(group, ctxs, b.t0, si, fc.ingest, OutcomeUndecodable)
 				continue
 			}
-			if s.cm != nil {
+			if s.gate != nil {
 				// Admission gate: feed records through the sketch one at a
 				// time until one materializes the victim; the crossing
 				// record onward takes the exact path below.
@@ -890,53 +882,24 @@ func (p *Pipeline) processSub(s *shard, si int, b batch) {
 // committed its suppressed ending.
 func (p *Pipeline) gateRecord(s *shard, v topology.NodeID, rec wire.Record, fc *fastCtx) *victimState {
 	key := uint64(v)
-	est := s.cm.Add(key)
-	if s.gateN++; s.gateN >= uint64(p.cfg.SketchDecayEvery) {
-		// Windowed decay: halving both structures ages historical mass
-		// out, so admission tracks current rates, not lifetime totals.
-		s.gateN = 0
-		s.cm.Halve()
-		s.hh.Halve()
-		s.decays.Add(1)
-	}
-	slot := s.hh.Touch(key, est, rec)
-	s.gated.Store(int64(s.hh.Len()))
-	if slot == nil || int(slot.Guaranteed()) < p.cfg.SketchAdmit {
+	prefix, hot := s.gate.Offer(key, rec)
+	if !hot {
 		fc.suppressed++
 		return nil
 	}
 	if len(s.victims) >= p.cfg.SketchHeavyHitters {
-		// At the per-shard victim-state cap: keep tallying sketch-side
-		// until the TTL sweep frees a slot.
+		// At the per-shard victim-state cap: the key stays hot in the
+		// gate until the TTL sweep frees a slot.
 		fc.deferred++
 		return nil
 	}
 	st := p.materialize(s, v)
 	fc.admitted++
-	// Replay what was buffered while the victim was sketch-only. The
-	// buffer's last element is this crossing record unless the buffer
-	// filled during a deferral — the caller processes the crossing
-	// record either way, so only replay the elements before it.
-	buf := slot.Buf
-	if n := len(buf); n > 0 && buf[n-1] == rec {
-		buf = buf[:n-1]
+	if len(prefix) > 0 {
+		fc.replayed += uint64(len(prefix))
+		p.processGroup(s, st, v, prefix, nil, fc)
 	}
-	if len(buf) > 0 {
-		fc.replayed += uint64(len(buf))
-		p.processGroup(s, st, v, buf, nil, fc)
-	}
-	s.hh.Remove(key)
-	s.gated.Store(int64(s.hh.Len()))
-	return st
-}
-
-// materialize creates and registers a victim's exact state. The caller
-// must have checked p.schemeErr.
-func (p *Pipeline) materialize(s *shard, v topology.NodeID) *victimState {
-	st := p.newVictimState(v)
-	s.mu.Lock()
-	s.victims[v] = st
-	s.mu.Unlock()
+	s.gate.Admit(key)
 	return st
 }
 
@@ -944,12 +907,12 @@ func (p *Pipeline) materialize(s *shard, v topology.NodeID) *victimState {
 // identify, detect, block — accumulating tallies and stage timings
 // into fc: the one implementation of identify → detect → block. Called
 // from processSub per partitioned group and from gateRecord for
-// admission replays. ctxs is the group's slice of the trace lane (nil
-// without one); with it, passes B and C also mark the alarming and
-// blocking records for traceGroup.
+// admission replays, always with s.mu held. ctxs is the group's slice
+// of the trace lane (nil without one); with it, passes B and C also
+// mark the alarming and blocking records for traceGroup.
 func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, group []wire.Record, ctxs []wire.TraceContext, fc *fastCtx) {
 	now := p.cfg.Now()
-	st.lastSeen.Store(now)
+	st.lastSeen = now
 	if need := len(group); cap(s.srcs) < need {
 		if need < wire.SlabCap {
 			need = wire.SlabCap
@@ -969,11 +932,11 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 	}
 	var dIdent, dDetect, dBlock time.Duration
 
-	// Pass A: identify the whole group under one identifier lock,
-	// then prefilter already-blocked sources (skipped entirely while
-	// the blocklist is empty — the steady state).
+	// Pass A: identify the whole group, then prefilter already-blocked
+	// sources (skipped entirely while the blocklist is empty — the
+	// steady state).
 	srcs := s.srcs[:len(group)]
-	id := st.ident.Lock()
+	id := st.ident
 	for k := range group {
 		if src, ok := id.ObserveMF(group[k].MF); ok {
 			srcs[k] = int32(src)
@@ -983,7 +946,6 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 			fc.undecodable++
 		}
 	}
-	st.ident.Unlock()
 	if !p.bl.Empty() {
 		for k := range srcs {
 			if srcs[k] >= 0 && p.bl.BlockedAt(topology.NodeID(srcs[k]), now) {
@@ -996,13 +958,12 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 		dIdent = fc.lap(&fc.durIdent)
 	}
 
-	// Pass B: feed both detectors under one lock each. Blocked
-	// records skip the detectors (dropped upstream of the victim);
-	// undecodable ones still count toward its arrival process.
-	cu := st.cusumL.LockInner()
-	en := st.entropyL.LockInner()
+	// Pass B: feed both detectors. Blocked records skip them (dropped
+	// upstream of the victim); undecodable ones still count toward its
+	// arrival process.
+	cu, en := st.cusum, st.entropy
 	pk := &st.scratch
-	newAlarm := st.alarmed.Load()
+	newAlarm := st.alarmed
 	var cuA, enA bool
 	for k := range group {
 		if srcs[k] <= srcBlocked {
@@ -1020,10 +981,8 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 			}
 		}
 	}
-	st.entropyL.UnlockInner()
-	st.cusumL.UnlockInner()
-	if newAlarm && !st.alarmed.Load() {
-		st.alarmed.Store(true)
+	if newAlarm && !st.alarmed {
+		st.alarmed = true
 		fc.alarms++
 		p.journalAlarmDetail(now, v, cuA, enA)
 	}
@@ -1033,8 +992,7 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 
 	// Pass C: once the victim's alarm latch is set, block every
 	// group source over threshold that isn't blocked already.
-	if st.alarmed.Load() {
-		id := st.ident.Lock()
+	if st.alarmed {
 		for k := range srcs {
 			if srcs[k] < 0 {
 				continue
@@ -1047,7 +1005,7 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 				}
 				p.bl.BlockUntilFor(src, until, v)
 				fc.blocks++
-				p.journalBlockInner(now, v, src, cnt, until, id)
+				p.journalBlock(now, v, src, cnt, until, id)
 				if outs != nil {
 					outs[k] = OutcomeBlock
 					if ctxs[k].ID != 0 && ctxs[k].Sent > 0 {
@@ -1059,7 +1017,6 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 				}
 			}
 		}
-		st.ident.Unlock()
 	}
 	if fc.timed {
 		dBlock = fc.lap(&fc.durBlock)
@@ -1102,9 +1059,8 @@ func (p *Pipeline) traceGroup(fc *fastCtx, v topology.NodeID, ctxs []wire.TraceC
 	}
 }
 
-// journalAlarmDetail records a victim's first detector firing from
-// captured alarm states: the detect pass reads the detectors while it
-// holds their locks and emits after release.
+// journalAlarmDetail records a victim's first detector firing from the
+// alarm states the detect pass captured at the firing record.
 func (p *Pipeline) journalAlarmDetail(now int64, victim topology.NodeID, cuAlarmed, enAlarmed bool) {
 	if p.cfg.Journal == nil {
 		return
@@ -1123,23 +1079,28 @@ func (p *Pipeline) journalAlarmDetail(now int64, victim topology.NodeID, cuAlarm
 	})
 }
 
-// journalBlockInner records an auto-block with the victim's top-k
-// identified sources at block time as evidence. It takes the inner
-// identifier the block pass already holds locked — re-locking the sync
-// wrapper there would deadlock.
-func (p *Pipeline) journalBlockInner(now int64, victim, src topology.NodeID, cnt, until int64, id *traceback.DDPMIdentifier) {
+// journalBlock records an auto-block with the victim's top-k identified
+// sources at block time as evidence.
+func (p *Pipeline) journalBlock(now int64, victim, src topology.NodeID, cnt, until int64, id *traceback.DDPMIdentifier) {
 	if p.cfg.Journal == nil {
 		return
-	}
-	top := make([]SourceCount, 0, p.cfg.JournalTopK)
-	for _, n := range id.TopSources(p.cfg.JournalTopK) {
-		top = append(top, SourceCount{Node: int64(n), Count: id.Count(n)})
 	}
 	p.cfg.Journal.Emit(Event{
 		T: now, Type: EventBlock,
 		Victim: int64(victim), Source: int64(src),
-		Count: cnt, Until: until, Top: top,
+		Count: cnt, Until: until, Top: topCounts(id, p.cfg.JournalTopK),
 	})
+}
+
+// topCounts pairs the identifier's k top sources with their tallies,
+// sized by the sources it has seen, never by k (an admin-plane input).
+func topCounts(id *traceback.DDPMIdentifier, k int) []SourceCount {
+	top := id.TopSources(k)
+	out := make([]SourceCount, 0, len(top))
+	for _, n := range top {
+		out = append(out, SourceCount{Node: int64(n), Count: id.Count(n)})
+	}
+	return out
 }
 
 // expireBlocks prunes lapsed blocklist entries, journaling each as a
@@ -1157,21 +1118,20 @@ func (p *Pipeline) expireBlocks(now int64) {
 	}
 }
 
-// newVictimState builds a victim's exact state from the scheme cached
-// at New. The caller must have checked p.schemeErr.
-func (p *Pipeline) newVictimState(victim topology.NodeID) *victimState {
+// materialize builds a victim's exact state from the scheme cached at
+// New and registers it. The caller holds s.mu and must have checked
+// p.schemeErr.
+func (p *Pipeline) materialize(s *shard, victim topology.NodeID) *victimState {
 	st := &victimState{
-		ident: traceback.NewSyncDDPMIdentifier(p.scheme, victim),
-		cusum: detect.Synchronized(detect.NewCUSUM(p.cfg.CUSUMWindow, p.cfg.CUSUMSlack, p.cfg.CUSUMThreshold)),
+		ident:    traceback.NewDDPMIdentifier(p.scheme, victim),
+		cusum:    detect.NewCUSUM(p.cfg.CUSUMWindow, p.cfg.CUSUMSlack, p.cfg.CUSUMThreshold),
+		entropy:  nopDetector{},
+		lastSeen: p.cfg.Now(),
 	}
 	if p.cfg.EntropyWindow > 0 {
-		st.entropy = detect.Synchronized(detect.NewEntropyDetector(p.cfg.EntropyWindow, p.cfg.EntropyDelta))
-	} else {
-		st.entropy = nopDetector{}
+		st.entropy = detect.NewEntropyDetector(p.cfg.EntropyWindow, p.cfg.EntropyDelta)
 	}
-	st.cusumL = st.cusum.(detect.InnerLocker)
-	st.entropyL = st.entropy.(detect.InnerLocker)
-	st.lastSeen.Store(p.cfg.Now())
+	s.victims[victim] = st
 	return st
 }
 
@@ -1179,9 +1139,8 @@ func (p *Pipeline) newVictimState(victim topology.NodeID) *victimState {
 // its exact state is dropped after a final snapshot goes to the
 // journal and the victim-expired hook, while blocklist entries and
 // past journal events survive. Renewed traffic re-materializes the
-// victim through the admission gate. Runs on the shard worker — the
-// single writer of the victim map — with no pipeline locks held when
-// the hook fires.
+// victim through the admission gate. Runs on the shard worker, which
+// takes s.mu for the scan and releases it before the hook fires.
 func (p *Pipeline) sweepShard(s *shard) {
 	ttl := p.cfg.VictimTTL.Nanoseconds()
 	if ttl <= 0 {
@@ -1189,22 +1148,20 @@ func (p *Pipeline) sweepShard(s *shard) {
 	}
 	now := p.cfg.Now()
 	var snaps []VictimSnapshot
+	s.mu.Lock()
 	for v, st := range s.victims {
-		if now-st.lastSeen.Load() < ttl {
+		if now-st.lastSeen < ttl {
 			continue
 		}
 		snap := snapshotState(v, st)
 		snap.Expired = true
 		snaps = append(snaps, snap)
+		delete(s.victims, v)
 	}
+	s.mu.Unlock()
 	if len(snaps) == 0 {
 		return
 	}
-	s.mu.Lock()
-	for i := range snaps {
-		delete(s.victims, snaps[i].Victim)
-	}
-	s.mu.Unlock()
 	p.C.VictimsExpired.Add(uint64(len(snaps)))
 	hook := p.victimExpired.Load()
 	for i := range snaps {
@@ -1292,59 +1249,57 @@ func (p *Pipeline) SetVictimExpiredHook(fn func(VictimSnapshot)) {
 	p.victimExpired.Store(&fn)
 }
 
-// state looks a victim's state up across shards (admin plane).
-func (p *Pipeline) state(victim topology.NodeID) *victimState {
+// read runs fn on the victim's state under its shard's lock — the admin
+// plane's one way in — or reports false when the pipeline holds none.
+// fn must not call back into the pipeline.
+func (p *Pipeline) read(victim topology.NodeID, fn func(*victimState)) bool {
 	if len(p.shards) == 0 || victim < 0 {
-		return nil
+		return false
 	}
 	s := p.shards[int(victim)%len(p.shards)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.victims[victim]
+	st := s.victims[victim]
+	if st == nil {
+		return false
+	}
+	fn(st)
+	return true
 }
 
 // Alarmed reports whether the victim's detectors have fired.
-func (p *Pipeline) Alarmed(victim topology.NodeID) bool {
-	st := p.state(victim)
-	return st != nil && (st.cusum.Alarmed() || st.entropy.Alarmed())
+func (p *Pipeline) Alarmed(victim topology.NodeID) (alarmed bool) {
+	p.read(victim, func(st *victimState) { alarmed = st.cusum.Alarmed() || st.entropy.Alarmed() })
+	return alarmed
 }
 
 // AlarmLatched reports whether the victim's alarm latch has ever set —
 // the stable "this victim came under attack" bit that journal alarm
 // events and /victims report, immune to a detector de-alarming as its
 // window slides on.
-func (p *Pipeline) AlarmLatched(victim topology.NodeID) bool {
-	st := p.state(victim)
-	return st != nil && st.alarmed.Load()
+func (p *Pipeline) AlarmLatched(victim topology.NodeID) (latched bool) {
+	p.read(victim, func(st *victimState) { latched = st.alarmed })
+	return latched
 }
 
 // TopSources returns the victim's k most frequently identified
 // sources (empty before the victim's first record). Non-positive k is
 // an admin-plane input; it clamps to an empty result rather than
 // panicking downstream.
-func (p *Pipeline) TopSources(victim topology.NodeID, k int) []topology.NodeID {
-	if k <= 0 {
-		return nil
-	}
-	st := p.state(victim)
-	if st == nil {
-		return nil
-	}
-	return st.ident.TopSources(k)
+func (p *Pipeline) TopSources(victim topology.NodeID, k int) (top []topology.NodeID) {
+	p.read(victim, func(st *victimState) { top = st.ident.TopSources(k) })
+	return top
 }
 
 // SourcesAbove returns the victim's sources identified more than
 // threshold times. A negative threshold is an admin-plane input that
 // would otherwise select every source ever seen; it clamps to empty.
-func (p *Pipeline) SourcesAbove(victim topology.NodeID, threshold int64) []topology.NodeID {
+func (p *Pipeline) SourcesAbove(victim topology.NodeID, threshold int64) (above []topology.NodeID) {
 	if threshold < 0 {
 		return nil
 	}
-	st := p.state(victim)
-	if st == nil {
-		return nil
-	}
-	return st.ident.SourcesAbove(threshold)
+	p.read(victim, func(st *victimState) { above = st.ident.SourcesAbove(threshold) })
+	return above
 }
 
 // Victims lists every victim node the pipeline has state for, sorted
@@ -1375,29 +1330,27 @@ type VictimReport struct {
 
 // VictimReports builds per-victim reports with up to k top sources
 // each, sorted by node id. k <= 0 yields reports with no top-source
-// evidence.
+// evidence. Each row is built under one lock hold, so its counts and
+// its top sources come from the same instant; the lock drops between
+// rows, so a long report stalls a worker for one row at a time.
 func (p *Pipeline) VictimReports(k int) []VictimReport {
 	victims := p.Victims()
 	out := make([]VictimReport, 0, len(victims))
 	for _, v := range victims {
-		st := p.state(v)
-		if st == nil { // raced a concurrent reset; skip
-			continue
-		}
-		r := VictimReport{
-			Node:        int64(v),
-			Alarmed:     st.alarmed.Load(),
-			Identified:  st.ident.Observed(),
-			Undecodable: st.ident.Undecodable(),
-			LastSeen:    st.lastSeen.Load(),
-		}
-		if k > 0 {
-			r.TopSources = make([]SourceCount, 0, k)
-			for _, n := range st.ident.TopSources(k) {
-				r.TopSources = append(r.TopSources, SourceCount{Node: int64(n), Count: st.ident.Count(n)})
+		// A victim retired since Victims() listed it gets no row.
+		p.read(v, func(st *victimState) {
+			r := VictimReport{
+				Node:        int64(v),
+				Alarmed:     st.alarmed,
+				Identified:  st.ident.Observed(),
+				Undecodable: st.ident.Undecodable(),
+				LastSeen:    st.lastSeen,
 			}
-		}
-		out = append(out, r)
+			if k > 0 {
+				r.TopSources = topCounts(st.ident, k)
+			}
+			out = append(out, r)
+		})
 	}
 	return out
 }
@@ -1440,13 +1393,16 @@ func (p *Pipeline) Snapshot() Snapshot {
 		snap.ShardProcessed = append(snap.ShardProcessed, s.processed.Load())
 		snap.ShardIdentified = append(snap.ShardIdentified, s.identified.Load())
 		snap.ShardDropped = append(snap.ShardDropped, s.dropped.Load())
-		gated := s.gated.Load()
-		snap.ShardGatedVictims = append(snap.ShardGatedVictims, gated)
-		snap.SketchHeavySlots += gated
-		snap.SketchDecays += s.decays.Load()
+		var gated int64
 		s.mu.Lock()
+		if s.gate != nil {
+			gated = int64(s.gate.Len())
+			snap.SketchDecays += s.gate.Decays()
+		}
 		snap.VictimStates += len(s.victims)
 		s.mu.Unlock()
+		snap.ShardGatedVictims = append(snap.ShardGatedVictims, gated)
+		snap.SketchHeavySlots += gated
 	}
 	return snap
 }
@@ -1479,6 +1435,3 @@ func (nopDetector) Name() string                        { return "nop" }
 func (nopDetector) Observe(eventq.Time, *packet.Packet) {}
 func (nopDetector) Alarmed() bool                       { return false }
 func (nopDetector) AlarmedAt() (t eventq.Time)          { return t }
-
-func (n nopDetector) LockInner() detect.Detector { return n }
-func (nopDetector) UnlockInner()                 {}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -331,6 +332,11 @@ func TestAdminQueryClamps(t *testing.T) {
 	}
 	if p.AlarmLatched(99) {
 		t.Error("unknown victim reports a latched alarm")
+	}
+	// A huge k asks for "all of them"; it must not size anything.
+	if huge, all := p.VictimReports(1<<40), p.VictimReports(p.NumNodes()); !reflect.DeepEqual(huge, all) ||
+		len(huge) != 1 || len(huge[0].TopSources) != 1 {
+		t.Errorf("VictimReports(1<<40) = %+v, want the rows of VictimReports(NumNodes) = %+v", huge, all)
 	}
 }
 

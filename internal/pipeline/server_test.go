@@ -259,6 +259,10 @@ func TestVictimsEndpointAndPprofGate(t *testing.T) {
 		t.Errorf("victim 2 report = %+v", reports[0])
 	}
 
+	// An absurd k is "everything", not an allocation size.
+	if code, all := httpGet(t, d, "/victims?k=1099511627776"); code != http.StatusOK || len(all) > 2*len(body) {
+		t.Errorf("GET /victims?k=2^40: %d, %d-byte body (k=2 gave %d bytes)", code, len(all), len(body))
+	}
 	if code, body := httpGet(t, d, "/victims?k=junk"); code != http.StatusBadRequest {
 		t.Errorf("bad k: %d %s, want 400", code, body)
 	}

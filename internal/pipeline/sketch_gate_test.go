@@ -84,6 +84,27 @@ func TestSketchGateAdmissionExactness(t *testing.T) {
 	if got := p.Snapshot().VictimStates; got != 1 {
 		t.Errorf("VictimStates = %d, want 1", got)
 	}
+
+	// A decay before the threshold lets the slot's buffer fill first, so
+	// the crossing record (the fifth) is not in it. The replay is then
+	// the whole buffer — also when the crossing record equals the last
+	// buffered one, as back-to-back flood records do.
+	for _, lastT := range []eventq.Time{5, 4} {
+		p, err := New(Config{Net: net, Shards: 1, SketchAdmit: 4, SketchDecayEvery: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, T := range []eventq.Time{1, 2, 3, 4, lastT} {
+			submitWait(t, p, wire.Record{T: T, Topo: p.TopoID(), Victim: hot, MF: mf1})
+		}
+		p.Close()
+		if got := p.C.SketchReplayed.Load(); got != 4 {
+			t.Errorf("T=1,2,3,4,%d: replayed = %d, want 4", lastT, got)
+		}
+		if snap, _ := p.ExportVictim(hot); snap.Identified() != 5 {
+			t.Errorf("T=1,2,3,4,%d: tally = %d, want all 5 records", lastT, snap.Identified())
+		}
+	}
 }
 
 // TestSketchGateDisabled: a negative SketchAdmit turns the gate off —

@@ -6,8 +6,9 @@
 // in-network volumetric victim identification — the cheap discovery
 // pass that gates the paper's expensive exact identification (§5).
 //
-// Both structures are single-writer: the pipeline gives each shard
-// worker its own instances, so no operation here takes a lock.
+// Gate composes the two into the admission test the daemon's tiers
+// call. Every structure here is single-writer and takes no lock; its
+// owner (a pipeline shard, the cluster's forwarding gate) brings one.
 package sketch
 
 // mix64 is the SplitMix64 finalizer — the per-row hash for CountMin.
@@ -159,29 +160,37 @@ func (t *SpaceSaving[P]) Len() int { return len(t.slots) }
 // is not tracked (table full and the estimate no hotter than the
 // current minimum).
 func (t *SpaceSaving[P]) Touch(key uint64, est uint32, item P) *Slot[P] {
+	s, _ := t.touch(key, est, item)
+	return s
+}
+
+// touch is Touch, also reporting whether item went into the slot's
+// buffer (as its last element): how Gate.Offer knows what came before.
+func (t *SpaceSaving[P]) touch(key uint64, est uint32, item P) (s *Slot[P], buffered bool) {
 	if i, ok := t.idx[key]; ok {
-		s := &t.slots[i]
+		s = &t.slots[i]
 		s.Count++
-		if len(s.Buf) < t.bufCap {
+		if buffered = len(s.Buf) < t.bufCap; buffered {
 			s.Buf = append(s.Buf, item)
 		}
-		return s
+		return s, buffered
 	}
+	buffered = t.bufCap > 0
 	if len(t.slots) < cap(t.slots) {
 		t.slots = append(t.slots, Slot[P]{Key: key, Count: 1})
 		i := len(t.slots) - 1
 		t.idx[key] = i
-		s := &t.slots[i]
-		if t.bufCap > 0 {
+		s = &t.slots[i]
+		if buffered {
 			if s.Buf == nil {
 				s.Buf = make([]P, 0, t.bufCap)
 			}
 			s.Buf = append(s.Buf, item)
 		}
-		return s
+		return s, buffered
 	}
 	if est <= t.minHint {
-		return nil // certainly no hotter than the coldest slot
+		return nil, false // certainly no hotter than the coldest slot
 	}
 	mi := 0
 	for i := 1; i < len(t.slots); i++ {
@@ -192,21 +201,21 @@ func (t *SpaceSaving[P]) Touch(key uint64, est uint32, item P) *Slot[P] {
 	min := t.slots[mi].Count
 	t.minHint = min
 	if est <= min {
-		return nil
+		return nil, false
 	}
 	// Space-saving eviction: the newcomer inherits the minimum count as
 	// its error bound and starts a fresh replay buffer.
-	s := &t.slots[mi]
+	s = &t.slots[mi]
 	delete(t.idx, s.Key)
 	t.idx[key] = mi
 	s.Key = key
 	s.Errs = min
 	s.Count = min + 1
 	s.Buf = s.Buf[:0]
-	if t.bufCap > 0 {
+	if buffered {
 		s.Buf = append(s.Buf, item)
 	}
-	return s
+	return s, buffered
 }
 
 // Get returns the slot tracking key, or nil.
@@ -217,8 +226,8 @@ func (t *SpaceSaving[P]) Get(key uint64) *Slot[P] {
 	return nil
 }
 
-// Remove frees key's slot (the pipeline calls it on admission, when
-// the key graduates to exact state). The freed slot's replay buffer is
+// Remove frees key's slot (Gate.Admit calls it when the key
+// graduates). The freed slot's replay buffer is
 // kept for reuse. Reports whether the key was tracked.
 func (t *SpaceSaving[P]) Remove(key uint64) bool {
 	i, ok := t.idx[key]
