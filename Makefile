@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: check vet lint build race bench bench-gate bench-profile fuzz-smoke loc trace-smoke cluster-smoke fleet-trace-smoke run-ddpmd clean
+.PHONY: check vet lint build race bench bench-gate bench-pairs bench-profile fuzz-smoke loc trace-smoke cluster-smoke fleet-trace-smoke run-ddpmd clean
 
 ## check: lint, build, test, fuzz-smoke and trace-smoke everything (the
 ## tier-1 gate). The clustered chaos e2e — kill the victim's owner
@@ -131,14 +131,28 @@ fuzz-smoke:
 
 ## loc: non-test line counts of the three daemon packages and their sum
 ## — the figure ROADMAP and CHANGES quote at each re-anchor — then the
-## three packages the daemon's per-victim machinery lives in, and the
-## six-package total, so code moving between the two groups shows up
+## three packages the daemon's per-victim machinery lives in and the
+## six-package total, then the two the victim-side decode and the
+## scheme-backed blocklist live in and the eight-package total, so code
+## moving between the groups shows up as a move, not a deletion
 loc:
-	@total=0; for p in pipeline wire cluster -- sketch traceback detect; do \
-		if [ $$p = -- ]; then printf '%-18s %6d\n' total $$total; continue; fi; \
+	@total=0; for p in pipeline wire cluster =total sketch traceback detect '=total (six)' marking filter '=total (eight)'; do \
+		case "$$p" in =*) printf '%-18s %6d\n' "$${p#=}" $$total; continue;; esac; \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
 		printf '%-18s %6d\n' internal/$$p $$n; total=$$((total + n)); \
-	done; printf '%-18s %6d\n' 'total (six)' $$total
+	done
+
+## bench-pairs: the paired parent/change protocol for bench/ — N
+## alternating runs of one workload on BASE and on the working tree,
+## every run printed, then win count, medians and the base's
+## interquartile distance per end-to-end metric (cmd/benchpairs). Needs
+## git history and ~5 min per workload at N=10, so it is not part of check.
+##   make bench-pairs BASE=HEAD~1 WORKLOAD=scan_carpet [N=10] [SEED=1]
+N ?= 10
+SEED ?= 1
+bench-pairs:
+	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make bench-pairs BASE=<git ref> WORKLOAD=<name> [N=10] [SEED=1]"; exit 2; }
+	$(GO) run ./cmd/benchpairs -base $(BASE) -workload $(WORKLOAD) -n $(N) -seed $(SEED)
 
 ## trace-smoke: end-to-end tracing proof on a live daemon — a traced
 ## loadgen flood must leave at least one tail-sampled block-outcome

@@ -1,0 +1,163 @@
+// Command benchpairs is the paired protocol behind every performance
+// statement in CHANGES.md: it runs the socket-to-block benchmark on a
+// base commit and on the working tree, alternating which side goes
+// first, and reports per end-to-end metric how often the tree won, both
+// medians and the base's own run-to-run spread (the distance between
+// its quartiles). A shift inside that spread is unresolved, not a gain.
+//
+//	make bench-pairs BASE=HEAD~1 WORKLOAD=flood_dense [N=10] [SEED=1]
+//
+// The base is unpacked with git archive under .bench_build/pairs-base
+// (ignored, removed when the run ends); each side builds its own bench/
+// from its own sources through bench/run.sh, exactly as the PR driver
+// does. Expect about 14 s per run: ten pairs of one workload take ~5 min.
+package main
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+)
+
+// contract is the one JSON object `bench/run.sh --workload` ends its
+// output with.
+type contract struct {
+	Correct   bool  `json:"correct"`
+	Attempted int64 `json:"attempted"`
+	Failed    int64 `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+func main() {
+	base := flag.String("base", "", "git ref of the base commit (required)")
+	workload := flag.String("workload", "", "benchmark workload name (required)")
+	n := flag.Int("n", 10, "pairs to run")
+	seed := flag.Int("seed", 1, "stream seed")
+	flag.Parse()
+	if *base == "" || *workload == "" || *n < 1 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := run(*base, *workload, *n, *seed); err != nil {
+		fmt.Fprintln(os.Stderr, "benchpairs:", err)
+		os.Exit(1)
+	}
+}
+
+func run(base, workload string, n, seed int) error {
+	var decl struct {
+		EndToEnd []struct{ Name, Better string } `json:"end_to_end"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		return fmt.Errorf("run from the repository root: %w", err)
+	}
+	if err := json.Unmarshal(raw, &decl); err != nil {
+		return fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	baseDir := filepath.Join(".bench_build", "pairs-base")
+	defer os.RemoveAll(baseDir)
+	if err := unpack(base, baseDir); err != nil {
+		return err
+	}
+	dirs := map[string]string{"base": baseDir, "tree": "."}
+	runs := map[string][]contract{}
+	for i := 0; i < n; i++ {
+		order := []string{"tree", "base"}
+		if i%2 == 1 {
+			order = []string{"base", "tree"}
+		}
+		for _, side := range order {
+			line, err := benchOnce(dirs[side], workload, seed)
+			if err != nil {
+				return fmt.Errorf("pair %d, %s: %w", i+1, side, err)
+			}
+			fmt.Printf("pair %d %s %s\n", i+1, side, line)
+			var c contract
+			if err := json.Unmarshal([]byte(line), &c); err != nil {
+				return fmt.Errorf("pair %d, %s: result line: %w", i+1, side, err)
+			}
+			runs[side] = append(runs[side], c)
+		}
+	}
+
+	fmt.Printf("\n%s, seed %d, %d pairs, base %s\n", workload, seed, n, base)
+	fmt.Printf("%-16s %9s %14s %14s %8s %12s\n", "metric", "tree wins", "base median", "tree median", "shift", "base IQR")
+	for _, m := range decl.EndToEnd {
+		var b, t []float64
+		wins := 0
+		for i := 0; i < n; i++ {
+			bv, tv := runs["base"][i].Metrics[m.Name].Value, runs["tree"][i].Metrics[m.Name].Value
+			b, t = append(b, bv), append(t, tv)
+			if (m.Better == "higher" && tv > bv) || (m.Better == "lower" && tv < bv) {
+				wins++
+			}
+		}
+		sort.Float64s(b)
+		sort.Float64s(t)
+		bm, tm := quantile(b, 0.5), quantile(t, 0.5)
+		fmt.Printf("%-16s %6d/%-2d %14.4f %14.4f %+7.1f%% %12.4f\n",
+			m.Name, wins, n, bm, tm, 100*(tm-bm)/bm, quantile(b, 0.75)-quantile(b, 0.25))
+	}
+	for _, side := range []string{"base", "tree"} {
+		var failed, incorrect int64
+		for _, c := range runs[side] {
+			failed += c.Failed
+			if !c.Correct {
+				incorrect++
+			}
+		}
+		fmt.Printf("%s: %d failed operations, %d runs failed the correctness gate\n", side, failed, incorrect)
+	}
+	return nil
+}
+
+// unpack replaces dir with the files of commit ref.
+func unpack(ref, dir string) error {
+	if err := os.RemoveAll(dir); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	cmd := exec.Command("bash", "-c", `set -o pipefail; git archive "$0" | tar -x -C "$1"`, ref, dir)
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("git archive %s: %w", ref, err)
+	}
+	return nil
+}
+
+// benchOnce runs one workload the way the PR driver does and returns
+// the contract line. A failed correctness gate exits non-zero but still
+// prints the line; that run is reported, not hidden.
+func benchOnce(dir, workload string, seed int) (string, error) {
+	cmd := exec.Command("bash", "bench/run.sh", "--workload", workload,
+		"--seed", fmt.Sprint(seed), "--seconds", "10", "--trace", "0")
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	last := lines[len(lines)-1]
+	if !strings.HasPrefix(last, "{") {
+		return "", fmt.Errorf("no result line (%v)", err)
+	}
+	return last, nil
+}
+
+// quantile interpolates linearly on sorted xs.
+func quantile(xs []float64, q float64) float64 {
+	pos := q * float64(len(xs)-1)
+	lo := int(pos)
+	if lo+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[lo] + (pos-float64(lo))*(xs[lo+1]-xs[lo])
+}

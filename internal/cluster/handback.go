@@ -123,9 +123,7 @@ func (n *Node) queueHandback(snap pipeline.VictimSnapshot, ok bool) {
 	select {
 	case n.handbackQ <- snap:
 	default:
-		n.handbackFailures.Add(1)
-		n.handbackFallbacks.Add(1)
-		n.storeFallback(snap)
+		n.failHandback(snap)
 	}
 }
 
@@ -167,9 +165,7 @@ func (n *Node) ship(snap pipeline.VictimSnapshot) {
 	}
 	pr := n.members.Load().byID[owner]
 	if pr == nil {
-		n.handbackFailures.Add(1)
-		n.handbackFallbacks.Add(1)
-		n.storeFallback(snap)
+		n.failHandback(snap)
 		return
 	}
 	n.handbackSeq++
@@ -187,9 +183,7 @@ func (n *Node) ship(snap pipeline.VictimSnapshot) {
 			select {
 			case <-time.After(handbackBackoff << (attempt - 1)):
 			case <-n.stop:
-				n.handbackFailures.Add(1)
-				n.handbackFallbacks.Add(1)
-				n.storeFallback(snap)
+				n.failHandback(snap)
 				return
 			}
 		}
@@ -210,9 +204,7 @@ func (n *Node) ship(snap pipeline.VictimSnapshot) {
 			return
 		}
 	}
-	n.handbackFailures.Add(1)
-	n.handbackFallbacks.Add(1)
-	n.storeFallback(snap)
+	n.failHandback(snap)
 }
 
 // shipOnce performs one acked handback exchange on a fresh connection
@@ -243,6 +235,12 @@ func (n *Node) shipOnce(pr *peer, frame []byte, seq uint64) error {
 		return fmt.Errorf("cluster: handback ack %d, want %d", ack, seq+1)
 	}
 	return nil
+}
+
+// failHandback counts a shipment that could not be made and stores it.
+func (n *Node) failHandback(snap pipeline.VictimSnapshot) {
+	n.handbackFailures.Add(1)
+	n.storeFallback(snap)
 }
 
 // storeFallback files a snapshot we could not (or need not) ship

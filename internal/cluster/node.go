@@ -195,22 +195,21 @@ type Node struct {
 	// fleet trace fan-out can reach every member.
 	adminAddr atomic.Pointer[string]
 
-	forwardedOut      atomic.Uint64
-	forwardedIn       atomic.Uint64
-	forwardDropped    atomic.Uint64
-	forwardLost       atomic.Uint64
-	forwardSuppress   atomic.Uint64
-	gossipRounds      atomic.Uint64
-	gossipFails       atomic.Uint64
-	seedsApplied      atomic.Uint64
-	takeovers         atomic.Uint64
-	joins             atomic.Uint64
-	handbacksOut      atomic.Uint64
-	handbacksIn       atomic.Uint64
-	handbackFailures  atomic.Uint64
-	handbackRetries   atomic.Uint64
-	handbackFallbacks atomic.Uint64
-	traceDowngrades   atomic.Uint64
+	forwardedOut     atomic.Uint64
+	forwardedIn      atomic.Uint64
+	forwardDropped   atomic.Uint64
+	forwardLost      atomic.Uint64
+	forwardSuppress  atomic.Uint64
+	gossipRounds     atomic.Uint64
+	gossipFails      atomic.Uint64
+	seedsApplied     atomic.Uint64
+	takeovers        atomic.Uint64
+	joins            atomic.Uint64
+	handbacksOut     atomic.Uint64
+	handbacksIn      atomic.Uint64
+	handbackFailures atomic.Uint64
+	handbackRetries  atomic.Uint64
+	traceDowngrades  atomic.Uint64
 
 	stop   chan struct{}
 	wg     sync.WaitGroup
@@ -1151,34 +1150,33 @@ func (n *Node) noteRingChange(ring *Ring, alive []uint64, seeds int) {
 
 // Status is the /cluster admin document.
 type Status struct {
-	Self              string         `json:"self"`
-	MemberID          uint64         `json:"member_id"`
-	Incarnation       uint64         `json:"incarnation"`
-	RingVersion       uint64         `json:"ring_version"`
-	Alive             int            `json:"alive"`
-	Members           []MemberStatus `json:"members"`
-	ForwardedOut      uint64         `json:"forwarded_out"`
-	ForwardedIn       uint64         `json:"forwarded_in"`
-	ForwardDropped    uint64         `json:"forward_dropped"`
-	ForwardLost       uint64         `json:"forward_lost"`
-	ForwardSuppress   uint64         `json:"forward_suppressed"`
-	GateAdmitted      int            `json:"gate_admitted_victims"`
-	ForwardQueue      int            `json:"forward_queue_len"`
-	GossipRounds      uint64         `json:"gossip_rounds"`
-	GossipFails       uint64         `json:"gossip_fails"`
-	BlocklistSeq      uint64         `json:"blocklist_seq"`
-	SeedsApplied      uint64         `json:"seeds_applied"`
-	Takeovers         uint64         `json:"takeovers"`
-	Joins             uint64         `json:"members_learned"`
-	HandbacksOut      uint64         `json:"handbacks_sent"`
-	HandbacksIn       uint64         `json:"handbacks_received"`
-	HandbackFailures  uint64         `json:"handback_failures"`
-	HandbackRetries   uint64         `json:"handback_retries"`
-	HandbackFallbacks uint64         `json:"handback_fallback_replicas"`
-	TraceDowngrades   uint64         `json:"trace_downgrades"`
-	StoredReplicas    int            `json:"stored_replicas"`
-	RetiredTombs      int            `json:"retired_tombstones"`
-	OwnedVictims      int            `json:"owned_victims"`
+	Self             string         `json:"self"`
+	MemberID         uint64         `json:"member_id"`
+	Incarnation      uint64         `json:"incarnation"`
+	RingVersion      uint64         `json:"ring_version"`
+	Alive            int            `json:"alive"`
+	Members          []MemberStatus `json:"members"`
+	ForwardedOut     uint64         `json:"forwarded_out"`
+	ForwardedIn      uint64         `json:"forwarded_in"`
+	ForwardDropped   uint64         `json:"forward_dropped"`
+	ForwardLost      uint64         `json:"forward_lost"`
+	ForwardSuppress  uint64         `json:"forward_suppressed"`
+	GateAdmitted     int            `json:"gate_admitted_victims"`
+	ForwardQueue     int            `json:"forward_queue_len"`
+	GossipRounds     uint64         `json:"gossip_rounds"`
+	GossipFails      uint64         `json:"gossip_fails"`
+	BlocklistSeq     uint64         `json:"blocklist_seq"`
+	SeedsApplied     uint64         `json:"seeds_applied"`
+	Takeovers        uint64         `json:"takeovers"`
+	Joins            uint64         `json:"members_learned"`
+	HandbacksOut     uint64         `json:"handbacks_sent"`
+	HandbacksIn      uint64         `json:"handbacks_received"`
+	HandbackFailures uint64         `json:"handback_failures"`
+	HandbackRetries  uint64         `json:"handback_retries"`
+	TraceDowngrades  uint64         `json:"trace_downgrades"`
+	StoredReplicas   int            `json:"stored_replicas"`
+	RetiredTombs     int            `json:"retired_tombstones"`
+	OwnedVictims     int            `json:"owned_victims"`
 }
 
 // MemberStatus is one fleet member's liveness as this instance sees it,
@@ -1217,23 +1215,22 @@ func (n *Node) StatusJSON() any {
 		Members: []MemberStatus{{
 			Addr: n.cfg.Self, ID: n.self, Self: true, Alive: true, RingVersion: ring.Version(),
 		}},
-		ForwardedOut:      n.forwardedOut.Load(),
-		ForwardedIn:       n.forwardedIn.Load(),
-		ForwardDropped:    n.forwardDropped.Load(),
-		ForwardLost:       n.forwardLost.Load(),
-		ForwardSuppress:   n.forwardSuppress.Load(),
-		GossipRounds:      n.gossipRounds.Load(),
-		GossipFails:       n.gossipFails.Load(),
-		BlocklistSeq:      n.bl.Seq(),
-		SeedsApplied:      n.seedsApplied.Load(),
-		Takeovers:         n.takeovers.Load(),
-		Joins:             n.joins.Load(),
-		HandbacksOut:      n.handbacksOut.Load(),
-		HandbacksIn:       n.handbacksIn.Load(),
-		HandbackFailures:  n.handbackFailures.Load(),
-		HandbackRetries:   n.handbackRetries.Load(),
-		HandbackFallbacks: n.handbackFallbacks.Load(),
-		TraceDowngrades:   n.traceDowngrades.Load(),
+		ForwardedOut:     n.forwardedOut.Load(),
+		ForwardedIn:      n.forwardedIn.Load(),
+		ForwardDropped:   n.forwardDropped.Load(),
+		ForwardLost:      n.forwardLost.Load(),
+		ForwardSuppress:  n.forwardSuppress.Load(),
+		GossipRounds:     n.gossipRounds.Load(),
+		GossipFails:      n.gossipFails.Load(),
+		BlocklistSeq:     n.bl.Seq(),
+		SeedsApplied:     n.seedsApplied.Load(),
+		Takeovers:        n.takeovers.Load(),
+		Joins:            n.joins.Load(),
+		HandbacksOut:     n.handbacksOut.Load(),
+		HandbacksIn:      n.handbacksIn.Load(),
+		HandbackFailures: n.handbackFailures.Load(),
+		HandbackRetries:  n.handbackRetries.Load(),
+		TraceDowngrades:  n.traceDowngrades.Load(),
 	}
 	if n.gate != nil {
 		st.GateAdmitted = n.gate.admittedCount()
@@ -1296,9 +1293,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	counter("ddpmd_handback_sent_total", "victim states shipped back to a rejoined owner", n.handbacksOut.Load())
 	counter("ddpmd_handback_received_total", "victim-state handbacks absorbed from interim owners", n.handbacksIn.Load())
 	counter("ddpmd_handback_failed_total", "handback shipments that fell back to a stored replica", n.handbackFailures.Load())
-	counter("ddpmd_handback_shipped_total", "handback snapshots delivered to their new owner", n.handbacksOut.Load())
 	counter("ddpmd_handback_retries_total", "handback shipment attempts beyond the first", n.handbackRetries.Load())
-	counter("ddpmd_handback_fallback_replicas_total", "handbacks that degraded to a locally stored replica", n.handbackFallbacks.Load())
 	counter("ddpmd_trace_downgrades_total", "forward sessions established without the trace lane", n.traceDowngrades.Load())
 	ps := n.members.Load()
 	qlen := 0

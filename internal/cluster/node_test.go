@@ -404,8 +404,8 @@ func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 	b, _ := newTestNode(t, addrs[1], addrs[:1], 602, &now)
 	req := appendGossipMsg(nil, b.buildMsg(b.members.Load().byID[a.self], nil))
 
-	// Few victims, few rounds: each materialized state allocates its
-	// 256 KB decode memo afresh.
+	// Few victims, few rounds: the race is in the lock order, which one
+	// sweep concurrent with one gossip answer already exercises.
 	const rounds, victims = 100, 16
 	swept, done := make(chan struct{}), make(chan struct{})
 	go func() { // every victim materializes, idles past the TTL, is swept

@@ -73,8 +73,7 @@ type blockVal struct {
 // All methods are safe for concurrent use: the daemon's admin plane
 // mutates the list while shard workers consult it.
 type Blocklist struct {
-	ddpm   *marking.DDPM
-	victim topology.NodeID
+	at marking.Victim // the victim's decoder; zero on a list built without a scheme
 
 	mu      sync.Mutex
 	blocked map[topology.NodeID]blockVal // node -> expiry + blocking victim
@@ -95,14 +94,14 @@ type Blocklist struct {
 // NewBlocklist builds an empty blocklist for a victim using DDPM
 // identification.
 func NewBlocklist(ddpm *marking.DDPM, victim topology.NodeID) *Blocklist {
-	return &Blocklist{ddpm: ddpm, victim: victim, blocked: make(map[topology.NodeID]blockVal)}
+	return &Blocklist{at: ddpm.At(victim), blocked: make(map[topology.NodeID]blockVal)}
 }
 
 // NewTTLBlocklist builds a blocklist with no identification scheme for
 // pipelines that attribute packets upstream and consult the list by
 // node (BlockedAt); Check on it fails open.
 func NewTTLBlocklist() *Blocklist {
-	return &Blocklist{victim: topology.None, blocked: make(map[topology.NodeID]blockVal)}
+	return &Blocklist{blocked: make(map[topology.NodeID]blockVal)}
 }
 
 // Block adds a node with no expiry; BlockAll adds many (e.g. from
@@ -157,23 +156,17 @@ func (b *Blocklist) Unblock(n topology.NodeID) {
 }
 
 // Len returns the number of blocked nodes, including entries whose
-// expiry has passed but which Expire has not yet pruned.
+// expiry has passed but which ExpireEntries has not yet pruned.
 func (b *Blocklist) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.blocked)
 }
 
-// Expire prunes every entry whose expiry is at or before now,
-// returning how many lapsed.
-func (b *Blocklist) Expire(now int64) int {
-	return len(b.ExpireEntries(now))
-}
-
-// ExpireEntries prunes like Expire but returns the lapsed entries
-// sorted by node id, so callers can audit exactly which blocks aged
-// out (ddpmd journals each as a block-expired event). Returns nil when
-// nothing lapsed.
+// ExpireEntries prunes every entry whose expiry is at or before now
+// and returns the lapsed entries sorted by node id, so callers can
+// audit exactly which blocks aged out (ddpmd journals each as a
+// block-expired event). Returns nil when nothing lapsed.
 func (b *Blocklist) ExpireEntries(now int64) []BlockEntry {
 	b.mu.Lock()
 	var lapsed []BlockEntry
@@ -190,7 +183,7 @@ func (b *Blocklist) ExpireEntries(now int64) []BlockEntry {
 }
 
 // BlockedAt reports whether n is blocked at instant now. Lapsed
-// entries answer false even before Expire prunes them, so TTL decay
+// entries answer false even before ExpireEntries prunes them, so TTL decay
 // needs no background reaper.
 func (b *Blocklist) BlockedAt(n topology.NodeID, now int64) bool {
 	b.mu.Lock()
@@ -215,17 +208,14 @@ func (b *Blocklist) Snapshot() []BlockEntry {
 // MF. Unidentifiable packets are accepted (fail-open, like a real
 // victim that cannot attribute them), as are all packets on a list
 // built without a scheme (NewTTLBlocklist). Check has no clock, so
-// entries count as blocked until Expire prunes them.
+// entries count as blocked until ExpireEntries prunes them.
 func (b *Blocklist) Check(pk *packet.Packet) Verdict {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.ddpm != nil {
-		src, ok := b.ddpm.IdentifySource(b.victim, pk.Hdr.ID)
-		if ok {
-			if _, hit := b.blocked[src]; hit {
-				b.dropped++
-				return Drop
-			}
+	if src, ok := b.at.Source(pk.Hdr.ID); ok {
+		if _, hit := b.blocked[src]; hit {
+			b.dropped++
+			return Drop
 		}
 	}
 	b.accepted++

@@ -73,6 +73,29 @@ func TestBlocklistFailOpenOnGarbage(t *testing.T) {
 	if b.Check(pk) != Accept {
 		t.Error("unattributable packet dropped (should fail open)")
 	}
+	// A list built without a scheme attributes nothing, not "node 0".
+	ttl := NewTTLBlocklist()
+	ttl.Block(0)
+	if ttl.Check(&packet.Packet{}) != Accept {
+		t.Error("scheme-less list dropped a packet")
+	}
+}
+
+// A scheme-backed list runs Check once per delivered packet in the
+// simulator: identification must not allocate on any fabric.
+func TestBlocklistCheckDoesNotAllocate(t *testing.T) {
+	for _, net := range []topology.Network{topology.NewMesh2D(8), topology.NewTorus(3, 5), topology.NewHypercube(16)} {
+		d, err := marking.NewDDPM(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewBlocklist(d, topology.NodeID(net.NumNodes()-1))
+		b.Block(3)
+		pk := &packet.Packet{}
+		if a := testing.AllocsPerRun(200, func() { pk.Hdr.ID += 257; b.Check(pk) }); a != 0 {
+			t.Errorf("%s: Check allocates %v/op, want 0", net.Name(), a)
+		}
+	}
 }
 
 func TestBlocklistBlockAllFromIdentifier(t *testing.T) {
@@ -171,13 +194,13 @@ func TestBlocklistTTLExpiry(t *testing.T) {
 	if b.Len() != 3 {
 		t.Fatalf("Len before Expire = %d, want 3", b.Len())
 	}
-	if lapsed := b.Expire(150); lapsed != 1 {
+	if lapsed := len(b.ExpireEntries(150)); lapsed != 1 {
 		t.Fatalf("Expire(150) pruned %d, want 1", lapsed)
 	}
 	if b.Len() != 2 {
 		t.Fatalf("Len after first Expire = %d, want 2", b.Len())
 	}
-	if lapsed := b.Expire(1 << 40); lapsed != 1 {
+	if lapsed := len(b.ExpireEntries(1 << 40)); lapsed != 1 {
 		t.Fatalf("Expire(max) pruned %d, want 1 (permanent must survive)", lapsed)
 	}
 	if !b.BlockedAt(5, 1<<40) || b.Len() != 1 {
@@ -228,7 +251,7 @@ func TestBlocklistConcurrentUse(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 2000; i++ {
 			b.BlockUntil(topology.NodeID(i%17), int64(i))
-			b.Expire(int64(i - 8))
+			b.ExpireEntries(int64(i - 8))
 		}
 	}()
 	for i := 0; i < 2000; i++ {

@@ -41,7 +41,7 @@ func TestBlocklistExpiryNotSequenced(t *testing.T) {
 	b := NewTTLBlocklist()
 	b.BlockUntil(7, 10)
 	seq := b.Seq()
-	if n := b.Expire(11); n != 1 {
+	if n := len(b.ExpireEntries(11)); n != 1 {
 		t.Fatalf("Expire = %d, want 1", n)
 	}
 	if got := b.Seq(); got != seq {

@@ -26,9 +26,35 @@ type VectorCodec interface {
 	// (fields wrap in two's complement), so Decode cannot fail.
 	Decode(mf uint16) topology.Vector
 
+	// Field locates dimension i's component in the MF. Decode is
+	// Field(i).Value for every i; DDPM.At reads the fields once instead.
+	Field(i int) Field
+
 	// Add returns the MF after accumulating delta into each field with
 	// wraparound two's-complement arithmetic — the switch's per-hop op.
 	Add(mf uint16, delta topology.Vector) uint16
+}
+
+// Field is one dimension's slice of the MF: Mask applies once mf is
+// shifted down by Shift; Sign is the sign bit, zero in an unsigned field.
+type Field struct {
+	Shift      uint8
+	Mask, Sign uint16
+}
+
+// Value is the field's component of mf, sign-extended.
+func (f Field) Value(mf uint16) int {
+	d := int(mf>>f.Shift) & int(f.Mask)
+	return (d ^ int(f.Sign)) - int(f.Sign)
+}
+
+// decode is Decode for any codec: every field's Value, in order.
+func decode(c VectorCodec, mf uint16) topology.Vector {
+	v := make(topology.Vector, c.Dims())
+	for i := range v {
+		v[i] = c.Field(i).Value(mf)
+	}
+	return v
 }
 
 // SignedFieldCodec lays out one two's-complement field per dimension,
@@ -141,16 +167,11 @@ func (c *SignedFieldCodec) Encode(v topology.Vector) (uint16, error) {
 	return mf, nil
 }
 
-func (c *SignedFieldCodec) Decode(mf uint16) topology.Vector {
-	v := make(topology.Vector, len(c.widths))
-	for i, w := range c.widths {
-		raw := int(mf>>c.shifts[i]) & (1<<w - 1)
-		if raw >= 1<<(w-1) { // sign extend
-			raw -= 1 << w
-		}
-		v[i] = raw
-	}
-	return v
+func (c *SignedFieldCodec) Decode(mf uint16) topology.Vector { return decode(c, mf) }
+
+func (c *SignedFieldCodec) Field(i int) Field {
+	w := c.widths[i]
+	return Field{Shift: uint8(c.shifts[i]), Mask: 1<<w - 1, Sign: 1 << (w - 1)}
 }
 
 func (c *SignedFieldCodec) Add(mf uint16, delta topology.Vector) uint16 {
@@ -237,13 +258,9 @@ func (c *CubeCodec) Encode(v topology.Vector) (uint16, error) {
 	return mf, nil
 }
 
-func (c *CubeCodec) Decode(mf uint16) topology.Vector {
-	v := make(topology.Vector, c.n)
-	for i := 0; i < c.n; i++ {
-		v[i] = int(mf>>(c.n-1-i)) & 1
-	}
-	return v
-}
+func (c *CubeCodec) Decode(mf uint16) topology.Vector { return decode(c, mf) }
+
+func (c *CubeCodec) Field(i int) Field { return Field{Shift: uint8(c.n - 1 - i), Mask: 1} }
 
 // Add XORs each nonzero delta component's bit; in the hypercube every
 // per-hop displacement is ±1 in exactly one dimension and XOR is its

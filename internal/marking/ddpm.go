@@ -99,32 +99,85 @@ func (d *DDPM) OnForward(cur, next topology.NodeID, pk *packet.Packet) {
 	pk.Hdr.ID = d.codec.Add(pk.Hdr.ID, d.delta)
 }
 
-// IdentifySource performs the victim-side computation of Figure 4:
-// V := Extract_MF(); S := X − V (mesh/torus, component-wise mod k) or
-// S := X ⊕ V (hypercube). dst is the victim's own node. The returned
-// node is the claimed origin of the packet; with intact marking it is
-// the packet's true injection point regardless of header spoofing.
-// ok is false when the decoded source coordinate falls outside the
-// topology (possible on a mesh when marking was corrupted or bypassed).
+// IdentifySource is Figure 4's victim-side computation for one packet,
+// At(dst).Source(mf); to identify many at one victim keep the Victim.
 func (d *DDPM) IdentifySource(dst topology.NodeID, mf uint16) (topology.NodeID, bool) {
-	v := d.codec.Decode(mf)
-	dc := d.net.CoordOf(dst)
-	if _, isCube := d.net.(*topology.Hypercube); isCube {
-		src := dc.Xor(topology.Coord(v))
-		return d.net.IndexOf(src), true
+	v := d.At(dst)
+	return v.Source(mf)
+}
+
+// Victim is DDPM at one victim node: Figure 4's destination-side branch
+// with the victim's coordinate X worked out once, so identifying a
+// packet is a few integer operations on its MF. Never written after At,
+// so copies are goroutine-safe; the zero Victim identifies nothing.
+type Victim struct {
+	// Hypercube: node ids are the coordinates as bit vectors, dimension
+	// 0 most significant, the order CubeCodec packs the MF in (any codec
+	// used on a hypercube must), so S = X ⊕ V is one XOR on the id.
+	cube bool
+	self topology.NodeID
+	mask uint16
+
+	// Mesh and torus, per dimension: where V_i sits in the MF, the radix
+	// k_i and X_i. Every field has a bit of the MF, so sixteen suffice.
+	wrap bool
+	n    int
+	dim  [16]struct {
+		Field
+		k, x int32
 	}
-	src := make(topology.Coord, len(v)) // S = D − V, component-wise
+}
+
+// At returns the victim-side decoder for node victim. It panics if
+// victim is not a node of the fabric.
+func (d *DDPM) At(victim topology.NodeID) Victim {
+	if victim < 0 || int(victim) >= d.net.NumNodes() {
+		panic(fmt.Sprintf("marking: victim %d is not a node of %s", victim, d.net.Name()))
+	}
+	if h, ok := d.net.(*topology.Hypercube); ok {
+		return Victim{cube: true, self: victim, mask: uint16(uint32(1)<<h.DimBits() - 1)}
+	}
 	dims := d.net.Dims()
-	for i := range v {
-		x := dc[i] - v[i]
-		if d.net.Wraparound() {
-			k := dims[i]
-			x = ((x % k) + k) % k
-		}
-		if x < 0 || x >= dims[i] {
+	v := Victim{wrap: d.net.Wraparound(), n: len(dims)}
+	rem := int(victim) // peel X off the row-major id, last dimension first
+	for i := len(dims) - 1; i >= 0; i-- {
+		k := dims[i]
+		e := &v.dim[i]
+		e.Field, e.k, e.x = d.codec.Field(i), int32(k), int32(rem%k)
+		rem /= k
+	}
+	return v
+}
+
+// Source recovers the packet's origin from its MF: S := X − V per
+// dimension (mod k on a torus) or X ⊕ V — with intact marking the true
+// injection point, whatever the header claims. ok is false when S falls
+// outside the fabric (a mesh whose marking was corrupted or bypassed).
+func (v *Victim) Source(mf uint16) (topology.NodeID, bool) {
+	if v.cube {
+		return v.self ^ topology.NodeID(mf&v.mask), true
+	}
+	id := 0
+	for i := range v.dim[:v.n] {
+		d := &v.dim[i]
+		s := d.x - int32(d.Value(mf))
+		if v.wrap {
+			// Into [0, k): one add or subtract covers |V_i| < k, every MF
+			// honest switches produce; beyond that a remainder, never a
+			// correction loop — spare MF bits widen the fields (a 3×5
+			// torus's radix-5 one holds ±819·k) and the attacker picks the MF.
+			if s < -d.k || s >= 2*d.k {
+				s %= d.k
+			}
+			if s < 0 {
+				s += d.k
+			} else if s >= d.k {
+				s -= d.k
+			}
+		} else if s < 0 || s >= d.k {
 			return topology.None, false
 		}
-		src[i] = x
+		id = id*int(d.k) + int(s)
 	}
-	return d.net.IndexOf(src), true
+	return topology.NodeID(id), v.n > 0
 }

@@ -355,35 +355,14 @@ type shard struct {
 	outs      []Outcome
 	lastSweep int64
 
-	// Per-shard worker counters behind the shard="N" metric labels.
 	// batches is the worker-local latency-sampling clock, one tick per
-	// sub-batch; the pend fields batch counts between flushes so the hot
-	// path pays two atomic adds per flushEvery records (or per queue
-	// drain) instead of per record. The atomics are what the admin
-	// plane reads.
-	batches        uint64
-	pendProcessed  uint64
-	pendIdentified uint64
-	processed      atomic.Uint64
-	identified     atomic.Uint64
-	dropped        atomic.Uint64
-}
-
-// flushEvery bounds how stale a shard's published counters may be
-// while its queue stays non-empty; an idle queue flushes immediately.
-const flushEvery = 64
-
-// flush publishes the worker-local pending counts. Called only from
-// the shard's worker goroutine.
-func (s *shard) flush() {
-	if s.pendProcessed > 0 {
-		s.processed.Add(s.pendProcessed)
-		s.pendProcessed = 0
-	}
-	if s.pendIdentified > 0 {
-		s.identified.Add(s.pendIdentified)
-		s.pendIdentified = 0
-	}
+	// sub-batch. processed, identified and dropped are the counts behind
+	// the shard="N" metric labels: the worker writes the first two under
+	// mu; SubmitSlab counts queue-full sheds from the ingest goroutines.
+	batches    uint64
+	processed  uint64
+	identified uint64
+	dropped    atomic.Uint64
 }
 
 // Pipeline is the running sharded service. Build with New, feed with
@@ -682,9 +661,6 @@ func (p *Pipeline) run(s *shard, si int) {
 		p.processSub(s, si, b)
 		s.mu.Unlock()
 		b.slab.Release()
-		if s.pendProcessed >= flushEvery || len(s.ch) == 0 {
-			s.flush()
-		}
 		if p.sweepIval > 0 {
 			// In-band sweep: keeps TTL expiry moving on the configured
 			// timebase even when the real-time ticker and the fake clock
@@ -695,7 +671,6 @@ func (p *Pipeline) run(s *shard, si int) {
 			}
 		}
 	}
-	s.flush()
 }
 
 // srcBlocked marks a record whose identified source was already
@@ -738,12 +713,11 @@ func (fc *fastCtx) lap(total *time.Duration) time.Duration {
 	return d
 }
 
-// flush publishes the accumulated tallies. The worker-local pending
-// counters piggyback on the shard's existing flush cadence.
+// flush publishes the accumulated tallies; the caller holds s.mu.
 func (fc *fastCtx) flush(p *Pipeline, s *shard) {
 	if fc.identified > 0 {
 		p.C.Identified.Add(fc.identified)
-		s.pendIdentified += fc.identified
+		s.identified += fc.identified
 	}
 	if fc.undecodable > 0 {
 		p.C.Undecodable.Add(fc.undecodable)
@@ -800,7 +774,7 @@ func (p *Pipeline) processSub(s *shard, si int, b batch) {
 	recs := b.slab.Recs[b.start:b.end]
 	n := len(recs)
 	p.C.Processed.Add(uint64(n))
-	s.pendProcessed += uint64(n)
+	s.processed += uint64(n)
 	fc := fastCtx{sampled: p.sampleOn && s.batches&p.sampleMask == 0, si: si, t0: b.t0}
 	s.batches++
 	var lane []wire.TraceContext
@@ -1104,17 +1078,15 @@ func topCounts(id *traceback.DDPMIdentifier, k int) []SourceCount {
 }
 
 // expireBlocks prunes lapsed blocklist entries, journaling each as a
-// block-expired event.
+// block-expired event; every expiry in the daemon comes through here.
 func (p *Pipeline) expireBlocks(now int64) {
-	if p.cfg.Journal == nil {
-		p.bl.Expire(now)
-		return
-	}
 	for _, e := range p.bl.ExpireEntries(now) {
-		p.cfg.Journal.Emit(Event{
-			T: now, Type: EventBlockExpired,
-			Victim: int64(e.Victim), Source: int64(e.Node), Until: e.Until,
-		})
+		if p.cfg.Journal != nil {
+			p.cfg.Journal.Emit(Event{
+				T: now, Type: EventBlockExpired,
+				Victim: int64(e.Victim), Source: int64(e.Node), Until: e.Until,
+			})
+		}
 	}
 }
 
@@ -1390,11 +1362,11 @@ func (p *Pipeline) Snapshot() Snapshot {
 	snap.Accepted = snap.Ingested - snap.TopoMismatch - snap.BadVictim - snap.RejectedClosed - snap.Dropped
 	for _, s := range p.shards {
 		snap.QueueDepths = append(snap.QueueDepths, len(s.ch))
-		snap.ShardProcessed = append(snap.ShardProcessed, s.processed.Load())
-		snap.ShardIdentified = append(snap.ShardIdentified, s.identified.Load())
 		snap.ShardDropped = append(snap.ShardDropped, s.dropped.Load())
 		var gated int64
 		s.mu.Lock()
+		snap.ShardProcessed = append(snap.ShardProcessed, s.processed)
+		snap.ShardIdentified = append(snap.ShardIdentified, s.identified)
 		if s.gate != nil {
 			gated = int64(s.gate.Len())
 			snap.SketchDecays += s.gate.Decays()

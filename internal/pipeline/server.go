@@ -816,7 +816,7 @@ func (d *Daemon) handleBlocklist(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		now := d.p.cfg.Now()
-		bl.Expire(now)
+		d.p.expireBlocks(now)
 		entries := bl.Snapshot()
 		out := make([]blocklistEntry, 0, len(entries))
 		for _, e := range entries {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -164,8 +165,9 @@ func TestDaemonUDPIngestAndDecodeErrors(t *testing.T) {
 func TestBlocklistAdminEndpoint(t *testing.T) {
 	topo := topology.NewMesh2D(4)
 	var clock atomic.Int64
+	var journal bytes.Buffer
 	d, err := Start(ServerConfig{
-		Pipeline: Config{Net: topo, Now: func() int64 { return clock.Load() }},
+		Pipeline: Config{Net: topo, Now: func() int64 { return clock.Load() }, Journal: NewJournal(&journal, 64)},
 		HTTPAddr: "127.0.0.1:0",
 	})
 	if err != nil {
@@ -212,6 +214,21 @@ func TestBlocklistAdminEndpoint(t *testing.T) {
 	}
 	if d.Pipeline().Blocklist().Len() != 0 {
 		t.Error("unblock left entries behind")
+	}
+	// The GET above pruned node 5 before any scrape saw it lapse; the
+	// audit trail must still close the block with exactly one expiry.
+	d.Pipeline().Snapshot()
+	if err := d.Shutdown(context.Background()); err != nil { // flushes the journal
+		t.Fatalf("shutdown: %v", err)
+	}
+	expiries := 0
+	for _, ev := range decodeEvents(t, journal.Bytes()) {
+		if ev.Type == EventBlockExpired && ev.Source == 5 {
+			expiries++
+		}
+	}
+	if expiries != 1 {
+		t.Errorf("journal holds %d block_expired events for node 5, want 1:\n%s", expiries, journal.String())
 	}
 }
 

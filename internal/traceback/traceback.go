@@ -18,25 +18,13 @@ import (
 	"repro/internal/topology"
 )
 
-// memo encoding for one MF value: 0 = not yet computed, memoUndec =
-// the MF does not decode to a node, else src+memoBias. IdentifySource
-// is a pure function of (victim, mf), so each of the 65536 possible MF
-// values is decoded at most once per identifier; after that ObserveMF
-// is a table load plus a dense-tally increment, which is what lets the
-// daemon's batch hot path stay allocation-free.
-const (
-	memoUndec = 1
-	memoBias  = 2
-)
-
 // DDPMIdentifier recovers the source of every observed packet directly
 // from its marking field (Figure 4's destination-side branch:
 // V := Extract_MF(); S := X − V). It also tallies identified sources so
-// a victim under attack can rank offenders.
+// a victim under attack can rank offenders. It keeps the victim's
+// decoder (marking.Victim: arithmetic, no cache), a tally, two counters.
 type DDPMIdentifier struct {
-	scheme   *marking.DDPM
-	victim   topology.NodeID
-	memo     []int32 // lazy per-MF decode cache, 1<<16 entries
+	at       marking.Victim
 	tally    []int64 // identifications per source node, dense by NodeID
 	observed int64
 	undec    int64
@@ -45,9 +33,8 @@ type DDPMIdentifier struct {
 // NewDDPMIdentifier builds the identifier for a victim node.
 func NewDDPMIdentifier(scheme *marking.DDPM, victim topology.NodeID) *DDPMIdentifier {
 	return &DDPMIdentifier{
-		scheme: scheme,
-		victim: victim,
-		tally:  make([]int64, scheme.Net().NumNodes()),
+		at:    scheme.At(victim),
+		tally: make([]int64, scheme.Net().NumNodes()),
 	}
 }
 
@@ -61,23 +48,11 @@ func (d *DDPMIdentifier) Observe(pk *packet.Packet) (topology.NodeID, bool) {
 // entry point for wire-format records, which carry the MF without a
 // full packet.
 func (d *DDPMIdentifier) ObserveMF(mf uint16) (topology.NodeID, bool) {
-	if d.memo == nil {
-		d.memo = make([]int32, 1<<16)
-	}
-	m := d.memo[mf]
-	if m == 0 {
-		if src, ok := d.scheme.IdentifySource(d.victim, mf); ok {
-			m = int32(src) + memoBias
-		} else {
-			m = memoUndec
-		}
-		d.memo[mf] = m
-	}
-	if m == memoUndec {
+	src, ok := d.at.Source(mf)
+	if !ok {
 		d.undec++
 		return topology.None, false
 	}
-	src := topology.NodeID(m - memoBias)
 	d.tally[src]++
 	d.observed++
 	return src, true
