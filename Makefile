@@ -145,13 +145,18 @@ loc:
 ## bench-pairs: the paired parent/change protocol for bench/ — N
 ## alternating runs of one workload on BASE and on the working tree,
 ## every run printed, then win count, medians and the base's
-## interquartile distance per end-to-end metric (cmd/benchpairs). Needs
-## git history and ~5 min per workload at N=10, so it is not part of check.
+## interquartile distance per end-to-end metric (cmd/benchpairs).
+## WORKLOAD takes one name, a comma-separated list or `all`; workloads
+## run one after the other, and the report ends with every (workload,
+## metric) whose median moved the wrong way past its BENCHMARK.json
+## bound — the PR driver's rule, locally. Needs git history and ~5 min
+## per workload at N=10, so it is not part of check.
 ##   make bench-pairs BASE=HEAD~1 WORKLOAD=scan_carpet [N=10] [SEED=1]
+##   make bench-pairs BASE=HEAD~1 WORKLOAD=all N=3
 N ?= 10
 SEED ?= 1
 bench-pairs:
-	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make bench-pairs BASE=<git ref> WORKLOAD=<name> [N=10] [SEED=1]"; exit 2; }
+	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make bench-pairs BASE=<git ref> WORKLOAD=<name[,name...]|all> [N=10] [SEED=1]"; exit 2; }
 	$(GO) run ./cmd/benchpairs -base $(BASE) -workload $(WORKLOAD) -n $(N) -seed $(SEED)
 
 ## trace-smoke: end-to-end tracing proof on a live daemon — a traced

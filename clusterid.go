@@ -138,7 +138,9 @@ func (m *Monitor) UnderAttack() (bool, Time) {
 }
 
 // IdentifiedSources returns every source attributed strictly more than
-// threshold packets — the candidates to block.
+// threshold packets — the candidates to block. Only sources that were
+// attributed a packet qualify: a negative threshold returns everyone
+// heard from, never the silent rest of the cluster.
 func (m *Monitor) IdentifiedSources(threshold int64) []NodeID {
 	return m.Identifier.SourcesAbove(threshold)
 }

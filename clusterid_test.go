@@ -92,6 +92,32 @@ func TestMonitorValidation(t *testing.T) {
 	}
 }
 
+// A negative threshold means "every source heard from", not "every
+// node": an idle monitor has identified nobody, and blocking what it
+// returns must not blocklist the fabric.
+func TestIdentifiedSourcesNegativeThreshold(t *testing.T) {
+	cl, _ := New(Config{Topo: Mesh2D(4), Seed: 1})
+	mon, err := NewMonitor(cl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srcs := mon.IdentifiedSources(-1); len(srcs) != 0 {
+		t.Fatalf("idle monitor identified %v", srcs)
+	}
+	mon.BlockSources(mon.IdentifiedSources(-1))
+	if n := mon.Blocklist.Len(); n != 0 {
+		t.Fatalf("idle monitor blocked %d nodes", n)
+	}
+	d, _ := DDPMOf(cl)
+	pk := &Packet{DstNode: 1}
+	d.OnInject(pk)
+	d.OnForward(0, 1, pk) // (0,0) -> (0,1)
+	mon.Deliver(0, pk)
+	if srcs := mon.IdentifiedSources(-1); len(srcs) != 1 || srcs[0] != 0 {
+		t.Fatalf("after one packet from node 0: identified %v, want [0]", srcs)
+	}
+}
+
 func TestIdentifySourceHelper(t *testing.T) {
 	cl, _ := New(Config{Topo: Mesh2D(4), Seed: 1})
 	d, _ := DDPMOf(cl)

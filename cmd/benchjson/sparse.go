@@ -26,9 +26,12 @@ import (
 )
 
 // sparseHeapBudget bounds the pipeline's retained-heap growth across
-// the run. The attacked set needs a few MB (detector windows, sketches,
-// slab pool); a per-scanned-id state leak needs hundreds.
-const sparseHeapBudget = 64 << 20
+// the run. The run measures 6–11.2 MB (sketches, slab pool, detector
+// windows; the 8 attacked victims are ≈ 1.5 KB each, highest on a cold
+// first run), and a victim state is ≈ 1.2 KB, so materializing all
+// 65 536 in-fabric scanned ids would add ≈ 79 MB: twice the measured
+// ceiling still leaves a leak of a quarter of them over budget.
+const sparseHeapBudget = 24 << 20
 
 type sparseRun struct {
 	ingested  uint64

@@ -4,8 +4,15 @@
 // first, and reports per end-to-end metric how often the tree won, both
 // medians and the base's own run-to-run spread (the distance between
 // its quartiles). A shift inside that spread is unresolved, not a gain.
+// Several workloads (a comma-separated list, or "all" for every one
+// BENCHMARK.json declares) run one after the other, never two at once,
+// and the report ends with the PR driver's acceptance rule applied
+// locally: one line per (workload, metric) whose median moved the wrong
+// way by more than that metric's bound, and per workload whose share of
+// failed operations rose.
 //
 //	make bench-pairs BASE=HEAD~1 WORKLOAD=flood_dense [N=10] [SEED=1]
+//	make bench-pairs BASE=HEAD~1 WORKLOAD=all N=3
 //
 // The base is unpacked with git archive under .bench_build/pairs-base
 // (ignored, removed when the run ends); each side builds its own bench/
@@ -37,8 +44,8 @@ type contract struct {
 
 func main() {
 	base := flag.String("base", "", "git ref of the base commit (required)")
-	workload := flag.String("workload", "", "benchmark workload name (required)")
-	n := flag.Int("n", 10, "pairs to run")
+	workload := flag.String("workload", "", "benchmark workload names, comma-separated, or \"all\" (required)")
+	n := flag.Int("n", 10, "pairs to run per workload")
 	seed := flag.Int("seed", 1, "stream seed")
 	flag.Parse()
 	if *base == "" || *workload == "" || *n < 1 {
@@ -51,9 +58,17 @@ func main() {
 	}
 }
 
+// metric is one end_to_end row of BENCHMARK.json; Bound is the
+// fraction its median may worsen by before the driver rejects a PR.
+type metric struct {
+	Name, Better string
+	Bound        float64
+}
+
 func run(base, workload string, n, seed int) error {
 	var decl struct {
-		EndToEnd []struct{ Name, Better string } `json:"end_to_end"`
+		Workloads []struct{ Name string }
+		EndToEnd  []metric `json:"end_to_end"`
 	}
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -62,11 +77,41 @@ func run(base, workload string, n, seed int) error {
 	if err := json.Unmarshal(raw, &decl); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
 	}
+	workloads := strings.Split(workload, ",")
+	if workload == "all" {
+		workloads = workloads[:0]
+		for _, w := range decl.Workloads {
+			workloads = append(workloads, w.Name)
+		}
+	}
 	baseDir := filepath.Join(".bench_build", "pairs-base")
 	defer os.RemoveAll(baseDir)
 	if err := unpack(base, baseDir); err != nil {
 		return err
 	}
+	var moved []string
+	for _, w := range workloads {
+		m, err := pairs(baseDir, base, w, n, seed, decl.EndToEnd)
+		if err != nil {
+			return err
+		}
+		moved = append(moved, m...)
+	}
+	fmt.Printf("\npast a bound, the wrong way (%s, %d pairs each):\n", strings.Join(workloads, ", "), n)
+	if len(moved) == 0 {
+		fmt.Println("  nothing")
+	}
+	for _, line := range moved {
+		fmt.Println(" ", line)
+	}
+	return nil
+}
+
+// pairs runs n alternating pairs of one workload, prints every run and
+// the per-metric table, and returns a line for each metric whose median
+// shift is on the losing side of its bound (and one if a larger share
+// of operations failed on the tree).
+func pairs(baseDir, base, workload string, n, seed int, metrics []metric) (moved []string, err error) {
 	dirs := map[string]string{"base": baseDir, "tree": "."}
 	runs := map[string][]contract{}
 	for i := 0; i < n; i++ {
@@ -77,12 +122,12 @@ func run(base, workload string, n, seed int) error {
 		for _, side := range order {
 			line, err := benchOnce(dirs[side], workload, seed)
 			if err != nil {
-				return fmt.Errorf("pair %d, %s: %w", i+1, side, err)
+				return nil, fmt.Errorf("%s pair %d, %s: %w", workload, i+1, side, err)
 			}
-			fmt.Printf("pair %d %s %s\n", i+1, side, line)
+			fmt.Printf("%s pair %d %s %s\n", workload, i+1, side, line)
 			var c contract
 			if err := json.Unmarshal([]byte(line), &c); err != nil {
-				return fmt.Errorf("pair %d, %s: result line: %w", i+1, side, err)
+				return nil, fmt.Errorf("%s pair %d, %s: result line: %w", workload, i+1, side, err)
 			}
 			runs[side] = append(runs[side], c)
 		}
@@ -90,7 +135,7 @@ func run(base, workload string, n, seed int) error {
 
 	fmt.Printf("\n%s, seed %d, %d pairs, base %s\n", workload, seed, n, base)
 	fmt.Printf("%-16s %9s %14s %14s %8s %12s\n", "metric", "tree wins", "base median", "tree median", "shift", "base IQR")
-	for _, m := range decl.EndToEnd {
+	for _, m := range metrics {
 		var b, t []float64
 		wins := 0
 		for i := 0; i < n; i++ {
@@ -103,20 +148,34 @@ func run(base, workload string, n, seed int) error {
 		sort.Float64s(b)
 		sort.Float64s(t)
 		bm, tm := quantile(b, 0.5), quantile(t, 0.5)
+		shift := (tm - bm) / bm
 		fmt.Printf("%-16s %6d/%-2d %14.4f %14.4f %+7.1f%% %12.4f\n",
-			m.Name, wins, n, bm, tm, 100*(tm-bm)/bm, quantile(b, 0.75)-quantile(b, 0.25))
+			m.Name, wins, n, bm, tm, 100*shift, quantile(b, 0.75)-quantile(b, 0.25))
+		if (m.Better == "higher" && shift < -m.Bound) || (m.Better == "lower" && shift > m.Bound) {
+			moved = append(moved, fmt.Sprintf("%s %s: median %.4f -> %.4f (%+.1f%%), bound %.0f%%, tree won %d/%d",
+				workload, m.Name, bm, tm, 100*shift, 100*m.Bound, wins, n))
+		}
 	}
-	for _, side := range []string{"base", "tree"} {
-		var failed, incorrect int64
+	var share [2]float64 // base, tree
+	for i, side := range []string{"base", "tree"} {
+		var attempted, failed, incorrect int64
 		for _, c := range runs[side] {
+			attempted += c.Attempted
 			failed += c.Failed
 			if !c.Correct {
 				incorrect++
 			}
 		}
+		share[i] = float64(failed) / float64(max(attempted, 1))
 		fmt.Printf("%s: %d failed operations, %d runs failed the correctness gate\n", side, failed, incorrect)
+		if side == "tree" && incorrect > 0 {
+			moved = append(moved, fmt.Sprintf("%s: %d tree runs failed the correctness gate", workload, incorrect))
+		}
 	}
-	return nil
+	if share[1] > share[0] {
+		moved = append(moved, fmt.Sprintf("%s: failed share %.2e -> %.2e", workload, share[0], share[1]))
+	}
+	return moved, nil
 }
 
 // unpack replaces dir with the files of commit ref.

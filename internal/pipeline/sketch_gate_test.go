@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,6 +106,26 @@ func TestSketchGateAdmissionExactness(t *testing.T) {
 			t.Errorf("T=1,2,3,4,%d: tally = %d, want all 5 records", lastT, snap.Identified())
 		}
 	}
+
+	// A destination scan has filled every gate slot with a one-shot id
+	// before the victim's first record: that record cannot win a slot
+	// (it is no hotter than they are), the second can, and admission
+	// still replays both — the victim is not tallied one short for good.
+	p, err = New(Config{Net: net, Shards: 1, SketchAdmit: 4, SketchHeavyHitters: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, swept := range []topology.NodeID{3, 7} {
+		submitWait(t, p, wire.Record{Topo: p.TopoID(), Victim: swept, MF: mkMF(t, net, s1, swept)})
+	}
+	for i := 0; i < 4; i++ {
+		submitWait(t, p, wire.Record{T: eventq.Time(i), Topo: p.TopoID(), Victim: hot, MF: mf1})
+	}
+	p.Close()
+	if snap, ok := p.ExportVictim(hot); !ok || snap.Identified() != 4 || p.C.SketchReplayed.Load() != 3 {
+		t.Errorf("burst into a full gate: tally = %d (state %v), replayed = %d; want all 4 records, 3 of them replayed",
+			snap.Identified(), ok, p.C.SketchReplayed.Load())
+	}
 }
 
 // TestSketchGateDisabled: a negative SketchAdmit turns the gate off —
@@ -123,6 +144,50 @@ func TestSketchGateDisabled(t *testing.T) {
 	if vs := p.Victims(); len(vs) != 1 {
 		t.Errorf("Victims() = %v, want one entry", vs)
 	}
+}
+
+// TestVictimStateBytesOnLargestFabric pins what the default victim
+// bound costs on the paper's 16-cube: 2 048 states (4 shards × 512),
+// each having heard 16 sources, hold at most 4 KB apiece — identifier,
+// detectors and map entry. State sized by the fabric (8 bytes × 65 536
+// nodes per victim, 1 GB at the bound) fails here by two orders of
+// magnitude.
+func TestVictimStateBytesOnLargestFabric(t *testing.T) {
+	const victims, sources, each = 2048, 16, 4 << 10
+	net := topology.NewHypercube(16)
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	p, err := New(Config{Net: net, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := live()
+	for v := 0; v < victims; v++ {
+		snap := VictimSnapshot{Victim: topology.NodeID(v * 31)}
+		for s := 0; s < sources; s++ {
+			snap.Sources = append(snap.Sources, SourceCount{Node: int64(v*31 ^ (1 + s*997)), Count: 3})
+		}
+		if !p.SeedVictim(snap) {
+			t.Fatalf("seed %d rejected", v)
+		}
+	}
+	quiesce(p)
+	grew := live() - before
+	if got := p.Snapshot().VictimStates; got != victims {
+		t.Fatalf("VictimStates = %d, want %d", got, victims)
+	}
+	if snap, ok := p.ExportVictim(31); !ok || len(snap.Sources) != sources || snap.Identified() != 3*sources {
+		t.Fatalf("victim 31 exported %+v (ok %v), want %d sources × 3", snap, ok, sources)
+	}
+	t.Logf("%d victim states hold %d bytes (%d each)", victims, grew, grew/victims)
+	if grew > victims*each {
+		t.Errorf("budget is %d bytes each", each)
+	}
+	p.Close()
 }
 
 // TestVictimTTLExpiryAndRematerialization: an idle victim's exact state

@@ -13,7 +13,9 @@ const (
 // space-saving table guarantees it admit occurrences since it was last
 // (re)inserted. Until then its items are buffered in its slot, up to
 // admit of them, so whoever acts on the crossing can replay what came
-// before and lose nothing from the moment the key won a slot.
+// before and lose nothing from the moment the key won a slot — nor, while
+// the table's ring of the last admit turned-away items still holds them,
+// the items it offered before it could win one (SpaceSaving.missed).
 //
 // The order inside Offer — count-min add, decay if due, touch, threshold
 // — is part of the contract (gate_test.go pins it): the decay must see

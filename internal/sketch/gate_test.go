@@ -29,14 +29,25 @@ func TestGateOfferAdmit(t *testing.T) {
 			{key: 7, item: 11, len: 1},
 			{key: 7, item: 12, hot: true, prefix: []int{10, 11}, len: 1},
 		}},
-		{"an evicted then reinserted key starts a fresh prefix", 1, 3, 1000, []step{
+		{"an evicted then reinserted key starts from what it missed while slotless", 1, 3, 1000, []step{
 			{key: 1, item: 10, len: 1}, // key 1 holds the only slot
-			{key: 2, item: 20, len: 1}, // no hotter than key 1: untracked
-			{key: 2, item: 21, len: 1}, // estimate 2 > 1: evicts key 1
-			{key: 1, item: 11, len: 1}, // untracked: this item is lost
-			{key: 1, item: 12, len: 1}, // estimate 3 > 2: wins the slot back
-			{key: 1, item: 13, len: 1},
-			{key: 1, item: 14, hot: true, prefix: []int{12, 13}, len: 1},
+			{key: 2, item: 20, len: 1}, // no hotter than key 1: turned away
+			{key: 2, item: 21, len: 1}, // estimate 2 > 1: evicts key 1 (and its 10), recovers 20
+			{key: 1, item: 11, len: 1}, // estimate 2 <= key 2's 3: turned away
+			{key: 1, item: 12, len: 1}, // 3 <= 3: turned away
+			// 4 > 3: wins the slot back, with both.
+			{key: 1, item: 13, hot: true, prefix: []int{11, 12}, len: 1},
+			{key: 1, item: 14, hot: true, prefix: []int{11, 12, 13}, len: 1},
+		}},
+		// The destination-scan case: every slot holds a one-shot key, so a
+		// new key's first item cannot win one. It used to be lost for good.
+		{"a burst meeting a full table keeps its first item", 2, 4, 1000, []step{
+			{key: 1, item: 10, len: 1},
+			{key: 2, item: 20, len: 2},
+			{key: 3, item: 30, len: 2}, // estimate 1 <= 1: turned away
+			{key: 3, item: 31, len: 2}, // 2 > 1: evicts a one-shot key, recovers 30
+			{key: 3, item: 32, len: 2},
+			{key: 3, item: 33, hot: true, prefix: []int{30, 31, 32}, len: 2},
 		}},
 		{"hot without Admit stays tracked, hot, and capped", 4, 2, 1000, []step{
 			{key: 5, item: 1, len: 1},

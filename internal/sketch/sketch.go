@@ -100,8 +100,10 @@ func (c *CountMin) Bytes() int { return len(c.rows) * 4 }
 
 // Slot is one tracked heavy-hitter candidate. Count follows the
 // space-saving rule (inherits the evicted minimum plus its own hits);
-// Errs is the inherited part, so Count-Errs is exact since insertion.
-// Buf holds the replay payloads appended while the key was tracked,
+// Errs is the inherited part, so Count-Errs counts occurrences actually
+// seen: every one since insertion plus those recovered from the ring.
+// Buf holds the replay payloads appended while the key was tracked
+// (and, first, what the missed ring kept from just before it was),
 // capped at the table's bufCap — the pipeline replays them through the
 // exact path on admission so no pre-admission record is lost.
 type Slot[P any] struct {
@@ -111,8 +113,9 @@ type Slot[P any] struct {
 	Buf   []P
 }
 
-// Guaranteed is the lower bound on the key's true count since the slot
-// was (re)inserted — the admission test the pipeline applies.
+// Guaranteed is the lower bound on the key's true count since shortly
+// before the slot was (re)inserted — the admission test the pipeline
+// applies.
 func (s *Slot[P]) Guaranteed() uint32 { return s.Count - s.Errs }
 
 // SpaceSaving tracks the top-K candidate keys of a stream with the
@@ -132,6 +135,22 @@ type SpaceSaving[P any] struct {
 	// (counts only grow between rescans), so estimates at or below it
 	// reject in O(1) without scanning.
 	minHint uint32
+
+	// missed rings the last bufCap items whose key found the table full
+	// and was turned away, oldest at missedAt (allocated at the first
+	// miss). A key needs est > min to win a slot, so its first records
+	// always miss; when it does win one, those still in the ring are
+	// counted and buffered ahead of the winning item, and its replay
+	// loses nothing so long as fewer than bufCap other misses came
+	// between — always true of one slab's victim group.
+	missed   []missedItem[P]
+	missedAt int
+}
+
+type missedItem[P any] struct {
+	key  uint64
+	item P
+	live bool
 }
 
 // NewSpaceSaving builds a table with the given slot capacity (minimum
@@ -185,11 +204,13 @@ func (t *SpaceSaving[P]) touch(key uint64, est uint32, item P) (s *Slot[P], buff
 			if s.Buf == nil {
 				s.Buf = make([]P, 0, t.bufCap)
 			}
+			t.recoverMissed(s)
 			s.Buf = append(s.Buf, item)
 		}
 		return s, buffered
 	}
 	if est <= t.minHint {
+		t.miss(key, item)
 		return nil, false // certainly no hotter than the coldest slot
 	}
 	mi := 0
@@ -201,6 +222,7 @@ func (t *SpaceSaving[P]) touch(key uint64, est uint32, item P) (s *Slot[P], buff
 	min := t.slots[mi].Count
 	t.minHint = min
 	if est <= min {
+		t.miss(key, item)
 		return nil, false
 	}
 	// Space-saving eviction: the newcomer inherits the minimum count as
@@ -213,9 +235,41 @@ func (t *SpaceSaving[P]) touch(key uint64, est uint32, item P) (s *Slot[P], buff
 	s.Count = min + 1
 	s.Buf = s.Buf[:0]
 	if buffered {
+		t.recoverMissed(s)
 		s.Buf = append(s.Buf, item)
 	}
 	return s, buffered
+}
+
+// miss remembers an item turned away from a full table.
+func (t *SpaceSaving[P]) miss(key uint64, item P) {
+	if t.bufCap == 0 {
+		return
+	}
+	if t.missed == nil {
+		t.missed = make([]missedItem[P], t.bufCap)
+	}
+	t.missed[t.missedAt] = missedItem[P]{key, item, true}
+	if t.missedAt++; t.missedAt == len(t.missed) {
+		t.missedAt = 0
+	}
+}
+
+// recoverMissed moves what the ring still holds of the key that just
+// won slot s into the slot, oldest first, leaving room for the winning
+// item; what does not fit is dropped, as all of it used to be.
+func (t *SpaceSaving[P]) recoverMissed(s *Slot[P]) {
+	for i := range t.missed {
+		m := &t.missed[(t.missedAt+i)%len(t.missed)]
+		if !m.live || m.key != s.Key {
+			continue
+		}
+		m.live = false
+		if len(s.Buf) < t.bufCap-1 {
+			s.Buf = append(s.Buf, m.item)
+			s.Count++
+		}
+	}
 }
 
 // Get returns the slot tracking key, or nil.

@@ -1,6 +1,9 @@
 package sketch
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestCountMinNeverUndercounts(t *testing.T) {
 	cm := NewCountMin(1<<10, 4)
@@ -109,7 +112,8 @@ func TestSpaceSavingEvictionInheritsError(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ss.Touch(2, cm.Add(2), i)
 	}
-	// Key 3 overtakes key 2 (count 3) once its estimate exceeds it.
+	// Key 3 overtakes key 2 (count 3) once its estimate exceeds it; the
+	// three touches turned away before that are still in the missed ring.
 	var s *Slot[int]
 	for i := 0; i < 4; i++ {
 		s = ss.Touch(3, cm.Add(3), i)
@@ -117,14 +121,14 @@ func TestSpaceSavingEvictionInheritsError(t *testing.T) {
 	if s == nil {
 		t.Fatal("key 3 never evicted the minimum slot")
 	}
-	if s.Key != 3 || s.Errs != 3 || s.Count != 4 {
-		t.Fatalf("evicted slot = %+v, want Key 3 Errs 3 Count 4", *s)
+	if s.Key != 3 || s.Errs != 3 || s.Count != 7 {
+		t.Fatalf("evicted slot = %+v, want Key 3 Errs 3 Count 7", *s)
 	}
-	if s.Guaranteed() != 1 {
-		t.Fatalf("Guaranteed %d, want 1 (only the crossing touch is certain)", s.Guaranteed())
+	if s.Guaranteed() != 4 {
+		t.Fatalf("Guaranteed %d, want 4 (the crossing touch and the three recovered)", s.Guaranteed())
 	}
-	if len(s.Buf) != 1 {
-		t.Fatalf("replay buffer %d items after eviction, want 1 (fresh)", len(s.Buf))
+	if want := []int{0, 1, 2, 3}; !slices.Equal(s.Buf, want) {
+		t.Fatalf("replay buffer %v after eviction, want %v (key 2's items gone, key 3's in order)", s.Buf, want)
 	}
 	if ss.Get(2) != nil {
 		t.Fatal("evicted key 2 still tracked")

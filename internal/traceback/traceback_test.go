@@ -1,7 +1,6 @@
 package traceback
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/marking"
@@ -100,42 +99,6 @@ func TestDDPMIdentifierObserveMFDoesNotAllocate(t *testing.T) {
 			t.Errorf("%s: ObserveMF allocates %v/op, want 0", net.Name(), a)
 		}
 	}
-}
-
-// TestDDPMIdentifierBytesPerVictim pins what one victim costs on the
-// paper's largest fabric, however many distinct MFs it hears: the dense
-// tally (8 bytes per node of the 16-cube) plus small change. An attacker
-// multiplies per-victim state by the victim bound, so anything that
-// grows it with traffic — a per-MF table, say, at 4 bytes × 65536 —
-// fails here.
-func TestDDPMIdentifierBytesPerVictim(t *testing.T) {
-	const victims, mfs = 64, 1024
-	h := topology.NewHypercube(16)
-	d, err := marking.NewDDPM(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := live()
-	idents := make([]*DDPMIdentifier, victims)
-	for v := range idents {
-		idents[v] = NewDDPMIdentifier(d, topology.NodeID(v*1021))
-		for m := 0; m < mfs; m++ {
-			idents[v].ObserveMF(uint16(m * 61))
-		}
-	}
-	after := live()
-	const budget = victims * (8*(1<<16) + 4096)
-	if grew := int64(after) - int64(before); grew > budget {
-		t.Errorf("%d identifiers hold %d bytes (%d each), budget %d each",
-			victims, grew, grew/victims, budget/victims)
-	}
-	runtime.KeepAlive(idents)
 }
 
 func TestPPMReconstructorConvergesOnDeterministicPath(t *testing.T) {
