@@ -45,7 +45,12 @@ race:
 ## exit code asserts zero loss), and require every instance to report
 ## the full fleet alive with records forwarded between owners. A fourth
 ## instance then joins the running fleet with -join — knowing only one
-## member — and every instance must converge on 4/4 alive.
+## member — and every instance must converge on 4/4 alive. The join's
+## rebalance must then move the flooded victim's state between the real
+## processes: within 5 s exactly one instance, the joiner, holds it. The
+## ring is a pure function of the fixed addresses, so the victim is
+## picked once: node 63 is owned by :27430 on the three-member ring and
+## by :27450 once it joins.
 cluster-smoke: build
 	@set -e; \
 	$(BIN)/ddpmd serve -topo torus -dims 8x8 -tcp 127.0.0.1:27420 -http 127.0.0.1:27421 \
@@ -65,7 +70,7 @@ cluster-smoke: build
 		done; \
 		[ $$ok -eq 1 ] || { echo "cluster-smoke: instance on $$port never became ready"; exit 1; }; \
 	done; \
-	$(BIN)/ddpmd loadgen -topo torus -dims 8x8 -zombies 3 \
+	$(BIN)/ddpmd loadgen -topo torus -dims 8x8 -zombies 3 -victim 63 \
 		-targets 127.0.0.1:27420,127.0.0.1:27430,127.0.0.1:27440; \
 	fwd=0; \
 	for port in 27421 27431 27441; do \
@@ -96,7 +101,18 @@ cluster-smoke: build
 			echo "cluster-smoke: instance on $$port never converged on the joined fleet:"; \
 			$(BIN)/ddpmd cluster status -http 127.0.0.1:$$port; exit 1; }; \
 	done; \
-	echo "cluster-smoke: runtime join converged, 4/4 alive on every instance"
+	echo "cluster-smoke: runtime join converged, 4/4 alive on every instance"; \
+	for i in $$(seq 1 50); do \
+		held=""; \
+		for port in 27421 27431 27441 27451; do \
+			if $(BIN)/ddpmd status -http 127.0.0.1:$$port | awk '/^victims/ {v = 1; next} v && $$1 == 63 {f = 1} END {exit !f}'; then \
+				held="$$held $$port"; fi; \
+		done; \
+		[ "$$held" = " 27451" ] && break; \
+		sleep 0.1; \
+	done; \
+	[ "$$held" = " 27451" ] || { echo "cluster-smoke: victim 63 held by [$$held ], want the joiner (27451) alone"; exit 1; }; \
+	echo "cluster-smoke: the join handed victim 63's state to the joiner"
 
 ## bench: run the engine + pipeline benchmarks and refresh BENCH_netsim.json
 bench:

@@ -31,8 +31,10 @@ import (
 const chaosBlockThreshold = 100
 
 // grabAddrs reserves n distinct loopback TCP addresses by binding and
-// immediately releasing them, so the fleet's members can be told each
-// other's addresses before any daemon starts.
+// then releasing them, so the fleet's members can be told each other's
+// addresses before any daemon starts. All n stay bound until the last
+// is taken: released one by one, the kernel may hand the same port out
+// twice, and a member whose peer hashes to itself fails to start.
 func grabAddrs(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -41,8 +43,8 @@ func grabAddrs(t *testing.T, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer ln.Close()
 		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
 	return addrs
 }
@@ -92,10 +94,11 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 					Incarnation:       uint64(0x1000 + i),
 					Logf:              t.Logf,
 				})
-				if err == nil {
-					nodes[i] = n
+				if err != nil {
+					return nil, err // not a typed-nil *Node, which Start would Close
 				}
-				return n, err
+				nodes[i] = n
+				return n, nil
 			},
 		})
 		if err != nil {
@@ -370,10 +373,11 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 				Incarnation:       uint64(0x2000 + kill),
 				Logf:              t.Logf,
 			})
-			if err == nil {
-				rnode = n
+			if err != nil {
+				return nil, err
 			}
-			return n, err
+			rnode = n
+			return n, nil
 		},
 	})
 	if err != nil {
@@ -408,12 +412,20 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 	if _, ok := pipes[succIdx].ExportVictim(res.Victim); ok {
 		t.Fatal("interim owner kept exact state after the handback")
 	}
-	if nodes[succIdx].handbacksOut.Load() == 0 {
-		t.Fatal("interim owner recorded no handback shipments")
-	}
 	if rnode.handbacksIn.Load() == 0 {
 		t.Fatal("rejoined owner recorded no inbound handbacks")
 	}
+	// The owner seeds while absorbing the request, so the shipper's count
+	// (taken when it reads the response back) can trail the tallies. And a
+	// periodic replica seeded on arrival counts as received too, so the
+	// counters alone do not prove this handoff arrived: the op id both
+	// members derive for it must resolve on the shipper (detach, ship)
+	// and on the rejoined owner (seed).
+	byOp := pipeline.TraceFilter{Victim: pipeline.MatchAny, Source: pipeline.MatchAny, ID: handoffOp(nodes[succIdx].self, &interim)}
+	waitFor("the interim owner's shipment and the handoff's op id on both members", func() bool {
+		return nodes[succIdx].handbacksOut.Load() > 0 &&
+			len(pipes[succIdx].Recorder().Snapshot(byOp)) >= 2 && len(rp.Recorder().Snapshot(byOp)) >= 1
+	})
 
 	// The rest of the campaign, sprayed across all three instances.
 	prev3 := sumProcessed(survivors...) + rp.C.Processed.Load()

@@ -32,10 +32,12 @@ import (
 //	senderAdmin: len uint16 + bytes (v3+ only: the sender's admin-plane
 //	            HTTP address, empty until its listener is bound)
 //
-// Replicas with the expired flag are tombstones: the final snapshot of
-// a victim whose owner's TTL sweep retired it, shipped so the backup
-// drops its stored replica instead of re-seeding a detector the owner
-// deliberately let go.
+// Replicas with the expired flag are tombstones: a victim whose owner's
+// TTL sweep retired it, shipped (without tallies) so the backup drops
+// its stored replica instead of re-seeding a detector the owner
+// deliberately let go. A handoff — the detached state a membership
+// change owes the victim's new owner — is an ordinary entry of the same
+// section (see outbox.go).
 //
 // SenderAddr and Roster are what make runtime join work: a joiner that
 // knows one live member learns every other alive member's address from
@@ -124,8 +126,8 @@ func appendGossipMsg(b []byte, m *gossipMsg) []byte {
 	return b
 }
 
-// appendSnapshot encodes one victim snapshot (the replica layout shared
-// by gossip messages and handback frames).
+// appendSnapshot encodes one victim snapshot: a replica, a tombstone or
+// a handoff.
 func appendSnapshot(b []byte, r *pipeline.VictimSnapshot) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(int64(r.Victim)))
 	var fl byte
@@ -279,13 +281,15 @@ func parseGossipMsg(b []byte) (*gossipMsg, error) {
 }
 
 // gossipBudget tracks how many encoded bytes a message may still grow
-// by before it would no longer fit a wire frame. addrBytes is the
-// pre-computed size of the sender-addr and roster sections, which are
-// mandatory and therefore reserved up front.
-type gossipBudget struct{ left int }
+// by before it would no longer fit a wire frame (left), and how many an
+// otherwise empty message has (room). addrBytes is the pre-computed
+// size of the sender-addr and roster sections, which are mandatory and
+// therefore reserved up front.
+type gossipBudget struct{ left, room int }
 
 func newGossipBudget(digestEntries, addrBytes int) gossipBudget {
-	return gossipBudget{left: wire.MaxGossipBody - gossipFixedSize - 6 - digestEntries*digestEntrySize - addrBytes}
+	room := wire.MaxGossipBody - gossipFixedSize - 6 - digestEntries*digestEntrySize - addrBytes
+	return gossipBudget{left: room, room: room}
 }
 
 // rosterBytes is the encoded size of the sender-addr, roster and
@@ -313,4 +317,11 @@ func (g *gossipBudget) fitsReplica(snap *pipeline.VictimSnapshot) bool {
 	}
 	g.left -= n
 	return true
+}
+
+// oversize reports whether snap is too large for any message: a
+// snapshot past one frame is a known limit (no chunking yet).
+func (g *gossipBudget) oversize(snap *pipeline.VictimSnapshot) bool {
+	empty := gossipBudget{left: g.room}
+	return !empty.fitsReplica(snap)
 }

@@ -13,38 +13,6 @@ import (
 	"repro/internal/wire"
 )
 
-func TestHandbackMsgCodecRoundTrip(t *testing.T) {
-	m := &handbackMsg{
-		Sender: 0xFEED,
-		Seq:    42,
-		Snap: pipeline.VictimSnapshot{
-			Victim: 17, Alarmed: true, Undecodable: 3,
-			Sources: []pipeline.SourceCount{{Node: 2, Count: 900}, {Node: 5, Count: 1}},
-		},
-	}
-	got, err := parseHandbackMsg(appendHandbackMsg(nil, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("round trip mangled:\n got %+v\nwant %+v", got, m)
-	}
-	b := appendHandbackMsg(nil, m)
-	for cut := 1; cut < len(b); cut++ {
-		if _, err := parseHandbackMsg(b[:len(b)-cut]); err == nil {
-			t.Fatalf("truncation by %d bytes parsed", cut)
-		}
-	}
-	if _, err := parseHandbackMsg(append(appendHandbackMsg(nil, m), 0)); err == nil {
-		t.Fatal("trailing byte parsed")
-	}
-	bad := appendHandbackMsg(nil, m)
-	bad[0] = handbackVersion + 1
-	if _, err := parseHandbackMsg(bad); err == nil {
-		t.Fatal("future version parsed")
-	}
-}
-
 // TestRecomputeMembershipEqualSizeSwap is the regression test for the
 // sweep comparing alive sets only by example when sizes matched: one
 // member dying in the same window another joins keeps the count
@@ -177,30 +145,46 @@ func TestGossipRejectsForgedSender(t *testing.T) {
 	}
 }
 
+// victimWhere returns the first victim of the 8×8 test fabric that
+// satisfies ok, skipping the test when the member ids give none.
+func victimWhere(t *testing.T, ok func(topology.NodeID) bool) topology.NodeID {
+	t.Helper()
+	for v := topology.NodeID(0); v < 64; v++ {
+		if ok(v) {
+			return v
+		}
+	}
+	t.Skip("no victim fits under these member ids")
+	return -1
+}
+
+// waitOutbox waits until n's outbox holds want entries (the detach
+// callback files them from a shard worker).
+func waitOutbox(t *testing.T, n *Node, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); n.outboxLen() != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("outbox holds %d entries, want %d", n.outboxLen(), want)
+		}
+	}
+}
+
 // TestHandbackOnOwnershipLoss: when a ring change moves a victim away,
-// its exact state is detached through the shard queue; with the new
-// owner unreachable the shipment falls back to the replica store —
-// delayed, never lost.
+// its exact state is detached through the shard queue into the outbox
+// as a handoff to the new owner. With that owner unreachable the
+// handoff stays pending; once it is declared dead the ring hands the
+// victim back here and the pending state is seeded again — delayed,
+// never lost.
 func TestHandbackOnOwnershipLoss(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1)
 	addrs := []string{"10.9.1.1:1", "10.9.1.2:1", "10.9.1.3:1"}
 	n, p := newTestNode(t, addrs[0], []string{addrs[1]}, 901, &now)
-
-	// Find a victim owned here on the two-member ring that the
-	// three-member ring assigns to the joiner.
 	ring := n.Ring()
 	joined := NewRing(2, sortedIDs(n.self, MemberID(addrs[1]), MemberID(addrs[2])), n.cfg.VNodes)
-	victim := topology.NodeID(-1)
-	for v := topology.NodeID(0); v < 64; v++ {
-		if ring.Owner(v) == n.self && joined.Owner(v) == MemberID(addrs[2]) {
-			victim = v
-			break
-		}
-	}
-	if victim < 0 {
-		t.Skip("no victim moves from self to the joiner under these ids")
-	}
+	victim := victimWhere(t, func(v topology.NodeID) bool {
+		return ring.Owner(v) == n.self && joined.Owner(v) == MemberID(addrs[2])
+	})
 
 	s := p.GetSlab()
 	for i := 0; i < 10; i++ {
@@ -213,9 +197,9 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 		t.Fatal("no exact state before the ring change")
 	}
 
-	// The joiner appears; the sweep rebuilds the ring and must detach
-	// the departing victim. Every dial fails in this harness, so the
-	// handback loop exhausts its attempts and files the fallback.
+	// The joiner appears; the sweep rebuilds the ring and detaches the
+	// departing victim. Every dial fails in this harness, so no exchange
+	// can deliver it: later rounds leave it pending.
 	if n.addPeer(addrs[2]) == nil {
 		t.Fatal("addPeer rejected the joiner")
 	}
@@ -223,13 +207,10 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 	if got := n.Ring().Version(); got != 2 {
 		t.Fatalf("ring version %d, want 2", got)
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for n.handbackFailures.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("handback never failed over to the replica store")
-		}
-		time.Sleep(time.Millisecond)
+	waitOutbox(t, n, 1)
+	n.recomputeMembership()
+	if got := n.outboxLen(); got != 1 {
+		t.Fatalf("pending handoff settled while its owner lives: outbox %d", got)
 	}
 	if _, ok := p.ExportVictim(victim); ok {
 		t.Fatal("detached victim still has exact state")
@@ -237,136 +218,254 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 	if got := p.C.VictimsDetached.Load(); got != 1 {
 		t.Fatalf("VictimsDetached = %d, want 1", got)
 	}
-	n.mu.Lock()
-	stored, ok := n.replicas[victim]
-	seeded := n.seeded[victim]
-	n.mu.Unlock()
-	if !ok {
-		t.Fatal("failed handback did not store a replica")
+
+	// The joiner goes silent past FailAfter while the original peer stays
+	// heard: the ring returns to two members and the victim to us.
+	now.Add(int64(2 * time.Second))
+	n.members.Load().byID[MemberID(addrs[1])].lastHeard.Store(now.Load())
+	n.recomputeMembership()
+	if n.Ring().Has(MemberID(addrs[2])) || n.Ring().Owner(victim) != n.self {
+		t.Fatalf("ring %v still gives the victim away", n.Ring().Members())
 	}
-	if seeded {
-		t.Fatal("detached victim still latched as seeded")
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		got, ok := p.ExportVictim(victim)
+		if ok && reflect.DeepEqual(got.Sources, want.Sources) && got.Undecodable == want.Undecodable {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("handoff never seeded back:\n got %+v ok=%v\nwant %+v", got, ok, want)
+		}
 	}
-	if !reflect.DeepEqual(stored.Sources, want.Sources) || stored.Undecodable != want.Undecodable {
-		t.Fatalf("fallback replica mangled:\n got %+v\nwant %+v", stored, want)
+	if got := n.outboxLen(); got != 0 {
+		t.Fatalf("outbox holds %d entries after the seed-back", got)
 	}
-	if got := n.handbacksOut.Load(); got != 0 {
-		t.Fatalf("handbacksOut = %d, want 0 (owner unreachable)", got)
+	if out, failed := n.handbacksOut.Load(), n.handbackFailures.Load(); out != 0 || failed != 0 {
+		t.Fatalf("sent/failed = %d/%d, want 0/0 (never shipped, never oversize)", out, failed)
 	}
 }
 
-// TestHandbackDelivery: the full wire exchange — the interim owner
-// ships a detached snapshot over a TypeHandback frame, the rejoined
-// owner absorbs it through HandleHandback and, owning the victim,
-// seeds it under the epoch latch.
-func TestHandbackDelivery(t *testing.T) {
+// handoffPair is a shipper and the receiver that owns victim on their
+// two-member ring, with the victim's detached state filed at the
+// shipper.
+func handoffPair(t *testing.T, pcfg pipeline.Config) (shipper, recv *Node, precv *pipeline.Pipeline, snap pipeline.VictimSnapshot) {
+	t.Helper()
 	var now atomic.Int64
-	// The injected clock must sit at wall time here: shipOnce derives
-	// its real-socket I/O deadline from it, and a clock near zero puts
-	// the deadline decades in the past.
-	now.Store(time.Now().UnixNano())
+	now.Store(1)
 	addrs := []string{"10.9.2.1:1", "10.9.2.2:1"}
-
-	// The receiver: a node that owns `victim` on the shared two-member
-	// ring. Its HandleHandback is driven directly through an in-memory
-	// pipe server below.
-	recv, precv := newTestNode(t, addrs[1], []string{addrs[0]}, 952, &now)
-
-	ring := recv.Ring()
-	victim := topology.NodeID(-1)
-	for v := topology.NodeID(0); v < 64; v++ {
-		if ring.Owner(v) == recv.self {
-			victim = v
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("receiver owns nothing")
-	}
-
-	// A minimal TypeHandback server over a real socket, answering like
-	// the daemon's serveHandback: parse, absorb, ack.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		rd := wire.NewReader(conn)
-		for {
-			ftype, payload, err := rd.ReadFrame()
-			if err != nil || ftype != wire.TypeHandback {
-				return
-			}
-			body, err := wire.ParseHandback(payload)
-			if err != nil {
-				return
-			}
-			ack, err := recv.HandleHandback(body)
-			if err != nil {
-				return
-			}
-			conn.Write(wire.AppendAck(nil, ack, 0))
-		}
-	}()
-
-	pship, err := pipeline.New(pipeline.Config{
-		Net: topology.NewTorus2D(8), Shards: 2, QueueLen: 1 << 12,
-		BlockThreshold: 1 << 30, BlockTTL: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipper, err := New(pship, Config{
-		Self: addrs[0], Peers: []string{addrs[1]},
-		GossipInterval: time.Hour, FailAfter: time.Second,
-		Incarnation: 951,
-		Dial:        func(string) (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) },
-		Now:         now.Load,
-	})
-	if err != nil {
-		pship.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		shipper.Close()
-		pship.Close()
-	})
-
-	snap := pipeline.VictimSnapshot{
+	shipper, _ = newTestNodeOn(t, pcfg, addrs[0], []string{addrs[1]}, 951, &now)
+	recv, precv = newTestNodeOn(t, pcfg, addrs[1], []string{addrs[0]}, 952, &now)
+	victim := victimWhere(t, func(v topology.NodeID) bool { return recv.Ring().Owner(v) == recv.self })
+	snap = pipeline.VictimSnapshot{
 		Victim: victim, Alarmed: true, Undecodable: 4,
 		Sources: []pipeline.SourceCount{{Node: 3, Count: 120}},
 	}
-	shipper.queueHandback(snap, true)
+	shipper.noteDetached(snap, true)
+	return shipper, recv, precv, snap
+}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for shipper.handbacksOut.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("handback never acked (failures=%d)", shipper.handbackFailures.Load())
-		}
-		time.Sleep(time.Millisecond)
+// waitSeeded waits for snap's tallies and latch at the owner.
+func waitSeeded(t *testing.T, p *pipeline.Pipeline, snap pipeline.VictimSnapshot) {
+	t.Helper()
+	waitTallied(t, p, snap.Victim, snap.Identified()+snap.Undecodable)
+	got, _ := p.ExportVictim(snap.Victim)
+	if !reflect.DeepEqual(got.Sources, snap.Sources) || got.Undecodable != snap.Undecodable || !got.Alarmed {
+		t.Fatalf("seeded %+v, want %+v", got, snap)
 	}
-	if got := recv.handbacksIn.Load(); got != 1 {
-		t.Fatalf("receiver handbacksIn = %d, want 1", got)
-	}
-	for {
-		got, ok := precv.ExportVictim(victim)
-		if ok && got.Identified() == 120 && got.Undecodable == 4 && got.Alarmed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("handback never seeded at the owner: %+v ok=%v", got, ok)
-		}
-		time.Sleep(time.Millisecond)
+}
+
+// TestHandbackDelivery: a handoff rides the shipper's next client-side
+// exchange with the owner, which seeds it under the epoch latch; the
+// completed exchange clears it, and the next exchange sends nothing.
+func TestHandbackDelivery(t *testing.T) {
+	shipper, recv, precv, snap := handoffPair(t, testPipelineConfig())
+	exchange(t, recv, shipper)
+	waitSeeded(t, precv, snap)
+	if out, in := shipper.handbacksOut.Load(), recv.handbacksIn.Load(); out != 1 || in != 1 {
+		t.Fatalf("sent/received = %d/%d, want 1/1", out, in)
 	}
 	if got := recv.seedsApplied.Load(); got != 1 {
 		t.Fatalf("receiver seedsApplied = %d, want 1", got)
 	}
+	if got := shipper.outboxLen(); got != 0 {
+		t.Fatalf("outbox holds %d entries after a completed exchange", got)
+	}
+	pr := shipper.members.Load().byID[recv.self]
+	if m := shipper.buildMsg(pr, nil); len(m.Replicas) != 0 {
+		t.Fatalf("second exchange still carries %d snapshots", len(m.Replicas))
+	}
+	exchange(t, recv, shipper)
+	if out, in := shipper.handbacksOut.Load(), recv.handbacksIn.Load(); out != 1 || in != 1 {
+		t.Fatalf("after a second exchange sent/received = %d/%d, want 1/1", out, in)
+	}
+}
+
+// TestHandoffResentAfterLostResponse: the owner absorbed the request
+// but the shipper never read the response, so the entry stays and the
+// next round sends it again — and the owner's latch tallies it once.
+func TestHandoffResentAfterLostResponse(t *testing.T) {
+	shipper, recv, precv, snap := handoffPair(t, testPipelineConfig())
+	request(t, recv, shipper) // response lost
+	if got := shipper.outboxLen(); got != 1 {
+		t.Fatalf("outbox holds %d entries after an incomplete exchange, want 1", got)
+	}
+	pr := shipper.members.Load().byID[recv.self]
+	if m := shipper.buildMsg(pr, nil); len(m.Replicas) != 1 || m.Replicas[0].Victim != snap.Victim {
+		t.Fatalf("next round carries %+v, want the pending handoff", m.Replicas)
+	}
+	exchange(t, recv, shipper)
+	waitSeeded(t, precv, snap)
+	if got := recv.seedsApplied.Load(); got != 1 {
+		t.Fatalf("receiver seeded %d times, want once", got)
+	}
+	if out, in := shipper.handbacksOut.Load(), recv.handbacksIn.Load(); out != 1 || in != 1 {
+		t.Fatalf("sent/received = %d/%d, want 1/1", out, in)
+	}
+	if got := shipper.outboxLen(); got != 0 {
+		t.Fatalf("outbox holds %d entries after the re-send completed", got)
+	}
+}
+
+// TestHandoffOpIDStitchesDetachShipSeed: detach, ship and seed commit
+// under one op id that both members derive, so either recorder resolves
+// the whole handoff from one id.
+func TestHandoffOpIDStitchesDetachShipSeed(t *testing.T) {
+	pcfg := testPipelineConfig()
+	pcfg.TraceBuffer = 256
+	shipper, recv, precv, snap := handoffPair(t, pcfg)
+	exchange(t, recv, shipper)
+	waitSeeded(t, precv, snap)
+
+	handoffs := pipeline.AllTraces()
+	handoffs.Outcome, handoffs.HasOut = pipeline.OutcomeHandback, true
+	events := append(shipper.p.Recorder().Snapshot(handoffs), precv.Recorder().Snapshot(handoffs)...)
+	if len(events) != 3 {
+		t.Fatalf("%d handoff events across both recorders, want detach + ship + seed", len(events))
+	}
+	op := events[0].ID
+	for _, ev := range events {
+		if ev.ID != op || ev.Victim != int64(snap.Victim) {
+			t.Fatalf("handoff events do not share one op id: %+v", events)
+		}
+	}
+	if op != handoffOp(shipper.self, &snap) || op&(1<<63) == 0 {
+		t.Fatalf("op id %x is not the derived synthetic id", op)
+	}
+	byID := pipeline.TraceFilter{Victim: pipeline.MatchAny, Source: pipeline.MatchAny, ID: op}
+	if len(shipper.p.Recorder().Snapshot(byID)) != 2 || len(precv.Recorder().Snapshot(byID)) != 1 {
+		t.Fatal("the op id does not resolve on both members")
+	}
+}
+
+// TestTombstoneAndHandoffBothDelivered: a tombstone (for the successor)
+// and a handoff (for the owner) for one victim are two entries, and each
+// reaches its own member.
+func TestTombstoneAndHandoffBothDelivered(t *testing.T) {
+	var now atomic.Int64
+	now.Store(1)
+	addrs := []string{"10.9.4.1:1", "10.9.4.2:1", "10.9.4.3:1"}
+	a, _ := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, 941, &now)
+	b, pb := newTestNode(t, addrs[1], []string{addrs[0], addrs[2]}, 942, &now)
+	c, _ := newTestNode(t, addrs[2], []string{addrs[0], addrs[1]}, 943, &now)
+	ring := a.Ring()
+	victim := victimWhere(t, func(v topology.NodeID) bool {
+		return ring.Owner(v) == b.self && ring.Successor(v) == c.self
+	})
+	snap := pipeline.VictimSnapshot{Victim: victim, Sources: []pipeline.SourceCount{{Node: 9, Count: 33}}}
+	a.noteDetached(snap, true)
+	a.noteRetired(pipeline.VictimSnapshot{Victim: victim, Expired: true, Sources: snap.Sources})
+	if got := a.outboxLen(); got != 2 {
+		t.Fatalf("outbox holds %d entries, want a tombstone and a handoff", got)
+	}
+	exchange(t, b, a)
+	exchange(t, c, a)
+	waitTallied(t, pb, victim, 33)
+	c.mu.Lock()
+	tomb, ok := c.replicas[victim]
+	c.mu.Unlock()
+	if !ok || !tomb.Expired {
+		t.Fatalf("successor holds %+v (ok %v), want the tombstone", tomb, ok)
+	}
+	if got := a.outboxLen(); got != 0 {
+		t.Fatalf("outbox holds %d entries after both exchanges", got)
+	}
+}
+
+// TestHandoffOversizeFiledLocally: a victim on the paper's 16-cube that
+// heard 5 000 sources has a snapshot no gossip frame can carry. The
+// handoff a join owes must not panic the daemon (the parent's handback
+// frame did): it is never attached, and the next round files it as a
+// local stored replica, tallies intact, counted failed. Periodic
+// replication skips it rather than ending its pass there.
+func TestHandoffOversizeFiledLocally(t *testing.T) {
+	var now atomic.Int64
+	now.Store(1)
+	addrs := []string{"10.9.5.1:1", "10.9.5.2:1", "10.9.5.3:1"}
+	cube := topology.NewHypercube(16)
+	n, p := newTestNodeOn(t, pipeline.Config{Net: cube, Shards: 2, QueueLen: 1 << 12}, addrs[0], []string{addrs[1]}, 951, &now)
+	ring := n.Ring()
+	joiner := MemberID(addrs[2])
+	joined := NewRing(2, sortedIDs(n.self, MemberID(addrs[1]), joiner), n.cfg.VNodes)
+	big, small := topology.NodeID(-1), topology.NodeID(-1)
+	for v := topology.NodeID(0); v < topology.NodeID(cube.NumNodes()) && small < 0; v++ {
+		switch {
+		case big < 0 && ring.Owner(v) == n.self && joined.Owner(v) == joiner:
+			big = v
+		case big >= 0 && ring.Owner(v) == n.self && joined.Owner(v) == n.self:
+			small = v
+		}
+	}
+	if small < 0 {
+		t.Fatal("no victim pair under these member ids")
+	}
+	want := pipeline.VictimSnapshot{Victim: big, Alarmed: true}
+	for src := 0; src < 5000; src++ {
+		want.Sources = append(want.Sources, pipeline.SourceCount{Node: int64(src), Count: int64(src%7 + 1)})
+	}
+	p.SeedVictim(want)
+	p.SeedVictim(pipeline.VictimSnapshot{Victim: small, Sources: []pipeline.SourceCount{{Node: 1, Count: 2}}})
+	waitTallied(t, p, big, want.Identified())
+	waitTallied(t, p, small, 2)
+
+	pr1 := n.members.Load().byID[MemberID(addrs[1])]
+	m := n.buildMsg(pr1, nil)
+	if len(m.Replicas) != 1 || m.Replicas[0].Victim != small {
+		t.Fatalf("replica pass carried %d snapshots, want only the small victim's", len(m.Replicas))
+	}
+
+	// The join detaches the victim; the detach callback files it from the
+	// shard worker, before or after that round's settle, so the test runs
+	// one more round either way.
+	n.addPeer(addrs[2])
+	n.recomputeMembership()
+	for deadline := time.Now().Add(5 * time.Second); n.outboxLen() == 0 && n.handbackFailures.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the join never detached the oversize victim")
+		}
+	}
+	n.recomputeMembership()
+	if _, ok := p.ExportVictim(big); ok {
+		t.Fatal("the oversize victim was not detached")
+	}
+	if got := n.handbackFailures.Load(); got != 1 {
+		t.Fatalf("handback failures = %d, want 1", got)
+	}
+	n.mu.Lock()
+	stored, ok := n.replicas[big]
+	n.mu.Unlock()
+	if !ok || !reflect.DeepEqual(stored.Sources, want.Sources) || !stored.Alarmed {
+		t.Fatalf("stored replica ok=%v, %d sources; want the 5 000-source snapshot", ok, len(stored.Sources))
+	}
+	if got := n.outboxLen(); got != 0 {
+		t.Fatalf("outbox holds %d entries after settling", got)
+	}
+
+	// Pending before its round settles it, the entry is never attached.
+	n.noteDetached(want, true)
+	m = n.buildMsg(n.members.Load().byID[joiner], nil)
+	if len(m.Replicas) != 0 {
+		t.Fatalf("oversize handoff attached: %d snapshots", len(m.Replicas))
+	}
+	wire.AppendGossip(nil, appendGossipMsg(nil, m)) // fits one frame
 }
 
 // sortedIDs is a tiny helper for building expectation rings.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,8 +132,8 @@ type fwBatch struct {
 // runtime joins) behind an atomically swapped peerSet snapshot; a peer,
 // once added, is never removed — a silent one just stops being alive.
 // Everything mutable on a peer is either atomic or guarded by Node.mu
-// (digest, cursor) or owned by a single goroutine (conn/rd: the gossip
-// loop; client: the forwarder).
+// (digest, cursor) or Node.outMu (attached) or owned by a single
+// goroutine (conn/rd: the gossip loop; client: the forwarder).
 type peer struct {
 	addr string
 	id   uint64
@@ -150,9 +151,9 @@ type peer struct {
 	// the first exchange that carries one.
 	adminAddr atomic.Pointer[string]
 
-	digest        map[uint64]uint64 // mutations the peer is known to hold
-	replicaCursor int               // round-robin start into owned victims
-	pendingTombs  []topology.NodeID // tombstones attached to the in-flight client request
+	digest        map[uint64]uint64          // mutations the peer is known to hold
+	replicaCursor int                        // round-robin start into owned victims
+	attached      []*pipeline.VictimSnapshot // outbox entries the in-flight client request carries
 
 	conn net.Conn // gossip conn, gossip-loop goroutine only
 	rd   *wire.Reader
@@ -174,7 +175,6 @@ type Node struct {
 	bl          *filter.Blocklist
 	self        uint64
 	incarnation uint64
-	start       int64
 
 	ring    atomic.Pointer[Ring]
 	members atomic.Pointer[peerSet]
@@ -184,11 +184,13 @@ type Node struct {
 	ringVersion uint64
 	remoteLogs  map[uint64][]filter.Mutation
 	replicas    map[topology.NodeID]pipeline.VictimSnapshot
-	seeded      map[topology.NodeID]bool                    // seeded this ownership epoch
-	retired     map[topology.NodeID]pipeline.VictimSnapshot // TTL-swept victims' tombstones awaiting gossip
 
-	handbackQ   chan pipeline.VictimSnapshot
-	handbackSeq uint64 // handback-loop goroutine only
+	// outMu is a leaf under mu, never held across a pipeline call: the
+	// shard workers' hooks take it and nothing else, so no worker ever
+	// waits on mu (see outbox.go).
+	outMu  sync.Mutex
+	outbox map[outKey]*pipeline.VictimSnapshot // victim state owed to other members
+	seeded map[topology.NodeID]bool            // seeded this ownership epoch
 
 	// adminAddr is this node's own admin-plane HTTP address, set by the
 	// daemon once its listener is bound and gossiped to peers so the
@@ -208,7 +210,6 @@ type Node struct {
 	handbacksOut     atomic.Uint64
 	handbacksIn      atomic.Uint64
 	handbackFailures atomic.Uint64
-	handbackRetries  atomic.Uint64
 	traceDowngrades  atomic.Uint64
 
 	stop   chan struct{}
@@ -217,7 +218,7 @@ type Node struct {
 }
 
 // New builds and starts the cluster tier: one forwarder goroutine per
-// peer plus the gossip and handback loops. All configured peers start
+// peer plus the gossip loop. All configured peers start
 // presumed alive (the ring covers the whole fleet immediately); a peer
 // that never answers is declared dead FailAfter from now. A Join
 // address seeds the roster with one live member; the rest is learned
@@ -231,17 +232,15 @@ func New(p *pipeline.Pipeline, cfg Config) (*Node, error) {
 		p:          p,
 		bl:         p.Blocklist(),
 		self:       MemberID(cfg.Self),
-		start:      cfg.Now(),
 		remoteLogs: make(map[uint64][]filter.Mutation),
 		replicas:   make(map[topology.NodeID]pipeline.VictimSnapshot),
+		outbox:     make(map[outKey]*pipeline.VictimSnapshot),
 		seeded:     make(map[topology.NodeID]bool),
-		retired:    make(map[topology.NodeID]pipeline.VictimSnapshot),
-		handbackQ:  make(chan pipeline.VictimSnapshot, 1024),
 		stop:       make(chan struct{}),
 	}
 	n.incarnation = cfg.Incarnation
 	if n.incarnation == 0 {
-		n.incarnation = splitmix64(n.self ^ uint64(n.start))
+		n.incarnation = splitmix64(n.self ^ uint64(cfg.Now()))
 	}
 	if n.incarnation == 0 {
 		n.incarnation = 1
@@ -290,8 +289,6 @@ func New(p *pipeline.Pipeline, cfg Config) (*Node, error) {
 	}
 	n.wg.Add(1)
 	go n.gossipLoop()
-	n.wg.Add(1)
-	go n.handbackLoop()
 	cfg.Logf("cluster: up self=%s id=%x incarnation=%x members=%d", cfg.Self, n.self, n.incarnation, len(members))
 	return n, nil
 }
@@ -479,22 +476,33 @@ func (n *Node) traceForwarded(fr *pipeline.FlightRecorder, rec *wire.Record, ctx
 	fr.Commit(&t)
 }
 
-// noteGateAdmit records a fwGate admission as an always-retained
-// cluster event: a journal line plus a synthetic flight-recorder trace,
-// both carrying the owner and ring version the admission happened
-// under.
-func (n *Node) noteGateAdmit(victim topology.NodeID, owner, ringVer uint64) {
-	now := n.cfg.Now()
-	if fr := n.p.Recorder(); fr != nil {
-		fr.CommitEventWithID(fr.MintEventID(uint64(victim)), pipeline.OutcomeGateAdmit, now, int64(victim))
+// noTrace is the outcome of a journal-only cluster event.
+const noTrace pipeline.Outcome = 255
+
+// note records one always-retained cluster event twice: the journal
+// line ev, and a synthetic flight-recorder trace of outcome under op
+// (0 mints a fresh id; noTrace skips the trace). A sink that is off
+// costs nothing.
+func (n *Node) note(ev pipeline.Event, outcome pipeline.Outcome, op uint64) {
+	if fr := n.p.Recorder(); fr != nil && outcome != noTrace {
+		if op == 0 {
+			op = fr.MintEventID(uint64(ev.Victim) ^ uint64(ev.Count))
+		}
+		fr.CommitEventWithID(op, outcome, ev.T, ev.Victim)
 	}
 	if j := n.p.Journal(); j != nil {
-		j.Emit(pipeline.Event{
-			T: now, Type: pipeline.EventGateAdmit,
-			Victim: int64(victim), Source: -1,
-			Detail: fmt.Sprintf("owner=%x ring=v%d", owner, ringVer),
-		})
+		j.Emit(ev)
 	}
+}
+
+// noteGateAdmit records a fwGate admission, with the owner and ring
+// version it happened under.
+func (n *Node) noteGateAdmit(victim topology.NodeID, owner, ringVer uint64) {
+	n.note(pipeline.Event{
+		T: n.cfg.Now(), Type: pipeline.EventGateAdmit,
+		Victim: int64(victim), Source: -1,
+		Detail: fmt.Sprintf("owner=%x ring=v%d", owner, ringVer),
+	}, pipeline.OutcomeGateAdmit, 0)
 }
 
 // enqueue offers one batch to a peer's forwarding queue, shedding
@@ -600,12 +608,10 @@ func (n *Node) forward(pr *peer) {
 func (n *Node) noteTraceDowngrade(pr *peer) {
 	n.traceDowngrades.Add(1)
 	n.cfg.Logf("cluster: peer %s did not negotiate the trace lane; forwarding untraced", pr.addr)
-	if j := n.p.Journal(); j != nil {
-		j.Emit(pipeline.Event{
-			T: n.cfg.Now(), Type: pipeline.EventTraceDowngrade,
-			Victim: -1, Source: -1, Stream: pr.id, Detail: pr.addr,
-		})
-	}
+	n.note(pipeline.Event{
+		T: n.cfg.Now(), Type: pipeline.EventTraceDowngrade,
+		Victim: -1, Source: -1, Stream: pr.id, Detail: pr.addr,
+	}, noTrace, 0)
 }
 
 // reroute re-dispatches one record the forwarder for `from` abandoned.
@@ -674,33 +680,25 @@ func (n *Node) gossipLoop() {
 // when anti-entropy last ran without drowning the attack events.
 const gossipJournalEvery = 16
 
-// noteGossipRound emits the sampled anti-entropy summary: a journal
-// line plus a synthetic flight-recorder event, both carrying the round
+// noteGossipRound emits the sampled anti-entropy summary: the round
 // number and the alive/known member counts.
 func (n *Node) noteGossipRound(round uint64) {
 	if round%gossipJournalEvery != 0 {
 		return
 	}
-	now := n.cfg.Now()
 	ring := n.ring.Load()
-	known := len(n.members.Load().list) + 1
-	if fr := n.p.Recorder(); fr != nil {
-		fr.CommitEventWithID(fr.MintEventID(round), pipeline.OutcomeGossip, now, -1)
-	}
-	if j := n.p.Journal(); j != nil {
-		j.Emit(pipeline.Event{
-			T: now, Type: pipeline.EventGossipRound,
-			Victim: -1, Source: -1, Count: int64(round),
-			Detail: fmt.Sprintf("round=%d alive=%d/%d fails=%d ring=v%d",
-				round, ring.Size(), known, n.gossipFails.Load(), ring.Version()),
-		})
-	}
+	n.note(pipeline.Event{
+		T: n.cfg.Now(), Type: pipeline.EventGossipRound,
+		Victim: -1, Source: -1, Count: int64(round),
+		Detail: fmt.Sprintf("round=%d alive=%d/%d fails=%d ring=v%d",
+			round, ring.Size(), len(n.members.Load().list)+1, n.gossipFails.Load(), ring.Version()),
+	}, pipeline.OutcomeGossip, 0)
 }
 
 // gossipWith performs one exchange with a peer: send our digest plus
-// the ops and replicas we believe it lacks, read back its. Any error
-// tears the connection down; liveness is only credited on a complete
-// exchange.
+// the ops, outbox entries and replicas we believe it lacks, read back
+// its. Any error tears the connection down; liveness and delivery are
+// only credited on a complete exchange.
 func (n *Node) gossipWith(pr *peer) error {
 	if pr.conn == nil {
 		conn, err := n.cfg.Dial(pr.addr)
@@ -739,34 +737,8 @@ func (n *Node) gossipWith(pr *peer) error {
 	if err != nil {
 		return fail(err)
 	}
-	n.absorb(resp)
-	pr.lastGossip.Store(n.cfg.Now())
-	// A complete exchange confirms the peer absorbed our request,
-	// including any tombstones it carried; stop re-shipping those.
-	n.mu.Lock()
-	for _, v := range pr.pendingTombs {
-		delete(n.retired, v)
-	}
-	pr.pendingTombs = pr.pendingTombs[:0]
-	n.mu.Unlock()
+	n.completeExchange(pr, resp)
 	return nil
-}
-
-// noteRetired files a TTL-swept victim's final snapshot as a tombstone
-// to gossip to its ring successor, so the backup drops its stored
-// replica instead of resurrecting the retired detector on a later
-// takeover. Runs on a pipeline shard worker with no pipeline locks
-// held (the pipeline's victim-expired hook).
-func (n *Node) noteRetired(snap pipeline.VictimSnapshot) {
-	if !snap.Expired || len(n.members.Load().list) == 0 {
-		return
-	}
-	n.mu.Lock()
-	n.retired[snap.Victim] = snap
-	// Expiry ends this victim's ownership epoch: a future takeover (or
-	// a fresh replica while we still own it) may seed it again.
-	delete(n.seeded, snap.Victim)
-	n.mu.Unlock()
 }
 
 // HandleGossip answers one inbound anti-entropy request (the server
@@ -781,36 +753,24 @@ func (n *Node) HandleGossip(reqBody []byte) ([]byte, error) {
 		return nil, err
 	}
 	n.absorb(req)
-	var resp *gossipMsg
-	if pr := n.members.Load().byID[req.Sender]; pr != nil {
-		resp = n.buildMsg(pr, req.Digest)
-	} else {
-		// Sender still unknown (no advertised address, or the address
-		// does not hash to its claimed id): answer with ops off its
-		// digest so blocklists converge, but nothing liveness- or
-		// replica-related attaches to it.
-		resp = n.buildMsg(nil, req.Digest)
-	}
-	return appendGossipMsg(nil, resp), nil
+	// A sender still unknown (no advertised address, or the address does
+	// not hash to its claimed id) is a nil peer: it gets ops off its
+	// digest so blocklists converge, but nothing replica-related.
+	return appendGossipMsg(nil, n.buildMsg(n.members.Load().byID[req.Sender], req.Digest)), nil
 }
 
-// buildMsg assembles one outbound gossip message for a peer. The
-// receiver's digest comes either from reqDigest (server side: the
-// request just told us) or from the digest stored on the peer (client
-// side: learned from its last response). A nil peer builds a
-// digest+ops-only message.
-func (n *Node) buildMsg(pr *peer, reqDigest []digestEntry) *gossipMsg {
+// headLocked builds what every gossip message carries besides ops and
+// victim state — identity, roster, digest — and the budget left after
+// it. Caller holds n.mu.
+func (n *Node) headLocked() (*gossipMsg, gossipBudget) {
 	now := n.cfg.Now()
-	ps := n.members.Load()
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	m := &gossipMsg{Sender: n.self, RingVer: n.ring.Load().Version(), SenderAddr: n.cfg.Self}
 	if admin := n.adminAddr.Load(); admin != nil {
 		m.SenderAdmin = *admin
 	}
 	// The roster carries every peer we currently believe alive, so a
 	// joiner that knows one member learns the rest in one exchange.
-	for _, other := range ps.list {
+	for _, other := range n.members.Load().list {
 		if now-other.lastHeard.Load() <= int64(n.cfg.FailAfter) {
 			m.Roster = append(m.Roster, other.addr)
 		}
@@ -821,18 +781,27 @@ func (n *Node) buildMsg(pr *peer, reqDigest []digestEntry) *gossipMsg {
 		m.Digest = append(m.Digest, digestEntry{Origin: origin, MaxSeq: uint64(len(log))})
 	}
 	sort.Slice(m.Digest, func(i, j int) bool { return m.Digest[i].Origin < m.Digest[j].Origin })
+	return m, newGossipBudget(len(m.Digest), rosterBytes(m.SenderAddr, m.SenderAdmin, m.Roster))
+}
 
-	theirs := make(map[uint64]uint64, 8)
+// buildMsg assembles one outbound gossip message for a peer. The
+// receiver's digest comes either from reqDigest (server side: the
+// request just told us) or from the digest stored on the peer (client
+// side: learned from its last response). A nil peer builds a
+// digest+ops-only message.
+func (n *Node) buildMsg(pr *peer, reqDigest []digestEntry) *gossipMsg {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	m, budget := n.headLocked()
+	var theirs map[uint64]uint64
 	if reqDigest != nil {
+		theirs = make(map[uint64]uint64, len(reqDigest))
 		for _, d := range reqDigest {
 			theirs[d.Origin] = d.MaxSeq
 		}
 	} else if pr != nil {
-		for o, s := range pr.digest {
-			theirs[o] = s
-		}
+		theirs = pr.digest // read under n.mu, like every write to it
 	}
-	budget := newGossipBudget(len(m.Digest), rosterBytes(m.SenderAddr, m.SenderAdmin, m.Roster))
 	appendOps := func(origin uint64, log []filter.Mutation) {
 		from := theirs[origin]
 		for i := int(from); i < len(log) && budget.fitsOp(); i++ {
@@ -848,39 +817,14 @@ func (n *Node) buildMsg(pr *peer, reqDigest []digestEntry) *gossipMsg {
 		}
 	}
 	if pr != nil {
-		n.appendReplicasLocked(pr, m, &budget)
 		if reqDigest == nil {
 			// Client side only: the response read-back confirms delivery,
-			// which is what lets a shipped tombstone be forgotten.
-			n.appendTombstonesLocked(pr, m, &budget)
+			// which is what lets a shipped outbox entry be forgotten.
+			n.attachOutboxLocked(pr, n.ring.Load(), m, &budget)
 		}
+		n.appendReplicasLocked(pr, m, &budget)
 	}
 	return m
-}
-
-// appendTombstonesLocked attaches retired-victim tombstones bound for
-// pr — the victims' ring successor, the instance holding their backup
-// replicas — and records which shipped so the completed exchange can
-// clear them (see gossipWith). Caller holds n.mu.
-func (n *Node) appendTombstonesLocked(pr *peer, m *gossipMsg, budget *gossipBudget) {
-	pr.pendingTombs = pr.pendingTombs[:0]
-	if len(n.retired) == 0 {
-		return
-	}
-	ring := n.ring.Load()
-	if ring.Size() <= 1 {
-		return
-	}
-	for v, snap := range n.retired {
-		if ring.Successor(v) != pr.id {
-			continue
-		}
-		if !budget.fitsReplica(&snap) {
-			break
-		}
-		m.Replicas = append(m.Replicas, snap)
-		pr.pendingTombs = append(pr.pendingTombs, v)
-	}
 }
 
 // appendReplicasLocked ships victim-state replicas to pr: snapshots of
@@ -910,6 +854,9 @@ func (n *Node) appendReplicasLocked(pr *peer, m *gossipMsg, budget *gossipBudget
 			continue
 		}
 		if !budget.fitsReplica(&snap) {
+			if budget.oversize(&snap) {
+				continue // no message carries it; must not end every pass
+			}
 			break
 		}
 		m.Replicas = append(m.Replicas, snap)
@@ -922,7 +869,8 @@ func (n *Node) appendReplicasLocked(pr *peer, m *gossipMsg, budget *gossipBudget
 // roster entries we have never heard of, join the known fleet),
 // liveness, the sender's digest, its pushed mutations (per-origin
 // contiguous logs feeding the blocklist's LWW register) and any victim
-// replicas addressed to us.
+// state addressed to us. A snapshot that seeds on arrival is a handoff
+// received, committed under the op id its shipper derived too.
 func (n *Node) absorb(m *gossipMsg) {
 	// Membership first, before the lock: addPeer takes n.mu itself. The
 	// id check is the authentication — member ids are the hash of the
@@ -945,9 +893,7 @@ func (n *Node) absorb(m *gossipMsg) {
 			admin := m.SenderAdmin
 			pr.adminAddr.Store(&admin)
 		}
-		for k := range pr.digest {
-			delete(pr.digest, k)
-		}
+		clear(pr.digest)
 		for _, d := range m.Digest {
 			pr.digest[d.Origin] = d.MaxSeq
 		}
@@ -957,7 +903,13 @@ func (n *Node) absorb(m *gossipMsg) {
 	}
 	ring := n.ring.Load()
 	for i := range m.Replicas {
-		n.storeReplicaLocked(ring, m.Replicas[i])
+		snap := &m.Replicas[i]
+		if !n.storeReplicaLocked(ring, *snap) {
+			continue
+		}
+		n.handbacksIn.Add(1)
+		n.noteHandoff(pipeline.EventHandbackRecv, m.Sender, snap, fmt.Sprintf("from=%x ring=v%d", m.Sender, m.RingVer))
+		n.cfg.Logf("cluster: handoff received victim=%d from=%x", snap.Victim, m.Sender)
 	}
 }
 
@@ -987,38 +939,44 @@ func (n *Node) applyOpLocked(op originOp) {
 // the pipeline immediately — at most once per ownership epoch, since a
 // replica is a cumulative snapshot and seeding is additive. Otherwise
 // it is stored, newest-by-volume wins, until a membership change makes
-// us the owner.
+// us the owner. Reports whether it seeded.
 //
 // An Expired replica is a tombstone: the owner's TTL sweep retired the
 // victim. It replaces whatever replica is stored (so a takeover never
 // resurrects the retired detector), and is never seeded; a later fresh
 // replica replaces the tombstone, since only a live owner ships those.
 // Caller holds n.mu.
-func (n *Node) storeReplicaLocked(ring *Ring, snap pipeline.VictimSnapshot) {
+func (n *Node) storeReplicaLocked(ring *Ring, snap pipeline.VictimSnapshot) bool {
 	v := snap.Victim
 	if ring.Owner(v) == n.self {
-		if snap.Expired {
-			// The previous owner retired this victim before handing it
-			// over; drop the stored replica rather than seeding it.
-			delete(n.replicas, v)
-			return
-		}
-		if !n.seeded[v] && n.p.SeedVictim(snap) {
-			n.seeded[v] = true
-			n.seedsApplied.Add(1)
-		}
+		// A tombstone means the previous owner retired this victim before
+		// handing it over: drop the stored replica rather than seeding it.
 		delete(n.replicas, v)
-		return
+		return !snap.Expired && n.seedLocked(snap)
 	}
-	if snap.Expired {
-		n.replicas[v] = snap
-		return
+	old, ok := n.replicas[v]
+	if !ok || snap.Expired || old.Expired || old.Identified()+old.Undecodable <= snap.Identified()+snap.Undecodable {
+		n.replicas[v] = snap // else keep the fuller snapshot
 	}
-	total := snap.Identified() + snap.Undecodable
-	if old, ok := n.replicas[v]; ok && !old.Expired && old.Identified()+old.Undecodable > total {
-		return // keep the fuller snapshot
+	return false
+}
+
+// seedLocked seeds snap unless this ownership epoch already seeded its
+// victim. The latch is read and set under outMu but SeedVictim, a
+// blocking enqueue, runs outside it; n.mu, which the caller holds,
+// serializes seeders.
+func (n *Node) seedLocked(snap pipeline.VictimSnapshot) bool {
+	n.outMu.Lock()
+	done := n.seeded[snap.Victim]
+	n.outMu.Unlock()
+	if done || !n.p.SeedVictim(snap) {
+		return false
 	}
-	n.replicas[v] = snap
+	n.outMu.Lock()
+	n.seeded[snap.Victim] = true
+	n.outMu.Unlock()
+	n.seedsApplied.Add(1)
+	return true
 }
 
 // recomputeMembership re-derives the alive set from lastHeard and, on
@@ -1026,9 +984,11 @@ func (n *Node) storeReplicaLocked(ring *Ring, snap pipeline.VictimSnapshot) {
 // stored replicas for victims now owned here are seeded (takeover),
 // the seeded-set entries for victims no longer owned are cleared so a
 // future re-takeover can seed again, and exact state held here for
-// victims the new ring assigns elsewhere is detached and handed back
-// to its owner (rejoin, join rebalance).
+// victims the new ring assigns elsewhere is detached into the outbox as
+// a handoff to its owner (rejoin, join rebalance). Every call, changed
+// or not, ends by settling the outbox.
 func (n *Node) recomputeMembership() {
+	defer n.settleOutbox()
 	now := n.cfg.Now()
 	ps := n.members.Load()
 	alive := make([]uint64, 1, len(ps.list)+1)
@@ -1063,88 +1023,58 @@ func (n *Node) recomputeMembership() {
 	n.cfg.Logf("cluster: ring v%d alive=%d/%d", ring.Version(), ring.Size(), len(ps.list)+1)
 	seeds := 0
 	for v, snap := range n.replicas {
-		if ring.Owner(v) != n.self {
-			continue
-		}
 		// Tombstones are dropped, never seeded: the dead owner had
 		// already retired this victim's detectors.
-		if !snap.Expired && !n.seeded[v] && n.p.SeedVictim(snap) {
-			n.seeded[v] = true
-			n.seedsApplied.Add(1)
+		if ring.Owner(v) == n.self && n.storeReplicaLocked(ring, snap) {
 			seeds++
 		}
-		delete(n.replicas, v)
 	}
 	if seeds > 0 {
 		n.takeovers.Add(1)
 		n.cfg.Logf("cluster: took over %d victims from stored replicas", seeds)
 	}
+	n.outMu.Lock()
 	for v := range n.seeded {
 		if ring.Owner(v) != n.self {
 			delete(n.seeded, v)
 		}
 	}
+	n.outMu.Unlock()
 	n.mu.Unlock()
 	n.noteRingChange(ring, alive, seeds)
-	// Handback: every victim whose exact state lives here but whose new
+	// Handoff: every victim whose exact state lives here but whose new
 	// owner is another alive member is detached through its shard queue
-	// (so records already submitted are tallied into the snapshot) and
-	// shipped from the handback loop. Runs outside n.mu — the detach
-	// callback and the shard workers must never need this lock to make
-	// progress.
-	if ring.Size() > 1 {
-		moved := 0
-		for _, v := range n.p.Victims() {
-			if ring.Owner(v) == n.self {
-				continue
-			}
-			if n.p.DetachVictim(v, n.queueHandback) {
-				moved++
-			}
+	// (so records already submitted are tallied into the snapshot) into
+	// the outbox. Runs outside n.mu, though the detach callback would
+	// not need it: shard workers never take n.mu.
+	moved := 0
+	for _, v := range n.p.Victims() {
+		if ring.Owner(v) != n.self && n.p.DetachVictim(v, n.noteDetached) {
+			moved++
 		}
-		if moved > 0 {
-			n.cfg.Logf("cluster: ring v%d handing back %d victims", ring.Version(), moved)
-		}
+	}
+	if moved > 0 {
+		n.cfg.Logf("cluster: ring v%d handing off %d victims", ring.Version(), moved)
 	}
 }
 
-// noteRingChange emits the always-retained record of an ownership-ring
-// rebuild — journal line plus synthetic flight-recorder event, with the
-// new ring version and member set in Detail — and, when the rebuild
+// noteRingChange emits the record of an ownership-ring rebuild, with
+// the new ring version and member set in Detail, and, when the rebuild
 // seeded stored replicas, a companion takeover event carrying the seed
 // count. Runs outside n.mu.
 func (n *Node) noteRingChange(ring *Ring, alive []uint64, seeds int) {
 	now := n.cfg.Now()
-	fr := n.p.Recorder()
-	j := n.p.Journal()
-	if fr != nil {
-		fr.CommitEventWithID(fr.MintEventID(ring.Version()), pipeline.OutcomeRingChange, now, -1)
-	}
-	if j != nil {
-		members := make([]byte, 0, len(alive)*17)
-		for i, m := range alive {
-			if i > 0 {
-				members = append(members, ' ')
-			}
-			members = fmt.Appendf(members, "%x", m)
-		}
-		j.Emit(pipeline.Event{
-			T: now, Type: pipeline.EventRingChange,
-			Victim: -1, Source: -1, Count: int64(len(alive)),
-			Detail: fmt.Sprintf("ring=v%d members=%s", ring.Version(), members),
-		})
-	}
+	n.note(pipeline.Event{
+		T: now, Type: pipeline.EventRingChange,
+		Victim: -1, Source: -1, Count: int64(len(alive)),
+		Detail: fmt.Sprintf("ring=v%d members=%s", ring.Version(), strings.Trim(fmt.Sprintf("%x", alive), "[]")),
+	}, pipeline.OutcomeRingChange, 0)
 	if seeds > 0 {
-		if fr != nil {
-			fr.CommitEventWithID(fr.MintEventID(ring.Version()^uint64(seeds)), pipeline.OutcomeTakeover, now, -1)
-		}
-		if j != nil {
-			j.Emit(pipeline.Event{
-				T: now, Type: pipeline.EventTakeover,
-				Victim: -1, Source: -1, Count: int64(seeds),
-				Detail: fmt.Sprintf("ring=v%d seeded=%d", ring.Version(), seeds),
-			})
-		}
+		n.note(pipeline.Event{
+			T: now, Type: pipeline.EventTakeover,
+			Victim: -1, Source: -1, Count: int64(seeds),
+			Detail: fmt.Sprintf("ring=v%d seeded=%d", ring.Version(), seeds),
+		}, pipeline.OutcomeTakeover, 0)
 	}
 }
 
@@ -1172,7 +1102,6 @@ type Status struct {
 	HandbacksOut     uint64         `json:"handbacks_sent"`
 	HandbacksIn      uint64         `json:"handbacks_received"`
 	HandbackFailures uint64         `json:"handback_failures"`
-	HandbackRetries  uint64         `json:"handback_retries"`
 	TraceDowngrades  uint64         `json:"trace_downgrades"`
 	StoredReplicas   int            `json:"stored_replicas"`
 	RetiredTombs     int            `json:"retired_tombstones"`
@@ -1202,10 +1131,6 @@ type MemberStatus struct {
 func (n *Node) StatusJSON() any {
 	now := n.cfg.Now()
 	ring := n.ring.Load()
-	aliveSet := make(map[uint64]bool, ring.Size())
-	for _, m := range ring.Members() {
-		aliveSet[m] = true
-	}
 	st := Status{
 		Self:        n.cfg.Self,
 		MemberID:    n.self,
@@ -1229,7 +1154,6 @@ func (n *Node) StatusJSON() any {
 		HandbacksOut:     n.handbacksOut.Load(),
 		HandbacksIn:      n.handbacksIn.Load(),
 		HandbackFailures: n.handbackFailures.Load(),
-		HandbackRetries:  n.handbackRetries.Load(),
 		TraceDowngrades:  n.traceDowngrades.Load(),
 	}
 	if n.gate != nil {
@@ -1243,7 +1167,7 @@ func (n *Node) StatusJSON() any {
 		ms := MemberStatus{
 			Addr:         pr.addr,
 			ID:           pr.id,
-			Alive:        aliveSet[pr.id],
+			Alive:        ring.Has(pr.id),
 			LastHeardMs:  (now - pr.lastHeard.Load()) / int64(time.Millisecond),
 			LastGossipMs: -1,
 			RingVersion:  pr.ringVer.Load(),
@@ -1262,8 +1186,14 @@ func (n *Node) StatusJSON() any {
 	sort.Slice(st.Members, func(i, j int) bool { return st.Members[i].ID < st.Members[j].ID })
 	n.mu.Lock()
 	st.StoredReplicas = len(n.replicas)
-	st.RetiredTombs = len(n.retired)
 	n.mu.Unlock()
+	n.outMu.Lock()
+	for k := range n.outbox {
+		if k.tomb {
+			st.RetiredTombs++
+		}
+	}
+	n.outMu.Unlock()
 	for _, v := range n.p.Victims() {
 		if ring.Owner(v) == n.self {
 			st.OwnedVictims++
@@ -1290,40 +1220,27 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	counter("ddpmd_gossip_fails_total", "per-peer gossip exchanges that errored", n.gossipFails.Load())
 	counter("ddpmd_cluster_seeds_applied_total", "victim replicas seeded into the local pipeline", n.seedsApplied.Load())
 	counter("ddpmd_cluster_joins_total", "members learned at runtime (roster or authenticated hello)", n.joins.Load())
-	counter("ddpmd_handback_sent_total", "victim states shipped back to a rejoined owner", n.handbacksOut.Load())
-	counter("ddpmd_handback_received_total", "victim-state handbacks absorbed from interim owners", n.handbacksIn.Load())
-	counter("ddpmd_handback_failed_total", "handback shipments that fell back to a stored replica", n.handbackFailures.Load())
-	counter("ddpmd_handback_retries_total", "handback shipment attempts beyond the first", n.handbackRetries.Load())
+	counter("ddpmd_handback_sent_total", "victim-state handoffs confirmed by a completed gossip exchange", n.handbacksOut.Load())
+	counter("ddpmd_handback_received_total", "victim snapshots seeded on arrival from another member", n.handbacksIn.Load())
+	counter("ddpmd_handback_failed_total", "handoffs too large for a gossip message, filed as a stored replica", n.handbackFailures.Load())
 	counter("ddpmd_trace_downgrades_total", "forward sessions established without the trace lane", n.traceDowngrades.Load())
-	ps := n.members.Load()
-	qlen := 0
+	ps, ring, now := n.members.Load(), n.ring.Load(), n.cfg.Now()
+	// Gossip lag: seconds since the least recently heard alive peer —
+	// how stale fleet-wide state (blocklist, replicas) can be here.
+	qlen, lagNS := 0, int64(0)
 	for _, pr := range ps.list {
 		qlen += len(pr.queue)
+		if lag := now - pr.lastHeard.Load(); ring.Has(pr.id) && lag > lagNS {
+			lagNS = lag
+		}
 	}
 	gauge("ddpmd_forward_queue_len", "records batches queued for forwarding across peers", int64(qlen))
 	if n.gate != nil {
 		gauge("ddpmd_forward_gate_admitted", "unowned victims currently admitted through the forwarding gate", int64(n.gate.admittedCount()))
 	}
-	ring := n.ring.Load()
 	gauge("ddpmd_ring_version", "local consistent-hash ring generation", int64(ring.Version()))
 	gauge("ddpmd_cluster_members", "known fleet size (static peers plus runtime joins)", int64(len(ps.list)+1))
 	gauge("ddpmd_cluster_alive", "members currently on the ring", int64(ring.Size()))
-	// Gossip lag: seconds since the least recently heard alive peer —
-	// how stale fleet-wide state (blocklist, replicas) can be here.
-	now := n.cfg.Now()
-	var lagNS int64
-	aliveSet := make(map[uint64]bool, ring.Size())
-	for _, m := range ring.Members() {
-		aliveSet[m] = true
-	}
-	for _, pr := range ps.list {
-		if !aliveSet[pr.id] {
-			continue
-		}
-		if lag := now - pr.lastHeard.Load(); lag > lagNS {
-			lagNS = lag
-		}
-	}
 	fmt.Fprintf(w, "# HELP ddpmd_gossip_lag_seconds seconds since the least recently heard alive peer\n"+
 		"# TYPE ddpmd_gossip_lag_seconds gauge\nddpmd_gossip_lag_seconds %.3f\n",
 		float64(lagNS)/float64(time.Second))
@@ -1341,17 +1258,13 @@ func (n *Node) SetAdminAddr(addr string) {
 // admin-plane address as far as gossip has revealed it.
 func (n *Node) FleetMembers() []pipeline.FleetMember {
 	ring := n.ring.Load()
-	aliveSet := make(map[uint64]bool, ring.Size())
-	for _, m := range ring.Members() {
-		aliveSet[m] = true
-	}
 	self := pipeline.FleetMember{Addr: n.cfg.Self, ID: n.self, Self: true, Alive: true}
 	if admin := n.adminAddr.Load(); admin != nil {
 		self.AdminAddr = *admin
 	}
 	out := []pipeline.FleetMember{self}
 	for _, pr := range n.members.Load().list {
-		fm := pipeline.FleetMember{Addr: pr.addr, ID: pr.id, Alive: aliveSet[pr.id]}
+		fm := pipeline.FleetMember{Addr: pr.addr, ID: pr.id, Alive: ring.Has(pr.id)}
 		if admin := pr.adminAddr.Load(); admin != nil {
 			fm.AdminAddr = *admin
 		}

@@ -20,10 +20,22 @@ import (
 // buildMsg/HandleGossip/absorb.
 func newTestNode(t *testing.T, self string, peers []string, incarnation uint64, now *atomic.Int64) (*Node, *pipeline.Pipeline) {
 	t.Helper()
-	p, err := pipeline.New(pipeline.Config{
+	return newTestNodeOn(t, testPipelineConfig(), self, peers, incarnation, now)
+}
+
+// testPipelineConfig is the test nodes' pipeline: an 8×8 torus that
+// never blocks on its own.
+func testPipelineConfig() pipeline.Config {
+	return pipeline.Config{
 		Net: topology.NewTorus2D(8), Shards: 2, QueueLen: 1 << 12,
 		BlockThreshold: 1 << 30, BlockTTL: time.Hour,
-	})
+	}
+}
+
+// newTestNodeOn is newTestNode over a pipeline built from pcfg.
+func newTestNodeOn(t *testing.T, pcfg pipeline.Config, self string, peers []string, incarnation uint64, now *atomic.Int64) (*Node, *pipeline.Pipeline) {
+	t.Helper()
+	p, err := pipeline.New(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,24 +74,38 @@ func waitTallied(t *testing.T, p *pipeline.Pipeline, victim topology.NodeID, n i
 }
 
 // exchange performs one full anti-entropy round-trip: client sends its
-// request to server (which absorbs it) and absorbs the response — the
-// exact dance gossipWith/HandleGossip do over TCP.
+// request to server (which absorbs it) and completes the exchange with
+// the response — the exact dance gossipWith/HandleGossip do over TCP.
 func exchange(t *testing.T, server, client *Node) {
+	t.Helper()
+	pr, resp := request(t, server, client)
+	parsed, err := parseGossipMsg(resp)
+	if err != nil {
+		t.Fatalf("parse response: %v", err)
+	}
+	client.completeExchange(pr, parsed)
+}
+
+// request is the first half of exchange: the server absorbs the
+// client's request; the response body is returned, not absorbed.
+func request(t *testing.T, server, client *Node) (*peer, []byte) {
 	t.Helper()
 	pr := client.members.Load().byID[server.self]
 	if pr == nil {
 		t.Fatalf("client %s does not know server %s", client.cfg.Self, server.cfg.Self)
 	}
-	req := client.buildMsg(pr, nil)
-	respBody, err := server.HandleGossip(appendGossipMsg(nil, req))
+	resp, err := server.HandleGossip(appendGossipMsg(nil, client.buildMsg(pr, nil)))
 	if err != nil {
 		t.Fatalf("HandleGossip: %v", err)
 	}
-	resp, err := parseGossipMsg(respBody)
-	if err != nil {
-		t.Fatalf("parse response: %v", err)
-	}
-	client.absorb(resp)
+	return pr, resp
+}
+
+// outboxLen counts the entries n still owes other members.
+func (n *Node) outboxLen() int {
+	n.outMu.Lock()
+	defer n.outMu.Unlock()
+	return len(n.outbox)
 }
 
 func TestGossipCodecRoundTrip(t *testing.T) {
@@ -321,19 +347,22 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 	tomb := snap
 	tomb.Expired = true
 	a.noteRetired(tomb)
-	a.mu.Lock()
-	_, filed := a.retired[victim]
-	a.mu.Unlock()
-	if !filed {
-		t.Fatal("expiry hook did not file a tombstone")
+	if got := a.outboxLen(); got != 1 {
+		t.Fatalf("expiry hook filed %d outbox entries, want 1 tombstone", got)
 	}
 	exchange(t, b, a) // a is the client: tombstones ship client-side only
+	if got := a.outboxLen(); got != 0 {
+		t.Fatalf("%d outbox entries after the exchange completed", got)
+	}
 
 	b.mu.Lock()
 	got, ok := b.replicas[victim]
 	b.mu.Unlock()
 	if !ok || !got.Expired {
 		t.Fatalf("stored replica not replaced by tombstone: %+v ok=%v", got, ok)
+	}
+	if len(got.Sources) != 0 || got.Undecodable != 0 {
+		t.Fatalf("tombstone shipped with tallies: %+v", got)
 	}
 
 	// a dies; b's takeover must drop the tombstone, not seed it.
@@ -372,14 +401,55 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+
+	// Retired while alone: c expires the victim while its successor d is
+	// declared dead. On a one-member ring c is its own successor, so the
+	// tombstone must wait — however many rounds settle — and reach d once
+	// d is back, or d keeps its stale replica for a later takeover.
+	c, _ := newTestNode(t, "10.5.0.3:1", []string{"10.5.0.4:1"}, 503, &now)
+	d, _ := newTestNode(t, "10.5.0.4:1", []string{"10.5.0.3:1"}, 504, &now)
+	ring = c.Ring()
+	victim = victimWhere(t, func(v topology.NodeID) bool { return ring.Owner(v) == c.self })
+	snap.Victim = victim
+	d.mu.Lock()
+	d.storeReplicaLocked(d.Ring(), snap)
+	d.mu.Unlock()
+	now.Add(int64(2 * time.Second))
+	c.recomputeMembership()
+	if got := c.Ring().Size(); got != 1 {
+		t.Fatalf("c's ring has %d members, want c alone", got)
+	}
+	c.noteRetired(pipeline.VictimSnapshot{Victim: victim, Expired: true})
+	c.recomputeMembership()
+	c.recomputeMembership()
+	if got := c.outboxLen(); got != 1 {
+		t.Fatalf("tombstone filed while alone settled: outbox %d, want 1", got)
+	}
+	exchange(t, c, d) // d is heard again (c answers it as the server)
+	c.recomputeMembership()
+	if !c.Ring().Has(d.self) || c.Ring().Successor(victim) != d.self {
+		t.Fatalf("c's ring %v does not make d the victim's successor", c.Ring().Members())
+	}
+	exchange(t, d, c)
+	d.mu.Lock()
+	got, ok = d.replicas[victim]
+	d.mu.Unlock()
+	if !ok || !got.Expired {
+		t.Fatalf("returning successor holds %+v (ok %v), want the tombstone", got, ok)
+	}
+	if got := c.outboxLen(); got != 0 {
+		t.Fatalf("%d outbox entries after the tombstone reached d", got)
+	}
 }
 
 // TestGossipBuildRacesVictimExpiry pins the lock order the cluster
 // relies on, Node.mu → shard lock and never the reverse: answering
 // gossip reads the pipeline (Victims, ExportVictim) while holding
-// Node.mu, and the TTL sweep's victim-expired hook takes Node.mu on the
-// shard worker. A worker still inside its shard lock when the hook
-// fires would deadlock the pair.
+// Node.mu, and the TTL sweep's victim-expired hook files a tombstone on
+// the shard worker (under Node.outMu only). A worker still inside its
+// shard lock when the hook fires, or a hook that waited on Node.mu,
+// would deadlock the pair. Client-side exchanges run alongside, so the
+// outbox is attached and cleared while the workers file into it.
 func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 	var now, pipeNow atomic.Int64
 	addrs := []string{"10.6.0.1:1", "10.6.0.2:1"}
@@ -403,6 +473,7 @@ func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 	}
 	b, _ := newTestNode(t, addrs[1], addrs[:1], 602, &now)
 	req := appendGossipMsg(nil, b.buildMsg(b.members.Load().byID[a.self], nil))
+	toB := a.members.Load().byID[b.self]
 
 	// Few victims, few rounds: the race is in the lock order, which one
 	// sweep concurrent with one gossip answer already exercises.
@@ -421,7 +492,7 @@ func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 			p.SweepVictims()
 		}
 	}()
-	go func() { // the peer's gossip, answered under a.mu, for as long as the sweeps last
+	go func() { // gossip both ways under a.mu, for as long as the sweeps last
 		defer close(done)
 		for {
 			select {
@@ -433,6 +504,17 @@ func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 				t.Errorf("HandleGossip: %v", err)
 				return
 			}
+			resp, err := b.HandleGossip(appendGossipMsg(nil, a.buildMsg(toB, nil)))
+			if err != nil {
+				t.Errorf("HandleGossip at b: %v", err)
+				return
+			}
+			m, err := parseGossipMsg(resp)
+			if err != nil {
+				t.Errorf("parse b's response: %v", err)
+				return
+			}
+			a.completeExchange(toB, m)
 		}
 	}()
 	select {
@@ -441,10 +523,22 @@ func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 		// No Close on this path: it would wait on the stuck worker.
 		t.Fatal("deadlock between gossip message building and victim expiry")
 	}
+	exchange(t, b, a) // whatever the last sweep filed
 	a.Close()
 	p.Close()
 	if got := p.C.VictimsExpired.Load(); got == 0 {
 		t.Fatal("no victim ever expired; the hook never ran")
+	}
+	for v := topology.NodeID(0); v < victims; v++ {
+		if a.Ring().Owner(v) != a.self {
+			continue
+		}
+		b.mu.Lock()
+		tomb := b.replicas[v]
+		b.mu.Unlock()
+		if !tomb.Expired {
+			t.Fatalf("victim %d: b holds %+v, want a's tombstone", v, tomb)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/topology"
@@ -106,6 +107,12 @@ func (r *Ring) Members() []uint64 { return r.members }
 
 // Size reports the alive member count.
 func (r *Ring) Size() int { return len(r.members) }
+
+// Has reports whether member m is on the ring (alive).
+func (r *Ring) Has(m uint64) bool {
+	_, ok := slices.BinarySearch(r.members, m)
+	return ok
+}
 
 // find returns the index of the first point at or clockwise of h.
 func (r *Ring) find(h uint64) int {

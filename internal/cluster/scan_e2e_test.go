@@ -82,10 +82,11 @@ func TestClusterScanSuppression(t *testing.T) {
 					Incarnation: uint64(0x3000 + i),
 					Logf:        t.Logf,
 				})
-				if err == nil {
-					nodes[i] = n
+				if err != nil {
+					return nil, err // not a typed-nil *Node, which Start would Close
 				}
-				return n, err
+				nodes[i] = n
+				return n, nil
 			},
 		})
 		if err != nil {

@@ -37,11 +37,6 @@ type ClusterNode interface {
 	// the response body (both inner gossip payloads, already unframed).
 	HandleGossip(req []byte) ([]byte, error)
 
-	// HandleHandback absorbs one victim-state handback body (the inner
-	// payload of a TypeHandback frame, already unframed) and returns
-	// the ack value the daemon writes back to the shipper.
-	HandleHandback(body []byte) (uint64, error)
-
 	// StatusJSON is the /cluster admin document.
 	StatusJSON() any
 

@@ -36,7 +36,7 @@ const (
 	OutcomeForwarded                  // origin-side record of a traced record relayed to its owner
 	OutcomeRingChange                 // synthetic cluster event: ownership ring rebuilt
 	OutcomeGossip                     // synthetic cluster event: anti-entropy round
-	OutcomeHandback                   // synthetic cluster event: victim detach / handback ship / seed
+	OutcomeHandback                   // synthetic cluster event: victim detach / handoff ship / seed
 	OutcomeTakeover                   // synthetic cluster event: replica seeded on owner takeover
 	OutcomeGateAdmit                  // synthetic cluster event: fwGate admitted a victim for forwarding
 	numOutcomes
@@ -226,7 +226,7 @@ func (r *FlightRecorder) CommitEvent(outcome Outcome, now int64, stream uint64) 
 
 // CommitEventWithID retains a synthetic event under a caller-supplied
 // id — the cluster-op path, where the same operation committed on two
-// nodes (a handback's ship and its seed, say) must share one id so the
+// nodes (a handoff's ship and its seed, say) must share one id so the
 // fleet trace fan-out stitches both halves into a single timeline.
 // victim is -1 for operations without one.
 func (r *FlightRecorder) CommitEventWithID(id uint64, outcome Outcome, now int64, victim int64) {
@@ -239,9 +239,8 @@ func (r *FlightRecorder) CommitEventWithID(id uint64, outcome Outcome, now int64
 	r.Commit(&t)
 }
 
-// MintEventID generates a synthetic-event id without committing — the
-// handback shipper mints the op id first so it can ride the wire to
-// the receiver before either side commits.
+// MintEventID generates a synthetic-event id without committing, for
+// cluster events committed through CommitEventWithID.
 func (r *FlightRecorder) MintEventID(stream uint64) uint64 {
 	return wire.SplitMix64(r.synthSeq.Add(1)^stream) | 1<<63
 }

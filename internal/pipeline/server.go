@@ -381,57 +381,13 @@ func (d *Daemon) serveConn(conn net.Conn) {
 		d.noteReadErr(err)
 		return
 	}
-	if ftype == wire.TypeHello {
+	switch ftype {
+	case wire.TypeHello:
 		d.serveSession(conn, r, payload)
-		return
-	}
-	if ftype == wire.TypeGossip {
+	case wire.TypeGossip:
 		d.serveGossip(conn, r, payload)
-		return
-	}
-	if ftype == wire.TypeHandback {
-		d.serveHandback(conn, r, payload)
-		return
-	}
-	d.servePlain(conn, r, ftype, payload)
-}
-
-// serveHandback absorbs cluster victim-state handbacks: each
-// TypeHandback frame is applied through the cluster tier and answered
-// with a TypeAck, repeated until the shipper hangs up. The ack is what
-// lets the shipper drop its copy, so it is only written after
-// HandleHandback returns. Without a cluster tier the frame is a
-// protocol violation.
-func (d *Daemon) serveHandback(conn net.Conn, r *wire.Reader, payload []byte) {
-	if d.cluster == nil {
-		d.decodeErrs.Add(1)
-		return
-	}
-	var scratch []byte
-	for {
-		body, err := wire.ParseHandback(payload)
-		if err != nil {
-			d.decodeErrs.Add(1)
-			return
-		}
-		ack, err := d.cluster.HandleHandback(body)
-		if err != nil {
-			d.decodeErrs.Add(1)
-			return
-		}
-		if !d.writeAck(conn, &scratch, ack, 0) {
-			return
-		}
-		d.armDeadline(conn)
-		var ftype uint8
-		if ftype, payload, err = r.ReadFrame(); err != nil {
-			d.noteReadErr(err)
-			return
-		}
-		if ftype != wire.TypeHandback {
-			d.decodeErrs.Add(1)
-			return
-		}
+	default:
+		d.servePlain(conn, r, ftype, payload)
 	}
 }
 

@@ -24,14 +24,10 @@ package wire
 // unchanged, contexts are shed (the clean downgrade the trace
 // extension has always promised).
 //
-// TypeGossip (blocklist deltas, victim-state replicas, liveness) and
-// TypeHandback (a victim's cumulative identification state shipped back
-// to its ring owner when membership changes re-route the victim) carry
-// opaque payloads whose layout belongs to internal/cluster; the wire
-// layer only frames and CRC-seals them. Gossip is request/response;
-// a handback is acked: the sender reads one TypeAck back before
-// releasing the state — the ack is what makes dropping the local copy
-// safe.
+// TypeGossip (blocklist deltas, liveness, and victim state: replicas,
+// tombstones and the handoffs a membership change owes a new owner)
+// carries an opaque request/response payload whose layout belongs to
+// internal/cluster; the wire layer only frames and CRC-seals it.
 
 import "fmt"
 
@@ -50,33 +46,23 @@ const (
 	// The server echoes it only when running in cluster mode.
 	HelloFlagForward uint32 = 1 << 1
 
-	// MaxGossipBody is the largest opaque body — gossip or handback —
-	// that fits one frame in front of the CRC tail.
+	// MaxGossipBody is the largest gossip body that fits one frame in
+	// front of the CRC tail.
 	MaxGossipBody = MaxFramePayload - crcSize
 )
 
-// appendOpaque appends one frame sealing body with a CRC tail — the
-// codec both opaque cluster frames share. It panics when body does not
-// fit one frame: gossip and handback senders cap their payloads instead
-// of splitting.
-func appendOpaque(b []byte, ftype uint8, body []byte) []byte {
+// AppendGossip appends one TypeGossip frame sealing body with a CRC
+// tail. It panics when body does not fit one frame: gossip senders
+// budget their payloads instead of splitting.
+func AppendGossip(b, body []byte) []byte {
 	if len(body) > MaxGossipBody {
-		panic(fmt.Sprintf("wire: %d-byte body exceeds the %d-byte limit of a type-%d frame", len(body), MaxGossipBody, ftype))
+		panic(fmt.Sprintf("wire: %d-byte body exceeds the %d-byte limit of a gossip frame", len(body), MaxGossipBody))
 	}
-	b = appendHeader(b, ftype, len(body)+crcSize)
+	b = appendHeader(b, TypeGossip, len(body)+crcSize)
 	start := len(b)
 	return appendSeal(append(b, body...), start)
 }
 
-// AppendGossip appends one TypeGossip frame carrying body.
-func AppendGossip(b, body []byte) []byte { return appendOpaque(b, TypeGossip, body) }
-
-// AppendHandback appends one TypeHandback frame carrying body.
-func AppendHandback(b, body []byte) []byte { return appendOpaque(b, TypeHandback, body) }
-
 // ParseGossip verifies a TypeGossip payload's CRC tail and returns the
 // body. The body aliases payload — copy it before the next ReadFrame.
 func ParseGossip(payload []byte) ([]byte, error) { return openSeal(payload) }
-
-// ParseHandback does the same for a TypeHandback payload.
-func ParseHandback(payload []byte) ([]byte, error) { return openSeal(payload) }

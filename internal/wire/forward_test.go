@@ -127,6 +127,23 @@ func TestGossipCorruptionDetected(t *testing.T) {
 	if _, err := ParseGossip(b[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("corrupted gossip frame parsed: err = %v", err)
 	}
+	// A payload shorter than the CRC tail is rejected at the header.
+	short := appendHeader(nil, TypeGossip, 2)
+	if _, _, err := checkHeader(append(short, 0, 0)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("undersized gossip header accepted: err = %v", err)
+	}
+}
+
+// TestReaderRejectsHandbackFrames: type 9, the retired handback frame,
+// is an unknown type — a well-sealed one fails the read like any other
+// bad frame, which is what lands a pre-change member's handback in its
+// stored-replica fallback.
+func TestReaderRejectsHandbackFrames(t *testing.T) {
+	body := []byte("hb")
+	frame := appendSeal(append(appendHeader(nil, 9, len(body)+crcSize), body...), HeaderSize)
+	if _, _, err := NewReader(bytes.NewReader(frame)).ReadFrame(); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("type-9 frame read: err = %v, want ErrBadFrame", err)
+	}
 }
 
 // TestForwardClientNegotiation covers both server answers to a

@@ -91,7 +91,6 @@ func goldenCases() []goldenCase {
 		goldenCase{name: "ack/legacy", frame: AppendAck(nil, goldenSeq, 0)},
 		goldenCase{name: "ack/flags", frame: AppendAck(nil, goldenSeq, HelloFlagTrace|HelloFlagForward)},
 		goldenCase{name: "gossip", frame: AppendGossip(nil, goldenBody)},
-		goldenCase{name: "handback", frame: AppendHandback(nil, goldenBody)},
 	)
 }
 
@@ -185,10 +184,6 @@ func TestGoldenFrames(t *testing.T) {
 			}
 		case TypeGossip:
 			if body, err := ParseGossip(payload); err != nil || !bytes.Equal(body, goldenBody) {
-				t.Errorf("%s: body %q, err %v", c.name, body, err)
-			}
-		case TypeHandback:
-			if body, err := ParseHandback(payload); err != nil || !bytes.Equal(body, goldenBody) {
 				t.Errorf("%s: body %q, err %v", c.name, body, err)
 			}
 		default:

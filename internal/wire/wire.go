@@ -53,9 +53,9 @@ const (
 	MaxEmptyFrames = 16
 )
 
-// The ten frame types. Six carry records and differ only in what wraps
-// the one 24-byte record layout (see batchLayouts); of the four that
-// carry none, two are session control and two seal an opaque cluster
+// The nine frame types. Six carry records and differ only in what wraps
+// the one 24-byte record layout (see batchLayouts); of the three that
+// carry none, two are session control and one seals an opaque cluster
 // body.
 const (
 	// TypeRecords is a bare record batch — the original exporter
@@ -99,10 +99,9 @@ const (
 	// connection: the dialer sends one TypeGossip and reads one back.
 	TypeGossip uint8 = 8
 
-	// TypeHandback is a CRC-tailed opaque victim-state handback
-	// payload. The receiver answers each frame with a TypeAck carrying
-	// the sender's sequence number plus one.
-	TypeHandback uint8 = 9
+	// Type 9 was the acked victim-state handback frame. Handoffs now
+	// ride gossip; the number is retired, fails the header check as an
+	// unknown type, and is never reused.
 
 	// TypeTracedForwarded is a forwarded session frame whose records
 	// carry a forward-hop trace context: origin-instance id, cumulative
@@ -323,7 +322,7 @@ func checkHeader(b []byte) (ftype uint8, n int, err error) {
 		ok = n == HelloPayloadSize || n == HelloTracePayloadSize
 	case ftype == TypeAck:
 		ok = n == AckPayloadSize || n == AckTracePayloadSize
-	case ftype == TypeGossip, ftype == TypeHandback:
+	case ftype == TypeGossip:
 		ok = n >= crcSize
 	default:
 		return 0, 0, fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, ftype)
@@ -529,8 +528,8 @@ func (r *Reader) Next() (Record, error) {
 }
 
 // NextTraced returns the next record together with its trace context
-// (zero for untraced frames), skipping control, gossip and handback
-// frames, which carry no records.
+// (zero for untraced frames), skipping control and gossip frames,
+// which carry no records.
 func (r *Reader) NextTraced() (TracedRecord, error) {
 	for r.iter == nil || r.iterAt >= r.iter.Len() {
 		ftype, payload, err := r.ReadFrame()
