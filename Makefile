@@ -50,7 +50,11 @@ race:
 ## processes: within 5 s exactly one instance, the joiner, holds it. The
 ## ring is a pure function of the fixed addresses, so the victim is
 ## picked once: node 63 is owned by :27430 on the three-member ring and
-## by :27450 once it joins.
+## by :27450 once it joins. Last, an operator block POSTed to the first
+## instance must survive the second's restart: killed and started again
+## under the same address (a new incarnation with an empty blocklist),
+## within 5 s it must list the blocked node and agree with the first
+## instance on every blocked node.
 cluster-smoke: build
 	@set -e; \
 	$(BIN)/ddpmd serve -topo torus -dims 8x8 -tcp 127.0.0.1:27420 -http 127.0.0.1:27421 \
@@ -112,7 +116,22 @@ cluster-smoke: build
 		sleep 0.1; \
 	done; \
 	[ "$$held" = " 27451" ] || { echo "cluster-smoke: victim 63 held by [$$held ], want the joiner (27451) alone"; exit 1; }; \
-	echo "cluster-smoke: the join handed victim 63's state to the joiner"
+	echo "cluster-smoke: the join handed victim 63's state to the joiner"; \
+	curl -sf -X POST -d '{"node":17}' http://127.0.0.1:27421/blocklist || { echo "cluster-smoke: operator block POST failed"; exit 1; }; \
+	kill $$p2; wait $$p2 || true; \
+	$(BIN)/ddpmd serve -topo torus -dims 8x8 -tcp 127.0.0.1:27430 -http 127.0.0.1:27431 \
+		-cluster 127.0.0.1:27430 -peers 127.0.0.1:27420,127.0.0.1:27440 >/dev/null & \
+	p2=$$!; \
+	trap 'kill $$p1 $$p2 $$p3 $$p4 2>/dev/null || true' EXIT INT TERM; \
+	nodes() { curl -sf http://127.0.0.1:$$1/blocklist | grep -o '"node":[0-9]*' | sort; }; \
+	for i in $$(seq 1 50); do \
+		b1="$$(nodes 27421)"; b2="$$(nodes 27431 || true)"; \
+		echo "$$b2" | grep -qx '"node":17' && [ "$$b1" = "$$b2" ] && break; \
+		sleep 0.1; \
+	done; \
+	echo "$$b2" | grep -qx '"node":17' && [ "$$b1" = "$$b2" ] || { \
+		echo "cluster-smoke: restarted instance lists [$$b2], want instance 1's [$$b1] with node 17"; exit 1; }; \
+	echo "cluster-smoke: the restarted instance re-converged on the operator block"
 
 ## bench: run the engine + pipeline benchmarks and refresh BENCH_netsim.json
 bench:

@@ -13,17 +13,19 @@ import (
 
 // Gossip message: the body carried inside a wire TypeGossip frame.
 // Requests and responses share the layout — anti-entropy is symmetric,
-// each side tells the other what it has (digest), pushes the mutations
-// it believes the other lacks (ops), and ships victim-state replicas
-// for victims the receiver backs up.
+// each side tells the other how far it holds the other's blocklist rows
+// and how far this message brings the other through its own (digest),
+// pushes the rows the other lacks (ops), and ships victim-state
+// replicas for victims the receiver backs up.
 //
 // Layout (big-endian):
 //
 //	[0]    version  uint8   = gossipVersion
 //	[1:9)  sender   uint64  member id of the sending instance
 //	[9:17) ringVer  uint64  sender's local ring version (observability)
-//	nDigest uint16, then per entry: origin(8) maxSeq(8)
+//	nDigest uint16 (≤ 2), then per entry: origin(8) maxSeq(8)
 //	nOps    uint16, then per op:    origin(8) seq(8) stamp(8) node(8) until(8) victim(8) flags(1)
+//	        (seq is the sender's row version; origin minted the write)
 //	nReps   uint16, then per replica:
 //	        victim(8) flags(1: bit0 alarmed, bit1 expired) undecodable(8) nSources(4),
 //	        then per source: node(8) count(8)
@@ -56,15 +58,16 @@ type gossipMsg struct {
 	Roster      []string
 }
 
-// digestEntry advertises the highest contiguous mutation sequence the
-// sender holds for one origin instance.
+// digestEntry names one member incarnation and a version of its
+// blocklist rows: the sender's own, through which this message brings
+// the receiver, or the receiver's, through which the sender holds them.
 type digestEntry struct {
 	Origin uint64
 	MaxSeq uint64
 }
 
-// originOp is one blocklist mutation tagged with the instance that
-// minted it.
+// originOp is one blocklist row tagged with the instance that minted
+// its write.
 type originOp struct {
 	Origin uint64
 	Op     filter.Mutation

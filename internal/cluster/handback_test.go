@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/pipeline"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -122,26 +123,53 @@ func TestRuntimeJoinLearnsRoster(t *testing.T) {
 }
 
 // TestGossipRejectsForgedSender: a gossip message claiming a member id
-// its advertised address does not hash to must not register the
-// address — the id check is the membership authentication.
+// its advertised address does not hash to has no effect at all — the id
+// check is the membership authentication. It registers neither its
+// address nor its roster, refreshes nothing on the member it names,
+// applies none of its ops, and is answered with no state.
 func TestGossipRejectsForgedSender(t *testing.T) {
 	var now atomic.Int64
+	now.Store(int64(time.Second))
 	addrs := []string{"10.8.0.1:1", "10.8.0.2:1"}
-	n, _ := newTestNode(t, addrs[0], []string{addrs[1]}, 801, &now)
+	n, p := newTestNode(t, addrs[0], []string{addrs[1]}, 801, &now)
+	p.Blocklist().Block(3) // something a member would be sent
+	named := n.members.Load().byID[MemberID(addrs[1])]
+	heard := named.lastHeard.Load()
+	now.Add(int64(100 * time.Millisecond))
 
 	forged := &gossipMsg{
 		Sender:     MemberID(addrs[1]), // a legitimate member's id...
 		SenderAddr: "10.66.6.6:1",      // ...claimed from the wrong address
-		RingVer:    1,
+		RingVer:    9,
+		Roster:     []string{"10.66.6.7:1"},
+		Digest:     []digestEntry{{Origin: 666, MaxSeq: 1}},
+		Ops:        []originOp{{Origin: 666, Op: filter.Mutation{Seq: 1, Stamp: 1 << 40, Node: 5, Until: filter.Permanent}}},
 	}
-	if _, err := n.HandleGossip(appendGossipMsg(nil, forged)); err != nil {
+	body, err := n.HandleGossip(appendGossipMsg(nil, forged))
+	if err != nil {
 		t.Fatalf("HandleGossip: %v", err)
 	}
-	if pr := n.members.Load().byID[MemberID("10.66.6.6:1")]; pr != nil {
-		t.Fatal("forged sender address registered as a member")
+	for _, addr := range []string{"10.66.6.6:1", "10.66.6.7:1"} {
+		if pr := n.members.Load().byID[MemberID(addr)]; pr != nil {
+			t.Fatalf("forged message registered %s as a member", addr)
+		}
 	}
 	if got := len(n.members.Load().list); got != 1 {
 		t.Fatalf("known fleet grew to %d on a forged sender", got)
+	}
+	if named.lastHeard.Load() != heard || named.ringVer.Load() != 0 {
+		t.Fatalf("forged message refreshed the member it names: lastHeard %d -> %d, ring v%d",
+			heard, named.lastHeard.Load(), named.ringVer.Load())
+	}
+	if p.Blocklist().BlockedAt(5, 0) {
+		t.Fatal("forged op applied to the blocklist")
+	}
+	resp, err := parseGossipMsg(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Ops) != 0 || len(resp.Replicas) != 0 {
+		t.Fatalf("forged sender answered with %d ops and %d replicas", len(resp.Ops), len(resp.Replicas))
 	}
 }
 

@@ -132,8 +132,8 @@ type fwBatch struct {
 // runtime joins) behind an atomically swapped peerSet snapshot; a peer,
 // once added, is never removed — a silent one just stops being alive.
 // Everything mutable on a peer is either atomic or guarded by Node.mu
-// (digest, cursor) or Node.outMu (attached) or owned by a single
-// goroutine (conn/rd: the gossip loop; client: the forwarder).
+// (inc, have, acked, cursor) or Node.outMu (attached) or owned by a
+// single goroutine (conn/rd: the gossip loop; client: the forwarder).
 type peer struct {
 	addr string
 	id   uint64
@@ -151,7 +151,11 @@ type peer struct {
 	// the first exchange that carries one.
 	adminAddr atomic.Pointer[string]
 
-	digest        map[uint64]uint64          // mutations the peer is known to hold
+	// Blocklist anti-entropy (DESIGN §12.3): the peer's incarnation as
+	// last seen, the version through which we hold its rows, and its last
+	// report of how far it holds ours.
+	inc, have, acked uint64
+
 	replicaCursor int                        // round-robin start into owned victims
 	attached      []*pipeline.VictimSnapshot // outbox entries the in-flight client request carries
 
@@ -182,7 +186,6 @@ type Node struct {
 
 	mu          sync.Mutex
 	ringVersion uint64
-	remoteLogs  map[uint64][]filter.Mutation
 	replicas    map[topology.NodeID]pipeline.VictimSnapshot
 
 	// outMu is a leaf under mu, never held across a pipeline call: the
@@ -228,15 +231,14 @@ func New(p *pipeline.Pipeline, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:        cfg,
-		p:          p,
-		bl:         p.Blocklist(),
-		self:       MemberID(cfg.Self),
-		remoteLogs: make(map[uint64][]filter.Mutation),
-		replicas:   make(map[topology.NodeID]pipeline.VictimSnapshot),
-		outbox:     make(map[outKey]*pipeline.VictimSnapshot),
-		seeded:     make(map[topology.NodeID]bool),
-		stop:       make(chan struct{}),
+		cfg:      cfg,
+		p:        p,
+		bl:       p.Blocklist(),
+		self:     MemberID(cfg.Self),
+		replicas: make(map[topology.NodeID]pipeline.VictimSnapshot),
+		outbox:   make(map[outKey]*pipeline.VictimSnapshot),
+		seeded:   make(map[topology.NodeID]bool),
+		stop:     make(chan struct{}),
 	}
 	n.incarnation = cfg.Incarnation
 	if n.incarnation == 0 {
@@ -266,12 +268,7 @@ func New(p *pipeline.Pipeline, cfg Config) (*Node, error) {
 			}
 			return nil, fmt.Errorf("cluster: duplicate peer %q", addr)
 		}
-		pr := &peer{
-			addr:   addr,
-			id:     id,
-			queue:  make(chan fwBatch, cfg.ForwardQueue),
-			digest: make(map[uint64]uint64),
-		}
+		pr := &peer{addr: addr, id: id, queue: make(chan fwBatch, cfg.ForwardQueue)}
 		pr.lastHeard.Store(now)
 		ps.byID[id] = pr
 		members = append(members, id)
@@ -311,12 +308,12 @@ func (n *Node) Close() {
 // addPeer registers a member learned at runtime (a gossip roster entry
 // or a previously unknown authenticated sender) and starts its
 // forwarder. Returns the existing peer when the address is already
-// known, nil for self or when the node is closing. The new member
-// starts presumed alive and enters the ring at the next membership
-// sweep.
+// known, nil for self, an empty address or when the node is closing.
+// The new member starts presumed alive and enters the ring at the next
+// membership sweep.
 func (n *Node) addPeer(addr string) *peer {
 	id := MemberID(addr)
-	if id == n.self || addr == n.cfg.Self {
+	if id == n.self || addr == n.cfg.Self || addr == "" {
 		return nil
 	}
 	n.mu.Lock()
@@ -328,12 +325,7 @@ func (n *Node) addPeer(addr string) *peer {
 	if pr := ps.byID[id]; pr != nil {
 		return pr
 	}
-	pr := &peer{
-		addr:   addr,
-		id:     id,
-		queue:  make(chan fwBatch, n.cfg.ForwardQueue),
-		digest: make(map[uint64]uint64),
-	}
+	pr := &peer{addr: addr, id: id, queue: make(chan fwBatch, n.cfg.ForwardQueue)}
 	pr.lastHeard.Store(n.cfg.Now())
 	next := &peerSet{
 		byID: make(map[uint64]*peer, len(ps.list)+1),
@@ -696,7 +688,7 @@ func (n *Node) noteGossipRound(round uint64) {
 }
 
 // gossipWith performs one exchange with a peer: send our digest plus
-// the ops, outbox entries and replicas we believe it lacks, read back
+// the rows, outbox entries and replicas we believe it lacks, read back
 // its. Any error tears the connection down; liveness and delivery are
 // only credited on a complete exchange.
 func (n *Node) gossipWith(pr *peer) error {
@@ -745,23 +737,23 @@ func (n *Node) gossipWith(pr *peer) error {
 // side, called from the daemon's connection goroutines): absorb what
 // the sender pushed — which registers a previously unknown sender whose
 // advertised address authenticates its member id (runtime join) — then
-// respond with our digest plus the ops and replicas the sender's digest
-// shows it lacks.
+// respond with our digest plus the rows and replicas the sender lacks.
+// A sender that fails authentication gets identity and roster only.
 func (n *Node) HandleGossip(reqBody []byte) ([]byte, error) {
 	req, err := parseGossipMsg(reqBody)
 	if err != nil {
 		return nil, err
 	}
-	n.absorb(req)
-	// A sender still unknown (no advertised address, or the address does
-	// not hash to its claimed id) is a nil peer: it gets ops off its
-	// digest so blocklists converge, but nothing replica-related.
-	return appendGossipMsg(nil, n.buildMsg(n.members.Load().byID[req.Sender], req.Digest)), nil
+	return appendGossipMsg(nil, n.buildMsg(n.absorb(req), req)), nil
 }
 
-// headLocked builds what every gossip message carries besides ops and
-// victim state — identity, roster, digest — and the budget left after
-// it. Caller holds n.mu.
+// maxDigest is how many digest entries a message carries: the sender's
+// own version and, once known, the receiver's as the sender holds it.
+const maxDigest = 2
+
+// headLocked builds what every gossip message carries besides the
+// digest, ops and victim state — identity and roster — and the budget
+// left after it and a full digest. Caller holds n.mu.
 func (n *Node) headLocked() (*gossipMsg, gossipBudget) {
 	now := n.cfg.Now()
 	m := &gossipMsg{Sender: n.self, RingVer: n.ring.Load().Version(), SenderAddr: n.cfg.Self}
@@ -775,55 +767,43 @@ func (n *Node) headLocked() (*gossipMsg, gossipBudget) {
 			m.Roster = append(m.Roster, other.addr)
 		}
 	}
-	// Our digest: own mutations plus every relayed origin.
-	m.Digest = append(m.Digest, digestEntry{Origin: n.incarnation, MaxSeq: n.bl.Seq()})
-	for origin, log := range n.remoteLogs {
-		m.Digest = append(m.Digest, digestEntry{Origin: origin, MaxSeq: uint64(len(log))})
-	}
-	sort.Slice(m.Digest, func(i, j int) bool { return m.Digest[i].Origin < m.Digest[j].Origin })
-	return m, newGossipBudget(len(m.Digest), rosterBytes(m.SenderAddr, m.SenderAdmin, m.Roster))
+	return m, newGossipBudget(maxDigest, rosterBytes(m.SenderAddr, m.SenderAdmin, m.Roster))
 }
 
-// buildMsg assembles one outbound gossip message for a peer. The
-// receiver's digest comes either from reqDigest (server side: the
-// request just told us) or from the digest stored on the peer (client
-// side: learned from its last response). A nil peer builds a
-// digest+ops-only message.
-func (n *Node) buildMsg(pr *peer, reqDigest []digestEntry) *gossipMsg {
+// buildMsg assembles one outbound gossip message for a peer: the
+// blocklist rows changed since the version pr last reported holding, in
+// version order until the budget ends — less the rows pr minted itself
+// — then the digest: how far this message brings pr through our rows,
+// and how far we hold pr's. answering is the request the message
+// responds to, nil when it is a request; only requests carry the
+// outbox, because only the client reads back the response that proves
+// delivery. A nil peer (a sender that failed authentication) gets the
+// head alone.
+func (n *Node) buildMsg(pr *peer, answering *gossipMsg) *gossipMsg {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	m, budget := n.headLocked()
-	var theirs map[uint64]uint64
-	if reqDigest != nil {
-		theirs = make(map[uint64]uint64, len(reqDigest))
-		for _, d := range reqDigest {
-			theirs[d.Origin] = d.MaxSeq
+	if pr == nil {
+		return m
+	}
+	through := pr.acked
+	for _, r := range n.bl.Changes(pr.acked, nil) {
+		if r.Origin != pr.inc {
+			if !budget.fitsOp() {
+				break
+			}
+			m.Ops = append(m.Ops, originOp{Origin: r.Origin, Op: r})
 		}
-	} else if pr != nil {
-		theirs = pr.digest // read under n.mu, like every write to it
+		through = r.Seq
 	}
-	appendOps := func(origin uint64, log []filter.Mutation) {
-		from := theirs[origin]
-		for i := int(from); i < len(log) && budget.fitsOp(); i++ {
-			m.Ops = append(m.Ops, originOp{Origin: origin, Op: log[i]})
-		}
+	m.Digest = append(m.Digest, digestEntry{Origin: n.incarnation, MaxSeq: through})
+	if pr.inc != 0 {
+		m.Digest = append(m.Digest, digestEntry{Origin: pr.inc, MaxSeq: pr.have})
 	}
-	if have := n.bl.Seq(); have > theirs[n.incarnation] {
-		appendOps(n.incarnation, n.bl.MutationsAfter(0, nil))
+	if answering == nil {
+		n.attachOutboxLocked(pr, n.ring.Load(), m, &budget)
 	}
-	for origin, log := range n.remoteLogs {
-		if uint64(len(log)) > theirs[origin] {
-			appendOps(origin, log)
-		}
-	}
-	if pr != nil {
-		if reqDigest == nil {
-			// Client side only: the response read-back confirms delivery,
-			// which is what lets a shipped outbox entry be forgotten.
-			n.attachOutboxLocked(pr, n.ring.Load(), m, &budget)
-		}
-		n.appendReplicasLocked(pr, m, &budget)
-	}
+	n.appendReplicasLocked(pr, m, &budget)
 	return m
 }
 
@@ -864,42 +844,62 @@ func (n *Node) appendReplicasLocked(pr *peer, m *gossipMsg, budget *gossipBudget
 	}
 }
 
-// absorb merges one inbound gossip message: membership (an unknown
-// sender whose advertised address hashes to its claimed id, and any
-// roster entries we have never heard of, join the known fleet),
-// liveness, the sender's digest, its pushed mutations (per-origin
-// contiguous logs feeding the blocklist's LWW register) and any victim
+// absorb merges one inbound gossip message and returns its sender, or
+// nil — and changes nothing — when the sender fails authentication: its
+// advertised address must hash to its claimed id (member ids are the
+// hash of the address, so a sender cannot act as another member without
+// owning its address string) and must not be ours. An authenticated
+// sender not yet known, and any roster entries we have never heard of,
+// join the known fleet. Then liveness, the digest (DESIGN §12.3), the
+// pushed rows — each through the blocklist's LWW rule — and any victim
 // state addressed to us. A snapshot that seeds on arrival is a handoff
 // received, committed under the op id its shipper derived too.
-func (n *Node) absorb(m *gossipMsg) {
-	// Membership first, before the lock: addPeer takes n.mu itself. The
-	// id check is the authentication — member ids are the hash of the
-	// advertised address, so a sender cannot impersonate another member
-	// without also owning its address string.
-	if m.SenderAddr != "" && MemberID(m.SenderAddr) == m.Sender {
-		n.addPeer(m.SenderAddr)
+func (n *Node) absorb(m *gossipMsg) *peer {
+	// Membership first, before the lock: addPeer takes n.mu itself.
+	if MemberID(m.SenderAddr) != m.Sender {
+		return nil
+	}
+	pr := n.addPeer(m.SenderAddr)
+	if pr == nil {
+		return nil
 	}
 	for _, addr := range m.Roster {
 		n.addPeer(addr)
 	}
-	ps := n.members.Load()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if pr := ps.byID[m.Sender]; pr != nil {
-		pr.lastHeard.Store(n.cfg.Now())
-		pr.lastGossip.Store(n.cfg.Now())
-		pr.ringVer.Store(m.RingVer)
-		if m.SenderAdmin != "" {
-			admin := m.SenderAdmin
-			pr.adminAddr.Store(&admin)
-		}
-		clear(pr.digest)
-		for _, d := range m.Digest {
-			pr.digest[d.Origin] = d.MaxSeq
+	now := n.cfg.Now()
+	pr.lastHeard.Store(now)
+	pr.lastGossip.Store(now)
+	pr.ringVer.Store(m.RingVer)
+	if m.SenderAdmin != "" {
+		admin := m.SenderAdmin
+		pr.adminAddr.Store(&admin)
+	}
+	// Entry one is the sender's own version, entry two ours as the sender
+	// holds it. An entry two naming another incarnation was cut for our
+	// previous life: its rows still apply, but they do not vouch for
+	// the range.
+	pr.acked = 0
+	vouched, through := true, uint64(0)
+	for i, d := range m.Digest {
+		switch {
+		case d.Origin == n.incarnation:
+			pr.acked = d.MaxSeq
+		case i == 0:
+			if d.Origin != pr.inc {
+				pr.inc, pr.have = d.Origin, 0
+			}
+			through = d.MaxSeq
+		default:
+			vouched = false
 		}
 	}
 	for _, op := range m.Ops {
-		n.applyOpLocked(op)
+		n.bl.ApplyRemote(op.Op, op.Origin)
+	}
+	if vouched && through > pr.have {
+		pr.have = through
 	}
 	ring := n.ring.Load()
 	for i := range m.Replicas {
@@ -911,26 +911,7 @@ func (n *Node) absorb(m *gossipMsg) {
 		n.noteHandoff(pipeline.EventHandbackRecv, m.Sender, snap, fmt.Sprintf("from=%x ring=v%d", m.Sender, m.RingVer))
 		n.cfg.Logf("cluster: handoff received victim=%d from=%x", snap.Victim, m.Sender)
 	}
-}
-
-// applyOpLocked accepts one relayed mutation if it extends that
-// origin's contiguous log; gaps wait for a later round (the digest
-// still advertises the old max, so the sender re-pushes). Caller holds
-// n.mu; the blocklist's own lock nests inside (never the reverse).
-func (n *Node) applyOpLocked(op originOp) {
-	if op.Origin == n.incarnation {
-		return // our own mutation echoed back
-	}
-	log := n.remoteLogs[op.Origin]
-	switch {
-	case op.Op.Seq <= uint64(len(log)):
-		// Duplicate relay: already held.
-	case op.Op.Seq == uint64(len(log))+1:
-		n.remoteLogs[op.Origin] = append(log, op.Op)
-		n.bl.ApplyRemote(op.Op, op.Origin)
-	default:
-		// Gap: drop; the digest makes the sender retry from our max.
-	}
+	return pr
 }
 
 // storeReplicaLocked files one inbound victim replica. If the ring

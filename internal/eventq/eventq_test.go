@@ -4,14 +4,29 @@ import (
 	"testing"
 )
 
+// recordingQueue returns a queue whose handler logs every dispatch into r.
+func recordingQueue() (*Queue, *recorder) {
+	q, r := New(), &recorder{}
+	q.SetHandler(r)
+	return q, r
+}
+
+// payloads lists the a words of r's dispatches in firing order.
+func (r *recorder) payloads() []int64 {
+	out := make([]int64, len(r.events))
+	for i, ev := range r.events {
+		out[i] = ev.a
+	}
+	return out
+}
+
 func TestOrderingByTime(t *testing.T) {
-	q := New()
-	var got []int
-	q.At(30, func(Time) { got = append(got, 3) })
-	q.At(10, func(Time) { got = append(got, 1) })
-	q.At(20, func(Time) { got = append(got, 2) })
+	q, r := recordingQueue()
+	q.PostAt(30, 0, 3, nil)
+	q.PostAt(10, 0, 1, nil)
+	q.PostAt(20, 0, 2, nil)
 	q.Drain(100)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+	if got := r.payloads(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("execution order %v, want [1 2 3]", got)
 	}
 	if q.Now() != 30 {
@@ -20,26 +35,23 @@ func TestOrderingByTime(t *testing.T) {
 }
 
 func TestFIFOTieBreak(t *testing.T) {
-	q := New()
-	var got []int
+	q, r := recordingQueue()
 	for i := 0; i < 10; i++ {
-		i := i
-		q.At(5, func(Time) { got = append(got, i) })
+		q.PostAt(5, int32(i%3), int64(i), nil) // kinds interleave; order is insertion only
 	}
 	q.Drain(100)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-time events ran out of insertion order: %v", got)
+	for i, v := range r.payloads() {
+		if v != int64(i) {
+			t.Fatalf("same-time events ran out of insertion order: %v", r.payloads())
 		}
 	}
 }
 
 func TestClockAdvancesToEventTime(t *testing.T) {
-	q := New()
-	var at Time
-	q.At(42, func(now Time) { at = now })
+	q, r := recordingQueue()
+	q.PostAt(42, 0, 0, nil)
 	q.Step()
-	if at != 42 || q.Now() != 42 {
+	if at := r.events[0].now; at != 42 || q.Now() != 42 {
 		t.Errorf("event saw time %d, queue at %d; want 42", at, q.Now())
 	}
 }
@@ -47,54 +59,48 @@ func TestClockAdvancesToEventTime(t *testing.T) {
 func TestAfterIsRelative(t *testing.T) {
 	q := New()
 	var second Time
-	q.At(10, func(now Time) {
-		q.After(5, func(n2 Time) { second = n2 })
-	})
+	q.SetHandler(handlerFunc(func(now Time, kind int32, _ int64, _ any) {
+		if kind == 0 {
+			q.PostAfter(5, 1, 0, nil)
+		} else {
+			second = now
+		}
+	}))
+	q.PostAt(10, 0, 0, nil)
 	q.Drain(100)
 	if second != 15 {
-		t.Errorf("After(5) from t=10 fired at %d, want 15", second)
+		t.Errorf("PostAfter(5) from t=10 fired at %d, want 15", second)
 	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
-	q := New()
-	q.At(10, func(Time) {})
+	q, _ := recordingQueue()
+	q.PostAt(10, 0, 0, nil)
 	q.Step()
 	defer func() {
 		if recover() == nil {
-			t.Error("At(5) at now=10 did not panic")
+			t.Error("PostAt(5) at now=10 did not panic")
 		}
 	}()
-	q.At(5, func(Time) {})
+	q.PostAt(5, 0, 0, nil)
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
 	q := New()
 	defer func() {
 		if recover() == nil {
-			t.Error("After(-1) did not panic")
+			t.Error("PostAfter(-1) did not panic")
 		}
 	}()
-	q.After(-1, func(Time) {})
-}
-
-func TestNilEventPanics(t *testing.T) {
-	q := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("nil event did not panic")
-		}
-	}()
-	q.At(1, nil)
+	q.PostAfter(-1, 0, 0, nil)
 }
 
 func TestCancel(t *testing.T) {
-	q := New()
-	fired := false
-	h := q.At(10, func(Time) { fired = true })
+	q, r := recordingQueue()
+	h := q.PostAt(10, 0, 0, nil)
 	h.Cancel()
 	q.Drain(100)
-	if fired {
+	if len(r.events) != 0 {
 		t.Error("cancelled event fired")
 	}
 	if q.Fired() != 0 {
@@ -105,11 +111,9 @@ func TestCancel(t *testing.T) {
 }
 
 func TestRunHorizonExclusive(t *testing.T) {
-	q := New()
-	var got []Time
+	q, r := recordingQueue()
 	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		q.At(at, func(now Time) { got = append(got, now) })
+		q.PostAt(at, 0, 0, nil)
 	}
 	n := q.Run(15)
 	if n != 2 {
@@ -122,8 +126,8 @@ func TestRunHorizonExclusive(t *testing.T) {
 	if n != 2 {
 		t.Errorf("second Run executed %d, want 2", n)
 	}
-	if len(got) != 4 {
-		t.Errorf("events fired: %v", got)
+	if len(r.events) != 4 {
+		t.Errorf("events fired: %+v", r.events)
 	}
 }
 
@@ -138,14 +142,13 @@ func TestRunAdvancesClockOnEmptyQueue(t *testing.T) {
 func TestSelfRescheduling(t *testing.T) {
 	q := New()
 	count := 0
-	var tick func(Time)
-	tick = func(now Time) {
+	q.SetHandler(handlerFunc(func(Time, int32, int64, any) {
 		count++
 		if count < 10 {
-			q.After(3, tick)
+			q.PostAfter(3, 0, 0, nil)
 		}
-	}
-	q.After(3, tick)
+	}))
+	q.PostAfter(3, 0, 0, nil)
 	q.Drain(1000)
 	if count != 10 {
 		t.Errorf("ticks = %d, want 10", count)
@@ -157,9 +160,8 @@ func TestSelfRescheduling(t *testing.T) {
 
 func TestDrainRunawayGuard(t *testing.T) {
 	q := New()
-	var loop func(Time)
-	loop = func(Time) { q.After(1, loop) }
-	q.After(1, loop)
+	q.SetHandler(handlerFunc(func(Time, int32, int64, any) { q.PostAfter(1, 0, 0, nil) }))
+	q.PostAfter(1, 0, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("runaway Drain did not panic")
@@ -169,26 +171,26 @@ func TestDrainRunawayGuard(t *testing.T) {
 }
 
 func TestCancelledBuriedEventsSkippedByRun(t *testing.T) {
-	q := New()
+	q, _ := recordingQueue()
 	var hs []Handle
 	for i := 0; i < 5; i++ {
-		hs = append(hs, q.At(Time(i+1), func(Time) {}))
+		hs = append(hs, q.PostAt(Time(i+1), 0, 0, nil))
 	}
 	for _, h := range hs {
 		h.Cancel()
 	}
-	q.At(10, func(Time) {})
+	q.PostAt(10, 0, 0, nil)
 	if n := q.Run(20); n != 1 {
 		t.Errorf("Run executed %d events, want 1", n)
 	}
 }
 
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
-	q := New()
+	q, _ := recordingQueue()
 	if q.Step() {
 		t.Error("Step on empty queue returned true")
 	}
-	h := q.At(1, func(Time) {})
+	h := q.PostAt(1, 0, 0, nil)
 	h.Cancel()
 	if q.Step() {
 		t.Error("Step with only cancelled events returned true")

@@ -17,10 +17,9 @@ func TestExecutionOrderMatchesStableSortQuick(t *testing.T) {
 			idx int
 		}
 		var got []rec
+		q.SetHandler(handlerFunc(func(now Time, _ int32, i int64, _ any) { got = append(got, rec{at: now, idx: int(i)}) }))
 		for i, s := range stamps {
-			at := Time(s % 512)
-			i := i
-			q.At(at, func(now Time) { got = append(got, rec{at: now, idx: i}) })
+			q.PostAt(Time(s%512), 0, int64(i), nil)
 		}
 		q.Drain(uint64(len(stamps)) + 1)
 		if len(got) != len(stamps) {
@@ -53,10 +52,10 @@ func TestCancelSubsetQuick(t *testing.T) {
 	f := func(stamps []uint8, cancelMask []bool) bool {
 		q := New()
 		fired := map[int]bool{}
+		q.SetHandler(handlerFunc(func(_ Time, _ int32, i int64, _ any) { fired[int(i)] = true }))
 		var hs []Handle
 		for i, s := range stamps {
-			i := i
-			hs = append(hs, q.At(Time(s), func(Time) { fired[i] = true }))
+			hs = append(hs, q.PostAt(Time(s), 0, int64(i), nil))
 		}
 		cancelled := map[int]bool{}
 		for i, h := range hs {

@@ -38,30 +38,6 @@ func TestTypedEventsDispatchInOrder(t *testing.T) {
 	}
 }
 
-func TestTypedAndClosureEventsInterleaveFIFO(t *testing.T) {
-	q := New()
-	r := &recorder{}
-	q.SetHandler(r)
-	var order []string
-	q.PostAt(5, 7, 1, nil) // seq 0
-	q.At(5, func(now Time) { order = append(order, "closure") })
-	q.PostAt(5, 7, 2, nil) // seq 2
-	// Wrap handler dispatches into the same order log.
-	probe := &recorder{}
-	q.SetHandler(handlerFunc(func(now Time, kind int32, a int64, p any) {
-		order = append(order, "typed")
-		probe.HandleEvent(now, kind, a, p)
-	}))
-	q.Drain(10)
-	want := []string{"typed", "closure", "typed"}
-	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
-		t.Fatalf("interleave order = %v, want %v", order, want)
-	}
-	if probe.events[0].a != 1 || probe.events[1].a != 2 {
-		t.Errorf("typed payloads out of order: %+v", probe.events)
-	}
-}
-
 type handlerFunc func(now Time, kind int32, a int64, p any)
 
 func (f handlerFunc) HandleEvent(now Time, kind int32, a int64, p any) { f(now, kind, a, p) }
@@ -93,11 +69,10 @@ func TestStaleHandleCannotCancelReusedSlot(t *testing.T) {
 }
 
 func TestCancelledEventsDoNotCountTowardFired(t *testing.T) {
-	q := New()
-	fired := 0
+	q, r := recordingQueue()
 	var handles []Handle
 	for i := 0; i < 10; i++ {
-		handles = append(handles, q.After(Time(i+1), func(Time) { fired++ }))
+		handles = append(handles, q.PostAfter(Time(i+1), 0, 0, nil))
 	}
 	for i, h := range handles {
 		if i%2 == 0 {
@@ -105,8 +80,8 @@ func TestCancelledEventsDoNotCountTowardFired(t *testing.T) {
 		}
 	}
 	q.Run(100)
-	if fired != 5 {
-		t.Fatalf("fired %d closures, want 5", fired)
+	if fired := len(r.events); fired != 5 {
+		t.Fatalf("dispatched %d events, want 5", fired)
 	}
 	if q.Fired() != 5 {
 		t.Fatalf("Fired() = %d, want 5 (cancelled events must not count)", q.Fired())
@@ -119,17 +94,14 @@ func TestSlotReuseKeepsOrderingDeterministic(t *testing.T) {
 	// determinism rests on.
 	q := New()
 	var got []int
-	var post func(label int, at Time)
-	post = func(label int, at Time) {
-		q.At(at, func(now Time) {
-			got = append(got, label)
-			if label < 100 {
-				post(label+10, now+1)
-			}
-		})
-	}
+	q.SetHandler(handlerFunc(func(now Time, _ int32, label int64, _ any) {
+		got = append(got, int(label))
+		if label < 100 {
+			q.PostAt(now+1, 0, label+10, nil)
+		}
+	}))
 	for i := 0; i < 10; i++ {
-		post(i, 1)
+		q.PostAt(1, 0, int64(i), nil)
 	}
 	q.Drain(1000)
 	for i := 1; i < len(got); i++ {

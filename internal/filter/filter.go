@@ -79,14 +79,13 @@ type Blocklist struct {
 	blocked map[topology.NodeID]blockVal // node -> expiry + blocking victim
 	size    atomic.Int64                 // len(blocked), readable without the mutex
 
-	// Replication state (see sequence.go): every state-changing local
-	// mutation is sequenced, stamped and logged; remote mutations are
-	// resolved last-writer-wins by (stamp, origin).
+	// Replication state (see sequence.go): one last-writer-wins row per
+	// node ever written, versioned by ver; remote writes are resolved by
+	// (stamp, origin).
 	origin uint64
-	seq    uint64
+	ver    uint64
 	stamp  uint64
-	log    []Mutation
-	tags   map[topology.NodeID]lwwTag
+	rows   map[topology.NodeID]Mutation
 
 	accepted, dropped uint64
 }

@@ -1,44 +1,43 @@
 package filter
 
-// Sequenced blocklist mutations: the replication substrate for
-// clustered ddpmd. Every state-changing local mutation (auto-block,
-// operator POST, unblock) is assigned a per-list monotonic sequence
-// number and a Lamport stamp and appended to an in-memory log; the
-// cluster layer ships log suffixes to peers with anti-entropy gossip
-// and applies remote mutations through ApplyRemote, which resolves
-// conflicts last-writer-wins on the (stamp, origin) pair. Because each
-// remote mutation is applied at most once per list (the cluster layer
-// dedups on per-origin sequence numbers) and LWW application is
-// order-independent across origins, every instance's blocklist
-// converges to the same snapshot once gossip quiesces.
+// Versioned blocklist rows: the replication substrate for clustered
+// ddpmd. The list keeps one last-writer-wins row per node ever written
+// — the write that currently owns the node's entry — and a local
+// version counter. Every state-changing local mutation (auto-block,
+// operator POST, unblock) bumps the version and a Lamport stamp and
+// stores its row; a remote write that wins the LWW rule on (stamp,
+// origin) in ApplyRemote is stored under a fresh local version too. The
+// cluster layer ships a peer the rows changed since the version that
+// peer last reported holding (Changes), so the replicated state is the
+// list itself, bounded by the fabric, not its history. LWW application
+// is order-independent, so every instance's blocklist converges to the
+// same snapshot once gossip quiesces.
 //
-// TTL expiry is deliberately NOT sequenced: expiry instants are
-// absolute in the shared timebase, so every instance prunes the same
-// entries at the same clock reading without exchanging a byte.
+// TTL expiry is deliberately NOT versioned and never touches a row:
+// expiry instants are absolute in the shared timebase, so every
+// instance prunes the same entries at the same clock reading without
+// exchanging a byte, and a late learner of a lapsed block installs it
+// for ExpireEntries to prune and journal.
 
-import "repro/internal/topology"
+import (
+	"sort"
 
-// Mutation is one logged blocklist change. Seq is the list-local
-// monotonic sequence number (1-based, dense); Stamp is a Lamport stamp
-// merged across the fleet by ApplyRemote, so (Stamp, origin) totally
-// orders conflicting writes to the same node.
+	"repro/internal/topology"
+)
+
+// Mutation is one blocklist row: the write that currently owns a node's
+// entry. Stamp is a Lamport stamp merged across the fleet by ApplyRemote
+// and Origin the incarnation that minted the write, so (Stamp, Origin)
+// totally orders conflicting writes to the same node. Seq is the list's
+// local version when the row last changed.
 type Mutation struct {
 	Seq     uint64
 	Stamp   uint64
+	Origin  uint64
 	Node    topology.NodeID
 	Until   int64
 	Victim  topology.NodeID // blocking victim (topology.None when unknown)
 	Unblock bool
-}
-
-// lwwTag records which write currently owns a node's blocklist entry.
-type lwwTag struct {
-	stamp  uint64
-	origin uint64
-}
-
-func (t lwwTag) before(stamp, origin uint64) bool {
-	return t.stamp < stamp || (t.stamp == stamp && t.origin < origin)
 }
 
 // SetOrigin names this list's instance for LWW tie-breaking; the
@@ -51,56 +50,68 @@ func (b *Blocklist) SetOrigin(origin uint64) {
 	b.origin = origin
 }
 
-// Seq returns the sequence number of the latest local mutation — the
-// digest value gossip advertises for this instance's own log.
+// Seq returns the list's current version — the newest row's Seq, which
+// gossip advertises as how far a peer may have this list's rows.
 func (b *Blocklist) Seq() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.seq
+	return b.ver
 }
 
-// MutationsAfter appends to dst every logged local mutation with
-// Seq > after, in sequence order — the anti-entropy delta for a peer
-// whose digest says it has this list's log through `after`.
-func (b *Blocklist) MutationsAfter(after uint64, dst []Mutation) []Mutation {
+// Changes appends to dst every row with Seq > after, in ascending Seq —
+// the anti-entropy delta for a peer that holds this list's rows through
+// version `after`.
+func (b *Blocklist) Changes(after uint64, dst []Mutation) []Mutation {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if after >= b.seq {
+	if after >= b.ver {
 		return dst
 	}
-	return append(dst, b.log[after:]...)
-}
-
-// record logs one state-changing local mutation. Caller holds b.mu.
-func (b *Blocklist) record(n topology.NodeID, until int64, victim topology.NodeID, unblock bool) {
-	b.seq++
-	b.stamp++
-	b.log = append(b.log, Mutation{Seq: b.seq, Stamp: b.stamp, Node: n, Until: until, Victim: victim, Unblock: unblock})
-	if b.tags == nil {
-		b.tags = make(map[topology.NodeID]lwwTag)
+	start := len(dst)
+	for _, r := range b.rows {
+		if r.Seq > after {
+			dst = append(dst, r)
+		}
 	}
-	b.tags[n] = lwwTag{stamp: b.stamp, origin: b.origin}
+	out := dst[start:]
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return dst
 }
 
-// ApplyRemote applies one gossiped mutation minted by another
-// instance. Unlike the local mutators it is unconditional modulo LWW:
-// whatever (stamp, origin) pair most recently wrote the node wins,
-// regardless of arrival order, and no local log entry is appended (the
-// cluster layer relays remote logs itself, so re-logging would loop).
-// It reports whether the mutation took effect.
+// store files r as its node's row under a fresh local version. Caller
+// holds b.mu.
+func (b *Blocklist) store(r Mutation) {
+	if b.rows == nil {
+		b.rows = make(map[topology.NodeID]Mutation)
+	}
+	b.ver++
+	r.Seq = b.ver
+	b.rows[r.Node] = r
+}
+
+// record stores one state-changing local mutation. Caller holds b.mu.
+func (b *Blocklist) record(n topology.NodeID, until int64, victim topology.NodeID, unblock bool) {
+	b.stamp++
+	b.store(Mutation{Stamp: b.stamp, Origin: b.origin, Node: n, Until: until, Victim: victim, Unblock: unblock})
+}
+
+// ApplyRemote applies one gossiped write minted by origin. Unlike the
+// local mutators it is unconditional modulo LWW: whatever (stamp,
+// origin) pair most recently wrote the node wins, regardless of arrival
+// order. A winning write becomes the node's row under a fresh local
+// version, which is what relays it onward; an echo or a losing write
+// changes nothing. It reports whether the write took effect.
 func (b *Blocklist) ApplyRemote(m Mutation, origin uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if m.Stamp > b.stamp {
 		b.stamp = m.Stamp // Lamport merge: local mutations stay ahead
 	}
-	if tag, ok := b.tags[m.Node]; ok && !tag.before(m.Stamp, origin) {
+	if r, ok := b.rows[m.Node]; ok && (r.Stamp > m.Stamp || (r.Stamp == m.Stamp && r.Origin >= origin)) {
 		return false
 	}
-	if b.tags == nil {
-		b.tags = make(map[topology.NodeID]lwwTag)
-	}
-	b.tags[m.Node] = lwwTag{stamp: m.Stamp, origin: origin}
+	m.Origin = origin
+	b.store(m)
 	_, present := b.blocked[m.Node]
 	if m.Unblock {
 		if present {

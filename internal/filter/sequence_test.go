@@ -7,33 +7,41 @@ import (
 	"repro/internal/topology"
 )
 
-func TestBlocklistMutationLog(t *testing.T) {
+func TestBlocklistRows(t *testing.T) {
 	b := NewTTLBlocklist()
 	b.SetOrigin(1)
 
 	b.Block(3)
 	b.BlockUntil(4, 100)
-	b.BlockUntil(4, 50) // earlier expiry: no state change, no log entry
-	b.Unblock(3)
-	b.Unblock(9) // absent: no state change, no log entry
+	b.BlockUntil(4, 50) // earlier expiry: no state change, no new version
+	b.Unblock(3)        // replaces node 3's row
+	b.Unblock(9)        // absent: no state change, no new version
 
 	if got := b.Seq(); got != 3 {
 		t.Fatalf("Seq = %d, want 3", got)
 	}
-	log := b.MutationsAfter(0, nil)
+	rows := b.Changes(0, nil)
 	want := []Mutation{
-		{Seq: 1, Stamp: 1, Node: 3, Until: Permanent, Victim: topology.None},
-		{Seq: 2, Stamp: 2, Node: 4, Until: 100, Victim: topology.None},
-		{Seq: 3, Stamp: 3, Node: 3, Until: Permanent, Victim: topology.None, Unblock: true},
+		{Seq: 2, Stamp: 2, Origin: 1, Node: 4, Until: 100, Victim: topology.None},
+		{Seq: 3, Stamp: 3, Origin: 1, Node: 3, Until: Permanent, Victim: topology.None, Unblock: true},
 	}
-	if !reflect.DeepEqual(log, want) {
-		t.Fatalf("log = %+v, want %+v", log, want)
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows = %+v, want %+v", rows, want)
 	}
-	if got := b.MutationsAfter(2, nil); len(got) != 1 || got[0].Seq != 3 {
-		t.Fatalf("MutationsAfter(2) = %+v", got)
+	if got := b.Changes(2, nil); len(got) != 1 || got[0].Seq != 3 {
+		t.Fatalf("Changes(2) = %+v", got)
 	}
-	if got := b.MutationsAfter(3, nil); len(got) != 0 {
-		t.Fatalf("MutationsAfter(3) = %+v, want empty", got)
+	if got := b.Changes(3, nil); len(got) != 0 {
+		t.Fatalf("Changes(3) = %+v, want empty", got)
+	}
+
+	// Rows are state, not history: a thousand re-blocks of one node
+	// leave one row for it.
+	for i := int64(1); i <= 1000; i++ {
+		b.BlockUntil(5, 100+i)
+	}
+	if got := len(b.Changes(0, nil)); got != 3 {
+		t.Fatalf("%d rows after re-blocking one node, want 3", got)
 	}
 }
 
@@ -99,9 +107,9 @@ func TestApplyRemoteLamportMerge(t *testing.T) {
 	b.SetOrigin(1)
 	b.ApplyRemote(Mutation{Seq: 1, Stamp: 41, Node: 3, Until: Permanent}, 9)
 	b.Unblock(3)
-	log := b.MutationsAfter(0, nil)
-	if len(log) != 1 || log[0].Stamp <= 41 {
-		t.Fatalf("local mutation stamp %d not past remote stamp 41: %+v", log[0].Stamp, log)
+	rows := b.Changes(0, nil)
+	if len(rows) != 1 || rows[0].Stamp <= 41 || rows[0].Origin != 1 {
+		t.Fatalf("local unblock's row %+v not minted by origin 1 past remote stamp 41", rows)
 	}
 	// The remote origin re-applying its old block must now lose.
 	if b.ApplyRemote(Mutation{Seq: 2, Stamp: 41, Node: 3, Until: Permanent}, 9) {

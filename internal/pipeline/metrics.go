@@ -80,7 +80,7 @@ func (p *Pipeline) WritePrometheus(w io.Writer, uptime time.Duration) {
 	p.rateWin.Observe(now, s.Accepted)
 	rate, _ := p.rateWin.Rate()
 	gauge("ddpmd_ingest_rate",
-		fmt.Sprintf("accepted (post-validation) records/sec over a sliding %gs window", p.cfg.RateWindow.Seconds()),
+		fmt.Sprintf("accepted (post-validation) records/sec over a sliding %gs window", rateWindow.Seconds()),
 		rate)
 
 	fmt.Fprintf(w, "# HELP ddpmd_topology_info fabric this pipeline identifies sources in\n"+

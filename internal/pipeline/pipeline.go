@@ -73,7 +73,6 @@ type Config struct {
 	// being tracked.
 	SketchAdmit        int // records to materialize a victim (default 1 = admit on first record, the legacy behavior; negative disables the gate)
 	SketchWidth        int // count-min row width per shard, rounded up to pow2 (default 32768)
-	SketchDepth        int // count-min rows (default 4)
 	SketchHeavyHitters int // space-saving slots and victim-state cap per shard (default 512)
 	SketchDecayEvery   int // halve the sketches every N gated records per shard (default 1<<20)
 
@@ -99,10 +98,6 @@ type Config struct {
 	// decode/identify, detect and block, exposed on /metrics as
 	// histogram + p50/p95/p99 series.
 	LatencySampleEvery int
-
-	// RateWindow is the span of the sliding-window ingest-rate gauge
-	// (default 60s). Each /metrics scrape contributes one sample.
-	RateWindow time.Duration
 
 	// Journal, when non-nil, receives attack-audit events: alarms,
 	// auto-blocks (with top-k evidence), block expiries and stream
@@ -170,9 +165,6 @@ func (c *Config) applyDefaults() error {
 	if c.SketchWidth <= 0 {
 		c.SketchWidth = sketch.DefaultWidth
 	}
-	if c.SketchDepth <= 0 {
-		c.SketchDepth = sketch.DefaultDepth
-	}
 	if c.SketchHeavyHitters <= 0 {
 		c.SketchHeavyHitters = sketch.DefaultSlots
 	}
@@ -184,9 +176,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.LatencySampleEvery == 0 {
 		c.LatencySampleEvery = 64
-	}
-	if c.RateWindow <= 0 {
-		c.RateWindow = time.Minute
 	}
 	if c.JournalTopK <= 0 {
 		c.JournalTopK = 5
@@ -393,15 +382,18 @@ type Pipeline struct {
 	lat        [numStages]stageLat
 	detLat     stageLat // send-to-block detection latency (traced records only)
 	sampleOn   bool
-	sampleMask uint64        // pow2-1: sample when count&mask == 0
-	submitSeq  atomic.Uint64 // ingest-stage sampling clock, one tick per submitted slab
-	rateWin    *stats.RateWindow
-	fr         *FlightRecorder // nil when tracing disabled
+	sampleMask uint64            // pow2-1: sample when count&mask == 0
+	submitSeq  atomic.Uint64     // ingest-stage sampling clock, one tick per submitted slab
+	rateWin    *stats.RateWindow // over rateWindow, one sample per /metrics scrape
+	fr         *FlightRecorder   // nil when tracing disabled
 
 	mu     sync.RWMutex // serializes SubmitSlab and control hand-offs against Close
 	closed bool
 	wg     sync.WaitGroup
 }
+
+// rateWindow is the span of the sliding-window ingest-rate gauge.
+const rateWindow = time.Minute
 
 // New builds and starts the pipeline's shard workers.
 func New(cfg Config) (*Pipeline, error) {
@@ -413,7 +405,7 @@ func New(cfg Config) (*Pipeline, error) {
 		topoID:  wire.TopoID(cfg.Net.Name()),
 		bl:      filter.NewTTLBlocklist(),
 		pool:    wire.NewSlabPool(cfg.Shards*4 + 8),
-		rateWin: stats.NewRateWindow(cfg.RateWindow),
+		rateWin: stats.NewRateWindow(rateWindow),
 	}
 	p.scheme, p.schemeErr = marking.NewDDPM(cfg.Net)
 	if cfg.LatencySampleEvery > 0 {
@@ -437,7 +429,7 @@ func New(cfg Config) (*Pipeline, error) {
 			victims: make(map[topology.NodeID]*victimState),
 		}
 		if cfg.SketchAdmit > 0 && p.schemeErr == nil {
-			s.gate = sketch.NewGate[wire.Record](cfg.SketchWidth, cfg.SketchDepth,
+			s.gate = sketch.NewGate[wire.Record](cfg.SketchWidth, sketch.DefaultDepth,
 				cfg.SketchHeavyHitters, cfg.SketchAdmit, cfg.SketchDecayEvery)
 		}
 		p.shards = append(p.shards, s)
