@@ -1,14 +1,13 @@
 package cluster
 
-// Route forward-path benchmarks and the zero-extra-alloc guard for the
-// untraced lane. The harness parks every forwarder on a dial that only
-// completes at cleanup and pre-fills the forward queues, so Route runs
+// Route forward-path benchmarks and its allocation pins. The harness
+// parks every forwarder on a dial that only completes at cleanup and
+// then fills the forward queues with pooled slabs, so Route runs
 // against the deterministic shed path with no background goroutine
 // allocating during measurement.
 
 import (
 	"errors"
-	"math"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -30,6 +29,7 @@ func newBenchNode(tb testing.TB, traceBuffer int) (*Node, *pipeline.Pipeline) {
 		tb.Fatal(err)
 	}
 	block := make(chan struct{})
+	parked := make(chan struct{}, 8)
 	var now atomic.Int64
 	now.Store(1)
 	n, err := New(p, Config{
@@ -38,6 +38,10 @@ func newBenchNode(tb testing.TB, traceBuffer int) (*Node, *pipeline.Pipeline) {
 		GossipInterval: time.Hour, FailAfter: time.Hour,
 		Incarnation: 901,
 		Dial: func(string) (net.Conn, error) {
+			select {
+			case parked <- struct{}{}:
+			default: // retries after cleanup: no one is counting
+			}
 			<-block
 			return nil, errors.New("bench: no network")
 		},
@@ -48,30 +52,32 @@ func newBenchNode(tb testing.TB, traceBuffer int) (*Node, *pipeline.Pipeline) {
 		p.Close()
 		tb.Fatal(err)
 	}
-	// Saturate every forward queue: each forwarder consumes one batch and
-	// parks in the blocked dial; every enqueue after this sheds without
-	// touching a goroutine.
-	for _, pr := range n.members.Load().list {
-	fill:
-		for {
-			select {
-			case pr.queue <- fwBatch{}:
-			default:
-				break fill
-			}
+	// Hand each forwarder one record, which its flush dials for, and wait
+	// until every forwarder is parked in that dial. Then saturate the
+	// queues: every enqueue after this sheds without touching a goroutine.
+	oneRecord := func() *wire.Slab {
+		s := p.GetSlab()
+		s.Append(wire.Record{Topo: p.TopoID()})
+		return s
+	}
+	peers := n.members.Load().list
+	for _, pr := range peers {
+		pr.queue <- oneRecord()
+	}
+	for range peers {
+		<-parked
+	}
+	for _, pr := range peers {
+		for len(pr.queue) < cap(pr.queue) {
+			pr.queue <- oneRecord()
 		}
 	}
 	tb.Cleanup(func() {
 		// Drain the saturated queues so shutdown doesn't grind each stale
 		// batch through the failing client's retry backoff.
-		for _, pr := range n.members.Load().list {
-		drain:
-			for {
-				select {
-				case <-pr.queue:
-				default:
-					break drain
-				}
+		for _, pr := range peers {
+			for len(pr.queue) > 0 {
+				(<-pr.queue).Release()
 			}
 		}
 		close(block)
@@ -120,38 +126,56 @@ func benchRouteForward(b *testing.B, traced bool) {
 func BenchmarkClusterRouteForwardUntraced(b *testing.B) { benchRouteForward(b, false) }
 func BenchmarkClusterRouteForwardTraced(b *testing.B)   { benchRouteForward(b, true) }
 
+// routeAllocs reports Route's allocations per 256-record slab of
+// foreign records on the shed path, traced or not.
+func routeAllocs(t *testing.T, traceBuffer int, traced bool) float64 {
+	n, p := newBenchNode(t, traceBuffer)
+	vs := peerVictims(n)
+	topo := p.TopoID()
+	i := 0
+	return testing.AllocsPerRun(50, func() {
+		i++
+		s := p.GetSlab()
+		for j := 0; j < 256; j++ {
+			rec := wire.Record{Victim: vs[j%len(vs)], MF: uint16(j), Topo: topo}
+			if traced {
+				s.AppendTraced(wire.TracedRecord{
+					Record: rec,
+					Ctx:    wire.TraceContext{ID: uint64(i)<<16 | uint64(j+1), Sent: 1},
+				})
+			} else {
+				s.Append(rec)
+			}
+		}
+		n.Route(s)
+	})
+}
+
 // TestRouteUntracedZeroExtraAlloc: routing an untraced slab through the
 // forward partition must allocate exactly the same with the flight
 // recorder armed as with tracing disabled outright — the trace lane's
-// cost (clock read, context batches, origin-span commits) is paid only
-// by slabs that actually carry contexts.
-//
-// AllocsPerRun counts process-wide mallocs, and Route's consumers
-// (forward goroutines, shard workers materialising a victim) allocate
-// asynchronously inside the window. A stray background allocation can
-// only raise a reading, so each side is the minimum of three.
+// cost (clock read, context lane, origin-span commits) is paid only by
+// slabs that actually carry contexts.
 func TestRouteUntracedZeroExtraAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-detector shadow allocations")
 	}
-	measure := func(traceBuffer int) float64 {
-		n, p := newBenchNode(t, traceBuffer)
-		vs := peerVictims(n)
-		topo := p.TopoID()
-		least := math.Inf(1)
-		for i := 0; i < 3; i++ {
-			least = min(least, testing.AllocsPerRun(50, func() {
-				s := p.GetSlab()
-				for j := 0; j < 256; j++ {
-					s.Append(wire.Record{Victim: vs[j%len(vs)], MF: uint16(j), Topo: topo})
-				}
-				n.Route(s)
-			}))
-		}
-		return least
-	}
-	armed, disabled := measure(4096), measure(-1)
+	armed, disabled := routeAllocs(t, 4096, false), routeAllocs(t, -1, false)
 	if armed != disabled {
 		t.Fatalf("untraced Route allocates %.1f/op with the recorder armed, %.1f/op with tracing disabled — the trace lane leaked onto the untraced path", armed, disabled)
+	}
+}
+
+// TestRouteShedPathZeroAlloc pins the forward partition's cost: batches
+// are pooled slabs, so routing a slab of foreign records into full
+// queues allocates nothing, traced or not.
+func TestRouteShedPathZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts race-detector shadow allocations")
+	}
+	for _, traced := range []bool{false, true} {
+		if got := routeAllocs(t, 4096, traced); got != 0 {
+			t.Errorf("Route (traced=%v) allocates %.1f/op on the shed path, want 0", traced, got)
+		}
 	}
 }

@@ -616,3 +616,44 @@ func TestRouteSketchGate(t *testing.T) {
 		t.Fatalf("admitted count %d after reset, want 0", got)
 	}
 }
+
+// TestRouteReplayLongerThanSlab: a gate admit above the slab capacity
+// replays a prefix longer than a pooled slab holds; the owner's batch
+// grows past SlabCap and still carries every record.
+func TestRouteReplayLongerThanSlab(t *testing.T) {
+	const admit = wire.SlabCap + 100
+	var now atomic.Int64
+	now.Store(1)
+	peerAddr := "10.9.4.2:1"
+	p, err := pipeline.New(testPipelineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(p, Config{
+		Self: "10.9.4.1:1", Peers: []string{peerAddr},
+		SketchAdmit:    admit,
+		GossipInterval: time.Hour, FailAfter: time.Hour,
+		Dial: func(string) (net.Conn, error) { return nil, errors.New("test: no network") },
+		Now:  now.Load,
+	})
+	if err != nil {
+		p.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		n.Close()
+		p.Close()
+	})
+	hot := victimWhere(t, func(v topology.NodeID) bool { return n.Ring().Owner(v) == MemberID(peerAddr) })
+	routed := 0
+	for sent := 0; sent < admit; {
+		s := p.GetSlab()
+		for ; sent < admit && s.Free() > 0; sent++ {
+			s.Append(wire.Record{Victim: hot, MF: uint16(sent), Topo: p.TopoID()})
+		}
+		routed += n.Route(s)
+	}
+	if routed != admit || n.forwardedOut.Load() != admit {
+		t.Fatalf("Route accepted %d, forwarded %d; want %d each", routed, n.forwardedOut.Load(), admit)
+	}
+}

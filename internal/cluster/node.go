@@ -118,15 +118,6 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// fwBatch is one unit of the forwarding queue: the records bound for a
-// peer plus, when the slab carried a trace lane, their contexts (ctxs
-// is nil on the untraced path — the forwarder then ships plain
-// forwarded frames with zero per-record trace overhead).
-type fwBatch struct {
-	recs []wire.Record
-	ctxs []wire.TraceContext
-}
-
 // peer is one remote instance: forwarding queue, gossip connection and
 // liveness state. The peer set grows at runtime (gossip rosters and
 // runtime joins) behind an atomically swapped peerSet snapshot; a peer,
@@ -138,7 +129,7 @@ type peer struct {
 	addr string
 	id   uint64
 
-	queue      chan fwBatch
+	queue      chan *wire.Slab
 	lastHeard  atomic.Int64  // unix nanos of last proof of life
 	lastGossip atomic.Int64  // unix nanos of the last completed gossip exchange (0 = never)
 	ringVer    atomic.Uint64 // peer's last self-reported ring version
@@ -268,7 +259,7 @@ func New(p *pipeline.Pipeline, cfg Config) (*Node, error) {
 			}
 			return nil, fmt.Errorf("cluster: duplicate peer %q", addr)
 		}
-		pr := &peer{addr: addr, id: id, queue: make(chan fwBatch, cfg.ForwardQueue)}
+		pr := &peer{addr: addr, id: id, queue: make(chan *wire.Slab, cfg.ForwardQueue)}
 		pr.lastHeard.Store(now)
 		ps.byID[id] = pr
 		members = append(members, id)
@@ -325,7 +316,7 @@ func (n *Node) addPeer(addr string) *peer {
 	if pr := ps.byID[id]; pr != nil {
 		return pr
 	}
-	pr := &peer{addr: addr, id: id, queue: make(chan fwBatch, n.cfg.ForwardQueue)}
+	pr := &peer{addr: addr, id: id, queue: make(chan *wire.Slab, n.cfg.ForwardQueue)}
 	pr.lastHeard.Store(n.cfg.Now())
 	next := &peerSet{
 		byID: make(map[uint64]*peer, len(ps.list)+1),
@@ -348,8 +339,8 @@ func (n *Node) addPeer(addr string) *peer {
 
 // Route partitions one ingest slab by victim ownership: records this
 // instance owns stay in the slab (compacted in place) and go to the
-// pipeline; foreign records are copied into per-owner batches and
-// queued for forwarding. When the forwarding gate is armed, unowned
+// pipeline; foreign records are copied into one pooled slab per owner
+// and queued for forwarding. When the forwarding gate is armed, unowned
 // destinations must first earn admission in the sketch — records below
 // the threshold are absorbed (counted in forward_suppressed), and the
 // slot's buffered prefix is replayed into the forward queue the moment
@@ -364,8 +355,10 @@ func (n *Node) Route(s *wire.Slab) int {
 	}
 	ps := n.members.Load()
 	ringVer := ring.Version()
-	var batches map[uint64][]wire.Record
-	var ctxBatches map[uint64][]wire.TraceContext
+	// One pooled output slab per owner, searched linearly: a fleet has few
+	// members, and up to len(outBuf) owners the array stays on the stack.
+	var outBuf [8]fwOut
+	outs := outBuf[:0]
 	traced := s.Ctxs != nil
 	var now int64
 	var fr *pipeline.FlightRecorder
@@ -402,29 +395,31 @@ func (n *Node) Route(s *wire.Slab) int {
 			}
 			replay = buf
 		}
-		if batches == nil {
-			batches = make(map[uint64][]wire.Record, 2)
-			if traced {
-				ctxBatches = make(map[uint64][]wire.TraceContext, 2)
-			}
+		j := 0
+		for j < len(outs) && outs[j].owner != owner {
+			j++
 		}
-		if len(replay) > 0 {
-			batches[owner] = append(batches[owner], replay...)
-			if traced {
-				// Replayed prefix records predate the trace lane being
-				// consulted for them; they ride the hop untraced.
-				ctxBatches[owner] = append(ctxBatches[owner], make([]wire.TraceContext, len(replay))...)
-			}
+		if j == len(outs) {
+			outs = append(outs, fwOut{owner: owner, s: n.p.GetSlab()})
 		}
-		batches[owner] = append(batches[owner], recs[i])
-		if traced {
-			ctx := s.Ctxs[i]
-			if ctx.ID != 0 {
-				ctx.Routed = now
-				n.traceForwarded(fr, &recs[i], &ctx, owner)
-			}
-			ctxBatches[owner] = append(ctxBatches[owner], ctx)
+		o := &outs[j]
+		// Replayed prefix records predate the trace lane being consulted
+		// for them; they ride the hop untraced. A gate admit above SlabCap
+		// grows the slab past it — one allocation, harmless: the client
+		// splits the batch into frames.
+		for _, r := range replay {
+			o.s.Append(r)
 		}
+		if !traced {
+			o.s.Append(recs[i])
+			continue
+		}
+		ctx := s.Ctxs[i]
+		if ctx.ID != 0 {
+			ctx.Routed = now
+			n.traceForwarded(fr, &recs[i], &ctx, owner)
+		}
+		o.s.AppendTraced(wire.TracedRecord{Record: recs[i], Ctx: ctx})
 	}
 	s.Recs = recs[:k]
 	if traced {
@@ -436,14 +431,16 @@ func (n *Node) Route(s *wire.Slab) int {
 	} else {
 		s.Release()
 	}
-	for owner, fw := range batches {
-		var ctxs []wire.TraceContext
-		if traced {
-			ctxs = ctxBatches[owner]
-		}
-		accepted += n.enqueue(ps.byID[owner], fw, ctxs)
+	for _, o := range outs {
+		accepted += n.enqueue(ps.byID[o.owner], o.s)
 	}
 	return accepted
+}
+
+// fwOut is Route's pending batch for one owner.
+type fwOut struct {
+	owner uint64
+	s     *wire.Slab
 }
 
 // traceForwarded commits the origin-side half of a forwarded record's
@@ -497,22 +494,26 @@ func (n *Node) noteGateAdmit(victim topology.NodeID, owner, ringVer uint64) {
 	}, pipeline.OutcomeGateAdmit, 0)
 }
 
-// enqueue offers one batch to a peer's forwarding queue, shedding
-// (counted) when the queue is full — ingest never blocks on a slow or
-// dead peer.
-func (n *Node) enqueue(pr *peer, fw []wire.Record, ctxs []wire.TraceContext) int {
+// enqueue offers one pooled batch to a peer's forwarding queue,
+// shedding (counted) when the queue is full — ingest never blocks on a
+// slow or dead peer. Consumes the slab reference: the queue takes it,
+// or it is released here.
+func (n *Node) enqueue(pr *peer, s *wire.Slab) int {
+	k := uint64(s.Len())
 	if pr == nil {
-		n.forwardDropped.Add(uint64(len(fw)))
+		n.forwardDropped.Add(k)
+		s.Release()
 		return 0
 	}
 	select {
-	case pr.queue <- fwBatch{recs: fw, ctxs: ctxs}:
-		n.forwardedOut.Add(uint64(len(fw)))
-		pr.queued.Add(uint64(len(fw)))
-		return len(fw)
+	case pr.queue <- s:
+		n.forwardedOut.Add(k)
+		pr.queued.Add(k)
+		return int(k)
 	default:
-		n.forwardDropped.Add(uint64(len(fw)))
-		pr.lost.Add(uint64(len(fw)))
+		n.forwardDropped.Add(k)
+		pr.lost.Add(k)
+		s.Release()
 		return 0
 	}
 }
@@ -553,43 +554,30 @@ func (n *Node) forward(pr *peer) {
 		n.cfg.Logf("cluster: forwarder %s: %v", pr.addr, err)
 		return
 	}
-	send := func(fw fwBatch) { client.SendTraced(fw.recs, fw.ctxs) }
-	flushDelivered := func() {
+	// The client copies the records into its unacked buffer, so the slab
+	// is free the moment SendTraced returns.
+	send := func(s *wire.Slab) {
+		client.SendTraced(s.Recs, s.Ctxs)
+		s.Release()
+	}
+	for stopping := false; !stopping; {
+		select {
+		case s := <-pr.queue:
+			send(s)
+		case <-n.stop:
+			stopping = true
+		}
+		// Drain whatever queued meanwhile (this goroutine is the queue's
+		// only reader), then flush so forwarding latency stays one
+		// queue-pass.
+		for len(pr.queue) > 0 {
+			send(<-pr.queue)
+		}
 		client.Flush()
 		pr.delivered.Store(client.Delivered())
 	}
-	for {
-		select {
-		case fw := <-pr.queue:
-			send(fw)
-			// Opportunistically drain whatever queued while sending,
-			// then flush so forwarding latency stays one queue-pass.
-		drain:
-			for {
-				select {
-				case fw := <-pr.queue:
-					send(fw)
-				default:
-					break drain
-				}
-			}
-			flushDelivered()
-		case <-n.stop:
-			for {
-				select {
-				case fw := <-pr.queue:
-					send(fw)
-					continue
-				default:
-				}
-				break
-			}
-			flushDelivered()
-			client.Close()
-			pr.delivered.Store(client.Delivered())
-			return
-		}
-	}
+	client.Close()
+	pr.delivered.Store(client.Delivered())
 }
 
 // noteTraceDowngrade records that a forward peer's hello did not echo
@@ -617,20 +605,21 @@ func (n *Node) reroute(from *peer, rec wire.Record) {
 		return
 	}
 	owner := n.ring.Load().Owner(rec.Victim)
-	switch {
-	case owner == n.self:
-		s := n.p.GetSlab()
-		s.Append(rec)
-		if n.p.SubmitSlab(s) == 0 {
-			n.forwardLost.Add(1)
-		}
-	case owner == from.id:
+	if owner == from.id {
 		n.forwardLost.Add(1)
 		from.lost.Add(1)
-	default:
-		if n.enqueue(n.members.Load().byID[owner], []wire.Record{rec}, nil) == 0 {
-			n.forwardLost.Add(1)
-		}
+		return
+	}
+	s := n.p.GetSlab()
+	s.Append(rec)
+	var accepted int
+	if owner == n.self {
+		accepted = n.p.SubmitSlab(s)
+	} else {
+		accepted = n.enqueue(n.members.Load().byID[owner], s)
+	}
+	if accepted == 0 {
+		n.forwardLost.Add(1)
 	}
 }
 

@@ -611,3 +611,138 @@ func TestRerouteOwnedRecordSubmitsLocally(t *testing.T) {
 		t.Fatalf("forwardLost = %d after a local reroute", got)
 	}
 }
+
+// TestForwardSlabsReturnToPool: forward batches are pooled slabs, so
+// the pipeline's outstanding-slab count covers the forward hop. Drive
+// every way a batch can end — forwarded and acked, shed at a full
+// queue, dropped for a nil peer, rerouted after its peer dies, drained
+// at stop — and require every slab back in the pool once the node and
+// the pipeline are closed.
+func TestForwardSlabsReturnToPool(t *testing.T) {
+	var now atomic.Int64
+	now.Store(int64(time.Second))
+	live, received, _ := forwardOnlyPeer(t)
+	const dead = "10.6.0.3:1"
+	parked, release := make(chan struct{}, 1), make(chan struct{})
+	p, err := pipeline.New(testPipelineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(p, Config{
+		Self: "10.6.0.1:1", Peers: []string{live, dead},
+		GossipInterval: time.Hour, FailAfter: time.Second, ForwardQueue: 4,
+		Dial: func(addr string) (net.Conn, error) {
+			if addr == dead {
+				select {
+				case parked <- struct{}{}:
+				default:
+				}
+				<-release
+				return nil, errors.New("test: peer dead")
+			}
+			return net.Dial("tcp", addr)
+		},
+		Now: now.Load,
+	})
+	if err != nil {
+		p.Close()
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			close(release)
+			n.Close()
+			p.Close()
+		}
+	}()
+	liveID, deadID := MemberID(live), MemberID(dead)
+	ownedBy := func(ring *Ring, id uint64) (vs []topology.NodeID) {
+		for v := topology.NodeID(0); v < 64; v++ {
+			if ring.Owner(v) == id {
+				vs = append(vs, v)
+			}
+		}
+		return vs
+	}
+	slabFor := func(vs []topology.NodeID, traced bool) *wire.Slab {
+		s := p.GetSlab()
+		for i := 0; i < 64; i++ {
+			rec := wire.Record{Victim: vs[i%len(vs)], MF: uint16(i), Topo: p.TopoID()}
+			if traced {
+				s.AppendTraced(wire.TracedRecord{Record: rec, Ctx: wire.TraceContext{ID: uint64(i + 1)}})
+			} else {
+				s.Append(rec)
+			}
+		}
+		return s
+	}
+	ring := n.Ring()
+	liveVs, deadVs := ownedBy(ring, liveID), ownedBy(ring, deadID)
+	if len(liveVs) == 0 || len(deadVs) == 0 {
+		t.Fatal("ring left a peer without victims")
+	}
+	// The live peer must receive exactly what its queue accepted.
+	livePeer := n.members.Load().byID[liveID]
+	waitReceived := func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); received.Load() < livePeer.queued.Load(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("live peer received %d of %d records", received.Load(), livePeer.queued.Load())
+			}
+		}
+	}
+
+	// Forwarded and acked, untraced and traced.
+	n.Route(slabFor(liveVs, false))
+	waitReceived()
+	n.Route(slabFor(liveVs, true))
+	waitReceived()
+
+	// Shed at a full queue: the dead peer's forwarder takes one batch and
+	// parks in its dial, the queue holds ForwardQueue more, the rest shed.
+	n.Route(slabFor(deadVs, false))
+	<-parked
+	for i := 0; i < 6; i++ {
+		n.Route(slabFor(deadVs, false))
+	}
+	if got := n.forwardDropped.Load(); got != 2*64 {
+		t.Fatalf("%d records shed at the dead peer's full queue, want 128", got)
+	}
+
+	// Dropped for a nil peer.
+	s := p.GetSlab()
+	s.Append(wire.Record{Victim: deadVs[0], Topo: p.TopoID()})
+	n.enqueue(nil, s)
+
+	// Rerouted after its peer dies: the ring drops the dead peer, and
+	// records its forwarder abandons move to the survivors — the live
+	// peer's queue or this node's pipeline.
+	now.Add(int64(2 * time.Second))
+	n.members.Load().byID[liveID].lastHeard.Store(now.Load())
+	n.recomputeMembership()
+	if n.Ring().Has(deadID) {
+		t.Fatal("dead peer still on the ring")
+	}
+	from := n.members.Load().byID[deadID]
+	queued := livePeer.queued.Load()
+	for _, v := range deadVs {
+		n.reroute(from, wire.Record{Victim: v, Topo: p.TopoID()})
+	}
+	if livePeer.queued.Load() == queued {
+		t.Fatal("no reroute reached the live peer")
+	}
+	waitReceived()
+
+	// Drained at stop: the dead peer's queue is still full.
+	if got := len(from.queue); got != 4 {
+		t.Fatalf("dead peer's queue holds %d batches at close, want 4", got)
+	}
+	closed = true
+	close(release)
+	n.Close()
+	p.Close()
+	if got := p.SlabsOutstanding(); got != 0 {
+		t.Fatalf("%d slabs outstanding after Close", got)
+	}
+}

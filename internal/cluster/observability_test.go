@@ -143,20 +143,17 @@ func TestStatusForwardSessionLag(t *testing.T) {
 	}
 }
 
-// TestForwardTraceDowngradeInterop: forwarding traced records to a peer
-// that negotiates HelloFlagForward but not HelloFlagTrace (a pre-trace
-// build) must deliver every record exactly — as plain forwarded frames,
-// contexts shed — and mark the downgrade on the counter and in the
-// audit journal.
-func TestForwardTraceDowngradeInterop(t *testing.T) {
-	// A forward-only peer: echoes the forward flag, never the trace
-	// flag, acks whatever plain forwarded frames arrive.
+// forwardOnlyPeer is a forward-only (pre-trace) peer on loopback: it
+// echoes the forward flag, never the trace flag, acks whatever plain
+// forwarded frames arrive and counts their records, and hangs up on a
+// traced forwarded frame, counting it.
+func forwardOnlyPeer(t *testing.T) (addr string, received, tracedFrames *atomic.Uint64) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	var received, tracedFrames atomic.Uint64
+	t.Cleanup(func() { ln.Close() })
+	received, tracedFrames = new(atomic.Uint64), new(atomic.Uint64)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -197,6 +194,16 @@ func TestForwardTraceDowngradeInterop(t *testing.T) {
 			}(conn)
 		}
 	}()
+	return ln.Addr().String(), received, tracedFrames
+}
+
+// TestForwardTraceDowngradeInterop: forwarding traced records to a peer
+// that negotiates HelloFlagForward but not HelloFlagTrace (a pre-trace
+// build) must deliver every record exactly — as plain forwarded frames,
+// contexts shed — and mark the downgrade on the counter and in the
+// audit journal.
+func TestForwardTraceDowngradeInterop(t *testing.T) {
+	peerAddr, received, tracedFrames := forwardOnlyPeer(t)
 
 	var jbuf bytes.Buffer
 	j := pipeline.NewJournal(&jbuf, 64)
@@ -208,7 +215,6 @@ func TestForwardTraceDowngradeInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peerAddr := ln.Addr().String()
 	n, err := New(p, Config{
 		Self: "10.8.0.1:1", Peers: []string{peerAddr},
 		GossipInterval: time.Hour, FailAfter: time.Hour,

@@ -115,9 +115,10 @@ func (s *Slab) ensureCtxs() {
 	}
 }
 
-// Append adds one record (the single-record submit shim and the JSONL
-// replay batcher). It panics past SlabCap — bounds are the caller's
-// contract, as with AppendFrame.
+// Append adds one record (the single-record submit shim, the JSONL
+// replay batcher, the cluster's forward batches). Past SlabCap the
+// slice grows off the pooled buffer — one allocation, dropped at
+// Reset; only the frame decoders hold themselves to SlabCap.
 func (s *Slab) Append(rec Record) {
 	if s.Recs == nil {
 		s.Recs = s.recsBuf[:0]

@@ -395,6 +395,7 @@ type Reader struct {
 	iter   *Slab
 	iterAt int
 
+	hdr      [HeaderSize]byte // per-frame header; a local would escape through io.ReadFull
 	resync   bool
 	frames   uint64
 	resyncs  uint64
@@ -480,18 +481,18 @@ func (r *Reader) scanToMagic(stale []byte) error {
 // ReadFrame returns the next frame's type and payload. The payload
 // slice is only valid until the next call — it is a reused buffer.
 func (r *Reader) ReadFrame() (ftype uint8, payload []byte, err error) {
-	var hdr [HeaderSize]byte
+	hdr := r.hdr[:]
 	for {
-		if err := r.readFull(hdr[:]); err != nil {
+		if err := r.readFull(hdr); err != nil {
 			if err == io.ErrUnexpectedEOF {
 				return 0, nil, fmt.Errorf("%w: truncated header", ErrBadFrame)
 			}
 			return 0, nil, err // clean io.EOF between frames
 		}
-		ftype, n, err := checkHeader(hdr[:])
+		ftype, n, err := checkHeader(hdr)
 		if err != nil {
 			if r.resync {
-				if err := r.scanToMagic(hdr[:]); err != nil {
+				if err := r.scanToMagic(hdr); err != nil {
 					return 0, nil, err
 				}
 				continue
