@@ -7,14 +7,15 @@ BIN := bin
 ## tier-1 gate). The clustered chaos e2e — kill the victim's owner
 ## mid-campaign, survivors take over, the owner rejoins and gets its
 ## state handed back — the forward hop's slab-leak accounting, the
-## forwarding-gate scan-suppression e2e, and the
-## pipeline's admin-reads-vs-workers hammer run under the race detector
+## forwarding-gate scan-suppression e2e, the
+## pipeline's admin-reads-vs-workers hammer, and the session's burst and
+## slab-credit e2es run under the race detector
 ## here because their value is precisely their concurrency.
 check: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race -count=1 -run 'TestClusterChaosKillOwnerMidCampaign|TestForwardSlabsReturnToPool|TestClusterScanSuppression' ./internal/cluster/
-	$(GO) test -race -count=1 -run 'TestAdminReadsRaceWorkers' ./internal/pipeline/
+	$(GO) test -race -count=1 -run 'TestAdminReadsRaceWorkers|TestSessionBurst|TestSessionCreditShedsNothing' ./internal/pipeline/
 	$(MAKE) fuzz-smoke
 	$(MAKE) trace-smoke
 

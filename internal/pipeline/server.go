@@ -56,14 +56,20 @@ type ServerConfig struct {
 }
 
 // session is the server half of a wire exporter session: the cumulative
-// count of records accepted for one stream id. The mutex serializes
-// ingest across connections claiming the same stream (a reconnecting
-// client may briefly race its own dying conn), which is what makes
-// dedup-by-seq exact.
+// count of records accepted for one stream id, and the slab credit that
+// paces it. The mutex serializes ingest across connections claiming the
+// same stream (a reconnecting client may briefly race its own dying
+// conn), which is what makes dedup-by-seq exact.
 type session struct {
-	mu    sync.Mutex
-	count uint64
+	mu     sync.Mutex
+	count  uint64
+	credit chan struct{} // one token per slab the session holds in the pipeline
 }
+
+// sessionSlabs is a session's slab credit: the pooled slabs it may hold
+// in the pipeline at once. A slab puts at most one element on a shard
+// queue, so a queue this long never sheds one acked session's records.
+const sessionSlabs = 4
 
 // Daemon is the running ddpmd service: ingest listeners feeding a
 // Pipeline plus the HTTP admin plane.
@@ -374,7 +380,8 @@ func (d *Daemon) serveConn(conn net.Conn) {
 		// Accepted in the race with Shutdown: honor the drain deadline.
 		conn.SetReadDeadline(time.Unix(0, d.drainAt.Load()))
 	}
-	r := wire.NewReader(conn)
+	// One maximal frame, so one read can bring in a slab's worth.
+	r := wire.NewReaderSize(conn, wire.HeaderSize+wire.MaxFramePayload)
 	d.armDeadline(conn)
 	ftype, payload, err := r.ReadFrame()
 	if err != nil {
@@ -490,11 +497,12 @@ func (d *Daemon) traceResync(stream uint64) {
 }
 
 // serveSession speaks the exporter session protocol: ack the hello at
-// the stream's cumulative count, then for each sealed frame skip the
-// already-accepted prefix, submit the rest, advance the count and ack.
-// The reader stays strict — any framing damage drops the connection and
-// the client resends from the last acked count, which is exactly what
-// keeps accepted records counted once.
+// the stream's cumulative count, then per burst — a sealed frame and
+// the whole frames of its type buffered behind it, in one slab — skip
+// each frame's already-accepted prefix, submit the rest, advance the
+// count and ack once. The reader stays strict — any framing damage drops
+// the connection and the client resends from the last acked count,
+// which is exactly what keeps accepted records counted once.
 func (d *Daemon) serveSession(conn net.Conn, r *wire.Reader, helloPayload []byte) {
 	streamID, base, flags, err := wire.ParseHello(helloPayload)
 	if err != nil {
@@ -523,73 +531,98 @@ func (d *Daemon) serveSession(conn net.Conn, r *wire.Reader, helloPayload []byte
 		d.decodeErrs.Add(1)
 		d.journalStream(EventSessionLoss, streamID, why)
 	}
-	// submitSlab dedups one sealed batch against the session count and
-	// feeds the unseen suffix to the pipeline as a single slab. Consumes
-	// the slab reference. The session count advances by the full batch
-	// regardless of what the pipeline sheds downstream — delivery is what
-	// the ack attests. direct bypasses cluster routing: forwarded-in
-	// records are always processed locally (the sender already resolved
-	// ownership), which is what makes forwarding loop-free.
-	submitSlab := func(seq uint64, s *wire.Slab, direct bool) (count, fresh uint64, ok bool) {
-		sess.mu.Lock()
-		if seq > sess.count {
-			sess.mu.Unlock()
-			s.Release()
-			lose("sequence gap") // gap before the accepted count
-			return 0, 0, false
-		}
-		n := uint64(s.Len())
-		if skip := sess.count - seq; skip < n {
-			s.DropFront(int(skip))
-			fresh = n - skip
-			d.sessionRecs.Add(fresh)
-			sess.count = seq + n
-			if direct {
-				d.p.SubmitSlab(s)
-			} else {
-				d.submit(s)
-			}
-		} else {
-			s.Release() // entire batch already accepted: pure retransmit
-		}
-		c := sess.count
-		sess.mu.Unlock()
-		return c, fresh, true
-	}
+	var (
+		ftype   uint8
+		payload []byte
+		carried bool // ftype and payload hold a frame read but not yet handled
+		frames  []burstFrame
+		kept    [][2]int
+	)
 	for {
-		d.armDeadline(conn)
-		ftype, payload, err := r.ReadFrame()
-		if err != nil {
-			d.noteReadErr(err)
-			return
+		if !carried {
+			d.armDeadline(conn)
+			if ftype, payload, err = r.ReadFrame(); err != nil {
+				d.noteReadErr(err)
+				return
+			}
 		}
+		carried = false
 		switch {
 		case wire.IsBatch(ftype):
+			sess.credit <- struct{}{} // returned by the slab's last Release
 			s := d.p.GetSlab()
-			h, err := s.AppendBatch(ftype, payload)
-			var why string
-			switch {
-			case err != nil:
-				why = fmt.Sprintf("type-%d frame rejected", ftype)
-			case !h.Sealed:
-				// A bare batch has no sequence number to dedup or ack.
-				why = "non-session frame"
-			case h.Forwarded && d.cluster == nil:
-				why = "forwarded frame without cluster tier"
+			s.Credit = sess.credit
+			first, why := ftype, ""
+			var h0 wire.BatchHeader
+			var readErr error
+			frames = frames[:0]
+			for {
+				at := s.Len()
+				h, err := s.AppendBatch(ftype, payload)
+				if errors.Is(err, wire.ErrSlabFull) {
+					carried = true // it opens the next burst
+					break
+				}
+				switch {
+				case err != nil:
+					why = fmt.Sprintf("type-%d frame rejected", ftype)
+				case !h.Sealed:
+					why = "non-session frame" // a bare batch has no sequence number to dedup or ack
+				case h.Forwarded && d.cluster == nil:
+					why = "forwarded frame without cluster tier"
+				}
+				if why != "" {
+					break
+				}
+				if len(frames) == 0 {
+					h0 = h
+				}
+				frames = append(frames, burstFrame{seq: h.Seq, n: s.Len() - at})
+				if !r.FrameBuffered() {
+					break
+				}
+				if ftype, payload, readErr = r.ReadFrame(); readErr != nil {
+					break
+				}
+				if ftype != first {
+					carried = true
+					break
+				}
 			}
-			if why != "" {
-				s.Release()
+			// The session count advances by every accepted frame regardless
+			// of what the pipeline sheds downstream — delivery is what the
+			// ack attests. Forwarded-in records bypass cluster routing: they
+			// are always processed locally (the sender already resolved
+			// ownership), which is what makes forwarding loop-free.
+			sess.mu.Lock()
+			k, count, gap := dedupBurst(frames, sess.count, kept[:0])
+			kept, sess.count = k, count
+			fresh := s.Keep(kept)
+			switch {
+			case fresh == 0:
+				s.Release() // nothing new: pure retransmits
+			case h0.Forwarded:
+				d.p.SubmitSlab(s)
+			default:
+				d.submit(s)
+			}
+			d.sessionRecs.Add(uint64(fresh))
+			sess.mu.Unlock()
+			if h0.Forwarded && gap > 0 {
+				d.cluster.NoteForwardedIn(h0.Origin, fresh)
+			}
+			switch {
+			case gap < len(frames):
+				lose("sequence gap") // a frame past the accepted count
+				return
+			case why != "":
 				lose(why)
 				return
-			}
-			c, fresh, ok := submitSlab(h.Seq, s, h.Forwarded)
-			if !ok {
+			case readErr != nil:
+				d.noteReadErr(readErr)
 				return
 			}
-			if h.Forwarded {
-				d.cluster.NoteForwardedIn(h.Origin, int(fresh))
-			}
-			if !d.writeAck(conn, &scratch, c, ackFlags) {
+			if !d.writeAck(conn, &scratch, count, ackFlags) {
 				return
 			}
 		case ftype == wire.TypeHello:
@@ -608,6 +641,40 @@ func (d *Daemon) serveSession(conn net.Conn, r *wire.Reader, helloPayload []byte
 			return
 		}
 	}
+}
+
+// burstFrame is one sealed frame of a burst, which sits back to back
+// with the others in one slab: its first record's sequence number and
+// its record count.
+type burstFrame struct {
+	seq uint64
+	n   int
+}
+
+// dedupBurst dedups a burst frame by frame, as if each had come alone:
+// a frame past the count is a gap, and it and all after it are refused;
+// else its records below the count are retransmits and the rest are
+// fresh, advancing the count to its end. It appends the fresh records'
+// slab ranges to kept, adjacent ones merged, and returns them, the new
+// count and the gap frame's index (len(frames) if none).
+func dedupBurst(frames []burstFrame, count uint64, kept [][2]int) ([][2]int, uint64, int) {
+	off := 0
+	for i, f := range frames {
+		if f.seq > count {
+			return kept, count, i
+		}
+		if skip := count - f.seq; skip < uint64(f.n) {
+			lo, hi := off+int(skip), off+f.n
+			if k := len(kept); k > 0 && kept[k-1][1] == lo {
+				kept[k-1][1] = hi
+			} else {
+				kept = append(kept, [2]int{lo, hi})
+			}
+			count = f.seq + uint64(f.n)
+		}
+		off += f.n
+	}
+	return kept, count, len(frames)
 }
 
 // ackHello fast-forwards the session to the client's base (a restarted
@@ -638,7 +705,7 @@ func (d *Daemon) session(id uint64) *session {
 	defer d.sessMu.Unlock()
 	s := d.sessions[id]
 	if s == nil {
-		s = &session{}
+		s = &session{credit: make(chan struct{}, sessionSlabs)}
 		d.sessions[id] = s
 		d.sessionCount.Add(1)
 	}

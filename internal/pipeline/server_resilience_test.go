@@ -143,6 +143,162 @@ func TestSessionIngestDeduplicatesRetransmits(t *testing.T) {
 	}
 }
 
+// writeSessionBurst dials d and sends a hello for stream plus frames in
+// one write, so the daemon's first read holds them all, and returns the
+// conn's reader after checking the hello ack.
+func writeSessionBurst(t *testing.T, d *Daemon, stream uint64, frames []byte) (net.Conn, *wire.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", d.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write(append(wire.AppendHello(nil, stream, 0, 0), frames...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	r := wire.NewReader(conn)
+	ftype, payload, err := r.ReadFrame()
+	if err != nil || ftype != wire.TypeAck {
+		t.Fatalf("hello ack: type %d, err %v", ftype, err)
+	}
+	if count, _, err := wire.ParseAck(payload); err != nil || count != 0 {
+		t.Fatalf("hello ack %d, err %v; want 0", count, err)
+	}
+	return conn, r
+}
+
+// TestSessionBurstOneCumulativeAck: five sealed frames behind a hello in
+// one write — a whole-frame retransmit and a retransmitted prefix that
+// ends mid-frame among them — are one burst: one cumulative ack, and
+// every record counted exactly once.
+func TestSessionBurstOneCumulativeAck(t *testing.T) {
+	d := startDaemon(t, ServerConfig{TCPAddr: "127.0.0.1:0"})
+	recs := daemonRecords(d, 30)
+	var b []byte
+	b = wire.AppendSealed(b, 0, recs[:10])
+	b = wire.AppendSealed(b, 0, recs[:10])  // retransmitted whole
+	b = wire.AppendSealed(b, 5, recs[5:15]) // retransmitted prefix ends mid-frame
+	b = wire.AppendSealed(b, 15, recs[15:22])
+	b = wire.AppendSealed(b, 22, recs[22:30])
+	conn, r := writeSessionBurst(t, d, 0xB0B5, b)
+
+	ftype, payload, err := r.ReadFrame()
+	if err != nil || ftype != wire.TypeAck {
+		t.Fatalf("burst ack: type %d, err %v", ftype, err)
+	}
+	if count, _, err := wire.ParseAck(payload); err != nil || count != 30 {
+		t.Fatalf("burst ack %d, err %v; want 30", count, err)
+	}
+	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if ftype, _, err := r.ReadFrame(); err == nil {
+		t.Fatalf("a second frame (type %d) after the burst's ack; want exactly one ack", ftype)
+	}
+	waitIngested(t, d, 30)
+	if got := d.Pipeline().C.Ingested.Load(); got != 30 {
+		t.Errorf("ingested %d records, want 30", got)
+	}
+	if got := d.sessionRecs.Load(); got != 30 {
+		t.Errorf("session records %d, want 30", got)
+	}
+	if got := d.DecodeErrors(); got != 0 {
+		t.Errorf("decode errors %d, want 0", got)
+	}
+}
+
+// TestSessionBurstGapIngestsPrefix: a sequence gap in a burst's third
+// frame still submits the two frames before it, then drops the conn
+// unacked and counts one decode error.
+func TestSessionBurstGapIngestsPrefix(t *testing.T) {
+	d := startDaemon(t, ServerConfig{TCPAddr: "127.0.0.1:0"})
+	recs := daemonRecords(d, 50)
+	var b []byte
+	b = wire.AppendSealed(b, 0, recs[:10])
+	b = wire.AppendSealed(b, 10, recs[10:20])
+	b = wire.AppendSealed(b, 25, recs[25:30]) // records 20–24 never sent
+	b = wire.AppendSealed(b, 30, recs[30:40])
+	b = wire.AppendSealed(b, 40, recs[40:50])
+	_, r := writeSessionBurst(t, d, 0xB0B6, b)
+
+	if ftype, _, err := r.ReadFrame(); err == nil {
+		t.Fatalf("read a type-%d frame after a gapped burst; want the conn dropped", ftype)
+	}
+	waitIngested(t, d, 20)
+	if got := d.Pipeline().C.Ingested.Load(); got != 20 {
+		t.Errorf("ingested %d records, want 20 (frames 1–2)", got)
+	}
+	if got := d.sessionRecs.Load(); got != 20 {
+		t.Errorf("session records %d, want 20", got)
+	}
+	if got := d.DecodeErrors(); got != 1 {
+		t.Errorf("decode errors %d, want 1", got)
+	}
+}
+
+// TestSessionCreditShedsNothing: one session flooding far more than its
+// shard queues hold (QueueLen 4, each element up to a slab) is paced by
+// slab credit instead of shed: nothing dropped, never more than
+// sessionSlabs slabs out, every record processed, every slab returned.
+func TestSessionCreditShedsNothing(t *testing.T) {
+	d := startDaemon(t, ServerConfig{
+		TCPAddr:  "127.0.0.1:0",
+		Pipeline: Config{Net: topology.NewMesh2D(4), Shards: 2, QueueLen: 4},
+	})
+	p := d.Pipeline()
+	stop := make(chan struct{})
+	maxOut := make(chan int64)
+	go func() {
+		var hi int64
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				hi = max(hi, p.SlabsOutstanding())
+			case <-stop:
+				maxOut <- hi
+				return
+			}
+		}
+	}()
+
+	const total = 200_000 // ≈ 18 × QueueLen × SlabCap
+	c, err := wire.NewClient(wire.ClientConfig{Addr: d.TCPAddr().String(), Seed: 5, MaxBatch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := daemonRecords(d, 1024)
+	for sent := 0; sent < total; sent += len(recs) {
+		if err := c.Send(recs); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for p.C.Processed.Load()+p.C.Dropped.Load() < c.Delivered() || p.SlabsOutstanding() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("processed %d of %d, %d slabs outstanding", p.C.Processed.Load(), c.Delivered(), p.SlabsOutstanding())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	hi := <-maxOut
+	if c.Delivered() != c.Sent() || c.Sent() < total {
+		t.Fatalf("client delivered %d of %d sent", c.Delivered(), c.Sent())
+	}
+	if got := p.C.Dropped.Load(); got != 0 {
+		t.Errorf("dropped %d records under a compliant exporter, want 0", got)
+	}
+	if got := p.C.Processed.Load(); got != c.Sent() {
+		t.Errorf("processed %d records, want %d", got, c.Sent())
+	}
+	if hi > sessionSlabs {
+		t.Errorf("%d slabs outstanding at a sample, want at most %d", hi, sessionSlabs)
+	}
+}
+
 // TestSessionHelloFastForwardsRestartedServer: a fresh daemon greeted
 // with a non-zero base must ack it rather than demanding history it
 // never saw.

@@ -23,6 +23,9 @@ import (
 // when Close gives up, and each abandoned record is counted (and
 // handed to OnLost when set).
 //
+// Send waits for acks only while what is unacknowledged plus the next
+// frame overflows one daemon slab (SlabCap); Flush and Close wait for all.
+//
 // A Client is not safe for concurrent use; it is a single exporter
 // goroutine's tool, like the Writer it replaces.
 type Client struct {
@@ -244,7 +247,7 @@ func (c *Client) SendTraced(recs []Record, ctxs []TraceContext) error {
 	for len(recs) > 0 {
 		free := c.cfg.BufferRecords - len(c.recs)
 		if free == 0 {
-			err := c.pump()
+			err := c.pump(0)
 			if len(c.recs) < c.cfg.BufferRecords {
 				continue // acked progress freed space, even if pump errored
 			}
@@ -264,10 +267,11 @@ func (c *Client) SendTraced(recs []Record, ctxs []TraceContext) error {
 		if ctxs != nil {
 			ctxs = ctxs[n:]
 		}
-		if len(c.recs) >= c.cfg.MaxBatch {
-			// Opportunistic flush; on failure records just stay
-			// buffered for the next Send, Flush or Close to retry.
-			c.pump()
+		if len(c.recs)-c.next >= c.cfg.MaxBatch {
+			// Opportunistic flush, keeping a slab's worth in flight; on
+			// failure records just stay buffered for the next Send, Flush
+			// or Close to retry.
+			c.pump(SlabCap - c.cfg.MaxBatch)
 		}
 	}
 	return nil
@@ -312,7 +316,7 @@ func (c *Client) TraceIDAt(n uint64) uint64 {
 
 // Flush pushes every buffered record and waits for the server to
 // acknowledge all of it.
-func (c *Client) Flush() error { return c.pump() }
+func (c *Client) Flush() error { return c.pump(0) }
 
 // Close flushes with full retries, abandons (and counts) whatever the
 // daemon never acknowledged, and releases the connection. The error
@@ -321,7 +325,7 @@ func (c *Client) Close() error {
 	if c.closed {
 		return nil
 	}
-	err := c.pump()
+	err := c.pump(0)
 	c.closed = true
 	abandoned := len(c.recs)
 	for _, r := range c.recs {
@@ -343,11 +347,12 @@ func (c *Client) drop(r Record) {
 	}
 }
 
-// pump drives the session until every buffered record is acked or
-// MaxAttempts consecutive connection attempts have failed.
-func (c *Client) pump() error {
+// pump drives the session until every buffered record is shipped and
+// at most limit of them await an ack, or MaxAttempts consecutive
+// connection attempts have failed. pump(0) waits for every ack.
+func (c *Client) pump(limit int) error {
 	var lastErr error
-	for len(c.recs) > 0 {
+	for len(c.recs) > limit || c.next < len(c.recs) {
 		if c.conn == nil {
 			if c.backoff >= c.cfg.MaxAttempts {
 				c.backoff = 0 // next pump starts a fresh attempt budget
@@ -363,7 +368,11 @@ func (c *Client) pump() error {
 				continue
 			}
 		}
-		if err := c.shipAndAwait(); err != nil {
+		err := c.ship()
+		if err == nil {
+			err = c.reap(limit)
+		}
+		if err != nil {
 			lastErr = err
 			c.disconnect()
 			c.backoff++
@@ -445,9 +454,9 @@ func (c *Client) connect() error {
 	return nil
 }
 
-// shipAndAwait writes every unsent buffered record as sealed frames,
-// flushes, and consumes acks until the server has confirmed the lot.
-func (c *Client) shipAndAwait() error {
+// ship writes every unsent buffered record as sealed frames and
+// flushes.
+func (c *Client) ship() error {
 	c.conn.SetWriteDeadline(time.Now().Add(c.cfg.AckTimeout))
 	for c.next < len(c.recs) {
 		end := c.next + min(c.cfg.MaxBatch, len(c.recs)-c.next)
@@ -461,21 +470,29 @@ func (c *Client) shipAndAwait() error {
 		}
 		c.next = end
 	}
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	target := c.base + uint64(len(c.recs))
-	for c.base < target {
-		acked, _, err := c.readAck()
+	return c.bw.Flush()
+}
+
+// reap consumes acks. It blocks only while more than limit shipped
+// records are unacknowledged, then takes every ack the reader already
+// holds, and advances the buffer once, to the newest count.
+func (c *Client) reap(limit int) error {
+	acked, sent := c.base, c.base+uint64(c.next)
+	for sent-acked > uint64(limit) || c.rd.FrameBuffered() {
+		n, _, err := c.readAck()
 		if err != nil {
 			return err
 		}
-		if err := c.advance(acked); err != nil {
-			return err
+		if n < acked || n > sent {
+			return fmt.Errorf("%w: ack %d outside window [%d, %d]", ErrBadFrame, n, acked, sent)
 		}
-		c.backoff = 0 // acked progress: reset the attempt budget
+		acked = n
 	}
-	return nil
+	if acked == c.base {
+		return nil
+	}
+	c.backoff = 0 // acked progress: reset the attempt budget
+	return c.advance(acked)
 }
 
 // batchTraced reports whether any record of a batch carries a trace
@@ -491,10 +508,13 @@ func batchTraced(ctxs []TraceContext) bool {
 	return false
 }
 
-// readAck reads frames until a TypeAck arrives, bounded by AckTimeout.
+// readAck reads frames until a TypeAck arrives, bounding each read that
+// may block by AckTimeout.
 func (c *Client) readAck() (uint64, uint32, error) {
-	c.conn.SetReadDeadline(time.Now().Add(c.cfg.AckTimeout))
 	for {
+		if !c.rd.FrameBuffered() {
+			c.conn.SetReadDeadline(time.Now().Add(c.cfg.AckTimeout))
+		}
 		ftype, payload, err := c.rd.ReadFrame()
 		if err != nil {
 			return 0, 0, err

@@ -186,6 +186,97 @@ func TestClientDeliversExactlyOnceThroughDisconnects(t *testing.T) {
 	}
 }
 
+// TestClientKeepsASlabInFlight: Send ships without waiting for acks
+// while what is unacknowledged plus the next frame fits one daemon slab,
+// the next Send blocks until an ack arrives, and Flush waits for all.
+func TestClientKeepsASlabInFlight(t *testing.T) {
+	const batch = 256
+	window := (SlabCap - batch) / batch // frames a Send may leave unacked
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// The server acks the hello, then only what the test tells it to.
+	var frames sync.WaitGroup
+	frames.Add(window + 1)
+	acks := make(chan uint64)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := NewReader(conn)
+		if ftype, _, err := r.ReadFrame(); err != nil || ftype != TypeHello {
+			return
+		}
+		conn.Write(AppendAck(nil, 0, 0))
+		go func() {
+			for n := range acks {
+				conn.Write(AppendAck(nil, n, 0))
+			}
+		}()
+		for i := 0; ; i++ {
+			if _, _, err := r.ReadFrame(); err != nil {
+				return
+			}
+			if i <= window {
+				frames.Done()
+			}
+		}
+	}()
+	defer close(acks)
+	c, err := NewClient(ClientConfig{Addr: ln.Addr().String(), Seed: 9, MaxBatch: batch, AckTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	recs := plainRecords(batch)
+	start := func(f func() error) chan error {
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		return done
+	}
+	returns := func(what string, done chan error) {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s still blocked", what)
+		}
+	}
+	blocks := func(what string, done chan error) {
+		select {
+		case err := <-done:
+			t.Fatalf("%s returned (%v) before its ack", what, err)
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	returns("the Sends inside the window", start(func() error {
+		for i := 0; i < window; i++ {
+			if err := c.Send(recs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}))
+	next := start(func() error { return c.Send(recs) })
+	blocks("the Send past the window", next)
+	frames.Wait() // every frame so far was shipped unacked
+	acks <- batch
+	returns("the Send past the window", next)
+	flush := start(c.Flush)
+	blocks("Flush", flush)
+	acks <- uint64(window+1) * batch
+	returns("Flush", flush)
+	if got, want := c.Delivered(), uint64(window+1)*batch; got != want || c.Buffered() != 0 {
+		t.Fatalf("delivered %d with %d buffered, want %d with none", got, c.Buffered(), want)
+	}
+}
+
 func TestClientShedsCountedWhenUnreachable(t *testing.T) {
 	var lost []Record
 	dialErr := errors.New("no route")
@@ -261,6 +352,10 @@ func TestClientResumesAcrossServerRestart(t *testing.T) {
 	}
 	recs := plainRecords(200)
 	if err := c.Send(recs[:100]); err != nil {
+		t.Fatal(err)
+	}
+	// Send does not wait for acks; Flush does.
+	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	count1, _, _ := s1.snapshot()

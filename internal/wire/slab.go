@@ -57,6 +57,10 @@ type Slab struct {
 	touched          []topology.NodeID
 	groups           []ShardGroup
 
+	// Credit, when set, is a session's slab-credit semaphore: the last
+	// Release takes one token from it. The pool clears it on recycle.
+	Credit chan struct{}
+
 	refs atomic.Int32
 	pool *SlabPool
 }
@@ -258,23 +262,25 @@ func (s *Slab) AppendDatagramFrame(b []byte) (consumed int, err error) {
 	return HeaderSize + n, nil
 }
 
-// DropFront discards the first k records (and contexts) — the session
-// server's dedup of an already-accepted retransmitted prefix.
-func (s *Slab) DropFront(k int) {
-	if k <= 0 {
-		return
-	}
-	if k >= len(s.Recs) {
-		s.Recs = s.Recs[:0]
-		if s.Ctxs != nil {
-			s.Ctxs = s.Ctxs[:0]
+// Keep compacts the slab to the records (and contexts) in ranges —
+// ascending, disjoint [start, end) pairs — and returns how many remain:
+// the session server's dedup of a burst.
+func (s *Slab) Keep(ranges [][2]int) int {
+	w := 0
+	for _, r := range ranges {
+		if r[0] != w {
+			copy(s.Recs[w:], s.Recs[r[0]:r[1]])
+			if s.Ctxs != nil {
+				copy(s.Ctxs[w:], s.Ctxs[r[0]:r[1]])
+			}
 		}
-		return
+		w += r[1] - r[0]
 	}
-	s.Recs = s.Recs[:copy(s.Recs, s.Recs[k:])]
+	s.Recs = s.Recs[:w]
 	if s.Ctxs != nil {
-		s.Ctxs = s.Ctxs[:copy(s.Ctxs, s.Ctxs[k:])]
+		s.Ctxs = s.Ctxs[:w]
 	}
+	return w
 }
 
 // Partition reorders the slab in place so that records are contiguous
@@ -409,11 +415,16 @@ func (p *SlabPool) Get() *Slab {
 }
 
 func (p *SlabPool) put(s *Slab) {
+	credit := s.Credit
+	s.Credit = nil
 	s.Reset()
 	p.outstanding.Add(-1)
 	select {
 	case p.free <- s:
 	default: // freelist full: let the GC have it
+	}
+	if credit != nil {
+		<-credit // last: the session it wakes reuses this slab, not a new one
 	}
 }
 

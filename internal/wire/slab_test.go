@@ -259,7 +259,7 @@ func checkRecords(t *testing.T, got, want []Record) {
 	}
 }
 
-func TestSlabDropFront(t *testing.T) {
+func TestSlabKeep(t *testing.T) {
 	pool := NewSlabPool(1)
 	s := pool.Get()
 	defer s.Release()
@@ -267,16 +267,20 @@ func TestSlabDropFront(t *testing.T) {
 	for i, r := range recs {
 		s.AppendTraced(TracedRecord{Record: r, Ctx: TraceContext{ID: uint64(i + 1)}})
 	}
-	s.DropFront(3)
-	if s.Len() != 7 {
-		t.Fatalf("len after DropFront(3) = %d, want 7", s.Len())
+	if n := s.Keep([][2]int{{0, 10}}); n != 10 || s.Recs[9] != recs[9] {
+		t.Fatalf("Keep of everything left %d records", n)
 	}
-	if s.Recs[0] != recs[3] || s.Ctxs[0].ID != 4 {
-		t.Errorf("head after DropFront = %+v ctx %d, want %+v ctx 4", s.Recs[0], s.Ctxs[0].ID, recs[3])
+	// Records 1–2 and 6–8 are kept, in order, contexts alongside.
+	if n := s.Keep([][2]int{{1, 3}, {6, 9}}); n != 5 || s.Len() != 5 || len(s.Ctxs) != 5 {
+		t.Fatalf("Keep returned %d, len %d, ctxs %d; want 5", n, s.Len(), len(s.Ctxs))
 	}
-	s.DropFront(100)
-	if s.Len() != 0 {
-		t.Errorf("len after oversized DropFront = %d, want 0", s.Len())
+	for i, want := range []int{1, 2, 6, 7, 8} {
+		if s.Recs[i] != recs[want] || s.Ctxs[i].ID != uint64(want+1) {
+			t.Errorf("record %d = %+v ctx %d, want %+v ctx %d", i, s.Recs[i], s.Ctxs[i].ID, recs[want], want+1)
+		}
+	}
+	if n := s.Keep(nil); n != 0 || s.Len() != 0 {
+		t.Errorf("Keep(nil) left %d records", s.Len())
 	}
 }
 

@@ -408,6 +408,22 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReader(r)}
 }
 
+// NewReaderSize wraps r with a read buffer of at least size bytes.
+func NewReaderSize(r io.Reader, size int) *Reader {
+	return &Reader{br: bufio.NewReaderSize(r, size)}
+}
+
+// FrameBuffered reports whether a whole frame with a valid header is
+// buffered, so the next ReadFrame cannot block.
+func (r *Reader) FrameBuffered() bool {
+	if len(r.carry) != 0 || r.br.Buffered() < HeaderSize {
+		return false
+	}
+	hdr, _ := r.br.Peek(HeaderSize)
+	_, n, err := checkHeader(hdr)
+	return err == nil && r.br.Buffered() >= HeaderSize+n
+}
+
 // EnableResync makes framing errors recoverable: instead of returning
 // ErrBadFrame, ReadFrame discards bytes until the next magic and
 // retries. Resyncs and SkippedBytes report the damage. ErrEmptyFlood
