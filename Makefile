@@ -8,14 +8,17 @@ BIN := bin
 ## mid-campaign, survivors take over, the owner rejoins and gets its
 ## state handed back — the forward hop's slab-leak accounting, the
 ## forwarding-gate scan-suppression e2e, the
-## pipeline's admin-reads-vs-workers hammer, and the session's burst and
-## slab-credit e2es run under the race detector
-## here because their value is precisely their concurrency.
+## pipeline's admin-reads-vs-workers hammer, the session's burst and
+## slab-credit e2es, the trace lane's worker-local commit scratch (the
+## lane-equivalence and SIGQUIT-under-ingest tests) and the blocklist's
+## lock-free read index run under the race detector here because their
+## value is precisely their concurrency.
 check: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race -count=1 -run 'TestClusterChaosKillOwnerMidCampaign|TestForwardSlabsReturnToPool|TestClusterScanSuppression' ./internal/cluster/
-	$(GO) test -race -count=1 -run 'TestAdminReadsRaceWorkers|TestSessionBurst|TestSessionCreditShedsNothing' ./internal/pipeline/
+	$(GO) test -race -count=1 -run 'TestAdminReadsRaceWorkers|TestSessionBurst|TestSessionCreditShedsNothing|TestTraceLaneEquivalence|TestSIGQUITDumpAndTracesUnderConcurrentIngest' ./internal/pipeline/
+	$(GO) test -race -count=1 -run 'TestBlockedAtRacesWriters' ./internal/filter/
 	$(MAKE) fuzz-smoke
 	$(MAKE) trace-smoke
 

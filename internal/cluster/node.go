@@ -362,12 +362,14 @@ func (n *Node) Route(s *wire.Slab) int {
 	traced := s.Ctxs != nil
 	var now int64
 	var fr *pipeline.FlightRecorder
+	var fwd []pipeline.Trace // origin-side traces, committed in batches
 	if traced {
 		// One clock read per slab: the route decision's timestamp, which
 		// becomes every forwarded context's Routed stamp and the start of
 		// its forward span.
 		now = n.cfg.Now()
 		fr = n.p.Recorder()
+		fwd = make([]pipeline.Trace, 0, 16)
 	}
 	recs := s.Recs
 	k := 0
@@ -417,13 +419,22 @@ func (n *Node) Route(s *wire.Slab) int {
 		ctx := s.Ctxs[i]
 		if ctx.ID != 0 {
 			ctx.Routed = now
-			n.traceForwarded(fr, &recs[i], &ctx, owner)
+			if fr != nil {
+				if len(fwd) == cap(fwd) {
+					fr.Commit(fwd)
+					fwd = fwd[:0]
+				}
+				fwd = append(fwd, forwardedTrace(&recs[i], &ctx, owner))
+			}
 		}
 		o.s.AppendTraced(wire.TracedRecord{Record: recs[i], Ctx: ctx})
 	}
 	s.Recs = recs[:k]
 	if traced {
 		s.Ctxs = s.Ctxs[:k]
+		if len(fwd) > 0 {
+			fr.Commit(fwd)
+		}
 	}
 	accepted := 0
 	if k > 0 {
@@ -443,14 +454,11 @@ type fwOut struct {
 	s     *wire.Slab
 }
 
-// traceForwarded commits the origin-side half of a forwarded record's
+// forwardedTrace is the origin-side half of a forwarded record's
 // timeline: the span from exporter send to the route decision, with the
 // owner's member id attached. The owner's ingest then commits the
 // other half under the same trace id; the fleet fan-out stitches both.
-func (n *Node) traceForwarded(fr *pipeline.FlightRecorder, rec *wire.Record, ctx *wire.TraceContext, owner uint64) {
-	if fr == nil {
-		return
-	}
+func forwardedTrace(rec *wire.Record, ctx *wire.TraceContext, owner uint64) pipeline.Trace {
 	t := pipeline.Trace{
 		ID: ctx.ID, Sent: ctx.Sent, Start: ctx.Routed,
 		Victim: int64(rec.Victim), Source: -1, Shard: -1,
@@ -462,7 +470,7 @@ func (n *Node) traceForwarded(fr *pipeline.FlightRecorder, rec *wire.Record, ctx
 	if ctx.Sent > 0 {
 		t.Wire = ctx.Routed - ctx.Sent
 	}
-	fr.Commit(&t)
+	return t
 }
 
 // noTrace is the outcome of a journal-only cluster event.

@@ -15,6 +15,7 @@
 package filter
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,6 +80,11 @@ type Blocklist struct {
 	blocked map[topology.NodeID]blockVal // node -> expiry + blocking victim
 	size    atomic.Int64                 // len(blocked), readable without the mutex
 
+	// idx mirrors blocked for the ids a 16-bit MF can name, one atomic
+	// expiry each, so BlockedAt takes no lock. Pages are allocated on the
+	// first block in their range; only setIndex writes them, under mu.
+	idx [idxPages]atomic.Pointer[[idxPage]atomic.Int64]
+
 	// Replication state (see sequence.go): one last-writer-wins row per
 	// node ever written, versioned by ver; remote writes are resolved by
 	// (stamp, origin).
@@ -134,13 +140,49 @@ func (b *Blocklist) BlockUntilFor(n topology.NodeID, until int64, victim topolog
 	if !ok {
 		b.size.Add(1)
 	}
+	b.setIndex(n)
 	b.record(n, until, victim, false)
+}
+
+// The read index: 128 pages of 512 ids. A slot holds 0 when the node is
+// absent, idxPermanent for a block with no expiry, idxAsk for a TTL
+// ending at math.MaxInt64 (the map answers), else the expiry itself.
+const (
+	idxPage      = 512
+	idxPages     = 1 << 16 / idxPage
+	idxPermanent = math.MaxInt64
+	idxAsk       = math.MinInt64
+)
+
+// setIndex mirrors n's map entry into the read index. Every path that
+// mutates blocked calls it; caller holds b.mu.
+func (b *Blocklist) setIndex(n topology.NodeID) {
+	if uint(n) >= idxPages*idxPage {
+		return // BlockedAt asks the map
+	}
+	v, ok := b.blocked[n]
+	pg := b.idx[n/idxPage].Load()
+	if pg == nil && ok {
+		pg = new([idxPage]atomic.Int64)
+		b.idx[n/idxPage].Store(pg)
+	}
+	x := v.until // 0, absent, when !ok
+	switch {
+	case ok && x == Permanent:
+		x = idxPermanent
+	case x == math.MaxInt64:
+		x = idxAsk
+	}
+	if pg != nil {
+		pg[n%idxPage].Store(x)
+	}
 }
 
 // Empty reports, without taking the mutex, whether the list has no
 // entries at all (lapsed-but-unpruned entries count as present). The
-// pipeline's batch hot path uses it to skip per-record BlockedAt
-// lookups entirely while no block is in force — the steady state.
+// pipeline's batch hot path uses it to skip the per-record BlockedAt
+// lookups while no block has ever been in force; under attack the list
+// is not empty, and the lookups it leaves are lock-free.
 func (b *Blocklist) Empty() bool { return b.size.Load() == 0 }
 
 // Unblock removes a node.
@@ -150,6 +192,7 @@ func (b *Blocklist) Unblock(n topology.NodeID) {
 	if _, ok := b.blocked[n]; ok {
 		delete(b.blocked, n)
 		b.size.Add(-1)
+		b.setIndex(n)
 		b.record(n, Permanent, topology.None, true)
 	}
 }
@@ -173,6 +216,7 @@ func (b *Blocklist) ExpireEntries(now int64) []BlockEntry {
 		if v.until != Permanent && v.until <= now {
 			delete(b.blocked, n)
 			b.size.Add(-1)
+			b.setIndex(n)
 			lapsed = append(lapsed, BlockEntry{Node: n, Until: v.until, Victim: v.victim})
 		}
 	}
@@ -183,8 +227,18 @@ func (b *Blocklist) ExpireEntries(now int64) []BlockEntry {
 
 // BlockedAt reports whether n is blocked at instant now. Lapsed
 // entries answer false even before ExpireEntries prunes them, so TTL decay
-// needs no background reaper.
+// needs no background reaper. For a node id in the read index it is one
+// pointer load and one atomic load; any other id asks the map.
 func (b *Blocklist) BlockedAt(n topology.NodeID, now int64) bool {
+	if uint(n) < idxPages*idxPage {
+		pg := b.idx[n/idxPage].Load()
+		if pg == nil {
+			return false
+		}
+		if x := pg[n%idxPage].Load(); x != idxAsk {
+			return x == idxPermanent || (x != 0 && x > now)
+		}
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	v, ok := b.blocked[n]

@@ -117,6 +117,7 @@ func (b *Blocklist) ApplyRemote(m Mutation, origin uint64) bool {
 		if present {
 			delete(b.blocked, m.Node)
 			b.size.Add(-1)
+			b.setIndex(m.Node)
 		}
 		return true
 	}
@@ -124,5 +125,6 @@ func (b *Blocklist) ApplyRemote(m Mutation, origin uint64) bool {
 	if !present {
 		b.size.Add(1)
 	}
+	b.setIndex(m.Node)
 	return true
 }

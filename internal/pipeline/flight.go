@@ -107,12 +107,17 @@ type Trace struct {
 // Total sums the daemon-side spans (Wire excluded: it crosses clocks).
 func (t *Trace) Total() int64 {
 	var sum int64
-	for _, d := range [...]int64{t.Ingest, t.Identify, t.Detect, t.Block} {
+	for _, d := range t.stages() {
 		if d > 0 {
 			sum += d
 		}
 	}
 	return sum
+}
+
+// stages returns the worker-side spans in stage-histogram order.
+func (t *Trace) stages() [numStages]int64 {
+	return [numStages]int64{t.Ingest, t.Identify, t.Detect, t.Block}
 }
 
 // Interesting reports whether tail sampling must retain the trace
@@ -135,11 +140,10 @@ func (t *Trace) Interesting(slowNS int64) bool {
 }
 
 // FlightRecorder is the fixed-size ring of retained traces plus the
-// tail-sampling policy and its accounting. Commit is called from shard
-// workers and the ingest path; readers (the /debug/traces endpoint,
-// SIGQUIT dumps, tests) snapshot under the same mutex. The mutex is
-// uncontended in steady state: boring traces mostly return before
-// touching it.
+// tail-sampling policy and its accounting. Shard workers, the ingest
+// path and the cluster tier Commit batches of traces, each one mutex
+// acquisition; readers (the /debug/traces endpoint, SIGQUIT dumps,
+// tests) snapshot under the same mutex.
 type FlightRecorder struct {
 	sampleN uint64 // retain 1 in N boring traces (1 = all)
 	slowNS  int64  // any span above this is always retained
@@ -187,30 +191,48 @@ func (r *FlightRecorder) Retained() uint64 { return r.retained.Load() }
 func (r *FlightRecorder) Sampled() uint64  { return r.sampled.Load() }
 func (r *FlightRecorder) Evicted() uint64  { return r.evicted.Load() }
 
-// Commit offers one completed trace and reports whether tail sampling
-// retained it. The caller's trace value is copied; no reference is
-// kept.
-func (r *FlightRecorder) Commit(t *Trace) bool {
-	r.observed.Add(1)
-	if !t.Interesting(r.slowNS) {
-		if r.boring.Add(1)%r.sampleN != 0 {
-			return false
+// Commit offers completed traces to tail sampling, moves the retained
+// ones to the front of ts in order (the ring keeps copies) and returns
+// how many. One add reserves the batch's range of the boring counter,
+// so each trace samples exactly as it would committed alone.
+func (r *FlightRecorder) Commit(ts []Trace) int {
+	r.observed.Add(uint64(len(ts)))
+	var nb uint64
+	for i := range ts {
+		if !ts[i].Interesting(r.slowNS) {
+			nb++
 		}
-		r.sampled.Add(1)
 	}
-	r.retained.Add(1)
+	tick := r.boring.Add(nb) - nb
+	var sampled, evicted uint64
+	kept := 0
+	for i := range ts {
+		if !ts[i].Interesting(r.slowNS) {
+			if tick++; tick%r.sampleN != 0 {
+				continue
+			}
+			sampled++
+		}
+		ts[kept] = ts[i]
+		kept++
+	}
+	r.sampled.Add(sampled)
+	r.retained.Add(uint64(kept))
 	r.mu.Lock()
-	if r.full {
-		r.evicted.Add(1)
-	}
-	r.ring[r.next] = *t
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
+	for i := range ts[:kept] {
+		if r.full {
+			evicted++
+		}
+		r.ring[r.next] = ts[i]
+		r.next++
+		if r.next == len(r.ring) {
+			r.next = 0
+			r.full = true
+		}
 	}
 	r.mu.Unlock()
-	return true
+	r.evicted.Add(evicted)
+	return kept
 }
 
 // CommitEvent retains a synthetic stream-level trace (resync, session
@@ -236,7 +258,7 @@ func (r *FlightRecorder) CommitEventWithID(id uint64, outcome Outcome, now int64
 		Wire:    SpanMissing, Forward: SpanMissing, Ingest: SpanMissing,
 		Identify: SpanMissing, Detect: SpanMissing, Block: SpanMissing,
 	}
-	r.Commit(&t)
+	r.Commit([]Trace{t})
 }
 
 // MintEventID generates a synthetic-event id without committing, for

@@ -1,8 +1,12 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // mkBoring builds a fast identified trace — the kind tail sampling is
@@ -14,6 +18,9 @@ func mkBoring(id uint64) Trace {
 		Wire:    100, Ingest: 200, Identify: 300, Detect: 400, Block: 500,
 	}
 }
+
+// commitOne offers one trace to r and reports whether it was retained.
+func commitOne(r *FlightRecorder, t Trace) bool { return r.Commit([]Trace{t}) == 1 }
 
 func TestFlightRecorderDisabledIsNil(t *testing.T) {
 	if r := NewFlightRecorder(0, 64, 0); r != nil {
@@ -35,7 +42,7 @@ func TestTailSamplingAlwaysRetainsInterestingOutcomes(t *testing.T) {
 	for _, out := range interesting {
 		tr := mkBoring(uint64(out) + 1)
 		tr.Outcome = out
-		if !r.Commit(&tr) {
+		if !commitOne(r, tr) {
 			t.Errorf("outcome %v not retained", out)
 		}
 	}
@@ -59,7 +66,7 @@ func TestTailSamplingKeepsOneInNBoring(t *testing.T) {
 	kept := 0
 	for i := 1; i <= 3*n; i++ {
 		tr := mkBoring(uint64(i))
-		if r.Commit(&tr) {
+		if commitOne(r, tr) {
 			kept++
 		}
 	}
@@ -79,17 +86,17 @@ func TestTailSamplingRetainsSlowSpans(t *testing.T) {
 	r := NewFlightRecorder(64, 1<<30, slow)
 
 	at := mkBoring(1) // all spans well under the threshold
-	if r.Commit(&at) {
+	if commitOne(r, at) {
 		t.Fatal("fast boring trace retained despite 1-in-2^30 sampling")
 	}
 	over := mkBoring(2)
 	over.Detect = slow.Nanoseconds() + 1
-	if !r.Commit(&over) {
+	if !commitOne(r, over) {
 		t.Fatal("trace with a span over the threshold not retained")
 	}
 	exact := mkBoring(3)
 	exact.Detect = slow.Nanoseconds() // boundary: not strictly over
-	if r.Commit(&exact) {
+	if commitOne(r, exact) {
 		t.Fatal("span exactly at the threshold should not count as slow")
 	}
 
@@ -97,7 +104,7 @@ func TestTailSamplingRetainsSlowSpans(t *testing.T) {
 	r2 := NewFlightRecorder(64, 1<<30, 0)
 	huge := mkBoring(4)
 	huge.Identify = int64(time.Hour)
-	if r2.Commit(&huge) {
+	if commitOne(r2, huge) {
 		t.Fatal("slow rule fired with a zero threshold")
 	}
 }
@@ -106,7 +113,7 @@ func TestRingEvictionAndSnapshotOrder(t *testing.T) {
 	r := NewFlightRecorder(4, 1, time.Hour) // sampleN 1: keep everything
 	for i := 1; i <= 6; i++ {
 		tr := mkBoring(uint64(i))
-		if !r.Commit(&tr) {
+		if !commitOne(r, tr) {
 			t.Fatalf("sampleN 1 must retain every trace (i=%d)", i)
 		}
 	}
@@ -133,7 +140,7 @@ func TestSnapshotFilters(t *testing.T) {
 	commit := func(id uint64, victim, source int64, out Outcome) {
 		tr := mkBoring(id)
 		tr.Victim, tr.Source, tr.Outcome = victim, source, out
-		r.Commit(&tr)
+		commitOne(r, tr)
 	}
 	commit(1, 5, 7, OutcomeIdentified)
 	commit(2, 5, 7, OutcomeBlock)
@@ -238,5 +245,129 @@ func TestOutcomeStringRoundTrip(t *testing.T) {
 	}
 	if s := Outcome(200).String(); s != "outcome(200)" {
 		t.Errorf("out-of-range outcome renders %q", s)
+	}
+}
+
+// laneLikeTraces is a seeded stream shaped like the trace lane's: runs
+// of 1–8 traces sharing their spans (one victim group's), mixed
+// outcomes, some spans unreached and some over the recorder's 1 µs
+// slow threshold, spans drawn from few values so bins collide across
+// runs.
+func laneLikeTraces(seed uint64, n int) []Trace {
+	r := rng.NewStream(seed)
+	outs := [...]Outcome{OutcomeIdentified, OutcomeIdentified, OutcomeUndecodable, OutcomeSuppressed, OutcomeBlockedHit, OutcomeBlock}
+	vals := [...]int64{SpanMissing, 0, 100, 700, 5000}
+	var spans [4]int64
+	ts := make([]Trace, n)
+	for i := range ts {
+		if i == 0 || r.Uint64()%4 == 0 {
+			for k := range spans {
+				spans[k] = vals[r.Uint64()%uint64(len(vals))]
+			}
+		}
+		ts[i] = Trace{
+			ID: seed<<32 | uint64(i+1), Victim: 5, Source: 7,
+			Outcome: outs[r.Uint64()%uint64(len(outs))],
+			Wire:    SpanMissing, Forward: SpanMissing,
+			Ingest: spans[0], Identify: spans[1], Detect: spans[2], Block: spans[3],
+		}
+	}
+	return ts
+}
+
+// commitInBatches offers ts to commit in seeded batches of 1–200,
+// copied so commit may reorder them, and returns every batch's
+// retained prefix in order.
+func commitInBatches(seed uint64, ts []Trace, commit func([]Trace) int) (kept []Trace) {
+	r := rng.NewStream(seed ^ 0x5eed)
+	for i := 0; i < len(ts); {
+		k := min(1+int(r.Uint64()%200), len(ts)-i)
+		b := append([]Trace(nil), ts[i:i+k]...)
+		kept = append(kept, b[:commit(b)]...)
+		i += k
+	}
+	return kept
+}
+
+// TestBatchCommitMatchesSequential: committing a stream in batches
+// leaves the ring, every counter and the retained set exactly as
+// committing it one trace at a time does.
+func TestBatchCommitMatchesSequential(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		ts := laneLikeTraces(seed, 3000)
+		one := NewFlightRecorder(256, 3, time.Microsecond)
+		var want []Trace
+		for _, tr := range ts {
+			if commitOne(one, tr) {
+				want = append(want, tr)
+			}
+		}
+		batched := NewFlightRecorder(256, 3, time.Microsecond)
+		got := commitInBatches(seed, ts, batched.Commit)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: batches retained %d traces, one at a time %d (or in another order)", seed, len(got), len(want))
+		}
+		if !reflect.DeepEqual(batched.Snapshot(AllTraces()), one.Snapshot(AllTraces())) {
+			t.Fatalf("seed %d: ring order differs", seed)
+		}
+		if n := uint64(len(want)); one.Observed() != uint64(len(ts)) || one.Retained() != n || one.Evicted() != n-256 {
+			t.Fatalf("seed %d: observed %d retained %d evicted %d, want %d, %d and %d",
+				seed, one.Observed(), one.Retained(), one.Evicted(), len(ts), n, n-256)
+		}
+		for _, c := range [...]struct {
+			name     string
+			got, one uint64
+		}{
+			{"Observed", batched.Observed(), one.Observed()},
+			{"Retained", batched.Retained(), one.Retained()},
+			{"Sampled", batched.Sampled(), one.Sampled()},
+			{"Evicted", batched.Evicted(), one.Evicted()},
+		} {
+			if c.got != c.one {
+				t.Errorf("seed %d: %s %d batched, %d one at a time", seed, c.name, c.got, c.one)
+			}
+		}
+	}
+}
+
+// TestCommitTracesStampsLikeEveryTrace: commitTraces skips a stage's
+// exemplar while the next retained trace's span is the same, and the
+// table it leaves must equal the one stamping every retained trace
+// leaves.
+func TestCommitTracesStampsLikeEveryTrace(t *testing.T) {
+	newP := func() *Pipeline {
+		p := &Pipeline{fr: NewFlightRecorder(1<<12, 3, time.Microsecond), sampleOn: true}
+		for i := range p.lat {
+			p.lat[i].hist = stats.NewAtomicHistogram(latLo, latHi, latBins, 1)
+		}
+		return p
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		ts := laneLikeTraces(seed, 3000)
+		each := newP()
+		for _, tr := range ts {
+			if !commitOne(each.fr, tr) {
+				continue
+			}
+			for stage, ns := range [numStages]int64{tr.Ingest, tr.Identify, tr.Detect, tr.Block} {
+				if ns >= 0 {
+					each.lat[stage].hist.SetExemplar(stats.Log2NS(ns), tr.ID)
+				}
+			}
+		}
+		batched := newP()
+		commitInBatches(seed, ts, func(b []Trace) int {
+			batched.commitTraces(b)
+			return 0
+		})
+		for stage := range batched.lat {
+			for bin := 0; bin < latBins; bin++ {
+				gid, gx := batched.lat[stage].hist.Exemplar(bin)
+				wid, wx := each.lat[stage].hist.Exemplar(bin)
+				if gid != wid || gx != wx {
+					t.Fatalf("seed %d stage %d bin %d: exemplar %d (%g), stamping every trace leaves %d (%g)", seed, stage, bin, gid, gx, wid, wx)
+				}
+			}
+		}
 	}
 }

@@ -296,3 +296,42 @@ func FuzzSubmitSlabLaneEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// TestBlockTraceSkipsUntracedPrefix: a group that opens with untraced
+// records of a zombie — a forward gate's replayed prefix rides the hop
+// without contexts — followed by traced ones must still commit a block
+// trace, on the zombie's first traced record of the deciding group.
+func TestBlockTraceSkipsUntracedPrefix(t *testing.T) {
+	net := topology.NewMesh2D(8)
+	topo := wire.TopoID(net.Name())
+	cfg := laneConfig(net)
+	cfg.Shards, cfg.SketchAdmit = 1, -1
+	const victim, legit, zombie, quiet, prefix = 21, 5, 1, 300, 63
+	var recs []wire.Record
+	for i := 0; i < quiet; i++ {
+		recs = append(recs, wire.Record{T: eventq.Time(25 * i), Topo: topo, Victim: victim, MF: mkMF(t, net, legit, victim)})
+	}
+	for i := 0; i < quiet; i++ {
+		recs = append(recs, wire.Record{T: eventq.Time(25*quiet + i), Topo: topo, Victim: victim, MF: mkMF(t, net, zombie, victim), Proto: 6})
+	}
+	// The quiet baseline is one slab, the flood another whose first
+	// prefix records are untraced.
+	p, st := runLane(t, cfg, recs, quiet, func(i int) wire.TraceContext {
+		if i < quiet+prefix {
+			return wire.TraceContext{}
+		}
+		return everyRecord(i)
+	})
+	if st.Blocks != 1 || len(st.Blocklist) != 1 || st.Blocklist[0].Node != zombie {
+		t.Fatalf("blocks %d blocklist %v, want the zombie blocked once", st.Blocks, st.Blocklist)
+	}
+	f := AllTraces()
+	f.Outcome, f.HasOut = OutcomeBlock, true
+	got := p.Recorder().Snapshot(f)
+	if len(got) != 1 || got[0].Source != zombie || got[0].ID != everyRecord(quiet+prefix).ID {
+		t.Fatalf("block traces %+v, want one naming the zombie's first traced record (id %d)", got, everyRecord(quiet+prefix).ID)
+	}
+	if hist, _ := p.DetectionLatency(); hist == nil || hist.N() != 1 {
+		t.Errorf("detection latency samples = %v, want the block's", hist)
+	}
+}

@@ -339,9 +339,12 @@ type shard struct {
 	// srcs is the per-group identification scratch: the identified
 	// source per record, or a negative sentinel. outs is the trace
 	// lane's per-group outcome scratch, sized when a lane is first seen.
-	// lastSweep is the in-band TTL-sweep clock in cfg.Now() nanos.
+	// traces are the lane's, built in place, committed by addTrace and
+	// per sub-batch. lastSweep is the in-band TTL-sweep clock in cfg.Now()
+	// nanos.
 	srcs      []int32
 	outs      []Outcome
+	traces    []Trace
 	lastSweep int64
 
 	// batches is the worker-local latency-sampling clock, one tick per
@@ -495,9 +498,13 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 	sampled := p.sampleOn && (p.submitSeq.Add(1)-1)&p.sampleMask == 0
 	var t0 time.Time
 	var t0ns int64
+	var ended []Trace // ingest-side trace endings, committed before return
 	if sampled || traced {
 		t0 = time.Now()
 		t0ns = t0.UnixNano()
+	}
+	if traced {
+		ended = make([]Trace, 0, 16)
 	}
 	groups, valid := s.Partition(p.topoID, p.cfg.Net.NumNodes(), len(p.shards))
 	for i := valid; i < n; i++ {
@@ -508,7 +515,7 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 		}
 	}
 	if traced {
-		p.traceEnded(s.Recs[valid:], s.Ctxs[valid:], t0ns, -1, SpanMissing, OutcomeRejected)
+		ended = p.traceEnded(ended, s.Recs[valid:], s.Ctxs[valid:], t0ns, -1, SpanMissing, OutcomeRejected)
 	}
 	p.mu.RLock()
 	if p.closed {
@@ -517,7 +524,8 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 		p.mu.RUnlock()
 		p.C.RejectedClosed.Add(uint64(valid))
 		if traced {
-			p.traceEnded(s.Recs[:valid], s.Ctxs[:valid], t0ns, -1, SpanMissing, OutcomeRejected)
+			ended = p.traceEnded(ended, s.Recs[:valid], s.Ctxs[:valid], t0ns, -1, SpanMissing, OutcomeRejected)
+			p.commitTraces(ended)
 		}
 		s.Release()
 		return 0
@@ -534,11 +542,12 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 			p.C.Dropped.Add(cnt) // bounded queue full: shed the sub-batch, don't stall ingest
 			sh.dropped.Add(cnt)
 			if traced {
-				p.traceEnded(s.Recs[g.Start:g.End], s.Ctxs[g.Start:g.End], t0ns, -1, SpanMissing, OutcomeDrop)
+				ended = p.traceEnded(ended, s.Recs[g.Start:g.End], s.Ctxs[g.Start:g.End], t0ns, -1, SpanMissing, OutcomeDrop)
 			}
 		}
 	}
 	p.mu.RUnlock()
+	p.commitTraces(ended)
 	if sampled {
 		// One amortized observation per sampled batch: the whole submit
 		// (partition + every enqueue) divided across its records.
@@ -548,12 +557,24 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 	return accepted
 }
 
-// newTrace starts one record's timeline: its identity, the SubmitSlab
-// entry clock and the cross-host spans its context implies. Every
+// traceBatch is the most traces a shard worker builds before one Commit.
+const traceBatch = 128
+
+// addTrace starts one record's timeline in a new last slot of ts — its
+// identity, the SubmitSlab entry clock and the cross-host spans its
+// context implies — committing ts first when it is full. Every
 // daemon-side span starts SpanMissing; the caller fills in as far as
 // the record got.
-func newTrace(tc *wire.TraceContext, start int64, victim topology.NodeID, shard int) Trace {
-	t := Trace{
+func (p *Pipeline) addTrace(ts []Trace, tc *wire.TraceContext, start int64, victim topology.NodeID, shard int) []Trace {
+	if len(ts) == cap(ts) {
+		p.commitTraces(ts)
+		if ts = ts[:0]; cap(ts) == 0 {
+			ts = make([]Trace, 0, traceBatch)
+		}
+	}
+	ts = ts[:len(ts)+1]
+	t := &ts[len(ts)-1]
+	*t = Trace{
 		ID: tc.ID, Sent: tc.Sent, Start: start,
 		Victim: int64(victim), Source: -1, Shard: int32(shard),
 		Wire: SpanMissing, Forward: SpanMissing, Ingest: SpanMissing,
@@ -571,24 +592,24 @@ func newTrace(tc *wire.TraceContext, start int64, victim topology.NodeID, shard 
 	} else if tc.Sent > 0 {
 		t.Wire = start - tc.Sent
 	}
-	return t
+	return ts
 }
 
-// traceEnded commits a trace for every traced record of a run whose
+// traceEnded adds to ts a trace for every traced record of a run whose
 // journey ended short of a victim's exact state: rejected or shed in
 // SubmitSlab (shard −1, ingest SpanMissing — no worker saw it), or, on
 // a worker, kept sketch-only by the admission gate or addressed to a
 // fabric the scheme cannot cover. No pass ran for such records, so
 // every worker span stays SpanMissing.
-func (p *Pipeline) traceEnded(recs []wire.Record, ctxs []wire.TraceContext, start int64, shard int, ingest int64, out Outcome) {
+func (p *Pipeline) traceEnded(ts []Trace, recs []wire.Record, ctxs []wire.TraceContext, start int64, shard int, ingest int64, out Outcome) []Trace {
 	for i := range ctxs {
 		if ctxs[i].ID == 0 {
 			continue
 		}
-		t := newTrace(&ctxs[i], start, recs[i].Victim, shard)
-		t.Ingest, t.Outcome = ingest, out
-		p.commitTrace(&t)
+		ts = p.addTrace(ts, &ctxs[i], start, recs[i].Victim, shard)
+		ts[len(ts)-1].Ingest, ts[len(ts)-1].Outcome = ingest, out
 	}
+	return ts
 }
 
 // observeDetection records one send-to-block detection latency sample.
@@ -609,18 +630,25 @@ func (p *Pipeline) DetectionLatency() (*stats.Histogram, int64) {
 	return p.detLat.hist.Snapshot(), p.detLat.sumNS.Load()
 }
 
-// commitTrace offers a completed trace to the flight recorder and, if
-// tail sampling retained it, stamps its id as the exemplar of every
-// stage-histogram bin its spans fall in. Stamping only retained traces
-// keeps exemplars resolvable: an id read off /metrics can always be
-// looked up in /debug/traces (until the ring evicts it).
-func (p *Pipeline) commitTrace(t *Trace) {
-	if !p.fr.Commit(t) || !p.sampleOn {
+// commitTraces commits ts and stamps each retained trace's id as the
+// exemplar of every stage-histogram bin its spans fall in. Stamping only
+// retained traces keeps exemplars resolvable: an id read off /metrics
+// can always be looked up in /debug/traces (until the ring evicts it).
+// Equal spans share a bin, so a stage is stamped only by the last trace
+// of each run of them — the one per-trace stamping would leave there.
+func (p *Pipeline) commitTraces(ts []Trace) {
+	if len(ts) == 0 {
 		return
 	}
-	for stage, ns := range [numStages]int64{t.Ingest, t.Identify, t.Detect, t.Block} {
-		if ns >= 0 {
-			p.lat[stage].hist.SetExemplar(stats.Log2NS(ns), t.ID)
+	kept := ts[:p.fr.Commit(ts)]
+	if !p.sampleOn {
+		return
+	}
+	for i := range kept {
+		for stage, ns := range kept[i].stages() {
+			if ns >= 0 && (i+1 == len(kept) || kept[i+1].stages()[stage] != ns) {
+				p.lat[stage].hist.SetExemplar(stats.Log2NS(ns), kept[i].ID)
+			}
 		}
 	}
 }
@@ -797,7 +825,7 @@ func (p *Pipeline) processSub(s *shard, si int, b batch) {
 				// Unbuildable scheme for this fabric, cached at New: count
 				// and move on instead of retrying construction per batch.
 				fc.unbuildable += uint64(len(group))
-				p.traceEnded(group, ctxs, b.t0, si, fc.ingest, OutcomeUndecodable)
+				s.traces = p.traceEnded(s.traces, group, ctxs, b.t0, si, fc.ingest, OutcomeUndecodable)
 				continue
 			}
 			if s.gate != nil {
@@ -812,7 +840,7 @@ func (p *Pipeline) processSub(s *shard, si int, b batch) {
 					k++
 				}
 				if ctxs != nil {
-					p.traceEnded(group[:k], ctxs[:k], b.t0, si, fc.ingest, OutcomeSuppressed)
+					s.traces = p.traceEnded(s.traces, group[:k], ctxs[:k], b.t0, si, fc.ingest, OutcomeSuppressed)
 					ctxs = ctxs[k:]
 				}
 				if st == nil {
@@ -825,6 +853,8 @@ func (p *Pipeline) processSub(s *shard, si int, b batch) {
 		}
 		p.processGroup(s, st, v, group, ctxs, &fc)
 	}
+	p.commitTraces(s.traces)
+	s.traces = s.traces[:0]
 	fc.flush(p, s)
 	if fc.sampled {
 		// One amortized observation per stage per sampled batch.
@@ -973,12 +1003,21 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 				fc.blocks++
 				p.journalBlock(now, v, src, cnt, until, id)
 				if outs != nil {
-					outs[k] = OutcomeBlock
-					if ctxs[k].ID != 0 && ctxs[k].Sent > 0 {
+					// The block's trace is the source's first traced record
+					// here: a forward gate's replay prefix rides untraced.
+					j := k
+					for j < len(srcs) && (srcs[j] != srcs[k] || ctxs[j].ID == 0) {
+						j++
+					}
+					if j == len(srcs) {
+						j = k
+					}
+					outs[j] = OutcomeBlock
+					if ctxs[j].ID != 0 && ctxs[j].Sent > 0 {
 						// True send-to-block latency: the exporter's original
 						// send stamp survives forwarding, so this holds across
 						// owner changes and cluster hops.
-						p.observeDetection(uint64(fc.si), now-ctxs[k].Sent)
+						p.observeDetection(uint64(fc.si), now-ctxs[j].Sent)
 					}
 				}
 			}
@@ -989,26 +1028,28 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 	}
 
 	if outs != nil {
-		p.traceGroup(fc, v, ctxs, srcs, outs, dIdent, dDetect, dBlock)
+		p.traceGroup(s, fc, v, ctxs, srcs, outs, dIdent, dDetect, dBlock)
 	}
 }
 
 // traceGroup is the trace lane's one extra pass over a processed
-// group: it commits a trace per nonzero context. Every worker span is
-// its pass's wall time ÷ group length — the amortized figure the stage
-// histograms record, so an exemplar read off a histogram bin resolves
-// to a trace whose span falls in that bin. A group's traces therefore
-// all stamp the same bins and the last one committed keeps them, so
-// blocking records commit in a second sweep: the record that triggered
-// a block is the one an operator following a bin's exemplar is after.
-func (p *Pipeline) traceGroup(fc *fastCtx, v topology.NodeID, ctxs []wire.TraceContext, srcs []int32, outs []Outcome, dIdent, dDetect, dBlock time.Duration) {
+// group: it adds a trace per nonzero context to the shard's scratch,
+// committed in order. Every worker span is its pass's wall time ÷ group
+// length — the amortized figure the stage histograms record, so an
+// exemplar read off a histogram bin resolves to a trace whose span
+// falls in that bin. A group's traces therefore all stamp the same bins
+// and the last one committed keeps them, so blocking records commit in
+// a second sweep: the record that triggered a block is the one an
+// operator following a bin's exemplar is after.
+func (p *Pipeline) traceGroup(s *shard, fc *fastCtx, v topology.NodeID, ctxs []wire.TraceContext, srcs []int32, outs []Outcome, dIdent, dDetect, dBlock time.Duration) {
 	n := int64(len(ctxs))
 	for _, blocking := range [2]bool{false, true} {
 		for k := range ctxs {
 			if ctxs[k].ID == 0 || (outs[k] == OutcomeBlock) != blocking {
 				continue
 			}
-			t := newTrace(&ctxs[k], fc.t0, v, fc.si)
+			s.traces = p.addTrace(s.traces, &ctxs[k], fc.t0, v, fc.si)
+			t := &s.traces[len(s.traces)-1]
 			t.Ingest = fc.ingest
 			t.Identify, t.Detect, t.Block = int64(dIdent)/n, int64(dDetect)/n, int64(dBlock)/n
 			src, out := srcs[k], outs[k]
@@ -1020,7 +1061,6 @@ func (p *Pipeline) traceGroup(fc *fastCtx, v topology.NodeID, ctxs []wire.TraceC
 				out = OutcomeUndecodable
 			}
 			t.Source, t.Outcome = int64(src), out
-			p.commitTrace(&t)
 		}
 	}
 }

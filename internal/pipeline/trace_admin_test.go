@@ -52,7 +52,7 @@ func TestTracesEndpointFiltersAndErrors(t *testing.T) {
 			ID: id, Start: 1000, Victim: victim, Source: 3, Shard: 0, Outcome: out,
 			Wire: 10, Ingest: 20, Identify: 30, Detect: 40, Block: 50,
 		}
-		fr.Commit(&tr)
+		commitOne(fr, tr)
 	}
 	commit(0xabc, 5, OutcomeIdentified)
 	commit(0xdef, 6, OutcomeBlock)

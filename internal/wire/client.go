@@ -297,9 +297,11 @@ func (c *Client) buffer(recs []Record, ctxs []TraceContext) {
 	case ctxs != nil:
 		copy(c.ctxs[held:], ctxs)
 	case stamp:
+		// One send stamp per Send: the batch leaves together.
+		sent := c.cfg.NowNano()
 		for i := range c.ctxs[held:] {
 			c.traceSeq++
-			c.ctxs[held+i] = TraceContext{ID: SplitMix64(c.streamID ^ c.traceSeq), Sent: c.cfg.NowNano()}
+			c.ctxs[held+i] = TraceContext{ID: SplitMix64(c.streamID ^ c.traceSeq), Sent: sent}
 		}
 	}
 }
