@@ -19,8 +19,8 @@ package cluster
 // Unlike the pipeline's per-shard instances, each guarded by its
 // shard's lock, Route is called from many daemon connection goroutines,
 // so the gate is one mutex-guarded instance. That is acceptable because
-// the gate only sees unowned records (a 1/N slice of traffic) and the
-// critical section is a handful of hash probes.
+// the gate only sees unowned records (a 1/N slice of traffic), and a
+// victim holding a pass takes it about once per slab, not per record.
 
 import (
 	"sync"
@@ -70,18 +70,19 @@ func (g *fwGate) resetLocked(ringVer uint64) {
 // buffered records of a victim admitted by this very record (forward
 // them to the owner ahead of rec — rec itself is never in replay);
 // admitted reports that this very record crossed the threshold, so the
-// caller can emit the admission event exactly once per earn.
-func (g *fwGate) filter(ringVer uint64, rec wire.Record) (pass bool, replay []wire.Record, admitted bool) {
+// caller can emit the admission event exactly once per earn; gen is the
+// decay count a pass is now stamped with.
+func (g *fwGate) filter(ringVer uint64, rec wire.Record) (pass bool, replay []wire.Record, admitted bool, gen uint64) {
 	v := rec.Victim
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if ringVer != g.ringVer {
 		g.resetLocked(ringVer)
 	}
-	gen := g.gate.Decays()
+	gen = g.gate.Decays()
 	if _, ok := g.admitted[v]; ok {
 		g.admitted[v] = gen
-		return true, nil, false
+		return true, nil, false, gen
 	}
 	prefix, hot := g.gate.Offer(uint64(v), rec)
 	if now := g.gate.Decays(); now != gen {
@@ -93,7 +94,7 @@ func (g *fwGate) filter(ringVer uint64, rec wire.Record) (pass bool, replay []wi
 		}
 	}
 	if !hot {
-		return false, nil, false
+		return false, nil, false, gen
 	}
 	// Copy the prefix out: it aliases the slot Admit is about to recycle.
 	if len(prefix) > 0 {
@@ -101,7 +102,7 @@ func (g *fwGate) filter(ringVer uint64, rec wire.Record) (pass bool, replay []wi
 	}
 	g.gate.Admit(uint64(v))
 	g.admitted[v] = gen
-	return true, replay, true
+	return true, replay, true, gen
 }
 
 // admittedCount reports how many victims currently hold a forwarding

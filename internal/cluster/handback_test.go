@@ -609,7 +609,7 @@ func TestRouteSketchGate(t *testing.T) {
 	}
 	// Single-member rings bypass the gate entirely (everything local);
 	// verify directly that a fresh ring version clears admissions.
-	if pass, _, _ := n.gate.filter(n.Ring().Version(), wire.Record{Victim: hot}); pass {
+	if pass, _, _, _ := n.gate.filter(n.Ring().Version(), wire.Record{Victim: hot}); pass {
 		t.Fatal("admission survived a ring-version change")
 	}
 	if got := n.gate.admittedCount(); got != 0 {

@@ -354,11 +354,38 @@ func (n *Node) Route(s *wire.Slab) int {
 		return n.p.SubmitSlab(s)
 	}
 	ps := n.members.Load()
-	ringVer := ring.Version()
 	// One pooled output slab per owner, searched linearly: a fleet has few
 	// members, and up to len(outBuf) owners the array stays on the stack.
 	var outBuf [8]fwOut
-	outs := outBuf[:0]
+	outs := n.split(ring, s, outBuf[:0])
+	accepted := 0
+	if s.Len() > 0 {
+		accepted = n.p.SubmitSlab(s)
+	} else {
+		s.Release()
+	}
+	for _, o := range outs {
+		accepted += n.enqueue(ps.byID[o.owner], o.s)
+	}
+	return accepted
+}
+
+// routeMemo is split's decision for one victim: its owner under the
+// call's ring and its pass, if any, stamped at gate decay count gen.
+type routeMemo struct {
+	victim    topology.NodeID
+	owner     uint64
+	gen       uint64
+	set, pass bool
+}
+
+func memoSlot(v topology.NodeID) uint64 { return uint64(v) * 0x9E3779B97F4A7C15 >> 56 }
+
+// split is Route's decision loop: it keeps s's records this instance
+// owns under ring and appends the rest to outs, through the gate when
+// armed, deciding once per victim per call (DESIGN §12.2).
+func (n *Node) split(ring *Ring, s *wire.Slab, outs []fwOut) []fwOut {
+	ringVer := ring.Version()
 	traced := s.Ctxs != nil
 	var now int64
 	var fr *pipeline.FlightRecorder
@@ -371,10 +398,27 @@ func (n *Node) Route(s *wire.Slab) int {
 		fr = n.p.Recorder()
 		fwd = make([]pipeline.Trace, 0, 16)
 	}
+	var memo *[256]routeMemo // nil for a short slab: its repeats would not pay to clear it
+	if len(s.Recs) >= 64 {
+		memo = new([256]routeMemo)
+	}
+	var sink routeMemo         // without a memo, decisions land here unread
+	var gen, suppressed uint64 // gen: the decay count this call's last filter saw
 	recs := s.Recs
 	k := 0
 	for i := range recs {
-		owner := ring.Owner(recs[i].Victim)
+		v := recs[i].Victim
+		m, held := &sink, false // held: a pass stamped at this call's last filter
+		var owner uint64
+		if memo == nil {
+			owner = ring.Owner(v)
+		} else {
+			m = &memo[memoSlot(v)]
+			if m.victim != v || !m.set {
+				*m = routeMemo{victim: v, owner: ring.Owner(v), set: true}
+			}
+			owner, held = m.owner, m.pass && m.gen == gen
+		}
 		if owner == n.self {
 			if k != i {
 				recs[k] = recs[i]
@@ -386,14 +430,16 @@ func (n *Node) Route(s *wire.Slab) int {
 			continue
 		}
 		var replay []wire.Record
-		if n.gate != nil {
-			pass, buf, admitted := n.gate.filter(ringVer, recs[i])
+		if n.gate != nil && !held {
+			pass, buf, admitted, g := n.gate.filter(ringVer, recs[i])
+			gen = g
 			if !pass {
-				n.forwardSuppress.Add(1)
+				suppressed++
 				continue
 			}
+			m.pass, m.gen = true, g
 			if admitted {
-				n.noteGateAdmit(recs[i].Victim, owner, ringVer)
+				n.noteGateAdmit(v, owner, ringVer)
 			}
 			replay = buf
 		}
@@ -429,6 +475,7 @@ func (n *Node) Route(s *wire.Slab) int {
 		}
 		o.s.AppendTraced(wire.TracedRecord{Record: recs[i], Ctx: ctx})
 	}
+	n.forwardSuppress.Add(suppressed)
 	s.Recs = recs[:k]
 	if traced {
 		s.Ctxs = s.Ctxs[:k]
@@ -436,16 +483,7 @@ func (n *Node) Route(s *wire.Slab) int {
 			fr.Commit(fwd)
 		}
 	}
-	accepted := 0
-	if k > 0 {
-		accepted = n.p.SubmitSlab(s)
-	} else {
-		s.Release()
-	}
-	for _, o := range outs {
-		accepted += n.enqueue(ps.byID[o.owner], o.s)
-	}
-	return accepted
+	return outs
 }
 
 // fwOut is Route's pending batch for one owner.

@@ -5,7 +5,7 @@ package pipeline
 // pipeline package never imports cluster (which imports pipeline).
 // When ServerConfig.NewCluster is set, Start builds the node right
 // after the pipeline and routes every ingest slab through it; the node
-// decides per record whether this instance owns the victim (submit
+// decides once per victim per slab whether this instance owns it (submit
 // locally) or a peer does (re-export over a forwarding session).
 //
 // Victim-state handoff rides the same shard queues as records:
