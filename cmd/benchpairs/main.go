@@ -8,8 +8,10 @@
 // BENCHMARK.json declares) run one after the other, never two at once,
 // and the report ends with the PR driver's acceptance rule applied
 // locally: one line per (workload, metric) whose median moved the wrong
-// way by more than that metric's bound, and per workload whose share of
-// failed operations rose.
+// way by more than that metric's bound, per workload whose tree failed
+// the correctness gate, and per workload whose share of failed
+// operations rose. Any such line makes the command exit 1, so CI runs it
+// as the pull-request gate.
 //
 //	make bench-pairs BASE=HEAD~1 WORKLOAD=flood_dense [N=10] [SEED=1]
 //	make bench-pairs BASE=HEAD~1 WORKLOAD=all N=3
@@ -100,18 +102,17 @@ func run(base, workload string, n, seed int) error {
 	fmt.Printf("\npast a bound, the wrong way (%s, %d pairs each):\n", strings.Join(workloads, ", "), n)
 	if len(moved) == 0 {
 		fmt.Println("  nothing")
+		return nil
 	}
 	for _, line := range moved {
 		fmt.Println(" ", line)
 	}
-	return nil
+	return fmt.Errorf("%d regressions past a bound", len(moved))
 }
 
 // pairs runs n alternating pairs of one workload, prints every run and
-// the per-metric table, and returns a line for each metric whose median
-// shift is on the losing side of its bound (and one if a larger share
-// of operations failed on the tree).
-func pairs(baseDir, base, workload string, n, seed int, metrics []metric) (moved []string, err error) {
+// the per-metric table, and returns verdict's lines for the workload.
+func pairs(baseDir, base, workload string, n, seed int, metrics []metric) ([]string, error) {
 	dirs := map[string]string{"base": baseDir, "tree": "."}
 	runs := map[string][]contract{}
 	for i := 0; i < n; i++ {
@@ -136,46 +137,79 @@ func pairs(baseDir, base, workload string, n, seed int, metrics []metric) (moved
 	fmt.Printf("\n%s, seed %d, %d pairs, base %s\n", workload, seed, n, base)
 	fmt.Printf("%-16s %9s %14s %14s %8s %12s\n", "metric", "tree wins", "base median", "tree median", "shift", "base IQR")
 	for _, m := range metrics {
-		var b, t []float64
-		wins := 0
-		for i := 0; i < n; i++ {
-			bv, tv := runs["base"][i].Metrics[m.Name].Value, runs["tree"][i].Metrics[m.Name].Value
-			b, t = append(b, bv), append(t, tv)
-			if (m.Better == "higher" && tv > bv) || (m.Better == "lower" && tv < bv) {
-				wins++
-			}
-		}
-		sort.Float64s(b)
-		sort.Float64s(t)
-		bm, tm := quantile(b, 0.5), quantile(t, 0.5)
-		shift := (tm - bm) / bm
+		s := summarize(runs["base"], runs["tree"], m)
 		fmt.Printf("%-16s %6d/%-2d %14.4f %14.4f %+7.1f%% %12.4f\n",
-			m.Name, wins, n, bm, tm, 100*shift, quantile(b, 0.75)-quantile(b, 0.25))
-		if (m.Better == "higher" && shift < -m.Bound) || (m.Better == "lower" && shift > m.Bound) {
-			moved = append(moved, fmt.Sprintf("%s %s: median %.4f -> %.4f (%+.1f%%), bound %.0f%%, tree won %d/%d",
-				workload, m.Name, bm, tm, 100*shift, 100*m.Bound, wins, n))
-		}
+			m.Name, s.wins, n, s.baseMedian, s.treeMedian, 100*s.shift, s.baseIQR)
 	}
-	var share [2]float64 // base, tree
-	for i, side := range []string{"base", "tree"} {
-		var attempted, failed, incorrect int64
-		for _, c := range runs[side] {
-			attempted += c.Attempted
-			failed += c.Failed
-			if !c.Correct {
-				incorrect++
-			}
-		}
-		share[i] = float64(failed) / float64(max(attempted, 1))
+	for _, side := range []string{"base", "tree"} {
+		failed, incorrect, _ := failures(runs[side])
 		fmt.Printf("%s: %d failed operations, %d runs failed the correctness gate\n", side, failed, incorrect)
-		if side == "tree" && incorrect > 0 {
-			moved = append(moved, fmt.Sprintf("%s: %d tree runs failed the correctness gate", workload, incorrect))
+	}
+	return verdict(workload, runs["base"], runs["tree"], metrics), nil
+}
+
+// summary is one end-to-end metric over paired runs.
+type summary struct {
+	wins                                   int
+	baseMedian, treeMedian, shift, baseIQR float64
+}
+
+// summarize compares the i-th base run with the i-th tree run on m.
+func summarize(base, tree []contract, m metric) summary {
+	var b, t []float64
+	var s summary
+	for i := range base {
+		bv, tv := base[i].Metrics[m.Name].Value, tree[i].Metrics[m.Name].Value
+		b, t = append(b, bv), append(t, tv)
+		if (m.Better == "higher" && tv > bv) || (m.Better == "lower" && tv < bv) {
+			s.wins++
 		}
 	}
-	if share[1] > share[0] {
-		moved = append(moved, fmt.Sprintf("%s: failed share %.2e -> %.2e", workload, share[0], share[1]))
+	sort.Float64s(b)
+	sort.Float64s(t)
+	s.baseMedian, s.treeMedian = quantile(b, 0.5), quantile(t, 0.5)
+	s.shift = (s.treeMedian - s.baseMedian) / s.baseMedian
+	s.baseIQR = quantile(b, 0.75) - quantile(b, 0.25)
+	return s
+}
+
+// failures totals one side's failed operations, counts its runs that
+// failed the correctness gate, and gives the failed share of its
+// attempted operations.
+func failures(runs []contract) (failed, incorrect int64, share float64) {
+	var attempted int64
+	for _, c := range runs {
+		attempted += c.Attempted
+		failed += c.Failed
+		if !c.Correct {
+			incorrect++
+		}
 	}
-	return moved, nil
+	return failed, incorrect, float64(failed) / float64(max(attempted, 1))
+}
+
+// verdict is the PR driver's acceptance rule for one workload: a line
+// for each metric whose median moved the losing way by more than its
+// bound, one if any tree run failed the correctness gate, and one if a
+// larger share of the tree's operations failed. Empty means accept.
+func verdict(workload string, base, tree []contract, metrics []metric) []string {
+	var moved []string
+	for _, m := range metrics {
+		s := summarize(base, tree, m)
+		if (m.Better == "higher" && s.shift < -m.Bound) || (m.Better == "lower" && s.shift > m.Bound) {
+			moved = append(moved, fmt.Sprintf("%s %s: median %.4f -> %.4f (%+.1f%%), bound %.0f%%, tree won %d/%d",
+				workload, m.Name, s.baseMedian, s.treeMedian, 100*s.shift, 100*m.Bound, s.wins, len(tree)))
+		}
+	}
+	_, _, baseShare := failures(base)
+	_, incorrect, treeShare := failures(tree)
+	if incorrect > 0 {
+		moved = append(moved, fmt.Sprintf("%s: %d tree runs failed the correctness gate", workload, incorrect))
+	}
+	if treeShare > baseShare {
+		moved = append(moved, fmt.Sprintf("%s: failed share %.2e -> %.2e", workload, baseShare, treeShare))
+	}
+	return moved
 }
 
 // unpack replaces dir with the files of commit ref.

@@ -53,9 +53,7 @@ type Config struct {
 
 	// ForwardQueue bounds each peer's outbound batch queue (default
 	// 256 batches); a full queue sheds, counted, never blocks ingest.
-	// ForwardBatch caps records per forwarded frame (default 512).
 	ForwardQueue int
-	ForwardBatch int
 
 	// MaxReplicasPerMsg caps victim-state replicas per gossip message
 	// (default 8); a round-robin cursor covers the rest over rounds.
@@ -91,17 +89,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.ForwardQueue <= 0 {
 		c.ForwardQueue = 256
-	}
-	if c.ForwardBatch <= 0 {
-		c.ForwardBatch = 512
-	}
-	if limit := wire.MaxRecords(wire.TypeForwarded); c.ForwardBatch > limit {
-		return fmt.Errorf("cluster: ForwardBatch %d exceeds the %d records one forwarded frame can carry",
-			c.ForwardBatch, limit)
-	}
-	if limit := wire.MaxRecords(wire.TypeTracedForwarded); c.ForwardBatch > limit {
-		return fmt.Errorf("cluster: ForwardBatch %d exceeds the %d records one traced forwarded frame can carry",
-			c.ForwardBatch, limit)
 	}
 	if c.MaxReplicasPerMsg <= 0 {
 		c.MaxReplicasPerMsg = 8
@@ -573,6 +560,10 @@ func (n *Node) NoteForwardedIn(origin uint64, accepted int) {
 	}
 }
 
+// forwardBatch caps the records one forwarded frame carries; it must fit
+// the traced forwarded frame, the larger per-record layout.
+const forwardBatch = 512
+
 // forward is the per-peer forwarder goroutine: drains the batch queue
 // into an acked wire client shipping TypeForwarded frames. Records the
 // client sheds (peer unreachable, buffer overflow, close) are rerouted
@@ -584,7 +575,7 @@ func (n *Node) forward(pr *peer) {
 		Dial:          func() (net.Conn, error) { return n.cfg.Dial(pr.addr) },
 		StreamID:      n.incarnation ^ pr.id,
 		Seed:          splitmix64(n.incarnation ^ pr.id),
-		MaxBatch:      n.cfg.ForwardBatch,
+		MaxBatch:      forwardBatch,
 		MaxAttempts:   3,
 		BackoffBase:   5 * time.Millisecond,
 		BackoffMax:    250 * time.Millisecond,

@@ -108,6 +108,17 @@ func (n *Node) outboxLen() int {
 	return len(n.outbox)
 }
 
+// TestForwardBatchFitsOneFrame: every forwarder's client batches up to
+// forwardBatch records, so that many must fit one forwarded frame of
+// either lane.
+func TestForwardBatchFitsOneFrame(t *testing.T) {
+	for _, ftype := range []uint8{wire.TypeForwarded, wire.TypeTracedForwarded} {
+		if limit := wire.MaxRecords(ftype); forwardBatch > limit {
+			t.Errorf("forwardBatch %d exceeds the %d records one frame of type %d carries", forwardBatch, limit, ftype)
+		}
+	}
+}
+
 func TestGossipCodecRoundTrip(t *testing.T) {
 	m := &gossipMsg{
 		Sender:     0xABCD,
