@@ -4,21 +4,16 @@ BIN := bin
 .PHONY: check vet lint build race bench bench-pairs fuzz-smoke loc trace-smoke cluster-smoke fleet-trace-smoke run-ddpmd clean
 
 ## check: lint, build, test, fuzz-smoke and trace-smoke everything (the
-## tier-1 gate). The clustered chaos e2e — kill the victim's owner
-## mid-campaign, survivors take over, the owner rejoins and gets its
-## state handed back — the forward hop's slab-leak accounting, the
-## forwarding-gate scan-suppression e2e, Route under a concurrent ring
-## change, the pipeline's admin-reads-vs-workers hammer, the session's burst and
-## slab-credit e2es, the trace lane's worker-local commit scratch (the
-## lane-equivalence and SIGQUIT-under-ingest tests) and the blocklist's
-## lock-free read index run under the race detector here because their
-## value is precisely their concurrency.
+## tier-1 gate), plus one race-detector pass over the packages whose
+## tests exercise concurrency — the pipeline's shards and admin reads,
+## the wire sessions, the fault-injecting network, the cluster's forward
+## hop, gossip and chaos e2es, and the blocklist's lock-free read index.
+## Whole packages, not an allowlist, so a new concurrent test is covered
+## without being named here.
 check: lint
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race -count=1 -run 'TestClusterChaosKillOwnerMidCampaign|TestForwardSlabsReturnToPool|TestClusterScanSuppression|TestRouteConcurrentRingChange' ./internal/cluster/
-	$(GO) test -race -count=1 -run 'TestAdminReadsRaceWorkers|TestSessionBurst|TestSessionCreditShedsNothing|TestTraceLaneEquivalence|TestSIGQUITDumpAndTracesUnderConcurrentIngest' ./internal/pipeline/
-	$(GO) test -race -count=1 -run 'TestBlockedAtRacesWriters' ./internal/filter/
+	$(GO) test -race -count=1 ./internal/pipeline/ ./internal/wire/ ./internal/faultnet/ ./internal/cluster/ ./internal/filter/
 	$(MAKE) fuzz-smoke
 	$(MAKE) trace-smoke
 
@@ -55,7 +50,9 @@ race:
 ## processes: within 5 s exactly one instance, the joiner, holds it. The
 ## ring is a pure function of the fixed addresses, so the victim is
 ## picked once: node 63 is owned by :27430 on the three-member ring and
-## by :27450 once it joins. Last, an operator block POSTed to the first
+## by :27450 once it joins. `fleet status` must then list the 4 members
+## alive, and `fleet victims` must name the joiner as victim 63's only
+## reporter. Last, an operator block POSTed to the first
 ## instance must survive the second's restart: killed and started again
 ## under the same address (a new incarnation with an empty blocklist),
 ## within 5 s it must list the blocked node and agree with the first
@@ -122,6 +119,18 @@ cluster-smoke: build
 	done; \
 	[ "$$held" = " 27451" ] || { echo "cluster-smoke: victim 63 held by [$$held ], want the joiner (27451) alone"; exit 1; }; \
 	echo "cluster-smoke: the join handed victim 63's state to the joiner"; \
+	joiner=$$($(BIN)/ddpmd cluster status -http 127.0.0.1:27451 | sed -n 's/.*(member \([0-9a-f]*\)).*/\1/p'); \
+	for i in $$(seq 1 50); do \
+		fs="$$($(BIN)/ddpmd fleet status -http 127.0.0.1:27421)"; \
+		echo "$$fs" | awk 'NR > 2 && $$4 == "true" && $$5 ~ /^v/ {n++} END {exit n != 4}' && break; \
+		sleep 0.1; \
+	done; \
+	echo "$$fs" | awk 'NR > 2 && $$4 == "true" && $$5 ~ /^v/ {n++} END {exit n != 4}' || { \
+		echo "cluster-smoke: fleet status does not list 4 alive members:"; echo "$$fs"; exit 1; }; \
+	fv="$$($(BIN)/ddpmd fleet victims -http 127.0.0.1:27421)"; \
+	echo "$$fv" | awk -v j="$$joiner" '$$1 == 63 && $$NF == j && ($$(NF-1) ~ /\)$$/ || $$(NF-1) == "-") {f = 1} END {exit !f}' || { \
+		echo "cluster-smoke: fleet victims does not list victim 63 as reported by the joiner ($$joiner) alone:"; echo "$$fv"; exit 1; }; \
+	echo "cluster-smoke: fleet status lists 4 alive members, fleet victims has victim 63 on the joiner alone"; \
 	curl -sf -X POST -d '{"node":17}' http://127.0.0.1:27421/blocklist || { echo "cluster-smoke: operator block POST failed"; exit 1; }; \
 	kill $$p2; wait $$p2 || true; \
 	$(BIN)/ddpmd serve -topo torus -dims 8x8 -tcp 127.0.0.1:27430 -http 127.0.0.1:27431 \

@@ -1,15 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"strings"
 	"text/tabwriter"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // runCluster dispatches the cluster subcommands (just `status` today).
@@ -32,57 +31,14 @@ func runClusterStatus(args []string) {
 	)
 	fs.Parse(args)
 
-	client := &http.Client{Timeout: *timeout}
-	resp, err := client.Get(fmt.Sprintf("http://%s/cluster", *httpAddr))
-	if err != nil {
-		fatal(fmt.Errorf("cluster status: %w", err))
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatal(fmt.Errorf("cluster status: %w", err))
-	}
-	if resp.StatusCode == http.StatusNotFound {
+	var st cluster.Status
+	code, _, err := adminGet(&http.Client{Timeout: *timeout}, *httpAddr, "/cluster", &st)
+	if code == http.StatusNotFound {
 		fmt.Printf("ddpmd at %s: cluster mode off\n", *httpAddr)
 		return
 	}
-	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("cluster status: GET /cluster: %d %s", resp.StatusCode, strings.TrimSpace(string(body))))
-	}
-	var st struct {
-		Self        string `json:"self"`
-		MemberID    uint64 `json:"member_id"`
-		Incarnation uint64 `json:"incarnation"`
-		RingVersion uint64 `json:"ring_version"`
-		Alive       int    `json:"alive"`
-		Members     []struct {
-			Addr         string `json:"addr"`
-			ID           uint64 `json:"id"`
-			Self         bool   `json:"self"`
-			Alive        bool   `json:"alive"`
-			LastHeardMs  int64  `json:"last_heard_ms"`
-			RingVersion  uint64 `json:"ring_version"`
-			Delivered    uint64 `json:"forward_delivered"`
-			Queued       uint64 `json:"forward_queued"`
-			Lost         uint64 `json:"forward_lost"`
-			LastGossipMs int64  `json:"last_gossip_ms"`
-			AdminAddr    string `json:"admin_addr"`
-		} `json:"members"`
-		ForwardedOut   uint64 `json:"forwarded_out"`
-		ForwardedIn    uint64 `json:"forwarded_in"`
-		ForwardDropped uint64 `json:"forward_dropped"`
-		ForwardLost    uint64 `json:"forward_lost"`
-		ForwardQueue   int    `json:"forward_queue_len"`
-		GossipRounds   uint64 `json:"gossip_rounds"`
-		GossipFails    uint64 `json:"gossip_fails"`
-		BlocklistSeq   uint64 `json:"blocklist_seq"`
-		SeedsApplied   uint64 `json:"seeds_applied"`
-		Takeovers      uint64 `json:"takeovers"`
-		StoredReplicas int    `json:"stored_replicas"`
-		OwnedVictims   int    `json:"owned_victims"`
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		fatal(fmt.Errorf("cluster status: bad /cluster response: %w", err))
+	if err != nil {
+		fatal(fmt.Errorf("cluster status: %w", err))
 	}
 
 	fmt.Printf("ddpmd cluster at %s — self %s (member %x), ring v%d, %d/%d alive\n",

@@ -5,19 +5,23 @@ package main
 // /cluster/traces endpoint to fan the query out (the daemon knows the
 // roster and its admin addresses via gossip), while `fleet status` and
 // `fleet victims` discover the roster from /cluster themselves and
-// aggregate per-member answers client-side.
+// aggregate per-member answers client-side. Like every client command
+// they decode the daemon's own exported types (cluster.Status,
+// pipeline.VictimReport, pipeline.FleetTrace) and keep no mirror of
+// them.
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/pipeline"
 )
 
 func runFleet(args []string) {
@@ -39,23 +43,6 @@ func runFleet(args []string) {
 func fleetUsage() {
 	fmt.Fprintln(os.Stderr, "usage: ddpmd fleet trace <id> | status | victims [-http addr]")
 	os.Exit(2)
-}
-
-// fleetSpan mirrors pipeline.FleetSpan: one member's retained trace,
-// tagged with the node that holds it.
-type fleetSpan struct {
-	Node     string `json:"node"`
-	MemberID string `json:"member_id"`
-	traceEntry
-}
-
-// fleetTraceDoc mirrors pipeline.FleetTrace, the merged /cluster/traces
-// document.
-type fleetTraceDoc struct {
-	ID                 string      `json:"id"`
-	Spans              []fleetSpan `json:"spans"`
-	Errors             []string    `json:"errors"`
-	DetectionLatencyNS int64       `json:"detection_latency_ns"`
 }
 
 // runFleetTrace renders one record's cross-node timeline: every span
@@ -85,17 +72,10 @@ func runFleetTrace(args []string) {
 		fatal(fmt.Errorf("fleet trace: a trace id is required (hex, e.g. off a /metrics exemplar)"))
 	}
 
-	client := &http.Client{Timeout: *timeout}
-	body, status, err := fleetGet(client, *httpAddr, "/cluster/traces?id="+*id)
+	var doc pipeline.FleetTrace
+	_, body, err := adminGet(&http.Client{Timeout: *timeout}, *httpAddr, "/cluster/traces?id="+*id, &doc)
 	if err != nil {
 		fatal(fmt.Errorf("fleet trace: %w", err))
-	}
-	if status != http.StatusOK {
-		fatal(fmt.Errorf("fleet trace: GET /cluster/traces: %d: %s", status, strings.TrimSpace(string(body))))
-	}
-	var doc fleetTraceDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		fatal(fmt.Errorf("fleet trace: bad /cluster/traces response: %w", err))
 	}
 
 	if *jsonOut {
@@ -112,12 +92,10 @@ func runFleetTrace(args []string) {
 		}
 		if len(doc.Spans) > 0 {
 			tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-			fmt.Fprintln(tw, "  node\tmember\toutcome\tvictim\tsource\tshard\twire\tforward\tingest\tidentify\tdetect\tblock\ttotal")
-			for _, s := range doc.Spans {
-				fmt.Fprintf(tw, "  %s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
-					s.Node, s.MemberID, s.Outcome, fmtNode(s.Victim), fmtNode(s.Source), fmtNode(int64(s.Shard)),
-					fmtSpan(s.WireNS), fmtSpan(s.ForwardNS), fmtSpan(s.IngestNS), fmtSpan(s.IdentifyNS),
-					fmtSpan(s.DetectNS), fmtSpan(s.BlockNS), fmtSpan(s.TotalNS))
+			fmt.Fprintln(tw, "  node\tmember\t"+traceHeader)
+			for i := range doc.Spans {
+				s := &doc.Spans[i]
+				fmt.Fprintf(tw, "  %s\t%s\t%s\n", s.Node, s.MemberID, traceCells(&s.TraceJSON))
 			}
 			tw.Flush()
 		}
@@ -131,54 +109,27 @@ func runFleetTrace(args []string) {
 	}
 }
 
-// fleetRoster fetches one member's /cluster document and returns the
-// fleet roster as that member sees it: (addr, member id hex, alive,
-// admin address) per member, self included.
-type fleetRosterEntry struct {
-	Addr      string
-	ID        uint64
-	Self      bool
-	Alive     bool
-	AdminAddr string
-}
-
-func fleetRoster(client *http.Client, httpAddr string) []fleetRosterEntry {
-	body, status, err := fleetGet(client, httpAddr, "/cluster")
+// fleetRoster returns the fleet roster as the member at httpAddr sees
+// it, self included. The queried member is alive, and answers on the
+// address we used even before its own gossip round advertised it.
+func fleetRoster(client *http.Client, httpAddr string) []cluster.MemberStatus {
+	var st cluster.Status
+	code, _, err := adminGet(client, httpAddr, "/cluster", &st)
+	if code == http.StatusNotFound {
+		fatal(fmt.Errorf("fleet: ddpmd at %s is not in cluster mode", httpAddr))
+	}
 	if err != nil {
 		fatal(fmt.Errorf("fleet: %w", err))
 	}
-	if status == http.StatusNotFound {
-		fatal(fmt.Errorf("fleet: ddpmd at %s is not in cluster mode", httpAddr))
-	}
-	if status != http.StatusOK {
-		fatal(fmt.Errorf("fleet: GET /cluster: %d: %s", status, strings.TrimSpace(string(body))))
-	}
-	var doc struct {
-		Members []struct {
-			Addr      string `json:"addr"`
-			ID        uint64 `json:"id"`
-			Self      bool   `json:"self"`
-			Alive     bool   `json:"alive"`
-			AdminAddr string `json:"admin_addr"`
-		} `json:"members"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		fatal(fmt.Errorf("fleet: bad /cluster response: %w", err))
-	}
-	out := make([]fleetRosterEntry, 0, len(doc.Members))
-	for _, m := range doc.Members {
-		e := fleetRosterEntry(m)
-		if m.Self {
-			// The queried member always answers on the address we used,
-			// even before its own gossip round advertised it.
-			if e.AdminAddr == "" {
-				e.AdminAddr = httpAddr
+	for i := range st.Members {
+		if m := &st.Members[i]; m.Self {
+			if m.AdminAddr == "" {
+				m.AdminAddr = httpAddr
 			}
-			e.Alive = true
+			m.Alive = true
 		}
-		out = append(out, e)
 	}
-	return out
+	return st.Members
 }
 
 // runFleetStatus aggregates every member's own /cluster document into
@@ -205,24 +156,9 @@ func runFleetStatus(args []string) {
 			row("-", "-", "-", "-", "-", "admin address not yet gossiped")
 			continue
 		}
-		body, status, err := fleetGet(client, m.AdminAddr, "/cluster")
-		if err != nil {
+		var doc cluster.Status
+		if _, _, err := adminGet(client, m.AdminAddr, "/cluster", &doc); err != nil {
 			row("-", "-", "-", "-", "-", err.Error())
-			continue
-		}
-		if status != http.StatusOK {
-			row("-", "-", "-", "-", "-", fmt.Sprintf("GET /cluster: %d", status))
-			continue
-		}
-		var doc struct {
-			RingVersion  uint64 `json:"ring_version"`
-			OwnedVictims int    `json:"owned_victims"`
-			ForwardedOut uint64 `json:"forwarded_out"`
-			ForwardedIn  uint64 `json:"forwarded_in"`
-			BlocklistSeq uint64 `json:"blocklist_seq"`
-		}
-		if err := json.Unmarshal(body, &doc); err != nil {
-			row("-", "-", "-", "-", "-", fmt.Sprintf("bad /cluster response: %v", err))
 			continue
 		}
 		row(fmt.Sprintf("v%d", doc.RingVersion), fmt.Sprint(doc.OwnedVictims),
@@ -258,27 +194,9 @@ func runFleetVictims(args []string) {
 		if m.AdminAddr == "" || !m.Alive {
 			continue
 		}
-		body, status, err := fleetGet(client, m.AdminAddr, fmt.Sprintf("/victims?k=%d", *topK))
-		if err != nil {
+		var reports []pipeline.VictimReport
+		if _, _, err := adminGet(client, m.AdminAddr, fmt.Sprintf("/victims?k=%d", *topK), &reports); err != nil {
 			fmt.Fprintf(os.Stderr, "fleet victims: %s: %v\n", m.Addr, err)
-			continue
-		}
-		if status != http.StatusOK {
-			fmt.Fprintf(os.Stderr, "fleet victims: %s: GET /victims: %d\n", m.Addr, status)
-			continue
-		}
-		var reports []struct {
-			Node        int64 `json:"node"`
-			Alarmed     bool  `json:"alarmed"`
-			Identified  int64 `json:"identified"`
-			Undecodable int64 `json:"undecodable"`
-			TopSources  []struct {
-				Node  int64 `json:"node"`
-				Count int64 `json:"count"`
-			} `json:"top_sources"`
-		}
-		if err := json.Unmarshal(body, &reports); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet victims: %s: bad /victims response: %v\n", m.Addr, err)
 			continue
 		}
 		mid := fmt.Sprintf("%x", m.ID)
@@ -315,25 +233,22 @@ func runFleetVictims(args []string) {
 	tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  victim\talarmed\tidentified\tundecodable\ttop sources\treported by")
 	for _, r := range rows {
-		type sc struct {
-			node, count int64
-		}
-		srcs := make([]sc, 0, len(r.Sources))
+		srcs := make([]pipeline.SourceCount, 0, len(r.Sources))
 		for n, c := range r.Sources {
-			srcs = append(srcs, sc{n, c})
+			srcs = append(srcs, pipeline.SourceCount{Node: n, Count: c})
 		}
 		sort.Slice(srcs, func(i, j int) bool {
-			if srcs[i].count != srcs[j].count {
-				return srcs[i].count > srcs[j].count
+			if srcs[i].Count != srcs[j].Count {
+				return srcs[i].Count > srcs[j].Count
 			}
-			return srcs[i].node < srcs[j].node
+			return srcs[i].Node < srcs[j].Node
 		})
 		if len(srcs) > *topK {
 			srcs = srcs[:*topK]
 		}
 		parts := make([]string, len(srcs))
 		for i, s := range srcs {
-			parts[i] = fmt.Sprintf("%d(%d)", s.node, s.count)
+			parts[i] = fmt.Sprintf("%d(%d)", s.Node, s.Count)
 		}
 		top := strings.Join(parts, " ")
 		if top == "" {
@@ -343,19 +258,4 @@ func runFleetVictims(args []string) {
 			r.Node, r.Alarmed, r.Identified, r.Undecodable, top, strings.Join(r.ReportedBy, " "))
 	}
 	tw.Flush()
-}
-
-// fleetGet fetches one admin-plane path and returns the body and
-// status; transport errors come back as the error.
-func fleetGet(client *http.Client, addr, path string) ([]byte, int, error) {
-	resp, err := client.Get("http://" + addr + path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, resp.StatusCode, err
-	}
-	return body, resp.StatusCode, nil
 }

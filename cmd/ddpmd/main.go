@@ -39,7 +39,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -450,4 +452,32 @@ func parseDims(s string) ([]int, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ddpmd:", err)
 	os.Exit(1)
+}
+
+// adminGet is the client commands' one read of a daemon's admin plane:
+// GET path from addr and, on 200, decode the body into v (nil skips the
+// decode). v is the type the daemon encodes at that path, so a schema
+// change breaks the build here rather than reading zero. The status is
+// 0 when no answer arrived; a non-200 answer comes back as its status,
+// its body and an error naming both.
+func adminGet(client *http.Client, addr, path string, v any) (int, []byte, error) {
+	resp, err := client.Get("http://" + addr + path)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, nil, err
+	}
+	route, _, _ := strings.Cut(path, "?")
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, body, fmt.Errorf("GET %s: %d: %s", route, resp.StatusCode, strings.TrimSpace(string(body)))
+	}
+	if v != nil {
+		if err := json.Unmarshal(body, v); err != nil {
+			return resp.StatusCode, body, fmt.Errorf("bad %s response: %w", route, err)
+		}
+	}
+	return resp.StatusCode, body, nil
 }

@@ -2,10 +2,8 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -13,6 +11,8 @@ import (
 	"strings"
 	"text/tabwriter"
 	"time"
+
+	"repro/internal/pipeline"
 )
 
 // runStatus renders a running daemon's admin plane as a human-readable
@@ -28,23 +28,14 @@ func runStatus(args []string) {
 	fs.Parse(args)
 
 	client := &http.Client{Timeout: *timeout}
-	get := func(path string) (int, []byte, error) {
-		resp, err := client.Get(fmt.Sprintf("http://%s%s", *httpAddr, path))
-		if err != nil {
-			return 0, nil, err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		return resp.StatusCode, body, err
-	}
-
-	code, health, err := get("/healthz")
-	if err != nil {
+	// /healthz answers 503 when draining or failed; its body says which.
+	code, health, err := adminGet(client, *httpAddr, "/healthz", nil)
+	if code == 0 {
 		fatal(fmt.Errorf("status: %w", err))
 	}
-	code2, metricsBody, err := get("/metrics")
-	if err != nil || code2 != http.StatusOK {
-		fatal(fmt.Errorf("status: GET /metrics: %d %v", code2, err))
+	_, metricsBody, err := adminGet(client, *httpAddr, "/metrics", nil)
+	if err != nil {
+		fatal(fmt.Errorf("status: %w", err))
 	}
 	m := parseMetrics(metricsBody)
 
@@ -109,22 +100,9 @@ func runStatus(args []string) {
 		tw.Flush()
 	}
 
-	code3, victimsBody, err := get(fmt.Sprintf("/victims?k=%d", *topK))
-	if err != nil || code3 != http.StatusOK {
-		fatal(fmt.Errorf("status: GET /victims: %d %v", code3, err))
-	}
-	var reports []struct {
-		Node        int64 `json:"node"`
-		Alarmed     bool  `json:"alarmed"`
-		Identified  int64 `json:"identified"`
-		Undecodable int64 `json:"undecodable"`
-		TopSources  []struct {
-			Node  int64 `json:"node"`
-			Count int64 `json:"count"`
-		} `json:"top_sources"`
-	}
-	if err := json.Unmarshal(victimsBody, &reports); err != nil {
-		fatal(fmt.Errorf("status: bad /victims response: %w", err))
+	var reports []pipeline.VictimReport
+	if _, _, err := adminGet(client, *httpAddr, fmt.Sprintf("/victims?k=%d", *topK), &reports); err != nil {
+		fatal(fmt.Errorf("status: %w", err))
 	}
 	fmt.Printf("\nvictims (%d):\n", len(reports))
 	tw = tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)

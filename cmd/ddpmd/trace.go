@@ -1,39 +1,22 @@
 package main
 
+// The client commands keep no schema of their own: each decodes the
+// type the daemon encodes (here pipeline.TraceJSON), so a renamed field
+// fails the build instead of reading zero. encoding/json already skips
+// keys a newer daemon adds and leaves absent ones zero.
+
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
 	"strings"
 	"text/tabwriter"
 	"time"
+
+	"repro/internal/pipeline"
 )
-
-// traceEntry mirrors pipeline.TraceJSON — decoded here rather than
-// imported so the CLI keeps working against daemons a version ahead or
-// behind.
-type traceEntry struct {
-	ID      string `json:"id"`
-	Outcome string `json:"outcome"`
-	Victim  int64  `json:"victim"`
-	Source  int64  `json:"source"`
-	Shard   int32  `json:"shard"`
-	StartNS int64  `json:"start_unix_nano"`
-	SentNS  int64  `json:"sent_unix_nano"`
-	Origin  string `json:"origin"`
-
-	WireNS     int64 `json:"wire_ns"`
-	ForwardNS  int64 `json:"forward_ns"`
-	IngestNS   int64 `json:"ingest_ns"`
-	IdentifyNS int64 `json:"identify_ns"`
-	DetectNS   int64 `json:"detect_ns"`
-	BlockNS    int64 `json:"block_ns"`
-	TotalNS    int64 `json:"total_ns"`
-}
 
 // runTrace fetches retained traces from a daemon's /debug/traces and
 // renders them as span-timeline table rows, newest first.
@@ -43,7 +26,7 @@ func runTrace(args []string) {
 		httpAddr = fs.String("http", "127.0.0.1:7421", "admin plane address of the daemon")
 		victim   = fs.String("victim", "", "only traces for this victim node")
 		source   = fs.String("source", "", "only traces for this identified source node")
-		outcome  = fs.String("outcome", "", "only traces with this outcome (identified, undecodable, blocked_hit, alarm, block, drop, rejected, resync)")
+		outcome  = fs.String("outcome", "", "only traces with this outcome ("+strings.Join(pipeline.OutcomeNames(), ", ")+")")
 		id       = fs.String("id", "", "one trace by hex id (e.g. off a /metrics exemplar)")
 		limit    = fs.Int("limit", 50, "max traces shown (0 = all retained)")
 		minCount = fs.Int("min", 0, "exit nonzero unless at least this many traces matched")
@@ -61,49 +44,40 @@ func runTrace(args []string) {
 	if *limit > 0 {
 		q.Set("limit", fmt.Sprint(*limit))
 	}
-	u := fmt.Sprintf("http://%s/debug/traces?%s", *httpAddr, q.Encode())
-	client := &http.Client{Timeout: *timeout}
-	resp, err := client.Get(u)
+	var traces []pipeline.TraceJSON
+	_, body, err := adminGet(&http.Client{Timeout: *timeout}, *httpAddr, "/debug/traces?"+q.Encode(), &traces)
 	if err != nil {
 		fatal(fmt.Errorf("trace: %w", err))
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatal(fmt.Errorf("trace: %w", err))
-	}
-	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("trace: GET /debug/traces: %d: %s", resp.StatusCode, strings.TrimSpace(string(body))))
-	}
-	var traces []traceEntry
-	if err := json.Unmarshal(body, &traces); err != nil {
-		fatal(fmt.Errorf("trace: bad /debug/traces response: %w", err))
 	}
 
 	if *jsonOut {
 		os.Stdout.Write(body)
-		if len(traces) < *minCount {
-			fmt.Fprintf(os.Stderr, "trace: %d traces matched, wanted at least %d\n", len(traces), *minCount)
-			os.Exit(1)
+	} else {
+		fmt.Printf("%d traces (newest first)\n", len(traces))
+		if len(traces) > 0 {
+			tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+			fmt.Fprintln(tw, "  id\t"+traceHeader)
+			for i := range traces {
+				fmt.Fprintf(tw, "  %s\t%s\n", traces[i].ID, traceCells(&traces[i]))
+			}
+			tw.Flush()
 		}
-		return
-	}
-	fmt.Printf("%d traces (newest first)\n", len(traces))
-	if len(traces) > 0 {
-		tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "  id\toutcome\tvictim\tsource\tshard\twire\tforward\tingest\tidentify\tdetect\tblock\ttotal")
-		for _, t := range traces {
-			fmt.Fprintf(tw, "  %s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
-				t.ID, t.Outcome, fmtNode(t.Victim), fmtNode(t.Source), fmtNode(int64(t.Shard)),
-				fmtSpan(t.WireNS), fmtSpan(t.ForwardNS), fmtSpan(t.IngestNS), fmtSpan(t.IdentifyNS),
-				fmtSpan(t.DetectNS), fmtSpan(t.BlockNS), fmtSpan(t.TotalNS))
-		}
-		tw.Flush()
 	}
 	if len(traces) < *minCount {
 		fmt.Fprintf(os.Stderr, "trace: %d traces matched, wanted at least %d\n", len(traces), *minCount)
 		os.Exit(1)
 	}
+}
+
+// traceHeader and traceCells are the timeline columns `trace` and
+// `fleet trace` share: outcome, the node ids, then every span.
+const traceHeader = "outcome\tvictim\tsource\tshard\twire\tforward\tingest\tidentify\tdetect\tblock\ttotal"
+
+func traceCells(t *pipeline.TraceJSON) string {
+	return fmt.Sprintf("%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s",
+		t.Outcome, fmtNode(t.Victim), fmtNode(t.Source), fmtNode(int64(t.Shard)),
+		fmtSpan(t.WireNS), fmtSpan(t.ForwardNS), fmtSpan(t.IngestNS), fmtSpan(t.IdentifyNS),
+		fmtSpan(t.DetectNS), fmtSpan(t.BlockNS), fmtSpan(t.TotalNS))
 }
 
 // fmtNode renders a node id, with "-" for the -1 "not applicable"

@@ -585,7 +585,7 @@ func (n *Node) forward(pr *peer) {
 		// untraced hot path pays nothing for the offer.
 		Trace:            true,
 		OnTraceDowngrade: func() { n.noteTraceDowngrade(pr) },
-		OnLost:           func(rec wire.Record) { n.reroute(pr, rec) },
+		OnLost:           func(recs []wire.Record) { n.reroute(pr, recs) },
 	})
 	if err != nil {
 		n.cfg.Logf("cluster: forwarder %s: %v", pr.addr, err)
@@ -631,32 +631,59 @@ func (n *Node) noteTraceDowngrade(pr *peer) {
 	}, noTrace, 0)
 }
 
-// reroute re-dispatches one record the forwarder for `from` abandoned.
-// If the ring has moved the victim here, process it locally; if it
-// names a different peer, requeue there; if it still names the dead
-// peer (ring not yet rebuilt) or the node is closing, the record is
-// lost — counted, like any unreachable-exporter loss.
-func (n *Node) reroute(from *peer, rec wire.Record) {
+// reroute re-dispatches a run of records the forwarder for `from`
+// abandoned, in one pooled slab per destination cut at SlabCap (the
+// pipeline partitions a slab into a SlabCap-long scratch). Records the
+// ring has moved here are processed locally, records it gives another
+// peer are requeued there. Records it still gives the dead peer (ring
+// not yet rebuilt), every record once the node is closing, and records
+// the pipeline or the peer's queue refuses are lost — counted, like any
+// unreachable-exporter loss.
+func (n *Node) reroute(from *peer, recs []wire.Record) {
 	if n.closed.Load() {
-		n.forwardLost.Add(1)
+		n.forwardLost.Add(uint64(len(recs)))
 		return
 	}
-	owner := n.ring.Load().Owner(rec.Victim)
-	if owner == from.id {
-		n.forwardLost.Add(1)
-		from.lost.Add(1)
-		return
+	ring, ps := n.ring.Load(), n.members.Load()
+	send := func(o *fwOut) {
+		k, accepted := o.s.Len(), 0
+		if o.owner == n.self {
+			accepted = n.p.SubmitSlab(o.s)
+		} else {
+			accepted = n.enqueue(ps.byID[o.owner], o.s)
+		}
+		n.forwardLost.Add(uint64(k - accepted))
+		o.s = nil
 	}
-	s := n.p.GetSlab()
-	s.Append(rec)
-	var accepted int
-	if owner == n.self {
-		accepted = n.p.SubmitSlab(s)
-	} else {
-		accepted = n.enqueue(n.members.Load().byID[owner], s)
+	var outBuf [8]fwOut
+	outs := outBuf[:0]
+	for _, rec := range recs {
+		owner := ring.Owner(rec.Victim)
+		if owner == from.id {
+			n.forwardLost.Add(1)
+			from.lost.Add(1)
+			continue
+		}
+		j := 0
+		for j < len(outs) && outs[j].owner != owner {
+			j++
+		}
+		if j == len(outs) {
+			outs = append(outs, fwOut{owner: owner})
+		}
+		o := &outs[j]
+		if o.s == nil {
+			o.s = n.p.GetSlab()
+		}
+		o.s.Append(rec)
+		if o.s.Len() == wire.SlabCap {
+			send(o)
+		}
 	}
-	if accepted == 0 {
-		n.forwardLost.Add(1)
+	for i := range outs {
+		if outs[i].s != nil {
+			send(&outs[i])
+		}
 	}
 }
 
@@ -782,10 +809,7 @@ const maxDigest = 2
 // left after it and a full digest. Caller holds n.mu.
 func (n *Node) headLocked() (*gossipMsg, gossipBudget) {
 	now := n.cfg.Now()
-	m := &gossipMsg{Sender: n.self, RingVer: n.ring.Load().Version(), SenderAddr: n.cfg.Self}
-	if admin := n.adminAddr.Load(); admin != nil {
-		m.SenderAdmin = *admin
-	}
+	m := &gossipMsg{Sender: n.self, RingVer: n.ring.Load().Version(), SenderAddr: n.cfg.Self, SenderAdmin: loadAddr(&n.adminAddr)}
 	// The roster carries every peer we currently believe alive, so a
 	// joiner that knows one member learns the rest in one exchange.
 	for _, other := range n.members.Load().list {
@@ -1146,6 +1170,7 @@ func (n *Node) StatusJSON() any {
 		Alive:       ring.Size(),
 		Members: []MemberStatus{{
 			Addr: n.cfg.Self, ID: n.self, Self: true, Alive: true, RingVersion: ring.Version(),
+			AdminAddr: loadAddr(&n.adminAddr),
 		}},
 		ForwardedOut:     n.forwardedOut.Load(),
 		ForwardedIn:      n.forwardedIn.Load(),
@@ -1166,9 +1191,6 @@ func (n *Node) StatusJSON() any {
 	if n.gate != nil {
 		st.GateAdmitted = n.gate.admittedCount()
 	}
-	if admin := n.adminAddr.Load(); admin != nil {
-		st.Members[0].AdminAddr = *admin
-	}
 	for _, pr := range n.members.Load().list {
 		st.ForwardQueue += len(pr.queue)
 		ms := MemberStatus{
@@ -1181,12 +1203,10 @@ func (n *Node) StatusJSON() any {
 			Queued:       pr.queued.Load(),
 			Delivered:    pr.delivered.Load(),
 			Lost:         pr.lost.Load(),
+			AdminAddr:    loadAddr(&pr.adminAddr),
 		}
 		if lg := pr.lastGossip.Load(); lg != 0 {
 			ms.LastGossipMs = (now - lg) / int64(time.Millisecond)
-		}
-		if admin := pr.adminAddr.Load(); admin != nil {
-			ms.AdminAddr = *admin
 		}
 		st.Members = append(st.Members, ms)
 	}
@@ -1253,35 +1273,30 @@ func (n *Node) WriteMetrics(w io.Writer) {
 		float64(lagNS)/float64(time.Second))
 }
 
-// SetAdminAddr records this node's admin-plane HTTP address once the
-// daemon's listener is bound; it rides every subsequent gossip message
-// so peers can answer fleet-wide trace queries.
-func (n *Node) SetAdminAddr(addr string) {
-	n.adminAddr.Store(&addr)
-}
+// SetAdminAddr implements pipeline.ClusterNode: the admin-plane HTTP
+// address rides every subsequent gossip message so peers can answer
+// fleet-wide trace queries.
+func (n *Node) SetAdminAddr(addr string) { n.adminAddr.Store(&addr) }
 
-// FleetMembers implements the pipeline's fleet-lister hook: the known
-// fleet (self first, then peers sorted by id) with each member's
-// admin-plane address as far as gossip has revealed it.
+// FleetMembers implements pipeline.ClusterNode: the known fleet (self
+// first, then peers sorted by id) with each member's admin-plane
+// address as far as gossip has revealed it.
 func (n *Node) FleetMembers() []pipeline.FleetMember {
 	ring := n.ring.Load()
-	self := pipeline.FleetMember{Addr: n.cfg.Self, ID: n.self, Self: true, Alive: true}
-	if admin := n.adminAddr.Load(); admin != nil {
-		self.AdminAddr = *admin
-	}
-	out := []pipeline.FleetMember{self}
+	out := []pipeline.FleetMember{{Addr: n.cfg.Self, ID: n.self, Alive: true, AdminAddr: loadAddr(&n.adminAddr)}}
 	for _, pr := range n.members.Load().list {
-		fm := pipeline.FleetMember{Addr: pr.addr, ID: pr.id, Alive: ring.Has(pr.id)}
-		if admin := pr.adminAddr.Load(); admin != nil {
-			fm.AdminAddr = *admin
-		}
-		out = append(out, fm)
+		out = append(out, pipeline.FleetMember{Addr: pr.addr, ID: pr.id, Alive: ring.Has(pr.id), AdminAddr: loadAddr(&pr.adminAddr)})
 	}
 	return out
 }
 
+// loadAddr reads an admin address, "" until one is stored.
+func loadAddr(p *atomic.Pointer[string]) string {
+	if a := p.Load(); a != nil {
+		return *a
+	}
+	return ""
+}
+
 // Ring exposes the current ring (tests, status rendering).
 func (n *Node) Ring() *Ring { return n.ring.Load() }
-
-// Incarnation exposes the per-process blocklist origin id.
-func (n *Node) Incarnation() uint64 { return n.incarnation }

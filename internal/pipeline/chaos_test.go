@@ -111,7 +111,7 @@ func TestChaosIngestLosesNothingSilently(t *testing.T) {
 		BackoffBase: time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
 		AckTimeout:  5 * time.Second,
-		OnLost:      func(r wire.Record) { lost = append(lost, r) },
+		OnLost:      func(rs []wire.Record) { lost = append(lost, rs...) },
 		Trace:       true, // stamp every record with a trace context
 	})
 	if err != nil {

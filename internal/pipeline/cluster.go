@@ -40,6 +40,14 @@ type ClusterNode interface {
 	// StatusJSON is the /cluster admin document.
 	StatusJSON() any
 
+	// SetAdminAddr records where the admin plane listens, once bound;
+	// gossip advertises it so peers can fan fleet trace queries out.
+	SetAdminAddr(addr string)
+
+	// FleetMembers is the known fleet, self first, with each member's
+	// admin address as far as gossip has revealed it (/cluster/traces).
+	FleetMembers() []FleetMember
+
 	// WriteMetrics appends the node's Prometheus series to /metrics.
 	WriteMetrics(w io.Writer)
 

@@ -4,9 +4,8 @@ package pipeline
 // query out to every alive member's admin plane and merges the per-node
 // spans into one timeline — the server side of `ddpmd fleet trace`.
 // The pipeline stays cluster-agnostic: the member list comes from the
-// daemon's ClusterNode via the optional fleetLister interface, and each
-// member is queried over plain HTTP against the admin address gossip
-// revealed for it.
+// daemon's ClusterNode, and each member is queried over plain HTTP
+// against the admin address gossip revealed for it.
 
 import (
 	"encoding/json"
@@ -22,18 +21,10 @@ import (
 // ingest address, member id, liveness, and the admin-plane HTTP address
 // learned from gossip ("" until the member has advertised one).
 type FleetMember struct {
-	Addr      string `json:"addr"`
-	ID        uint64 `json:"id"`
-	Self      bool   `json:"self,omitempty"`
-	Alive     bool   `json:"alive"`
-	AdminAddr string `json:"admin_addr,omitempty"`
-}
-
-// fleetLister is the optional ClusterNode extension the fleet plane
-// needs: the member roster with admin addresses. Asserted at request
-// time so non-cluster daemons and older cluster tiers degrade to 404.
-type fleetLister interface {
-	FleetMembers() []FleetMember
+	Addr      string
+	ID        uint64
+	Alive     bool
+	AdminAddr string
 }
 
 // FleetSpan is one member's half of a cross-node timeline: a retained
@@ -72,11 +63,6 @@ func (d *Daemon) handleFleetTraces(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no cluster tier", http.StatusNotFound)
 		return
 	}
-	lister, ok := d.cluster.(fleetLister)
-	if !ok {
-		http.Error(w, "cluster tier has no fleet roster", http.StatusNotFound)
-		return
-	}
 	fr := d.p.Recorder()
 	if fr == nil {
 		http.Error(w, "tracing disabled", http.StatusNotFound)
@@ -94,15 +80,10 @@ func (d *Daemon) handleFleetTraces(w http.ResponseWriter, r *http.Request) {
 	}
 
 	out := FleetTrace{ID: fmt.Sprintf("%016x", id)}
-	members := lister.FleetMembers()
-	var selfAddr, selfID string
-	for _, m := range members {
-		if m.Self {
-			selfAddr, selfID = m.Addr, fmt.Sprintf("%x", m.ID)
-		}
-	}
+	members := d.cluster.FleetMembers()
+	self := members[0]
 	for _, t := range fr.Snapshot(TraceFilter{ID: id, Victim: MatchAny, Source: MatchAny}) {
-		out.Spans = append(out.Spans, FleetSpan{Node: selfAddr, MemberID: selfID, TraceJSON: t.ToJSON()})
+		out.Spans = append(out.Spans, FleetSpan{Node: self.Addr, MemberID: fmt.Sprintf("%x", self.ID), TraceJSON: t.ToJSON()})
 	}
 
 	var (
@@ -110,8 +91,8 @@ func (d *Daemon) handleFleetTraces(w http.ResponseWriter, r *http.Request) {
 		wg sync.WaitGroup
 	)
 	client := &http.Client{Timeout: fleetQueryTimeout}
-	for _, m := range members {
-		if m.Self || !m.Alive {
+	for _, m := range members[1:] {
+		if !m.Alive {
 			continue
 		}
 		if m.AdminAddr == "" {
@@ -167,8 +148,6 @@ func queryMemberTraces(client *http.Client, adminAddr, idHex string) ([]TraceJSO
 		return nil, fmt.Errorf("status %s", resp.Status)
 	}
 	var spans []TraceJSON
-	if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil {
-		return nil, err
-	}
-	return spans, nil
+	err = json.NewDecoder(resp.Body).Decode(&spans)
+	return spans, err
 }

@@ -13,6 +13,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +49,10 @@ var outcomeNames = [numOutcomes]string{
 	"drop", "rejected", "resync", "suppressed",
 	"forwarded", "ring_change", "gossip", "handback", "takeover", "gate_admit",
 }
+
+// OutcomeNames lists every outcome label in Outcome order: the values
+// /debug/traces accepts as ?outcome=.
+func OutcomeNames() []string { return slices.Clone(outcomeNames[:]) }
 
 func (o Outcome) String() string {
 	if int(o) < len(outcomeNames) {
@@ -179,11 +184,6 @@ func NewFlightRecorder(size, sampleN int, slow time.Duration) *FlightRecorder {
 		ring:    make([]Trace, size),
 	}
 }
-
-// SampleN and SlowThresholdNS expose the policy for the admin plane.
-func (r *FlightRecorder) SampleN() uint64        { return r.sampleN }
-func (r *FlightRecorder) SlowThresholdNS() int64 { return r.slowNS }
-func (r *FlightRecorder) Cap() int               { return len(r.ring) }
 
 // Counters for /metrics.
 func (r *FlightRecorder) Observed() uint64 { return r.observed.Load() }

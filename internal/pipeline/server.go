@@ -178,8 +178,8 @@ func Start(cfg ServerConfig) (*Daemon, error) {
 		}()
 		// Tell the cluster tier where the admin plane landed so it can
 		// gossip the address; peers use it for fleet trace fan-out.
-		if c, ok := d.cluster.(interface{ SetAdminAddr(string) }); ok {
-			c.SetAdminAddr(d.httpLn.Addr().String())
+		if d.cluster != nil {
+			d.cluster.SetAdminAddr(d.httpLn.Addr().String())
 		}
 	}
 	return d, nil

@@ -102,8 +102,9 @@ type ClientConfig struct {
 	// MaxBatch caps records per sealed frame (default 1024).
 	MaxBatch int
 
-	// OnLost observes every record the client abandons.
-	OnLost func(Record)
+	// OnLost observes every record the client abandons, one abandoned
+	// run per call. The slice is valid only during the call.
+	OnLost func([]Record)
 
 	// Sleep replaces time.Sleep in tests.
 	Sleep func(time.Duration)
@@ -255,9 +256,7 @@ func (c *Client) SendTraced(recs []Record, ctxs []TraceContext) error {
 			// incoming batch, never the buffered (possibly partially
 			// sent) records.
 			c.sent += uint64(len(recs))
-			for _, r := range recs {
-				c.drop(r)
-			}
+			c.drop(recs)
 			return fmt.Errorf("wire: client shed %d records: %w", len(recs), err)
 		}
 		n := min(free, len(recs))
@@ -329,23 +328,21 @@ func (c *Client) Close() error {
 	}
 	err := c.pump(0)
 	c.closed = true
-	abandoned := len(c.recs)
-	for _, r := range c.recs {
-		c.drop(r)
-	}
+	abandoned := c.recs
 	c.recs, c.ctxs = nil, nil
 	c.disconnect()
-	if abandoned > 0 {
-		return fmt.Errorf("wire: client abandoned %d unacknowledged records: %w", abandoned, err)
+	if len(abandoned) == 0 {
+		return nil
 	}
-	return nil
+	c.drop(abandoned)
+	return fmt.Errorf("wire: client abandoned %d unacknowledged records: %w", len(abandoned), err)
 }
 
-// drop abandons one record: counted, reported, never silent.
-func (c *Client) drop(r Record) {
-	c.lost++
+// drop abandons a run of records: counted, reported, never silent.
+func (c *Client) drop(recs []Record) {
+	c.lost += uint64(len(recs))
 	if c.cfg.OnLost != nil {
-		c.cfg.OnLost(r)
+		c.cfg.OnLost(recs)
 	}
 }
 

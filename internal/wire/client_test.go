@@ -288,7 +288,7 @@ func TestClientShedsCountedWhenUnreachable(t *testing.T) {
 		MaxAttempts:   2,
 		BackoffBase:   1, BackoffMax: 1,
 		Sleep:  func(time.Duration) {},
-		OnLost: func(r Record) { lost = append(lost, r) },
+		OnLost: func(rs []Record) { lost = append(lost, rs...) },
 	})
 	if nerr != nil {
 		t.Fatalf("NewClient: %v", nerr)
