@@ -4,15 +4,18 @@ BIN := bin
 .PHONY: check vet lint build race bench bench-pairs fuzz-smoke loc trace-smoke cluster-smoke fleet-trace-smoke run-ddpmd clean
 
 ## check: lint, build, test, fuzz-smoke and trace-smoke everything (the
-## tier-1 gate), plus one race-detector pass over the packages whose
-## tests exercise concurrency — the pipeline's shards and admin reads,
-## the wire sessions, the fault-injecting network, the cluster's forward
-## hop, gossip and chaos e2es, and the blocklist's lock-free read index.
-## Whole packages, not an allowlist, so a new concurrent test is covered
-## without being named here.
+## tier-1 gate), plus one pass of every Go benchmark in the tree at one
+## iteration each (so a benchmark cited as evidence cannot rot unrun;
+## timings from it mean nothing) and one race-detector pass over the
+## packages whose tests exercise concurrency — the pipeline's shards and
+## admin reads, the wire sessions, the fault-injecting network, the
+## cluster's forward hop, gossip and chaos e2es, and the blocklist's
+## lock-free read index. Whole packages, not an allowlist, so a new
+## benchmark or concurrent test is covered without being named here.
 check: lint
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -race -count=1 ./internal/pipeline/ ./internal/wire/ ./internal/faultnet/ ./internal/cluster/ ./internal/filter/
 	$(MAKE) fuzz-smoke
 	$(MAKE) trace-smoke

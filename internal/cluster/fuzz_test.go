@@ -53,7 +53,7 @@ func checkOwnsInput(t *testing.T, in []byte, m *gossipMsg) {
 func checkSeedable(t *testing.T, snaps ...pipeline.VictimSnapshot) {
 	t.Helper()
 	net := topology.NewTorus2D(4)
-	p, err := pipeline.New(pipeline.Config{Net: net, Shards: 1, SketchWidth: 256})
+	p, err := pipeline.New(pipeline.Config{Net: net, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,13 +31,15 @@ import (
 )
 
 // fwGate decides, per unowned record, whether it is forwarded to its
-// owner or suppressed (tallied sketch-only): a sketch.Gate at the shared
-// default sizing plus what a node-level instance needs around it — the
+// owner or suppressed (tallied sketch-only): a sketch.Gate keyed by
+// victim over the whole fabric, at the shared default slot and decay
+// sizing, plus what a node-level instance needs around it — the
 // mutex guarding it all (see the package comment for why not per-shard),
 // a wholesale reset on ring change, and the map of victims holding a pass.
 type fwGate struct {
-	mu    sync.Mutex
-	admit int
+	mu       sync.Mutex
+	admit    int
+	numNodes int // gate key range: a victim outside the fabric is never hot
 
 	ringVer uint64 // ring generation the gate was built under
 	gate    *sketch.Gate[wire.Record]
@@ -48,8 +50,8 @@ type fwGate struct {
 	admitted map[topology.NodeID]uint64
 }
 
-func newFwGate(admit int) *fwGate {
-	g := &fwGate{admit: admit}
+func newFwGate(admit, numNodes int) *fwGate {
+	g := &fwGate{admit: admit, numNodes: numNodes}
 	g.resetLocked(0)
 	return g
 }
@@ -60,7 +62,7 @@ func newFwGate(admit int) *fwGate {
 // most one re-earn per hot victim.
 func (g *fwGate) resetLocked(ringVer uint64) {
 	g.ringVer = ringVer
-	g.gate = sketch.NewGate[wire.Record](sketch.DefaultWidth, sketch.DefaultDepth,
+	g.gate = sketch.NewGate[wire.Record](g.numNodes,
 		sketch.DefaultSlots, g.admit, sketch.DefaultDecayEvery)
 	g.admitted = make(map[topology.NodeID]uint64)
 }

@@ -34,11 +34,12 @@ type Config struct {
 
 	// SketchAdmit, when greater than one, arms the sketch admission
 	// gate on the forwarding tier: an unowned destination must reach
-	// this guaranteed count in a count-min + space-saving sketch before
-	// its records earn forwards, and the buffered prefix is replayed
-	// into the forward queue on admission so the owner's tallies stay
-	// exact for every admitted victim. At most one means forward every
-	// unowned record (the legacy behavior).
+	// this guaranteed count in a space-saving table fed exact counts
+	// (one per fabric node) before its records earn forwards, and the
+	// buffered prefix is replayed into the forward queue on admission
+	// so the owner's tallies stay exact for every admitted victim. A
+	// destination outside the fabric never earns one. At most one means
+	// forward every unowned record (the legacy behavior).
 	SketchAdmit int
 
 	// VNodes is the virtual nodes per member on the ring (default 64).
@@ -226,7 +227,7 @@ func New(p *pipeline.Pipeline, cfg Config) (*Node, error) {
 		n.incarnation = 1
 	}
 	if cfg.SketchAdmit > 1 {
-		n.gate = newFwGate(cfg.SketchAdmit)
+		n.gate = newFwGate(cfg.SketchAdmit, p.NumNodes())
 	}
 	initial := cfg.Peers
 	if cfg.Join != "" {

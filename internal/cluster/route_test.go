@@ -126,7 +126,7 @@ func newRouteTwin(t *testing.T, admit int, now *atomic.Int64) (*Node, *pipeline.
 
 // shortDecay does the gate's reset for a new ring version ahead of
 // filter, which then finds nothing to reset, and builds the fresh
-// sketch with a decay window of every offers instead of
+// gate with a decay window of every offers instead of
 // sketch.DefaultDecayEvery, so a fuzz case can put decays inside one
 // call without offering a million records first.
 func shortDecay(g *fwGate, ringVer uint64, every int) {
@@ -134,7 +134,7 @@ func shortDecay(g *fwGate, ringVer uint64, every int) {
 	defer g.mu.Unlock()
 	if g.ringVer != ringVer {
 		g.resetLocked(ringVer)
-		g.gate = sketch.NewGate[wire.Record](sketch.DefaultWidth, sketch.DefaultDepth,
+		g.gate = sketch.NewGate[wire.Record](g.numNodes,
 			sketch.DefaultSlots, g.admit, every)
 	}
 }
@@ -301,6 +301,59 @@ func FuzzRouteMatchesPerRecord(f *testing.F) {
 			t.Fatalf("gate_admit events differ:\nmemo %s\nref  %s", mbuf, rbuf)
 		}
 	})
+}
+
+// TestRouteGateSuppressesOutOfFabric: the forward gate counts victims
+// over the fabric, so a foreign-owned victim outside it — negative or
+// past NumNodes — stays suppressed on the forwarding member however
+// many records it sends; the owner would only reject them. An
+// in-fabric victim sent as often earns its pass and is forwarded whole.
+func TestRouteGateSuppressesOutOfFabric(t *testing.T) {
+	const admit, per = 4, 40
+	var now atomic.Int64
+	now.Store(1)
+	n, _, _ := newRouteTwin(t, admit, &now)
+	ring := n.Ring()
+	var outside []topology.NodeID
+	for _, v := range []topology.NodeID{-1, -2, -(1 << 40), 64, 65, 1 << 20} {
+		if ring.Owner(v) != n.self {
+			outside = append(outside, v)
+		}
+	}
+	inside := topology.NodeID(0)
+	for ring.Owner(inside) == n.self {
+		inside++
+	}
+	if len(outside) < 2 {
+		t.Fatalf("only %d of the out-of-fabric ids are foreign-owned", len(outside))
+	}
+	route := func(vs ...topology.NodeID) (forwarded int) {
+		s := n.p.GetSlab()
+		for i := range per {
+			for _, v := range vs {
+				s.Append(wire.Record{Victim: v, MF: uint16(i), Topo: n.p.TopoID()})
+			}
+		}
+		outs := n.split(ring, s, nil)
+		s.Release()
+		for _, o := range outs {
+			forwarded += o.s.Len()
+			o.s.Release()
+		}
+		return forwarded
+	}
+	if got := route(outside...); got != 0 {
+		t.Fatalf("%d out-of-fabric records forwarded, want 0", got)
+	}
+	if got, want := n.forwardSuppress.Load(), uint64(per*len(outside)); got != want {
+		t.Fatalf("forward_suppressed %d, want every out-of-fabric record (%d)", got, want)
+	}
+	if got := route(inside); got != per {
+		t.Fatalf("in-fabric victim %d: %d of %d records forwarded", inside, got, per)
+	}
+	if len(n.gate.admitted) != 1 {
+		t.Fatalf("admitted set %v, want victim %d alone", n.gate.admitted, inside)
+	}
 }
 
 // tracingPeer is a forward-session peer that accepts the trace lane and

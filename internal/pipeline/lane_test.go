@@ -273,7 +273,7 @@ func FuzzSubmitSlabLaneEquivalence(f *testing.F) {
 		// One shard: with two, a block landing on one shard while the
 		// other prefilters the same slab is a race between workers, not
 		// between lanes. Small tables keep each execution cheap.
-		cfg.Shards, cfg.SketchWidth, cfg.TraceBuffer = 1, 256, 4096
+		cfg.Shards, cfg.TraceBuffer = 1, 4096
 		recs, coins := fuzzLaneRecords(data, wire.TopoID(net.Name()))
 		contexts := uint64(0)
 		for _, c := range coins {

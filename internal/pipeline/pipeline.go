@@ -64,17 +64,17 @@ type Config struct {
 
 	// Sketch admission gate: before a destination earns exact per-victim
 	// state (DDPM identifier + detectors), it must look hot in a
-	// per-shard count-min sketch + space-saving heavy-hitter table.
-	// Destinations below the threshold are tallied sketch-only (a few
-	// bytes each) and counted in SketchSuppressed; crossing it
+	// per-shard space-saving heavy-hitter table fed exact counts (one
+	// uint32 per destination the shard can own: ⌈NumNodes/Shards⌉ of
+	// them). Destinations below the threshold are tallied sketch-only
+	// (a few bytes each) and counted in SketchSuppressed; crossing it
 	// materializes the victimState lazily and replays the slot's
 	// buffered records through the exact path, so admission loses no
 	// identification evidence from the moment the destination started
 	// being tracked.
 	SketchAdmit        int // records to materialize a victim (default 1 = admit on first record, the legacy behavior; negative disables the gate)
-	SketchWidth        int // count-min row width per shard, rounded up to pow2 (default 32768)
 	SketchHeavyHitters int // space-saving slots and victim-state cap per shard (default 512)
-	SketchDecayEvery   int // halve the sketches every N gated records per shard (default 1<<20)
+	SketchDecayEvery   int // halve the gate's counts and slots every N gated records per shard (default 1<<20)
 
 	// VictimTTL sweeps victims idle this long back to sketch-only
 	// state: their exact state is dropped (a final VictimSnapshot goes
@@ -161,9 +161,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.SketchAdmit == 0 {
 		c.SketchAdmit = 1
-	}
-	if c.SketchWidth <= 0 {
-		c.SketchWidth = sketch.DefaultWidth
 	}
 	if c.SketchHeavyHitters <= 0 {
 		c.SketchHeavyHitters = sketch.DefaultSlots
@@ -432,7 +429,10 @@ func New(cfg Config) (*Pipeline, error) {
 			victims: make(map[topology.NodeID]*victimState),
 		}
 		if cfg.SketchAdmit > 0 && p.schemeErr == nil {
-			s.gate = sketch.NewGate[wire.Record](cfg.SketchWidth, sketch.DefaultDepth,
+			// Keyed by victim / Shards: dense over the victims this
+			// shard owns (victim mod Shards == i).
+			keys := (cfg.Net.NumNodes() + cfg.Shards - 1) / cfg.Shards
+			s.gate = sketch.NewGate[wire.Record](keys,
 				cfg.SketchHeavyHitters, cfg.SketchAdmit, cfg.SketchDecayEvery)
 		}
 		p.shards = append(p.shards, s)
@@ -877,7 +877,7 @@ func (p *Pipeline) processSub(s *shard, si int, b batch) {
 // holds records, not contexts, and each buffered record already
 // committed its suppressed ending.
 func (p *Pipeline) gateRecord(s *shard, v topology.NodeID, rec wire.Record, fc *fastCtx) *victimState {
-	key := uint64(v)
+	key := uint64(v) / uint64(len(p.shards))
 	prefix, hot := s.gate.Offer(key, rec)
 	if !hot {
 		fc.suppressed++

@@ -3,8 +3,6 @@ package sketch
 // Default gate sizing, shared by every tier that runs a Gate so the
 // pipeline's shard gates and the cluster's forwarding gate cannot drift.
 const (
-	DefaultWidth      = 1 << 15 // count-min row width
-	DefaultDepth      = 4       // count-min rows
 	DefaultSlots      = 512     // space-saving slots
 	DefaultDecayEvery = 1 << 20 // offers between halvings
 )
@@ -17,12 +15,16 @@ const (
 // the table's ring of the last admit turned-away items still holds them,
 // the items it offered before it could win one (SpaceSaving.missed).
 //
-// The order inside Offer — count-min add, decay if due, touch, threshold
-// — is part of the contract (gate_test.go pins it): the decay must see
-// the add, and the touch the decayed table. Single-writer, like the
-// structures it owns; an owner that shares a Gate brings its own lock.
+// Counts are exact: keys are dense in [0, keys), one uint32 each. A
+// 16-bit Marking Field names at most 2¹⁶ victims, so even the largest
+// fabric's counter array is 256 KB, and a key outside the range is
+// never hot. The order inside Offer — count, decay if due, touch,
+// threshold — is part of the contract (gate_test.go pins it): the decay
+// must see the count, and the touch the decayed table. Single-writer,
+// like the structures it owns; an owner that shares a Gate brings its
+// own lock.
 type Gate[P any] struct {
-	cm         *CountMin
+	counts     []uint32
 	hh         *SpaceSaving[P]
 	admit      uint32
 	decayEvery uint64
@@ -30,13 +32,13 @@ type Gate[P any] struct {
 	decays     uint64
 }
 
-// NewGate builds a gate over a width × depth count-min sketch and a
+// NewGate builds a gate over exact counters for keys [0, keys) and a
 // space-saving table of slots entries. admit is both the guaranteed
 // count that makes a key hot and each slot's buffer cap; the structures
 // halve every decayEvery offers. Both must be positive.
-func NewGate[P any](width, depth, slots, admit, decayEvery int) *Gate[P] {
+func NewGate[P any](keys, slots, admit, decayEvery int) *Gate[P] {
 	return &Gate[P]{
-		cm:         NewCountMin(width, depth),
+		counts:     make([]uint32, keys),
 		hh:         NewSpaceSaving[P](slots, admit),
 		admit:      uint32(admit),
 		decayEvery: uint64(decayEvery),
@@ -49,13 +51,23 @@ func NewGate[P any](width, depth, slots, admit, decayEvery int) *Gate[P] {
 // oldest first; it aliases the slot and is valid until the next call on
 // the gate. A hot key stays tracked and keeps reporting hot until Admit,
 // so a caller that cannot act on the crossing yet waits for a later one.
+// A key outside the gate's range is neither counted nor hot.
 func (g *Gate[P]) Offer(key uint64, item P) (prefix []P, hot bool) {
-	est := g.cm.Add(key)
+	if key >= uint64(len(g.counts)) {
+		return nil, false
+	}
+	est := g.counts[key]
+	if est != ^uint32(0) {
+		est++
+		g.counts[key] = est
+	}
 	if g.since++; g.since >= g.decayEvery {
 		// Windowed decay: halving both structures ages historical mass
 		// out, so admission tracks current rates, not lifetime totals.
 		g.since = 0
-		g.cm.Halve()
+		for i := range g.counts {
+			g.counts[i] >>= 1
+		}
 		g.hh.Halve()
 		g.decays++
 	}

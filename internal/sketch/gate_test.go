@@ -8,7 +8,7 @@ import (
 
 // TestGateOfferAdmit scripts the gate's contract one offer at a time:
 // what Offer reports, which earlier items it hands back, and how many
-// keys stay tracked. Every gate is 64×2 cells; items are ints so a
+// keys stay tracked. Every gate counts keys 0–63; items are ints so a
 // prefix names exactly which offers it holds.
 func TestGateOfferAdmit(t *testing.T) {
 	type step struct {
@@ -32,8 +32,8 @@ func TestGateOfferAdmit(t *testing.T) {
 		{"an evicted then reinserted key starts from what it missed while slotless", 1, 3, 1000, []step{
 			{key: 1, item: 10, len: 1}, // key 1 holds the only slot
 			{key: 2, item: 20, len: 1}, // no hotter than key 1: turned away
-			{key: 2, item: 21, len: 1}, // estimate 2 > 1: evicts key 1 (and its 10), recovers 20
-			{key: 1, item: 11, len: 1}, // estimate 2 <= key 2's 3: turned away
+			{key: 2, item: 21, len: 1}, // count 2 > 1: evicts key 1 (and its 10), recovers 20
+			{key: 1, item: 11, len: 1}, // count 2 <= key 2's 3: turned away
 			{key: 1, item: 12, len: 1}, // 3 <= 3: turned away
 			// 4 > 3: wins the slot back, with both.
 			{key: 1, item: 13, hot: true, prefix: []int{11, 12}, len: 1},
@@ -44,7 +44,7 @@ func TestGateOfferAdmit(t *testing.T) {
 		{"a burst meeting a full table keeps its first item", 2, 4, 1000, []step{
 			{key: 1, item: 10, len: 1},
 			{key: 2, item: 20, len: 2},
-			{key: 3, item: 30, len: 2}, // estimate 1 <= 1: turned away
+			{key: 3, item: 30, len: 2}, // count 1 <= 1: turned away
 			{key: 3, item: 31, len: 2}, // 2 > 1: evicts a one-shot key, recovers 30
 			{key: 3, item: 32, len: 2},
 			{key: 3, item: 33, hot: true, prefix: []int{30, 31, 32}, len: 2},
@@ -65,6 +65,12 @@ func TestGateOfferAdmit(t *testing.T) {
 			{key: 9, item: 4, len: 1},
 			{key: 9, item: 4, hot: true, prefix: []int{1, 2, 3, 4}, len: 1},
 		}},
+		{"a key outside the range is neither counted nor tracked", 4, 2, 1000, []step{
+			{key: 64, item: 1, len: 0},
+			{key: 64, item: 2, len: 0},
+			{key: 1 << 40, item: 3, len: 0},
+			{key: 1 << 40, item: 4, len: 0},
+		}},
 		{"Admit recycles the slot", 4, 2, 1000, []step{
 			{key: 3, item: 1, len: 1},
 			{key: 3, item: 2, hot: true, prefix: []int{1}, admit: true, len: 0},
@@ -73,7 +79,7 @@ func TestGateOfferAdmit(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		g := NewGate[int](64, 2, c.slots, c.admit, c.decayEvery)
+		g := NewGate[int](64, c.slots, c.admit, c.decayEvery)
 		for i, st := range c.steps {
 			prefix, hot := g.Offer(st.key, st.item)
 			if hot != st.hot || (hot && !reflect.DeepEqual(prefix, st.prefix)) {
@@ -95,23 +101,26 @@ func TestGateOfferAdmit(t *testing.T) {
 
 // TestGateMatchesLiteralSequence pins the order of operations inside
 // Offer. The reference below is the admission sequence written out
-// against the exported structures — count-min add, decay if due, touch,
+// against the exported structures — count, decay if due, touch,
 // threshold — as the pipeline and the cluster each had it before Gate
 // existed; the benchmark's correctness gate and the metrics golden
 // depend on that order not drifting. A hot key is admitted two times in
 // three, so hot-and-waiting keys are in the mix.
 func TestGateMatchesLiteralSequence(t *testing.T) {
-	const width, depth, slots, admit, decayEvery = 1 << 10, 4, 64, 8, 4096
-	g := NewGate[int](width, depth, slots, admit, decayEvery)
+	const keys, slots, admit, decayEvery = 1 << 20, 64, 8, 4096
+	g := NewGate[int](keys, slots, admit, decayEvery)
 
-	cm := NewCountMin(width, depth)
+	counts := make([]uint32, keys)
 	hh := NewSpaceSaving[int](slots, admit)
 	var since, decays uint64
 	refOffer := func(key uint64, item int) bool {
-		est := cm.Add(key)
+		counts[key]++
+		est := counts[key]
 		if since++; since >= decayEvery {
 			since = 0
-			cm.Halve()
+			for i := range counts {
+				counts[i] >>= 1
+			}
 			hh.Halve()
 			decays++
 		}
@@ -143,4 +152,57 @@ func TestGateMatchesLiteralSequence(t *testing.T) {
 	if g.Len() != hh.Len() || g.Decays() != decays {
 		t.Fatalf("end state: Len %d, Decays %d; the literal sequence has %d, %d", g.Len(), g.Decays(), hh.Len(), decays)
 	}
+}
+
+// TestGateSweepKeepsSeenKeys is what exact counts buy. A gate at the
+// daemon's sizing over a 16-cube's 2¹⁶ keys has seen 512 keys twice
+// each, filling its table; a sweep of every other key once must not
+// evict any of them, because a one-shot key's count (1) never exceeds
+// the table's minimum (2). A count-min of the old default size inflated
+// enough one-shot estimates past 2 to evict 91 of the 512.
+func TestGateSweepKeepsSeenKeys(t *testing.T) {
+	const keys, admit = 1 << 16, 64
+	g := NewGate[int](keys, DefaultSlots, admit, DefaultDecayEvery)
+	seen := func(k uint64) bool { return k%(keys/DefaultSlots) == 0 }
+	for pass := 0; pass < 2; pass++ {
+		for k := uint64(0); k < keys; k++ {
+			if seen(k) {
+				g.Offer(k, int(k))
+			}
+		}
+	}
+	for k := uint64(0); k < keys; k++ {
+		if !seen(k) {
+			g.Offer(k, int(k))
+		}
+	}
+	kept := 0
+	for k := uint64(0); k < keys; k++ {
+		if seen(k) && g.hh.Get(k) != nil {
+			kept++
+		}
+	}
+	if kept != DefaultSlots {
+		t.Fatalf("the sweep left %d of the %d seen keys tracked, want all", kept, DefaultSlots)
+	}
+}
+
+// BenchmarkGateOfferSweep offers 1 024 distinct hypercube-16 victims
+// per op, as four shard gates keyed victim / 4 see a slab of a scan.
+func BenchmarkGateOfferSweep(b *testing.B) {
+	const nodes, shards, n = 1 << 16, 4, 1024
+	gates := make([]*Gate[int], shards)
+	for i := range gates {
+		gates[i] = NewGate[int](nodes/shards, DefaultSlots, 64, DefaultDecayEvery)
+	}
+	rnd := rand.New(rand.NewSource(1))
+	victims := rnd.Perm(nodes)[:n]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range victims {
+			gates[v%shards].Offer(uint64(v/shards), v)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
 }

@@ -1,14 +1,16 @@
-// Package sketch provides the probabilistic pre-identification stage
-// of the pipeline: a conservative-update count-min sketch plus a
-// space-saving heavy-hitter table over destination ids. Together they
-// answer "is this destination hot enough to deserve exact per-victim
-// state?" in O(1) per record with a few MB total, in the spirit of
-// in-network volumetric victim identification — the cheap discovery
-// pass that gates the paper's expensive exact identification (§5).
+// Package sketch provides the pre-identification stage of the
+// pipeline: a space-saving heavy-hitter table over destination ids,
+// fed exact per-destination counts. Together they answer "is this
+// destination hot enough to deserve exact per-victim state?" in O(1)
+// per record, in the spirit of in-network volumetric victim
+// identification — the cheap discovery pass that gates the paper's
+// expensive exact identification (§5).
 //
 // Gate composes the two into the admission test the daemon's tiers
-// call. Every structure here is single-writer and takes no lock; its
-// owner (a pipeline shard, the cluster's forwarding gate) brings one.
+// call; its counts are a dense array over the fabric, not a sketch (see
+// Gate). CountMin remains for callers that time it. Every structure
+// here is single-writer and takes no lock; its owner (a pipeline
+// shard, the cluster's forwarding gate) brings one.
 package sketch
 
 // mix64 is the SplitMix64 finalizer — the per-row hash for CountMin.
@@ -120,10 +122,10 @@ func (s *Slot[P]) Guaranteed() uint32 { return s.Count - s.Errs }
 
 // SpaceSaving tracks the top-K candidate keys of a stream with the
 // space-saving algorithm, each slot carrying a bounded replay buffer.
-// Eviction is additionally gated on the caller-provided count-min
-// estimate: a key only displaces the minimum slot when the sketch says
-// it is genuinely hotter, which stops one-shot scan keys from churning
-// the table (classic space-saving would rotate every slot under a
+// Eviction is additionally gated on the caller-provided count: a key
+// only displaces the minimum slot when that count says it is genuinely
+// hotter, which stops one-shot scan keys from churning the table
+// (classic space-saving would rotate every slot under a
 // 1M-distinct-destination sweep).
 type SpaceSaving[P any] struct {
 	slots  []Slot[P]
@@ -174,9 +176,9 @@ func (t *SpaceSaving[P]) Len() int { return len(t.slots) }
 
 // Touch counts one occurrence of key, appending item to its replay
 // buffer while tracked (and under the buffer cap). est is the caller's
-// count-min estimate for the key, consulted only when a full table
-// would need an eviction. Returns the key's slot, or nil when the key
-// is not tracked (table full and the estimate no hotter than the
+// exact count for the key (Gate keeps it), consulted only when a full
+// table would need an eviction. Returns the key's slot, or nil when the
+// key is not tracked (table full and the count no hotter than the
 // current minimum).
 func (t *SpaceSaving[P]) Touch(key uint64, est uint32, item P) *Slot[P] {
 	s, _ := t.touch(key, est, item)
@@ -196,10 +198,14 @@ func (t *SpaceSaving[P]) touch(key uint64, est uint32, item P) (s *Slot[P], buff
 	}
 	buffered = t.bufCap > 0
 	if len(t.slots) < cap(t.slots) {
-		t.slots = append(t.slots, Slot[P]{Key: key, Count: 1})
-		i := len(t.slots) - 1
+		// Reslice rather than append: a slot Remove freed keeps its
+		// replay buffer (and Remove zeroed the rest), so re-inserting
+		// into it allocates nothing.
+		i := len(t.slots)
+		t.slots = t.slots[:i+1]
 		t.idx[key] = i
 		s = &t.slots[i]
+		s.Key, s.Count = key, 1
 		if buffered {
 			if s.Buf == nil {
 				s.Buf = make([]P, 0, t.bufCap)
@@ -281,8 +287,8 @@ func (t *SpaceSaving[P]) Get(key uint64) *Slot[P] {
 }
 
 // Remove frees key's slot (Gate.Admit calls it when the key
-// graduates). The freed slot's replay buffer is
-// kept for reuse. Reports whether the key was tracked.
+// graduates). The freed slot's replay buffer is kept for the next
+// insert to reuse. Reports whether the key was tracked.
 func (t *SpaceSaving[P]) Remove(key uint64) bool {
 	i, ok := t.idx[key]
 	if !ok {
@@ -307,7 +313,7 @@ func (t *SpaceSaving[P]) Remove(key uint64) bool {
 }
 
 // Halve ages every slot by half, dropping slots that reach zero —
-// run alongside CountMin.Halve so the two stay comparable.
+// run alongside the caller's count halving so the two stay comparable.
 func (t *SpaceSaving[P]) Halve() {
 	for i := 0; i < len(t.slots); {
 		s := &t.slots[i]

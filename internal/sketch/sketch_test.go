@@ -161,6 +161,25 @@ func TestSpaceSavingRemove(t *testing.T) {
 	}
 }
 
+// TestSpaceSavingReinsertReusesBuffer: a slot Remove freed keeps its
+// replay buffer, and the next insert takes it instead of allocating —
+// the path every Gate.Admit and every slot Halve drops goes through.
+func TestSpaceSavingReinsertReusesBuffer(t *testing.T) {
+	ss := NewSpaceSaving[int](4, 64)
+	for k := uint64(1); k <= 4; k++ {
+		ss.Touch(k, 1, int(k))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		ss.Remove(2)
+		if s := ss.Touch(2, 1, 2); s == nil || s.Count != 1 || s.Errs != 0 || !slices.Equal(s.Buf, []int{2}) {
+			t.Fatalf("re-inserted slot = %+v, want Key 2 Count 1 Errs 0 Buf [2]", s)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Remove then re-insert: %v allocations per round, want 0", allocs)
+	}
+}
+
 func TestSpaceSavingHalveDropsCold(t *testing.T) {
 	cm := NewCountMin(1<<10, 2)
 	ss := NewSpaceSaving[int](4, 0)

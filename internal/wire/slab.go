@@ -12,7 +12,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/topology"
@@ -54,6 +53,7 @@ type Slab struct {
 	recsBuf, recsAlt []Record       // double buffer: decode target / scatter target
 	ctxsBuf, ctxsAlt []TraceContext // allocated on first traced use
 	vc               []int32        // per-victim counting-sort scratch, kept zeroed
+	sc               []int32        // per-shard counting-sort scratch
 	touched          []topology.NodeID
 	groups           []ShardGroup
 
@@ -285,11 +285,12 @@ func (s *Slab) Keep(ranges [][2]int) int {
 
 // Partition reorders the slab in place so that records are contiguous
 // per victim shard (shard = victim mod nshards) and, within a shard's
-// range, grouped by victim — one stable counting sort buys both the
-// per-shard sub-batch views and the per-victim grouping the workers
-// want, with no worker-side sort. Records that fail validation (topo
-// id mismatch or victim outside [0, numNodes)) are moved to the tail
-// [valid:], originals' relative order preserved everywhere.
+// range, grouped by victim in first-touch order — one stable counting
+// sort buys both the per-shard sub-batch views and the per-victim
+// grouping the workers want, with no comparison sort anywhere. Records
+// that fail validation (topo id mismatch or victim outside
+// [0, numNodes)) are moved to the tail [valid:], originals' relative
+// order preserved everywhere.
 //
 // The returned group slice is slab-owned scratch, valid until the next
 // Partition; the record views it describes stay valid until the last
@@ -317,26 +318,31 @@ func (s *Slab) Partition(topoID uint32, numNodes, nshards int) (groups []ShardGr
 		valid++
 	}
 
-	// Bucket order is shard-major, victim-minor: walking it yields each
-	// shard's contiguous range already grouped by victim.
-	slices.SortFunc(s.touched, func(a, b topology.NodeID) int {
-		if sa, sb := int(a)%nshards, int(b)%nshards; sa != sb {
-			return sa - sb
-		}
-		return int(a) - int(b)
-	})
+	// Bucket order is shard-major, first-touch-minor: count records per
+	// shard, lay the shards out in order, then hand each touched victim
+	// the next run of its shard's range, in first-touch order.
+	if cap(s.sc) < nshards {
+		s.sc = make([]int32, nshards)
+	}
+	sc := s.sc[:nshards]
+	clear(sc)
+	for _, v := range s.touched {
+		sc[int(v)%nshards] += vc[v]
+	}
 	s.groups = s.groups[:0]
 	off := int32(0)
-	for _, v := range s.touched {
-		cnt := vc[v]
-		vc[v] = off // count → running scatter offset
-		sh := int(v) % nshards
-		if n := len(s.groups); n > 0 && s.groups[n-1].Shard == sh {
-			s.groups[n-1].End += int(cnt)
-		} else {
+	for sh, cnt := range sc {
+		if cnt > 0 {
 			s.groups = append(s.groups, ShardGroup{Shard: sh, Start: int(off), End: int(off + cnt)})
 		}
+		sc[sh] = off // count → the shard's next free slot
 		off += cnt
+	}
+	for _, v := range s.touched {
+		sh := int(v) % nshards
+		cnt := vc[v]
+		vc[v] = sc[sh] // count → running scatter offset
+		sc[sh] += cnt
 	}
 
 	// Scatter into the alternate buffer, invalid records to the tail.

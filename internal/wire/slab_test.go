@@ -2,6 +2,8 @@ package wire
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -367,6 +369,141 @@ func TestSlabPartition(t *testing.T) {
 	if valid2 != valid || len(groups2) != len(groups) {
 		t.Fatalf("re-partition: valid %d groups %d, want %d/%d", valid2, len(groups2), valid, len(groups))
 	}
+}
+
+// FuzzSlabPartition checks Partition against a reference: a stable
+// sort of the valid records by (shard, first touch of the victim),
+// then the invalid ones in their original order. The input's first
+// byte picks the shard count (1–8), whether the slab carries a trace
+// lane (0x80) and whether the records repeat until the slab is full
+// (0x40); every following three bytes are one record — a kind
+// (foreign topology, negative victim, victim past the fabric, or
+// valid) and 16 bits of victim id over a 16-cube's 2¹⁶ nodes, moved
+// by 4 099 on each repeat so a full slab holds distinct victims.
+func FuzzSlabPartition(f *testing.F) {
+	f.Add([]byte{3, 3, 0, 5, 3, 0, 1, 0, 0, 2, 0, 3, 9, 0, 3, 5, 0, 4, 5, 0})
+	f.Add([]byte{0x84, 3, 1, 0, 3, 1, 0, 0, 7, 7, 1, 7, 7, 2, 7, 7, 3, 2, 0})
+	f.Add([]byte{0x43, 3, 1, 0})                            // a scan: SlabCap distinct victims
+	f.Add([]byte{0xC7, 3, 1, 0, 3, 1, 0, 2, 9, 9, 3, 2, 0}) // full, traced, mixed
+	pool := NewSlabPool(1)                                  // one slab, recycled: its scratch is 256 KB
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		const numNodes = 1 << 16
+		nshards, traced, fill := 1+int(in[0]&7), in[0]&0x80 != 0, in[0]&0x40 != 0
+		spec := in[1:]
+		count := len(spec) / 3
+		if fill && count > 0 {
+			count = SlabCap
+		}
+		count = min(count, SlabCap)
+		s := pool.Get()
+		defer s.Release()
+		for i := 0; i < count; i++ {
+			b := spec[3*(i%(len(spec)/3)):]
+			r := Record{
+				T: eventq.Time(i), Topo: testTopoID,
+				Victim: (topology.NodeID(b[1]) | topology.NodeID(b[2])<<8 + topology.NodeID(i/(len(spec)/3))*4099) % numNodes,
+			}
+			switch b[0] % 8 {
+			case 0:
+				r.Topo++
+			case 1:
+				r.Victim = -1 - r.Victim
+			case 2:
+				r.Victim += numNodes
+			}
+			if traced {
+				s.AppendTraced(TracedRecord{Record: r, Ctx: TraceContext{ID: uint64(i) + 1}})
+			} else {
+				s.Append(r)
+			}
+		}
+		n := s.Len()
+
+		// The reference order, as indices into the appended sequence.
+		ok := func(r Record) bool { return r.Topo == testTopoID && r.Victim >= 0 && r.Victim < numNodes }
+		first := map[topology.NodeID]int{}
+		var want, tail []int
+		for i, r := range s.Recs {
+			if !ok(r) {
+				tail = append(tail, i)
+				continue
+			}
+			if _, seen := first[r.Victim]; !seen {
+				first[r.Victim] = i
+			}
+			want = append(want, i)
+		}
+		orig := append([]Record(nil), s.Recs...)
+		key := func(i int) [2]int { return [2]int{int(orig[i].Victim) % nshards, first[orig[i].Victim]} }
+		slices.SortStableFunc(want, func(a, b int) int {
+			ka, kb := key(a), key(b)
+			if ka[0] != kb[0] {
+				return ka[0] - kb[0]
+			}
+			return ka[1] - kb[1]
+		})
+		var wantGroups []ShardGroup
+		for i, idx := range want {
+			sh := int(orig[idx].Victim) % nshards
+			if g := len(wantGroups) - 1; g >= 0 && wantGroups[g].Shard == sh {
+				wantGroups[g].End++
+			} else {
+				wantGroups = append(wantGroups, ShardGroup{Shard: sh, Start: i, End: i + 1})
+			}
+		}
+		want = append(want, tail...)
+
+		groups, valid := s.Partition(testTopoID, numNodes, nshards)
+		if valid != n-len(tail) {
+			t.Fatalf("valid = %d, want %d", valid, n-len(tail))
+		}
+		if !slices.Equal(groups, wantGroups) {
+			t.Fatalf("groups %v, want %v", groups, wantGroups)
+		}
+		if s.Len() != n || (s.Ctxs != nil) != (traced && n > 0) {
+			t.Fatalf("after Partition: %d records, lane %v; want %d, %v", s.Len(), s.Ctxs != nil, n, traced && n > 0)
+		}
+		for i, idx := range want {
+			if s.Recs[i] != orig[idx] {
+				t.Fatalf("slot %d holds %+v, want record %d %+v", i, s.Recs[i], idx, orig[idx])
+			}
+			if traced && s.Ctxs[i].ID != uint64(s.Recs[i].T)+1 {
+				t.Fatalf("slot %d: record %d beside context %d", i, s.Recs[i].T, s.Ctxs[i].ID)
+			}
+		}
+
+		groups = slices.Clone(groups)
+		parted := slices.Clone(s.Recs)
+		groups2, valid2 := s.Partition(testTopoID, numNodes, nshards)
+		if valid2 != valid || !slices.Equal(groups2, groups) || !slices.Equal(s.Recs, parted) {
+			t.Fatalf("a second Partition moved the slab: valid %d → %d, groups %v → %v", valid, valid2, groups, groups2)
+		}
+	})
+}
+
+// BenchmarkSlabPartitionSweep partitions 1 024 records of distinct
+// hypercube-16 victims over 4 shards: a slab of a destination scan.
+// Each op restores the arrival order first (a 1 024-record copy), so
+// every Partition sees the victims shuffled, as a decoded slab has them.
+func BenchmarkSlabPartitionSweep(b *testing.B) {
+	const numNodes, nshards, n = 1 << 16, 4, 1024
+	pool := NewSlabPool(1)
+	s := pool.Get()
+	defer s.Release()
+	for i, v := range rand.New(rand.NewSource(1)).Perm(numNodes)[:n] {
+		s.Append(Record{T: eventq.Time(i), Topo: testTopoID, Victim: topology.NodeID(v)})
+	}
+	arrival := slices.Clone(s.Recs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(s.Recs, arrival)
+		s.Partition(testTopoID, numNodes, nshards)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
 }
 
 func TestSlabPoolReuseAndOutstanding(t *testing.T) {
