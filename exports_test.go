@@ -1,0 +1,199 @@
+package clusterid
+
+import (
+	"bufio"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// exportScanPackages are the daemon's packages plus the simulator
+// packages it imports: the directories whose exported API must be
+// production API.
+var exportScanPackages = []string{
+	"internal/pipeline", "internal/wire", "internal/cluster",
+	"internal/sketch", "internal/traceback", "internal/detect",
+	"internal/marking", "internal/filter", "internal/stats",
+}
+
+// exportAllowlist is the committed list of test-only exports, one
+// "pkg.Name" or "pkg.Type.Method" per line, a tab, then the paper
+// claim or contract its test pins.
+const exportAllowlist = "testdata/test_only_exports.txt"
+
+// TestNoTestOnlyExports lists every exported func, method, type,
+// package-level var and const declared in a non-test file of
+// exportScanPackages whose name appears in no non-test .go file of the
+// module other than as a declared name, and requires that list to
+// equal the allowlist. A new test-only export fails it, and so does an
+// allowlist entry that was deleted or is now used in production.
+//
+// The scan is by name, not by type: any identifier or selector with the
+// same name counts as a use, so a method reached only through an
+// interface is not flagged, and an unused export sharing a name with a
+// used one is missed rather than a used one flagged.
+func TestNoTestOnlyExports(t *testing.T) {
+	flagged, err := testOnlyExports(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed, err := readExportAllowlist(exportAllowlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range sortedKeys(flagged) {
+		if _, ok := allowed[key]; !ok {
+			t.Errorf("%s: %s is exported but only tests use it: unexport or delete it, or add it to %s with the claim its test pins",
+				flagged[key], key, exportAllowlist)
+		}
+	}
+	for _, key := range sortedKeys(allowed) {
+		if _, ok := flagged[key]; !ok {
+			t.Errorf("%s lists %s, which is deleted or now used outside tests: remove the entry", exportAllowlist, key)
+		}
+	}
+}
+
+// testOnlyExports maps "pkg.Name" / "pkg.Type.Method" to the position
+// of each exported declaration under root's exportScanPackages whose
+// name no non-test file of the module uses.
+func testOnlyExports(root string) (map[string]string, error) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	scanned := map[string]bool{}
+	for _, p := range exportScanPackages {
+		scanned[filepath.Join(root, p)] = true
+	}
+	type decl struct{ key, name, pos string }
+	var decls []decl
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		// declared holds the file's top-level declared names, which are
+		// not uses; exported ones in a scanned package are candidates.
+		declared := map[*ast.Ident]bool{}
+		pkg := f.Name.Name
+		scan := scanned[filepath.Dir(path)]
+		add := func(id *ast.Ident, key string) {
+			declared[id] = true
+			if scan && id.IsExported() {
+				decls = append(decls, decl{key, id.Name, fset.Position(id.Pos()).String()})
+			}
+		}
+		for _, dd := range f.Decls {
+			switch dd := dd.(type) {
+			case *ast.FuncDecl:
+				key := pkg + "." + dd.Name.Name
+				if dd.Recv != nil {
+					key = pkg + "." + receiverName(dd.Recv.List[0].Type) + "." + dd.Name.Name
+				}
+				add(dd.Name, key)
+			case *ast.GenDecl:
+				for _, s := range dd.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, pkg+"."+s.Name.Name)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							add(n, pkg+"."+n.Name)
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	flagged := map[string]string{}
+	for _, d := range decls {
+		if !used[d.name] {
+			flagged[d.key] = d.pos
+		}
+	}
+	return flagged, nil
+}
+
+// receiverName strips pointers and type parameters off a receiver type.
+func receiverName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
+}
+
+// readExportAllowlist parses the allowlist: blank lines and lines
+// starting with # are skipped; every other line is a key, a tab and a
+// non-empty reason.
+func readExportAllowlist(path string) (map[string]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	out := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for line := 1; sc.Scan(); line++ {
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		key, reason, ok := strings.Cut(text, "\t")
+		if !ok || strings.TrimSpace(reason) == "" {
+			return nil, fmt.Errorf("%s:%d: want \"key<TAB>reason\"", path, line)
+		}
+		if _, dup := out[key]; dup {
+			return nil, fmt.Errorf("%s:%d: duplicate entry %s", path, line, key)
+		}
+		out[key] = strings.TrimSpace(reason)
+	}
+	return out, sc.Err()
+}
+
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}

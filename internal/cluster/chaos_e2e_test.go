@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"regexp"
 	"testing"
 	"time"
 
@@ -533,8 +534,10 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 		blockTrace = ts[0]
 		return true
 	})
-	if hist, sum := rp.DetectionLatency(); hist == nil || hist.N() == 0 || sum <= 0 {
-		t.Fatal("owner did not observe a send-to-block detection latency")
+	var metrics bytes.Buffer
+	rp.WritePrometheus(&metrics, time.Second)
+	if !regexp.MustCompile(`(?m)^ddpmd_detection_latency_seconds_count [1-9]`).Match(metrics.Bytes()) {
+		t.Fatalf("owner did not observe a send-to-block detection latency:\n%s", metrics.String())
 	}
 
 	// The fleet endpoint — queried on a member that is neither the

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"maps"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/filter"
@@ -110,5 +112,70 @@ func FuzzGossipMsg(f *testing.F) {
 		}
 		checkOwnsInput(t, in, m)
 		checkSeedable(t, m.Replicas...)
+	})
+}
+
+// gossipState is what an inbound gossip message can change on a node:
+// its members, its blocklist rows and its stored replicas.
+type gossipState struct {
+	members  []string
+	rows     []filter.Mutation
+	replicas map[topology.NodeID]pipeline.VictimSnapshot
+}
+
+func gossipStateOf(n *Node) gossipState {
+	st := gossipState{rows: n.bl.Changes(0, nil), replicas: map[topology.NodeID]pipeline.VictimSnapshot{}}
+	for _, pr := range n.members.Load().list {
+		st.members = append(st.members, pr.addr)
+	}
+	n.mu.Lock()
+	maps.Copy(st.replicas, n.replicas)
+	n.mu.Unlock()
+	return st
+}
+
+// FuzzHandleGossip drives the gossip server side of a live node, one
+// fresh node per body. Every body either fails with an error or gets an
+// answer from the node; a message whose SenderAddr does not hash to its
+// Sender changes no member, blocklist row or stored replica; and no
+// body makes the node learn itself or the empty address as a member.
+func FuzzHandleGossip(f *testing.F) {
+	const self, sender = "10.9.0.1:1", "10.9.0.2:1"
+	msg := &gossipMsg{
+		Sender: MemberID(sender), SenderAddr: sender, RingVer: 1,
+		Digest:   []digestEntry{{Origin: 7, MaxSeq: 1}},
+		Ops:      []originOp{{Origin: 7, Op: filter.Mutation{Seq: 1, Origin: 7, Node: 3, Until: 1 << 40, Victim: 5}}},
+		Replicas: []pipeline.VictimSnapshot{hostileSnapshot, {Victim: 9, Expired: true}},
+		Roster:   []string{"10.9.0.3:1", self, ""},
+	}
+	f.Add(appendGossipMsg(nil, msg))
+	forged := *msg
+	forged.Sender = MemberID("10.9.0.4:1")
+	f.Add(appendGossipMsg(nil, &forged))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var now atomic.Int64
+		n, _ := newTestNode(t, self, nil, 1, &now)
+		req, parseErr := parseGossipMsg(bytes.Clone(body))
+		before := gossipStateOf(n)
+		resp, err := n.HandleGossip(body)
+		if (err == nil) != (parseErr == nil) {
+			t.Fatalf("HandleGossip error %v, parse error %v", err, parseErr)
+		}
+		if err != nil {
+			return
+		}
+		if m, err := parseGossipMsg(resp); err != nil || m.Sender != n.self {
+			t.Fatalf("answer does not parse as the node's own message: %+v, %v", m, err)
+		}
+		if MemberID(req.SenderAddr) != req.Sender {
+			if after := gossipStateOf(n); !reflect.DeepEqual(before, after) {
+				t.Fatalf("unauthenticated sender %x changed the node:\nbefore %+v\nafter  %+v", req.Sender, before, after)
+			}
+		}
+		for _, pr := range n.members.Load().list {
+			if pr.addr == "" || pr.addr == self || pr.id == n.self {
+				t.Fatalf("learned member %q (id %x) is the node itself or empty", pr.addr, pr.id)
+			}
+		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -493,14 +494,17 @@ func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 	go func() { // every victim materializes, idles past the TTL, is swept
 		defer close(swept)
 		for i := 0; i < rounds; i++ {
+			// Alternate two victim sets: the in-band sweep after a
+			// slab retires the set the slab before it touched.
 			s := p.GetSlab()
-			for v := topology.NodeID(0); v < victims; v++ {
+			for v := topology.NodeID(i%2) * victims; v < topology.NodeID(i%2+1)*victims; v++ {
 				s.Append(wire.Record{Victim: v, Topo: p.TopoID()})
 			}
 			p.SubmitSlab(s)
-			p.SweepVictims() // expires nothing; returns once the slab is tallied
+			for p.SlabsOutstanding() > 0 { // tallied
+				runtime.Gosched()
+			}
 			pipeNow.Add(2 * time.Minute.Nanoseconds())
-			p.SweepVictims()
 		}
 	}()
 	go func() { // gossip both ways under a.mu, for as long as the sweeps last

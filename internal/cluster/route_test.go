@@ -191,7 +191,8 @@ func FuzzRouteMatchesPerRecord(f *testing.F) {
 	f.Add(uint8(3), uint8(0), false, append(rep(8, 5, 6, 5, 7, 5, 8, 5, 9), opRoute, 5, 5, 6, 6))
 	// Suppressed victims only: every id once.
 	f.Add(uint8(5), uint8(0), false, rep(2, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, opRoute}...))
-	// Negative and out-of-fabric ids, hot enough to be admitted.
+	// Negative and out-of-fabric ids, repeated past the threshold: the
+	// gate counts only ids in the fabric, so these are never admitted.
 	f.Add(uint8(0), uint8(0), false, rep(10, 16, 17, 18, 19, 20))
 	// Traced slabs mixing zero and nonzero contexts, then untraced.
 	f.Add(uint8(1), uint8(0), true, append(rep(10, 0x41, 2, 0x43, 4, 0x45, 0x46, 7), opFlip, 1, 2, 3, 4))

@@ -38,9 +38,6 @@ func NewCUSUM(window eventq.Time, slack, threshold float64) *CUSUM {
 
 func (d *CUSUM) Name() string { return "cusum" }
 
-// G exposes the current cumulative statistic (diagnostics).
-func (d *CUSUM) G() float64 { return d.g }
-
 func (d *CUSUM) Observe(now eventq.Time, _ *packet.Packet) {
 	for now-d.winStart >= d.Window {
 		d.closeWindow()

@@ -29,7 +29,7 @@ func TestCUSUMDetectsSustainedShift(t *testing.T) {
 	feedWindows(d, len(quiet), 100, flood)
 	d.Observe(eventq.Time(len(quiet)+len(flood)+1)*100, pkt(1, packet.ProtoRaw))
 	if !d.Alarmed() {
-		t.Fatalf("CUSUM missed a sustained 2.5x shift (g=%v)", d.G())
+		t.Fatalf("CUSUM missed a sustained 2.5x shift (g=%v)", d.g)
 	}
 }
 
@@ -41,10 +41,10 @@ func TestCUSUMAbsorbsSingleBurst(t *testing.T) {
 	feedWindows(d, 4, 100, []int{40, 10, 10, 10, 10, 10})
 	d.Observe(11*100, pkt(1, packet.ProtoRaw))
 	if d.Alarmed() {
-		t.Errorf("CUSUM alarmed on a single burst (g=%v)", d.G())
+		t.Errorf("CUSUM alarmed on a single burst (g=%v)", d.g)
 	}
-	if d.G() > 30 {
-		t.Errorf("g did not drain after the burst: %v", d.G())
+	if d.g > 30 {
+		t.Errorf("g did not drain after the burst: %v", d.g)
 	}
 }
 
@@ -55,8 +55,8 @@ func TestCUSUMBaselineNotPoisonedByAttack(t *testing.T) {
 	// After the "attack", g must have grown roughly 4×(100−15): the
 	// baseline stayed near 10 instead of chasing the flood.
 	d.Observe(8*100, pkt(1, packet.ProtoRaw))
-	if d.G() < 300 {
-		t.Errorf("g = %v; baseline appears to have chased the attack", d.G())
+	if d.g < 300 {
+		t.Errorf("g = %v; baseline appears to have chased the attack", d.g)
 	}
 }
 

@@ -156,7 +156,6 @@ type SYNTable struct {
 	Timeout  eventq.Time
 
 	halfOpen map[packet.Addr]eventq.Time
-	peak     int
 }
 
 // NewSYNTable builds the table.
@@ -179,9 +178,6 @@ func (d *SYNTable) Observe(now eventq.Time, pk *packet.Packet) {
 	switch pk.Hdr.Proto {
 	case packet.ProtoTCPSYN:
 		d.halfOpen[pk.Hdr.Src] = now
-		if len(d.halfOpen) > d.peak {
-			d.peak = len(d.halfOpen)
-		}
 		if len(d.halfOpen) >= d.Capacity {
 			d.raise(now)
 		}
@@ -189,11 +185,6 @@ func (d *SYNTable) Observe(now eventq.Time, pk *packet.Packet) {
 		delete(d.halfOpen, pk.Hdr.Src)
 	}
 }
-
-// HalfOpen returns the current number of half-open entries; Peak the
-// maximum ever reached.
-func (d *SYNTable) HalfOpen() int { return len(d.halfOpen) }
-func (d *SYNTable) Peak() int     { return d.peak }
 
 // Fanout combines several detectors behind one Observe call; it alarms
 // when any member alarms.

@@ -138,17 +138,17 @@ func TestSYNTableHalfOpenLifecycle(t *testing.T) {
 	d := NewSYNTable(10, 1000)
 	d.Observe(0, pkt(1, packet.ProtoTCPSYN))
 	d.Observe(1, pkt(2, packet.ProtoTCPSYN))
-	if d.HalfOpen() != 2 {
-		t.Errorf("HalfOpen = %d", d.HalfOpen())
+	if len(d.halfOpen) != 2 {
+		t.Errorf("HalfOpen = %d", len(d.halfOpen))
 	}
 	// Completing the handshake removes the entry.
 	d.Observe(2, pkt(1, packet.ProtoTCPACK))
-	if d.HalfOpen() != 1 {
-		t.Errorf("HalfOpen after ACK = %d", d.HalfOpen())
+	if len(d.halfOpen) != 1 {
+		t.Errorf("HalfOpen after ACK = %d", len(d.halfOpen))
 	}
 	// Non-TCP traffic is ignored.
 	d.Observe(3, pkt(9, packet.ProtoUDP))
-	if d.HalfOpen() != 1 {
+	if len(d.halfOpen) != 1 {
 		t.Error("UDP affected the SYN table")
 	}
 	if d.Alarmed() {
@@ -164,8 +164,8 @@ func TestSYNTableAlarmsAtCapacity(t *testing.T) {
 	if !d.Alarmed() {
 		t.Fatal("SYN flood not detected")
 	}
-	if d.Peak() < 20 {
-		t.Errorf("Peak = %d", d.Peak())
+	if len(d.halfOpen) != 25 {
+		t.Errorf("half-open = %d, want all 25", len(d.halfOpen))
 	}
 }
 
@@ -176,8 +176,8 @@ func TestSYNTableTimeoutReaping(t *testing.T) {
 	}
 	// 200 ticks later all entries are stale.
 	d.Observe(200, pkt(50, packet.ProtoTCPSYN))
-	if d.HalfOpen() != 1 {
-		t.Errorf("HalfOpen after timeout = %d, want 1", d.HalfOpen())
+	if len(d.halfOpen) != 1 {
+		t.Errorf("HalfOpen after timeout = %d, want 1", len(d.halfOpen))
 	}
 }
 

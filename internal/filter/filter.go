@@ -1,12 +1,11 @@
 // Package filter implements the response side of the pipeline: once
-// sources or signatures are identified, traffic is blocked. Three
-// mechanisms, matching the paper's discussion:
+// sources are identified, traffic is blocked. Two mechanisms, matching
+// the paper's discussion (DPM's signature filtering is
+// traceback.SignatureTable.Match):
 //
 //   - Blocklist: drop traffic whose DDPM-identified source node is
 //     blocked ("Once a source or a path is identified, we can protect
 //     our system by blocking packets from that source", §1)
-//   - SignatureFilter: drop traffic whose MF matches a learned DPM
-//     signature (§2, Yaar-style)
 //   - IngressFilter: the Ferguson–Senie baseline (§2 [10]): a switch
 //     verifies the source address of locally injected packets against
 //     the node's assigned address and drops spoofed ones — effective
@@ -23,7 +22,6 @@ import (
 	"repro/internal/marking"
 	"repro/internal/packet"
 	"repro/internal/topology"
-	"repro/internal/traceback"
 )
 
 // Verdict is a filter decision.
@@ -281,33 +279,6 @@ func (b *Blocklist) Counts() (accepted, dropped uint64) {
 	defer b.mu.Unlock()
 	return b.accepted, b.dropped
 }
-
-// SignatureFilter drops packets whose MF matches a learned DPM
-// signature. Its false positives against innocent flows sharing a
-// signature are exactly the DPM ambiguity of experiment E2.
-type SignatureFilter struct {
-	table *traceback.SignatureTable
-
-	accepted, dropped uint64
-}
-
-// NewSignatureFilter wraps a signature table.
-func NewSignatureFilter(table *traceback.SignatureTable) *SignatureFilter {
-	return &SignatureFilter{table: table}
-}
-
-// Check filters one packet.
-func (f *SignatureFilter) Check(pk *packet.Packet) Verdict {
-	if f.table.Match(pk) {
-		f.dropped++
-		return Drop
-	}
-	f.accepted++
-	return Accept
-}
-
-// Counts returns accepted and dropped tallies.
-func (f *SignatureFilter) Counts() (accepted, dropped uint64) { return f.accepted, f.dropped }
 
 // IngressFilter is the switch-side spoofing block: every injected
 // packet's header source must equal the injecting node's assigned

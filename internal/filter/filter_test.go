@@ -122,29 +122,6 @@ func TestBlocklistBlockAllFromIdentifier(t *testing.T) {
 	}
 }
 
-func TestSignatureFilter(t *testing.T) {
-	tbl := traceback.NewSignatureTable()
-	plan := packet.NewAddrPlan(packet.DefaultBase, 16)
-	atk := packet.NewPacket(plan, 0, 5, packet.ProtoTCPSYN, 0)
-	atk.Hdr.ID = 0xBEEF
-	tbl.Learn(atk)
-
-	f := NewSignatureFilter(tbl)
-	probe := packet.NewPacket(plan, 2, 5, packet.ProtoTCPSYN, 0)
-	probe.Hdr.ID = 0xBEEF
-	if f.Check(probe) != Drop {
-		t.Error("matching signature accepted")
-	}
-	probe.Hdr.ID = 0xBEE0
-	if f.Check(probe) != Accept {
-		t.Error("non-matching signature dropped")
-	}
-	acc, drop := f.Counts()
-	if acc != 1 || drop != 1 {
-		t.Errorf("counts = %d/%d", acc, drop)
-	}
-}
-
 func TestIngressFilterBlocksSpoofing(t *testing.T) {
 	plan := packet.NewAddrPlan(packet.DefaultBase, 16)
 	f := NewIngressFilter(plan)

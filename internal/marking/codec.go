@@ -142,9 +142,6 @@ func CodecForDims(dims []int) (*SignedFieldCodec, error) {
 func (c *SignedFieldCodec) Bits() int { return c.bits }
 func (c *SignedFieldCodec) Dims() int { return len(c.widths) }
 
-// Widths returns a copy of the per-dimension field widths.
-func (c *SignedFieldCodec) Widths() []int { return append([]int(nil), c.widths...) }
-
 // Range returns the representable interval [min, max] of dimension i.
 func (c *SignedFieldCodec) Range(i int) (min, max int) {
 	w := c.widths[i]

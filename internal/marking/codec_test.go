@@ -130,7 +130,7 @@ func TestCodecForDimsPaperLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.Widths()
+	w := c.widths
 	if w[0] != 8 || w[1] != 8 {
 		t.Errorf("128x128 widths = %v, want [8 8]", w)
 	}
@@ -146,7 +146,7 @@ func TestCodecForDimsPaperLayouts(t *testing.T) {
 	if c.Bits() != 16 {
 		t.Errorf("3-D bits = %d", c.Bits())
 	}
-	w = c.Widths()
+	w = c.widths
 	if w[2] < 6 {
 		t.Errorf("widest dimension got %d bits, want >= 6 (radix 32)", w[2])
 	}
@@ -157,7 +157,7 @@ func TestCodecForDimsSpareBitsGoToWidestRadix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.Widths()
+	w := c.widths
 	if w[1] <= w[0] {
 		t.Errorf("widths = %v: radix-64 dimension should receive the spare bits", w)
 	}

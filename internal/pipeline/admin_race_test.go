@@ -106,7 +106,7 @@ func TestAdminReadsRaceWorkers(t *testing.T) {
 		defer churn.Done()
 		for i := 0; i < 32; i++ {
 			clock.Add(2 * ttl.Nanoseconds())
-			p.SweepVictims()
+			sweepAll(p)
 		}
 	}()
 

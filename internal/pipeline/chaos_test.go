@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"testing"
@@ -238,7 +239,9 @@ func TestChaosIngestLosesNothingSilently(t *testing.T) {
 		if !blocked[bt.Source] {
 			t.Errorf("block trace source %d is not in the blocklist", bt.Source)
 		}
-		if _, ok := fr.Find(id); !ok {
+		f := pipeline.AllTraces()
+		f.ID = id
+		if len(fr.Snapshot(f)) != 1 {
 			t.Errorf("trace %s served over HTTP but not findable in the recorder", bt.ID)
 		}
 	}
@@ -263,17 +266,20 @@ func TestChaosIngestLosesNothingSilently(t *testing.T) {
 	// for — histogram bin → trace id → timeline of the record that
 	// triggered the block.
 	exemplarOutcomes := map[pipeline.Outcome]int{}
-	for stage, name := range pipeline.StageNames {
-		for _, id := range p.StageExemplars(stage) {
-			et, ok := fr.Find(id)
-			if !ok {
-				t.Errorf("stage %s exemplar %016x does not resolve to a retained trace", name, id)
-				continue
-			}
-			exemplarOutcomes[et.Outcome]++
-			if name == "detect" && et.Outcome != pipeline.OutcomeAlarm && et.Outcome != pipeline.OutcomeBlock {
-				t.Errorf("detect exemplar %016x has outcome %v; only alarm/block traces reach detect with retention on", id, et.Outcome)
-			}
+	exemplar := regexp.MustCompile(`(?m)^ddpmd_stage_latency_seconds_bucket\{stage="(\w+)",le="[^"]*"\} \d+ # \{trace_id="([0-9a-f]{16})"\}`)
+	for _, m := range exemplar.FindAllStringSubmatch(httpBody(t, d, "/metrics"), -1) {
+		name := m[1]
+		f := pipeline.AllTraces()
+		f.ID, _ = strconv.ParseUint(m[2], 16, 64)
+		ets := fr.Snapshot(f)
+		if len(ets) != 1 {
+			t.Errorf("stage %s exemplar %s does not resolve to a retained trace", name, m[2])
+			continue
+		}
+		et := ets[0]
+		exemplarOutcomes[et.Outcome]++
+		if name == "detect" && et.Outcome != pipeline.OutcomeAlarm && et.Outcome != pipeline.OutcomeBlock {
+			t.Errorf("detect exemplar %s has outcome %v; only alarm/block traces reach detect with retention on", m[2], et.Outcome)
 		}
 	}
 	if exemplarOutcomes[pipeline.OutcomeBlock] == 0 {

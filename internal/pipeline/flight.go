@@ -321,12 +321,3 @@ func (r *FlightRecorder) Snapshot(f TraceFilter) []Trace {
 	}
 	return out
 }
-
-// Find returns the retained trace with the given id, if any.
-func (r *FlightRecorder) Find(id uint64) (Trace, bool) {
-	ts := r.Snapshot(TraceFilter{ID: id, Victim: MatchAny, Source: MatchAny, Limit: 1})
-	if len(ts) == 0 {
-		return Trace{}, false
-	}
-	return ts[0], true
-}

@@ -53,8 +53,9 @@ func TestTailSamplingAlwaysRetainsInterestingOutcomes(t *testing.T) {
 		t.Fatalf("sampler retained %d traces; outcome rule should have caught them all", got)
 	}
 	// Every one is still in the (large enough) ring.
+	f := AllTraces()
 	for _, out := range interesting {
-		if _, ok := r.Find(uint64(out) + 1); !ok {
+		if f.ID = uint64(out) + 1; len(r.Snapshot(f)) != 1 {
 			t.Errorf("retained trace for outcome %v not findable", out)
 		}
 	}
@@ -130,7 +131,9 @@ func TestRingEvictionAndSnapshotOrder(t *testing.T) {
 			t.Errorf("snapshot[%d].ID = %d, want %d", i, got[i].ID, id)
 		}
 	}
-	if _, ok := r.Find(1); ok {
+	f := AllTraces()
+	f.ID = 1
+	if len(r.Snapshot(f)) != 0 {
 		t.Error("evicted trace still findable")
 	}
 }
@@ -200,11 +203,10 @@ func TestSnapshotFilters(t *testing.T) {
 	if got := ids(f); !eq(got, []uint64{4, 3}) {
 		t.Errorf("limit=2: %v", got)
 	}
-	if tr, ok := r.Find(2); !ok || tr.Outcome != OutcomeBlock {
-		t.Errorf("Find(2) = %+v, %v", tr, ok)
-	}
-	if _, ok := r.Find(99); ok {
-		t.Error("Find(99) matched nothing committed")
+	f = AllTraces()
+	f.ID = 99
+	if got := ids(f); len(got) != 0 {
+		t.Errorf("id=99 matched %v, nothing committed", got)
 	}
 }
 
@@ -220,10 +222,13 @@ func TestCommitEventSyntheticIDs(t *testing.T) {
 			t.Fatalf("synthetic id %016x repeated", id)
 		}
 		seen[id] = true
-		tr, ok := r.Find(id)
-		if !ok {
+		f := AllTraces()
+		f.ID = id
+		got := r.Snapshot(f)
+		if len(got) != 1 {
 			t.Fatalf("stream event %016x not retained", id)
 		}
+		tr := got[0]
 		if tr.Outcome != OutcomeResync || tr.Victim != -1 || tr.Shard != -1 {
 			t.Fatalf("stream event trace malformed: %+v", tr)
 		}

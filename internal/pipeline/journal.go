@@ -142,11 +142,10 @@ func (j *Journal) Emit(ev Event) bool {
 }
 
 // Written and Dropped report how many events reached the sink and how
-// many were shed; WriteErrors how many encodes or the final flush
+// many were shed; Close reports how many encodes or the final flush
 // failed.
-func (j *Journal) Written() uint64     { return j.written.Load() }
-func (j *Journal) Dropped() uint64     { return j.dropped.Load() }
-func (j *Journal) WriteErrors() uint64 { return j.writeErrs.Load() }
+func (j *Journal) Written() uint64 { return j.written.Load() }
+func (j *Journal) Dropped() uint64 { return j.dropped.Load() }
 
 // Close drains the queue, flushes the buffered writer and closes the
 // file when the journal owns one. Safe to call more than once; Emit

@@ -161,17 +161,21 @@ func TestJournalAuditTrailMatchesPipelineState(t *testing.T) {
 		EntropyWindow:  -1,
 		BlockThreshold: 50, BlockTTL: time.Second,
 		Now:     func() int64 { return clock.Load() },
-		Journal: j, JournalTopK: 3,
+		Journal: j,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	zmf := mkMF(t, net, zombie, victim)
-	lmf := mkMF(t, net, topology.NodeID(9), victim)
-	// Quiet baseline windows, then a 1-record/tick flood from the zombie.
+	// Quiet baseline windows from seven legitimate sources — more than
+	// the evidence carries — then a 1-record/tick flood from the zombie.
+	var lmfs []uint16
+	for _, src := range []topology.NodeID{9, 0, 1, 2, 3, 6, 7} {
+		lmfs = append(lmfs, mkMF(t, net, src, victim))
+	}
 	now := eventq.Time(0)
-	for ; now < 500; now += 25 {
-		submitWait(t, p, wire.Record{T: now, Topo: p.TopoID(), Victim: victim, MF: lmf})
+	for i := 0; now < 500; now, i = now+25, i+1 {
+		submitWait(t, p, wire.Record{T: now, Topo: p.TopoID(), Victim: victim, MF: lmfs[i%len(lmfs)]})
 	}
 	for ; now < 2500; now++ {
 		submitWait(t, p, wire.Record{T: now, Topo: p.TopoID(), Victim: victim, MF: zmf})
@@ -213,8 +217,8 @@ func TestJournalAuditTrailMatchesPipelineState(t *testing.T) {
 	if blocks[0].Count <= 50 || blocks[0].Until == 0 {
 		t.Errorf("block event evidence missing: %+v", blocks[0])
 	}
-	if len(blocks[0].Top) == 0 || blocks[0].Top[0].Node != int64(zombie) {
-		t.Errorf("block top-k = %+v, want %d first", blocks[0].Top, zombie)
+	if top := blocks[0].Top; len(top) != 5 || top[0].Node != int64(zombie) {
+		t.Errorf("block top-k = %+v, want the top 5 of 8 sources, %d first", top, zombie)
 	}
 	if len(expiries) != 1 || expiries[0].Source != int64(zombie) {
 		t.Errorf("expiry events = %+v, want one for source %d", expiries, zombie)

@@ -1,7 +1,10 @@
 package pipeline
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -228,8 +231,10 @@ func TestTraceLaneEquivalence(t *testing.T) {
 			t.Errorf("block of %d for victim %d has no block trace naming them (traces: %v)", e.Node, e.Victim, blockedBy)
 		}
 	}
-	if hist, _ := p.DetectionLatency(); hist == nil || uint64(hist.N()) != traced.Blocks {
-		t.Errorf("detection latency samples = %v, want one per block (%d)", hist, traced.Blocks)
+	var metrics bytes.Buffer
+	p.WritePrometheus(&metrics, time.Second)
+	if want := fmt.Sprintf("\nddpmd_detection_latency_seconds_count %d\n", traced.Blocks); !strings.Contains(metrics.String(), want) {
+		t.Errorf("detection latency samples: want one per block (%d):\n%s", traced.Blocks, metrics.String())
 	}
 }
 
@@ -331,7 +336,9 @@ func TestBlockTraceSkipsUntracedPrefix(t *testing.T) {
 	if len(got) != 1 || got[0].Source != zombie || got[0].ID != everyRecord(quiet+prefix).ID {
 		t.Fatalf("block traces %+v, want one naming the zombie's first traced record (id %d)", got, everyRecord(quiet+prefix).ID)
 	}
-	if hist, _ := p.DetectionLatency(); hist == nil || hist.N() != 1 {
-		t.Errorf("detection latency samples = %v, want the block's", hist)
+	var metrics bytes.Buffer
+	p.WritePrometheus(&metrics, time.Second)
+	if !strings.Contains(metrics.String(), "\nddpmd_detection_latency_seconds_count 1\n") {
+		t.Errorf("detection latency samples: want the block's:\n%s", metrics.String())
 	}
 }

@@ -71,10 +71,10 @@ type Config struct {
 	// materializes the victimState lazily and replays the slot's
 	// buffered records through the exact path, so admission loses no
 	// identification evidence from the moment the destination started
-	// being tracked.
-	SketchAdmit        int // records to materialize a victim (default 1 = admit on first record, the legacy behavior; negative disables the gate)
-	SketchHeavyHitters int // space-saving slots and victim-state cap per shard (default 512)
-	SketchDecayEvery   int // halve the gate's counts and slots every N gated records per shard (default 1<<20)
+	// being tracked. Each shard's table has sketch.DefaultSlots slots,
+	// which is also its victim-state cap, and halves every
+	// sketch.DefaultDecayEvery gated records.
+	SketchAdmit int // records to materialize a victim (default 1 = admit on first record, the legacy behavior; negative disables the gate)
 
 	// VictimTTL sweeps victims idle this long back to sketch-only
 	// state: their exact state is dropped (a final VictimSnapshot goes
@@ -100,15 +100,11 @@ type Config struct {
 	LatencySampleEvery int
 
 	// Journal, when non-nil, receives attack-audit events: alarms,
-	// auto-blocks (with top-k evidence), block expiries and stream
-	// incidents. The pipeline never closes it; the owner flushes it
-	// with Journal.Close after Close (the daemon does this on the
-	// SIGTERM drain path).
+	// auto-blocks (with the top 5 sources as evidence), block expiries
+	// and stream incidents. The pipeline never closes it; the owner
+	// flushes it with Journal.Close after Close (the daemon does this on
+	// the SIGTERM drain path).
 	Journal *Journal
-
-	// JournalTopK is how many top identified sources a source-blocked
-	// event carries as evidence (default 5).
-	JournalTopK int
 
 	// TraceBuffer is the flight-recorder capacity in traces (default
 	// 4096; negative disables per-record tracing — a slab's trace lane
@@ -162,20 +158,11 @@ func (c *Config) applyDefaults() error {
 	if c.SketchAdmit == 0 {
 		c.SketchAdmit = 1
 	}
-	if c.SketchHeavyHitters <= 0 {
-		c.SketchHeavyHitters = sketch.DefaultSlots
-	}
-	if c.SketchDecayEvery <= 0 {
-		c.SketchDecayEvery = sketch.DefaultDecayEvery
-	}
 	if c.Now == nil {
 		c.Now = func() int64 { return time.Now().UnixNano() }
 	}
 	if c.LatencySampleEvery == 0 {
 		c.LatencySampleEvery = 64
-	}
-	if c.JournalTopK <= 0 {
-		c.JournalTopK = 5
 	}
 	if c.TraceBuffer == 0 {
 		c.TraceBuffer = 4096
@@ -433,7 +420,7 @@ func New(cfg Config) (*Pipeline, error) {
 			// shard owns (victim mod Shards == i).
 			keys := (cfg.Net.NumNodes() + cfg.Shards - 1) / cfg.Shards
 			s.gate = sketch.NewGate[wire.Record](keys,
-				cfg.SketchHeavyHitters, cfg.SketchAdmit, cfg.SketchDecayEvery)
+				sketch.DefaultSlots, cfg.SketchAdmit, sketch.DefaultDecayEvery)
 		}
 		p.shards = append(p.shards, s)
 		p.wg.Add(1)
@@ -619,15 +606,6 @@ func (p *Pipeline) observeDetection(hint uint64, ns int64) {
 	if p.detLat.hist != nil && ns > 0 {
 		p.detLat.observe(hint, time.Duration(ns))
 	}
-}
-
-// DetectionLatency returns the send-to-block histogram and exact
-// nanosecond sum (nil histogram when tracing is disabled).
-func (p *Pipeline) DetectionLatency() (*stats.Histogram, int64) {
-	if p.detLat.hist == nil {
-		return nil, 0
-	}
-	return p.detLat.hist.Snapshot(), p.detLat.sumNS.Load()
 }
 
 // commitTraces commits ts and stamps each retained trace's id as the
@@ -883,7 +861,7 @@ func (p *Pipeline) gateRecord(s *shard, v topology.NodeID, rec wire.Record, fc *
 		fc.suppressed++
 		return nil
 	}
-	if len(s.victims) >= p.cfg.SketchHeavyHitters {
+	if len(s.victims) >= sketch.DefaultSlots {
 		// At the per-shard victim-state cap: the key stays hot in the
 		// gate until the TTL sweep frees a slot.
 		fc.deferred++
@@ -1094,9 +1072,13 @@ func (p *Pipeline) journalBlock(now int64, victim, src topology.NodeID, cnt, unt
 	p.cfg.Journal.Emit(Event{
 		T: now, Type: EventBlock,
 		Victim: int64(victim), Source: int64(src),
-		Count: cnt, Until: until, Top: topCounts(id, p.cfg.JournalTopK),
+		Count: cnt, Until: until, Top: topCounts(id, journalTopK),
 	})
 }
+
+// journalTopK is how many top identified sources a source-blocked
+// journal event carries as evidence.
+const journalTopK = 5
 
 // topCounts pairs the identifier's k top sources with their tallies,
 // sized by the sources it has seen, never by k (an admin-plane input).
@@ -1211,33 +1193,6 @@ func (p *Pipeline) sweepLoop() {
 			}
 			p.mu.RUnlock()
 		}
-	}
-}
-
-// SweepVictims synchronously runs one TTL sweep on every shard,
-// returning once each worker has processed it — the deterministic
-// entry point for fake-clock tests and admin tooling. No-op when
-// VictimTTL is disabled or the pipeline is closed.
-func (p *Pipeline) SweepVictims() {
-	if p.cfg.VictimTTL <= 0 {
-		return
-	}
-	done := make(chan struct{}, len(p.shards))
-	sweep := batch{ctl: func(s *shard) {
-		p.sweepShard(s)
-		done <- struct{}{}
-	}}
-	sent := 0
-	p.mu.RLock()
-	if !p.closed {
-		for _, s := range p.shards {
-			s.ch <- sweep
-			sent++
-		}
-	}
-	p.mu.RUnlock()
-	for i := 0; i < sent; i++ {
-		<-done
 	}
 }
 
@@ -1419,17 +1374,6 @@ func (p *Pipeline) StageLatency(stage int) (h *stats.Histogram, sumNS int64) {
 		return nil, 0
 	}
 	return p.lat[stage].hist.Snapshot(), p.lat[stage].sumNS.Load()
-}
-
-// StageExemplars returns the nonzero exemplar trace ids currently
-// stamped on one stage's histogram bins, or nil when latency recording
-// is disabled. Every id resolves in the flight recorder until the ring
-// evicts its trace. Stage indexes follow StageNames.
-func (p *Pipeline) StageExemplars(stage int) []uint64 {
-	if !p.sampleOn || stage < 0 || stage >= numStages {
-		return nil
-	}
-	return p.lat[stage].hist.ExemplarIDs()
 }
 
 // nopDetector disables a detector slot.

@@ -229,14 +229,6 @@ func (d *Daemon) submit(s *wire.Slab) {
 	d.p.SubmitSlab(s)
 }
 
-// DecodeErrors reports wire-level decode failures across listeners:
-// rejected datagrams, per-frame failures that killed a strict stream,
-// and each resync skip on a lenient stream.
-func (d *Daemon) DecodeErrors() uint64 { return d.decodeErrs.Load() }
-
-// Draining reports whether Shutdown has begun.
-func (d *Daemon) Draining() bool { return d.draining.Load() }
-
 // TCPAddr, UDPAddr and HTTPAddr return the bound addresses (nil when
 // that listener is disabled) — needed when configured with ":0".
 func (d *Daemon) TCPAddr() net.Addr {

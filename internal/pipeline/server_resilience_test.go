@@ -4,6 +4,9 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +37,23 @@ func waitIngested(t *testing.T, d *Daemon, want uint64) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// decodeErrors reads ddpmd_decode_errors_total off the daemon's
+// /metrics document.
+func decodeErrors(t *testing.T, d *Daemon) uint64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	d.handleMetrics(rec, nil)
+	m := regexp.MustCompile(`(?m)^ddpmd_decode_errors_total (\d+)$`).FindStringSubmatch(rec.Body.String())
+	if m == nil {
+		t.Fatalf("no ddpmd_decode_errors_total on /metrics:\n%s", rec.Body.String())
+	}
+	n, err := strconv.ParseUint(m[1], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func daemonRecords(d *Daemon, n int) []wire.Record {
@@ -68,7 +88,7 @@ func TestPlainStreamSurvivesMidStreamCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitIngested(t, d, 8)
-	if got := d.DecodeErrors(); got != 2 {
+	if got := decodeErrors(t, d); got != 2 {
 		t.Errorf("decode errors = %d, want 2 (one resync skip, one refused forwarded frame)", got)
 	}
 	if got := d.Pipeline().C.Ingested.Load(); got != 8 {
@@ -201,7 +221,7 @@ func TestSessionBurstOneCumulativeAck(t *testing.T) {
 	if got := d.sessionRecs.Load(); got != 30 {
 		t.Errorf("session records %d, want 30", got)
 	}
-	if got := d.DecodeErrors(); got != 0 {
+	if got := decodeErrors(t, d); got != 0 {
 		t.Errorf("decode errors %d, want 0", got)
 	}
 }
@@ -230,7 +250,7 @@ func TestSessionBurstGapIngestsPrefix(t *testing.T) {
 	if got := d.sessionRecs.Load(); got != 20 {
 		t.Errorf("session records %d, want 20", got)
 	}
-	if got := d.DecodeErrors(); got != 1 {
+	if got := decodeErrors(t, d); got != 1 {
 		t.Errorf("decode errors %d, want 1", got)
 	}
 }
@@ -372,7 +392,7 @@ func TestUDPDatagramWithMultipleFrames(t *testing.T) {
 
 	// Valid frame then garbage in the same datagram: frame counts,
 	// garbage is one decode error.
-	errsBefore := d.DecodeErrors()
+	errsBefore := decodeErrors(t, d)
 	b = wire.AppendFrame(nil, recs[:2])
 	b = append(b, "trailing junk"...)
 	if _, err := conn.Write(b); err != nil {
@@ -380,7 +400,7 @@ func TestUDPDatagramWithMultipleFrames(t *testing.T) {
 	}
 	waitIngested(t, d, 8)
 	deadline := time.Now().Add(10 * time.Second)
-	for d.DecodeErrors() == errsBefore {
+	for decodeErrors(t, d) == errsBefore {
 		if time.Now().After(deadline) {
 			t.Fatal("trailing datagram garbage not counted")
 		}

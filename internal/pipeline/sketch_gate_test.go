@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/eventq"
 	"repro/internal/filter"
+	"repro/internal/sketch"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -86,45 +87,129 @@ func TestSketchGateAdmissionExactness(t *testing.T) {
 		t.Errorf("VictimStates = %d, want 1", got)
 	}
 
-	// A decay before the threshold lets the slot's buffer fill first, so
-	// the crossing record (the fifth) is not in it. The replay is then
-	// the whole buffer — also when the crossing record equals the last
-	// buffered one, as back-to-back flood records do.
-	for _, lastT := range []eventq.Time{5, 4} {
-		p, err := New(Config{Net: net, Shards: 1, SketchAdmit: 4, SketchDecayEvery: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, T := range []eventq.Time{1, 2, 3, 4, lastT} {
-			submitWait(t, p, wire.Record{T: T, Topo: p.TopoID(), Victim: hot, MF: mf1})
-		}
-		p.Close()
-		if got := p.C.SketchReplayed.Load(); got != 4 {
-			t.Errorf("T=1,2,3,4,%d: replayed = %d, want 4", lastT, got)
-		}
-		if snap, _ := p.ExportVictim(hot); snap.Identified() != 5 {
-			t.Errorf("T=1,2,3,4,%d: tally = %d, want all 5 records", lastT, snap.Identified())
-		}
-	}
-
-	// A destination scan has filled every gate slot with a one-shot id
-	// before the victim's first record: that record cannot win a slot
-	// (it is no hotter than they are), the second can, and admission
-	// still replays both — the victim is not tallied one short for good.
-	p, err = New(Config{Net: net, Shards: 1, SketchAdmit: 4, SketchHeavyHitters: 2})
+	// A full gate (sketch.DefaultSlots slots, each holding a one-shot id
+	// of a destination scan) before the victim's first record: that
+	// record cannot win a slot (it is no hotter than they are), the
+	// second can, and admission still replays both — the victim is not
+	// tallied one short for good.
+	wide := topology.NewTorus2D(32)
+	p, err = New(Config{Net: wide, Shards: 1, SketchAdmit: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, swept := range []topology.NodeID{3, 7} {
-		submitWait(t, p, wire.Record{Topo: p.TopoID(), Victim: swept, MF: mkMF(t, net, s1, swept)})
+	var scan, burst []wire.Record
+	for v := topology.NodeID(0); len(scan) < sketch.DefaultSlots; v++ {
+		if v != hot {
+			scan = append(scan, wire.Record{Topo: p.TopoID(), Victim: v})
+		}
 	}
 	for i := 0; i < 4; i++ {
-		submitWait(t, p, wire.Record{T: eventq.Time(i), Topo: p.TopoID(), Victim: hot, MF: mf1})
+		burst = append(burst, wire.Record{T: eventq.Time(i), Topo: p.TopoID(), Victim: hot, MF: mkMF(t, wide, s1, hot)})
 	}
+	submitSlabs(t, p, scan)
+	submitSlabs(t, p, burst)
 	p.Close()
 	if snap, ok := p.ExportVictim(hot); !ok || snap.Identified() != 4 || p.C.SketchReplayed.Load() != 3 {
 		t.Errorf("burst into a full gate: tally = %d (state %v), replayed = %d; want all 4 records, 3 of them replayed",
 			snap.Identified(), ok, p.C.SketchReplayed.Load())
+	}
+}
+
+// TestSketchGateDecayBeforeThreshold: a decay between a victim's first
+// record and its crossing lets the slot's buffer fill first, so the
+// crossing record is not in it. The replay is then the whole buffer —
+// also when the crossing record equals the last buffered one, as
+// back-to-back flood records do — and the tally is every record.
+//
+// The decay comes every sketch.DefaultDecayEvery gated records, so the
+// stream, in full slabs, is built to put it on the hot victim's third
+// record. Residents 0..511 take 20 records each and fill the table
+// below the admission threshold of 32. Scan filler on every id above
+// the hot victim, at most 16 records each, is no hotter than they are,
+// so the full table turns it away. Resident 0 then crosses and frees its slot for the hot
+// victim, whose count the decay halves from 2 to 1: its buffer is full
+// at record 32 and the count crosses at record 33.
+func TestSketchGateDecayBeforeThreshold(t *testing.T) {
+	const admit, resident = 32, 20
+	const crossing = admit + 1
+	net := topology.NewHypercube(16)
+	hot := topology.NodeID(sketch.DefaultSlots)
+	for _, echo := range []bool{false, true} {
+		p, err := New(Config{Net: net, Shards: 1, SketchAdmit: admit, BlockThreshold: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := func(v topology.NodeID) wire.Record { return wire.Record{Topo: p.TopoID(), Victim: v} }
+		var recs []wire.Record
+		for v := topology.NodeID(0); v < hot; v++ {
+			for i := 0; i < resident; i++ {
+				recs = append(recs, rec(v))
+			}
+		}
+		// Everything but resident 0's last admit−resident records and
+		// the hot victim's first two is filler.
+		filler := sketch.DefaultDecayEvery - 1 - len(recs) - (admit - resident) - 2
+		for i := 0; i < filler; i++ {
+			recs = append(recs, rec(hot+1+topology.NodeID(i%(net.NumNodes()-int(hot)-1))))
+		}
+		for i := resident; i < admit; i++ {
+			recs = append(recs, rec(0))
+		}
+		submitSlabs(t, p, recs)
+		quiesce(p)
+		if got := p.C.VictimsAdmitted.Load(); got != 1 || p.Snapshot().SketchDecays != 0 {
+			t.Fatalf("echo=%v: %d victims admitted before the hot one, want resident 0 alone and no decay yet", echo, got)
+		}
+		replayedBefore := p.C.SketchReplayed.Load()
+
+		mf := mkMF(t, net, 0, hot)
+		var burst []wire.Record
+		for i := 1; i <= crossing; i++ {
+			T := eventq.Time(i)
+			if echo && i == crossing {
+				T = admit // the last buffered record's
+			}
+			burst = append(burst, wire.Record{T: T, Topo: p.TopoID(), Victim: hot, MF: mf})
+		}
+		submitSlabs(t, p, burst)
+		p.Close()
+
+		if got := p.Snapshot().SketchDecays; got != 1 {
+			t.Fatalf("echo=%v: decays = %d, want 1", echo, got)
+		}
+		if got := p.C.SketchReplayed.Load() - replayedBefore; got != admit {
+			t.Errorf("echo=%v: replayed = %d, want the whole %d-record buffer", echo, got, admit)
+		}
+		if snap, _ := p.ExportVictim(hot); snap.Identified() != crossing {
+			t.Errorf("echo=%v: tally = %d, want all %d records", echo, snap.Identified(), crossing)
+		}
+	}
+}
+
+// sweepAll queues on every shard the TTL sweep the real-time ticker
+// sends, and returns once the workers have run it.
+func sweepAll(p *Pipeline) {
+	for _, s := range p.shards {
+		s.ch <- batch{ctl: p.sweepShard}
+	}
+	quiesce(p)
+}
+
+// submitSlabs submits recs in full slabs, in order, pacing on the
+// pool as a socket paces an exporter, and fails the test on shed.
+func submitSlabs(t *testing.T, p *Pipeline, recs []wire.Record) {
+	t.Helper()
+	for off := 0; off < len(recs); off += wire.SlabCap {
+		for p.SlabsOutstanding() >= 8 {
+			runtime.Gosched()
+		}
+		s := p.GetSlab()
+		for _, rec := range recs[off:min(off+wire.SlabCap, len(recs))] {
+			s.Append(rec)
+		}
+		if n := min(wire.SlabCap, len(recs)-off); p.SubmitSlab(s) != n {
+			t.Fatalf("slab at record %d shed", off)
+		}
 	}
 }
 
@@ -242,9 +327,9 @@ func TestVictimTTLExpiryAndRematerialization(t *testing.T) {
 		t.Fatalf("blocklist = %+v, want one entry for victim %d", ents, victim)
 	}
 
-	// Idle past the TTL: one synchronous sweep retires the victim.
+	// Idle past the TTL: one sweep retires the victim.
 	clock.Add(2 * time.Minute.Nanoseconds())
-	p.SweepVictims()
+	sweepAll(p)
 	if got := p.C.VictimsExpired.Load(); got != 1 {
 		t.Fatalf("victims expired = %d, want 1", got)
 	}

@@ -74,23 +74,8 @@ func (c *CountMin) Add(key uint64) uint32 {
 	return est
 }
 
-// Estimate returns the count estimate for key without mutating.
-func (c *CountMin) Estimate(key uint64) uint32 {
-	h := mix64(key)
-	w := c.mask + 1
-	est := ^uint32(0)
-	for r := 0; r < c.depth; r++ {
-		i := uint64(r)*w + (h & c.mask)
-		if v := c.rows[i]; v < est {
-			est = v
-		}
-		h = mix64(h + uint64(r) + 1)
-	}
-	return est
-}
-
-// Halve ages every cell by half — the windowed decay the pipeline runs
-// every SketchDecayEvery records, so stale scans stop looking hot.
+// Halve ages every cell by half — the windowed decay, so stale scans
+// stop looking hot.
 func (c *CountMin) Halve() {
 	for i := range c.rows {
 		c.rows[i] >>= 1

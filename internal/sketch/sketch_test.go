@@ -17,24 +17,25 @@ func TestCountMinNeverUndercounts(t *testing.T) {
 		cm.Add(key)
 		truth[key]++
 	}
+	// Add returns the estimate including the occurrence it counts.
 	for key, want := range truth {
-		if got := cm.Estimate(key); got < want {
+		if got := cm.Add(key) - 1; got < want {
 			t.Fatalf("key %d: estimate %d < true count %d", key, got, want)
 		}
 	}
-	if got := cm.Estimate(1 << 40); got > 64 {
+	if got := cm.Add(1<<40) - 1; got > 64 {
 		t.Fatalf("never-seen key estimated at %d", got)
 	}
 }
 
 func TestCountMinHalve(t *testing.T) {
 	cm := NewCountMin(64, 2)
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 99; i++ {
 		cm.Add(42)
 	}
-	before := cm.Estimate(42)
+	before := cm.Add(42)
 	cm.Halve()
-	if got := cm.Estimate(42); got != before/2 {
+	if got := cm.Add(42) - 1; got != before/2 {
 		t.Fatalf("after Halve: estimate %d, want %d", got, before/2)
 	}
 }

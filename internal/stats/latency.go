@@ -110,20 +110,7 @@ func (h *AtomicHistogram) Exemplar(i int) (id uint64, x float64) {
 	return h.exID[i].Load(), math.Float64frombits(h.exVal[i].Load())
 }
 
-// ExemplarIDs returns the nonzero exemplar ids across every bin.
-func (h *AtomicHistogram) ExemplarIDs() []uint64 {
-	var out []uint64
-	for i := range h.exID {
-		if id := h.exID[i].Load(); id != 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// NumBins returns the bin count; Bounds the [lo, hi) range.
-func (h *AtomicHistogram) NumBins() int                { return h.nbins }
-func (h *AtomicHistogram) Bounds() (lo, hi float64)    { return h.lo, h.hi }
+// BinUpperBound returns bin i's upper edge.
 func (h *AtomicHistogram) BinUpperBound(i int) float64 { return h.lo + float64(i+1)*h.width }
 
 // Observe records one observation. hint selects the write shard —

@@ -1,8 +1,6 @@
 package traceback
 
 import (
-	"sort"
-
 	"repro/internal/packet"
 	"repro/internal/stats"
 )
@@ -48,9 +46,6 @@ func (t *SignatureTable) Match(pk *packet.Packet) bool {
 	return ok
 }
 
-// NumSignatures returns the number of distinct signatures learned.
-func (t *SignatureTable) NumSignatures() int { return len(t.sigs) }
-
 // SignaturesForFlow returns the number of distinct signatures a header
 // source has generated (1 under stable routing; many under adaptive).
 func (t *SignatureTable) SignaturesForFlow(src packet.Addr) int {
@@ -59,14 +54,4 @@ func (t *SignatureTable) SignaturesForFlow(src packet.Addr) int {
 		return 0
 	}
 	return c.Distinct()
-}
-
-// Signatures returns the learned signatures in ascending order.
-func (t *SignatureTable) Signatures() []uint16 {
-	out := make([]uint16, 0, len(t.sigs))
-	for s := range t.sigs {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -92,11 +92,8 @@ func TestSignatureTableLearnMatch(t *testing.T) {
 	if tbl.Match(probe) {
 		t.Error("non-matching signature blocked")
 	}
-	if tbl.NumSignatures() != 1 {
-		t.Errorf("NumSignatures = %d", tbl.NumSignatures())
-	}
-	if got := tbl.Signatures(); len(got) != 1 || got[0] != 0b0011 {
-		t.Errorf("Signatures = %v", got)
+	if _, ok := tbl.sigs[0b0011]; !ok || len(tbl.sigs) != 1 {
+		t.Errorf("signatures = %v, want only 0b0011", tbl.sigs)
 	}
 }
 

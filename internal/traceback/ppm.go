@@ -62,13 +62,6 @@ func ForSimplePPM(s *marking.SimplePPM) *PPMReconstructor {
 	})
 }
 
-// ForBitDiffPPM adapts a BitDiffPPM scheme.
-func ForBitDiffPPM(b *marking.BitDiffPPM) *PPMReconstructor {
-	return NewPPMReconstructor(func(pk *packet.Packet) (marking.EdgeSample, bool) {
-		return b.DecodeMF(pk.Hdr.ID)
-	})
-}
-
 // ForWidePPM adapts the idealized side-band sampler; unmarked packets
 // yield no sample.
 func ForWidePPM(w *marking.WidePPM) *PPMReconstructor {
@@ -187,32 +180,5 @@ func (p *PPMReconstructor) OnPathNodes() []topology.NodeID {
 		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// SampleCounts reports how many distinct trusted samples exist at each
-// distance (diagnostic for convergence studies).
-func (p *PPMReconstructor) SampleCounts() map[int]int {
-	out := map[int]int{}
-	n0 := 0
-	for _, c := range p.dist0 {
-		if c >= p.MinCount {
-			n0++
-		}
-	}
-	if n0 > 0 {
-		out[0] = n0
-	}
-	for d, m := range p.edges {
-		n := 0
-		for _, c := range m {
-			if c >= p.MinCount {
-				n++
-			}
-		}
-		if n > 0 {
-			out[d] = n
-		}
-	}
 	return out
 }

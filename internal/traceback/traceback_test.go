@@ -125,7 +125,7 @@ func TestPPMReconstructorConvergesOnDeterministicPath(t *testing.T) {
 		}
 	}
 	if converged < 0 {
-		t.Fatalf("never converged; sources = %v, counts %v", rec.Sources(), rec.SampleCounts())
+		t.Fatalf("never converged; sources = %v", rec.Sources())
 	}
 	if converged < 6 {
 		t.Errorf("converged after %d packets: cannot beat one sample per edge", converged)
@@ -263,7 +263,9 @@ func TestPPMReconstructorBitDiffVariant(t *testing.T) {
 	r := routing.NewRouter(m, routing.NewXY(m))
 	victim := m.IndexOf(topology.Coord{6, 6})
 	attacker := m.IndexOf(topology.Coord{1, 0})
-	rec := ForBitDiffPPM(b)
+	rec := NewPPMReconstructor(func(pk *packet.Packet) (marking.EdgeSample, bool) {
+		return b.DecodeMF(pk.Hdr.ID)
+	})
 	rec.MinCount = 4
 	preload := rng.NewStream(42)
 	for i := 0; i < 6000; i++ {

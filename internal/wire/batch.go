@@ -157,12 +157,6 @@ func AppendFrame(b []byte, recs []Record) []byte {
 	return appendBatch(b, TypeRecords, 0, 0, recs, nil)
 }
 
-// AppendTracedFrame appends one TypeTracedRecords frame holding trs.
-func AppendTracedFrame(b []byte, trs []TracedRecord) []byte {
-	recs, ctxs := splitTraced(trs)
-	return appendBatch(b, TypeTracedRecords, 0, 0, recs, ctxs)
-}
-
 // AppendSealed appends one session record frame: seq is the cumulative
 // index of recs[0] in the stream, and the CRC seals seq plus every
 // record byte.
@@ -182,12 +176,4 @@ func AppendTracedSealed(b []byte, seq uint64, trs []TracedRecord) []byte {
 // stream, and the records, CRC-sealed like AppendSealed.
 func AppendForwarded(b []byte, origin, seq uint64, recs []Record) []byte {
 	return appendBatch(b, TypeForwarded, origin, seq, recs, nil)
-}
-
-// AppendTracedForwarded appends one traced forwarded session frame:
-// like AppendForwarded, with each record followed by its forward-hop
-// context (id, sent, routed).
-func AppendTracedForwarded(b []byte, origin, seq uint64, trs []TracedRecord) []byte {
-	recs, ctxs := splitTraced(trs)
-	return appendBatch(b, TypeTracedForwarded, origin, seq, recs, ctxs)
 }

@@ -305,16 +305,6 @@ func (c *Client) buffer(recs []Record, ctxs []TraceContext) {
 	}
 }
 
-// TraceIDAt reports the trace id Send stamped on the n-th record
-// offered (0-based) when tracing is on — exporters that log ground
-// truth use it to correlate their own records with daemon traces.
-func (c *Client) TraceIDAt(n uint64) uint64 {
-	if !c.cfg.Trace {
-		return 0
-	}
-	return SplitMix64(c.streamID ^ (n + 1))
-}
-
 // Flush pushes every buffered record and waits for the server to
 // acknowledge all of it.
 func (c *Client) Flush() error { return c.pump(0) }

@@ -275,7 +275,7 @@ func fwdTestTraced(n int) []TracedRecord {
 
 func TestTracedForwardedRoundTrip(t *testing.T) {
 	trs := fwdTestTraced(5)
-	b := AppendTracedForwarded(nil, 0xFEEDFACE, 42, trs)
+	b := appendTraced(nil, TypeTracedForwarded, 0xFEEDFACE, 42, trs)
 
 	ftype, n, err := checkHeader(b)
 	if err != nil {
@@ -304,7 +304,7 @@ func TestTracedForwardedRoundTrip(t *testing.T) {
 }
 
 func TestTracedForwardedCorruptionDetected(t *testing.T) {
-	b := AppendTracedForwarded(nil, 1, 0, fwdTestTraced(3))
+	b := appendTraced(nil, TypeTracedForwarded, 1, 0, fwdTestTraced(3))
 	b[HeaderSize+30] ^= 0xFF
 	if _, _, err := decodeBatch(TypeTracedForwarded, b[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("corrupted traced forwarded frame parsed: err = %v", err)
@@ -313,7 +313,7 @@ func TestTracedForwardedCorruptionDetected(t *testing.T) {
 
 func TestTracedForwardedSlabDecode(t *testing.T) {
 	trs := fwdTestTraced(9)
-	b := AppendTracedForwarded(nil, 77, 13, trs)
+	b := appendTraced(nil, TypeTracedForwarded, 77, 13, trs)
 
 	pool := NewSlabPool(1)
 	s := pool.Get()
@@ -346,7 +346,7 @@ func TestTracedForwardedSlabDecode(t *testing.T) {
 // 16-byte trace contexts (the fuzz round-trip contract).
 func TestTracedForwardedReaderStripsHopLane(t *testing.T) {
 	trs := fwdTestTraced(4)
-	b := AppendTracedForwarded(nil, 5, 0, trs)
+	b := appendTraced(nil, TypeTracedForwarded, 5, 0, trs)
 	r := NewReader(bytes.NewReader(b))
 	for i := range trs {
 		got, err := r.NextTraced()

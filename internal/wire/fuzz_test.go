@@ -24,10 +24,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			Src: packet.Addr(src), Proto: packet.Proto(proto),
 		}
 		b := AppendRecord(nil, r)
-		got, err := DecodeRecord(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := decodeRecord(b)
 		// NodeID is a signed int: the uint32 wire field round-trips
 		// through the low 32 bits.
 		r.Victim = topology.NodeID(uint32(r.Victim))
@@ -51,7 +48,7 @@ func clusterSeeds() [][]byte {
 	}
 	recs, _ := splitTraced(trs)
 	fwd := AppendForwarded(nil, 0xF00D, 0, recs[:2])
-	tfwd := AppendTracedForwarded(nil, 0xF00D, 2, trs[:2])
+	tfwd := appendTraced(nil, TypeTracedForwarded, 0xF00D, 2, trs[:2])
 	flip := func(b []byte, off int) []byte {
 		c := append([]byte(nil), b...)
 		c[off] ^= 0x10
@@ -60,7 +57,7 @@ func clusterSeeds() [][]byte {
 	return [][]byte{
 		fwd,
 		tfwd,
-		AppendTracedForwarded(nil, 0xF00D, 4, trs),
+		appendTraced(nil, TypeTracedForwarded, 0xF00D, 4, trs),
 		fwd[:HeaderSize+16+RecordSize+7],
 		tfwd[:HeaderSize+16+RecordSize+10],
 		flip(fwd, HeaderSize+16+5),
@@ -185,12 +182,12 @@ func FuzzTraceContext(f *testing.F) {
 		{Record: Record{T: 1, MF: 2}, Ctx: TraceContext{ID: 3, Sent: 4}},
 		{Record: Record{T: 5, MF: 6}},
 	}
-	f.Add(AppendTracedFrame(nil, traced))
+	f.Add(appendTraced(nil, TypeTracedRecords, 0, 0, traced))
 	f.Add(AppendTracedSealed(nil, 9, traced))
 	f.Add(append(AppendHello(nil, 1, 0, HelloFlagTrace), AppendTracedSealed(nil, 0, traced)...))
-	f.Add(append(legacy, AppendTracedFrame(nil, traced)...))
+	f.Add(append(legacy, appendTraced(nil, TypeTracedRecords, 0, 0, traced)...))
 	// Truncations and bit flips around the traced layouts.
-	f.Add(AppendTracedFrame(nil, traced)[:HeaderSize+TracedRecordSize-1])
+	f.Add(appendTraced(nil, TypeTracedRecords, 0, 0, traced)[:HeaderSize+TracedRecordSize-1])
 	damaged := AppendTracedSealed(nil, 9, traced)
 	damaged[HeaderSize+10] ^= 0x80
 	f.Add(damaged)
@@ -238,7 +235,7 @@ func FuzzTraceContext(f *testing.F) {
 		// Re-encode everything as traced frames; the re-parse must be
 		// exact, including the records that decoded with zero contexts.
 		want := decoded[:min(len(decoded), MaxRecords(TypeTracedRecords))]
-		_, got, err := decodeBatch(TypeTracedRecords, AppendTracedFrame(nil, want)[HeaderSize:])
+		_, got, err := decodeBatch(TypeTracedRecords, appendTraced(nil, TypeTracedRecords, 0, 0, want)[HeaderSize:])
 		if err != nil {
 			t.Fatalf("re-parse: %v", err)
 		}

@@ -78,11 +78,11 @@ func goldenCases() []goldenCase {
 		fwd := BatchHeader{Origin: goldenOrigin, Seq: goldenSeq, Sealed: true, Forwarded: true}
 		cases = append(cases,
 			goldenCase{name: fmt.Sprintf("records/%d", n), frame: AppendFrame(nil, recs), trs: trs},
-			goldenCase{name: fmt.Sprintf("traced-records/%d", n), frame: AppendTracedFrame(nil, trs), trs: trs, lane: TraceCtxSize},
+			goldenCase{name: fmt.Sprintf("traced-records/%d", n), frame: appendTraced(nil, TypeTracedRecords, 0, 0, trs), trs: trs, lane: TraceCtxSize},
 			goldenCase{name: fmt.Sprintf("sealed/%d", n), frame: AppendSealed(nil, goldenSeq, recs), h: sealed, trs: trs},
 			goldenCase{name: fmt.Sprintf("traced-sealed/%d", n), frame: AppendTracedSealed(nil, goldenSeq, trs), h: sealed, trs: trs, lane: TraceCtxSize},
 			goldenCase{name: fmt.Sprintf("forwarded/%d", n), frame: AppendForwarded(nil, goldenOrigin, goldenSeq, recs), h: fwd, trs: trs},
-			goldenCase{name: fmt.Sprintf("traced-forwarded/%d", n), frame: AppendTracedForwarded(nil, goldenOrigin, goldenSeq, trs), h: fwd, trs: trs, lane: FwdCtxSize},
+			goldenCase{name: fmt.Sprintf("traced-forwarded/%d", n), frame: appendTraced(nil, TypeTracedForwarded, goldenOrigin, goldenSeq, trs), h: fwd, trs: trs, lane: FwdCtxSize},
 		)
 	}
 	return append(cases,

@@ -72,7 +72,7 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 		for i, r := range recs {
 			trs[i] = TracedRecord{Record: r, Ctx: TraceContext{ID: uint64(i + 1), Sent: int64(i)}}
 		}
-		frame := AppendTracedFrame(nil, trs)
+		frame := appendTraced(nil, TypeTracedRecords, 0, 0, trs)
 		s := pool.Get()
 		defer s.Release()
 		if _, err := s.AppendBatch(TypeTracedRecords, frame[HeaderSize:]); err != nil {
@@ -105,7 +105,7 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 		if _, err := s.AppendBatch(TypeRecords, plain[HeaderSize:]); err != nil {
 			t.Fatal(err)
 		}
-		traced := AppendTracedFrame(nil, []TracedRecord{{Record: recs[5], Ctx: TraceContext{ID: 99}}})
+		traced := appendTraced(nil, TypeTracedRecords, 0, 0, []TracedRecord{{Record: recs[5], Ctx: TraceContext{ID: 99}}})
 		if _, err := s.AppendBatch(TypeTracedRecords, traced[HeaderSize:]); err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 
 	t.Run("datagram frame", func(t *testing.T) {
 		one := AppendFrame(nil, recs[:4])
-		two := AppendTracedFrame(one, []TracedRecord{{Record: recs[4], Ctx: TraceContext{ID: 3}}})
+		two := appendTraced(one, TypeTracedRecords, 0, 0, []TracedRecord{{Record: recs[4], Ctx: TraceContext{ID: 3}}})
 		s := pool.Get()
 		defer s.Release()
 		rest := two
@@ -187,7 +187,7 @@ func TestDecodeErrorLeavesSlabUntouched(t *testing.T) {
 		{"sealed crc, flip in seq", TypeSealed, flipped(AppendSealed(nil, 1, recs), HeaderSize+3), ErrBadFrame},
 		{"traced sealed crc, flip in a context", TypeTracedSealed, flipped(AppendTracedSealed(nil, 1, trs), HeaderSize+8+RecordSize+5), ErrBadFrame},
 		{"forwarded crc, flip in origin", TypeForwarded, flipped(AppendForwarded(nil, 1, 2, recs), HeaderSize), ErrBadFrame},
-		{"traced forwarded crc, flip in the tail", TypeTracedForwarded, flipped(AppendTracedForwarded(nil, 1, 2, trs), len(AppendTracedForwarded(nil, 1, 2, trs))-1), ErrBadFrame},
+		{"traced forwarded crc, flip in the tail", TypeTracedForwarded, flipped(appendTraced(nil, TypeTracedForwarded, 1, 2, trs), len(appendTraced(nil, TypeTracedForwarded, 1, 2, trs))-1), ErrBadFrame},
 		{"records past capacity", TypeRecords, AppendFrame(nil, big)[HeaderSize:], ErrSlabFull},
 		// Capacity is judged before the CRC: a frame that cannot fit is
 		// retried on a fresh slab, so its checksum is not this slab's work.

@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// appendTraced encodes traced records as one frame of a traced type,
+// through the encoder every frame type shares.
+func appendTraced(b []byte, ftype uint8, origin, seq uint64, trs []TracedRecord) []byte {
+	recs, ctxs := splitTraced(trs)
+	return appendBatch(b, ftype, origin, seq, recs, ctxs)
+}
+
 func TestTraceContextRoundTrip(t *testing.T) {
 	cases := []TraceContext{
 		{},
@@ -21,7 +28,7 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	for i, tc := range cases {
 		trs[i] = TracedRecord{Record: Record{MF: uint16(i)}, Ctx: tc}
 	}
-	b := AppendTracedFrame(nil, trs)
+	b := appendTraced(nil, TypeTracedRecords, 0, 0, trs)
 	if got, want := len(b), HeaderSize+len(cases)*(RecordSize+TraceCtxSize); got != want {
 		t.Fatalf("encoded %d bytes, want %d", got, want)
 	}
@@ -49,7 +56,7 @@ func testTracedRecords() []TracedRecord {
 
 func TestTracedFrameRoundTrip(t *testing.T) {
 	want := testTracedRecords()
-	b := AppendTracedFrame(nil, want)
+	b := appendTraced(nil, TypeTracedRecords, 0, 0, want)
 	s := NewSlabPool(1).Get()
 	defer s.Release()
 	consumed, err := s.AppendDatagramFrame(b)
@@ -182,7 +189,7 @@ func TestReaderNextTracedMixedStream(t *testing.T) {
 	plain := []Record{{T: 100, MF: 1}, {T: 101, MF: 2}}
 	var stream []byte
 	stream = AppendFrame(stream, plain)
-	stream = AppendTracedFrame(stream, traced)
+	stream = appendTraced(stream, TypeTracedRecords, 0, 0, traced)
 	stream = AppendSealed(stream, 0, plain)
 	stream = AppendTracedSealed(stream, 2, traced)
 
@@ -359,7 +366,7 @@ func TestClientTraceNegotiation(t *testing.T) {
 				t.Fatalf("echo=%v: record %d: got %+v want %+v", echo, i, tr.Record, recs[i])
 			}
 			if echo {
-				if want := c.TraceIDAt(uint64(i)); tr.Ctx.ID != want {
+				if want := SplitMix64(c.streamID ^ uint64(i+1)); tr.Ctx.ID != want {
 					t.Fatalf("record %d: trace id %#x, want %#x", i, tr.Ctx.ID, want)
 				}
 				if tr.Ctx.Sent != now {

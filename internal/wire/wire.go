@@ -161,16 +161,9 @@ func AppendRecord(b []byte, r Record) []byte {
 	return append(b, buf[:]...)
 }
 
-// DecodeRecord decodes one record from the first RecordSize bytes of b.
-func DecodeRecord(b []byte) (Record, error) {
-	if len(b) < RecordSize {
-		return Record{}, fmt.Errorf("%w: short record: %d bytes", ErrBadFrame, len(b))
-	}
-	return decodeRecord(b), nil
-}
-
-// decodeRecord is DecodeRecord for callers that already know b holds a
-// whole record (the batch decoder checks the payload length once).
+// decodeRecord decodes one record from the first RecordSize bytes of
+// b; the caller has checked its length (the batch decoder checks the
+// payload length once).
 func decodeRecord(b []byte) Record {
 	_ = b[RecordSize-1]
 	return Record{

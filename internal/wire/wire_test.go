@@ -35,10 +35,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		if len(b) != RecordSize {
 			t.Fatalf("encoded %d bytes, want %d", len(b), RecordSize)
 		}
-		got, err := DecodeRecord(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := decodeRecord(b)
 		if got != r {
 			t.Fatalf("round trip %+v -> %+v", r, got)
 		}
@@ -122,7 +119,7 @@ func TestParseFrameDatagram(t *testing.T) {
 		"sealed":           AppendSealed(nil, 0, recs),
 		"traced sealed":    AppendTracedSealed(nil, 0, nil),
 		"forwarded":        AppendForwarded(nil, 1, 0, recs),
-		"traced forwarded": AppendTracedForwarded(nil, 1, 0, nil),
+		"traced forwarded": appendTraced(nil, TypeTracedForwarded, 1, 0, nil),
 		"hello":            AppendHello(nil, 1, 0, 0),
 		"gossip":           AppendGossip(nil, nil),
 	} {
