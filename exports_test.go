@@ -31,12 +31,16 @@ const exportAllowlist = "testdata/test_only_exports.txt"
 // TestNoTestOnlyExports lists every exported func, method, type,
 // package-level var and const declared in a non-test file of
 // exportScanPackages whose name appears in no non-test .go file of the
-// module other than as a declared name, and requires that list to
-// equal the allowlist. A new test-only export fails it, and so does an
-// allowlist entry that was deleted or is now used in production.
+// module other than as a declared name, and every exported field of an
+// exported *Config struct there that no non-test file outside its
+// declaring package sets — as a composite-literal key or as an
+// assignment target — and requires that list to equal the allowlist.
+// A new test-only export or knob fails it, and so does an allowlist
+// entry that was deleted or is now used in production.
 //
 // The scan is by name, not by type: any identifier or selector with the
-// same name counts as a use, so a method reached only through an
+// same name counts as a use, and any key or assignment target with a
+// field's name as setting it, so a method reached only through an
 // interface is not flagged, and an unused export sharing a name with a
 // used one is missed rather than a used one flagged.
 func TestNoTestOnlyExports(t *testing.T) {
@@ -50,7 +54,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	for _, key := range sortedKeys(flagged) {
 		if _, ok := allowed[key]; !ok {
-			t.Errorf("%s: %s is exported but only tests use it: unexport or delete it, or add it to %s with the claim its test pins",
+			t.Errorf("%s: %s is exported but only tests use it (or, for a config field, set it): unexport or delete it, or add it to %s with the claim its test pins",
 				flagged[key], key, exportAllowlist)
 		}
 	}
@@ -67,11 +71,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 func testOnlyExports(root string) (map[string]string, error) {
 	fset := token.NewFileSet()
 	used := map[string]bool{}
+	setIn := map[string]map[string]bool{} // field name → directories whose non-test files set it
 	scanned := map[string]bool{}
 	for _, p := range exportScanPackages {
 		scanned[filepath.Join(root, p)] = true
 	}
-	type decl struct{ key, name, pos string }
+	type decl struct{ key, name, pos, dir string } // dir: set for a config field
 	var decls []decl
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -99,7 +104,7 @@ func testOnlyExports(root string) (map[string]string, error) {
 		add := func(id *ast.Ident, key string) {
 			declared[id] = true
 			if scan && id.IsExported() {
-				decls = append(decls, decl{key, id.Name, fset.Position(id.Pos()).String()})
+				decls = append(decls, decl{key: key, name: id.Name, pos: fset.Position(id.Pos()).String()})
 			}
 		}
 		for _, dd := range f.Decls {
@@ -115,6 +120,18 @@ func testOnlyExports(root string) (map[string]string, error) {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
 						add(s.Name, pkg+"."+s.Name.Name)
+						st, ok := s.Type.(*ast.StructType)
+						if !scan || !ok || !s.Name.IsExported() || !strings.HasSuffix(s.Name.Name, "Config") {
+							continue
+						}
+						for _, fld := range st.Fields.List {
+							for _, id := range fld.Names {
+								if id.IsExported() {
+									key := pkg + "." + s.Name.Name + "." + id.Name
+									decls = append(decls, decl{key, id.Name, fset.Position(id.Pos()).String(), filepath.Dir(path)})
+								}
+							}
+						}
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
 							add(n, pkg+"."+n.Name)
@@ -123,9 +140,37 @@ func testOnlyExports(root string) (map[string]string, error) {
 				}
 			}
 		}
+		set := func(e ast.Expr) {
+			name := ""
+			switch e := e.(type) {
+			case *ast.Ident:
+				name = e.Name
+			case *ast.SelectorExpr:
+				name = e.Sel.Name
+			}
+			if setIn[name] == nil {
+				setIn[name] = map[string]bool{}
+			}
+			setIn[name][filepath.Dir(path)] = true
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+			switch n := n.(type) {
+			case *ast.Ident:
+				if !declared[n] {
+					used[n.Name] = true
+				}
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						set(kv.Key)
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set(sel)
+					}
+				}
 			}
 			return true
 		})
@@ -136,11 +181,24 @@ func testOnlyExports(root string) (map[string]string, error) {
 	}
 	flagged := map[string]string{}
 	for _, d := range decls {
-		if !used[d.name] {
+		if d.dir == "" && !used[d.name] {
+			flagged[d.key] = d.pos
+		}
+		if d.dir != "" && !setOutside(setIn[d.name], d.dir) {
 			flagged[d.key] = d.pos
 		}
 	}
 	return flagged, nil
+}
+
+// setOutside reports whether dirs holds a directory other than dir.
+func setOutside(dirs map[string]bool, dir string) bool {
+	for d := range dirs {
+		if d != dir {
+			return true
+		}
+	}
+	return false
 }
 
 // receiverName strips pointers and type parameters off a receiver type.

@@ -1,16 +1,15 @@
 package cluster
 
-// Blocklist anti-entropy over versioned LWW rows (DESIGN §12.3): a
-// seeded randomized convergence check against an LWW reference, and the
-// bounds the row design exists for — memory and message cost that do
-// not grow with uptime, a digest that does not grow with restarts, and
-// a joiner that catches up in one exchange.
+// Blocklist anti-entropy over versioned LWW rows (DESIGN §12.3) and the
+// stepped ring it runs on: a seeded randomized ring harness checked
+// against an LWW reference, exact-state placement and a record ledger,
+// and the bounds the row design exists for — memory and message cost
+// that do not grow with uptime, a digest that does not grow with
+// restarts, and a joiner that catches up in one exchange.
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"reflect"
 	"runtime"
 	"sort"
@@ -24,41 +23,6 @@ import (
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
-
-// simNode is one member of an in-process fleet whose nodes come and go
-// within a test: unlike newTestNode it is closed by its owner, not at
-// test cleanup.
-type simNode struct {
-	n *Node
-	p *pipeline.Pipeline
-}
-
-func newSimNode(self string, peers []string, incarnation uint64, now *atomic.Int64) (simNode, error) {
-	p, err := pipeline.New(pipeline.Config{
-		Net: topology.NewTorus2D(4), Shards: 1, QueueLen: 16,
-		TraceBuffer: -1, LatencySampleEvery: -1,
-	})
-	if err != nil {
-		return simNode{}, err
-	}
-	n, err := New(p, Config{
-		Self: self, Peers: peers,
-		GossipInterval: time.Hour, FailAfter: time.Hour,
-		Incarnation: incarnation,
-		Dial:        func(string) (net.Conn, error) { return nil, errors.New("test: no network") },
-		Now:         now.Load,
-	})
-	if err != nil {
-		p.Close()
-		return simNode{}, err
-	}
-	return simNode{n, p}, nil
-}
-
-func (s simNode) close() {
-	s.n.Close()
-	s.p.Close()
-}
 
 // wins reports whether write a orders after write b under LWW.
 func wins(a, b filter.Mutation) bool {
@@ -106,148 +70,353 @@ func truncatingAdmin(self string, peerAddrs []string, ops int) string {
 	return strings.Repeat("a", room)
 }
 
-// TestBlocklistAntiEntropyRandomized drives 3–5 in-process members
-// through seeded schedules of blocks, TTL blocks, unblocks, expiry
-// sweeps, restarts (a fresh node under the same address with a new
-// incarnation), complete exchanges, exchanges whose response is lost,
-// and exchanges whose messages the budget truncates to a few ops. After
-// quiescent all-pairs rounds every member's blocklist must equal every
-// other's and the LWW reference over every write that survived — a
-// write is lost only when the one member holding it restarts.
+// simNode is one life of a ring member: an unstarted node over its own
+// pipeline, on the harness's network and clock, closed by its owner
+// rather than at test cleanup, since members die and rejoin within a
+// test.
+type simNode struct {
+	n *Node
+	p *pipeline.Pipeline
+}
+
+// simVictims is how many victims the harness routes records to; victim
+// simVictims itself never hears a record and serves as the barrier.
+const simVictims = 15
+
+func newSimNode(m *memNet, self string, peers []string, join string, now *atomic.Int64) (simNode, error) {
+	p, err := pipeline.New(pipeline.Config{
+		Net: topology.NewTorus2D(4), Shards: 1, QueueLen: 1 << 10,
+		BlockThreshold: 1 << 30, BlockTTL: time.Hour,
+		TraceBuffer: -1, LatencySampleEvery: -1,
+	})
+	if err != nil {
+		return simNode{}, err
+	}
+	n, err := build(p, Config{
+		Self: self, Peers: peers, Join: join,
+		FailAfter: time.Second, Dial: m.dial, Now: now.Load,
+	})
+	if err != nil {
+		p.Close()
+		return simNode{}, err
+	}
+	m.up(self, &fwdPeer{node: n, trace: true})
+	return simNode{n, p}, nil
+}
+
+// barrier returns once s's shard worker has run everything enqueued
+// before it: records, seeds and the detaches a ring change started.
+func (s simNode) barrier() {
+	done := make(chan struct{})
+	s.p.DetachVictim(simVictims, func(pipeline.VictimSnapshot, bool) { close(done) })
+	<-done
+}
+
+// exactState is the record total of the exact state s holds: its
+// victims' tallies and the handoffs its outbox still owes.
+func (s simNode) exactState() int64 {
+	s.barrier()
+	var sum int64
+	for _, v := range s.p.Victims() {
+		snap, _ := s.p.ExportVictim(v)
+		sum += snap.Identified() + snap.Undecodable
+	}
+	s.n.outMu.Lock()
+	defer s.n.outMu.Unlock()
+	for _, h := range s.n.outbox {
+		if h.ID != 0 {
+			sum += h.Identified() + h.Undecodable
+		}
+	}
+	return sum
+}
+
+// close ends this life: the address goes down, the node ships what it
+// can and counts the rest lost, and the pipeline drains. It reports the
+// records the life's pipeline ingested and the records its node
+// counted shed or lost.
+func (s simNode) close(m *memNet) (ingested, lost uint64, err error) {
+	m.down(s.n.cfg.Self)
+	s.n.Close()
+	s.p.Close()
+	if out := s.p.SlabsOutstanding(); out != 0 {
+		err = fmt.Errorf("%s: %d slabs outstanding after close", s.n.cfg.Self, out)
+	}
+	return s.p.C.Ingested.Load(), s.n.forwardDropped.Load() + s.n.forwardLost.Load() + s.n.forwardSuppress.Load(), err
+}
+
+// TestBlocklistAntiEntropyRandomized drives a ring of 3–5 unstarted
+// members on one clock and one in-memory network through seeded
+// schedules of the production steps — records routed at any member,
+// forwarder steps, single exchanges and whole gossip rounds (each
+// ending in the membership sweep and the outbox settle), exchanges
+// whose response is lost, messages the budget truncates to a few ops —
+// between blocks, TTL blocks, unblocks, expiry sweeps, clock jumps past
+// FailAfter, and members that die and rejoin by -join under the same
+// address with a new incarnation. After quiescent rounds with every
+// member back:
+//
+//   - every member's blocklist equals the LWW reference over every
+//     write that survived (a write is lost only when the one member
+//     holding it dies);
+//   - every member's ring holds the whole fleet, exact state for each
+//     victim sits on its ring owner alone, and no outbox entry waits;
+//   - that state, with the exact state each member held when it died,
+//     tallies every record the pipelines ingested — each once when no
+//     member died; at least once when one did, since a takeover seeds
+//     the dead owner's replica, a copy;
+//   - every record offered to Route was ingested by one member's
+//     pipeline or counted once as shed, lost or suppressed, and every
+//     slab is back in its pool.
 func TestBlocklistAntiEntropyRandomized(t *testing.T) {
 	seeds := 500
 	if testing.Short() {
 		seeds = 50
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		if err := antiEntropySchedule(seed); err != nil {
+		if err := ringSchedule(seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-func antiEntropySchedule(seed int64) (err error) {
-	rng := rand.New(rand.NewSource(seed))
-	var now atomic.Int64
-	now.Store(int64(time.Second))
-	size := 3 + rng.Intn(3)
-	addrs := make([]string, size)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("10.20.0.%d:1", i+1)
+// ringSim is one seeded schedule's fleet and ledgers.
+type ringSim struct {
+	rng   *rand.Rand
+	now   atomic.Int64
+	net   *memNet
+	addrs []string
+	nodes []simNode // n nil: down
+
+	writes                  []filter.Mutation
+	offered, ingested, lost uint64
+	died                    bool  // a member went down: its exact state went with it
+	diedState               int64 // the records that exact state tallied
+}
+
+func (r *ringSim) others(i int) []string {
+	return append(append([]string(nil), r.addrs[:i]...), r.addrs[i+1:]...)
+}
+
+// alive lists the members that are up.
+func (r *ringSim) alive() []int {
+	var up []int
+	for i, s := range r.nodes {
+		if s.n != nil {
+			up = append(up, i)
+		}
 	}
-	others := func(i int) []string {
-		return append(append([]string(nil), addrs[:i]...), addrs[i+1:]...)
+	return up
+}
+
+// start brings member i up: configured with the whole fleet at the
+// first start, by -join through a live member afterwards. Each life
+// starts a clock tick later, so its incarnation is new.
+func (r *ringSim) start(i int, first bool) error {
+	r.now.Add(1)
+	peers, join := r.others(i), ""
+	if up := r.alive(); !first && len(up) > 0 {
+		peers, join = nil, r.addrs[up[r.rng.Intn(len(up))]]
 	}
-	nextInc := uint64(seed) << 16
-	nodes := make([]simNode, size)
-	defer func() {
-		for _, s := range nodes {
-			if s.n != nil {
-				s.close()
+	s, err := newSimNode(r.net, r.addrs[i], peers, join, &r.now)
+	r.nodes[i] = s
+	return err
+}
+
+// kill takes member i down. A write held by no other live member dies
+// with it.
+func (r *ringSim) kill(i int) error {
+	kept := r.writes[:0]
+	for _, w := range r.writes {
+		for o, s := range r.nodes {
+			if o != i && s.n != nil && holds(s.p.Blocklist(), w) {
+				kept = append(kept, w)
+				break
 			}
 		}
-	}()
-	start := func(i int) error {
-		nextInc++
-		s, err := newSimNode(addrs[i], others(i), nextInc, &now)
-		nodes[i] = s
-		return err
 	}
-	for i := range nodes {
-		if err := start(i); err != nil {
-			return err
-		}
+	r.writes = kept
+	r.died = true
+	r.diedState += r.nodes[i].exactState()
+	ingested, lost, err := r.nodes[i].close(r.net)
+	r.ingested += ingested
+	r.lost += lost
+	r.nodes[i] = simNode{}
+	return err
+}
+
+// route offers a slab of 1–40 records to member i.
+func (r *ringSim) route(i int) {
+	s := r.nodes[i]
+	slab := s.p.GetSlab()
+	for k := 1 + r.rng.Intn(40); k > 0; k-- {
+		slab.Append(wire.Record{
+			Victim: topology.NodeID(r.rng.Intn(simVictims)), MF: uint16(r.rng.Intn(1 << 16)), Topo: s.p.TopoID(),
+		})
 	}
-	// exchange is the test helper's dance without a *testing.T: the
-	// client's request is absorbed by the server, and the response by the
-	// client unless it is lost.
-	exchange := func(server, client *Node, lost bool) error {
-		pr := client.members.Load().byID[server.self]
-		body, err := server.HandleGossip(appendGossipMsg(nil, client.buildMsg(pr, nil)))
-		if err != nil || lost {
-			return err
-		}
-		resp, err := parseGossipMsg(body)
-		if err != nil {
-			return err
-		}
-		client.completeExchange(pr, resp)
+	r.offered += uint64(slab.Len())
+	s.n.Route(slab)
+}
+
+// mint applies one blocklist write on member i and records it.
+func (r *ringSim) mint(i int, op func(bl *filter.Blocklist)) {
+	bl := r.nodes[i].p.Blocklist()
+	before := bl.Seq()
+	op(bl)
+	r.writes = append(r.writes, bl.Changes(before, nil)...)
+}
+
+// randomPeer picks one of node n's known peers.
+func (r *ringSim) randomPeer(n *Node) *peer {
+	list := n.members.Load().list
+	if len(list) == 0 {
 		return nil
 	}
+	return list[r.rng.Intn(len(list))]
+}
 
-	var writes []filter.Mutation
-	mint := func(bl *filter.Blocklist, op func()) {
-		before := bl.Seq()
-		op()
-		writes = append(writes, bl.Changes(before, nil)...)
+func ringSchedule(seed int64) (err error) {
+	r := &ringSim{rng: rand.New(rand.NewSource(seed)), net: newMemNet()}
+	r.now.Store(int64(time.Second))
+	r.addrs = make([]string, 3+r.rng.Intn(3))
+	for i := range r.addrs {
+		r.addrs[i] = fmt.Sprintf("10.20.0.%d:1", i+1)
 	}
-	for step := 0; step < 80; step++ {
-		i, j := rng.Intn(size), rng.Intn(size-1)
-		if j >= i {
-			j++
-		}
-		bl := nodes[i].p.Blocklist()
-		x := topology.NodeID(rng.Intn(12))
-		switch k := rng.Intn(10); {
-		case k == 0:
-			mint(bl, func() { bl.BlockUntilFor(x, filter.Permanent, topology.NodeID(rng.Intn(16))) })
-		case k == 1:
-			until := now.Load() + rng.Int63n(int64(3*time.Second))
-			mint(bl, func() { bl.BlockUntilFor(x, until, topology.NodeID(rng.Intn(16))) })
-		case k == 2:
-			mint(bl, func() { bl.Unblock(x) })
-		case k == 3:
-			now.Add(rng.Int63n(int64(time.Second)))
-			bl.ExpireEntries(now.Load())
-		case k == 4 && rng.Intn(3) == 0:
-			// A write held by no other member dies with this one.
-			kept := writes[:0]
-			for _, w := range writes {
-				for o := range nodes {
-					if o != i && holds(nodes[o].p.Blocklist(), w) {
-						kept = append(kept, w)
-						break
-					}
+	r.nodes = make([]simNode, len(r.addrs))
+	defer func() {
+		for i, s := range r.nodes {
+			if s.n != nil {
+				if cerr := r.kill(i); err == nil {
+					err = cerr
 				}
 			}
-			writes = kept
-			nodes[i].close()
-			if err := start(i); err != nil {
-				return err
-			}
-		case k == 5:
-			admin := ""
-			if rng.Intn(2) == 0 {
-				admin = truncatingAdmin(addrs[i], others(i), 1+rng.Intn(3))
-			}
-			nodes[i].n.SetAdminAddr(admin)
-		default:
-			if err := exchange(nodes[i].n, nodes[j].n, rng.Intn(4) == 0); err != nil {
-				return err
-			}
+		}
+		if err == nil && r.ingested+r.lost != r.offered {
+			err = fmt.Errorf("offered %d records to Route: %d ingested + %d shed, lost or suppressed",
+				r.offered, r.ingested, r.lost)
+		}
+	}()
+	for i := range r.nodes {
+		if err := r.start(i, true); err != nil {
+			return err
 		}
 	}
-
-	for _, s := range nodes {
-		s.n.SetAdminAddr("")
-	}
-	for round := 0; round < 3; round++ {
-		for i := range nodes {
-			for j := range nodes {
-				if i != j {
-					if err := exchange(nodes[i].n, nodes[j].n, false); err != nil {
+	for step := 0; step < 120; step++ {
+		up := r.alive()
+		if len(up) == 0 {
+			if err := r.start(r.rng.Intn(len(r.nodes)), false); err != nil {
+				return err
+			}
+			continue
+		}
+		i := up[r.rng.Intn(len(up))]
+		n := r.nodes[i].n
+		x := topology.NodeID(r.rng.Intn(12))
+		switch k := r.rng.Intn(20); {
+		case k < 4:
+			r.route(i)
+		case k < 7:
+			if pr := r.randomPeer(n); pr != nil {
+				n.forwardStep(pr, nil)
+			}
+		case k < 9:
+			n.gossipRound()
+		case k < 11:
+			if pr := r.randomPeer(n); pr != nil {
+				if r.rng.Intn(4) == 0 {
+					r.net.loseNext(pr.addr)
+				}
+				n.gossipWith(pr)
+			}
+		case k == 11:
+			r.now.Add(r.rng.Int63n(int64(800 * time.Millisecond)))
+		case k == 12:
+			r.mint(i, func(bl *filter.Blocklist) {
+				bl.BlockUntilFor(x, filter.Permanent, topology.NodeID(r.rng.Intn(16)))
+			})
+		case k == 13:
+			until := r.now.Load() + r.rng.Int63n(int64(3*time.Second))
+			r.mint(i, func(bl *filter.Blocklist) { bl.BlockUntilFor(x, until, topology.NodeID(r.rng.Intn(16))) })
+		case k == 14:
+			r.mint(i, func(bl *filter.Blocklist) { bl.Unblock(x) })
+		case k == 15:
+			r.now.Add(r.rng.Int63n(int64(time.Second)))
+			r.nodes[i].p.Blocklist().ExpireEntries(r.now.Load())
+		case k == 16:
+			admin := ""
+			if r.rng.Intn(2) == 0 {
+				admin = truncatingAdmin(r.addrs[i], r.others(i), 1+r.rng.Intn(3))
+			}
+			n.SetAdminAddr(admin)
+		case k == 17 && r.rng.Intn(2) == 0:
+			if err := r.kill(i); err != nil {
+				return err
+			}
+		case k >= 17:
+			for d := range r.nodes {
+				if r.nodes[d].n == nil {
+					if err := r.start(d, false); err != nil {
 						return err
 					}
+					break
 				}
 			}
 		}
 	}
-	want := lwwReference(writes, now.Load())
-	for i, s := range nodes {
-		s.p.Blocklist().ExpireEntries(now.Load())
-		if got := s.p.Blocklist().Snapshot(); !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("member %d (%s) holds %+v, want the LWW reference %+v", i, addrs[i], got, want)
+	return r.quiesce()
+}
+
+// quiesce brings every member back, runs quiescent rounds — clock
+// ticks well inside FailAfter, a gossip round and every forwarder step
+// on each member, then each pipeline's barrier — and checks the fleet.
+func (r *ringSim) quiesce() error {
+	for i := range r.nodes {
+		if r.nodes[i].n == nil {
+			if err := r.start(i, false); err != nil {
+				return err
+			}
 		}
+		r.nodes[i].n.SetAdminAddr("")
+	}
+	for round := 0; round < 6; round++ {
+		r.now.Add(int64(100 * time.Millisecond))
+		for _, s := range r.nodes {
+			s.n.gossipRound()
+			for _, pr := range s.n.members.Load().list {
+				s.n.forwardStep(pr, nil)
+			}
+		}
+		for _, s := range r.nodes {
+			s.barrier()
+		}
+	}
+	want := lwwReference(r.writes, r.now.Load())
+	for i, s := range r.nodes {
+		s.p.Blocklist().ExpireEntries(r.now.Load())
+		if got := s.p.Blocklist().Snapshot(); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("member %d (%s) holds %+v, want the LWW reference %+v", i, r.addrs[i], got, want)
+		}
+		ring := s.n.Ring()
+		if ring.Size() != len(r.nodes) {
+			return fmt.Errorf("member %d's ring %x holds %d of %d members", i, ring.Members(), ring.Size(), len(r.nodes))
+		}
+		for _, v := range s.p.Victims() {
+			if owner := ring.Owner(v); owner != s.n.self {
+				return fmt.Errorf("member %d holds exact state for victim %d, owned by %x", i, v, owner)
+			}
+		}
+		if got := s.n.outboxLen(); got != 0 {
+			return fmt.Errorf("member %d still owes %d outbox entries", i, got)
+		}
+	}
+	tallied, ingested := r.diedState, int64(r.ingested)
+	for _, s := range r.nodes {
+		ingested += int64(s.p.C.Ingested.Load())
+		tallied += s.exactState()
+	}
+	if tallied < ingested || !r.died && tallied != ingested {
+		return fmt.Errorf("the fleet's exact state, living and at each death, tallies %d of the %d records its pipelines ingested (a member died: %v)",
+			tallied, ingested, r.died)
 	}
 	return nil
 }
@@ -283,8 +452,8 @@ func reblockDay(t *testing.T, a, b *Node, now *atomic.Int64) {
 func TestBlocklistDayOfReblocksStaysBounded(t *testing.T) {
 	var now atomic.Int64
 	addrs := []string{"10.21.0.1:1", "10.21.0.2:1"}
-	a, pa := newTestNode(t, addrs[0], addrs[1:], 2101, &now)
-	b, pb := newTestNode(t, addrs[1], addrs[:1], 2102, &now)
+	a, pa := newTestNode(t, addrs[0], addrs[1:], &now)
+	b, pb := newTestNode(t, addrs[1], addrs[:1], &now)
 	reblockDay(t, a, b, &now)
 	for _, p := range []*pipeline.Pipeline{pa, pb} {
 		if rows := len(p.Blocklist().Changes(0, nil)); rows > 64 {
@@ -315,9 +484,10 @@ func TestBlocklistDayOfReblocksStaysBounded(t *testing.T) {
 func TestBlocklistDigestBoundedAcrossRestarts(t *testing.T) {
 	var now atomic.Int64
 	addrs := []string{"10.22.0.1:1", "10.22.0.2:1"}
-	a, pa := newTestNode(t, addrs[0], addrs[1:], 2201, &now)
+	a, pa := newTestNode(t, addrs[0], addrs[1:], &now)
 	for life := 0; life < 20; life++ {
-		b, err := newSimNode(addrs[1], addrs[:1], uint64(2300+life), &now)
+		now.Add(1) // a new life, a new incarnation
+		b, err := newSimNode(netFor(t), addrs[1], addrs[:1], "", &now)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,14 +495,14 @@ func TestBlocklistDigestBoundedAcrossRestarts(t *testing.T) {
 		exchange(t, a, b.n)
 		exchange(t, b.n, a)
 		if d := a.buildMsg(a.members.Load().byID[b.n.self], nil).Digest; len(d) > maxDigest {
-			b.close()
+			b.close(netFor(t))
 			t.Fatalf("life %d: digest to the restarted peer has %d entries: %+v", life, len(d), d)
 		}
 		if d := b.n.buildMsg(b.n.members.Load().byID[a.self], nil).Digest; len(d) > maxDigest {
-			b.close()
+			b.close(netFor(t))
 			t.Fatalf("life %d: the restarted peer's digest has %d entries: %+v", life, len(d), d)
 		}
-		b.close()
+		b.close(netFor(t))
 	}
 	if got := pa.Blocklist().Len(); got != 20 {
 		t.Fatalf("a holds %d blocks, want one from each of the peer's 20 lives", got)
@@ -345,14 +515,14 @@ func TestBlocklistDigestBoundedAcrossRestarts(t *testing.T) {
 func TestFreshJoinerCatchesUpInOneExchange(t *testing.T) {
 	var now atomic.Int64
 	addrs := []string{"10.24.0.1:1", "10.24.0.2:1", "10.24.0.3:1"}
-	a, pa := newTestNode(t, addrs[0], addrs[1:2], 2401, &now)
-	b, _ := newTestNode(t, addrs[1], addrs[:1], 2402, &now)
+	a, pa := newTestNode(t, addrs[0], addrs[1:2], &now)
+	b, _ := newTestNode(t, addrs[1], addrs[:1], &now)
 	reblockDay(t, a, b, &now)
 	for x := topology.NodeID(0); x < 64; x += 2 {
 		pa.Blocklist().Block(x)
 	}
 
-	j, pj := newTestNode(t, addrs[2], addrs[:1], 2403, &now)
+	j, pj := newTestNode(t, addrs[2], addrs[:1], &now)
 	exchange(t, a, j)
 	pj.Blocklist().ExpireEntries(now.Load()) // the day's lapsed rows, installed late
 	rows := func(p *pipeline.Pipeline) map[topology.NodeID]filter.Mutation {

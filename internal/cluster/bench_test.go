@@ -1,16 +1,16 @@
 package cluster
 
 // Route forward-path benchmarks and its allocation pins. The harness
-// parks every forwarder on a dial that only completes at cleanup and
-// then fills the forward queues with pooled slabs, so Route runs
-// against the deterministic shed path with no background goroutine
-// allocating during measurement. The gated variants arm the forwarding
-// gate and admit every victim during setup, so each measured record
-// holds a pass — except the scan variants', whose victims never repeat
-// within a slab and stay cold, so every record is suppressed. The scan
-// and short-slab variants are the cases Route's per-call victim memo
-// cannot pay for: a scan's victims never repeat, and a short slab
-// skips the memo.
+// builds an unstarted node, whose forwarders run only when stepped, and
+// fills the forward queues with pooled slabs, so Route runs against the
+// deterministic shed path with no background goroutine allocating
+// during measurement. The gated variants arm the forwarding gate and
+// admit every victim during setup, so each measured record holds a
+// pass — except the scan variants', whose victims never repeat within a
+// slab and stay cold, so every record is suppressed. The scan and
+// short-slab variants are the cases Route's per-call victim memo cannot
+// pay for: a scan's victims never repeat, and a short slab skips the
+// memo.
 
 import (
 	"errors"
@@ -34,59 +34,30 @@ func newBenchNode(tb testing.TB, traceBuffer, sketchAdmit int) (*Node, *pipeline
 	if err != nil {
 		tb.Fatal(err)
 	}
-	block := make(chan struct{})
-	parked := make(chan struct{}, 8)
 	var now atomic.Int64
 	now.Store(1)
-	n, err := New(p, Config{
+	n, err := build(p, Config{
 		Self:           "10.9.0.1:1",
 		Peers:          []string{"10.9.0.2:1", "10.9.0.3:1"},
 		GossipInterval: time.Hour, FailAfter: time.Hour,
-		Incarnation: 901, SketchAdmit: sketchAdmit,
-		Dial: func(string) (net.Conn, error) {
-			select {
-			case parked <- struct{}{}:
-			default: // retries after cleanup: no one is counting
-			}
-			<-block
-			return nil, errors.New("bench: no network")
-		},
-		Now:  now.Load,
-		Logf: tb.Logf,
+		SketchAdmit: sketchAdmit,
+		Dial:        func(string) (net.Conn, error) { return nil, errors.New("bench: no network") },
+		Now:         now.Load,
+		Logf:        tb.Logf,
 	})
 	if err != nil {
 		p.Close()
 		tb.Fatal(err)
 	}
-	// Hand each forwarder one record, which its flush dials for, and wait
-	// until every forwarder is parked in that dial. Then saturate the
-	// queues: every enqueue after this sheds without touching a goroutine.
-	oneRecord := func() *wire.Slab {
-		s := p.GetSlab()
-		s.Append(wire.Record{Topo: p.TopoID()})
-		return s
-	}
-	peers := n.members.Load().list
-	for _, pr := range peers {
-		pr.queue <- oneRecord()
-	}
-	for range peers {
-		<-parked
-	}
-	for _, pr := range peers {
+	// Saturate the queues: every enqueue after this sheds.
+	for _, pr := range n.members.Load().list {
 		for len(pr.queue) < cap(pr.queue) {
-			pr.queue <- oneRecord()
+			s := p.GetSlab()
+			s.Append(wire.Record{Topo: p.TopoID()})
+			pr.queue <- s
 		}
 	}
 	tb.Cleanup(func() {
-		// Drain the saturated queues so shutdown doesn't grind each stale
-		// batch through the failing client's retry backoff.
-		for _, pr := range peers {
-			for len(pr.queue) > 0 {
-				(<-pr.queue).Release()
-			}
-		}
-		close(block)
 		n.Close()
 		p.Close()
 	})

@@ -89,11 +89,9 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 			NewCluster: func(p *pipeline.Pipeline) (pipeline.ClusterNode, error) {
 				n, err := New(p, Config{
 					Self: addrs[i], Peers: peers,
-					GossipInterval:    25 * time.Millisecond,
-					FailAfter:         1500 * time.Millisecond,
-					MaxReplicasPerMsg: 64,
-					Incarnation:       uint64(0x1000 + i),
-					Logf:              t.Logf,
+					GossipInterval: 25 * time.Millisecond,
+					FailAfter:      1500 * time.Millisecond,
+					Logf:           t.Logf,
 				})
 				if err != nil {
 					return nil, err // not a typed-nil *Node, which Start would Close
@@ -368,11 +366,9 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 		NewCluster: func(p *pipeline.Pipeline) (pipeline.ClusterNode, error) {
 			n, err := New(p, Config{
 				Self: addrs[kill], Join: addrs[survivors[0]],
-				GossipInterval:    25 * time.Millisecond,
-				FailAfter:         1500 * time.Millisecond,
-				MaxReplicasPerMsg: 64,
-				Incarnation:       uint64(0x2000 + kill),
-				Logf:              t.Logf,
+				GossipInterval: 25 * time.Millisecond,
+				FailAfter:      1500 * time.Millisecond,
+				Logf:           t.Logf,
 			})
 			if err != nil {
 				return nil, err

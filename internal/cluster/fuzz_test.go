@@ -104,6 +104,7 @@ func FuzzGossipMsg(f *testing.F) {
 	v2 := bytes.Clone(hostile[:len(hostile)-2]) // a v2 body ends at the roster
 	v2[0] = gossipVersionV2
 	f.Add(v2)
+	f.Add(appendGossipMsg(nil, &gossipMsg{Handoffs: []handoff{{hostileSnapshot, 1}, {pipeline.VictimSnapshot{Victim: 7}, 1 << 63}}}))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		in := bytes.Clone(body)
 		m, err := parseGossipMsg(in)
@@ -112,6 +113,9 @@ func FuzzGossipMsg(f *testing.F) {
 		}
 		checkOwnsInput(t, in, m)
 		checkSeedable(t, m.Replicas...)
+		for _, h := range m.Handoffs {
+			checkSeedable(t, h.VictimSnapshot)
+		}
 	})
 }
 
@@ -154,7 +158,7 @@ func FuzzHandleGossip(f *testing.F) {
 	f.Add(appendGossipMsg(nil, &forged))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var now atomic.Int64
-		n, _ := newTestNode(t, self, nil, 1, &now)
+		n, _ := newTestNode(t, self, nil, &now)
 		req, parseErr := parseGossipMsg(bytes.Clone(body))
 		before := gossipStateOf(n)
 		resp, err := n.HandleGossip(body)

@@ -27,8 +27,9 @@ import (
 //	nOps    uint16, then per op:    origin(8) seq(8) stamp(8) node(8) until(8) victim(8) flags(1)
 //	        (seq is the sender's row version; origin minted the write)
 //	nReps   uint16, then per replica:
-//	        victim(8) flags(1: bit0 alarmed, bit1 expired) undecodable(8) nSources(4),
-//	        then per source: node(8) count(8)
+//	        victim(8) flags(1: bit0 alarmed, bit1 expired, bit2 handoff)
+//	        undecodable(8) nSources(4), then per source: node(8) count(8),
+//	        then, with the handoff flag (v4+ only), the handoff's id(8)
 //	senderAddr: len uint16 + bytes (the sender's advertised ingest address)
 //	nRoster uint16, then per entry: len uint16 + bytes
 //	senderAdmin: len uint16 + bytes (v3+ only: the sender's admin-plane
@@ -37,9 +38,12 @@ import (
 // Replicas with the expired flag are tombstones: a victim whose owner's
 // TTL sweep retired it, shipped (without tallies) so the backup drops
 // its stored replica instead of re-seeding a detector the owner
-// deliberately let go. A handoff — the detached state a membership
-// change owes the victim's new owner — is an ordinary entry of the same
-// section (see outbox.go).
+// deliberately let go. A handoff — exact state detached here and owed
+// to the victim's ring owner — is an entry of the same section with the
+// handoff flag and the id its shipper minted for it, so the receiver
+// seeds each handoff once however often a lost response makes the
+// shipper re-send it (see outbox.go). Handoffs are encoded after the
+// replicas and decoded into Handoffs.
 //
 // SenderAddr and Roster are what make runtime join work: a joiner that
 // knows one live member learns every other alive member's address from
@@ -55,7 +59,15 @@ type gossipMsg struct {
 	Digest      []digestEntry
 	Ops         []originOp
 	Replicas    []pipeline.VictimSnapshot
+	Handoffs    []handoff
 	Roster      []string
+}
+
+// handoff is one victim's detached exact state and the id its shipper
+// minted for it: unique per handoff, never 0.
+type handoff struct {
+	pipeline.VictimSnapshot
+	ID uint64
 }
 
 // digestEntry names one member incarnation and a version of its
@@ -74,16 +86,20 @@ type originOp struct {
 }
 
 const (
-	// gossipVersion 3 appends the sender's admin-plane address after the
-	// roster; a v2 message (no admin section) still parses, so a mixed
-	// fleet keeps gossiping through a rolling upgrade.
-	gossipVersion   = 3
+	// gossipVersion 3 appended the sender's admin-plane address after the
+	// roster, and 4 the handoff ids; v2 and v3 messages (no admin
+	// section, no handoffs) still parse, so a mixed fleet keeps
+	// gossiping through a rolling upgrade.
+	gossipVersion   = 4
+	gossipVersionV3 = 3
 	gossipVersionV2 = 2
 	gossipFixedSize = 1 + 8 + 8
 	digestEntrySize = 16
 	opSize          = 49
 	replicaFixed    = 8 + 1 + 8 + 4
 	sourceSize      = 16
+	handoffIDSize   = 8
+	flagHandoff     = 4
 )
 
 var errGossipTrunc = errors.New("cluster: truncated gossip message")
@@ -113,9 +129,12 @@ func appendGossipMsg(b []byte, m *gossipMsg) []byte {
 		}
 		b = append(b, flags)
 	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Replicas)))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Replicas)+len(m.Handoffs)))
 	for i := range m.Replicas {
-		b = appendSnapshot(b, &m.Replicas[i])
+		b = appendSnapshot(b, &m.Replicas[i], 0)
+	}
+	for i := range m.Handoffs {
+		b = appendSnapshot(b, &m.Handoffs[i].VictimSnapshot, m.Handoffs[i].ID)
 	}
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.SenderAddr)))
 	b = append(b, m.SenderAddr...)
@@ -129,9 +148,9 @@ func appendGossipMsg(b []byte, m *gossipMsg) []byte {
 	return b
 }
 
-// appendSnapshot encodes one victim snapshot: a replica, a tombstone or
-// a handoff.
-func appendSnapshot(b []byte, r *pipeline.VictimSnapshot) []byte {
+// appendSnapshot encodes one victim snapshot: a replica or a tombstone,
+// or with a non-zero id a handoff.
+func appendSnapshot(b []byte, r *pipeline.VictimSnapshot, id uint64) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(int64(r.Victim)))
 	var fl byte
 	if r.Alarmed {
@@ -140,6 +159,9 @@ func appendSnapshot(b []byte, r *pipeline.VictimSnapshot) []byte {
 	if r.Expired {
 		fl |= 2
 	}
+	if id != 0 {
+		fl |= flagHandoff
+	}
 	b = append(b, fl)
 	b = binary.BigEndian.AppendUint64(b, uint64(r.Undecodable))
 	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Sources)))
@@ -147,15 +169,20 @@ func appendSnapshot(b []byte, r *pipeline.VictimSnapshot) []byte {
 		b = binary.BigEndian.AppendUint64(b, uint64(sc.Node))
 		b = binary.BigEndian.AppendUint64(b, uint64(sc.Count))
 	}
+	if id != 0 {
+		b = binary.BigEndian.AppendUint64(b, id)
+	}
 	return b
 }
 
 // parseSnapshot decodes one victim snapshot off the front of p and
-// returns the remainder. Nothing aliases p.
-func parseSnapshot(p []byte) (pipeline.VictimSnapshot, []byte, error) {
+// returns it, its handoff id (0 for a replica or a tombstone; only ver
+// 4+ carries one) and the remainder. Nothing aliases p.
+func parseSnapshot(p []byte, ver byte) (pipeline.VictimSnapshot, uint64, []byte, error) {
 	if len(p) < replicaFixed {
-		return pipeline.VictimSnapshot{}, nil, errGossipTrunc
+		return pipeline.VictimSnapshot{}, 0, nil, errGossipTrunc
 	}
+	isHandoff := ver >= gossipVersion && p[8]&flagHandoff != 0
 	snap := pipeline.VictimSnapshot{
 		Victim:      topology.NodeID(int64(binary.BigEndian.Uint64(p[0:8]))),
 		Alarmed:     p[8]&1 != 0,
@@ -166,7 +193,7 @@ func parseSnapshot(p []byte) (pipeline.VictimSnapshot, []byte, error) {
 	p = p[replicaFixed:]
 	for j := 0; j < ns; j++ {
 		if len(p) < sourceSize {
-			return pipeline.VictimSnapshot{}, nil, errGossipTrunc
+			return pipeline.VictimSnapshot{}, 0, nil, errGossipTrunc
 		}
 		snap.Sources = append(snap.Sources, pipeline.SourceCount{
 			Node:  int64(binary.BigEndian.Uint64(p[0:8])),
@@ -174,7 +201,17 @@ func parseSnapshot(p []byte) (pipeline.VictimSnapshot, []byte, error) {
 		})
 		p = p[sourceSize:]
 	}
-	return snap, p, nil
+	var id uint64
+	if isHandoff {
+		if len(p) < handoffIDSize {
+			return pipeline.VictimSnapshot{}, 0, nil, errGossipTrunc
+		}
+		if id = binary.BigEndian.Uint64(p); id == 0 {
+			return pipeline.VictimSnapshot{}, 0, nil, errors.New("cluster: gossip handoff without an id")
+		}
+		p = p[handoffIDSize:]
+	}
+	return snap, id, p, nil
 }
 
 // parseGossipMsg decodes a message body. Nothing aliases b.
@@ -183,8 +220,8 @@ func parseGossipMsg(b []byte) (*gossipMsg, error) {
 		return nil, errGossipTrunc
 	}
 	ver := b[0]
-	if ver != gossipVersion && ver != gossipVersionV2 {
-		return nil, fmt.Errorf("cluster: gossip version %d (want %d or %d)", ver, gossipVersionV2, gossipVersion)
+	if ver < gossipVersionV2 || ver > gossipVersion {
+		return nil, fmt.Errorf("cluster: gossip version %d (want %d to %d)", ver, gossipVersionV2, gossipVersion)
 	}
 	m := &gossipMsg{
 		Sender:  binary.BigEndian.Uint64(b[1:9]),
@@ -240,12 +277,16 @@ func parseGossipMsg(b []byte) (*gossipMsg, error) {
 	}
 	nr := int(binary.BigEndian.Uint16(hdr))
 	for i := 0; i < nr; i++ {
-		snap, rest, err := parseSnapshot(p)
+		snap, id, rest, err := parseSnapshot(p, ver)
 		if err != nil {
 			return nil, err
 		}
 		p = rest
-		m.Replicas = append(m.Replicas, snap)
+		if id != 0 {
+			m.Handoffs = append(m.Handoffs, handoff{snap, id})
+		} else {
+			m.Replicas = append(m.Replicas, snap)
+		}
 	}
 	takeStr := func() (string, error) {
 		h, err := take(2)
@@ -272,7 +313,7 @@ func parseGossipMsg(b []byte) (*gossipMsg, error) {
 		}
 		m.Roster = append(m.Roster, addr)
 	}
-	if ver >= gossipVersion {
+	if ver >= gossipVersionV3 {
 		if m.SenderAdmin, err = takeStr(); err != nil {
 			return nil, err
 		}
@@ -313,8 +354,13 @@ func (g *gossipBudget) fitsOp() bool {
 	return true
 }
 
-func (g *gossipBudget) fitsReplica(snap *pipeline.VictimSnapshot) bool {
+// fitsReplica takes one snapshot's room from the budget if it fits; a
+// non-zero id makes it a handoff, which carries the id too.
+func (g *gossipBudget) fitsReplica(snap *pipeline.VictimSnapshot, id uint64) bool {
 	n := replicaFixed + len(snap.Sources)*sourceSize
+	if id != 0 {
+		n += handoffIDSize
+	}
 	if g.left < n {
 		return false
 	}
@@ -324,7 +370,7 @@ func (g *gossipBudget) fitsReplica(snap *pipeline.VictimSnapshot) bool {
 
 // oversize reports whether snap is too large for any message: a
 // snapshot past one frame is a known limit (no chunking yet).
-func (g *gossipBudget) oversize(snap *pipeline.VictimSnapshot) bool {
+func (g *gossipBudget) oversize(snap *pipeline.VictimSnapshot, id uint64) bool {
 	empty := gossipBudget{left: g.room}
-	return !empty.fitsReplica(snap)
+	return !empty.fitsReplica(snap, id)
 }

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"errors"
-	"net"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -21,18 +19,20 @@ import (
 func TestRecomputeMembershipEqualSizeSwap(t *testing.T) {
 	var now atomic.Int64
 	addrs := []string{"10.6.0.1:1", "10.6.0.2:1", "10.6.0.3:1"}
-	n, _ := newTestNode(t, addrs[0], []string{addrs[1]}, 601, &now)
+	n, _ := newTestNode(t, addrs[0], []string{addrs[1]}, &now)
 
 	if got := n.Ring().Size(); got != 2 {
 		t.Fatalf("initial ring size %d, want 2", got)
 	}
-	// A third member joins at t=0.9s (lastHeard stamped then), while the
+	// A third member joins and is heard from at t=0.9s, while the
 	// configured peer stays silent past FailAfter (1s): at the next
 	// sweep the alive count is still 2 but the set has swapped.
 	now.Store(int64(900 * time.Millisecond))
-	if pr := n.addPeer(addrs[2]); pr == nil {
+	pr := n.addPeer(addrs[2])
+	if pr == nil {
 		t.Fatal("addPeer rejected the joiner")
 	}
+	pr.lastHeard.Store(now.Load())
 	now.Store(int64(1500 * time.Millisecond))
 	n.recomputeMembership()
 
@@ -55,35 +55,16 @@ func TestRecomputeMembershipEqualSizeSwap(t *testing.T) {
 // TestRuntimeJoinLearnsRoster: a joiner configured with nothing but a
 // -join address learns the rest of the fleet from its first gossip
 // exchange, and the fleet learns the joiner from its authenticated
-// sender address — every node converges on the same three-member ring.
+// sender address — every node converges on the same three-member ring
+// once the joiner has exchanged with each member it learned of.
 func TestRuntimeJoinLearnsRoster(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1) // nonzero so lastHeard stamps are meaningful
 	addrs := []string{"10.7.0.1:1", "10.7.0.2:1", "10.7.0.3:1"}
-	a, _ := newTestNode(t, addrs[0], []string{addrs[1]}, 701, &now)
+	a, _ := newTestNode(t, addrs[0], []string{addrs[1]}, &now)
 
-	pj, err := pipeline.New(pipeline.Config{
-		Net: topology.NewTorus2D(8), Shards: 2, QueueLen: 1 << 12,
-		BlockThreshold: 1 << 30, BlockTTL: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := New(pj, Config{
-		Self: addrs[2], Join: addrs[0],
-		GossipInterval: time.Hour, FailAfter: time.Second,
-		Incarnation: 703,
-		Dial:        func(string) (net.Conn, error) { return nil, errors.New("test: no network") },
-		Now:         now.Load,
-	})
-	if err != nil {
-		pj.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		j.Close()
-		pj.Close()
-	})
+	b, _ := newTestNode(t, addrs[1], []string{addrs[0]}, &now)
+	j, _ := newTestNodeWith(t, testPipelineConfig(), Config{Self: addrs[2], Join: addrs[0], FailAfter: time.Second, Now: now.Load})
 	if got := len(j.members.Load().list); got != 1 {
 		t.Fatalf("joiner starts knowing %d members, want 1 (the join target)", got)
 	}
@@ -103,7 +84,15 @@ func TestRuntimeJoinLearnsRoster(t *testing.T) {
 		t.Fatal("joiner's members_learned counter still zero")
 	}
 
-	// Both converge on the same three-member ring at their next sweep.
+	// A roster names members; it does not vouch for them. The joiner's
+	// ring takes the third member only once the joiner has heard from
+	// it directly, and then both converge on the same three-member ring
+	// at their next sweep.
+	j.recomputeMembership()
+	if got := j.Ring().Size(); got != 2 {
+		t.Fatalf("joiner's ring holds %d members on the roster's word alone, want 2", got)
+	}
+	exchange(t, b, j)
 	a.recomputeMembership()
 	j.recomputeMembership()
 	if got, want := a.Ring().Members(), j.Ring().Members(); !reflect.DeepEqual(got, want) {
@@ -131,7 +120,7 @@ func TestGossipRejectsForgedSender(t *testing.T) {
 	var now atomic.Int64
 	now.Store(int64(time.Second))
 	addrs := []string{"10.8.0.1:1", "10.8.0.2:1"}
-	n, p := newTestNode(t, addrs[0], []string{addrs[1]}, 801, &now)
+	n, p := newTestNode(t, addrs[0], []string{addrs[1]}, &now)
 	p.Blocklist().Block(3) // something a member would be sent
 	named := n.members.Load().byID[MemberID(addrs[1])]
 	heard := named.lastHeard.Load()
@@ -173,6 +162,40 @@ func TestGossipRejectsForgedSender(t *testing.T) {
 	}
 }
 
+// TestRosterDoesNotVouch: a roster names members, it does not vouch
+// for them. An authenticated member whose roster names three addresses
+// this node never heard from leaves the ring as it was after the
+// sweep; one completed exchange with one of them adds exactly that
+// one.
+func TestRosterDoesNotVouch(t *testing.T) {
+	var now atomic.Int64
+	now.Store(int64(time.Second))
+	addrs := []string{"10.8.1.1:1", "10.8.1.2:1"}
+	unknown := []string{"10.8.1.3:1", "10.8.1.4:1", "10.8.1.5:1"}
+	n, _ := newTestNode(t, addrs[0], addrs[1:], &now)
+	body := appendGossipMsg(nil, &gossipMsg{Sender: MemberID(addrs[1]), SenderAddr: addrs[1], Roster: unknown})
+	if _, err := n.HandleGossip(body); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range unknown {
+		if n.members.Load().byID[MemberID(addr)] == nil {
+			t.Fatalf("roster entry %s not learned", addr)
+		}
+	}
+	before := n.Ring().Members()
+	n.recomputeMembership()
+	if got := n.Ring().Members(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("a roster alone moved the ring from %x to %x", before, got)
+	}
+
+	c, _ := newTestNode(t, unknown[0], addrs, &now)
+	exchange(t, c, n)
+	n.recomputeMembership()
+	if got, want := n.Ring().Members(), sortedIDs(n.self, MemberID(addrs[1]), c.self); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ring %x after one exchange with %s, want %x", got, unknown[0], want)
+	}
+}
+
 // victimWhere returns the first victim of the 8×8 test fabric that
 // satisfies ok, skipping the test when the member ids give none.
 func victimWhere(t *testing.T, ok func(topology.NodeID) bool) topology.NodeID {
@@ -207,7 +230,7 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1)
 	addrs := []string{"10.9.1.1:1", "10.9.1.2:1", "10.9.1.3:1"}
-	n, p := newTestNode(t, addrs[0], []string{addrs[1]}, 901, &now)
+	n, p := newTestNode(t, addrs[0], []string{addrs[1]}, &now)
 	ring := n.Ring()
 	joined := NewRing(2, sortedIDs(n.self, MemberID(addrs[1]), MemberID(addrs[2])), n.cfg.VNodes)
 	victim := victimWhere(t, func(v topology.NodeID) bool {
@@ -225,12 +248,15 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 		t.Fatal("no exact state before the ring change")
 	}
 
-	// The joiner appears; the sweep rebuilds the ring and detaches the
-	// departing victim. Every dial fails in this harness, so no exchange
-	// can deliver it: later rounds leave it pending.
-	if n.addPeer(addrs[2]) == nil {
+	// The joiner appears and is heard from; the sweep rebuilds the ring
+	// and detaches the departing victim. The joiner's address answers
+	// no dial, so no exchange can deliver it: later rounds leave it
+	// pending.
+	joiner := n.addPeer(addrs[2])
+	if joiner == nil {
 		t.Fatal("addPeer rejected the joiner")
 	}
+	joiner.lastHeard.Store(now.Load())
 	n.recomputeMembership()
 	if got := n.Ring().Version(); got != 2 {
 		t.Fatalf("ring version %d, want 2", got)
@@ -280,8 +306,8 @@ func handoffPair(t *testing.T, pcfg pipeline.Config) (shipper, recv *Node, precv
 	var now atomic.Int64
 	now.Store(1)
 	addrs := []string{"10.9.2.1:1", "10.9.2.2:1"}
-	shipper, _ = newTestNodeOn(t, pcfg, addrs[0], []string{addrs[1]}, 951, &now)
-	recv, precv = newTestNodeOn(t, pcfg, addrs[1], []string{addrs[0]}, 952, &now)
+	shipper, _ = newTestNodeOn(t, pcfg, addrs[0], []string{addrs[1]}, &now)
+	recv, precv = newTestNodeOn(t, pcfg, addrs[1], []string{addrs[0]}, &now)
 	victim := victimWhere(t, func(v topology.NodeID) bool { return recv.Ring().Owner(v) == recv.self })
 	snap = pipeline.VictimSnapshot{
 		Victim: victim, Alarmed: true, Undecodable: 4,
@@ -318,8 +344,8 @@ func TestHandbackDelivery(t *testing.T) {
 		t.Fatalf("outbox holds %d entries after a completed exchange", got)
 	}
 	pr := shipper.members.Load().byID[recv.self]
-	if m := shipper.buildMsg(pr, nil); len(m.Replicas) != 0 {
-		t.Fatalf("second exchange still carries %d snapshots", len(m.Replicas))
+	if m := shipper.buildMsg(pr, nil); len(m.Replicas)+len(m.Handoffs) != 0 {
+		t.Fatalf("second exchange still carries %d snapshots", len(m.Replicas)+len(m.Handoffs))
 	}
 	exchange(t, recv, shipper)
 	if out, in := shipper.handbacksOut.Load(), recv.handbacksIn.Load(); out != 1 || in != 1 {
@@ -332,13 +358,13 @@ func TestHandbackDelivery(t *testing.T) {
 // next round sends it again — and the owner's latch tallies it once.
 func TestHandoffResentAfterLostResponse(t *testing.T) {
 	shipper, recv, precv, snap := handoffPair(t, testPipelineConfig())
-	request(t, recv, shipper) // response lost
+	exchangeLost(t, recv, shipper)
 	if got := shipper.outboxLen(); got != 1 {
 		t.Fatalf("outbox holds %d entries after an incomplete exchange, want 1", got)
 	}
 	pr := shipper.members.Load().byID[recv.self]
-	if m := shipper.buildMsg(pr, nil); len(m.Replicas) != 1 || m.Replicas[0].Victim != snap.Victim {
-		t.Fatalf("next round carries %+v, want the pending handoff", m.Replicas)
+	if m := shipper.buildMsg(pr, nil); len(m.Handoffs) != 1 || m.Handoffs[0].Victim != snap.Victim {
+		t.Fatalf("next round carries %+v, want the pending handoff", m.Handoffs)
 	}
 	exchange(t, recv, shipper)
 	waitSeeded(t, precv, snap)
@@ -350,6 +376,108 @@ func TestHandoffResentAfterLostResponse(t *testing.T) {
 	}
 	if got := shipper.outboxLen(); got != 0 {
 		t.Fatalf("outbox holds %d entries after the re-send completed", got)
+	}
+}
+
+// TestHandoffAfterHandoffAdds: state that reaches a member after it
+// handed a victim off — records forwarded in by a member on an older
+// ring — is handed off too, and the owner adds each handoff once: a
+// second handoff of the same victim in one ownership epoch seeds, a
+// re-send after a lost response does not, and a victim whose handoff is
+// still pending is not detached again until that one is delivered.
+func TestHandoffAfterHandoffAdds(t *testing.T) {
+	var now atomic.Int64
+	now.Store(1)
+	addrs := []string{"10.9.3.1:1", "10.9.3.2:1"}
+	a, pa := newTestNode(t, addrs[0], addrs[1:], &now)
+	b, pb := newTestNode(t, addrs[1], addrs[:1], &now)
+	victim := victimWhere(t, func(v topology.NodeID) bool { return b.Ring().Owner(v) == b.self })
+	forwardedIn := func(k int) {
+		s := pa.GetSlab()
+		for i := 0; i < k; i++ {
+			s.Append(wire.Record{Victim: victim, MF: uint16(i), Topo: pa.TopoID()})
+		}
+		pa.SubmitSlab(s)
+	}
+	handOff := func() {
+		t.Helper()
+		a.recomputeMembership()
+		waitOutbox(t, a, 1)
+		if _, ok := pa.ExportVictim(victim); ok {
+			t.Fatal("a still holds exact state for b's victim after its sweep")
+		}
+	}
+
+	forwardedIn(10)
+	waitTallied(t, pa, victim, 10)
+	handOff()
+	exchange(t, b, a)
+	waitTallied(t, pb, victim, 10)
+
+	forwardedIn(1)
+	waitTallied(t, pa, victim, 1)
+	handOff()
+	exchangeLost(t, b, a)
+	waitTallied(t, pb, victim, 11)
+
+	forwardedIn(2)
+	waitTallied(t, pa, victim, 2)
+	a.recomputeMembership()
+	if got := a.outboxLen(); got != 1 {
+		t.Fatalf("outbox holds %d entries, want the one pending handoff", got)
+	}
+	exchange(t, b, a) // the re-send
+	handOff()
+	exchange(t, b, a)
+	waitTallied(t, pb, victim, 13)
+	if got := a.outboxLen(); got != 0 {
+		t.Fatalf("outbox holds %d entries after the last exchange", got)
+	}
+	if got := b.seedsApplied.Load(); got != 3 {
+		t.Fatalf("b seeded %d handoffs, want 3", got)
+	}
+}
+
+// TestTakeoverAfterPassingAHandoffOn: a handoff that reached a member
+// before its ring gave it the victim is seeded there and handed on;
+// when the owner then dies, the member's takeover still seeds the
+// owner's replica, and the handoff, still pending toward the dead owner,
+// is seeded back — neither is refused for the handoff seeded earlier.
+func TestTakeoverAfterPassingAHandoffOn(t *testing.T) {
+	var now atomic.Int64
+	now.Store(1)
+	addrs := []string{"10.9.6.1:1", "10.9.6.2:1", "10.9.6.3:1"}
+	b, pb := newTestNode(t, addrs[1], []string{addrs[0], addrs[2]}, &now)
+	owner := MemberID(addrs[2])
+	ring := b.Ring()
+	victim := victimWhere(t, func(v topology.NodeID) bool {
+		return ring.Owner(v) == owner && ring.Successor(v) == b.self
+	})
+	passed := pipeline.VictimSnapshot{Victim: victim, Sources: []pipeline.SourceCount{{Node: 3, Count: 5}}}
+	replica := pipeline.VictimSnapshot{Victim: victim, Sources: []pipeline.SourceCount{{Node: 4, Count: 40}}}
+
+	b.mu.Lock()
+	seeded := b.storeReplicaLocked(ring, passed, 42)
+	b.mu.Unlock()
+	if !seeded {
+		t.Fatal("a handoff reaching a member whose ring disagrees was not seeded there")
+	}
+	waitTallied(t, pb, victim, 5)
+	b.recomputeMembership()
+	waitOutbox(t, b, 1)
+	b.mu.Lock()
+	b.storeReplicaLocked(ring, replica, 0)
+	b.mu.Unlock()
+
+	now.Add(int64(2 * time.Second))
+	b.members.Load().byID[MemberID(addrs[0])].lastHeard.Store(now.Load())
+	b.recomputeMembership()
+	if got := b.Ring().Owner(victim); got != b.self {
+		t.Fatalf("owner %x after the owner's death, want the successor", got)
+	}
+	waitTallied(t, pb, victim, 45)
+	if got := b.outboxLen(); got != 0 {
+		t.Fatalf("outbox holds %d entries after the takeover", got)
 	}
 }
 
@@ -391,9 +519,9 @@ func TestTombstoneAndHandoffBothDelivered(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1)
 	addrs := []string{"10.9.4.1:1", "10.9.4.2:1", "10.9.4.3:1"}
-	a, _ := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, 941, &now)
-	b, pb := newTestNode(t, addrs[1], []string{addrs[0], addrs[2]}, 942, &now)
-	c, _ := newTestNode(t, addrs[2], []string{addrs[0], addrs[1]}, 943, &now)
+	a, _ := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, &now)
+	b, pb := newTestNode(t, addrs[1], []string{addrs[0], addrs[2]}, &now)
+	c, _ := newTestNode(t, addrs[2], []string{addrs[0], addrs[1]}, &now)
 	ring := a.Ring()
 	victim := victimWhere(t, func(v topology.NodeID) bool {
 		return ring.Owner(v) == b.self && ring.Successor(v) == c.self
@@ -429,7 +557,7 @@ func TestHandoffOversizeFiledLocally(t *testing.T) {
 	now.Store(1)
 	addrs := []string{"10.9.5.1:1", "10.9.5.2:1", "10.9.5.3:1"}
 	cube := topology.NewHypercube(16)
-	n, p := newTestNodeOn(t, pipeline.Config{Net: cube, Shards: 2, QueueLen: 1 << 12}, addrs[0], []string{addrs[1]}, 951, &now)
+	n, p := newTestNodeOn(t, pipeline.Config{Net: cube, Shards: 2, QueueLen: 1 << 12}, addrs[0], []string{addrs[1]}, &now)
 	ring := n.Ring()
 	joiner := MemberID(addrs[2])
 	joined := NewRing(2, sortedIDs(n.self, MemberID(addrs[1]), joiner), n.cfg.VNodes)
@@ -463,7 +591,7 @@ func TestHandoffOversizeFiledLocally(t *testing.T) {
 	// The join detaches the victim; the detach callback files it from the
 	// shard worker, before or after that round's settle, so the test runs
 	// one more round either way.
-	n.addPeer(addrs[2])
+	n.addPeer(addrs[2]).lastHeard.Store(now.Load())
 	n.recomputeMembership()
 	for deadline := time.Now().Add(5 * time.Second); n.outboxLen() == 0 && n.handbackFailures.Load() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -490,8 +618,8 @@ func TestHandoffOversizeFiledLocally(t *testing.T) {
 	// Pending before its round settles it, the entry is never attached.
 	n.noteDetached(want, true)
 	m = n.buildMsg(n.members.Load().byID[joiner], nil)
-	if len(m.Replicas) != 0 {
-		t.Fatalf("oversize handoff attached: %d snapshots", len(m.Replicas))
+	if len(m.Replicas)+len(m.Handoffs) != 0 {
+		t.Fatalf("oversize handoff attached: %d snapshots", len(m.Replicas)+len(m.Handoffs))
 	}
 	wire.AppendGossip(nil, appendGossipMsg(nil, m)) // fits one frame
 }
@@ -516,28 +644,9 @@ func TestRouteSketchGate(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1)
 	addrs := []string{"10.9.3.1:1", "10.9.3.2:1"}
-	p, err := pipeline.New(pipeline.Config{
-		Net: topology.NewTorus2D(8), Shards: 2, QueueLen: 1 << 12,
-		BlockThreshold: 1 << 30, BlockTTL: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(p, Config{
+	n, p := newTestNodeWith(t, testPipelineConfig(), Config{
 		Self: addrs[0], Peers: []string{addrs[1]},
-		SketchAdmit:    admit,
-		GossipInterval: time.Hour, FailAfter: time.Second,
-		Incarnation: 961,
-		Dial:        func(string) (net.Conn, error) { return nil, errors.New("test: no network") },
-		Now:         now.Load,
-	})
-	if err != nil {
-		p.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		n.Close()
-		p.Close()
+		SketchAdmit: admit, FailAfter: time.Second, Now: now.Load,
 	})
 
 	ring := n.Ring()
@@ -625,24 +734,9 @@ func TestRouteReplayLongerThanSlab(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1)
 	peerAddr := "10.9.4.2:1"
-	p, err := pipeline.New(testPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(p, Config{
+	n, p := newTestNodeWith(t, testPipelineConfig(), Config{
 		Self: "10.9.4.1:1", Peers: []string{peerAddr},
-		SketchAdmit:    admit,
-		GossipInterval: time.Hour, FailAfter: time.Hour,
-		Dial: func(string) (net.Conn, error) { return nil, errors.New("test: no network") },
-		Now:  now.Load,
-	})
-	if err != nil {
-		p.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		n.Close()
-		p.Close()
+		SketchAdmit: admit, FailAfter: time.Hour, Now: now.Load,
 	})
 	hot := victimWhere(t, func(v topology.NodeID) bool { return n.Ring().Owner(v) == MemberID(peerAddr) })
 	routed := 0

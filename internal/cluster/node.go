@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math/rand/v2"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -52,24 +56,10 @@ type Config struct {
 	GossipInterval time.Duration
 	FailAfter      time.Duration
 
-	// ForwardQueue bounds each peer's outbound batch queue (default
-	// 256 batches); a full queue sheds, counted, never blocks ingest.
-	ForwardQueue int
-
-	// MaxReplicasPerMsg caps victim-state replicas per gossip message
-	// (default 8); a round-robin cursor covers the rest over rounds.
-	MaxReplicasPerMsg int
-
-	// Incarnation overrides the derived per-process blocklist origin id
-	// (tests). 0 derives one from the member id and the start time so a
-	// restarted instance never collides with its previous life's
-	// mutation sequences.
-	Incarnation uint64
-
 	// Dial overrides net.Dial for forwarding and gossip connections
 	// (tests, fault injection). Now supplies unix nanos (defaults to
-	// time.Now; tests inject). Logf, when set, receives membership and
-	// rebalance events.
+	// time.Now; tests inject) and is the only clock the steps read.
+	// Logf, when set, receives membership and rebalance events.
 	Dial func(addr string) (net.Conn, error)
 	Now  func() int64
 	Logf func(format string, args ...any)
@@ -88,12 +78,6 @@ func (c *Config) applyDefaults() error {
 	if c.FailAfter <= 0 {
 		c.FailAfter = 4 * c.GossipInterval
 	}
-	if c.ForwardQueue <= 0 {
-		c.ForwardQueue = 256
-	}
-	if c.MaxReplicasPerMsg <= 0 {
-		c.MaxReplicasPerMsg = 8
-	}
 	if c.Dial == nil {
 		c.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
@@ -106,18 +90,20 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// peer is one remote instance: forwarding queue, gossip connection and
-// liveness state. The peer set grows at runtime (gossip rosters and
-// runtime joins) behind an atomically swapped peerSet snapshot; a peer,
-// once added, is never removed — a silent one just stops being alive.
-// Everything mutable on a peer is either atomic or guarded by Node.mu
-// (inc, have, acked, cursor) or Node.outMu (attached) or owned by a
-// single goroutine (conn/rd: the gossip loop; client: the forwarder).
+// peer is one remote instance: forwarding queue and session, gossip
+// connection and liveness state. The peer set grows at runtime (gossip
+// rosters and runtime joins) behind an atomically swapped peerSet
+// snapshot; a peer, once added, is never removed — a silent one just
+// stops being alive. Everything mutable on a peer is either atomic or
+// guarded by Node.mu (inc, have, acked, cursor) or Node.outMu
+// (attached) or owned by one caller of one step (conn/rd: gossipWith;
+// client, dials: forwardStep).
 type peer struct {
 	addr string
 	id   uint64
 
 	queue      chan *wire.Slab
+	client     *wire.Client  // the acked forward session
 	lastHeard  atomic.Int64  // unix nanos of last proof of life
 	lastGossip atomic.Int64  // unix nanos of the last completed gossip exchange (0 = never)
 	ringVer    atomic.Uint64 // peer's last self-reported ring version
@@ -135,11 +121,48 @@ type peer struct {
 	// report of how far it holds ours.
 	inc, have, acked uint64
 
-	replicaCursor int                        // round-robin start into owned victims
-	attached      []*pipeline.VictimSnapshot // outbox entries the in-flight client request carries
+	replicaCursor int        // round-robin start into owned victims
+	attached      []*handoff // outbox entries the in-flight client request carries
 
-	conn net.Conn // gossip conn, gossip-loop goroutine only
-	rd   *wire.Reader
+	conn  net.Conn // gossip conn
+	rd    *wire.Reader
+	dials int // forward-session dials, counted for forwardStep
+}
+
+// forwardQueue bounds each peer's outbound batch queue; a full queue
+// sheds, counted, never blocks ingest. maxReplicasPerMsg caps the
+// victim-state replicas one gossip message carries; a round-robin
+// cursor covers the rest over rounds.
+const (
+	forwardQueue      = 256
+	maxReplicasPerMsg = 8
+)
+
+// newPeer builds a peer last heard at heard, and its forward session,
+// which dials nothing until the first forwardStep. Its retries are
+// immediate: the driver, not the step, waits on the wall clock.
+func (n *Node) newPeer(addr string, id uint64, heard int64) *peer {
+	pr := &peer{addr: addr, id: id, queue: make(chan *wire.Slab, forwardQueue)}
+	pr.lastHeard.Store(heard)
+	pr.client, _ = wire.NewClient(wire.ClientConfig{
+		Dial: func() (net.Conn, error) {
+			pr.dials++
+			return n.cfg.Dial(addr)
+		},
+		StreamID:      n.incarnation ^ id,
+		Seed:          splitmix64(n.incarnation ^ id),
+		MaxBatch:      forwardBatch,
+		MaxAttempts:   3,
+		Sleep:         func(time.Duration) {},
+		ForwardOrigin: n.self,
+		// Negotiate the trace lane on every forward session; batches
+		// without contexts still ship as plain forwarded frames, so the
+		// untraced hot path pays nothing for the offer.
+		Trace:            true,
+		OnTraceDowngrade: func() { n.noteTraceDowngrade(pr) },
+		OnLost:           func(recs []wire.Record) { n.reroute(pr, recs) },
+	})
+	return pr
 }
 
 // peerSet is an immutable snapshot of the known fleet, read lock-free
@@ -170,9 +193,10 @@ type Node struct {
 	// outMu is a leaf under mu, never held across a pipeline call: the
 	// shard workers' hooks take it and nothing else, so no worker ever
 	// waits on mu (see outbox.go).
-	outMu  sync.Mutex
-	outbox map[outKey]*pipeline.VictimSnapshot // victim state owed to other members
-	seeded map[topology.NodeID]bool            // seeded this ownership epoch
+	outMu      sync.Mutex
+	outbox     map[outKey]*handoff          // victim state owed to other members
+	seeded     map[topology.NodeID][]uint64 // handoff ids seeded this ownership epoch; 0 for a replica
+	handoffSeq atomic.Uint64                // handoffs detached here, for their ids
 
 	// adminAddr is this node's own admin-plane HTTP address, set by the
 	// daemon once its listener is bound and gossiped to peers so the
@@ -194,18 +218,39 @@ type Node struct {
 	handbackFailures atomic.Uint64
 	traceDowngrades  atomic.Uint64
 
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	closed  atomic.Bool
+	started bool // drivers running; guarded by mu
 }
 
 // New builds and starts the cluster tier: one forwarder goroutine per
-// peer plus the gossip loop. All configured peers start
-// presumed alive (the ring covers the whole fleet immediately); a peer
-// that never answers is declared dead FailAfter from now. A Join
-// address seeds the roster with one live member; the rest is learned
-// from its gossip responses.
+// peer plus the gossip loop, each a thin driver over a step
+// (forwardStep, gossipRound). All configured peers start presumed
+// alive (the ring covers the whole fleet immediately); a peer that
+// never answers is declared dead FailAfter from now. A Join address
+// seeds the roster with one live member; the rest is learned from its
+// gossip responses.
 func New(p *pipeline.Pipeline, cfg Config) (*Node, error) {
+	n, err := build(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	n.mu.Lock()
+	n.started = true
+	for _, pr := range n.members.Load().list {
+		n.wg.Add(1)
+		go n.forward(pr)
+	}
+	n.mu.Unlock()
+	n.wg.Add(1)
+	go n.gossipLoop()
+	return n, nil
+}
+
+// build is New without the drivers: a node whose steps run only when
+// called.
+func build(p *pipeline.Pipeline, cfg Config) (*Node, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
@@ -215,14 +260,13 @@ func New(p *pipeline.Pipeline, cfg Config) (*Node, error) {
 		bl:       p.Blocklist(),
 		self:     MemberID(cfg.Self),
 		replicas: make(map[topology.NodeID]pipeline.VictimSnapshot),
-		outbox:   make(map[outKey]*pipeline.VictimSnapshot),
-		seeded:   make(map[topology.NodeID]bool),
+		outbox:   make(map[outKey]*handoff),
+		seeded:   make(map[topology.NodeID][]uint64),
 		stop:     make(chan struct{}),
 	}
-	n.incarnation = cfg.Incarnation
-	if n.incarnation == 0 {
-		n.incarnation = splitmix64(n.self ^ uint64(cfg.Now()))
-	}
+	// Derived from the start time, so a restarted instance never
+	// collides with its previous life's mutation sequences.
+	n.incarnation = splitmix64(n.self ^ uint64(cfg.Now()))
 	if n.incarnation == 0 {
 		n.incarnation = 1
 	}
@@ -233,44 +277,31 @@ func New(p *pipeline.Pipeline, cfg Config) (*Node, error) {
 	if cfg.Join != "" {
 		initial = append(append([]string(nil), cfg.Peers...), cfg.Join)
 	}
-	ps := &peerSet{byID: make(map[uint64]*peer, len(initial))}
-	members := []uint64{n.self}
-	now := cfg.Now()
+	n.members.Store(&peerSet{byID: map[uint64]*peer{}})
+	members, now := []uint64{n.self}, cfg.Now()
 	for _, addr := range initial {
 		id := MemberID(addr)
-		if id == n.self {
+		switch {
+		case id == n.self:
 			return nil, fmt.Errorf("cluster: peer %q collides with self %q", addr, cfg.Self)
-		}
-		if _, dup := ps.byID[id]; dup {
-			if addr == cfg.Join {
-				continue // join target already a configured peer
-			}
+		case n.members.Load().byID[id] == nil:
+			n.insertPeer(n.newPeer(addr, id, now))
+			members = append(members, id)
+		case addr != cfg.Join: // a join target may repeat a configured peer
 			return nil, fmt.Errorf("cluster: duplicate peer %q", addr)
 		}
-		pr := &peer{addr: addr, id: id, queue: make(chan *wire.Slab, cfg.ForwardQueue)}
-		pr.lastHeard.Store(now)
-		ps.byID[id] = pr
-		members = append(members, id)
-		ps.list = append(ps.list, pr)
 	}
-	sort.Slice(ps.list, func(i, j int) bool { return ps.list[i].id < ps.list[j].id })
-	n.members.Store(ps)
 	n.ringVersion = 1
 	n.ring.Store(NewRing(1, members, cfg.VNodes))
 	n.bl.SetOrigin(n.incarnation)
 	p.SetVictimExpiredHook(n.noteRetired)
-	for _, pr := range ps.list {
-		n.wg.Add(1)
-		go n.forward(pr)
-	}
-	n.wg.Add(1)
-	go n.gossipLoop()
 	cfg.Logf("cluster: up self=%s id=%x incarnation=%x members=%d", cfg.Self, n.self, n.incarnation, len(members))
 	return n, nil
 }
 
 // Close stops gossip, drains and flushes the forwarding queues, and
-// closes the peer connections. Safe to call once ingest has stopped.
+// closes the peer connections. Safe to call once ingest has stopped,
+// on a started node or an unstarted one.
 func (n *Node) Close() {
 	if !n.closed.CompareAndSwap(false, true) {
 		return
@@ -279,17 +310,31 @@ func (n *Node) Close() {
 	// wg.Add and goroutine spawn before we wait; one that hasn't will
 	// observe closed and no-op.
 	n.mu.Lock()
-	n.mu.Unlock() //nolint:staticcheck // empty critical section is the point
+	started := n.started
+	n.mu.Unlock()
 	close(n.stop)
 	n.wg.Wait()
+	// The drivers are gone: each forwarder closed its own session as it
+	// stopped, and the gossip connections are this goroutine's now. An
+	// unstarted node's sessions are closed here.
+	for _, pr := range n.members.Load().list {
+		if !started {
+			n.closeSession(pr)
+		}
+		if pr.conn != nil {
+			pr.conn.Close()
+		}
+	}
 }
 
 // addPeer registers a member learned at runtime (a gossip roster entry
-// or a previously unknown authenticated sender) and starts its
-// forwarder. Returns the existing peer when the address is already
-// known, nil for self, an empty address or when the node is closing.
-// The new member starts presumed alive and enters the ring at the next
-// membership sweep.
+// or a previously unknown authenticated sender) and, on a started
+// node, starts its forwarder. Returns the existing peer when the
+// address is already known, nil for self, an empty address or when the
+// node is closing. The new member enters the ring at the first
+// membership sweep after this node hears from it directly — a
+// completed exchange with it, or an authenticated request from it: a
+// roster names members, it does not vouch for them.
 func (n *Node) addPeer(addr string) *peer {
 	id := MemberID(addr)
 	if id == n.self || addr == n.cfg.Self || addr == "" {
@@ -304,25 +349,25 @@ func (n *Node) addPeer(addr string) *peer {
 	if pr := ps.byID[id]; pr != nil {
 		return pr
 	}
-	pr := &peer{addr: addr, id: id, queue: make(chan *wire.Slab, n.cfg.ForwardQueue)}
-	pr.lastHeard.Store(n.cfg.Now())
-	next := &peerSet{
-		byID: make(map[uint64]*peer, len(ps.list)+1),
-		list: make([]*peer, 0, len(ps.list)+1),
-	}
-	for _, old := range ps.list {
-		next.byID[old.id] = old
-		next.list = append(next.list, old)
-	}
-	next.byID[id] = pr
-	next.list = append(next.list, pr)
-	sort.Slice(next.list, func(i, j int) bool { return next.list[i].id < next.list[j].id })
-	n.members.Store(next)
+	pr := n.newPeer(addr, id, n.cfg.Now()-int64(n.cfg.FailAfter)-1) // not yet heard
+	n.insertPeer(pr)
 	n.joins.Add(1)
-	n.wg.Add(1)
-	go n.forward(pr)
-	n.cfg.Logf("cluster: learned member %s id=%x (known fleet=%d)", addr, id, len(next.list)+1)
+	if n.started {
+		n.wg.Add(1)
+		go n.forward(pr)
+	}
+	n.cfg.Logf("cluster: learned member %s id=%x (known fleet=%d)", addr, id, len(ps.list)+2)
 	return pr
+}
+
+// insertPeer adds pr to the known fleet, copy-on-write. Caller holds
+// n.mu, or builds the node.
+func (n *Node) insertPeer(pr *peer) {
+	ps := n.members.Load()
+	next := &peerSet{byID: maps.Clone(ps.byID), list: append(slices.Clone(ps.list), pr)}
+	next.byID[pr.id] = pr
+	slices.SortFunc(next.list, func(a, b *peer) int { return cmp.Compare(a.id, b.id) })
+	n.members.Store(next)
 }
 
 // Route partitions one ingest slab by victim ownership: records this
@@ -565,57 +610,97 @@ func (n *Node) NoteForwardedIn(origin uint64, accepted int) {
 // the traced forwarded frame, the larger per-record layout.
 const forwardBatch = 512
 
-// forward is the per-peer forwarder goroutine: drains the batch queue
-// into an acked wire client shipping TypeForwarded frames. Records the
-// client sheds (peer unreachable, buffer overflow, close) are rerouted
-// through the current ring — after a death that is exactly what moves
-// in-flight records to the new owner.
+// forwardRetryBase and forwardRetryMax bound the forwarder's jittered
+// exponential wait after a step that could not reach its peer; Route
+// sheds at the full queue meanwhile.
+const (
+	forwardRetryBase = 5 * time.Millisecond
+	forwardRetryMax  = 250 * time.Millisecond
+)
+
+// forward is the per-peer forwarder goroutine, a driver over
+// forwardStep: it wakes on a queued batch while the session is up, and
+// after a failed step waits base·2^(n−1), capped at max, ±50% jitter,
+// before a step that retries the session first. It closes the session
+// as it stops. Records the client abandons — its buffer full while the
+// peer stays unreachable, or at close — are rerouted through the
+// current ring.
 func (n *Node) forward(pr *peer) {
 	defer n.wg.Done()
-	client, err := wire.NewClient(wire.ClientConfig{
-		Dial:          func() (net.Conn, error) { return n.cfg.Dial(pr.addr) },
-		StreamID:      n.incarnation ^ pr.id,
-		Seed:          splitmix64(n.incarnation ^ pr.id),
-		MaxBatch:      forwardBatch,
-		MaxAttempts:   3,
-		BackoffBase:   5 * time.Millisecond,
-		BackoffMax:    250 * time.Millisecond,
-		ForwardOrigin: n.self,
-		// Negotiate the trace lane on every forward session; batches
-		// without contexts still ship as plain forwarded frames, so the
-		// untraced hot path pays nothing for the offer.
-		Trace:            true,
-		OnTraceDowngrade: func() { n.noteTraceDowngrade(pr) },
-		OnLost:           func(recs []wire.Record) { n.reroute(pr, recs) },
-	})
-	if err != nil {
-		n.cfg.Logf("cluster: forwarder %s: %v", pr.addr, err)
-		return
+	defer n.closeSession(pr)
+	for fails := 0; ; {
+		var s *wire.Slab
+		if fails == 0 {
+			select {
+			case s = <-pr.queue:
+			case <-n.stop:
+				return
+			}
+		} else {
+			d := min(forwardRetryBase<<(fails-1), forwardRetryMax)
+			select {
+			case <-time.After(d/2 + rand.N(d)):
+			case <-n.stop:
+				return
+			}
+		}
+		if n.forwardStep(pr, s) == nil {
+			fails = 0
+		} else if fails < 8 {
+			fails++
+		}
 	}
-	// The client copies the records into its unacked buffer, so the slab
-	// is free the moment SendTraced returns.
-	send := func(s *wire.Slab) {
-		client.SendTraced(s.Recs, s.Ctxs)
+}
+
+var errSessionDown = errors.New("cluster: forward session down")
+
+// forwardStep ships first (nil for none) and everything queued behind
+// it on pr's session, then flushes, so forwarding latency stays one
+// queue-pass. A step without a first batch retries the session before
+// taking one, and a step stops taking batches once a send finds the
+// session down — unreachable, refusing the forward hello, or not
+// acking: a down session takes nothing more, so Route sheds at the full
+// queue until it is back. The client copies the records into
+// its unacked buffer, so each slab is free the moment SendTraced
+// returns. The caller is pr's only forwarder.
+func (n *Node) forwardStep(pr *peer, first *wire.Slab) error {
+	var err error
+	if first == nil {
+		err = pr.client.Flush()
+	}
+	dials := pr.dials
+	for s := first; err == nil && (s != nil || len(pr.queue) > 0); s = nil {
+		if s == nil {
+			s = <-pr.queue
+		}
+		pr.client.SendTraced(s.Recs, s.Ctxs)
+		s.Release()
+		// One redial is a peer that restarted; a second is a session the
+		// send's flush could not bring back.
+		if pr.dials-dials > 1 {
+			err = errSessionDown
+		}
+	}
+	if err == nil {
+		err = pr.client.Flush()
+	}
+	pr.delivered.Store(pr.client.Delivered())
+	return err
+}
+
+// closeSession ships what pr's queue still holds and closes its
+// session; the client abandons what the peer never acknowledged
+// through reroute, which counts it lost on a closing node, and what a
+// down session left queued is counted lost here.
+func (n *Node) closeSession(pr *peer) {
+	n.forwardStep(pr, nil)
+	for len(pr.queue) > 0 {
+		s := <-pr.queue
+		n.forwardLost.Add(uint64(s.Len()))
 		s.Release()
 	}
-	for stopping := false; !stopping; {
-		select {
-		case s := <-pr.queue:
-			send(s)
-		case <-n.stop:
-			stopping = true
-		}
-		// Drain whatever queued meanwhile (this goroutine is the queue's
-		// only reader), then flush so forwarding latency stays one
-		// queue-pass.
-		for len(pr.queue) > 0 {
-			send(<-pr.queue)
-		}
-		client.Flush()
-		pr.delivered.Store(client.Delivered())
-	}
-	client.Close()
-	pr.delivered.Store(client.Delivered())
+	pr.client.Close()
+	pr.delivered.Store(pr.client.Delivered())
 }
 
 // noteTraceDowngrade records that a forward peer's hello did not echo
@@ -636,10 +721,10 @@ func (n *Node) noteTraceDowngrade(pr *peer) {
 // abandoned, in one pooled slab per destination cut at SlabCap (the
 // pipeline partitions a slab into a SlabCap-long scratch). Records the
 // ring has moved here are processed locally, records it gives another
-// peer are requeued there. Records it still gives the dead peer (ring
-// not yet rebuilt), every record once the node is closing, and records
-// the pipeline or the peer's queue refuses are lost — counted, like any
-// unreachable-exporter loss.
+// peer are requeued there; the pipeline and the queue count what they
+// refuse. Records it still gives the dead peer (ring not yet rebuilt)
+// and every record once the node is closing are lost — counted, like
+// any unreachable-exporter loss.
 func (n *Node) reroute(from *peer, recs []wire.Record) {
 	if n.closed.Load() {
 		n.forwardLost.Add(uint64(len(recs)))
@@ -647,13 +732,11 @@ func (n *Node) reroute(from *peer, recs []wire.Record) {
 	}
 	ring, ps := n.ring.Load(), n.members.Load()
 	send := func(o *fwOut) {
-		k, accepted := o.s.Len(), 0
 		if o.owner == n.self {
-			accepted = n.p.SubmitSlab(o.s)
+			n.p.SubmitSlab(o.s)
 		} else {
-			accepted = n.enqueue(ps.byID[o.owner], o.s)
+			n.enqueue(ps.byID[o.owner], o.s)
 		}
-		n.forwardLost.Add(uint64(k - accepted))
 		o.s = nil
 	}
 	var outBuf [8]fwOut
@@ -688,10 +771,7 @@ func (n *Node) reroute(from *peer, recs []wire.Record) {
 	}
 }
 
-// gossipLoop drives anti-entropy: every interval, exchange one
-// request/response with each peer over a persistent connection, then
-// re-derive the alive set from lastHeard and rebuild the ring if it
-// changed.
+// gossipLoop is the anti-entropy driver: a ticker over gossipRound.
 func (n *Node) gossipLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.GossipInterval)
@@ -699,47 +779,43 @@ func (n *Node) gossipLoop() {
 	for {
 		select {
 		case <-n.stop:
-			for _, pr := range n.members.Load().list {
-				if pr.conn != nil {
-					pr.conn.Close()
-					pr.conn = nil
-				}
-			}
 			return
 		case <-ticker.C:
-			for _, pr := range n.members.Load().list {
-				if err := n.gossipWith(pr); err != nil {
-					n.gossipFails.Add(1)
-				}
-			}
-			round := n.gossipRounds.Add(1)
-			n.noteGossipRound(round)
-			n.recomputeMembership()
+			n.gossipRound()
 		}
 	}
+}
+
+// gossipRound is one anti-entropy round: exchange one request/response
+// with each peer over a persistent connection, then run the membership
+// sweep — re-derive the alive set from lastHeard, rebuild the ring if
+// it changed, hand off state held for victims owned elsewhere, and
+// settle the outbox.
+func (n *Node) gossipRound() {
+	for _, pr := range n.members.Load().list {
+		if err := n.gossipWith(pr); err != nil {
+			n.gossipFails.Add(1)
+		}
+	}
+	if round := n.gossipRounds.Add(1); round%gossipJournalEvery == 0 {
+		ring := n.ring.Load()
+		n.note(pipeline.Event{
+			T: n.cfg.Now(), Type: pipeline.EventGossipRound,
+			Victim: -1, Source: -1, Count: int64(round),
+			Detail: fmt.Sprintf("round=%d alive=%d/%d fails=%d ring=v%d",
+				round, ring.Size(), len(n.members.Load().list)+1, n.gossipFails.Load(), ring.Version()),
+		}, pipeline.OutcomeGossip, 0)
+	}
+	n.recomputeMembership()
 }
 
 // gossipJournalEvery samples the per-round gossip event 1-in-N: a
 // 500ms cadence would write 172k journal lines a day per node if every
 // round landed, so the audit trail carries a periodic summary instead
-// (round counter, alive set, cumulative failures) — enough to bound
-// when anti-entropy last ran without drowning the attack events.
+// (round number, alive/known member counts, cumulative failures) —
+// enough to bound when anti-entropy last ran without drowning the
+// attack events.
 const gossipJournalEvery = 16
-
-// noteGossipRound emits the sampled anti-entropy summary: the round
-// number and the alive/known member counts.
-func (n *Node) noteGossipRound(round uint64) {
-	if round%gossipJournalEvery != 0 {
-		return
-	}
-	ring := n.ring.Load()
-	n.note(pipeline.Event{
-		T: n.cfg.Now(), Type: pipeline.EventGossipRound,
-		Victim: -1, Source: -1, Count: int64(round),
-		Detail: fmt.Sprintf("round=%d alive=%d/%d fails=%d ring=v%d",
-			round, ring.Size(), len(n.members.Load().list)+1, n.gossipFails.Load(), ring.Version()),
-	}, pipeline.OutcomeGossip, 0)
-}
 
 // gossipWith performs one exchange with a peer: send our digest plus
 // the rows, outbox entries and replicas we believe it lacks, read back
@@ -874,7 +950,7 @@ func (n *Node) appendReplicasLocked(pr *peer, m *gossipMsg, budget *gossipBudget
 	}
 	start := pr.replicaCursor % len(victims)
 	shipped := 0
-	for i := 0; i < len(victims) && shipped < n.cfg.MaxReplicasPerMsg; i++ {
+	for i := 0; i < len(victims) && shipped < maxReplicasPerMsg; i++ {
 		v := victims[(start+i)%len(victims)]
 		pr.replicaCursor = (start + i + 1) % len(victims)
 		if ring.Owner(v) != n.self || ring.Successor(v) != pr.id {
@@ -884,8 +960,8 @@ func (n *Node) appendReplicasLocked(pr *peer, m *gossipMsg, budget *gossipBudget
 		if !ok {
 			continue
 		}
-		if !budget.fitsReplica(&snap) {
-			if budget.oversize(&snap) {
+		if !budget.fitsReplica(&snap, 0) {
+			if budget.oversize(&snap, 0) {
 				continue // no message carries it; must not end every pass
 			}
 			break
@@ -901,9 +977,10 @@ func (n *Node) appendReplicasLocked(pr *peer, m *gossipMsg, budget *gossipBudget
 // hash of the address, so a sender cannot act as another member without
 // owning its address string) and must not be ours. An authenticated
 // sender not yet known, and any roster entries we have never heard of,
-// join the known fleet. Then liveness, the digest (DESIGN §12.3), the
-// pushed rows — each through the blocklist's LWW rule — and any victim
-// state addressed to us. A snapshot that seeds on arrival is a handoff
+// join the known fleet; the sender counts as heard from, roster entries
+// do not (addPeer). Then liveness, the digest (DESIGN §12.3), the pushed
+// rows — each through the blocklist's LWW rule — and any victim state
+// addressed to us. A snapshot that seeds on arrival is a handoff
 // received, committed under the op id its shipper derived too.
 func (n *Node) absorb(m *gossipMsg) *peer {
 	// Membership first, before the lock: addPeer takes n.mu itself.
@@ -953,38 +1030,50 @@ func (n *Node) absorb(m *gossipMsg) *peer {
 		pr.have = through
 	}
 	ring := n.ring.Load()
-	for i := range m.Replicas {
-		snap := &m.Replicas[i]
-		if !n.storeReplicaLocked(ring, *snap) {
-			continue
+	file := func(snap pipeline.VictimSnapshot, id uint64) {
+		if n.storeReplicaLocked(ring, snap, id) {
+			n.handbacksIn.Add(1)
+			n.noteHandoff(pipeline.EventHandbackRecv, m.Sender, &snap, fmt.Sprintf("from=%x ring=v%d", m.Sender, m.RingVer))
+			n.cfg.Logf("cluster: handoff received victim=%d from=%x", snap.Victim, m.Sender)
 		}
-		n.handbacksIn.Add(1)
-		n.noteHandoff(pipeline.EventHandbackRecv, m.Sender, snap, fmt.Sprintf("from=%x ring=v%d", m.Sender, m.RingVer))
-		n.cfg.Logf("cluster: handoff received victim=%d from=%x", snap.Victim, m.Sender)
+	}
+	for _, snap := range m.Replicas {
+		file(snap, 0)
+	}
+	for _, h := range m.Handoffs {
+		file(h.VictimSnapshot, h.ID)
 	}
 	return pr
 }
 
-// storeReplicaLocked files one inbound victim replica. If the ring
-// already says we own the victim (the shipper had a stale ring, or the
-// owner died between shipping and arrival) the replica is seeded into
-// the pipeline immediately — at most once per ownership epoch, since a
-// replica is a cumulative snapshot and seeding is additive. Otherwise
-// it is stored, newest-by-volume wins, until a membership change makes
-// us the owner. Reports whether it seeded.
+// storeReplicaLocked files one inbound victim replica, or with a
+// non-zero id a handoff. If the ring already says we own the victim (a
+// handoff's destination; for a replica, the shipper had a stale ring,
+// or the owner died between shipping and arrival) it is seeded into the
+// pipeline immediately: a replica at most once per ownership epoch and
+// not after any seed of that epoch, since a replica is a cumulative
+// snapshot and seeding is additive; a handoff, which moved state rather
+// than copied it, once per id. Otherwise a handoff is seeded all the
+// same and a replica is stored, newest-by-volume wins, until a
+// membership change makes us the owner. Reports whether it seeded.
 //
 // An Expired replica is a tombstone: the owner's TTL sweep retired the
 // victim. It replaces whatever replica is stored (so a takeover never
 // resurrects the retired detector), and is never seeded; a later fresh
 // replica replaces the tombstone, since only a live owner ships those.
 // Caller holds n.mu.
-func (n *Node) storeReplicaLocked(ring *Ring, snap pipeline.VictimSnapshot) bool {
+func (n *Node) storeReplicaLocked(ring *Ring, snap pipeline.VictimSnapshot, id uint64) bool {
 	v := snap.Victim
 	if ring.Owner(v) == n.self {
 		// A tombstone means the previous owner retired this victim before
 		// handing it over: drop the stored replica rather than seeding it.
 		delete(n.replicas, v)
-		return !snap.Expired && n.seedLocked(snap)
+		return !snap.Expired && n.seedLocked(snap, id)
+	}
+	if id != 0 {
+		// A handoff whose shipper's ring disagrees with ours is exact
+		// state all the same: held here, the next sweep hands it on.
+		return n.seedLocked(snap, id)
 	}
 	old, ok := n.replicas[v]
 	if !ok || snap.Expired || old.Expired || old.Identified()+old.Undecodable <= snap.Identified()+snap.Undecodable {
@@ -993,32 +1082,33 @@ func (n *Node) storeReplicaLocked(ring *Ring, snap pipeline.VictimSnapshot) bool
 	return false
 }
 
-// seedLocked seeds snap unless this ownership epoch already seeded its
-// victim. The latch is read and set under outMu but SeedVictim, a
-// blocking enqueue, runs outside it; n.mu, which the caller holds,
-// serializes seeders.
-func (n *Node) seedLocked(snap pipeline.VictimSnapshot) bool {
+// seedLocked seeds snap unless this ownership epoch already seeded
+// handoff id, or for a replica (id 0) anything of its victim. The latch
+// is read and set under outMu but SeedVictim, a blocking enqueue, runs
+// outside it; n.mu, which the caller holds, serializes seeders.
+func (n *Node) seedLocked(snap pipeline.VictimSnapshot, id uint64) bool {
 	n.outMu.Lock()
-	done := n.seeded[snap.Victim]
+	ids := n.seeded[snap.Victim]
+	done := len(ids) > 0 && (id == 0 || slices.Contains(ids, id))
 	n.outMu.Unlock()
 	if done || !n.p.SeedVictim(snap) {
 		return false
 	}
 	n.outMu.Lock()
-	n.seeded[snap.Victim] = true
+	n.seeded[snap.Victim] = append(n.seeded[snap.Victim], id)
 	n.outMu.Unlock()
 	n.seedsApplied.Add(1)
 	return true
 }
 
 // recomputeMembership re-derives the alive set from lastHeard and, on
-// any change, installs a new ring and runs the ownership transitions:
-// stored replicas for victims now owned here are seeded (takeover),
-// the seeded-set entries for victims no longer owned are cleared so a
-// future re-takeover can seed again, and exact state held here for
-// victims the new ring assigns elsewhere is detached into the outbox as
-// a handoff to its owner (rejoin, join rebalance). Every call, changed
-// or not, ends by settling the outbox.
+// any change, installs a new ring (installRing). Every call, changed
+// or not, then hands off the exact state held here for victims the
+// ring assigns elsewhere — detached into the outbox for its owner
+// (rejoin, join rebalance, and state that landed after the ring last
+// changed: records forwarded by a member on an older ring, or a seed
+// still queued on its shard when that sweep listed the victims), one
+// pending handoff per victim at a time — and settles the outbox.
 func (n *Node) recomputeMembership() {
 	defer n.settleOutbox()
 	now := n.cfg.Now()
@@ -1034,55 +1124,24 @@ func (n *Node) recomputeMembership() {
 	// equal membership — between two sweeps one member can vanish while
 	// another (a runtime join, say) appears, keeping the count constant
 	// but demanding a rebuild all the same.
-	sort.Slice(alive, func(i, j int) bool { return alive[i] < alive[j] })
-	cur := n.ring.Load().Members()
-	if len(alive) == len(cur) {
-		same := true
-		for i := range alive {
-			if alive[i] != cur[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
+	slices.Sort(alive)
+	ring := n.ring.Load()
+	if !slices.Equal(alive, ring.Members()) {
+		ring = n.installRing(alive, len(ps.list)+1)
 	}
-	n.mu.Lock()
-	n.ringVersion++
-	ring := NewRing(n.ringVersion, alive, n.cfg.VNodes)
-	n.ring.Store(ring)
-	n.cfg.Logf("cluster: ring v%d alive=%d/%d", ring.Version(), ring.Size(), len(ps.list)+1)
-	seeds := 0
-	for v, snap := range n.replicas {
-		// Tombstones are dropped, never seeded: the dead owner had
-		// already retired this victim's detectors.
-		if ring.Owner(v) == n.self && n.storeReplicaLocked(ring, snap) {
-			seeds++
-		}
-	}
-	if seeds > 0 {
-		n.takeovers.Add(1)
-		n.cfg.Logf("cluster: took over %d victims from stored replicas", seeds)
-	}
-	n.outMu.Lock()
-	for v := range n.seeded {
-		if ring.Owner(v) != n.self {
-			delete(n.seeded, v)
-		}
-	}
-	n.outMu.Unlock()
-	n.mu.Unlock()
-	n.noteRingChange(ring, alive, seeds)
-	// Handoff: every victim whose exact state lives here but whose new
-	// owner is another alive member is detached through its shard queue
-	// (so records already submitted are tallied into the snapshot) into
-	// the outbox. Runs outside n.mu, though the detach callback would
-	// not need it: shard workers never take n.mu.
+	// Each victim is detached through its shard queue, so records
+	// already submitted are tallied into the snapshot. Runs outside
+	// n.mu, though the detach callback would not need it: shard workers
+	// never take n.mu.
 	moved := 0
 	for _, v := range n.p.Victims() {
-		if ring.Owner(v) != n.self && n.p.DetachVictim(v, n.noteDetached) {
+		if ring.Owner(v) == n.self || !n.claimHandoff(v) {
+			continue
+		}
+		if n.p.DetachVictim(v, n.noteDetached) {
 			moved++
+		} else {
+			n.noteDetached(pipeline.VictimSnapshot{Victim: v}, false) // closed: release the claim
 		}
 	}
 	if moved > 0 {
@@ -1090,11 +1149,36 @@ func (n *Node) recomputeMembership() {
 	}
 }
 
-// noteRingChange emits the record of an ownership-ring rebuild, with
-// the new ring version and member set in Detail, and, when the rebuild
-// seeded stored replicas, a companion takeover event carrying the seed
-// count. Runs outside n.mu.
-func (n *Node) noteRingChange(ring *Ring, alive []uint64, seeds int) {
+// installRing installs the ring over alive and runs the ownership
+// transitions: the seeded-set entries of victims whose ownership epoch
+// here ends or begins are cleared — so a future re-takeover can seed
+// again, and handoffs this member seeded and passed on before it owned
+// a victim refuse no takeover — and stored replicas for victims now
+// owned here are seeded (takeover). The journal gets
+// the rebuild, with the new version and member set, and a takeover
+// event with the seed count when it seeded any.
+func (n *Node) installRing(alive []uint64, known int) *Ring {
+	n.mu.Lock()
+	n.ringVersion++
+	old, ring := n.ring.Load(), NewRing(n.ringVersion, alive, n.cfg.VNodes)
+	n.ring.Store(ring)
+	n.cfg.Logf("cluster: ring v%d alive=%d/%d", ring.Version(), ring.Size(), known)
+	n.outMu.Lock()
+	for v := range n.seeded {
+		if ring.Owner(v) != n.self || old.Owner(v) != n.self {
+			delete(n.seeded, v)
+		}
+	}
+	n.outMu.Unlock()
+	seeds := 0
+	for v, snap := range n.replicas {
+		// Tombstones are dropped, never seeded: the dead owner had
+		// already retired this victim's detectors.
+		if ring.Owner(v) == n.self && n.storeReplicaLocked(ring, snap, 0) {
+			seeds++
+		}
+	}
+	n.mu.Unlock()
 	now := n.cfg.Now()
 	n.note(pipeline.Event{
 		T: now, Type: pipeline.EventRingChange,
@@ -1102,12 +1186,15 @@ func (n *Node) noteRingChange(ring *Ring, alive []uint64, seeds int) {
 		Detail: fmt.Sprintf("ring=v%d members=%s", ring.Version(), strings.Trim(fmt.Sprintf("%x", alive), "[]")),
 	}, pipeline.OutcomeRingChange, 0)
 	if seeds > 0 {
+		n.takeovers.Add(1)
+		n.cfg.Logf("cluster: took over %d victims from stored replicas", seeds)
 		n.note(pipeline.Event{
 			T: now, Type: pipeline.EventTakeover,
 			Victim: -1, Source: -1, Count: int64(seeds),
 			Detail: fmt.Sprintf("ring=v%d seeded=%d", ring.Version(), seeds),
 		}, pipeline.OutcomeTakeover, 0)
 	}
+	return ring
 }
 
 // Status is the /cluster admin document.

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"net"
 	"reflect"
 	"runtime"
@@ -14,100 +13,6 @@ import (
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
-
-// newTestNode builds a node over a fresh pipeline with networking
-// stubbed out: gossip never fires on its own (1h interval) and every
-// dial fails, so tests drive the anti-entropy path by hand through
-// buildMsg/HandleGossip/absorb.
-func newTestNode(t *testing.T, self string, peers []string, incarnation uint64, now *atomic.Int64) (*Node, *pipeline.Pipeline) {
-	t.Helper()
-	return newTestNodeOn(t, testPipelineConfig(), self, peers, incarnation, now)
-}
-
-// testPipelineConfig is the test nodes' pipeline: an 8×8 torus that
-// never blocks on its own.
-func testPipelineConfig() pipeline.Config {
-	return pipeline.Config{
-		Net: topology.NewTorus2D(8), Shards: 2, QueueLen: 1 << 12,
-		BlockThreshold: 1 << 30, BlockTTL: time.Hour,
-	}
-}
-
-// newTestNodeOn is newTestNode over a pipeline built from pcfg.
-func newTestNodeOn(t *testing.T, pcfg pipeline.Config, self string, peers []string, incarnation uint64, now *atomic.Int64) (*Node, *pipeline.Pipeline) {
-	t.Helper()
-	p, err := pipeline.New(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(p, Config{
-		Self: self, Peers: peers,
-		GossipInterval: time.Hour, FailAfter: time.Second,
-		Incarnation:       incarnation,
-		MaxReplicasPerMsg: 64,
-		Dial:              func(string) (net.Conn, error) { return nil, errors.New("test: no network") },
-		Now:               now.Load,
-	})
-	if err != nil {
-		p.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		n.Close()
-		p.Close()
-	})
-	return n, p
-}
-
-// waitTallied blocks until the pipeline's exact state for victim holds
-// n records. (Processed is not that barrier: it ticks when a worker
-// picks a sub-batch up, before the victim's state exists.)
-func waitTallied(t *testing.T, p *pipeline.Pipeline, victim topology.NodeID, n int64) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if snap, ok := p.ExportVictim(victim); ok && snap.Identified()+snap.Undecodable == n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("victim %d never tallied %d records", victim, n)
-		}
-	}
-}
-
-// exchange performs one full anti-entropy round-trip: client sends its
-// request to server (which absorbs it) and completes the exchange with
-// the response — the exact dance gossipWith/HandleGossip do over TCP.
-func exchange(t *testing.T, server, client *Node) {
-	t.Helper()
-	pr, resp := request(t, server, client)
-	parsed, err := parseGossipMsg(resp)
-	if err != nil {
-		t.Fatalf("parse response: %v", err)
-	}
-	client.completeExchange(pr, parsed)
-}
-
-// request is the first half of exchange: the server absorbs the
-// client's request; the response body is returned, not absorbed.
-func request(t *testing.T, server, client *Node) (*peer, []byte) {
-	t.Helper()
-	pr := client.members.Load().byID[server.self]
-	if pr == nil {
-		t.Fatalf("client %s does not know server %s", client.cfg.Self, server.cfg.Self)
-	}
-	resp, err := server.HandleGossip(appendGossipMsg(nil, client.buildMsg(pr, nil)))
-	if err != nil {
-		t.Fatalf("HandleGossip: %v", err)
-	}
-	return pr, resp
-}
-
-// outboxLen counts the entries n still owes other members.
-func (n *Node) outboxLen() int {
-	n.outMu.Lock()
-	defer n.outMu.Unlock()
-	return len(n.outbox)
-}
 
 // TestForwardBatchFitsOneFrame: every forwarder's client batches up to
 // forwardBatch records, so that many must fit one forwarded frame of
@@ -137,6 +42,9 @@ func TestGossipCodecRoundTrip(t *testing.T) {
 		}, {
 			Victim: 17, Expired: true, Undecodable: 1,
 		}},
+		Handoffs: []handoff{{pipeline.VictimSnapshot{
+			Victim: 12, Undecodable: 2, Sources: []pipeline.SourceCount{{Node: 4, Count: 9}},
+		}, 0xF00D}},
 	}
 	got, err := parseGossipMsg(appendGossipMsg(nil, m))
 	if err != nil {
@@ -163,9 +71,9 @@ func TestGossipCodecRoundTrip(t *testing.T) {
 func TestGossipBlocklistConvergence(t *testing.T) {
 	var now atomic.Int64
 	addrs := []string{"10.0.0.1:1", "10.0.0.2:1", "10.0.0.3:1"}
-	a, pa := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, 101, &now)
-	b, pb := newTestNode(t, addrs[1], []string{addrs[0], addrs[2]}, 102, &now)
-	c, pc := newTestNode(t, addrs[2], []string{addrs[0], addrs[1]}, 103, &now)
+	a, pa := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, &now)
+	b, pb := newTestNode(t, addrs[1], []string{addrs[0], addrs[2]}, &now)
+	c, pc := newTestNode(t, addrs[2], []string{addrs[0], addrs[1]}, &now)
 
 	pa.Blocklist().Block(3)
 	pa.Blocklist().BlockUntil(5, 1000)
@@ -211,7 +119,7 @@ func TestGossipBlocklistConvergence(t *testing.T) {
 func TestRouteSplitsByOwnership(t *testing.T) {
 	var now atomic.Int64
 	addrs := []string{"10.1.0.1:1", "10.1.0.2:1", "10.1.0.3:1"}
-	n, p := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, 201, &now)
+	n, p := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, &now)
 
 	ring := n.Ring()
 	if ring.Size() != 3 {
@@ -255,7 +163,7 @@ func TestRouteSplitsByOwnership(t *testing.T) {
 func TestReplicaSeedOnTakeover(t *testing.T) {
 	var now atomic.Int64
 	addrs := []string{"10.2.0.1:1", "10.2.0.2:1"}
-	n, p := newTestNode(t, addrs[0], []string{addrs[1]}, 301, &now)
+	n, p := newTestNode(t, addrs[0], []string{addrs[1]}, &now)
 
 	peerID := MemberID(addrs[1])
 	ring := n.Ring()
@@ -274,7 +182,7 @@ func TestReplicaSeedOnTakeover(t *testing.T) {
 		Sources: []pipeline.SourceCount{{Node: 4, Count: 50}, {Node: 11, Count: 9}},
 	}
 	n.mu.Lock()
-	n.storeReplicaLocked(ring, snap)
+	n.storeReplicaLocked(ring, snap, 0)
 	stored := len(n.replicas)
 	n.mu.Unlock()
 	if stored != 1 {
@@ -328,8 +236,8 @@ func TestReplicaSeedOnTakeover(t *testing.T) {
 func TestTombstoneStopsResurrection(t *testing.T) {
 	var now atomic.Int64
 	addrs := []string{"10.5.0.1:1", "10.5.0.2:1"}
-	a, _ := newTestNode(t, addrs[0], []string{addrs[1]}, 501, &now)
-	b, pb := newTestNode(t, addrs[1], []string{addrs[0]}, 502, &now)
+	a, _ := newTestNode(t, addrs[0], []string{addrs[1]}, &now)
+	b, pb := newTestNode(t, addrs[1], []string{addrs[0]}, &now)
 
 	// Pick a victim a owns; on a two-node ring b is its successor.
 	ring := a.Ring()
@@ -350,7 +258,7 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 		Sources: []pipeline.SourceCount{{Node: 4, Count: 500}},
 	}
 	b.mu.Lock()
-	b.storeReplicaLocked(b.Ring(), snap)
+	b.storeReplicaLocked(b.Ring(), snap, 0)
 	b.mu.Unlock()
 
 	// a's TTL sweep retires the victim (the pipeline hook is wired to
@@ -400,7 +308,7 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 	// Retirement is not a curse: a fresh replica for the same victim —
 	// b now owns it — seeds immediately.
 	b.mu.Lock()
-	b.storeReplicaLocked(b.Ring(), snap)
+	b.storeReplicaLocked(b.Ring(), snap, 0)
 	b.mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -418,13 +326,13 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 	// declared dead. On a one-member ring c is its own successor, so the
 	// tombstone must wait — however many rounds settle — and reach d once
 	// d is back, or d keeps its stale replica for a later takeover.
-	c, _ := newTestNode(t, "10.5.0.3:1", []string{"10.5.0.4:1"}, 503, &now)
-	d, _ := newTestNode(t, "10.5.0.4:1", []string{"10.5.0.3:1"}, 504, &now)
+	c, _ := newTestNode(t, "10.5.0.3:1", []string{"10.5.0.4:1"}, &now)
+	d, _ := newTestNode(t, "10.5.0.4:1", []string{"10.5.0.3:1"}, &now)
 	ring = c.Ring()
 	victim = victimWhere(t, func(v topology.NodeID) bool { return ring.Owner(v) == c.self })
 	snap.Victim = victim
 	d.mu.Lock()
-	d.storeReplicaLocked(d.Ring(), snap)
+	d.storeReplicaLocked(d.Ring(), snap, 0)
 	d.mu.Unlock()
 	now.Add(int64(2 * time.Second))
 	c.recomputeMembership()
@@ -460,8 +368,8 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 // Node.mu, and the TTL sweep's victim-expired hook files a tombstone on
 // the shard worker (under Node.outMu only). A worker still inside its
 // shard lock when the hook fires, or a hook that waited on Node.mu,
-// would deadlock the pair. Client-side exchanges run alongside, so the
-// outbox is attached and cleared while the workers file into it.
+// would deadlock the pair. a's client-side exchanges run alongside, so
+// the outbox is attached and cleared while the workers file into it.
 func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 	var now, pipeNow atomic.Int64
 	addrs := []string{"10.6.0.1:1", "10.6.0.2:1"}
@@ -472,20 +380,17 @@ func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(p, Config{
-		Self: addrs[0], Peers: addrs[1:],
-		GossipInterval: time.Hour, FailAfter: time.Second,
-		Incarnation: 601, MaxReplicasPerMsg: 64,
-		Dial: func(string) (net.Conn, error) { return nil, errors.New("test: no network") },
-		Now:  now.Load,
+	a, err := build(p, Config{
+		Self: addrs[0], Peers: addrs[1:], FailAfter: time.Second,
+		Dial: netFor(t).dial, Now: now.Load,
 	})
 	if err != nil {
 		p.Close()
 		t.Fatal(err)
 	}
-	b, _ := newTestNode(t, addrs[1], addrs[:1], 602, &now)
-	req := appendGossipMsg(nil, b.buildMsg(b.members.Load().byID[a.self], nil))
-	toB := a.members.Load().byID[b.self]
+	netFor(t).up(addrs[0], &fwdPeer{node: a, trace: true})
+	b, _ := newTestNode(t, addrs[1], addrs[:1], &now)
+	toA, toB := peerOf(t, b, a), peerOf(t, a, b)
 
 	// Few victims, few rounds: the race is in the lock order, which one
 	// sweep concurrent with one gossip answer already exercises.
@@ -515,21 +420,14 @@ func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := a.HandleGossip(req); err != nil {
-				t.Errorf("HandleGossip: %v", err)
+			if err := b.gossipWith(toA); err != nil {
+				t.Errorf("b's exchange with a: %v", err)
 				return
 			}
-			resp, err := b.HandleGossip(appendGossipMsg(nil, a.buildMsg(toB, nil)))
-			if err != nil {
-				t.Errorf("HandleGossip at b: %v", err)
+			if err := a.gossipWith(toB); err != nil {
+				t.Errorf("a's exchange with b: %v", err)
 				return
 			}
-			m, err := parseGossipMsg(resp)
-			if err != nil {
-				t.Errorf("parse b's response: %v", err)
-				return
-			}
-			a.completeExchange(toB, m)
 		}
 	}()
 	select {
@@ -563,7 +461,7 @@ func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 func TestReplicaShippedToSuccessor(t *testing.T) {
 	var now atomic.Int64
 	addrs := []string{"10.3.0.1:1", "10.3.0.2:1", "10.3.0.3:1"}
-	n, p := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, 401, &now)
+	n, p := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, &now)
 
 	ring := n.Ring()
 	victim := topology.NodeID(-1)
@@ -609,7 +507,7 @@ func TestRerouteOwnedRecordSubmitsLocally(t *testing.T) {
 	var now atomic.Int64
 	now.Store(int64(time.Second))
 	peer := "10.8.0.2:1"
-	a, pa := newTestNode(t, "10.8.0.1:1", []string{peer}, 801, &now)
+	a, pa := newTestNode(t, "10.8.0.1:1", []string{peer}, &now)
 	from := a.members.Load().byID[MemberID(peer)]
 	ring := a.Ring()
 	v := topology.NodeID(0)
@@ -630,51 +528,13 @@ func TestRerouteOwnedRecordSubmitsLocally(t *testing.T) {
 // TestRerouteBatchesPerDestination: a run of records a forwarder
 // abandoned moves as batches, one pooled slab per new owner cut at
 // SlabCap. One slab per record would fill a live peer's forward queue
-// after ForwardQueue records and shed the rest. Both forwarders stay
-// parked in their dial, so nothing drains the queue the test reads.
+// after forwardQueue records and shed the rest. The node is unstarted,
+// so nothing drains the queue the test reads, and Close releases it.
 func TestRerouteBatchesPerDestination(t *testing.T) {
 	var now atomic.Int64
 	now.Store(int64(time.Second))
 	const live, dead = "10.10.0.2:1", "10.10.0.3:1"
-	parked, release := make(chan struct{}, 2), make(chan struct{})
-	p, err := pipeline.New(testPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(p, Config{
-		Self: "10.10.0.1:1", Peers: []string{live, dead},
-		GossipInterval: time.Hour, FailAfter: time.Second,
-		Dial: func(string) (net.Conn, error) {
-			select {
-			case parked <- struct{}{}:
-			default: // retries after release: no one is counting
-			}
-			<-release
-			return nil, errors.New("test: no network")
-		},
-		Now: now.Load,
-	})
-	if err != nil {
-		p.Close()
-		t.Fatal(err)
-	}
-	closed := false
-	defer func() {
-		if !closed {
-			close(release)
-			n.Close()
-			p.Close()
-		}
-	}()
-	peers := n.members.Load().list
-	for _, pr := range peers {
-		s := p.GetSlab()
-		s.Append(wire.Record{Topo: p.TopoID()})
-		pr.queue <- s
-	}
-	for range peers {
-		<-parked
-	}
+	n, p := newTestNode(t, "10.10.0.1:1", []string{live, dead}, &now)
 
 	// The dead peer leaves the ring; its victims split between the live
 	// peer and this node.
@@ -728,11 +588,6 @@ func TestRerouteBatchesPerDestination(t *testing.T) {
 		t.Errorf("forward_lost = %d, want 0", got)
 	}
 
-	for len(livePeer.queue) > 0 {
-		(<-livePeer.queue).Release()
-	}
-	closed = true
-	close(release)
 	n.Close()
 	p.Close()
 	if got := p.SlabsOutstanding(); got != 0 {
@@ -749,41 +604,10 @@ func TestRerouteBatchesPerDestination(t *testing.T) {
 func TestForwardSlabsReturnToPool(t *testing.T) {
 	var now atomic.Int64
 	now.Store(int64(time.Second))
-	live, received, _ := forwardOnlyPeer(t)
-	const dead = "10.6.0.3:1"
-	parked, release := make(chan struct{}, 1), make(chan struct{})
-	p, err := pipeline.New(testPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(p, Config{
-		Self: "10.6.0.1:1", Peers: []string{live, dead},
-		GossipInterval: time.Hour, FailAfter: time.Second, ForwardQueue: 4,
-		Dial: func(addr string) (net.Conn, error) {
-			if addr == dead {
-				select {
-				case parked <- struct{}{}:
-				default:
-				}
-				<-release
-				return nil, errors.New("test: peer dead")
-			}
-			return net.Dial("tcp", addr)
-		},
-		Now: now.Load,
-	})
-	if err != nil {
-		p.Close()
-		t.Fatal(err)
-	}
-	closed := false
-	defer func() {
-		if !closed {
-			close(release)
-			n.Close()
-			p.Close()
-		}
-	}()
+	const live, dead = "10.6.0.2:1", "10.6.0.3:1"
+	fwd := &fwdPeer{} // a pre-trace build: traced batches cross it downgraded
+	netFor(t).up(live, fwd)
+	n, p := newTestNode(t, "10.6.0.1:1", []string{live, dead}, &now)
 	liveID, deadID := MemberID(live), MemberID(dead)
 	ownedBy := func(ring *Ring, id uint64) (vs []topology.NodeID) {
 		for v := topology.NodeID(0); v < 64; v++ {
@@ -810,28 +634,28 @@ func TestForwardSlabsReturnToPool(t *testing.T) {
 	if len(liveVs) == 0 || len(deadVs) == 0 {
 		t.Fatal("ring left a peer without victims")
 	}
-	// The live peer must receive exactly what its queue accepted.
+	// The live peer must receive exactly what its queue accepted, once
+	// its forwarder has stepped.
 	livePeer := n.members.Load().byID[liveID]
-	waitReceived := func() {
+	deliver := func() {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); received.Load() < livePeer.queued.Load(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("live peer received %d of %d records", received.Load(), livePeer.queued.Load())
-			}
+		if err := n.forwardStep(livePeer, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fwd.received(), livePeer.queued.Load(); got != want {
+			t.Fatalf("live peer received %d of %d records", got, want)
 		}
 	}
 
 	// Forwarded and acked, untraced and traced.
 	n.Route(slabFor(liveVs, false))
-	waitReceived()
+	deliver()
 	n.Route(slabFor(liveVs, true))
-	waitReceived()
+	deliver()
 
-	// Shed at a full queue: the dead peer's forwarder takes one batch and
-	// parks in its dial, the queue holds ForwardQueue more, the rest shed.
-	n.Route(slabFor(deadVs, false))
-	<-parked
-	for i := 0; i < 6; i++ {
+	// Shed at a full queue: nothing steps the dead peer's forwarder, so
+	// its queue holds forwardQueue batches and the rest shed.
+	for i := 0; i < forwardQueue+2; i++ {
 		n.Route(slabFor(deadVs, false))
 	}
 	if got := n.forwardDropped.Load(); got != 2*64 {
@@ -862,17 +686,79 @@ func TestForwardSlabsReturnToPool(t *testing.T) {
 	if livePeer.queued.Load() == queued {
 		t.Fatal("no reroute reached the live peer")
 	}
-	waitReceived()
+	deliver()
 
 	// Drained at stop: the dead peer's queue is still full.
-	if got := len(from.queue); got != 4 {
-		t.Fatalf("dead peer's queue holds %d batches at close, want 4", got)
+	if got := len(from.queue); got != forwardQueue {
+		t.Fatalf("dead peer's queue holds %d batches at close, want %d", got, forwardQueue)
 	}
-	closed = true
-	close(release)
 	n.Close()
 	p.Close()
 	if got := p.SlabsOutstanding(); got != 0 {
 		t.Fatalf("%d slabs outstanding after Close", got)
+	}
+}
+
+// TestForwardStepStopsAtADownPeer: a step toward a peer that answers no
+// dial stops taking batches once a send finds the session down, and the
+// next step retries the session before it takes any — a few dials a
+// step rather than three per batch across the queue — so Route sheds at
+// the full queue while the peer is down.
+func TestForwardStepStopsAtADownPeer(t *testing.T) {
+	var now atomic.Int64
+	now.Store(int64(time.Second))
+	const dead = "10.6.1.2:1"
+	m := netFor(t)
+	var dials atomic.Int64
+	n, p := newTestNodeWith(t, testPipelineConfig(), Config{
+		Self: "10.6.1.1:1", Peers: []string{dead}, FailAfter: time.Second, Now: now.Load,
+		Dial: func(addr string) (net.Conn, error) { dials.Add(1); return m.dial(addr) },
+	})
+	victim := victimWhere(t, func(v topology.NodeID) bool { return n.Ring().Owner(v) == MemberID(dead) })
+	pr := n.members.Load().byID[MemberID(dead)]
+	const perSlab = 64
+	route := func() {
+		s := p.GetSlab()
+		for i := 0; i < perSlab; i++ {
+			s.Append(wire.Record{Victim: victim, MF: uint16(i), Topo: p.TopoID()})
+		}
+		n.Route(s)
+	}
+	for len(pr.queue) < forwardQueue {
+		route()
+	}
+
+	// The client flushes once it buffers forwardBatch records, and a
+	// failed flush makes three attempts; the step stops there.
+	maxTaken := forwardBatch/perSlab + 1
+	const maxDials = 3
+	if err := n.forwardStep(pr, nil); err == nil {
+		t.Fatal("a step toward a down peer reported success")
+	}
+	if taken := forwardQueue - len(pr.queue); taken > maxTaken {
+		t.Fatalf("the step took %d batches toward a down peer, want at most %d", taken, maxTaken)
+	}
+	if got := dials.Load(); got > maxDials {
+		t.Fatalf("the step dialed %d times, want at most %d", got, maxDials)
+	}
+
+	queued, before := len(pr.queue), dials.Load()
+	if err := n.forwardStep(pr, nil); err == nil {
+		t.Fatal("a retry toward a down peer reported success")
+	}
+	if got := len(pr.queue); got != queued {
+		t.Fatalf("a step on a down session took %d batches, want none", queued-got)
+	}
+	if got := dials.Load() - before; got != 3 {
+		t.Fatalf("a retry dialed %d times, want the client's 3 attempts", got)
+	}
+
+	for len(pr.queue) < forwardQueue {
+		route()
+	}
+	shed := n.forwardDropped.Load()
+	route()
+	if got := n.forwardDropped.Load() - shed; got != perSlab {
+		t.Fatalf("Route shed %d records at the down peer's full queue, want %d", got, perSlab)
 	}
 }

@@ -8,7 +8,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,8 +25,8 @@ func TestStatusForwardSessionLag(t *testing.T) {
 	var now atomic.Int64
 	now.Store(int64(time.Second))
 	addrs := []string{"10.7.0.1:1", "10.7.0.2:1", "10.7.0.3:1"}
-	a, pa := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, 701, &now)
-	b, _ := newTestNode(t, addrs[1], []string{addrs[0], addrs[2]}, 702, &now)
+	a, pa := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, &now)
+	b, _ := newTestNode(t, addrs[1], []string{addrs[0], addrs[2]}, &now)
 
 	// Route a slab: records for peer-owned victims land in the peers'
 	// forward queues, counted per peer as queued.
@@ -119,10 +118,10 @@ func TestStatusForwardSessionLag(t *testing.T) {
 		if m.Queued != wantQueued[id] {
 			t.Fatalf("peer %s forward_queued = %d, want %d", addr, m.Queued, wantQueued[id])
 		}
-		// The harness has no network: nothing can have been acked, and
+		// No forwarder has stepped: nothing can have been acked, and
 		// nothing was shed at the (empty) queues.
 		if m.Delivered != 0 {
-			t.Fatalf("peer %s forward_delivered = %d with no network", addr, m.Delivered)
+			t.Fatalf("peer %s forward_delivered = %d before any forwarder step", addr, m.Delivered)
 		}
 	}
 
@@ -143,91 +142,23 @@ func TestStatusForwardSessionLag(t *testing.T) {
 	}
 }
 
-// forwardOnlyPeer is a forward-only (pre-trace) peer on loopback: it
-// echoes the forward flag, never the trace flag, acks whatever plain
-// forwarded frames arrive and counts their records, and hangs up on a
-// traced forwarded frame, counting it.
-func forwardOnlyPeer(t *testing.T) (addr string, received, tracedFrames *atomic.Uint64) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	received, tracedFrames = new(atomic.Uint64), new(atomic.Uint64)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				rd := wire.NewReader(conn)
-				slab := wire.NewSlabPool(1).Get()
-				defer slab.Release()
-				var accepted uint64
-				for {
-					ftype, payload, err := rd.ReadFrame()
-					if err != nil {
-						return
-					}
-					switch ftype {
-					case wire.TypeHello:
-						_, _, flags, err := wire.ParseHello(payload)
-						if err != nil {
-							return
-						}
-						conn.Write(wire.AppendAck(nil, accepted, flags&wire.HelloFlagForward))
-					case wire.TypeForwarded:
-						slab.Reset()
-						if _, err := slab.AppendBatch(ftype, payload); err != nil {
-							return
-						}
-						accepted += uint64(slab.Len())
-						received.Add(uint64(slab.Len()))
-						conn.Write(wire.AppendAck(nil, accepted, 0))
-					case wire.TypeTracedForwarded:
-						tracedFrames.Add(1)
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String(), received, tracedFrames
-}
-
 // TestForwardTraceDowngradeInterop: forwarding traced records to a peer
 // that negotiates HelloFlagForward but not HelloFlagTrace (a pre-trace
 // build) must deliver every record exactly — as plain forwarded frames,
 // contexts shed — and mark the downgrade on the counter and in the
 // audit journal.
 func TestForwardTraceDowngradeInterop(t *testing.T) {
-	peerAddr, received, tracedFrames := forwardOnlyPeer(t)
+	const peerAddr = "10.8.0.2:1"
+	fwd := &fwdPeer{} // forward-only: echoes the forward flag, never the trace flag
+	netFor(t).up(peerAddr, fwd)
 
 	var jbuf bytes.Buffer
 	j := pipeline.NewJournal(&jbuf, 64)
-	p, err := pipeline.New(pipeline.Config{
+	n, p := newTestNodeWith(t, pipeline.Config{
 		Net: topology.NewTorus2D(8), Shards: 2, QueueLen: 1 << 12,
 		BlockThreshold: 1 << 30, BlockTTL: time.Hour,
 		Journal: j, TraceBuffer: 256, TraceSampleN: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(p, Config{
-		Self: "10.8.0.1:1", Peers: []string{peerAddr},
-		GossipInterval: time.Hour, FailAfter: time.Hour,
-		Logf: t.Logf,
-	})
-	if err != nil {
-		p.Close()
-		t.Fatal(err)
-	}
-	defer func() {
-		n.Close()
-		p.Close()
-	}()
+	}, Config{Self: "10.8.0.1:1", Peers: []string{peerAddr}, FailAfter: time.Hour, Logf: t.Logf})
 
 	// Traced records for peer-owned victims only, so everything in the
 	// slab crosses the downgraded forward session.
@@ -253,14 +184,13 @@ func TestForwardTraceDowngradeInterop(t *testing.T) {
 		t.Fatalf("Route accepted %d of %d", got, sent)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for received.Load() < uint64(sent) {
-		if time.Now().After(deadline) {
-			t.Fatalf("peer received %d of %d records", received.Load(), sent)
-		}
-		time.Sleep(time.Millisecond)
+	if err := n.forwardStep(n.members.Load().byID[peerID], nil); err != nil {
+		t.Fatal(err)
 	}
-	if got := tracedFrames.Load(); got != 0 {
+	if got := fwd.received(); got != uint64(sent) {
+		t.Fatalf("peer received %d of %d records", got, sent)
+	}
+	if got := fwd.tracedFrames.Load(); got != 0 {
 		t.Fatalf("%d traced frames reached a peer that refused the trace lane", got)
 	}
 	if got := n.traceDowngrades.Load(); got != 1 {

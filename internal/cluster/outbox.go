@@ -6,10 +6,15 @@ package cluster
 // victim's ring successor, so its backup drops the stored replica of a
 // victim the TTL sweep retired here; a handoff — a victim's detached
 // exact state — is owed to its ring owner after a membership change
-// moved it away. An entry is dropped only when an exchange that carried
-// it completes, and only if it is still the entry that was attached;
-// the receiver's absorb → storeReplicaLocked seeds a handoff under the
-// once-per-epoch latch, so a re-send after a lost response counts once.
+// moved it away, or after state reached this member when the victim
+// was no longer its own. An entry is dropped only when an exchange that
+// carried it completes, and only if it is still the entry that was
+// attached. Each handoff carries an id minted at detach, and the
+// receiver's absorb → storeReplicaLocked seeds each id once per
+// ownership epoch: a re-send after a lost response counts once, and
+// the next handoff of the same victim counts too. A victim is not
+// detached again while its handoff is pending (claimHandoff), so one
+// handoff never overwrites another.
 //
 // The filing paths run on shard workers and take only outMu, a leaf
 // under Node.mu never held across a pipeline call: Node.mu is held
@@ -28,8 +33,8 @@ import (
 
 // outKey names one outbox entry. A tombstone and a handoff for the same
 // victim go to different members, so neither overwrites the other. Each
-// filing stores a fresh snapshot pointer, so a completed exchange clears
-// only the entry it carried.
+// filing stores a fresh pointer, so a completed exchange clears only the
+// entry it carried.
 type outKey struct {
 	victim topology.NodeID
 	tomb   bool
@@ -54,20 +59,44 @@ func (n *Node) noteRetired(snap pipeline.VictimSnapshot) {
 	// Expiry ends this victim's ownership epoch: a future takeover (or
 	// a fresh replica while we still own it) may seed it again.
 	delete(n.seeded, snap.Victim)
-	n.outbox[outKey{snap.Victim, true}] = &pipeline.VictimSnapshot{Victim: snap.Victim, Expired: true}
+	n.outbox[outKey{snap.Victim, true}] = &handoff{VictimSnapshot: pipeline.VictimSnapshot{Victim: snap.Victim, Expired: true}}
 }
 
-// noteDetached is the DetachVictim callback: it files a departing
-// victim's final state as a handoff to its new owner. Runs on a shard
-// worker. The latch needs no clearing here: recomputeMembership cleared
-// it for every victim the new ring moved away before detaching any.
-func (n *Node) noteDetached(snap pipeline.VictimSnapshot, ok bool) {
-	if !ok {
-		return // no state existed; nothing to hand over
+// detaching holds a victim's handoff slot from claimHandoff until its
+// detach lands; no exchange or settle ever sees it.
+var detaching = new(handoff)
+
+// claimHandoff reserves v's handoff slot for one detach, unless a
+// handoff of v is pending or being detached: that one is delivered
+// first, and state that reached v since waits for a later sweep.
+func (n *Node) claimHandoff(v topology.NodeID) bool {
+	n.outMu.Lock()
+	defer n.outMu.Unlock()
+	k := outKey{v, false}
+	if n.outbox[k] != nil {
+		return false
 	}
+	n.outbox[k] = detaching
+	return true
+}
+
+// noteDetached is the DetachVictim callback: it files a victim's
+// detached state as a handoff to its owner, under a fresh id, in the
+// slot claimHandoff reserved. Runs on a shard worker. The latch needs
+// no clearing here: installRing cleared it for every victim the ring
+// moved away.
+func (n *Node) noteDetached(snap pipeline.VictimSnapshot, ok bool) {
+	k := outKey{snap.Victim, false}
+	if !ok { // no state existed; nothing to hand over
+		n.outMu.Lock()
+		delete(n.outbox, k)
+		n.outMu.Unlock()
+		return
+	}
+	h := &handoff{snap, splitmix64(n.incarnation^n.handoffSeq.Add(1)) | 1}
 	n.noteHandoff(pipeline.EventVictimDetached, n.self, &snap, fmt.Sprintf("ring=v%d", n.ring.Load().Version()))
 	n.outMu.Lock()
-	n.outbox[outKey{snap.Victim, false}] = &snap
+	n.outbox[k] = h
 	n.outMu.Unlock()
 }
 
@@ -99,21 +128,26 @@ func (n *Node) attachOutboxLocked(pr *peer, ring *Ring, m *gossipMsg, budget *go
 	n.outMu.Lock()
 	defer n.outMu.Unlock()
 	pr.attached = pr.attached[:0]
-	for k, snap := range n.outbox {
-		if k.dest(ring) == pr.id {
-			pr.attached = append(pr.attached, snap)
+	for k, h := range n.outbox {
+		if h != detaching && k.dest(ring) == pr.id {
+			pr.attached = append(pr.attached, h)
 		}
 	}
 	// One victim's two kinds never share a destination, so victims are
 	// distinct here and the order is total.
 	sort.Slice(pr.attached, func(i, j int) bool { return pr.attached[i].Victim < pr.attached[j].Victim })
 	k := 0
-	for _, snap := range pr.attached {
-		if budget.fitsReplica(snap) {
-			m.Replicas = append(m.Replicas, *snap)
-			pr.attached[k] = snap
-			k++
+	for _, h := range pr.attached {
+		switch {
+		case !budget.fitsReplica(&h.VictimSnapshot, h.ID):
+			continue
+		case h.ID == 0: // a tombstone
+			m.Replicas = append(m.Replicas, h.VictimSnapshot)
+		default:
+			m.Handoffs = append(m.Handoffs, *h)
 		}
+		pr.attached[k] = h
+		k++
 	}
 	pr.attached = pr.attached[:k]
 }
@@ -125,31 +159,34 @@ func (n *Node) attachOutboxLocked(pr *peer, ring *Ring, m *gossipMsg, budget *go
 func (n *Node) completeExchange(pr *peer, resp *gossipMsg) {
 	n.absorb(resp)
 	pr.lastGossip.Store(n.cfg.Now())
-	var shipped []*pipeline.VictimSnapshot
+	var shipped []*handoff
 	n.outMu.Lock()
-	for _, snap := range pr.attached {
-		if k := (outKey{snap.Victim, snap.Expired}); n.outbox[k] == snap {
+	for _, h := range pr.attached {
+		if k := (outKey{h.Victim, h.Expired}); n.outbox[k] == h {
 			delete(n.outbox, k)
 			if !k.tomb {
-				shipped = append(shipped, snap)
+				shipped = append(shipped, h)
 			}
 		}
 	}
 	pr.attached = pr.attached[:0]
 	n.outMu.Unlock()
 	ver := n.ring.Load().Version()
-	for _, snap := range shipped {
+	for _, h := range shipped {
 		n.handbacksOut.Add(1)
-		n.noteHandoff(pipeline.EventHandbackShip, n.self, snap, fmt.Sprintf("to=%x ring=v%d", pr.id, ver))
+		n.noteHandoff(pipeline.EventHandbackShip, n.self, &h.VictimSnapshot, fmt.Sprintf("to=%x ring=v%d", pr.id, ver))
 	}
 }
 
 // settleOutbox files locally what no exchange can deliver: entries owed
 // to this member itself (a handoff whose ring flapped back is seeded
-// through the epoch latch; a tombstone whose victim's backup is now
-// here is stored) and handoffs larger than an otherwise empty gossip
+// under its id; a tombstone whose victim's backup is now here is
+// stored) and handoffs larger than an otherwise empty gossip
 // message, which wait as a stored replica — counted failed — until
-// replication or a takeover moves them. A member alone on the ring is
+// replication or a takeover moves them. That message is judged without
+// the admin address, which is no part of membership: an admin address
+// long enough to crowd out a handoff delays it rather than turning
+// exact state into a replica. A member alone on the ring is
 // its own successor, so its tombstones wait for a successor to come
 // back: settled here they would only drop a local replica, and a
 // returning backup would keep the retired victim's stale one. Runs on
@@ -158,22 +195,29 @@ func (n *Node) settleOutbox() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ring := n.ring.Load()
-	_, room := n.headLocked()
-	var local []*pipeline.VictimSnapshot
+	head, _ := n.headLocked()
+	room := newGossipBudget(maxDigest, rosterBytes(head.SenderAddr, "", head.Roster))
+	var local []*handoff
 	n.outMu.Lock()
-	for k, snap := range n.outbox {
+	for k, h := range n.outbox {
 		switch {
+		case h == detaching:
+			continue
 		case k.dest(ring) == n.self && (!k.tomb || ring.Size() > 1):
-		case room.oversize(snap): // tombstones carry no tallies: never
+		case room.oversize(&h.VictimSnapshot, h.ID): // tombstones carry no tallies: never
 			n.handbackFailures.Add(1)
 		default:
 			continue
 		}
 		delete(n.outbox, k)
-		local = append(local, snap)
+		local = append(local, h)
 	}
 	n.outMu.Unlock()
-	for _, snap := range local {
-		n.storeReplicaLocked(ring, *snap)
+	for _, h := range local {
+		id := h.ID
+		if ring.Owner(h.Victim) != n.self {
+			id = 0 // oversize: it waits as a stored replica
+		}
+		n.storeReplicaLocked(ring, h.VictimSnapshot, id)
 	}
 }

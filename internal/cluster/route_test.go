@@ -105,12 +105,12 @@ func newRouteTwin(t *testing.T, admit int, now *atomic.Int64) (*Node, *pipeline.
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(p, Config{
+	n, err := build(p, Config{
 		Self: routeTwinAddrs[0], Peers: routeTwinAddrs[1:],
 		GossipInterval: time.Hour, FailAfter: time.Hour,
-		Incarnation: 701, SketchAdmit: admit,
-		Dial: func(string) (net.Conn, error) { return nil, errors.New("test: no network") },
-		Now:  now.Load,
+		SketchAdmit: admit,
+		Dial:        func(string) (net.Conn, error) { return nil, errors.New("test: no network") },
+		Now:         now.Load,
 	})
 	if err != nil {
 		p.Close()
@@ -357,62 +357,6 @@ func TestRouteGateSuppressesOutOfFabric(t *testing.T) {
 	}
 }
 
-// tracingPeer is a forward-session peer that accepts the trace lane and
-// counts the records it receives by whether they carry a context. With
-// every offered record traced, a record without one is a gate replay:
-// replayed prefixes ride the hop untraced.
-func tracingPeer(t *testing.T) (addr string, direct, replayed *atomic.Uint64) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	direct, replayed = new(atomic.Uint64), new(atomic.Uint64)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				rd := wire.NewReader(conn)
-				slab := wire.NewSlabPool(1).Get()
-				defer slab.Release()
-				var accepted uint64
-				for {
-					ftype, payload, err := rd.ReadFrame()
-					if err != nil {
-						return
-					}
-					if ftype == wire.TypeHello {
-						_, _, flags, err := wire.ParseHello(payload)
-						if err != nil {
-							return
-						}
-						conn.Write(wire.AppendAck(nil, accepted, flags&(wire.HelloFlagForward|wire.HelloFlagTrace)))
-						continue
-					}
-					slab.Reset()
-					if _, err := slab.AppendBatch(ftype, payload); err != nil {
-						return
-					}
-					for i := range slab.Recs {
-						if slab.Ctxs != nil && slab.Ctxs[i].ID != 0 {
-							direct.Add(1)
-						} else {
-							replayed.Add(1)
-						}
-					}
-					accepted += uint64(slab.Len())
-					conn.Write(wire.AppendAck(nil, accepted, 0))
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String(), direct, replayed
-}
-
 // TestRouteConcurrentRingChange: two sessions route traced slabs over
 // shared victims through the armed gate while a third goroutine keeps
 // swapping the ring between three and two members. Every offered record
@@ -421,25 +365,29 @@ func tracingPeer(t *testing.T) (addr string, direct, replayed *atomic.Uint64) {
 // most once more, as an untraced replay. Nothing sheds, and every slab
 // is back in the pool once the fleet is quiescent. The suppressed count
 // is one node-wide counter, so the ledger closes over all calls, not
-// per call.
+// per call. The routers step the forwarders between calls, so every
+// queued batch has crossed its session when the routers are done.
 func TestRouteConcurrentRingChange(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1)
-	addrA, directA, replayedA := tracingPeer(t)
-	addrB, directB, replayedB := tracingPeer(t)
-	p, err := pipeline.New(testPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(p, Config{
+	const addrA, addrB = "10.7.1.2:1", "10.7.1.3:1"
+	peerA, peerB := &fwdPeer{trace: true}, &fwdPeer{trace: true}
+	netFor(t).up(addrA, peerA)
+	netFor(t).up(addrB, peerB)
+	n, p := newTestNodeWith(t, testPipelineConfig(), Config{
 		Self: "10.7.1.1:1", Peers: []string{addrA, addrB},
-		GossipInterval: time.Hour, FailAfter: time.Hour,
-		SketchAdmit: 4, ForwardQueue: 1024,
-		Now: now.Load,
+		FailAfter: time.Hour, SketchAdmit: 4, Now: now.Load,
 	})
-	if err != nil {
-		p.Close()
-		t.Fatal(err)
+	// The routers take turns stepping the forwarders, each forwarder's
+	// one caller at a time, so a queue never holds more than the last
+	// two calls' batches.
+	var stepping sync.Mutex
+	step := func() {
+		stepping.Lock()
+		defer stepping.Unlock()
+		for _, pr := range n.members.Load().list {
+			n.forwardStep(pr, nil)
+		}
 	}
 	members := n.Ring().Members()
 	const sessions, calls, perSlab = 2, 200, 64
@@ -485,6 +433,7 @@ func TestRouteConcurrentRingChange(t *testing.T) {
 				}
 				offered.Add(perSlab)
 				accepted.Add(uint64(n.Route(s)))
+				step()
 			}
 		}()
 	}
@@ -507,13 +456,8 @@ func TestRouteConcurrentRingChange(t *testing.T) {
 	if accepted.Load() != local+queued {
 		t.Fatalf("Route returned %d accepted, pipeline took %d and peers were queued %d", accepted.Load(), local, queued)
 	}
-	received := func() uint64 { return directA.Load() + directB.Load() + replayedA.Load() + replayedB.Load() }
-	for deadline := time.Now().Add(10 * time.Second); received() < queued; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("peers received %d of %d forwarded records", received(), queued)
-		}
-	}
-	direct, replayed := directA.Load()+directB.Load(), replayedA.Load()+replayedB.Load()
+	received := func() uint64 { return peerA.received() + peerB.received() }
+	direct, replayed := peerA.direct.Load()+peerB.direct.Load(), peerA.replayed.Load()+peerB.replayed.Load()
 	suppressed := n.forwardSuppress.Load()
 	if received() != queued || local+direct+suppressed != offered.Load() || replayed > suppressed {
 		t.Fatalf("offered %d: local %d + forwarded %d + suppressed %d; replayed %d; peers received %d of %d queued",

@@ -78,9 +78,8 @@ func TestClusterScanSuppression(t *testing.T) {
 					GossipInterval: 25 * time.Millisecond,
 					// Generous: a mid-scan ring flap would re-partition
 					// ownership and wreck the deterministic counts below.
-					FailAfter:   5 * time.Second,
-					Incarnation: uint64(0x3000 + i),
-					Logf:        t.Logf,
+					FailAfter: 5 * time.Second,
+					Logf:      t.Logf,
 				})
 				if err != nil {
 					return nil, err // not a typed-nil *Node, which Start would Close

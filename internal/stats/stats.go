@@ -80,28 +80,6 @@ func (r *Running) CI95() float64 {
 	return 1.96 * r.Std() / math.Sqrt(float64(r.n))
 }
 
-// Merge folds another accumulator into r (parallel reduction).
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	r.m2 += o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	r.mean += d * float64(o.n) / float64(n)
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n = n
-}
-
 func (r *Running) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
 		r.n, r.Mean(), r.Std(), r.Min(), r.Max())
@@ -305,25 +283,3 @@ func (e *EWMA) Update(x float64) float64 {
 
 // Value returns the current average (0 before any update).
 func (e *EWMA) Value() float64 { return e.value }
-
-// BinomialCI95 returns the Wilson 95% confidence interval for a
-// proportion with successes out of trials.
-func BinomialCI95(successes, trials int64) (lo, hi float64) {
-	if trials == 0 {
-		return 0, 1
-	}
-	const z = 1.96
-	n := float64(trials)
-	p := float64(successes) / n
-	denom := 1 + z*z/n
-	center := (p + z*z/(2*n)) / denom
-	half := z * math.Sqrt(p*(1-p)/n+z*z/(4*n*n)) / denom
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
-}

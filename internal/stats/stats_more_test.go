@@ -5,35 +5,6 @@ import (
 	"testing"
 )
 
-func TestRunningMergeEdgeCases(t *testing.T) {
-	var empty, filled Running
-	filled.Add(1)
-	filled.Add(3)
-
-	// Merging an empty accumulator is a no-op.
-	snapshot := filled
-	filled.Merge(&empty)
-	if filled != snapshot {
-		t.Error("merge of empty changed the accumulator")
-	}
-
-	// Merging into an empty accumulator copies.
-	var target Running
-	target.Merge(&filled)
-	if target.N() != 2 || target.Mean() != 2 {
-		t.Errorf("merge into empty: %v", target.String())
-	}
-
-	// Min/max propagate across the merge.
-	var lo, hi Running
-	lo.Add(-5)
-	hi.Add(50)
-	lo.Merge(&hi)
-	if lo.Min() != -5 || lo.Max() != 50 {
-		t.Errorf("merged min/max = %v/%v", lo.Min(), lo.Max())
-	}
-}
-
 func TestRunningString(t *testing.T) {
 	var r Running
 	r.Add(2)
@@ -114,17 +85,5 @@ func TestCounterTopNilLess(t *testing.T) {
 	top = c.Top(2, nil)
 	if len(top) != 2 {
 		t.Errorf("tied Top = %v", top)
-	}
-}
-
-func TestBinomialCI95Bounds(t *testing.T) {
-	// Tiny n: the interval clamps to [0,1].
-	lo, hi := BinomialCI95(1, 1)
-	if lo < 0 || hi > 1 {
-		t.Errorf("CI = [%v,%v]", lo, hi)
-	}
-	lo, hi = BinomialCI95(0, 1)
-	if lo > 1e-12 || hi > 1 { // lo is 0 up to floating-point noise
-		t.Errorf("CI = [%v,%v]", lo, hi)
 	}
 }
