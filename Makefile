@@ -174,13 +174,17 @@ fuzz-smoke:
 ## three packages the daemon's per-victim machinery lives in and the
 ## six-package total, then the two the victim-side decode and the
 ## scheme-backed blocklist live in and the eight-package total, so code
-## moving between the groups shows up as a move, not a deletion
+## moving between the groups shows up as a move, not a deletion; last,
+## apart from those totals, the daemon's command (cmd/ddpmd) and every
+## command under cmd/, whose deletions the package totals do not see
 loc:
 	@total=0; for p in pipeline wire cluster =total sketch traceback detect '=total (six)' marking filter '=total (eight)'; do \
 		case "$$p" in =*) printf '%-18s %6d\n' "$${p#=}" $$total; continue;; esac; \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
 		printf '%-18s %6d\n' internal/$$p $$n; total=$$((total + n)); \
-	done
+	done; \
+	printf '%-18s %6d\n' cmd/ddpmd $$(ls cmd/ddpmd/*.go | grep -v _test.go | xargs cat | wc -l); \
+	printf '%-18s %6d\n' 'cmd (all)' $$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 ## bench-pairs: the paired parent/change protocol for bench/ — N
 ## alternating runs of one workload on BASE and on the working tree,

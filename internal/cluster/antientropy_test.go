@@ -134,13 +134,19 @@ func (s simNode) exactState() int64 {
 // close ends this life: the address goes down, the node ships what it
 // can and counts the rest lost, and the pipeline drains. It reports the
 // records the life's pipeline ingested and the records its node
-// counted shed or lost.
+// counted shed or lost, and fails unless each peer's forward ledger
+// balances.
 func (s simNode) close(m *memNet) (ingested, lost uint64, err error) {
 	m.down(s.n.cfg.Self)
 	s.n.Close()
 	s.p.Close()
 	if out := s.p.SlabsOutstanding(); out != 0 {
 		err = fmt.Errorf("%s: %d slabs outstanding after close", s.n.cfg.Self, out)
+	}
+	for _, pr := range s.n.members.Load().list {
+		if q, d, l := pr.queued.Load(), pr.delivered.Load(), pr.lost.Load(); q != d+l && err == nil {
+			err = fmt.Errorf("%s: peer %s queued %d records, delivered %d and lost %d", s.n.cfg.Self, pr.addr, q, d, l)
+		}
 	}
 	return s.p.C.Ingested.Load(), s.n.forwardDropped.Load() + s.n.forwardLost.Load() + s.n.forwardSuppress.Load(), err
 }
@@ -166,8 +172,9 @@ func (s simNode) close(m *memNet) (ingested, lost uint64, err error) {
 //     member died; at least once when one did, since a takeover seeds
 //     the dead owner's replica, a copy;
 //   - every record offered to Route was ingested by one member's
-//     pipeline or counted once as shed, lost or suppressed, and every
-//     slab is back in its pool.
+//     pipeline or counted once as shed, lost or suppressed, every
+//     peer's forward ledger balances at its sender's close (queued =
+//     delivered + lost), and every slab is back in its pool.
 func TestBlocklistAntiEntropyRandomized(t *testing.T) {
 	seeds := 500
 	if testing.Short() {

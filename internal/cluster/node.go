@@ -107,7 +107,7 @@ type peer struct {
 	lastHeard  atomic.Int64  // unix nanos of last proof of life
 	lastGossip atomic.Int64  // unix nanos of the last completed gossip exchange (0 = never)
 	ringVer    atomic.Uint64 // peer's last self-reported ring version
-	queued     atomic.Uint64 // records accepted into this peer's forward queue
+	queued     atomic.Uint64 // records Route offered this peer's forward queue
 	delivered  atomic.Uint64 // records the peer acked on the forward session
 	lost       atomic.Uint64 // records shed at this peer's queue or abandoned on its session
 
@@ -160,7 +160,10 @@ func (n *Node) newPeer(addr string, id uint64, heard int64) *peer {
 		// untraced hot path pays nothing for the offer.
 		Trace:            true,
 		OnTraceDowngrade: func() { n.noteTraceDowngrade(pr) },
-		OnLost:           func(recs []wire.Record) { n.reroute(pr, recs) },
+		OnLost: func(recs []wire.Record) {
+			n.forwardLost.Add(uint64(len(recs)))
+			pr.lost.Add(uint64(len(recs)))
+		},
 	})
 	return pr
 }
@@ -575,8 +578,9 @@ func (n *Node) noteGateAdmit(victim topology.NodeID, owner, ringVer uint64) {
 
 // enqueue offers one pooled batch to a peer's forwarding queue,
 // shedding (counted) when the queue is full — ingest never blocks on a
-// slow or dead peer. Consumes the slab reference: the queue takes it,
-// or it is released here.
+// slow or dead peer. The peer counts the offer as queued either way,
+// so its queued − delivered − lost is what is in flight. Consumes the
+// slab reference: the queue takes it, or it is released here.
 func (n *Node) enqueue(pr *peer, s *wire.Slab) int {
 	k := uint64(s.Len())
 	if pr == nil {
@@ -584,10 +588,10 @@ func (n *Node) enqueue(pr *peer, s *wire.Slab) int {
 		s.Release()
 		return 0
 	}
+	pr.queued.Add(k)
 	select {
 	case pr.queue <- s:
 		n.forwardedOut.Add(k)
-		pr.queued.Add(k)
 		return int(k)
 	default:
 		n.forwardDropped.Add(k)
@@ -622,9 +626,9 @@ const (
 // forwardStep: it wakes on a queued batch while the session is up, and
 // after a failed step waits base·2^(n−1), capped at max, ±50% jitter,
 // before a step that retries the session first. It closes the session
-// as it stops. Records the client abandons — its buffer full while the
-// peer stays unreachable, or at close — are rerouted through the
-// current ring.
+// as it stops. Records the session abandons — the client's buffer full
+// while the peer stays unreachable, or anything unacked or still
+// queued at close — are counted lost, once, on the node and the peer.
 func (n *Node) forward(pr *peer) {
 	defer n.wg.Done()
 	defer n.closeSession(pr)
@@ -689,14 +693,15 @@ func (n *Node) forwardStep(pr *peer, first *wire.Slab) error {
 }
 
 // closeSession ships what pr's queue still holds and closes its
-// session; the client abandons what the peer never acknowledged
-// through reroute, which counts it lost on a closing node, and what a
-// down session left queued is counted lost here.
+// session. What a down session left queued is counted lost here, and
+// what the peer never acknowledged through OnLost as the client
+// abandons it.
 func (n *Node) closeSession(pr *peer) {
 	n.forwardStep(pr, nil)
 	for len(pr.queue) > 0 {
 		s := <-pr.queue
 		n.forwardLost.Add(uint64(s.Len()))
+		pr.lost.Add(uint64(s.Len()))
 		s.Release()
 	}
 	pr.client.Close()
@@ -715,60 +720,6 @@ func (n *Node) noteTraceDowngrade(pr *peer) {
 		T: n.cfg.Now(), Type: pipeline.EventTraceDowngrade,
 		Victim: -1, Source: -1, Stream: pr.id, Detail: pr.addr,
 	}, noTrace, 0)
-}
-
-// reroute re-dispatches a run of records the forwarder for `from`
-// abandoned, in one pooled slab per destination cut at SlabCap (the
-// pipeline partitions a slab into a SlabCap-long scratch). Records the
-// ring has moved here are processed locally, records it gives another
-// peer are requeued there; the pipeline and the queue count what they
-// refuse. Records it still gives the dead peer (ring not yet rebuilt)
-// and every record once the node is closing are lost — counted, like
-// any unreachable-exporter loss.
-func (n *Node) reroute(from *peer, recs []wire.Record) {
-	if n.closed.Load() {
-		n.forwardLost.Add(uint64(len(recs)))
-		return
-	}
-	ring, ps := n.ring.Load(), n.members.Load()
-	send := func(o *fwOut) {
-		if o.owner == n.self {
-			n.p.SubmitSlab(o.s)
-		} else {
-			n.enqueue(ps.byID[o.owner], o.s)
-		}
-		o.s = nil
-	}
-	var outBuf [8]fwOut
-	outs := outBuf[:0]
-	for _, rec := range recs {
-		owner := ring.Owner(rec.Victim)
-		if owner == from.id {
-			n.forwardLost.Add(1)
-			from.lost.Add(1)
-			continue
-		}
-		j := 0
-		for j < len(outs) && outs[j].owner != owner {
-			j++
-		}
-		if j == len(outs) {
-			outs = append(outs, fwOut{owner: owner})
-		}
-		o := &outs[j]
-		if o.s == nil {
-			o.s = n.p.GetSlab()
-		}
-		o.s.Append(rec)
-		if o.s.Len() == wire.SlabCap {
-			send(o)
-		}
-	}
-	for i := range outs {
-		if outs[i].s != nil {
-			send(&outs[i])
-		}
-	}
 }
 
 // gossipLoop is the anti-entropy driver: a ticker over gossipRound.
@@ -1229,8 +1180,8 @@ type Status struct {
 
 // MemberStatus is one fleet member's liveness as this instance sees it,
 // plus the local forward-session lag toward it: Queued is what Route
-// accepted into its queue, Delivered what the peer acked, Lost what was
-// shed at the queue or abandoned on the session — queued − delivered −
+// offered its queue, Delivered what the peer acked, Lost what was shed
+// at the full queue or abandoned by the session — queued − delivered −
 // lost is in flight.
 type MemberStatus struct {
 	Addr         string `json:"addr"`
@@ -1329,7 +1280,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	counter("ddpmd_forwarded_total", "records queued for forwarding to owning peers", n.forwardedOut.Load())
 	counter("ddpmd_forwarded_in_total", "records accepted off inbound forwarding sessions", n.forwardedIn.Load())
 	counter("ddpmd_forward_dropped_total", "records shed at full forwarding queues", n.forwardDropped.Load())
-	counter("ddpmd_forward_lost_total", "forwarded records abandoned after reroute failed", n.forwardLost.Load())
+	counter("ddpmd_forward_lost_total", "forwarded records a down or closing forward session abandoned", n.forwardLost.Load())
 	counter("ddpmd_forward_suppressed_total", "unowned records suppressed below the forwarding sketch gate", n.forwardSuppress.Load())
 	counter("ddpmd_gossip_rounds_total", "anti-entropy rounds completed", n.gossipRounds.Load())
 	counter("ddpmd_gossip_fails_total", "per-peer gossip exchanges that errored", n.gossipFails.Load())

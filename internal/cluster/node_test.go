@@ -499,106 +499,34 @@ func TestReplicaShippedToSuccessor(t *testing.T) {
 	}
 }
 
-// TestRerouteOwnedRecordSubmitsLocally: a record a forwarder abandoned
-// whose victim the ring has since moved here goes through the
-// pipeline's one ingest door — processed, no loss counted, the slab
-// back in the pool.
-func TestRerouteOwnedRecordSubmitsLocally(t *testing.T) {
-	var now atomic.Int64
-	now.Store(int64(time.Second))
-	peer := "10.8.0.2:1"
-	a, pa := newTestNode(t, "10.8.0.1:1", []string{peer}, &now)
-	from := a.members.Load().byID[MemberID(peer)]
-	ring := a.Ring()
-	v := topology.NodeID(0)
-	for ring.Owner(v) != a.self {
-		v++
-	}
-	a.reroute(from, []wire.Record{{Victim: v, Topo: pa.TopoID()}})
-	for deadline := time.Now().Add(5 * time.Second); pa.C.Processed.Load() != 1 || pa.SlabsOutstanding() != 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("processed %d, slabs outstanding %d; want 1 and 0", pa.C.Processed.Load(), pa.SlabsOutstanding())
+// ownedBy lists the victims of the test fabric ring gives id.
+func ownedBy(ring *Ring, id uint64) (vs []topology.NodeID) {
+	for v := topology.NodeID(0); v < 64; v++ {
+		if ring.Owner(v) == id {
+			vs = append(vs, v)
 		}
 	}
-	if got := a.forwardLost.Load(); got != 0 {
-		t.Fatalf("forwardLost = %d after a local reroute", got)
-	}
+	return vs
 }
 
-// TestRerouteBatchesPerDestination: a run of records a forwarder
-// abandoned moves as batches, one pooled slab per new owner cut at
-// SlabCap. One slab per record would fill a live peer's forward queue
-// after forwardQueue records and shed the rest. The node is unstarted,
-// so nothing drains the queue the test reads, and Close releases it.
-func TestRerouteBatchesPerDestination(t *testing.T) {
-	var now atomic.Int64
-	now.Store(int64(time.Second))
-	const live, dead = "10.10.0.2:1", "10.10.0.3:1"
-	n, p := newTestNode(t, "10.10.0.1:1", []string{live, dead}, &now)
-
-	// The dead peer leaves the ring; its victims split between the live
-	// peer and this node.
-	now.Add(int64(2 * time.Second))
-	livePeer := n.members.Load().byID[MemberID(live)]
-	livePeer.lastHeard.Store(now.Load())
-	n.recomputeMembership()
-	ring := n.Ring()
-	var liveVs, selfVs []topology.NodeID
-	for v := topology.NodeID(0); v < 64; v++ {
-		switch ring.Owner(v) {
-		case livePeer.id:
-			liveVs = append(liveVs, v)
-		case n.self:
-			selfVs = append(selfVs, v)
+// slabFor is a pooled slab of k records cycling over vs, traced or not.
+func slabFor(p *pipeline.Pipeline, vs []topology.NodeID, k int, traced bool) *wire.Slab {
+	s := p.GetSlab()
+	for i := 0; i < k; i++ {
+		rec := wire.Record{Victim: vs[i%len(vs)], MF: uint16(i), Topo: p.TopoID()}
+		if traced {
+			s.AppendTraced(wire.TracedRecord{Record: rec, Ctx: wire.TraceContext{ID: uint64(i + 1)}})
+		} else {
+			s.Append(rec)
 		}
 	}
-	if len(liveVs) == 0 || len(selfVs) == 0 {
-		t.Fatal("ring left a survivor without victims")
-	}
-	run := func(vs []topology.NodeID, k int) []wire.Record {
-		recs := make([]wire.Record, k)
-		for i := range recs {
-			recs[i] = wire.Record{Victim: vs[i%len(vs)], MF: uint16(i), Topo: p.TopoID()}
-		}
-		return recs
-	}
-	from := n.members.Load().byID[MemberID(dead)]
-
-	n.reroute(from, run(liveVs, 2000))
-	if got := len(livePeer.queue); got != 1 {
-		t.Errorf("live peer's queue holds %d slabs after one rerouted run, want 1", got)
-	}
-	if got := livePeer.queued.Load(); got != 2000 {
-		t.Errorf("live peer queued %d of 2000 rerouted records", got)
-	}
-	if got := n.forwardDropped.Load(); got != 0 {
-		t.Errorf("forward_dropped = %d, want 0", got)
-	}
-
-	// A run longer than a slab is cut at SlabCap before the pipeline
-	// partitions it.
-	own := run(selfVs, 2*wire.SlabCap+1)
-	n.reroute(from, own)
-	for deadline := time.Now().Add(5 * time.Second); p.C.Processed.Load() != uint64(len(own)); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("processed %d of %d rerouted records", p.C.Processed.Load(), len(own))
-		}
-	}
-	if got := n.forwardLost.Load(); got != 0 {
-		t.Errorf("forward_lost = %d, want 0", got)
-	}
-
-	n.Close()
-	p.Close()
-	if got := p.SlabsOutstanding(); got != 0 {
-		t.Fatalf("%d slabs outstanding after Close", got)
-	}
+	return s
 }
 
 // TestForwardSlabsReturnToPool: forward batches are pooled slabs, so
 // the pipeline's outstanding-slab count covers the forward hop. Drive
 // every way a batch can end — forwarded and acked, shed at a full
-// queue, dropped for a nil peer, rerouted after its peer dies, drained
+// queue, dropped for a nil peer, abandoned by a down session, drained
 // at stop — and require every slab back in the pool once the node and
 // the pipeline are closed.
 func TestForwardSlabsReturnToPool(t *testing.T) {
@@ -609,26 +537,6 @@ func TestForwardSlabsReturnToPool(t *testing.T) {
 	netFor(t).up(live, fwd)
 	n, p := newTestNode(t, "10.6.0.1:1", []string{live, dead}, &now)
 	liveID, deadID := MemberID(live), MemberID(dead)
-	ownedBy := func(ring *Ring, id uint64) (vs []topology.NodeID) {
-		for v := topology.NodeID(0); v < 64; v++ {
-			if ring.Owner(v) == id {
-				vs = append(vs, v)
-			}
-		}
-		return vs
-	}
-	slabFor := func(vs []topology.NodeID, traced bool) *wire.Slab {
-		s := p.GetSlab()
-		for i := 0; i < 64; i++ {
-			rec := wire.Record{Victim: vs[i%len(vs)], MF: uint16(i), Topo: p.TopoID()}
-			if traced {
-				s.AppendTraced(wire.TracedRecord{Record: rec, Ctx: wire.TraceContext{ID: uint64(i + 1)}})
-			} else {
-				s.Append(rec)
-			}
-		}
-		return s
-	}
 	ring := n.Ring()
 	liveVs, deadVs := ownedBy(ring, liveID), ownedBy(ring, deadID)
 	if len(liveVs) == 0 || len(deadVs) == 0 {
@@ -648,15 +556,15 @@ func TestForwardSlabsReturnToPool(t *testing.T) {
 	}
 
 	// Forwarded and acked, untraced and traced.
-	n.Route(slabFor(liveVs, false))
+	n.Route(slabFor(p, liveVs, 64, false))
 	deliver()
-	n.Route(slabFor(liveVs, true))
+	n.Route(slabFor(p, liveVs, 64, true))
 	deliver()
 
 	// Shed at a full queue: nothing steps the dead peer's forwarder, so
 	// its queue holds forwardQueue batches and the rest shed.
 	for i := 0; i < forwardQueue+2; i++ {
-		n.Route(slabFor(deadVs, false))
+		n.Route(slabFor(p, deadVs, 64, false))
 	}
 	if got := n.forwardDropped.Load(); got != 2*64 {
 		t.Fatalf("%d records shed at the dead peer's full queue, want 128", got)
@@ -667,35 +575,88 @@ func TestForwardSlabsReturnToPool(t *testing.T) {
 	s.Append(wire.Record{Victim: deadVs[0], Topo: p.TopoID()})
 	n.enqueue(nil, s)
 
-	// Rerouted after its peer dies: the ring drops the dead peer, and
-	// records its forwarder abandons move to the survivors — the live
-	// peer's queue or this node's pipeline.
-	now.Add(int64(2 * time.Second))
-	n.members.Load().byID[liveID].lastHeard.Store(now.Load())
-	n.recomputeMembership()
-	if n.Ring().Has(deadID) {
-		t.Fatal("dead peer still on the ring")
+	// Abandoned by a down session: a step toward the dead peer copies a
+	// few batches into its client and releases their slabs before the
+	// session is found down; the client abandons those records at close.
+	deadPeer := n.members.Load().byID[deadID]
+	if err := n.forwardStep(deadPeer, nil); err == nil {
+		t.Fatal("a step toward the dead peer reported success")
 	}
-	from := n.members.Load().byID[deadID]
-	queued := livePeer.queued.Load()
-	var abandoned []wire.Record
-	for _, v := range deadVs {
-		abandoned = append(abandoned, wire.Record{Victim: v, Topo: p.TopoID()})
-	}
-	n.reroute(from, abandoned)
-	if livePeer.queued.Load() == queued {
-		t.Fatal("no reroute reached the live peer")
-	}
-	deliver()
 
-	// Drained at stop: the dead peer's queue is still full.
-	if got := len(from.queue); got != forwardQueue {
-		t.Fatalf("dead peer's queue holds %d batches at close, want %d", got, forwardQueue)
+	// Drained at stop: the rest of the dead peer's queue.
+	if got := len(deadPeer.queue); got == 0 || got == forwardQueue {
+		t.Fatalf("dead peer's queue holds %d batches at close, want some but not all %d", got, forwardQueue)
 	}
 	n.Close()
 	p.Close()
 	if got := p.SlabsOutstanding(); got != 0 {
 		t.Fatalf("%d slabs outstanding after Close", got)
+	}
+}
+
+// TestForwardLedgerBalances: every record Route hands a peer ends one
+// way — delivered, shed at the peer's full queue, or abandoned by its
+// session — counted once on the node and once on that peer. A live
+// peer, a peer whose queue sheds, and a down peer whose session
+// abandons what it buffered and what stayed queued at close: at
+// quiescence each peer's queued equals delivered plus lost,
+// forwarded_out plus forward_dropped is every record routed to a peer,
+// and forward_lost is what the down session abandoned.
+func TestForwardLedgerBalances(t *testing.T) {
+	var now atomic.Int64
+	now.Store(int64(time.Second))
+	const live, full, down = "10.6.2.2:1", "10.6.2.3:1", "10.6.2.4:1"
+	m := netFor(t)
+	m.up(live, &fwdPeer{trace: true})
+	m.up(full, &fwdPeer{trace: true})
+	n, p := newTestNode(t, "10.6.2.1:1", []string{live, full, down}, &now)
+	ring := n.Ring()
+	var routed uint64
+	route := func(addr string, slabs, k int) *peer {
+		t.Helper()
+		vs := ownedBy(ring, MemberID(addr))
+		if len(vs) == 0 {
+			t.Fatalf("ring gives %s no victims", addr)
+		}
+		for i := 0; i < slabs; i++ {
+			n.Route(slabFor(p, vs, k, i%2 == 1))
+			routed += uint64(k)
+		}
+		return n.members.Load().byID[MemberID(addr)]
+	}
+
+	// The memNet pipe holds no bytes in flight, so each live session
+	// gets at most one frame's worth per step.
+	if err := n.forwardStep(route(live, 8, 64), nil); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing steps the full peer until its queue has shed two batches.
+	if err := n.forwardStep(route(full, forwardQueue+2, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	// The down peer's step buffers a few batches before it finds the
+	// session down; the rest stay queued until close.
+	const toDown = 20 * 64
+	if err := n.forwardStep(route(down, 20, 64), nil); err == nil {
+		t.Fatal("a step toward a down peer reported success")
+	}
+	n.Close()
+
+	st := n.StatusJSON().(Status)
+	for _, ms := range st.Members {
+		if !ms.Self && ms.Queued != ms.Delivered+ms.Lost {
+			t.Errorf("peer %s: queued %d != delivered %d + lost %d", ms.Addr, ms.Queued, ms.Delivered, ms.Lost)
+		}
+	}
+	if got := st.ForwardedOut + st.ForwardDropped; got != routed {
+		t.Errorf("forwarded_out %d + forward_dropped %d = %d, want the %d records routed to peers",
+			st.ForwardedOut, st.ForwardDropped, got, routed)
+	}
+	if st.ForwardDropped != 2 {
+		t.Errorf("forward_dropped = %d, want the full queue's 2", st.ForwardDropped)
+	}
+	if st.ForwardLost != toDown {
+		t.Errorf("forward_lost = %d, want the %d records the down session abandoned", st.ForwardLost, toDown)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -214,9 +215,6 @@ func (d *Daemon) Errors() <-chan error { return d.errCh }
 
 // Pipeline exposes the underlying pipeline (tests, embedding).
 func (d *Daemon) Pipeline() *Pipeline { return d.p }
-
-// Cluster exposes the cluster tier (nil when cluster mode is off).
-func (d *Daemon) Cluster() ClusterNode { return d.cluster }
 
 // submit is the ingest sink: cluster mode routes by victim ownership,
 // single-instance mode submits straight to the pipeline. Consumes the
@@ -827,10 +825,9 @@ type blocklistOp struct {
 }
 
 func (d *Daemon) handleBlocklist(w http.ResponseWriter, r *http.Request) {
-	bl := d.p.Blocklist()
+	bl, now := d.p.Blocklist(), d.p.cfg.Now()
 	switch r.Method {
 	case http.MethodGet:
-		now := d.p.cfg.Now()
 		d.p.expireBlocks(now)
 		entries := bl.Snapshot()
 		out := make([]blocklistEntry, 0, len(entries))
@@ -857,8 +854,11 @@ func (d *Daemon) handleBlocklist(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case op.Unblock:
 			bl.Unblock(n)
+		case op.TTLMs > (math.MaxInt64-now)/int64(time.Millisecond):
+			http.Error(w, fmt.Sprintf("ttl_ms %d: deadline past the int64 nanosecond clock", op.TTLMs), http.StatusBadRequest)
+			return
 		case op.TTLMs > 0:
-			bl.BlockUntil(n, d.p.cfg.Now()+op.TTLMs*int64(time.Millisecond))
+			bl.BlockUntil(n, now+op.TTLMs*int64(time.Millisecond))
 		default:
 			bl.Block(n)
 		}

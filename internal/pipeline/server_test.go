@@ -189,6 +189,13 @@ func TestBlocklistAdminEndpoint(t *testing.T) {
 	if code := post(`{"node":99}`); code != http.StatusBadRequest {
 		t.Fatalf("out-of-range node POST: %d, want 400", code)
 	}
+	// A TTL whose deadline wraps int64 nanoseconds would block nothing.
+	if code := post(`{"node":6,"ttl_ms":9223372036855}`); code != http.StatusBadRequest {
+		t.Fatalf("overflowing ttl_ms POST: %d, want 400", code)
+	}
+	if d.Pipeline().Blocklist().Len() != 2 {
+		t.Fatalf("overflowing ttl_ms POST changed the blocklist: %d entries", d.Pipeline().Blocklist().Len())
+	}
 	_, body := httpGet(t, d, "/blocklist")
 	if !strings.Contains(body, `"node":3`) || !strings.Contains(body, `"node":5`) {
 		t.Fatalf("blocklist GET missing entries: %s", body)

@@ -225,9 +225,6 @@ func (c *Client) Reconnects() uint64 {
 	return c.reconnects - 1
 }
 
-// Buffered reports records held but not yet acknowledged.
-func (c *Client) Buffered() int { return len(c.recs) }
-
 // Send offers records for delivery. It blocks only for bounded work —
 // at most MaxAttempts connection attempts — and sheds (counts + calls
 // OnLost) whatever cannot be buffered when the daemon stays

@@ -84,14 +84,14 @@ func TestForwardedSlabDecode(t *testing.T) {
 func TestForwardedReaderUnwraps(t *testing.T) {
 	recs := fwdTestRecords(4)
 	b := AppendForwarded(nil, 5, 0, recs)
-	r := NewReader(bytes.NewReader(b))
+	r := newRecordReader(bytes.NewReader(b))
 	for i := range recs {
-		got, err := r.Next()
+		got, err := r.next()
 		if err != nil {
-			t.Fatalf("Next %d: %v", i, err)
+			t.Fatalf("next %d: %v", i, err)
 		}
-		if got != recs[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got, recs[i])
+		if got.Record != recs[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got.Record, recs[i])
 		}
 	}
 }
@@ -336,27 +336,6 @@ func TestTracedForwardedSlabDecode(t *testing.T) {
 		want.Origin = 77
 		if s.Ctxs[i] != want {
 			t.Fatalf("ctx %d = %+v, want %+v", i, s.Ctxs[i], want)
-		}
-	}
-}
-
-// TestTracedForwardedReaderStripsHopLane: the generic stream reader
-// unwraps traced forwarded frames keeping id+sent but shedding the
-// cluster-internal hop lane, so its output always re-encodes as plain
-// 16-byte trace contexts (the fuzz round-trip contract).
-func TestTracedForwardedReaderStripsHopLane(t *testing.T) {
-	trs := fwdTestTraced(4)
-	b := appendTraced(nil, TypeTracedForwarded, 5, 0, trs)
-	r := NewReader(bytes.NewReader(b))
-	for i := range trs {
-		got, err := r.NextTraced()
-		if err != nil {
-			t.Fatalf("NextTraced %d: %v", i, err)
-		}
-		want := trs[i]
-		want.Ctx.Routed, want.Ctx.Origin = 0, 0
-		if got != want {
-			t.Fatalf("record %d = %+v, want %+v", i, got, want)
 		}
 	}
 }

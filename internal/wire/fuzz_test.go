@@ -83,17 +83,17 @@ func FuzzReader(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
+		r := newRecordReader(bytes.NewReader(data))
 		var decoded []Record
 		for len(decoded) < 1<<16 {
-			rec, err := r.Next()
+			rec, err := r.next()
 			if err != nil {
 				if err != io.EOF && !errors.Is(err, ErrBadFrame) {
 					t.Fatalf("unexpected error class: %v", err)
 				}
 				break
 			}
-			decoded = append(decoded, rec)
+			decoded = append(decoded, rec.Record)
 		}
 		if len(decoded) == 0 {
 			return
@@ -106,14 +106,14 @@ func FuzzReader(f *testing.F) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		r2 := NewReader(&buf)
+		r2 := newRecordReader(&buf)
 		for i, want := range decoded {
-			got, err := r2.Next()
+			got, err := r2.next()
 			if err != nil {
 				t.Fatalf("re-decode record %d: %v", i, err)
 			}
-			if got != want {
-				t.Fatalf("re-decode record %d: got %+v want %+v", i, got, want)
+			if got.Record != want {
+				t.Fatalf("re-decode record %d: got %+v want %+v", i, got.Record, want)
 			}
 		}
 	})
@@ -165,12 +165,13 @@ func checkAppendBatch(t *testing.T, s *Slab, ftype uint8, payload []byte) {
 	}
 }
 
-// FuzzTraceContext throws arbitrary bytes at the trace-aware reader:
-// NextTraced must never panic, must classify failures like Next, and
-// every traced record it decodes must re-encode to a byte-identical
-// parse. Legacy frames (TypeRecords/TypeSealed, the pre-trace corpus
-// shapes) must keep round-tripping with exactly zero trace contexts —
-// the backward-compat contract of the extension. Every frame of the
+// FuzzTraceContext throws arbitrary bytes at the stream reader and the
+// slab decoder with trace lanes in play: they must never panic, must
+// classify failures like FuzzReader, and every traced record they
+// decode must re-encode to a byte-identical parse. Legacy frames
+// (TypeRecords/TypeSealed, the pre-trace corpus shapes) must keep
+// round-tripping with exactly zero trace contexts — the backward-compat
+// contract of the extension. Every frame of the
 // input is also decoded into part-filled slabs, where the reader's
 // always-empty slab never goes.
 func FuzzTraceContext(f *testing.F) {
@@ -197,16 +198,19 @@ func FuzzTraceContext(f *testing.F) {
 	// Fuzz inputs run one at a time per process, so the slabs are shared.
 	slabs := [2]*Slab{partFilled(false), partFilled(true)}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
+		r := newRecordReader(bytes.NewReader(data))
 		var decoded []TracedRecord
 		for len(decoded) < 1<<16 {
-			tr, err := r.NextTraced()
+			tr, err := r.next()
 			if err != nil {
 				if err != io.EOF && !errors.Is(err, ErrBadFrame) {
 					t.Fatalf("unexpected error class: %v", err)
 				}
 				break
 			}
+			// The hop lane (Routed, Origin) rides traced forwarded frames
+			// only; the traced-records re-encode below carries id and sent.
+			tr.Ctx = TraceContext{ID: tr.Ctx.ID, Sent: tr.Ctx.Sent}
 			decoded = append(decoded, tr)
 		}
 
@@ -259,11 +263,11 @@ func FuzzResyncReader(f *testing.F) {
 	f.Add(append(append(append([]byte{}, one...), 0xFF, 0xD0, 0x5E, 0x00), one...))
 	f.Add(append(AppendSealed(nil, 9, []Record{{MF: 8}}), 0xD0, 0x5E))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
+		r := newRecordReader(bytes.NewReader(data))
 		r.EnableResync()
 		decoded := 0
 		for decoded < 1<<16 {
-			_, err := r.Next()
+			_, err := r.next()
 			if err != nil {
 				if err != io.EOF && !errors.Is(err, ErrBadFrame) {
 					t.Fatalf("unexpected error class: %v", err)

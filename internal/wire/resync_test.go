@@ -57,18 +57,18 @@ func TestReaderResyncAcrossCorruption(t *testing.T) {
 			b := append([]byte(nil), stream...)
 			b[frameStart[corruptFrame]+tc.off] ^= tc.flip
 
-			r := NewReader(bytes.NewReader(b))
+			r := newRecordReader(bytes.NewReader(b))
 			r.EnableResync()
 			var got []Record
 			for {
-				rec, err := r.Next()
+				rec, err := r.next()
 				if err == io.EOF {
 					break
 				}
 				if err != nil {
 					t.Fatalf("resync reader died: %v", err)
 				}
-				got = append(got, rec)
+				got = append(got, rec.Record)
 			}
 			// Frames before the corruption arrive intact; the corrupted
 			// frame is skipped; everything after is recovered.
@@ -108,18 +108,18 @@ func TestReaderResyncThroughInjectedGarbage(t *testing.T) {
 	b = append(b, garbage...) // trailing garbage runs into EOF
 	garbageBytes += len(garbage)
 
-	r := NewReader(bytes.NewReader(b))
+	r := newRecordReader(bytes.NewReader(b))
 	r.EnableResync()
 	for i := range recs {
-		rec, err := r.Next()
+		rec, err := r.next()
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if rec != recs[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, rec, recs[i])
+		if rec.Record != recs[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, rec.Record, recs[i])
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.next(); err != io.EOF {
 		t.Fatalf("want EOF after trailing garbage, got %v", err)
 	}
 	if got := r.SkippedBytes(); got != uint64(garbageBytes) {
@@ -134,15 +134,15 @@ func TestReaderResyncThroughInjectedGarbage(t *testing.T) {
 // framing errors stay terminal unless resync is opted into.
 func TestReaderWithoutResyncStillFailsHard(t *testing.T) {
 	b := append([]byte{0xBA, 0xD0}, AppendFrame(nil, plainRecords(2))...)
-	r := NewReader(bytes.NewReader(b))
-	if _, err := r.Next(); !errors.Is(err, ErrBadFrame) {
+	r := newRecordReader(bytes.NewReader(b))
+	if _, err := r.next(); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("want ErrBadFrame, got %v", err)
 	}
 }
 
 // TestReaderCapsEmptyFrameRuns is the regression test for the
 // empty-frame spin: a peer streaming valid zero-record frames used to
-// loop Next forever with no progress or accounting. The cap covers
+// loop the reader forever with no progress or accounting. The cap covers
 // every batch type — a zero-record sealed or forwarded frame is the
 // same six-plus bytes of no progress, and on a session it would also
 // earn an ack write per frame.
@@ -160,8 +160,8 @@ func TestReaderCapsEmptyFrameRuns(t *testing.T) {
 		for i := 0; i < MaxEmptyFrames+1; i++ {
 			b = frame(b, nil)
 		}
-		r := NewReader(bytes.NewReader(b))
-		_, err := r.Next()
+		r := newRecordReader(bytes.NewReader(b))
+		_, err := r.next()
 		if !errors.Is(err, ErrEmptyFlood) || !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("%s: empty-frame flood: got %v, want ErrEmptyFlood wrapping ErrBadFrame", name, err)
 		}
@@ -177,17 +177,17 @@ func TestReaderCapsEmptyFrameRuns(t *testing.T) {
 			b = frame(b, nil)
 		}
 		b = frame(b, recs[1:])
-		r = NewReader(bytes.NewReader(b))
+		r = newRecordReader(bytes.NewReader(b))
 		for i := range recs {
-			rec, err := r.Next()
+			rec, err := r.next()
 			if err != nil {
 				t.Fatalf("%s: record %d after empty runs: %v", name, i, err)
 			}
-			if rec != recs[i] {
-				t.Fatalf("%s: record %d: got %+v want %+v", name, i, rec, recs[i])
+			if rec.Record != recs[i] {
+				t.Fatalf("%s: record %d: got %+v want %+v", name, i, rec.Record, recs[i])
 			}
 		}
-		if _, err := r.Next(); err != io.EOF {
+		if _, err := r.next(); err != io.EOF {
 			t.Fatalf("%s: want EOF, got %v", name, err)
 		}
 	}
@@ -266,17 +266,17 @@ func TestNextSkipsControlFramesAndUnwrapsSealed(t *testing.T) {
 	b = AppendSealed(b, 0, recs[:4])
 	b = AppendAck(b, 4, 0)
 	b = AppendFrame(b, recs[4:])
-	r := NewReader(bytes.NewReader(b))
+	r := newRecordReader(bytes.NewReader(b))
 	for i := range recs {
-		rec, err := r.Next()
+		rec, err := r.next()
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if rec != recs[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, rec, recs[i])
+		if rec.Record != recs[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, rec.Record, recs[i])
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.next(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
 }

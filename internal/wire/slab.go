@@ -65,18 +65,6 @@ type Slab struct {
 	pool *SlabPool
 }
 
-func newSlab(p *SlabPool) *Slab {
-	return &Slab{
-		recsBuf: make([]Record, 0, SlabCap),
-		pool:    p,
-		// Partition scratch, sized so typical fan-outs never grow it:
-		// 64 distinct victims and 32 shard runs cover every deployment
-		// in the repo; pathological slabs still grow transparently.
-		touched: make([]topology.NodeID, 0, 64),
-		groups:  make([]ShardGroup, 0, 32),
-	}
-}
-
 // Len and Free report the record count and the remaining capacity.
 func (s *Slab) Len() int  { return len(s.Recs) }
 func (s *Slab) Free() int { return SlabCap - len(s.Recs) }
@@ -95,9 +83,7 @@ func (s *Slab) Retain() { s.refs.Add(1) }
 // its pool. After calling Release the caller must not touch the slab.
 func (s *Slab) Release() {
 	if n := s.refs.Add(-1); n == 0 {
-		if s.pool != nil {
-			s.pool.put(s)
-		}
+		s.pool.put(s)
 	} else if n < 0 {
 		panic("wire: slab over-released")
 	}
@@ -145,8 +131,8 @@ func (s *Slab) AppendTraced(tr TracedRecord) {
 
 // AppendBatch verifies and decodes one batch payload of any record-
 // bearing frame type into the slab and returns its frame-level header:
-// the one decoder, behind the daemon's listeners, the cluster's forward
-// sessions and Reader.Next alike. Checks run in this order and any
+// the one decoder, behind the daemon's listeners and the cluster's
+// forward sessions alike. Checks run in this order and any
 // failure leaves the slab exactly as it was: ftype is a batch type, the
 // payload is its layout's overhead plus whole records, the records fit
 // (ErrSlabFull — the caller submits the slab and retries the frame on a
@@ -414,7 +400,15 @@ func (p *SlabPool) Get() *Slab {
 	select {
 	case s = <-p.free:
 	default:
-		s = newSlab(p)
+		s = &Slab{
+			recsBuf: make([]Record, 0, SlabCap),
+			pool:    p,
+			// Partition scratch, sized so typical fan-outs never grow it:
+			// 64 distinct victims and 32 shard runs cover every deployment
+			// in the repo; pathological slabs still grow transparently.
+			touched: make([]topology.NodeID, 0, 64),
+			groups:  make([]ShardGroup, 0, 32),
+		}
 	}
 	s.refs.Store(1)
 	return s

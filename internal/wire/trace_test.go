@@ -87,9 +87,9 @@ func TestParseAnyFrameLegacyRecordsGetZeroContext(t *testing.T) {
 	if s.Ctxs != nil {
 		t.Fatal("legacy frame materialized a trace lane")
 	}
-	r := NewReader(bytes.NewReader(b))
+	r := newRecordReader(bytes.NewReader(b))
 	for i := range recs {
-		tr, err := r.NextTraced()
+		tr, err := r.next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,9 +181,8 @@ func TestHelloAckFlagLayouts(t *testing.T) {
 }
 
 // TestReaderNextTracedMixedStream interleaves every record-bearing
-// frame type on one stream: NextTraced must deliver all records in
-// order, with contexts only where the wire carried them, and the legacy
-// Next must keep working on the same stream shapes.
+// frame type on one stream: ReadFrame and the slab decoder must deliver
+// all records in order, with contexts only where the wire carried them.
 func TestReaderNextTracedMixedStream(t *testing.T) {
 	traced := testTracedRecords()
 	plain := []Record{{T: 100, MF: 1}, {T: 101, MF: 2}}
@@ -193,10 +192,10 @@ func TestReaderNextTracedMixedStream(t *testing.T) {
 	stream = AppendSealed(stream, 0, plain)
 	stream = AppendTracedSealed(stream, 2, traced)
 
-	r := NewReader(bytes.NewReader(stream))
+	r := newRecordReader(bytes.NewReader(stream))
 	var got []TracedRecord
 	for {
-		tr, err := r.NextTraced()
+		tr, err := r.next()
 		if err != nil {
 			break
 		}
@@ -217,18 +216,6 @@ func TestReaderNextTracedMixedStream(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("record %d: got %+v want %+v", i, got[i], want[i])
-		}
-	}
-
-	// The context-blind Next sees the same records, contexts dropped.
-	r2 := NewReader(bytes.NewReader(stream))
-	for i := range want {
-		rec, err := r2.Next()
-		if err != nil {
-			t.Fatalf("Next record %d: %v", i, err)
-		}
-		if rec != want[i].Record {
-			t.Fatalf("Next record %d: got %+v want %+v", i, rec, want[i].Record)
 		}
 	}
 }

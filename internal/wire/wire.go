@@ -367,9 +367,9 @@ func (w *Writer) Frames() uint64  { return w.frames }
 func (w *Writer) Records() uint64 { return w.records }
 
 // Reader decodes a stream of frames (the TCP entry point). ReadFrame
-// returns whole frames; Next returns records one at a time. io.EOF
-// cleanly ends a stream only on a frame boundary — EOF mid-frame is
-// reported as ErrBadFrame.
+// returns whole frames, which Slab.AppendBatch decodes. io.EOF cleanly
+// ends a stream only on a frame boundary — EOF mid-frame is reported
+// as ErrBadFrame.
 //
 // By default framing errors are permanent: the stream position is
 // unknown after one, so callers should drop the connection. With
@@ -382,15 +382,8 @@ type Reader struct {
 	carry   []byte // bytes over-read during a resync scan, consumed first
 	payload []byte // reused per-frame payload buffer
 
-	// Next/NextTraced iterate a Reader-owned slab filled by the decoder
-	// the daemon runs. Created on first use: connections that only call
-	// ReadFrame (server, client, gossip) never pay for it.
-	iter   *Slab
-	iterAt int
-
 	hdr      [HeaderSize]byte // per-frame header; a local would escape through io.ReadFull
 	resync   bool
-	frames   uint64
 	resyncs  uint64
 	skipped  uint64
 	emptyRun int
@@ -428,9 +421,6 @@ func (r *Reader) Resyncs() uint64 { return r.resyncs }
 
 // SkippedBytes counts bytes discarded by resync scans.
 func (r *Reader) SkippedBytes() uint64 { return r.skipped }
-
-// Frames reports how many complete frames have been decoded.
-func (r *Reader) Frames() uint64 { return r.frames }
 
 // readFull fills p from the carry buffer, then the stream.
 func (r *Reader) readFull(p []byte) error {
@@ -524,49 +514,6 @@ func (r *Reader) ReadFrame() (ftype uint8, payload []byte, err error) {
 		} else {
 			r.emptyRun = 0
 		}
-		r.frames++
 		return ftype, payload, nil
 	}
-}
-
-// Next returns the next record, skipping session control frames.
-// Sealed record batches are verified and unwrapped; trace contexts on
-// traced frames are dropped — use NextTraced to keep them.
-func (r *Reader) Next() (Record, error) {
-	tr, err := r.NextTraced()
-	return tr.Record, err
-}
-
-// NextTraced returns the next record together with its trace context
-// (zero for untraced frames), skipping control and gossip frames,
-// which carry no records.
-func (r *Reader) NextTraced() (TracedRecord, error) {
-	for r.iter == nil || r.iterAt >= r.iter.Len() {
-		ftype, payload, err := r.ReadFrame()
-		if err != nil {
-			return TracedRecord{}, err
-		}
-		if !IsBatch(ftype) {
-			continue
-		}
-		if r.iter == nil {
-			r.iter = newSlab(nil)
-		}
-		r.iter.Reset()
-		r.iterAt = 0
-		if _, err := r.iter.AppendBatch(ftype, payload); err != nil {
-			return TracedRecord{}, err
-		}
-	}
-	tr := TracedRecord{Record: r.iter.Recs[r.iterAt]}
-	if r.iter.Ctxs != nil {
-		// NextTraced exposes the exporter-facing context only: the
-		// forward-hop lane (Routed, Origin) is cluster-internal and
-		// must not leak into contexts that re-encode as 16-byte
-		// trace frames. The slab keeps the full context.
-		c := r.iter.Ctxs[r.iterAt]
-		tr.Ctx = TraceContext{ID: c.ID, Sent: c.Sent}
-	}
-	r.iterAt++
-	return tr, nil
 }

@@ -58,25 +58,64 @@ func TestFrameRoundTripAndStreamReader(t *testing.T) {
 	if w.Frames() < 2 {
 		t.Fatalf("expected multi-frame split, got %d frames", w.Frames())
 	}
-	r := NewReader(&buf)
+	r := newRecordReader(&buf)
 	for i, want := range recs {
-		got, err := r.Next()
+		got, err := r.next()
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if got != want {
-			t.Fatalf("record %d: got %+v want %+v", i, got, want)
+		if got.Record != want {
+			t.Fatalf("record %d: got %+v want %+v", i, got.Record, want)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.next(); err != io.EOF {
 		t.Fatalf("want clean EOF at frame boundary, got %v", err)
 	}
 }
 
+// recordReader reads a frame stream a record at a time through the
+// decoder the daemon runs: ReadFrame, then Slab.AppendBatch for each
+// batch frame into one reused slab. Control and gossip frames carry no
+// records and are skipped.
+type recordReader struct {
+	*Reader
+	s  *Slab
+	at int
+}
+
+func newRecordReader(r io.Reader) *recordReader {
+	return &recordReader{Reader: NewReader(r), s: NewSlabPool(1).Get()}
+}
+
+// next returns the next record with its context as the slab holds it:
+// zero for an untraced frame, the hop lane included for a traced
+// forwarded one.
+func (rr *recordReader) next() (TracedRecord, error) {
+	for rr.at >= rr.s.Len() {
+		ftype, payload, err := rr.ReadFrame()
+		if err != nil {
+			return TracedRecord{}, err
+		}
+		if !IsBatch(ftype) {
+			continue
+		}
+		rr.s.Reset()
+		rr.at = 0
+		if _, err := rr.s.AppendBatch(ftype, payload); err != nil {
+			return TracedRecord{}, err
+		}
+	}
+	tr := TracedRecord{Record: rr.s.Recs[rr.at]}
+	if rr.s.Ctxs != nil {
+		tr.Ctx = rr.s.Ctxs[rr.at]
+	}
+	rr.at++
+	return tr, nil
+}
+
 // TestReadFrameAloneAllocatesNoSlab: server, client and gossip
-// connections only ever call ReadFrame, so a Reader must not pay for
-// the Next/NextTraced iterator's slab (≈ 107 KB) until something
-// iterates.
+// connections only ever call ReadFrame, so a Reader must not pay for a
+// slab (≈ 107 KB): its caller decodes into its own.
 func TestReadFrameAloneAllocatesNoSlab(t *testing.T) {
 	stream := AppendSealed(nil, 0, sampleRecords(4))
 	src := bytes.NewReader(stream)
@@ -89,13 +128,8 @@ func TestReadFrameAloneAllocatesNoSlab(t *testing.T) {
 		t.Fatal(err)
 	}
 	slabBytes := uint64(SlabCap) * uint64(unsafe.Sizeof(Record{}))
-	if got := after.TotalAlloc - before.TotalAlloc; r.iter != nil || got > slabBytes/4 {
-		t.Errorf("NewReader + ReadFrame allocated %d bytes (iterator slab present: %v); a slab is %d",
-			got, r.iter != nil, slabBytes)
-	}
-	r = NewReader(bytes.NewReader(stream))
-	if _, err := r.Next(); err != nil || r.iter == nil {
-		t.Errorf("first Next: err %v, iterator slab present: %v", err, r.iter != nil)
+	if got := after.TotalAlloc - before.TotalAlloc; got > slabBytes/4 {
+		t.Errorf("NewReader + ReadFrame allocated %d bytes; a slab is %d", got, slabBytes)
 	}
 }
 
@@ -147,8 +181,8 @@ func TestFramingErrors(t *testing.T) {
 		}
 	}
 	// Stream reader: EOF mid-frame must not look like a clean end.
-	r := NewReader(bytes.NewReader(good[:HeaderSize+RecordSize-1]))
-	if _, err := r.Next(); !errors.Is(err, ErrBadFrame) {
+	r := newRecordReader(bytes.NewReader(good[:HeaderSize+RecordSize-1]))
+	if _, err := r.next(); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("stream truncation: want ErrBadFrame, got %v", err)
 	}
 }
