@@ -403,7 +403,7 @@ func (r *ringSim) quiesce() error {
 		if got := s.p.Blocklist().Snapshot(); !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("member %d (%s) holds %+v, want the LWW reference %+v", i, r.addrs[i], got, want)
 		}
-		ring := s.n.Ring()
+		ring := s.n.ring.Load()
 		if ring.Size() != len(r.nodes) {
 			return fmt.Errorf("member %d's ring %x holds %d of %d members", i, ring.Members(), ring.Size(), len(r.nodes))
 		}

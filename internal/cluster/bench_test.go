@@ -67,7 +67,7 @@ func newBenchNode(tb testing.TB, traceBuffer, sketchAdmit int) (*Node, *pipeline
 // peerVictims lists victims this node does not own — records for them
 // take Route's forward partition, never the local submit.
 func peerVictims(n *Node) []topology.NodeID {
-	ring := n.Ring()
+	ring := n.ring.Load()
 	var vs []topology.NodeID
 	for v := topology.NodeID(0); v < 64; v++ {
 		if ring.Owner(v) != n.self {
@@ -85,7 +85,7 @@ const gatedAdmit = 64
 // memo; then it routes gatedAdmit records of each, so every one holds a
 // forwarding pass when measurement starts.
 func gatedVictims(n *Node, p *pipeline.Pipeline) []topology.NodeID {
-	ring := n.Ring()
+	ring := n.ring.Load()
 	seen := map[topology.NodeID]bool{}
 	var vs []topology.NodeID
 	for i := uint64(1); len(vs) < 64; i++ {
@@ -110,7 +110,7 @@ func gatedVictims(n *Node, p *pipeline.Pipeline) []topology.NodeID {
 // of 256 names 256 distinct victims, and each comes round again only
 // every 512 slabs, too rarely to earn a forwarding pass.
 func sweepVictims(n *Node) []topology.NodeID {
-	ring := n.Ring()
+	ring := n.ring.Load()
 	vs := make([]topology.NodeID, 0, 1<<17)
 	for v := topology.NodeID(0); len(vs) < cap(vs); v++ {
 		if ring.Owner(v) != n.self {

@@ -186,7 +186,7 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 
 	// The kill target is the instance that owns the attack victim —
 	// the hardest member to lose.
-	ring := nodes[0].Ring()
+	ring := nodes[0].ring.Load()
 	owner := ring.Owner(res.Victim)
 	kill, succIdx := -1, -1
 	succ := ring.Successor(res.Victim)
@@ -239,13 +239,13 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 	// traffic flows, so nothing is routed at a corpse.
 	waitFor("survivors to rebuild the ring without the dead member", func() bool {
 		for _, i := range survivors {
-			if nodes[i].Ring().Size() != 2 {
+			if nodes[i].ring.Load().Size() != 2 {
 				return false
 			}
 		}
 		return true
 	})
-	newOwner := nodes[survivors[0]].Ring().Owner(res.Victim)
+	newOwner := nodes[survivors[0]].ring.Load().Owner(res.Victim)
 	if newOwner != succ {
 		t.Fatalf("post-death owner %x is not the old successor %x", newOwner, succ)
 	}
@@ -386,17 +386,17 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 	// Everyone converges on the three-member ring again, with the
 	// rejoined instance owning the attack victim as before the kill.
 	waitFor("fleet to converge on the rejoined three-member ring", func() bool {
-		if rnode.Ring().Size() != 3 {
+		if rnode.ring.Load().Size() != 3 {
 			return false
 		}
 		for _, i := range survivors {
-			if nodes[i].Ring().Size() != 3 {
+			if nodes[i].ring.Load().Size() != 3 {
 				return false
 			}
 		}
 		return true
 	})
-	if got := rnode.Ring().Owner(res.Victim); got != owner {
+	if got := rnode.ring.Load().Owner(res.Victim); got != owner {
 		t.Fatalf("rejoined ring owner %x, want the original owner %x", got, owner)
 	}
 
@@ -467,7 +467,7 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 	// record: the survivor's forwarded span and the owner's block span
 	// under the same id, wire → forward → ingest → identify → detect →
 	// block.
-	ring3 := rnode.Ring()
+	ring3 := rnode.ring.Load()
 	v2 := topology.NodeID(-1)
 	for v := topology.NodeID(0); v < 64; v++ {
 		if v != res.Victim && ring3.Owner(v) == owner {

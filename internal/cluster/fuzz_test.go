@@ -5,22 +5,31 @@ import (
 	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/filter"
 	"repro/internal/pipeline"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 // The snapshot codec carries tallies between members — replicas,
 // tombstones and handoffs all ride gossip — so its decoder faces the
-// network. The target holds one line: a body either fails to parse or
-// yields a message that owns its memory, survives encode → parse
-// unchanged, and whose every victim snapshot — duplicate sources, nodes
-// outside the fabric or negative, counts up to 2⁶³ — can be seeded into
-// a pipeline, which keeps exactly the in-fabric sources with a positive
-// count, in ascending order.
+// network. The target holds one line: a body decodes under
+// parseGossipMsg exactly as under the reference parser it replaced
+// (gossip_ref_test.go) — deep-equal messages, or a rejection from both —
+// and either fails to parse or yields a message that owns its memory,
+// survives encode → parse unchanged, and whose every victim snapshot —
+// duplicate sources, nodes outside the fabric or negative, counts up to
+// 2⁶³ — can be seeded into a pipeline, which keeps exactly the in-fabric
+// sources with a positive count, in ascending order. testdata/fuzz
+// holds, besides the encoders' ordinary v2 and v3 output, the bodies
+// where the two parsers' version rules and end checks could part: a v3
+// replica with the handoff bit set (no id follows), a v4 handoff whose
+// id is zero and one trailing byte; and a request whose sender address
+// nearly fills a frame.
 
 // hostileSnapshot is a replica no honest member would send, for the
 // in-code seeds; testdata/fuzz holds the encoders' ordinary output.
@@ -108,6 +117,10 @@ func FuzzGossipMsg(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		in := bytes.Clone(body)
 		m, err := parseGossipMsg(in)
+		want, wantErr := refParseGossipMsg(bytes.Clone(body))
+		if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(m, want) {
+			t.Fatalf("parse = %+v, %v; the reference parser gives %+v, %v", m, err, want, wantErr)
+		}
 		if err != nil {
 			return
 		}
@@ -140,9 +153,10 @@ func gossipStateOf(n *Node) gossipState {
 
 // FuzzHandleGossip drives the gossip server side of a live node, one
 // fresh node per body. Every body either fails with an error or gets an
-// answer from the node; a message whose SenderAddr does not hash to its
-// Sender changes no member, blocklist row or stored replica; and no
-// body makes the node learn itself or the empty address as a member.
+// answer from the node that fits one frame; a message whose SenderAddr
+// does not hash to its Sender changes no member, blocklist row or
+// stored replica; and no body makes the node learn itself or the empty
+// address as a member.
 func FuzzHandleGossip(f *testing.F) {
 	const self, sender = "10.9.0.1:1", "10.9.0.2:1"
 	msg := &gossipMsg{
@@ -156,6 +170,8 @@ func FuzzHandleGossip(f *testing.F) {
 	forged := *msg
 	forged.Sender = MemberID("10.9.0.4:1")
 	f.Add(appendGossipMsg(nil, &forged))
+	long := strings.Repeat("a", 65490) // its answer once outgrew a frame
+	f.Add(appendGossipMsg(nil, &gossipMsg{Sender: MemberID(long), SenderAddr: long}))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var now atomic.Int64
 		n, _ := newTestNode(t, self, nil, &now)
@@ -167,6 +183,9 @@ func FuzzHandleGossip(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if len(resp) > wire.MaxGossipBody {
+			t.Fatalf("a %d-byte answer does not fit the %d bytes of one frame", len(resp), wire.MaxGossipBody)
 		}
 		if m, err := parseGossipMsg(resp); err != nil || m.Sender != n.self {
 			t.Fatalf("answer does not parse as the node's own message: %+v, %v", m, err)

@@ -175,151 +175,87 @@ func appendSnapshot(b []byte, r *pipeline.VictimSnapshot, id uint64) []byte {
 	return b
 }
 
-// parseSnapshot decodes one victim snapshot off the front of p and
-// returns it, its handoff id (0 for a replica or a tombstone; only ver
-// 4+ carries one) and the remainder. Nothing aliases p.
-func parseSnapshot(p []byte, ver byte) (pipeline.VictimSnapshot, uint64, []byte, error) {
-	if len(p) < replicaFixed {
-		return pipeline.VictimSnapshot{}, 0, nil, errGossipTrunc
-	}
-	isHandoff := ver >= gossipVersion && p[8]&flagHandoff != 0
-	snap := pipeline.VictimSnapshot{
-		Victim:      topology.NodeID(int64(binary.BigEndian.Uint64(p[0:8]))),
-		Alarmed:     p[8]&1 != 0,
-		Expired:     p[8]&2 != 0,
-		Undecodable: int64(binary.BigEndian.Uint64(p[9:17])),
-	}
-	ns := int(binary.BigEndian.Uint32(p[17:21]))
-	p = p[replicaFixed:]
-	for j := 0; j < ns; j++ {
-		if len(p) < sourceSize {
-			return pipeline.VictimSnapshot{}, 0, nil, errGossipTrunc
-		}
-		snap.Sources = append(snap.Sources, pipeline.SourceCount{
-			Node:  int64(binary.BigEndian.Uint64(p[0:8])),
-			Count: int64(binary.BigEndian.Uint64(p[8:16])),
-		})
-		p = p[sourceSize:]
-	}
-	var id uint64
-	if isHandoff {
-		if len(p) < handoffIDSize {
-			return pipeline.VictimSnapshot{}, 0, nil, errGossipTrunc
-		}
-		if id = binary.BigEndian.Uint64(p); id == 0 {
-			return pipeline.VictimSnapshot{}, 0, nil, errors.New("cluster: gossip handoff without an id")
-		}
-		p = p[handoffIDSize:]
-	}
-	return snap, id, p, nil
+// gossipReader reads a gossip body front to back. The first read past
+// the end sets err to errGossipTrunc, and every read after a failure
+// returns zero, so a parser reads field after field and checks err once.
+type gossipReader struct {
+	p   []byte
+	err error
 }
 
-// parseGossipMsg decodes a message body. Nothing aliases b.
-func parseGossipMsg(b []byte) (*gossipMsg, error) {
-	if len(b) < gossipFixedSize+6 {
-		return nil, errGossipTrunc
+func (r *gossipReader) take(n int) []byte {
+	if r.err == nil && len(r.p) < n {
+		r.err = errGossipTrunc
 	}
-	ver := b[0]
+	if r.err != nil {
+		return nil
+	}
+	b := r.p[:n]
+	r.p = r.p[n:]
+	return b
+}
+
+// uint reads an n-byte big-endian unsigned integer, n ≤ 8.
+func (r *gossipReader) uint(n int) uint64 {
+	var v uint64
+	for _, c := range r.take(n) {
+		v = v<<8 | uint64(c)
+	}
+	return v
+}
+
+// str reads a uint16 length and that many bytes, copied.
+func (r *gossipReader) str() string { return string(r.take(int(r.uint(2)))) }
+
+// parseGossipMsg decodes a message body in the order appendGossipMsg
+// writes it. Every section loop stops at the first failed read, and
+// nothing is sized from a count off the wire: a slice grows only by
+// entries the body holds. Nothing aliases b.
+func parseGossipMsg(b []byte) (*gossipMsg, error) {
+	r := &gossipReader{p: b}
+	ver := byte(r.uint(1))
 	if ver < gossipVersionV2 || ver > gossipVersion {
 		return nil, fmt.Errorf("cluster: gossip version %d (want %d to %d)", ver, gossipVersionV2, gossipVersion)
 	}
-	m := &gossipMsg{
-		Sender:  binary.BigEndian.Uint64(b[1:9]),
-		RingVer: binary.BigEndian.Uint64(b[9:17]),
+	m := &gossipMsg{Sender: r.uint(8), RingVer: r.uint(8)}
+	for i := r.uint(2); i > 0 && r.err == nil; i-- {
+		m.Digest = append(m.Digest, digestEntry{Origin: r.uint(8), MaxSeq: r.uint(8)})
 	}
-	p := b[17:]
-	take := func(n int) ([]byte, error) {
-		if len(p) < n {
-			return nil, errGossipTrunc
+	for i := r.uint(2); i > 0 && r.err == nil; i-- {
+		m.Ops = append(m.Ops, originOp{Origin: r.uint(8), Op: filter.Mutation{
+			Seq: r.uint(8), Stamp: r.uint(8), Node: topology.NodeID(int64(r.uint(8))),
+			Until: int64(r.uint(8)), Victim: topology.NodeID(int64(r.uint(8))), Unblock: r.uint(1)&1 != 0,
+		}})
+	}
+	for i := r.uint(2); i > 0 && r.err == nil; i-- {
+		victim, fl := topology.NodeID(int64(r.uint(8))), r.uint(1)
+		snap := pipeline.VictimSnapshot{Victim: victim, Alarmed: fl&1 != 0, Expired: fl&2 != 0, Undecodable: int64(r.uint(8))}
+		for j := r.uint(4); j > 0 && r.err == nil; j-- {
+			snap.Sources = append(snap.Sources, pipeline.SourceCount{Node: int64(r.uint(8)), Count: int64(r.uint(8))})
 		}
-		out := p[:n]
-		p = p[n:]
-		return out, nil
-	}
-	hdr, err := take(2)
-	if err != nil {
-		return nil, err
-	}
-	nd := int(binary.BigEndian.Uint16(hdr))
-	for i := 0; i < nd; i++ {
-		e, err := take(digestEntrySize)
-		if err != nil {
-			return nil, err
-		}
-		m.Digest = append(m.Digest, digestEntry{
-			Origin: binary.BigEndian.Uint64(e[0:8]),
-			MaxSeq: binary.BigEndian.Uint64(e[8:16]),
-		})
-	}
-	if hdr, err = take(2); err != nil {
-		return nil, err
-	}
-	no := int(binary.BigEndian.Uint16(hdr))
-	for i := 0; i < no; i++ {
-		e, err := take(opSize)
-		if err != nil {
-			return nil, err
-		}
-		m.Ops = append(m.Ops, originOp{
-			Origin: binary.BigEndian.Uint64(e[0:8]),
-			Op: filter.Mutation{
-				Seq:     binary.BigEndian.Uint64(e[8:16]),
-				Stamp:   binary.BigEndian.Uint64(e[16:24]),
-				Node:    topology.NodeID(int64(binary.BigEndian.Uint64(e[24:32]))),
-				Until:   int64(binary.BigEndian.Uint64(e[32:40])),
-				Victim:  topology.NodeID(int64(binary.BigEndian.Uint64(e[40:48]))),
-				Unblock: e[48]&1 != 0,
-			},
-		})
-	}
-	if hdr, err = take(2); err != nil {
-		return nil, err
-	}
-	nr := int(binary.BigEndian.Uint16(hdr))
-	for i := 0; i < nr; i++ {
-		snap, id, rest, err := parseSnapshot(p, ver)
-		if err != nil {
-			return nil, err
-		}
-		p = rest
-		if id != 0 {
-			m.Handoffs = append(m.Handoffs, handoff{snap, id})
-		} else {
+		// Only v4+ carries handoff ids; an older sender's bit 2 means nothing.
+		if ver < gossipVersion || fl&flagHandoff == 0 {
 			m.Replicas = append(m.Replicas, snap)
+			continue
 		}
-	}
-	takeStr := func() (string, error) {
-		h, err := take(2)
-		if err != nil {
-			return "", err
+		h := handoff{snap, r.uint(8)}
+		if h.ID == 0 && r.err == nil {
+			r.err = errors.New("cluster: gossip handoff without an id")
 		}
-		s, err := take(int(binary.BigEndian.Uint16(h)))
-		if err != nil {
-			return "", err
-		}
-		return string(s), nil
+		m.Handoffs = append(m.Handoffs, h)
 	}
-	if m.SenderAddr, err = takeStr(); err != nil {
-		return nil, err
-	}
-	if hdr, err = take(2); err != nil {
-		return nil, err
-	}
-	nm := int(binary.BigEndian.Uint16(hdr))
-	for i := 0; i < nm; i++ {
-		addr, err := takeStr()
-		if err != nil {
-			return nil, err
-		}
-		m.Roster = append(m.Roster, addr)
+	m.SenderAddr = r.str()
+	for i := r.uint(2); i > 0 && r.err == nil; i-- {
+		m.Roster = append(m.Roster, r.str())
 	}
 	if ver >= gossipVersionV3 {
-		if m.SenderAdmin, err = takeStr(); err != nil {
-			return nil, err
-		}
+		m.SenderAdmin = r.str()
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing gossip bytes", len(p))
+	if r.err == nil && len(r.p) != 0 {
+		r.err = fmt.Errorf("cluster: %d trailing gossip bytes", len(r.p))
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return m, nil
 }

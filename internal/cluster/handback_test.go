@@ -21,7 +21,7 @@ func TestRecomputeMembershipEqualSizeSwap(t *testing.T) {
 	addrs := []string{"10.6.0.1:1", "10.6.0.2:1", "10.6.0.3:1"}
 	n, _ := newTestNode(t, addrs[0], []string{addrs[1]}, &now)
 
-	if got := n.Ring().Size(); got != 2 {
+	if got := n.ring.Load().Size(); got != 2 {
 		t.Fatalf("initial ring size %d, want 2", got)
 	}
 	// A third member joins and is heard from at t=0.9s, while the
@@ -36,7 +36,7 @@ func TestRecomputeMembershipEqualSizeSwap(t *testing.T) {
 	now.Store(int64(1500 * time.Millisecond))
 	n.recomputeMembership()
 
-	ring := n.Ring()
+	ring := n.ring.Load()
 	if ring.Version() != 2 {
 		t.Fatalf("ring version %d, want 2 (equal-size membership swap must rebuild)", ring.Version())
 	}
@@ -89,24 +89,24 @@ func TestRuntimeJoinLearnsRoster(t *testing.T) {
 	// it directly, and then both converge on the same three-member ring
 	// at their next sweep.
 	j.recomputeMembership()
-	if got := j.Ring().Size(); got != 2 {
+	if got := j.ring.Load().Size(); got != 2 {
 		t.Fatalf("joiner's ring holds %d members on the roster's word alone, want 2", got)
 	}
 	exchange(t, b, j)
 	a.recomputeMembership()
 	j.recomputeMembership()
-	if got, want := a.Ring().Members(), j.Ring().Members(); !reflect.DeepEqual(got, want) {
+	if got, want := a.ring.Load().Members(), j.ring.Load().Members(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rings diverge after join: a=%v j=%v", got, want)
 	}
-	if got := j.Ring().Size(); got != 3 {
+	if got := j.ring.Load().Size(); got != 3 {
 		t.Fatalf("joined ring size %d, want 3", got)
 	}
 
 	// Determinism: the joined ring partitions victims identically on
 	// both instances (same pure function of the alive set).
 	for v := topology.NodeID(0); v < 64; v++ {
-		if a.Ring().Owner(v) != j.Ring().Owner(v) {
-			t.Fatalf("victim %d owner differs: a=%x j=%x", v, a.Ring().Owner(v), j.Ring().Owner(v))
+		if a.ring.Load().Owner(v) != j.ring.Load().Owner(v) {
+			t.Fatalf("victim %d owner differs: a=%x j=%x", v, a.ring.Load().Owner(v), j.ring.Load().Owner(v))
 		}
 	}
 }
@@ -182,16 +182,16 @@ func TestRosterDoesNotVouch(t *testing.T) {
 			t.Fatalf("roster entry %s not learned", addr)
 		}
 	}
-	before := n.Ring().Members()
+	before := n.ring.Load().Members()
 	n.recomputeMembership()
-	if got := n.Ring().Members(); !reflect.DeepEqual(got, before) {
+	if got := n.ring.Load().Members(); !reflect.DeepEqual(got, before) {
 		t.Fatalf("a roster alone moved the ring from %x to %x", before, got)
 	}
 
 	c, _ := newTestNode(t, unknown[0], addrs, &now)
 	exchange(t, c, n)
 	n.recomputeMembership()
-	if got, want := n.Ring().Members(), sortedIDs(n.self, MemberID(addrs[1]), c.self); !reflect.DeepEqual(got, want) {
+	if got, want := n.ring.Load().Members(), sortedIDs(n.self, MemberID(addrs[1]), c.self); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ring %x after one exchange with %s, want %x", got, unknown[0], want)
 	}
 }
@@ -231,7 +231,7 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 	now.Store(1)
 	addrs := []string{"10.9.1.1:1", "10.9.1.2:1", "10.9.1.3:1"}
 	n, p := newTestNode(t, addrs[0], []string{addrs[1]}, &now)
-	ring := n.Ring()
+	ring := n.ring.Load()
 	joined := NewRing(2, sortedIDs(n.self, MemberID(addrs[1]), MemberID(addrs[2])), n.cfg.VNodes)
 	victim := victimWhere(t, func(v topology.NodeID) bool {
 		return ring.Owner(v) == n.self && joined.Owner(v) == MemberID(addrs[2])
@@ -258,7 +258,7 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 	}
 	joiner.lastHeard.Store(now.Load())
 	n.recomputeMembership()
-	if got := n.Ring().Version(); got != 2 {
+	if got := n.ring.Load().Version(); got != 2 {
 		t.Fatalf("ring version %d, want 2", got)
 	}
 	waitOutbox(t, n, 1)
@@ -278,8 +278,8 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 	now.Add(int64(2 * time.Second))
 	n.members.Load().byID[MemberID(addrs[1])].lastHeard.Store(now.Load())
 	n.recomputeMembership()
-	if n.Ring().Has(MemberID(addrs[2])) || n.Ring().Owner(victim) != n.self {
-		t.Fatalf("ring %v still gives the victim away", n.Ring().Members())
+	if n.ring.Load().Has(MemberID(addrs[2])) || n.ring.Load().Owner(victim) != n.self {
+		t.Fatalf("ring %v still gives the victim away", n.ring.Load().Members())
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		got, ok := p.ExportVictim(victim)
@@ -308,7 +308,7 @@ func handoffPair(t *testing.T, pcfg pipeline.Config) (shipper, recv *Node, precv
 	addrs := []string{"10.9.2.1:1", "10.9.2.2:1"}
 	shipper, _ = newTestNodeOn(t, pcfg, addrs[0], []string{addrs[1]}, &now)
 	recv, precv = newTestNodeOn(t, pcfg, addrs[1], []string{addrs[0]}, &now)
-	victim := victimWhere(t, func(v topology.NodeID) bool { return recv.Ring().Owner(v) == recv.self })
+	victim := victimWhere(t, func(v topology.NodeID) bool { return recv.ring.Load().Owner(v) == recv.self })
 	snap = pipeline.VictimSnapshot{
 		Victim: victim, Alarmed: true, Undecodable: 4,
 		Sources: []pipeline.SourceCount{{Node: 3, Count: 120}},
@@ -391,7 +391,7 @@ func TestHandoffAfterHandoffAdds(t *testing.T) {
 	addrs := []string{"10.9.3.1:1", "10.9.3.2:1"}
 	a, pa := newTestNode(t, addrs[0], addrs[1:], &now)
 	b, pb := newTestNode(t, addrs[1], addrs[:1], &now)
-	victim := victimWhere(t, func(v topology.NodeID) bool { return b.Ring().Owner(v) == b.self })
+	victim := victimWhere(t, func(v topology.NodeID) bool { return b.ring.Load().Owner(v) == b.self })
 	forwardedIn := func(k int) {
 		s := pa.GetSlab()
 		for i := 0; i < k; i++ {
@@ -449,7 +449,7 @@ func TestTakeoverAfterPassingAHandoffOn(t *testing.T) {
 	addrs := []string{"10.9.6.1:1", "10.9.6.2:1", "10.9.6.3:1"}
 	b, pb := newTestNode(t, addrs[1], []string{addrs[0], addrs[2]}, &now)
 	owner := MemberID(addrs[2])
-	ring := b.Ring()
+	ring := b.ring.Load()
 	victim := victimWhere(t, func(v topology.NodeID) bool {
 		return ring.Owner(v) == owner && ring.Successor(v) == b.self
 	})
@@ -472,7 +472,7 @@ func TestTakeoverAfterPassingAHandoffOn(t *testing.T) {
 	now.Add(int64(2 * time.Second))
 	b.members.Load().byID[MemberID(addrs[0])].lastHeard.Store(now.Load())
 	b.recomputeMembership()
-	if got := b.Ring().Owner(victim); got != b.self {
+	if got := b.ring.Load().Owner(victim); got != b.self {
 		t.Fatalf("owner %x after the owner's death, want the successor", got)
 	}
 	waitTallied(t, pb, victim, 45)
@@ -522,7 +522,7 @@ func TestTombstoneAndHandoffBothDelivered(t *testing.T) {
 	a, _ := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, &now)
 	b, pb := newTestNode(t, addrs[1], []string{addrs[0], addrs[2]}, &now)
 	c, _ := newTestNode(t, addrs[2], []string{addrs[0], addrs[1]}, &now)
-	ring := a.Ring()
+	ring := a.ring.Load()
 	victim := victimWhere(t, func(v topology.NodeID) bool {
 		return ring.Owner(v) == b.self && ring.Successor(v) == c.self
 	})
@@ -558,7 +558,7 @@ func TestHandoffOversizeFiledLocally(t *testing.T) {
 	addrs := []string{"10.9.5.1:1", "10.9.5.2:1", "10.9.5.3:1"}
 	cube := topology.NewHypercube(16)
 	n, p := newTestNodeOn(t, pipeline.Config{Net: cube, Shards: 2, QueueLen: 1 << 12}, addrs[0], []string{addrs[1]}, &now)
-	ring := n.Ring()
+	ring := n.ring.Load()
 	joiner := MemberID(addrs[2])
 	joined := NewRing(2, sortedIDs(n.self, MemberID(addrs[1]), joiner), n.cfg.VNodes)
 	big, small := topology.NodeID(-1), topology.NodeID(-1)
@@ -649,7 +649,7 @@ func TestRouteSketchGate(t *testing.T) {
 		SketchAdmit: admit, FailAfter: time.Second, Now: now.Load,
 	})
 
-	ring := n.Ring()
+	ring := n.ring.Load()
 	peerID := MemberID(addrs[1])
 	hot := topology.NodeID(-1)
 	for v := topology.NodeID(0); v < 64; v++ {
@@ -713,12 +713,12 @@ func TestRouteSketchGate(t *testing.T) {
 	// re-partition they were earned under.
 	now.Store(int64(2 * time.Second))
 	n.recomputeMembership() // peer silent past FailAfter: ring shrinks to self
-	if got := n.Ring().Size(); got != 1 {
+	if got := n.ring.Load().Size(); got != 1 {
 		t.Fatalf("ring size %d, want 1", got)
 	}
 	// Single-member rings bypass the gate entirely (everything local);
 	// verify directly that a fresh ring version clears admissions.
-	if pass, _, _, _ := n.gate.filter(n.Ring().Version(), wire.Record{Victim: hot}); pass {
+	if pass, _, _, _ := n.gate.filter(n.ring.Load().Version(), wire.Record{Victim: hot}); pass {
 		t.Fatal("admission survived a ring-version change")
 	}
 	if got := n.gate.admittedCount(); got != 0 {
@@ -738,7 +738,7 @@ func TestRouteReplayLongerThanSlab(t *testing.T) {
 		Self: "10.9.4.1:1", Peers: []string{peerAddr},
 		SketchAdmit: admit, FailAfter: time.Hour, Now: now.Load,
 	})
-	hot := victimWhere(t, func(v topology.NodeID) bool { return n.Ring().Owner(v) == MemberID(peerAddr) })
+	hot := victimWhere(t, func(v topology.NodeID) bool { return n.ring.Load().Owner(v) == MemberID(peerAddr) })
 	routed := 0
 	for sent := 0; sent < admit; {
 		s := p.GetSlab()

@@ -139,7 +139,7 @@ func (clockFree) SetWriteDeadline(time.Time) error { return nil }
 
 // fwdPeer is the tests' one forward-session server. It answers a
 // forwarding client's hello, echoing the trace flag only when trace is
-// set, acks each forwarded frame by its stream's cumulative count —
+// set, acks forwarded frames by their stream's cumulative count —
 // dropping records an earlier connection already delivered, as the
 // daemon's session dedup does — and hands the fresh records to node's
 // pipeline, as the daemon's forwarded ingest does, or, with no node,
@@ -180,6 +180,19 @@ func (f *fwdPeer) serve(conn net.Conn, rd *wire.Reader, hello []byte) {
 	if _, err := conn.Write(wire.AppendAck(nil, count, flags&echo)); err != nil {
 		return
 	}
+	// Acks go out from their own goroutine, coalesced to the latest
+	// count: the pipe holds no bytes in flight, so an inline ack would
+	// block this loop until the client reads it, while a client with a
+	// window open is writing its next frame.
+	acks := make(chan uint64, 1)
+	defer close(acks)
+	go func() {
+		for c := range acks {
+			if _, err := conn.Write(wire.AppendAck(nil, c, 0)); err != nil {
+				return
+			}
+		}
+	}()
 	pool := wire.NewSlabPool(1)
 	for {
 		ftype, payload, err := rd.ReadFrame()
@@ -222,9 +235,11 @@ func (f *fwdPeer) serve(conn net.Conn, rd *wire.Reader, hello []byte) {
 		} else {
 			s.Release()
 		}
-		if _, err := conn.Write(wire.AppendAck(nil, count, 0)); err != nil {
-			return
+		select {
+		case <-acks: // superseded by count
+		default:
 		}
+		acks <- count
 	}
 }
 

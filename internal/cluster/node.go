@@ -832,6 +832,13 @@ func (n *Node) HandleGossip(reqBody []byte) ([]byte, error) {
 // own version and, once known, the receiver's as the sender holds it.
 const maxDigest = 2
 
+// maxRosterBytes caps a message's roster entries. They are addresses
+// other members advertised, which anyone reaching the ingest port can
+// choose, so without a cap one sender with a near-frame-sized address,
+// or a few hundred long ones, would grow every message past one frame
+// and panic its framing.
+const maxRosterBytes = wire.MaxGossipBody / 4
+
 // headLocked builds what every gossip message carries besides the
 // digest, ops and victim state — identity and roster — and the budget
 // left after it and a full digest. Caller holds n.mu.
@@ -839,10 +846,13 @@ func (n *Node) headLocked() (*gossipMsg, gossipBudget) {
 	now := n.cfg.Now()
 	m := &gossipMsg{Sender: n.self, RingVer: n.ring.Load().Version(), SenderAddr: n.cfg.Self, SenderAdmin: loadAddr(&n.adminAddr)}
 	// The roster carries every peer we currently believe alive, so a
-	// joiner that knows one member learns the rest in one exchange.
+	// joiner that knows one member learns the rest in one exchange; an
+	// address past what is left of maxRosterBytes is skipped.
+	left := maxRosterBytes
 	for _, other := range n.members.Load().list {
-		if now-other.lastHeard.Load() <= int64(n.cfg.FailAfter) {
+		if now-other.lastHeard.Load() <= int64(n.cfg.FailAfter) && 2+len(other.addr) <= left {
 			m.Roster = append(m.Roster, other.addr)
+			left -= 2 + len(other.addr)
 		}
 	}
 	return m, newGossipBudget(maxDigest, rosterBytes(m.SenderAddr, m.SenderAdmin, m.Roster))
@@ -1336,6 +1346,3 @@ func loadAddr(p *atomic.Pointer[string]) string {
 	}
 	return ""
 }
-
-// Ring exposes the current ring (tests, status rendering).
-func (n *Node) Ring() *Ring { return n.ring.Load() }

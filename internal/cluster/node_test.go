@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,6 +116,43 @@ func TestGossipBlocklistConvergence(t *testing.T) {
 	}
 }
 
+// TestGossipAnswersFitAFrame: roster entries are addresses senders
+// advertised, so no sender can grow a member's gossip past one frame —
+// neither one whose address nearly fills a request by itself, nor three
+// hundred with 250-byte addresses. After each request the answer and a
+// request built for the sender both fit, and the address that does not
+// fit leaves the ordinary one on the roster.
+func TestGossipAnswersFitAFrame(t *testing.T) {
+	var now atomic.Int64
+	now.Store(int64(time.Second))
+	const self, plain = "10.9.1.1:1", "10.9.1.2:1"
+	n, _ := newTestNode(t, self, nil, &now)
+	ask := func(addr string) *gossipMsg {
+		t.Helper()
+		resp, err := n.HandleGossip(appendGossipMsg(nil, &gossipMsg{Sender: MemberID(addr), SenderAddr: addr}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := appendGossipMsg(nil, n.buildMsg(n.members.Load().byID[MemberID(addr)], nil))
+		if len(resp) > wire.MaxGossipBody || len(req) > wire.MaxGossipBody {
+			t.Fatalf("after a %d-byte address: answer %d bytes, request %d, over the %d a frame carries",
+				len(addr), len(resp), len(req), wire.MaxGossipBody)
+		}
+		m, err := parseGossipMsg(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	ask(plain)
+	if m := ask(strings.Repeat("a", 65490)); !slices.Equal(m.Roster, []string{plain}) {
+		t.Fatalf("roster %q, want the ordinary address %s alone", m.Roster, plain)
+	}
+	for i := 0; i < 300; i++ {
+		ask(fmt.Sprintf("%03d", i) + strings.Repeat("b", 247))
+	}
+}
+
 // TestRouteSplitsByOwnership: Route keeps owned records (processing
 // them locally) and queues the rest for their owners, consuming the
 // slab either way.
@@ -121,7 +161,7 @@ func TestRouteSplitsByOwnership(t *testing.T) {
 	addrs := []string{"10.1.0.1:1", "10.1.0.2:1", "10.1.0.3:1"}
 	n, p := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, &now)
 
-	ring := n.Ring()
+	ring := n.ring.Load()
 	if ring.Size() != 3 {
 		t.Fatalf("ring size %d", ring.Size())
 	}
@@ -166,7 +206,7 @@ func TestReplicaSeedOnTakeover(t *testing.T) {
 	n, p := newTestNode(t, addrs[0], []string{addrs[1]}, &now)
 
 	peerID := MemberID(addrs[1])
-	ring := n.Ring()
+	ring := n.ring.Load()
 	victim := topology.NodeID(-1)
 	for v := topology.NodeID(0); v < 64; v++ {
 		if ring.Owner(v) == peerID {
@@ -196,10 +236,10 @@ func TestReplicaSeedOnTakeover(t *testing.T) {
 	// stored replica seeds.
 	now.Store(int64(2 * time.Second))
 	n.recomputeMembership()
-	if got := n.Ring().Size(); got != 1 {
+	if got := n.ring.Load().Size(); got != 1 {
 		t.Fatalf("ring still has %d members after death", got)
 	}
-	if got := n.Ring().Version(); got != 2 {
+	if got := n.ring.Load().Version(); got != 2 {
 		t.Fatalf("ring version %d, want 2", got)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -240,7 +280,7 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 	b, pb := newTestNode(t, addrs[1], []string{addrs[0]}, &now)
 
 	// Pick a victim a owns; on a two-node ring b is its successor.
-	ring := a.Ring()
+	ring := a.ring.Load()
 	victim := topology.NodeID(-1)
 	for v := topology.NodeID(0); v < 64; v++ {
 		if ring.Owner(v) == a.self {
@@ -258,7 +298,7 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 		Sources: []pipeline.SourceCount{{Node: 4, Count: 500}},
 	}
 	b.mu.Lock()
-	b.storeReplicaLocked(b.Ring(), snap, 0)
+	b.storeReplicaLocked(b.ring.Load(), snap, 0)
 	b.mu.Unlock()
 
 	// a's TTL sweep retires the victim (the pipeline hook is wired to
@@ -288,7 +328,7 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 	// a dies; b's takeover must drop the tombstone, not seed it.
 	now.Store(int64(2 * time.Second))
 	b.recomputeMembership()
-	if got := b.Ring().Size(); got != 1 {
+	if got := b.ring.Load().Size(); got != 1 {
 		t.Fatalf("ring still has %d members after death", got)
 	}
 	time.Sleep(10 * time.Millisecond) // let any (wrong) async seed surface
@@ -308,7 +348,7 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 	// Retirement is not a curse: a fresh replica for the same victim —
 	// b now owns it — seeds immediately.
 	b.mu.Lock()
-	b.storeReplicaLocked(b.Ring(), snap, 0)
+	b.storeReplicaLocked(b.ring.Load(), snap, 0)
 	b.mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -328,15 +368,15 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 	// d is back, or d keeps its stale replica for a later takeover.
 	c, _ := newTestNode(t, "10.5.0.3:1", []string{"10.5.0.4:1"}, &now)
 	d, _ := newTestNode(t, "10.5.0.4:1", []string{"10.5.0.3:1"}, &now)
-	ring = c.Ring()
+	ring = c.ring.Load()
 	victim = victimWhere(t, func(v topology.NodeID) bool { return ring.Owner(v) == c.self })
 	snap.Victim = victim
 	d.mu.Lock()
-	d.storeReplicaLocked(d.Ring(), snap, 0)
+	d.storeReplicaLocked(d.ring.Load(), snap, 0)
 	d.mu.Unlock()
 	now.Add(int64(2 * time.Second))
 	c.recomputeMembership()
-	if got := c.Ring().Size(); got != 1 {
+	if got := c.ring.Load().Size(); got != 1 {
 		t.Fatalf("c's ring has %d members, want c alone", got)
 	}
 	c.noteRetired(pipeline.VictimSnapshot{Victim: victim, Expired: true})
@@ -347,8 +387,8 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 	}
 	exchange(t, c, d) // d is heard again (c answers it as the server)
 	c.recomputeMembership()
-	if !c.Ring().Has(d.self) || c.Ring().Successor(victim) != d.self {
-		t.Fatalf("c's ring %v does not make d the victim's successor", c.Ring().Members())
+	if !c.ring.Load().Has(d.self) || c.ring.Load().Successor(victim) != d.self {
+		t.Fatalf("c's ring %v does not make d the victim's successor", c.ring.Load().Members())
 	}
 	exchange(t, d, c)
 	d.mu.Lock()
@@ -443,7 +483,7 @@ func TestGossipBuildRacesVictimExpiry(t *testing.T) {
 		t.Fatal("no victim ever expired; the hook never ran")
 	}
 	for v := topology.NodeID(0); v < victims; v++ {
-		if a.Ring().Owner(v) != a.self {
+		if a.ring.Load().Owner(v) != a.self {
 			continue
 		}
 		b.mu.Lock()
@@ -463,7 +503,7 @@ func TestReplicaShippedToSuccessor(t *testing.T) {
 	addrs := []string{"10.3.0.1:1", "10.3.0.2:1", "10.3.0.3:1"}
 	n, p := newTestNode(t, addrs[0], []string{addrs[1], addrs[2]}, &now)
 
-	ring := n.Ring()
+	ring := n.ring.Load()
 	victim := topology.NodeID(-1)
 	for v := topology.NodeID(0); v < 64; v++ {
 		if ring.Owner(v) == n.self {
@@ -537,7 +577,7 @@ func TestForwardSlabsReturnToPool(t *testing.T) {
 	netFor(t).up(live, fwd)
 	n, p := newTestNode(t, "10.6.0.1:1", []string{live, dead}, &now)
 	liveID, deadID := MemberID(live), MemberID(dead)
-	ring := n.Ring()
+	ring := n.ring.Load()
 	liveVs, deadVs := ownedBy(ring, liveID), ownedBy(ring, deadID)
 	if len(liveVs) == 0 || len(deadVs) == 0 {
 		t.Fatal("ring left a peer without victims")
@@ -607,10 +647,11 @@ func TestForwardLedgerBalances(t *testing.T) {
 	now.Store(int64(time.Second))
 	const live, full, down = "10.6.2.2:1", "10.6.2.3:1", "10.6.2.4:1"
 	m := netFor(t)
-	m.up(live, &fwdPeer{trace: true})
+	liveSrv := &fwdPeer{trace: true}
+	m.up(live, liveSrv)
 	m.up(full, &fwdPeer{trace: true})
 	n, p := newTestNode(t, "10.6.2.1:1", []string{live, full, down}, &now)
-	ring := n.Ring()
+	ring := n.ring.Load()
 	var routed uint64
 	route := func(addr string, slabs, k int) *peer {
 		t.Helper()
@@ -625,10 +666,13 @@ func TestForwardLedgerBalances(t *testing.T) {
 		return n.members.Load().byID[MemberID(addr)]
 	}
 
-	// The memNet pipe holds no bytes in flight, so each live session
-	// gets at most one frame's worth per step.
-	if err := n.forwardStep(route(live, 8, 64), nil); err != nil {
+	// A full queue in one step: the client ships many frames before it
+	// reads an ack.
+	if err := n.forwardStep(route(live, forwardQueue, 64), nil); err != nil {
 		t.Fatal(err)
+	}
+	if got := liveSrv.received(); got != forwardQueue*64 {
+		t.Fatalf("the live peer received %d records, want %d", got, forwardQueue*64)
 	}
 	// Nothing steps the full peer until its queue has shed two batches.
 	if err := n.forwardStep(route(full, forwardQueue+2, 1), nil); err != nil {
@@ -675,7 +719,7 @@ func TestForwardStepStopsAtADownPeer(t *testing.T) {
 		Self: "10.6.1.1:1", Peers: []string{dead}, FailAfter: time.Second, Now: now.Load,
 		Dial: func(addr string) (net.Conn, error) { dials.Add(1); return m.dial(addr) },
 	})
-	victim := victimWhere(t, func(v topology.NodeID) bool { return n.Ring().Owner(v) == MemberID(dead) })
+	victim := victimWhere(t, func(v topology.NodeID) bool { return n.ring.Load().Owner(v) == MemberID(dead) })
 	pr := n.members.Load().byID[MemberID(dead)]
 	const perSlab = 64
 	route := func() {

@@ -30,7 +30,7 @@ func TestStatusForwardSessionLag(t *testing.T) {
 
 	// Route a slab: records for peer-owned victims land in the peers'
 	// forward queues, counted per peer as queued.
-	ring := a.Ring()
+	ring := a.ring.Load()
 	s := pa.GetSlab()
 	wantQueued := map[uint64]uint64{}
 	for i := 0; i < 256; i++ {
@@ -162,7 +162,7 @@ func TestForwardTraceDowngradeInterop(t *testing.T) {
 
 	// Traced records for peer-owned victims only, so everything in the
 	// slab crosses the downgraded forward session.
-	ring := n.Ring()
+	ring := n.ring.Load()
 	peerID := MemberID(peerAddr)
 	s := p.GetSlab()
 	sent := 0

@@ -215,8 +215,8 @@ func FuzzRouteMatchesPerRecord(f *testing.F) {
 		now.Store(1)
 		memo, mj, mbuf := newRouteTwin(t, int(admit%6)+2, &now)
 		ref, rj, rbuf := newRouteTwin(t, int(admit%6)+2, &now)
-		members := memo.Ring().Members()
-		ring := memo.Ring()
+		members := memo.ring.Load().Members()
+		ring := memo.ring.Load()
 		var pending []wire.TracedRecord
 		route := func() {
 			build := func(n *Node) *wire.Slab {
@@ -314,7 +314,7 @@ func TestRouteGateSuppressesOutOfFabric(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1)
 	n, _, _ := newRouteTwin(t, admit, &now)
-	ring := n.Ring()
+	ring := n.ring.Load()
 	var outside []topology.NodeID
 	for _, v := range []topology.NodeID{-1, -2, -(1 << 40), 64, 65, 1 << 20} {
 		if ring.Owner(v) != n.self {
@@ -389,7 +389,7 @@ func TestRouteConcurrentRingChange(t *testing.T) {
 			n.forwardStep(pr, nil)
 		}
 	}
-	members := n.Ring().Members()
+	members := n.ring.Load().Members()
 	const sessions, calls, perSlab = 2, 200, 64
 	var (
 		offered, accepted atomic.Uint64
@@ -398,7 +398,7 @@ func TestRouteConcurrentRingChange(t *testing.T) {
 		installed         = make(chan uint64)
 	)
 	go func() {
-		ver := n.Ring().Version()
+		ver := n.ring.Load().Version()
 		for {
 			select {
 			case <-stop:

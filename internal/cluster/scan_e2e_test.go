@@ -95,7 +95,7 @@ func TestClusterScanSuppression(t *testing.T) {
 		defer d.Shutdown(context.Background())
 	}
 
-	ring := nodes[0].Ring()
+	ring := nodes[0].ring.Load()
 	// The hot destination: an in-fabric victim daemon 0 does NOT own,
 	// kept out of the scan so its admission accounting stays exact.
 	hot := topology.NodeID(-1)
@@ -159,7 +159,7 @@ func TestClusterScanSuppression(t *testing.T) {
 
 	// Routing is inline with the session, so after the final ack the
 	// verdict is in: the scan must not have earned a single forward.
-	if got := nodes[0].Ring().Version(); got != 1 {
+	if got := nodes[0].ring.Load().Version(); got != 1 {
 		t.Fatalf("ring flapped to v%d mid-scan", got)
 	}
 	admitted := uint64(nodes[0].gate.admittedCount())
