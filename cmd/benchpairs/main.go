@@ -4,6 +4,9 @@
 // first, and reports per end-to-end metric how often the tree won, both
 // medians and the base's own run-to-run spread (the distance between
 // its quartiles). A shift inside that spread is unresolved, not a gain.
+// Each run's ack_p50_us and block_lag_p50_us, read off the bench's
+// "ungated:" line, follow its result line, and each side's medians
+// follow the table; the verdict never reads them.
 // Several workloads (a comma-separated list, or "all" for every one
 // BENCHMARK.json declares) run one after the other, never two at once,
 // and the report ends with the PR driver's acceptance rule applied
@@ -115,13 +118,14 @@ func run(base, workload string, n, seed int) error {
 func pairs(baseDir, base, workload string, n, seed int, metrics []metric) ([]string, error) {
 	dirs := map[string]string{"base": baseDir, "tree": "."}
 	runs := map[string][]contract{}
+	acks, lags := map[string][]float64{}, map[string][]float64{} // ungated medians per run
 	for i := 0; i < n; i++ {
 		order := []string{"tree", "base"}
 		if i%2 == 1 {
 			order = []string{"base", "tree"}
 		}
 		for _, side := range order {
-			line, err := benchOnce(dirs[side], workload, seed)
+			line, u, err := benchOnce(dirs[side], workload, seed)
 			if err != nil {
 				return nil, fmt.Errorf("%s pair %d, %s: %w", workload, i+1, side, err)
 			}
@@ -131,6 +135,11 @@ func pairs(baseDir, base, workload string, n, seed int, metrics []metric) ([]str
 				return nil, fmt.Errorf("%s pair %d, %s: result line: %w", workload, i+1, side, err)
 			}
 			runs[side] = append(runs[side], c)
+			if u != nil {
+				fmt.Printf("%s pair %d %s ungated, not in the verdict: ack_p50_us %.3f, block_lag_p50_us %.3f\n",
+					workload, i+1, side, u[0], u[1])
+				acks[side], lags[side] = append(acks[side], u[0]), append(lags[side], u[1])
+			}
 		}
 	}
 
@@ -144,6 +153,12 @@ func pairs(baseDir, base, workload string, n, seed int, metrics []metric) ([]str
 	for _, side := range []string{"base", "tree"} {
 		failed, incorrect, _ := failures(runs[side])
 		fmt.Printf("%s: %d failed operations, %d runs failed the correctness gate\n", side, failed, incorrect)
+	}
+	for _, side := range []string{"base", "tree"} {
+		if len(acks[side]) != 0 {
+			fmt.Printf("%s ungated, not in the verdict: median ack_p50_us %.3f, block_lag_p50_us %.3f (%d runs)\n",
+				side, median(acks[side]), median(lags[side]), len(acks[side]))
+		}
 	}
 	return verdict(workload, runs["base"], runs["tree"], metrics), nil
 }
@@ -229,9 +244,10 @@ func unpack(ref, dir string) error {
 }
 
 // benchOnce runs one workload the way the PR driver does and returns
-// the contract line. A failed correctness gate exits non-zero but still
+// the contract line and the ungated latency medians (nil when the
+// output has none). A failed correctness gate exits non-zero but still
 // prints the line; that run is reported, not hidden.
-func benchOnce(dir, workload string, seed int) (string, error) {
+func benchOnce(dir, workload string, seed int) (string, []float64, error) {
 	cmd := exec.Command("bash", "bench/run.sh", "--workload", workload,
 		"--seed", fmt.Sprint(seed), "--seconds", "10", "--trace", "0")
 	cmd.Dir = dir
@@ -240,9 +256,28 @@ func benchOnce(dir, workload string, seed int) (string, error) {
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
 	last := lines[len(lines)-1]
 	if !strings.HasPrefix(last, "{") {
-		return "", fmt.Errorf("no result line (%v)", err)
+		return "", nil, fmt.Errorf("no result line (%v)", err)
 	}
-	return last, nil
+	return last, parseUngated(lines), nil
+}
+
+// parseUngated reads ack_p50_us and block_lag_p50_us off the bench's
+// "ungated:" line, which the contract line does not carry; nil when no
+// line parses.
+func parseUngated(lines []string) []float64 {
+	for _, line := range lines {
+		var ack, lag float64
+		if _, err := fmt.Sscanf(strings.TrimSpace(line), "ungated: ack_p50_us %f, block_lag_p50_us %f;", &ack, &lag); err == nil {
+			return []float64{ack, lag}
+		}
+	}
+	return nil
+}
+
+// median is the middle of xs, interpolated; it sorts xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return quantile(xs, 0.5)
 }
 
 // quantile interpolates linearly on sorted xs.

@@ -56,3 +56,23 @@ func TestVerdict(t *testing.T) {
 		}
 	}
 }
+
+// TestParseUngated reads the latency medians off the bench's text
+// output, which the contract line does not carry, and reports none when
+// the line is absent.
+func TestParseUngated(t *testing.T) {
+	out := strings.Split(`frames_small  seed 1  stream fnv64a 851481677fee0d52  (end to end, benchmark tracing off)
+  cpu_ns_per_rec                               216.1460 ns
+  ungated: ack_p50_us 0.496, block_lag_p50_us 360.713; over the whole phase 8699304 rec/s, 224.8 CPU ns/rec, process CPU / (wall x cores) 0.98
+  correctness gate: pass (attempted 87389136, failed 0)
+{"attempted":87389136,"correct":true,"failed":0,"metrics":{}}`, "\n")
+	if got := parseUngated(out); len(got) != 2 || got[0] != 0.496 || got[1] != 360.713 {
+		t.Errorf("parseUngated = %v, want [0.496 360.713]", got)
+	}
+	if got := parseUngated(out[3:]); got != nil {
+		t.Errorf("parseUngated without the line = %v, want nil", got)
+	}
+	if got := median([]float64{3, 1, 2, 10}); got != 2.5 {
+		t.Errorf("median = %v, want 2.5", got)
+	}
+}

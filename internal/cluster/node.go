@@ -333,14 +333,14 @@ func (n *Node) Close() {
 // addPeer registers a member learned at runtime (a gossip roster entry
 // or a previously unknown authenticated sender) and, on a started
 // node, starts its forwarder. Returns the existing peer when the
-// address is already known, nil for self, an empty address or when the
-// node is closing. The new member enters the ring at the first
-// membership sweep after this node hears from it directly — a
-// completed exchange with it, or an authenticated request from it: a
-// roster names members, it does not vouch for them.
+// address is already known, nil for self, an empty address, one longer
+// than maxAddrLen or when the node is closing. The new member enters
+// the ring at the first membership sweep after this node hears from it
+// directly — a completed exchange with it, or an authenticated request
+// from it: a roster names members, it does not vouch for them.
 func (n *Node) addPeer(addr string) *peer {
 	id := MemberID(addr)
-	if id == n.self || addr == n.cfg.Self || addr == "" {
+	if id == n.self || addr == n.cfg.Self || addr == "" || len(addr) > maxAddrLen {
 		return nil
 	}
 	n.mu.Lock()
@@ -839,6 +839,10 @@ const maxDigest = 2
 // and panic its framing.
 const maxRosterBytes = wire.MaxGossipBody / 4
 
+// maxAddrLen bounds an address a member may advertise: a DNS name (253
+// bytes) plus ":" and a five-digit port.
+const maxAddrLen = 253 + 6
+
 // headLocked builds what every gossip message carries besides the
 // digest, ops and victim state — identity and roster — and the budget
 // left after it and a full digest. Caller holds n.mu.
@@ -846,10 +850,14 @@ func (n *Node) headLocked() (*gossipMsg, gossipBudget) {
 	now := n.cfg.Now()
 	m := &gossipMsg{Sender: n.self, RingVer: n.ring.Load().Version(), SenderAddr: n.cfg.Self, SenderAdmin: loadAddr(&n.adminAddr)}
 	// The roster carries every peer we currently believe alive, so a
-	// joiner that knows one member learns the rest in one exchange; an
-	// address past what is left of maxRosterBytes is skipped.
+	// joiner that knows one member learns the rest in one exchange. It
+	// fills shortest address first, ties by id, and an address past what
+	// is left of maxRosterBytes is skipped: a crowd of long advertised
+	// addresses cannot push an ordinary member off.
 	left := maxRosterBytes
-	for _, other := range n.members.Load().list {
+	peers := slices.Clone(n.members.Load().list)
+	slices.SortStableFunc(peers, func(a, b *peer) int { return cmp.Compare(len(a.addr), len(b.addr)) })
+	for _, other := range peers {
 		if now-other.lastHeard.Load() <= int64(n.cfg.FailAfter) && 2+len(other.addr) <= left {
 			m.Roster = append(m.Roster, other.addr)
 			left -= 2 + len(other.addr)

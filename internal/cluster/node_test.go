@@ -120,8 +120,9 @@ func TestGossipBlocklistConvergence(t *testing.T) {
 // advertised, so no sender can grow a member's gossip past one frame —
 // neither one whose address nearly fills a request by itself, nor three
 // hundred with 250-byte addresses. After each request the answer and a
-// request built for the sender both fit, and the address that does not
-// fit leaves the ordinary one on the roster.
+// request built for the sender both fit, the address too long to
+// advertise leaves the ordinary one on the roster alone, and the crowd
+// does not push it off.
 func TestGossipAnswersFitAFrame(t *testing.T) {
 	var now atomic.Int64
 	now.Store(int64(time.Second))
@@ -148,8 +149,12 @@ func TestGossipAnswersFitAFrame(t *testing.T) {
 	if m := ask(strings.Repeat("a", 65490)); !slices.Equal(m.Roster, []string{plain}) {
 		t.Fatalf("roster %q, want the ordinary address %s alone", m.Roster, plain)
 	}
+	var m *gossipMsg
 	for i := 0; i < 300; i++ {
-		ask(fmt.Sprintf("%03d", i) + strings.Repeat("b", 247))
+		m = ask(fmt.Sprintf("%03d", i) + strings.Repeat("b", 247))
+	}
+	if !slices.Contains(m.Roster, plain) {
+		t.Fatalf("after 300 senders with 250-byte addresses the roster (%d entries) no longer lists %s", len(m.Roster), plain)
 	}
 }
 

@@ -1,11 +1,14 @@
 package wire
 
 import (
-	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -23,44 +26,61 @@ import (
 // when Close gives up, and each abandoned record is counted (and
 // handed to OnLost when set).
 //
-// Send waits for acks only while what is unacknowledged plus the next
-// frame overflows one daemon slab (SlabCap); Flush and Close wait for all.
+// Send writes every unsent frame in one Write once the unsent records
+// reach max(MaxBatch, writeQuantum), then waits for acks only while
+// what is unacknowledged plus the next frame overflows one daemon slab
+// (SlabCap). A smaller Send arms a timer instead: while the session is
+// up, every record a Send accepted reaches the kernel within
+// lingerFor, whether or not the exporter calls again. Forwarding
+// clients (ForwardOrigin set) arm none; their forwarder flushes on every
+// wake. Flush and Close wait for every ack.
 //
-// A Client is not safe for concurrent use; it is a single exporter
-// goroutine's tool, like the Writer it replaces.
+// Send, Flush, Close and the timer serialize on one lock, which the
+// config's callbacks run under (they must not call back into those
+// three); the counters may be read from any goroutine.
 type Client struct {
 	cfg      ClientConfig
 	streamID uint64
 	jitter   *rand.Rand
 
+	mu     sync.Mutex
+	linger *time.Timer
+	armed  bool // a linger callback is due
+
 	conn net.Conn
-	bw   *bufio.Writer
 	rd   *Reader
 
-	// The unacked buffer, in the shape the Slab, the cluster's forward
-	// queue and the encoder share, so a batch is copied once (here) on
-	// its way from a slab to the socket. ctxs is either empty — no
-	// buffered record carries a context — or parallel to recs.
-	recs    []Record       // recs[0] has stream index `base`
-	ctxs    []TraceContext // trace lane, materialized by the first context
-	base    uint64         // cumulative records acked by the server
-	next    int            // index into recs of the first unsent record
-	backoff int            // consecutive failed connection attempts
+	// The unacked buffer: sealed frames as the bytes that go on the
+	// wire, back to back in stream order, so a resend writes them
+	// verbatim (their sequence numbers are absolute). enc is the tail of
+	// encBuf's array: acks reslice it. Records not yet in a frame wait
+	// in the open frame; openCtxs is empty or parallel to open.
+	enc, encBuf []byte
+	open        []Record
+	openCtxs    []TraceContext
+	nextAt      int    // offset in enc of the first frame not written on this connection
+	base, end   uint64 // stream indices: the first unacked record, one past the last buffered
+	backoff     int    // consecutive failed connection attempts
 
 	scratch []byte
+	stamps  []TraceContext
+	dec     *Slab // reads a buffered frame back on the cold paths
 	// The frame types this client ships: sealed or forwarded, and the
-	// traced sibling used when the server echoed the trace flag.
+	// traced sibling used while the trace lane is up.
 	plainType, tracedType uint8
 
 	traceSeq uint64 // trace-id counter (stamping enabled by cfg.Trace)
-	traceOK  bool   // server echoed HelloFlagTrace on this connection
+	traceOK  bool   // the lane is up: requested, and echoed by the latest hello
 
-	sent       uint64
-	lost       uint64
-	resent     uint64
-	reconnects uint64
-	closed     bool
+	sent, delivered, lost, resent, reconnects atomic.Uint64
+	closed                                    bool
 }
+
+// The write rule (DESIGN §8.5): 128 untraced records are about 3 KB.
+const (
+	writeQuantum = 128
+	lingerFor    = 100 * time.Microsecond
+)
 
 // ClientConfig parameterizes a Client. Zero values take the defaults
 // noted per field.
@@ -189,7 +209,7 @@ var ErrClientClosed = errors.New("wire: client closed")
 // for a throughput target, and shipping smaller frames than asked for
 // should be a loud configuration error, not a quiet downgrade.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	c := &Client{plainType: TypeSealed, tracedType: TypeTracedSealed}
+	c := &Client{plainType: TypeSealed, tracedType: TypeTracedSealed, traceOK: cfg.Trace}
 	if cfg.ForwardOrigin != 0 {
 		c.plainType, c.tracedType = TypeForwarded, TypeTracedForwarded
 	}
@@ -214,16 +234,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // (buffer overflow while unreachable, or given up at Close); Resent
 // counts retransmitted records; Reconnects counts established
 // connections after the first.
-func (c *Client) Sent() uint64      { return c.sent }
-func (c *Client) Delivered() uint64 { return c.base }
-func (c *Client) Lost() uint64      { return c.lost }
-func (c *Client) Resent() uint64    { return c.resent }
-func (c *Client) Reconnects() uint64 {
-	if c.reconnects == 0 {
-		return 0
-	}
-	return c.reconnects - 1
-}
+func (c *Client) Sent() uint64       { return c.sent.Load() }
+func (c *Client) Delivered() uint64  { return c.delivered.Load() }
+func (c *Client) Lost() uint64       { return c.lost.Load() }
+func (c *Client) Resent() uint64     { return c.resent.Load() }
+func (c *Client) Reconnects() uint64 { return max(c.reconnects.Load(), 1) - 1 }
 
 // Send offers records for delivery. It blocks only for bounded work —
 // at most MaxAttempts connection attempts — and sheds (counts + calls
@@ -237,97 +252,184 @@ func (c *Client) Send(recs []Record) error { return c.SendTraced(recs, nil) }
 // the cluster forward path, where contexts were minted by the original
 // exporter and must cross the hop unchanged rather than be re-stamped.
 // ctxs is parallel to recs, or nil for none; zero-context entries ride
-// along untraced.
+// along untraced. Without ctxs a tracing client stamps fresh ones; a
+// forwarding client never does — a record forwarded through Send rides
+// the hop untraced rather than acquiring a second identity.
 func (c *Client) SendTraced(recs []Record, ctxs []TraceContext) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
 		return ErrClientClosed
 	}
+	if ctxs == nil && c.cfg.Trace && c.cfg.ForwardOrigin == 0 {
+		// One send stamp per Send: the batch leaves together.
+		sent := c.cfg.NowNano()
+		c.stamps = slices.Grow(c.stamps[:0], len(recs))[:len(recs)]
+		for i := range c.stamps {
+			c.traceSeq++
+			c.stamps[i] = TraceContext{ID: SplitMix64(c.streamID ^ c.traceSeq), Sent: sent}
+		}
+		ctxs = c.stamps
+	}
 	for len(recs) > 0 {
-		free := c.cfg.BufferRecords - len(c.recs)
+		free := c.cfg.BufferRecords - int(c.end-c.base)
 		if free == 0 {
 			err := c.pump(0)
-			if len(c.recs) < c.cfg.BufferRecords {
+			if int(c.end-c.base) < c.cfg.BufferRecords {
 				continue // acked progress freed space, even if pump errored
 			}
 			// Unreachable with a full buffer: shed the rest of the
 			// incoming batch, never the buffered (possibly partially
 			// sent) records.
-			c.sent += uint64(len(recs))
+			c.sent.Add(uint64(len(recs)))
 			c.drop(recs)
 			return fmt.Errorf("wire: client shed %d records: %w", len(recs), err)
 		}
-		n := min(free, len(recs))
-		c.sent += uint64(n)
-		c.buffer(recs[:n], ctxs)
-		recs = recs[n:]
-		if ctxs != nil {
-			ctxs = ctxs[n:]
+		// A whole frame arriving at an empty open frame seals from recs.
+		n := min(free, c.cfg.MaxBatch-len(c.open), len(recs))
+		head := ctxs[:min(n, len(ctxs))]
+		c.sent.Add(uint64(n))
+		if c.end += uint64(n); n == c.cfg.MaxBatch {
+			c.seal(c.end-uint64(n), recs[:n], head)
+		} else {
+			held := len(c.open)
+			c.open = append(c.open, recs[:n]...)
+			if lane := len(c.openCtxs); len(head) != 0 || lane != 0 {
+				// Zero contexts for records from before the lane, and none supplied.
+				c.openCtxs = slices.Grow(c.openCtxs, len(c.open)-lane)[:len(c.open)]
+				clear(c.openCtxs[lane:])
+				copy(c.openCtxs[held:], head)
+			}
+			if len(c.open) == c.cfg.MaxBatch {
+				c.sealOpen()
+			}
 		}
-		if len(c.recs)-c.next >= c.cfg.MaxBatch {
-			// Opportunistic flush, keeping a slab's worth in flight; on
-			// failure records just stay buffered for the next Send, Flush
-			// or Close to retry.
-			c.pump(SlabCap - c.cfg.MaxBatch)
+		recs, ctxs = recs[n:], ctxs[len(head):]
+		if c.unsent() >= max(c.cfg.MaxBatch, writeQuantum) {
+			c.pump(SlabCap - c.cfg.MaxBatch) // on failure they stay buffered for a later call
+		}
+	}
+	if !c.armed && c.cfg.ForwardOrigin == 0 && c.unsent() > 0 {
+		c.armed = true
+		if c.linger == nil {
+			c.linger = time.AfterFunc(lingerFor, c.onLinger)
+		} else {
+			c.linger.Reset(lingerFor)
 		}
 	}
 	return nil
 }
 
-// buffer appends recs to the unacked buffer with their contexts: the
-// ones supplied (the head of ctxs), else fresh stamps when this client
-// mints them, else none. Forwarding clients never stamp: their contexts were minted by
-// the original exporter and arrive through SendTraced — a record
-// forwarded through Send rides the hop untraced rather than acquiring
-// a second identity.
-func (c *Client) buffer(recs []Record, ctxs []TraceContext) {
-	stamp := ctxs == nil && c.cfg.Trace && c.cfg.ForwardOrigin == 0
-	held := len(c.recs)
-	c.recs = append(c.recs, recs...)
-	if ctxs == nil && !stamp && len(c.ctxs) == 0 {
-		return // no lane, and nothing here starts one
-	}
-	// Zero contexts for whatever was buffered before the lane existed,
-	// and for this batch until it is filled in below.
-	c.ctxs = append(c.ctxs, make([]TraceContext, len(c.recs)-len(c.ctxs))...)
-	switch {
-	case ctxs != nil:
-		copy(c.ctxs[held:], ctxs)
-	case stamp:
-		// One send stamp per Send: the batch leaves together.
-		sent := c.cfg.NowNano()
-		for i := range c.ctxs[held:] {
-			c.traceSeq++
-			c.ctxs[held+i] = TraceContext{ID: SplitMix64(c.streamID ^ c.traceSeq), Sent: sent}
-		}
+// onLinger runs the bounded pump a Send would. One that fires after a
+// write disarmed it writes early, never late.
+func (c *Client) onLinger() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.armed = false
+	if !c.closed && c.unsent() > 0 {
+		c.pump(SlabCap - c.cfg.MaxBatch)
 	}
 }
 
+// seal appends recs, stream index seq onward, to the unacked bytes as
+// one frame: traced while the lane is up and a record carries a
+// context. Short of room, the live bytes move to the front of encBuf
+// while at most half of it would be in use, else to an array twice
+// that size, so each byte moves about once per half-array sealed.
+func (c *Client) seal(seq uint64, recs []Record, ctxs []TraceContext) {
+	ftype := c.plainType
+	if c.traceOK && batchTraced(ctxs) {
+		ftype = c.tracedType
+	}
+	l := batchLayouts[ftype]
+	if need := len(c.enc) + HeaderSize + l.overhead() + len(recs)*l.rec; need > cap(c.enc) {
+		if 2*need > cap(c.encBuf) {
+			c.encBuf = make([]byte, 0, 2*need)
+		}
+		c.enc = c.encBuf[:copy(c.encBuf[:len(c.enc)], c.enc)]
+	}
+	c.enc = appendBatch(c.enc, ftype, c.cfg.ForwardOrigin, seq, recs, ctxs)
+}
+
+// sealOpen seals the open frame, if it holds anything.
+func (c *Client) sealOpen() {
+	if len(c.open) != 0 {
+		c.seal(c.end-uint64(len(c.open)), c.open, c.openCtxs)
+		c.open, c.openCtxs = c.open[:0], c.openCtxs[:0]
+	}
+}
+
+// frameAt reads back the buffered frame b starts with: the stream
+// index of its first record, its record count and its size.
+func frameAt(b []byte) (seq uint64, n, size int) {
+	l := batchLayouts[b[3]]
+	size = HeaderSize + int(binary.BigEndian.Uint16(b[4:6]))
+	n, _ = l.count(size - HeaderSize)
+	return binary.BigEndian.Uint64(b[HeaderSize+l.lead-8:]), n, size
+}
+
+// decode reads back one buffered frame's records and contexts, valid
+// until the next decode.
+func (c *Client) decode(frame []byte) ([]Record, []TraceContext) {
+	if c.dec == nil {
+		c.dec = &Slab{recsBuf: make([]Record, 0, SlabCap)}
+	}
+	c.dec.Reset()
+	c.dec.AppendBatch(frame[3], frame[HeaderSize:]) // sealed here: cannot fail
+	return c.dec.Recs, c.dec.Ctxs
+}
+
+// firstUnsent is the stream index of the first record not written on
+// this connection; unsent counts the records from there on.
+func (c *Client) firstUnsent() uint64 {
+	if c.nextAt < len(c.enc) {
+		seq, _, _ := frameAt(c.enc[c.nextAt:])
+		return seq
+	}
+	return c.end - uint64(len(c.open))
+}
+
+func (c *Client) unsent() int { return int(c.end - c.firstUnsent()) }
+
 // Flush pushes every buffered record and waits for the server to
 // acknowledge all of it.
-func (c *Client) Flush() error { return c.pump(0) }
+func (c *Client) Flush() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pump(0)
+}
 
 // Close flushes with full retries, abandons (and counts) whatever the
 // daemon never acknowledged, and releases the connection. The error
 // reports abandoned records, if any.
 func (c *Client) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
 		return nil
 	}
 	err := c.pump(0)
 	c.closed = true
-	abandoned := c.recs
-	c.recs, c.ctxs = nil, nil
+	if c.linger != nil {
+		c.linger.Stop()
+	}
 	c.disconnect()
-	if len(abandoned) == 0 {
+	abandoned := c.end - c.base
+	if abandoned == 0 {
 		return nil
 	}
-	c.drop(abandoned)
-	return fmt.Errorf("wire: client abandoned %d unacknowledged records: %w", len(abandoned), err)
+	for c.sealOpen(); len(c.enc) != 0; {
+		_, _, size := frameAt(c.enc)
+		recs, _ := c.decode(c.enc[:size])
+		c.enc = c.enc[size:]
+		c.drop(recs)
+	}
+	return fmt.Errorf("wire: client abandoned %d unacknowledged records: %w", abandoned, err)
 }
 
 // drop abandons a run of records: counted, reported, never silent.
 func (c *Client) drop(recs []Record) {
-	c.lost += uint64(len(recs))
+	c.lost.Add(uint64(len(recs)))
 	if c.cfg.OnLost != nil {
 		c.cfg.OnLost(recs)
 	}
@@ -338,7 +440,7 @@ func (c *Client) drop(recs []Record) {
 // connection attempts have failed. pump(0) waits for every ack.
 func (c *Client) pump(limit int) error {
 	var lastErr error
-	for len(c.recs) > limit || c.next < len(c.recs) {
+	for c.end-c.base > uint64(limit) || c.unsent() > 0 {
 		if c.conn == nil {
 			if c.backoff >= c.cfg.MaxAttempts {
 				c.backoff = 0 // next pump starts a fresh attempt budget
@@ -388,10 +490,8 @@ func (c *Client) connect() error {
 	if err != nil {
 		return fmt.Errorf("wire: dial: %w", err)
 	}
-	c.conn = conn
-	c.bw = bufio.NewWriter(conn)
-	c.rd = NewReader(conn)
-	c.reconnects++
+	c.conn, c.rd = conn, NewReader(conn)
+	c.reconnects.Add(1)
 	conn.SetWriteDeadline(time.Now().Add(c.cfg.AckTimeout))
 	var flags uint32
 	if c.cfg.Trace {
@@ -401,11 +501,7 @@ func (c *Client) connect() error {
 		flags |= HelloFlagForward
 	}
 	c.scratch = AppendHello(c.scratch[:0], c.streamID, c.base, flags)
-	if _, err := c.bw.Write(c.scratch); err != nil {
-		c.disconnect()
-		return fmt.Errorf("wire: hello: %w", err)
-	}
-	if err := c.bw.Flush(); err != nil {
+	if _, err := conn.Write(c.scratch); err != nil {
 		c.disconnect()
 		return fmt.Errorf("wire: hello: %w", err)
 	}
@@ -428,42 +524,42 @@ func (c *Client) connect() error {
 		c.disconnect()
 		return errors.New("wire: server refused forwarding (no HelloFlagForward in ack)")
 	}
+	written := c.firstUnsent() // by the last connection
 	if err := c.advance(acked); err != nil {
 		c.disconnect()
 		return err
 	}
-	// Everything still buffered must be (re)transmitted on this conn.
-	if c.next > 0 {
-		c.resent += uint64(min(c.next, len(c.recs)))
+	if c.cfg.Trace && !c.traceOK {
+		c.rebuild()
 	}
-	c.next = 0
+	// Everything still buffered must be (re)transmitted on this conn.
+	c.resent.Add(max(written, c.base) - c.base)
+	c.nextAt = 0
 	return nil
 }
 
-// ship writes every unsent buffered record as sealed frames and
-// flushes.
+// ship seals the open frame and writes every unsent frame in one Write.
 func (c *Client) ship() error {
-	c.conn.SetWriteDeadline(time.Now().Add(c.cfg.AckTimeout))
-	for c.next < len(c.recs) {
-		end := c.next + min(c.cfg.MaxBatch, len(c.recs)-c.next)
-		ftype, ctxs := c.plainType, []TraceContext(nil)
-		if c.traceOK && len(c.ctxs) != 0 && batchTraced(c.ctxs[c.next:end]) {
-			ftype, ctxs = c.tracedType, c.ctxs[c.next:end]
-		}
-		c.scratch = appendBatch(c.scratch[:0], ftype, c.cfg.ForwardOrigin, c.base+uint64(c.next), c.recs[c.next:end], ctxs)
-		if _, err := c.bw.Write(c.scratch); err != nil {
+	c.sealOpen()
+	if c.nextAt < len(c.enc) {
+		c.conn.SetWriteDeadline(time.Now().Add(c.cfg.AckTimeout))
+		if _, err := c.conn.Write(c.enc[c.nextAt:]); err != nil {
 			return err
 		}
-		c.next = end
+		c.nextAt = len(c.enc)
 	}
-	return c.bw.Flush()
+	if c.armed {
+		c.linger.Stop()
+		c.armed = false
+	}
+	return nil
 }
 
 // reap consumes acks. It blocks only while more than limit shipped
 // records are unacknowledged, then takes every ack the reader already
 // holds, and advances the buffer once, to the newest count.
 func (c *Client) reap(limit int) error {
-	acked, sent := c.base, c.base+uint64(c.next)
+	acked, sent := c.base, c.firstUnsent()
 	for sent-acked > uint64(limit) || c.rd.FrameBuffered() {
 		n, _, err := c.readAck()
 		if err != nil {
@@ -512,25 +608,60 @@ func (c *Client) readAck() (uint64, uint32, error) {
 	}
 }
 
-// advance reconciles the server's cumulative count with the buffer.
+// advance reconciles the server's cumulative count with the buffer:
+// the frames it covers are dropped, and one it lands inside is cut to
+// its unacked tail. A count past the sealed frames acks records never
+// written.
 func (c *Client) advance(acked uint64) error {
-	if acked < c.base || acked > c.base+uint64(len(c.recs)) {
-		return fmt.Errorf("%w: ack %d outside window [%d, %d]",
-			ErrBadFrame, acked, c.base, c.base+uint64(len(c.recs)))
+	if top := c.end - uint64(len(c.open)); acked < c.base || acked > top {
+		return fmt.Errorf("%w: ack %d outside window [%d, %d]", ErrBadFrame, acked, c.base, top)
 	}
-	d := int(acked - c.base)
-	c.recs = c.recs[:copy(c.recs, c.recs[d:])]
-	if len(c.ctxs) != 0 {
-		c.ctxs = c.ctxs[:copy(c.ctxs, c.ctxs[d:])] // drained to empty ⇒ lane off
+	d, inside := 0, false
+	for d < len(c.enc) {
+		seq, n, size := frameAt(c.enc[d:])
+		if seq+uint64(n) > acked {
+			inside = seq < acked
+			break
+		}
+		d += size
 	}
+	c.enc, c.nextAt = c.enc[d:], max(0, c.nextAt-d)
 	c.base = acked
-	c.next = max(0, c.next-d)
+	c.delivered.Store(acked)
+	if inside {
+		c.rebuild()
+	}
 	return nil
+}
+
+// rebuild re-encodes the buffered frames without the records before
+// base, and plain while the trace lane is down: the cold path behind a
+// count inside a frame (the daemon acks whole frames) and behind a
+// connection that refused the lane, which sheds contexts, never
+// records. Every frame counts as written: a count arrives after a
+// write took them all, and connect rewinds after its rebuild.
+func (c *Client) rebuild() {
+	b := c.scratch[:0]
+	for at := 0; at < len(c.enc); {
+		seq, _, size := frameAt(c.enc[at:])
+		ftype := c.enc[at+3]
+		recs, ctxs := c.decode(c.enc[at : at+size])
+		at += size
+		if !c.traceOK {
+			ftype, ctxs = c.plainType, nil
+		}
+		skip := max(c.base, seq) - seq
+		if ctxs != nil {
+			ctxs = ctxs[skip:]
+		}
+		b = appendBatch(b, ftype, c.cfg.ForwardOrigin, seq+skip, recs[skip:], ctxs)
+	}
+	c.scratch, c.enc, c.encBuf, c.nextAt = c.encBuf[:0], b, b, len(b)
 }
 
 func (c *Client) disconnect() {
 	if c.conn != nil {
 		c.conn.Close()
-		c.conn, c.bw, c.rd = nil, nil, nil
+		c.conn, c.rd = nil, nil
 	}
 }

@@ -2,10 +2,18 @@ package wire
 
 import (
 	"errors"
+	"io"
+	"math/rand"
 	"net"
+	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/eventq"
+	"repro/internal/topology"
 )
 
 // sessionServer is a minimal in-process implementation of the daemon's
@@ -386,4 +394,421 @@ func TestClientResumesAcrossServerRestart(t *testing.T) {
 	if c.Lost() != 0 || c.Delivered() != 200 {
 		t.Errorf("counters after restart: lost=%d delivered=%d", c.Lost(), c.Delivered())
 	}
+}
+
+// countingConn counts the Write calls made on a connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestClientCoalescesSmallSends: a burst of 16-record Sends in 16-record
+// frames reaches the kernel as one write per writeQuantum records, not
+// one per frame — plus those the linger cuts early when the burst is
+// descheduled. Linger expiries are at least lingerFor apart, so at most
+// the burst's duration over lingerFor, plus one, fall inside it, and
+// one more may be left from the Send that opened the session.
+func TestClientCoalescesSmallSends(t *testing.T) {
+	s := startSessionServer(t, 0)
+	var writes atomic.Int64
+	c, err := NewClient(ClientConfig{
+		Dial: func() (net.Conn, error) {
+			conn, err := net.Dial("tcp", s.ln.Addr().String())
+			return countingConn{conn, &writes}, err
+		},
+		Seed: 5, MaxBatch: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := plainRecords(1 + 64*16)
+	// Open the session first, so what is counted below is data writes.
+	if err := c.Send(recs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	writes.Store(0)
+	for i := 1; i < len(recs); i += 16 {
+		if err := c.Send(recs[i : i+16]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := writes.Load()
+	took := time.Since(start)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("64 Sends of 16 records: %d writes in %v", n, took)
+	if max := int64(64*16/writeQuantum+2) + int64(took/lingerFor); n > max {
+		t.Errorf("64 Sends of 16 records took %d writes in %v, want at most %d", n, took, max)
+	}
+	if count, got, _ := s.snapshot(); count != uint64(len(recs)) || !slices.Equal(got, recs) {
+		t.Errorf("server accepted %d records (%d kept), want all %d in order", count, len(got), len(recs))
+	}
+}
+
+// TestClientLingerShipsAnIdleSend: a Send below the write threshold
+// followed by no further call still reaches the server, within the
+// linger plus scheduling slack.
+func TestClientLingerShipsAnIdleSend(t *testing.T) {
+	s := startSessionServer(t, 0)
+	c, err := NewClient(ClientConfig{Addr: s.ln.Addr().String(), Seed: 6, MaxBatch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	recs := plainRecords(17)
+	if err := c.Send(recs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil { // the session is up
+		t.Fatal(err)
+	}
+	// A callback the first Send armed may fire during the Flush and run
+	// after it; let it, so the Send below is timed from its own arm.
+	time.Sleep(2 * lingerFor)
+	const slack = 250 * time.Millisecond
+	start := time.Now()
+	if err := c.Send(recs[1:]); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if count, _, _ := s.snapshot(); count == uint64(len(recs)) {
+			break
+		}
+		if d := time.Since(start); d > lingerFor+slack {
+			t.Fatalf("an idle Send was not read by the server %v after it returned", d)
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+	t.Logf("an idle 16-record Send reached the server %v after it returned (linger %v)", time.Since(start), lingerFor)
+}
+
+// TestClientCountersUnderLinger reads the counters from another
+// goroutine while Sends and the linger timer move them; the race
+// detector checks the accesses.
+func TestClientCountersUnderLinger(t *testing.T) {
+	s := startSessionServer(t, 0)
+	c, err := NewClient(ClientConfig{Addr: s.ln.Addr().String(), Seed: 8, MaxBatch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var reads sync.WaitGroup
+	reads.Add(1)
+	go func() {
+		defer reads.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			// Delivered first: both only grow, so it cannot pass a later Sent.
+			if delivered, sent := c.Delivered(), c.Sent(); delivered > sent {
+				t.Errorf("delivered %d of %d sent", delivered, sent)
+			}
+			_, _, _ = c.Lost(), c.Resent(), c.Reconnects()
+		}
+	}()
+	recs := plainRecords(50 * 16)
+	for i := 0; i < len(recs); i += 16 {
+		if err := c.Send(recs[i : i+16]); err != nil {
+			t.Fatal(err)
+		}
+		if i%160 == 0 {
+			time.Sleep(2 * lingerFor) // let the linger write
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(done)
+	reads.Wait()
+	if c.Sent() != uint64(len(recs)) || c.Delivered() != c.Sent() || c.Lost() != 0 {
+		t.Errorf("counters: sent %d delivered %d lost %d", c.Sent(), c.Delivered(), c.Lost())
+	}
+}
+
+// ackServer is the in-memory session server FuzzClientAcks drives the
+// client through. Each of its connections runs the server inside the
+// client's Write: every frame is checked against the stream the test
+// sent, then accepted whole, accepted in part (so the count lands
+// inside a frame) or accepted with its ack lost, as its seeded
+// generator decides. A
+// read with no ack queued fails at once like an expired ack deadline.
+type ackServer struct {
+	t    *testing.T
+	mu   sync.Mutex
+	rng  *rand.Rand
+	recs []Record       // the stream the test sent, by index
+	ctxs []TraceContext // parallel to recs
+
+	count   uint64   // records accepted
+	noTrace bool     // hellos do not echo the trace flag: the client downgrades
+	conn    *ackConn // the live connection
+	fails   int      // dials to refuse
+	origin  uint64   // a forwarding client's origin; 0 for an exporter
+}
+
+type ackConn struct {
+	s        *ackServer
+	in, out  []byte
+	dead     bool
+	traced   bool   // this connection's hello echoed the trace flag
+	hello    bool   // the next data frame is the first since the hello
+	acked    uint64 // the last count acked on this connection
+	partial  bool   // a frame was accepted in part: later ones on this connection are gapped
+	net.Conn        // nil: the methods below are all the client calls
+}
+
+func (s *ackServer) dial() (net.Conn, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.fails > 0 {
+		s.fails--
+		return nil, errors.New("refused")
+	}
+	if s.conn != nil {
+		s.conn.dead = true
+	}
+	s.conn = &ackConn{s: s}
+	return s.conn, nil
+}
+
+// cut kills the live connection, as a dropped link would.
+func (s *ackServer) cut() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.conn != nil {
+		s.conn.dead = true
+	}
+}
+
+func (c *ackConn) Read(p []byte) (int, error) {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	switch {
+	case len(c.out) != 0:
+		n := copy(p, c.out)
+		c.out = c.out[n:]
+		return n, nil
+	case c.dead:
+		return 0, io.EOF
+	}
+	return 0, os.ErrDeadlineExceeded
+}
+
+func (c *ackConn) Write(p []byte) (int, error) {
+	s := c.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c.dead {
+		return 0, net.ErrClosed
+	}
+	n := len(p)
+	if s.rng.Intn(16) == 0 { // the link drops mid-write
+		n = s.rng.Intn(len(p) + 1)
+	}
+	c.in = append(c.in, p[:n]...)
+	for !c.dead && len(c.in) >= HeaderSize {
+		ftype, size, err := checkHeader(c.in)
+		if err != nil {
+			s.t.Errorf("client wrote a bad header: %v", err)
+			c.dead = true
+			break
+		}
+		if len(c.in) < HeaderSize+size {
+			break
+		}
+		c.frame(ftype, c.in[HeaderSize:HeaderSize+size])
+		c.in = c.in[HeaderSize+size:]
+	}
+	if n < len(p) {
+		c.dead = true
+		return n, net.ErrClosed
+	}
+	return n, nil
+}
+
+// frame serves one whole frame. Caller holds s.mu.
+func (c *ackConn) frame(ftype uint8, payload []byte) {
+	s := c.s
+	if ftype == TypeHello {
+		_, base, flags, err := ParseHello(payload)
+		if err != nil {
+			s.t.Errorf("hello: %v", err)
+			c.dead = true
+			return
+		}
+		s.count = max(s.count, base)
+		c.traced = flags&HelloFlagTrace != 0 && !s.noTrace
+		echo := flags & HelloFlagForward
+		if c.traced {
+			echo |= HelloFlagTrace
+		}
+		c.hello, c.acked = true, s.count
+		c.out = AppendAck(c.out, s.count, echo)
+		return
+	}
+	var slab Slab
+	slab.recsBuf = make([]Record, 0, SlabCap)
+	h, err := slab.AppendBatch(ftype, payload)
+	plain, traced := uint8(TypeSealed), uint8(TypeTracedSealed)
+	if s.origin != 0 {
+		plain, traced = TypeForwarded, TypeTracedForwarded
+	}
+	switch {
+	case err != nil || (ftype != plain && ftype != traced) || h.Origin != s.origin:
+		s.t.Errorf("client wrote a type-%d frame from origin %#x: %v", ftype, h.Origin, err)
+		c.dead = true
+		return
+	case ftype == traced && !c.traced:
+		s.t.Errorf("traced frame on a connection that refused the lane")
+	case c.hello && h.Seq != c.acked:
+		s.t.Errorf("first frame after a hello acking %d starts at %d", c.acked, h.Seq)
+	}
+	c.hello = false
+	end := h.Seq + uint64(slab.Len())
+	if end > uint64(len(s.recs)) {
+		s.t.Errorf("frame [%d, %d) past the %d records sent", h.Seq, end, len(s.recs))
+		c.dead = true
+		return
+	}
+	for i, r := range slab.Recs {
+		if r != s.recs[h.Seq+uint64(i)] {
+			s.t.Errorf("record %d: got %+v want %+v", h.Seq+uint64(i), r, s.recs[h.Seq+uint64(i)])
+			break
+		}
+		if slab.Ctxs == nil {
+			continue
+		}
+		got := slab.Ctxs[i]
+		if got.Origin = 0; got != s.ctxs[h.Seq+uint64(i)] { // the decoder stamps the frame's origin
+			s.t.Errorf("record %d: context %+v want %+v", h.Seq+uint64(i), got, s.ctxs[h.Seq+uint64(i)])
+			break
+		}
+	}
+	if h.Seq > s.count {
+		if !c.partial {
+			s.t.Errorf("gap: frame at %d, %d accepted", h.Seq, s.count)
+		}
+		return
+	}
+	switch s.rng.Intn(4) {
+	case 0: // accepted, the ack lost
+		s.count = max(s.count, end)
+		return
+	case 1: // accepted in part
+		cut := h.Seq + uint64(s.rng.Intn(slab.Len()+1))
+		s.count, c.partial = max(s.count, cut), c.partial || cut < end
+	default:
+		s.count = max(s.count, end)
+	}
+	c.acked = s.count
+	c.out = AppendAck(c.out, s.count, 0)
+}
+
+func (c *ackConn) Close() error {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	c.dead = true
+	return nil
+}
+
+func (c *ackConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *ackConn) SetWriteDeadline(time.Time) error { return nil }
+
+// FuzzClientAcks drives a client through an in-memory server under
+// seeded acks — whole, inside a frame, or none — with cut links,
+// refused dials, server restarts and trace-lane downgrades between
+// Sends and Flushes. Every frame the server reads must hold exactly
+// the records and contexts of its stream indices, and the first one
+// after a hello must start at the hello's count, so resent bytes are
+// exactly the unacked records. After Close, Sent = Delivered + Lost and
+// OnLost saw exactly the abandoned records, in order. A seed with bit 32
+// set drives a forwarding client instead, which arms no linger, stamps
+// nothing and is offered some runs without contexts: those must arrive
+// with zero contexts even inside a traced frame.
+func FuzzClientAcks(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 40, 1, 3, 3, 0, 0, 9, 5, 0, 0, 20, 4, 0, 2, 0})
+	f.Add(uint64(2), []byte{0, 7, 0, 7, 2, 0, 5, 0, 0, 30, 3, 0, 6, 2, 0, 25, 2, 0})
+	f.Add(uint64(3), []byte{5, 0, 1, 39, 1, 39, 3, 0, 1, 12, 4, 0, 1, 5})
+	f.Add(uint64(1<<32|4), []byte{0, 3, 2, 0, 1, 2, 0, 3, 2, 0, 1, 20, 0, 30, 3, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		s := &ackServer{t: t, rng: rand.New(rand.NewSource(int64(seed)))}
+		if seed&(1<<32) != 0 {
+			s.origin = 0xF0
+		}
+		var lost []Record
+		c, err := NewClient(ClientConfig{
+			Dial: s.dial, Seed: seed | 1, MaxBatch: 8, MaxAttempts: 3,
+			BackoffBase: 1, BackoffMax: 1, Sleep: func(time.Duration) {},
+			Trace: true, ForwardOrigin: s.origin,
+			OnLost: func(rs []Record) { lost = append(lost, rs...) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(ops) >= 2 && len(s.recs) < 2000 {
+			op, arg := ops[0], int(ops[1])
+			ops = ops[2:]
+			switch op % 7 {
+			case 0, 1: // Send arg%40+1 records; every third context is zero
+				bare := op%7 == 1 && s.origin != 0 // a forwarded run without contexts
+				s.mu.Lock()
+				at := len(s.recs)
+				for i := at; i <= at+arg%40; i++ {
+					s.recs = append(s.recs, Record{T: eventq.Time(i), MF: uint16(i), Victim: topology.NodeID(i % 61)})
+					ctx := TraceContext{ID: uint64(i)<<8 | 1, Sent: int64(i)}
+					if s.origin != 0 {
+						ctx.Routed = int64(i) + 1
+					}
+					if i%3 == 0 || bare {
+						ctx = TraceContext{}
+					}
+					s.ctxs = append(s.ctxs, ctx)
+				}
+				recs, ctxs := s.recs[at:], s.ctxs[at:]
+				s.mu.Unlock()
+				if bare {
+					ctxs = nil
+				}
+				c.SendTraced(recs, ctxs)
+			case 2:
+				c.Flush()
+			case 3:
+				s.cut()
+			case 4: // the server restarts with an empty session table
+				s.mu.Lock()
+				s.count = 0
+				s.mu.Unlock()
+				s.cut()
+			case 5:
+				s.mu.Lock()
+				s.noTrace = !s.noTrace
+				s.mu.Unlock()
+			case 6:
+				s.mu.Lock()
+				s.fails = arg % 4
+				s.mu.Unlock()
+			}
+		}
+		c.Close()
+		sent, delivered := c.Sent(), c.Delivered()
+		if sent != uint64(len(s.recs)) || sent != delivered+c.Lost() {
+			t.Fatalf("sent %d of %d records, delivered %d + lost %d", sent, len(s.recs), delivered, c.Lost())
+		}
+		if !slices.Equal(lost, s.recs[delivered:]) {
+			t.Fatalf("OnLost saw %d records, want the %d past the %d delivered", len(lost), sent-delivered, delivered)
+		}
+	})
 }
