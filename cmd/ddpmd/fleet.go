@@ -1,21 +1,22 @@
 package main
 
 // ddpmd fleet — fleet-wide observability commands. Each starts from a
-// single member's admin plane: `fleet trace` asks that member's
-// /cluster/traces endpoint to fan the query out (the daemon knows the
-// roster and its admin addresses via gossip), while `fleet status` and
-// `fleet victims` discover the roster from /cluster themselves and
-// aggregate per-member answers client-side. Like every client command
-// they decode the daemon's own exported types (cluster.Status,
-// pipeline.VictimReport, pipeline.FleetTrace) and keep no mirror of
-// them.
+// single member's admin plane, discovers the roster (and every
+// member's gossiped admin address) from its /cluster, then asks each
+// member for its own answer and merges them client-side: the daemon
+// itself never calls another member's admin plane. Like every client
+// command they decode the daemon's own exported types (cluster.Status,
+// pipeline.VictimReport, pipeline.TraceJSON) and keep no mirror of
+// them; FleetTrace is this command's own merge of those.
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -45,6 +46,25 @@ func fleetUsage() {
 	os.Exit(2)
 }
 
+// FleetSpan is one member's half of a cross-node timeline: a retained
+// trace tagged with the node that holds it.
+type FleetSpan struct {
+	Node     string `json:"node"`      // ingest address of the member holding the span
+	MemberID string `json:"member_id"` // hex member id
+	pipeline.TraceJSON
+}
+
+// FleetTrace is the merged `fleet trace -json` document: every span any
+// alive member retained under the queried id, ordered by start time,
+// plus the end-to-end detection latency when the timeline ends in a
+// block and the exporter send stamp survived the hops.
+type FleetTrace struct {
+	ID                 string      `json:"id"`
+	Spans              []FleetSpan `json:"spans"`
+	Errors             []string    `json:"errors,omitempty"` // members that could not be queried
+	DetectionLatencyNS int64       `json:"detection_latency_ns,omitempty"`
+}
+
 // runFleetTrace renders one record's cross-node timeline: every span
 // any alive member retained under the id, merged and ordered by start
 // time, with the end-to-end send-to-block latency when the timeline
@@ -61,8 +81,8 @@ func runFleetTrace(args []string) {
 		httpAddr = fs.String("http", "127.0.0.1:7421", "admin plane address of any fleet member")
 		id       = fs.String("id", "", "trace id in hex (or pass it as the first argument)")
 		minSpans = fs.Int("min", 0, "exit nonzero unless at least this many spans merged")
-		timeout  = fs.Duration("timeout", 10*time.Second, "HTTP timeout (covers the member fan-out)")
-		jsonOut  = fs.Bool("json", false, "emit the raw /cluster/traces JSON instead of the table")
+		timeout  = fs.Duration("timeout", 5*time.Second, "HTTP timeout per member")
+		jsonOut  = fs.Bool("json", false, "emit the merged timeline as JSON instead of the table")
 	)
 	fs.Parse(args)
 	if idArg != "" {
@@ -71,15 +91,17 @@ func runFleetTrace(args []string) {
 	if *id == "" {
 		fatal(fmt.Errorf("fleet trace: a trace id is required (hex, e.g. off a /metrics exemplar)"))
 	}
-
-	var doc pipeline.FleetTrace
-	_, body, err := adminGet(&http.Client{Timeout: *timeout}, *httpAddr, "/cluster/traces?id="+*id, &doc)
-	if err != nil {
-		fatal(fmt.Errorf("fleet trace: %w", err))
+	// Id 0 would match every retained trace at /debug/traces.
+	n, err := strconv.ParseUint(*id, 16, 64)
+	if err != nil || n == 0 {
+		fatal(fmt.Errorf("fleet trace: bad trace id %q", *id))
 	}
 
+	client := &http.Client{Timeout: *timeout}
+	doc := fleetTrace(client, fleetRoster(client, *httpAddr), n)
+
 	if *jsonOut {
-		os.Stdout.Write(body)
+		json.NewEncoder(os.Stdout).Encode(doc)
 	} else {
 		nodes := map[string]bool{}
 		for _, s := range doc.Spans {
@@ -107,6 +129,45 @@ func runFleetTrace(args []string) {
 		fmt.Fprintf(os.Stderr, "fleet trace: %d spans merged, wanted at least %d\n", len(doc.Spans), *minSpans)
 		os.Exit(1)
 	}
+}
+
+// fleetTrace asks every alive member of roster for the spans it
+// retained under id and merges them into one timeline. A member that
+// cannot be asked (no gossiped admin address yet, no answer, a non-200)
+// costs an error entry, not the timeline.
+func fleetTrace(client *http.Client, roster []cluster.MemberStatus, id uint64) FleetTrace {
+	out := FleetTrace{ID: fmt.Sprintf("%016x", id)}
+	for _, m := range roster {
+		if !m.Alive {
+			continue
+		}
+		if m.AdminAddr == "" {
+			out.Errors = append(out.Errors, fmt.Sprintf("%s: admin address not yet gossiped", m.Addr))
+			continue
+		}
+		var spans []pipeline.TraceJSON
+		if _, _, err := adminGet(client, m.AdminAddr, "/debug/traces?id="+out.ID, &spans); err != nil {
+			out.Errors = append(out.Errors, fmt.Sprintf("%s: %v", m.Addr, err))
+			continue
+		}
+		mid := fmt.Sprintf("%x", m.ID)
+		for _, s := range spans {
+			out.Spans = append(out.Spans, FleetSpan{Node: m.Addr, MemberID: mid, TraceJSON: s})
+		}
+	}
+
+	sort.SliceStable(out.Spans, func(i, j int) bool { return out.Spans[i].StartNS < out.Spans[j].StartNS })
+	// End-to-end detection latency: exporter send to the block decision,
+	// read off the span that consulted the blocklist and still carries
+	// the original send stamp across the hops.
+	for i := len(out.Spans) - 1; i >= 0; i-- {
+		s := &out.Spans[i]
+		if s.Outcome == pipeline.OutcomeBlock.String() && s.SentNS > 0 {
+			out.DetectionLatencyNS = s.StartNS + s.TotalNS - s.SentNS
+			break
+		}
+	}
+	return out
 }
 
 // fleetRoster returns the fleet roster as the member at httpAddr sees

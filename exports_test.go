@@ -65,6 +65,51 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// httpClientAPI are the net/http names that send a request or build
+// something that does.
+var httpClientAPI = map[string]bool{
+	"Client": true, "DefaultClient": true, "Get": true, "Head": true, "Post": true, "PostForm": true,
+}
+
+// TestDaemonSendsNoHTTP fails when a non-test file under internal/
+// names an httpClientAPI identifier: the daemon serves its admin plane
+// and calls no one else's. Fleet fan-out (`ddpmd fleet`) walks the
+// roster from the CLI, so no gossiped address can steer a daemon's
+// outbound request.
+func TestDaemonSendsNoHTTP(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value != `"net/http"` {
+				continue
+			}
+			name := "http"
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && httpClientAPI[sel.Sel.Name] {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+						t.Errorf("%s: %s.%s: the daemon sends no HTTP request", fset.Position(sel.Pos()), name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // testOnlyExports maps "pkg.Name" / "pkg.Type.Method" to the position
 // of each exported declaration under root's exportScanPackages whose
 // name no non-test file of the module uses.

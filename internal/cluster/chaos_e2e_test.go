@@ -462,11 +462,10 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 	// Fleet observability: one traced record's cross-node story. A fresh
 	// victim owned by the rejoined instance is flooded with traced
 	// records through a survivor — every record crosses a forward hop —
-	// and once the flood crosses the block threshold, ANY member's
-	// /cluster/traces must return one stitched timeline for the blocking
-	// record: the survivor's forwarded span and the owner's block span
-	// under the same id, wire → forward → ingest → identify → detect →
-	// block.
+	// and once the flood crosses the block threshold, the blocking
+	// record's timeline must be whole under one id: the survivor's
+	// forwarded span and the owner's block span, wire → forward → ingest
+	// → identify → detect → block, each reachable from any member.
 	ring3 := rnode.ring.Load()
 	v2 := topology.NodeID(-1)
 	for v := topology.NodeID(0); v < 64; v++ {
@@ -536,47 +535,39 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 		t.Fatalf("owner did not observe a send-to-block detection latency:\n%s", metrics.String())
 	}
 
-	// The fleet endpoint — queried on a member that is neither the
-	// ingress nor the owner — merges both halves of the timeline.
+	// Each half sits on its own member under the one id: the ingress
+	// survivor holds the forwarded span, the rejoined owner the block
+	// span. A member that is neither lists both admin planes in its
+	// /cluster, which is all `ddpmd fleet trace` needs to stitch them.
 	idHex := fmt.Sprintf("%016x", blockTrace.ID)
-	var doc pipeline.FleetTrace
-	waitFor("a stitched cross-node timeline from /cluster/traces", func() bool {
-		resp, err := http.Get(fmt.Sprintf("http://%s/cluster/traces?id=%s",
-			daemons[survivors[1]].HTTPAddr(), idHex))
+	spanAt := func(adminAddr string, outcome pipeline.Outcome) (pipeline.TraceJSON, bool) {
+		resp, err := http.Get(fmt.Sprintf("http://%s/debug/traces?id=%s", adminAddr, idHex))
 		if err != nil {
-			return false
+			return pipeline.TraceJSON{}, false
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return false
+		var spans []pipeline.TraceJSON
+		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&spans) != nil {
+			return pipeline.TraceJSON{}, false
 		}
-		doc = pipeline.FleetTrace{}
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			return false
+		for _, s := range spans {
+			if s.Outcome == outcome.String() {
+				return s, true
+			}
 		}
-		// Admin addresses propagate via gossip; retry until every member
-		// answered and both halves of the timeline are present.
-		return len(doc.Errors) == 0 && len(doc.Spans) >= 2
+		return pipeline.TraceJSON{}, false
+	}
+	var fwdSpan, blockSpan pipeline.TraceJSON
+	waitFor("the forwarded half at the ingress survivor", func() bool {
+		var ok bool
+		fwdSpan, ok = spanAt(daemons[survivors[0]].HTTPAddr().String(), pipeline.OutcomeForwarded)
+		return ok
 	})
-	var fwdSpan, blockSpan *pipeline.FleetSpan
-	for i := range doc.Spans {
-		s := &doc.Spans[i]
-		switch s.Outcome {
-		case pipeline.OutcomeForwarded.String():
-			fwdSpan = s
-		case pipeline.OutcomeBlock.String():
-			blockSpan = s
-		}
-	}
-	if fwdSpan == nil || blockSpan == nil {
-		t.Fatalf("timeline missing a half: %+v", doc.Spans)
-	}
-	if fwdSpan.Node != addrs[survivors[0]] {
-		t.Fatalf("forwarded span on %s, want the ingress survivor %s", fwdSpan.Node, addrs[survivors[0]])
-	}
-	if blockSpan.Node != addrs[kill] {
-		t.Fatalf("block span on %s, want the rejoined owner %s", blockSpan.Node, addrs[kill])
-	}
+	waitFor("the block half at the rejoined owner", func() bool {
+		var ok bool
+		blockSpan, ok = spanAt(rd.HTTPAddr().String(), pipeline.OutcomeBlock)
+		return ok
+	})
 	if fwdSpan.StartNS > blockSpan.StartNS {
 		t.Fatalf("route (%d) after ingest (%d): spans out of order", fwdSpan.StartNS, blockSpan.StartNS)
 	}
@@ -592,7 +583,29 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 			t.Fatalf("block span missing its %s stage: %+v", what, blockSpan)
 		}
 	}
-	if doc.DetectionLatencyNS <= 0 {
-		t.Fatalf("merged timeline has no detection latency: %+v", doc)
+	if blockSpan.SentNS <= 0 {
+		t.Fatalf("block span lost the exporter send stamp across the hop: %+v", blockSpan)
 	}
+	wantAdmin := map[string]string{
+		addrs[survivors[0]]: daemons[survivors[0]].HTTPAddr().String(),
+		addrs[kill]:         rd.HTTPAddr().String(),
+	}
+	waitFor("both halves' admin addresses in a third member's /cluster", func() bool {
+		resp, err := http.Get(fmt.Sprintf("http://%s/cluster", daemons[survivors[1]].HTTPAddr()))
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		var st Status
+		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
+			return false
+		}
+		found := 0
+		for _, m := range st.Members {
+			if want, ok := wantAdmin[m.Addr]; ok && m.Alive && m.AdminAddr == want {
+				found++
+			}
+		}
+		return found == len(wantAdmin)
+	})
 }

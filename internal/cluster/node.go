@@ -112,8 +112,8 @@ type peer struct {
 	lost       atomic.Uint64 // records shed at this peer's queue or abandoned on its session
 
 	// adminAddr is the peer's admin-plane HTTP address, learned from its
-	// gossip messages — what the fleet trace fan-out queries. Empty until
-	// the first exchange that carries one.
+	// gossip messages and listed in /cluster for the `ddpmd fleet`
+	// commands. Empty until the first exchange that carries one.
 	adminAddr atomic.Pointer[string]
 
 	// Blocklist anti-entropy (DESIGN §12.3): the peer's incarnation as
@@ -202,8 +202,8 @@ type Node struct {
 	handoffSeq atomic.Uint64                // handoffs detached here, for their ids
 
 	// adminAddr is this node's own admin-plane HTTP address, set by the
-	// daemon once its listener is bound and gossiped to peers so the
-	// fleet trace fan-out can reach every member.
+	// daemon once its listener is bound and gossiped to peers, so any
+	// member's /cluster names every member's admin plane.
 	adminAddr atomic.Pointer[string]
 
 	forwardedOut     atomic.Uint64
@@ -531,16 +531,10 @@ type fwOut struct {
 // forwardedTrace is the origin-side half of a forwarded record's
 // timeline: the span from exporter send to the route decision, with the
 // owner's member id attached. The owner's ingest then commits the
-// other half under the same trace id; the fleet fan-out stitches both.
+// other half under the same trace id; `ddpmd fleet trace` stitches both.
 func forwardedTrace(rec *wire.Record, ctx *wire.TraceContext, owner uint64) pipeline.Trace {
-	t := pipeline.Trace{
-		ID: ctx.ID, Sent: ctx.Sent, Start: ctx.Routed,
-		Victim: int64(rec.Victim), Source: -1, Shard: -1,
-		Outcome: pipeline.OutcomeForwarded, Origin: owner,
-		Wire: pipeline.SpanMissing, Forward: pipeline.SpanMissing,
-		Ingest: pipeline.SpanMissing, Identify: pipeline.SpanMissing,
-		Detect: pipeline.SpanMissing, Block: pipeline.SpanMissing,
-	}
+	t := pipeline.NewTrace(ctx.ID, ctx.Routed, int64(rec.Victim), -1, pipeline.OutcomeForwarded)
+	t.Sent, t.Origin = ctx.Sent, owner
 	if ctx.Sent > 0 {
 		t.Wire = ctx.Routed - ctx.Sent
 	}
@@ -1331,21 +1325,10 @@ func (n *Node) WriteMetrics(w io.Writer) {
 }
 
 // SetAdminAddr implements pipeline.ClusterNode: the admin-plane HTTP
-// address rides every subsequent gossip message so peers can answer
-// fleet-wide trace queries.
+// address rides every subsequent gossip message, so every member's
+// /cluster lists it and the `ddpmd fleet` commands reach the whole
+// fleet from any one member.
 func (n *Node) SetAdminAddr(addr string) { n.adminAddr.Store(&addr) }
-
-// FleetMembers implements pipeline.ClusterNode: the known fleet (self
-// first, then peers sorted by id) with each member's admin-plane
-// address as far as gossip has revealed it.
-func (n *Node) FleetMembers() []pipeline.FleetMember {
-	ring := n.ring.Load()
-	out := []pipeline.FleetMember{{Addr: n.cfg.Self, ID: n.self, Alive: true, AdminAddr: loadAddr(&n.adminAddr)}}
-	for _, pr := range n.members.Load().list {
-		out = append(out, pipeline.FleetMember{Addr: pr.addr, ID: pr.id, Alive: ring.Has(pr.id), AdminAddr: loadAddr(&pr.adminAddr)})
-	}
-	return out
-}
 
 // loadAddr reads an admin address, "" until one is stored.
 func loadAddr(p *atomic.Pointer[string]) string {

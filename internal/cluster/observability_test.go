@@ -124,22 +124,6 @@ func TestStatusForwardSessionLag(t *testing.T) {
 			t.Fatalf("peer %s forward_delivered = %d before any forwarder step", addr, m.Delivered)
 		}
 	}
-
-	// FleetMembers mirrors the same roster for the aggregation plane:
-	// self first, then peers, with b's gossiped admin address attached.
-	fm := a.FleetMembers()
-	if len(fm) != 3 || fm[0].ID != a.self {
-		t.Fatalf("FleetMembers = %+v, want self first of 3", fm)
-	}
-	var gotAdmin string
-	for _, m := range fm[1:] {
-		if m.ID == MemberID(addrs[1]) {
-			gotAdmin = m.AdminAddr
-		}
-	}
-	if gotAdmin != "10.7.0.2:7421" {
-		t.Fatalf("fleet member admin addr = %q, want the gossiped one", gotAdmin)
-	}
 }
 
 // TestForwardTraceDowngradeInterop: forwarding traced records to a peer

@@ -41,12 +41,9 @@ type ClusterNode interface {
 	StatusJSON() any
 
 	// SetAdminAddr records where the admin plane listens, once bound;
-	// gossip advertises it so peers can fan fleet trace queries out.
+	// gossip advertises it and /cluster lists it, so the `ddpmd fleet`
+	// commands can reach every member from any one.
 	SetAdminAddr(addr string)
-
-	// FleetMembers is the known fleet, self first, with each member's
-	// admin address as far as gossip has revealed it (/cluster/traces).
-	FleetMembers() []FleetMember
 
 	// WriteMetrics appends the node's Prometheus series to /metrics.
 	WriteMetrics(w io.Writer)

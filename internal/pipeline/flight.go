@@ -109,6 +109,16 @@ type Trace struct {
 	Wire, Forward, Ingest, Identify, Detect, Block int64 // spans; SpanMissing = not reached
 }
 
+// NewTrace starts a timeline at start on which the record reached no
+// span and named no source; callers fill in what it did reach.
+func NewTrace(id uint64, start, victim int64, shard int32, outcome Outcome) Trace {
+	return Trace{
+		ID: id, Start: start, Victim: victim, Source: -1, Shard: shard, Outcome: outcome,
+		Wire: SpanMissing, Forward: SpanMissing, Ingest: SpanMissing,
+		Identify: SpanMissing, Detect: SpanMissing, Block: SpanMissing,
+	}
+}
+
 // Total sums the daemon-side spans (Wire excluded: it crosses clocks).
 func (t *Trace) Total() int64 {
 	var sum int64
@@ -235,34 +245,19 @@ func (r *FlightRecorder) Commit(ts []Trace) int {
 	return kept
 }
 
-// CommitEvent retains a synthetic stream-level trace (resync, session
-// loss surfaced as traces) and returns its generated id. Synthetic ids
-// always carry the top bit — a reading hint, not a namespace: exporter
-// ids are uniform 64-bit SplitMix64 values, so uniqueness across both
-// kinds is probabilistic either way.
-func (r *FlightRecorder) CommitEvent(outcome Outcome, now int64, stream uint64) uint64 {
-	id := wire.SplitMix64(r.synthSeq.Add(1)^stream) | 1<<63
-	r.CommitEventWithID(id, outcome, now, -1)
-	return id
-}
-
-// CommitEventWithID retains a synthetic event under a caller-supplied
-// id — the cluster-op path, where the same operation committed on two
-// nodes (a handoff's ship and its seed, say) must share one id so the
-// fleet trace fan-out stitches both halves into a single timeline.
-// victim is -1 for operations without one.
+// CommitEventWithID retains a synthetic event under id — minted by
+// MintEventID, or shared by the two nodes that commit one cluster
+// operation (a handoff's ship and its seed, say) so `ddpmd fleet trace`
+// stitches both halves into a single timeline. victim is -1 for
+// stream-level events and operations without one.
 func (r *FlightRecorder) CommitEventWithID(id uint64, outcome Outcome, now int64, victim int64) {
-	t := Trace{
-		ID: id, Start: now, Victim: victim, Source: -1, Shard: -1,
-		Outcome: outcome,
-		Wire:    SpanMissing, Forward: SpanMissing, Ingest: SpanMissing,
-		Identify: SpanMissing, Detect: SpanMissing, Block: SpanMissing,
-	}
-	r.Commit([]Trace{t})
+	r.Commit([]Trace{NewTrace(id, now, victim, -1, outcome)})
 }
 
-// MintEventID generates a synthetic-event id without committing, for
-// cluster events committed through CommitEventWithID.
+// MintEventID generates a synthetic-event id without committing.
+// Synthetic ids always carry the top bit — a reading hint, not a
+// namespace: exporter ids are uniform 64-bit SplitMix64 values, so
+// uniqueness across both kinds is probabilistic either way.
 func (r *FlightRecorder) MintEventID(stream uint64) uint64 {
 	return wire.SplitMix64(r.synthSeq.Add(1)^stream) | 1<<63
 }

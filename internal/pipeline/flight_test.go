@@ -214,7 +214,8 @@ func TestCommitEventSyntheticIDs(t *testing.T) {
 	r := NewFlightRecorder(16, 1<<30, time.Hour)
 	seen := map[uint64]bool{}
 	for i := 0; i < 8; i++ {
-		id := r.CommitEvent(OutcomeResync, 12345, 42)
+		id := r.MintEventID(42)
+		r.CommitEventWithID(id, OutcomeResync, 12345, -1)
 		if id&(1<<63) == 0 {
 			t.Fatalf("synthetic id %016x missing the top bit", id)
 		}

@@ -561,12 +561,8 @@ func (p *Pipeline) addTrace(ts []Trace, tc *wire.TraceContext, start int64, vict
 	}
 	ts = ts[:len(ts)+1]
 	t := &ts[len(ts)-1]
-	*t = Trace{
-		ID: tc.ID, Sent: tc.Sent, Start: start,
-		Victim: int64(victim), Source: -1, Shard: int32(shard),
-		Wire: SpanMissing, Forward: SpanMissing, Ingest: SpanMissing,
-		Identify: SpanMissing, Detect: SpanMissing, Block: SpanMissing,
-	}
+	*t = NewTrace(tc.ID, start, int64(victim), int32(shard), OutcomeIdentified)
+	t.Sent = tc.Sent
 	if tc.Routed > 0 {
 		// The record crossed a cluster forward hop: Wire ends at the
 		// origin's route decision, Forward covers route → forward

@@ -162,7 +162,6 @@ func Start(cfg ServerConfig) (*Daemon, error) {
 		mux.HandleFunc("/blocklist", d.handleBlocklist)
 		mux.HandleFunc("/victims", d.handleVictims)
 		mux.HandleFunc("/cluster", d.handleCluster)
-		mux.HandleFunc("/cluster/traces", d.handleFleetTraces)
 		mux.HandleFunc("/debug/traces", d.handleTraces)
 		if cfg.EnablePprof {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -178,7 +177,7 @@ func Start(cfg ServerConfig) (*Daemon, error) {
 			}
 		}()
 		// Tell the cluster tier where the admin plane landed so it can
-		// gossip the address; peers use it for fleet trace fan-out.
+		// gossip the address; /cluster lists it for the fleet commands.
 		if d.cluster != nil {
 			d.cluster.SetAdminAddr(d.httpLn.Addr().String())
 		}
@@ -480,9 +479,10 @@ func (d *Daemon) servePlain(conn net.Conn, r *wire.Reader, ftype uint8, payload 
 
 // traceResync retains a synthetic stream-level trace for a resync skip,
 // so the flight recorder shows framing damage alongside record traces.
+// (A lost session is journaled, not traced.)
 func (d *Daemon) traceResync(stream uint64) {
 	if fr := d.p.Recorder(); fr != nil {
-		fr.CommitEvent(OutcomeResync, d.p.cfg.Now(), stream)
+		fr.CommitEventWithID(fr.MintEventID(stream), OutcomeResync, d.p.cfg.Now(), -1)
 	}
 }
 

@@ -137,10 +137,6 @@ type ClientConfig struct {
 	// — records are never held hostage to the extension.
 	Trace bool
 
-	// NowNano supplies trace send timestamps; defaults to
-	// time.Now().UnixNano(). Tests inject a fake clock.
-	NowNano func() int64
-
 	// ForwardOrigin, when non-zero, makes this a cluster forwarding
 	// client: records ship as TypeForwarded frames stamped with this
 	// origin-instance id, and the session hello carries
@@ -191,9 +187,6 @@ func (c *ClientConfig) applyDefaults() {
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
-	}
-	if c.NowNano == nil {
-		c.NowNano = func() int64 { return time.Now().UnixNano() }
 	}
 }
 
@@ -263,7 +256,7 @@ func (c *Client) SendTraced(recs []Record, ctxs []TraceContext) error {
 	}
 	if ctxs == nil && c.cfg.Trace && c.cfg.ForwardOrigin == 0 {
 		// One send stamp per Send: the batch leaves together.
-		sent := c.cfg.NowNano()
+		sent := time.Now().UnixNano()
 		c.stamps = slices.Grow(c.stamps[:0], len(recs))[:len(recs)]
 		for i := range c.stamps {
 			c.traceSeq++
@@ -573,7 +566,6 @@ func (c *Client) reap(limit int) error {
 	if acked == c.base {
 		return nil
 	}
-	c.backoff = 0 // acked progress: reset the attempt budget
 	return c.advance(acked)
 }
 
@@ -626,6 +618,9 @@ func (c *Client) advance(acked uint64) error {
 		d += size
 	}
 	c.enc, c.nextAt = c.enc[d:], max(0, c.nextAt-d)
+	if acked > c.base {
+		c.backoff = 0 // acked progress, by an ack or a hello's: reset the attempt budget
+	}
 	c.base = acked
 	c.delivered.Store(acked)
 	if inside {

@@ -25,11 +25,12 @@ type sessionServer struct {
 
 	killEveryFrames int // close each conn after this many sealed frames (0 = never)
 
-	mu    sync.Mutex
-	count uint64
-	got   []Record
-	conns int
-	live  map[net.Conn]struct{}
+	mu      sync.Mutex
+	ackless bool // take sealed frames without acking them: only hello acks report progress
+	count   uint64
+	got     []Record
+	conns   int
+	live    map[net.Conn]struct{}
 }
 
 // stop closes the listener and every live connection — a full server
@@ -116,11 +117,13 @@ func (s *sessionServer) handle(conn net.Conn) {
 				s.got = append(s.got, batch[skip:]...)
 				s.count = seq + uint64(len(batch))
 			}
-			c := s.count
+			c, ackless := s.count, s.ackless
 			s.mu.Unlock()
-			scratch = AppendAck(scratch[:0], c, 0)
-			if _, err := conn.Write(scratch); err != nil {
-				return
+			if !ackless {
+				scratch = AppendAck(scratch[:0], c, 0)
+				if _, err := conn.Write(scratch); err != nil {
+					return
+				}
 			}
 			frames++
 			if s.killEveryFrames > 0 && frames >= s.killEveryFrames {
@@ -191,6 +194,41 @@ func TestClientDeliversExactlyOnceThroughDisconnects(t *testing.T) {
 	// The exactly-once invariant, verbatim.
 	if c.Sent()-c.Lost() != count {
 		t.Errorf("sent(%d) - lost(%d) != server accepted(%d)", c.Sent(), c.Lost(), count)
+	}
+}
+
+// TestClientHelloAckProgressResetsAttempts: progress the client learns
+// only from a reconnect's hello ack still resets its attempt budget. The
+// server takes one frame per connection and drops the connection before
+// acking it, so every connection moves the stream forward and fails:
+// with two attempts the client must still deliver everything.
+func TestClientHelloAckProgressResetsAttempts(t *testing.T) {
+	s := startSessionServer(t, 1)
+	s.mu.Lock()
+	s.ackless = true
+	s.mu.Unlock()
+	recs := plainRecords(640)
+	c, err := NewClient(ClientConfig{
+		Addr: s.ln.Addr().String(), Seed: 7,
+		MaxBatch: 64, MaxAttempts: 2,
+		BackoffBase: 1, BackoffMax: 1,
+		Sleep: func(time.Duration) {},
+	})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	if err := c.Send(recs); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	count, got, conns := s.snapshot()
+	if count != uint64(len(recs)) || !slices.Equal(got, recs) {
+		t.Fatalf("server took %d records (%d stored), want all %d", count, len(got), len(recs))
+	}
+	if c.Lost() != 0 || c.Delivered() != uint64(len(recs)) {
+		t.Fatalf("counters: lost=%d delivered=%d over %d connections", c.Lost(), c.Delivered(), conns)
 	}
 }
 

@@ -322,25 +322,25 @@ func (s *traceServer) snapshot() (got []TracedRecord, ftypes map[uint8]int) {
 
 // TestClientTraceNegotiation covers both halves of the handshake: a
 // server that echoes the trace flag receives traced sealed frames with
-// the deterministic SplitMix64 id sequence, and one that ignores the
-// flag receives plain sealed frames — same records, no ids, no protocol
-// error.
+// the deterministic SplitMix64 id sequence and one send stamp per Send,
+// taken during that Send, and one that ignores the flag receives plain
+// sealed frames — same records, no ids, no protocol error.
 func TestClientTraceNegotiation(t *testing.T) {
 	recs := []Record{{T: 1, MF: 10}, {T: 2, MF: 20}, {T: 3, MF: 30}}
 	for _, echo := range []bool{true, false} {
 		s := startTraceServer(t, echo)
-		now := int64(12345)
 		c, err := NewClient(ClientConfig{
 			Addr: s.ln.Addr().String(), Seed: 7,
 			MaxAttempts: 3, Trace: true,
-			NowNano: func() int64 { return now },
 		})
 		if err != nil {
 			t.Fatalf("NewClient: %v", err)
 		}
+		before := time.Now().UnixNano()
 		if err := c.Send(recs); err != nil {
 			t.Fatal(err)
 		}
+		after := time.Now().UnixNano()
 		if err := c.Close(); err != nil {
 			t.Fatalf("echo=%v: close: %v", echo, err)
 		}
@@ -356,8 +356,11 @@ func TestClientTraceNegotiation(t *testing.T) {
 				if want := SplitMix64(c.streamID ^ uint64(i+1)); tr.Ctx.ID != want {
 					t.Fatalf("record %d: trace id %#x, want %#x", i, tr.Ctx.ID, want)
 				}
-				if tr.Ctx.Sent != now {
-					t.Fatalf("record %d: sent %d, want %d", i, tr.Ctx.Sent, now)
+				if tr.Ctx.Sent < before || tr.Ctx.Sent > after {
+					t.Fatalf("record %d: sent %d outside its Send [%d, %d]", i, tr.Ctx.Sent, before, after)
+				}
+				if tr.Ctx.Sent != got[0].Ctx.Sent {
+					t.Fatalf("record %d: sent %d, record 0 of the same Send %d", i, tr.Ctx.Sent, got[0].Ctx.Sent)
 				}
 			} else if tr.Ctx != (TraceContext{}) {
 				t.Fatalf("record %d: context %+v on a non-negotiated session", i, tr.Ctx)
