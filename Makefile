@@ -9,14 +9,14 @@ BIN := bin
 ## timings from it mean nothing) and one race-detector pass over the
 ## packages whose tests exercise concurrency — the pipeline's shards and
 ## admin reads, the wire sessions, the fault-injecting network, the
-## cluster's forward hop, gossip and chaos e2es, and the blocklist's
-## lock-free read index. Whole packages, not an allowlist, so a new
+## cluster's forward hop, gossip and chaos e2es, the blocklist's
+## lock-free read index, and loadgen's delivery to live daemons. Whole packages, not an allowlist, so a new
 ## benchmark or concurrent test is covered without being named here.
 check: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -race -count=1 ./internal/pipeline/ ./internal/wire/ ./internal/faultnet/ ./internal/cluster/ ./internal/filter/
+	$(GO) test -race -count=1 ./internal/pipeline/ ./internal/wire/ ./internal/faultnet/ ./internal/cluster/ ./internal/filter/ ./cmd/ddpmd/
 	$(MAKE) fuzz-smoke
 	$(MAKE) trace-smoke
 

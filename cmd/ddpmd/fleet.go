@@ -91,7 +91,7 @@ func runFleetTrace(args []string) {
 	if *id == "" {
 		fatal(fmt.Errorf("fleet trace: a trace id is required (hex, e.g. off a /metrics exemplar)"))
 	}
-	// Id 0 would match every retained trace at /debug/traces.
+	// Id 0 marks an untraced record: no member retains a trace with it.
 	n, err := strconv.ParseUint(*id, 16, 64)
 	if err != nil || n == 0 {
 		fatal(fmt.Errorf("fleet trace: bad trace id %q", *id))

@@ -8,7 +8,7 @@
 //	ddpmd serve -topo torus -dims 8x8 -replay trace.jsonl -http :7421
 //	ddpmd serve -topo torus -dims 8x8 -journal audit.jsonl -pprof
 //	ddpmd loadgen -topo torus -dims 8x8 -zombies 3 -addr 127.0.0.1:7420
-//	ddpmd loadgen -topo torus -dims 8x8 -addr 127.0.0.1:7420 -retry 8
+//	ddpmd loadgen -topo torus -dims 8x8 -addr 127.0.0.1:7420 -retry 8 -trace
 //	ddpmd loadgen -topo torus -dims 8x8 -jsonl flood.jsonl
 //	ddpmd status -http 127.0.0.1:7421
 //
@@ -102,7 +102,7 @@ func serve(args []string) {
 		entDelta = fs.Float64("entropy-delta", 1.5, "entropy alarm delta in bits")
 		blockN   = fs.Int64("block-threshold", 100, "identifications before auto-block")
 		blockTTL = fs.Duration("block-ttl", time.Minute, "auto-block TTL (0 or negative = permanent)")
-		admitN   = fs.Int("sketch-admit", 64, "records from a destination before exact victim state materializes (1 = first record, negative disables the gate)")
+		admitN   = fs.Int("sketch-admit", 64, "records from a destination before exact victim state materializes (1 = first record; negative is refused)")
 		vicTTL   = fs.Duration("victim-ttl", 10*time.Minute, "sweep idle victim state back to sketch-only after this (0 disables)")
 		grace    = fs.Duration("drain-grace", 250*time.Millisecond, "per-connection drain grace")
 		idle     = fs.Duration("idle-timeout", 2*time.Minute, "shed TCP peers idle this long (negative disables)")
@@ -263,13 +263,13 @@ func runLoadgen(args []string) {
 		warmup   = fs.Int64("warmup", 3000, "quiet ticks before the flood")
 		atk      = fs.Int64("attack", 6000, "flood duration in ticks")
 		victim   = fs.Int("victim", -1, "victim node (-1 = highest-numbered)")
-		addr     = fs.String("addr", "", "stream records to this ddpmd TCP address")
-		targets  = fs.String("targets", "", "comma-separated ddpmd TCP addresses: spray batches round-robin across a cluster fleet (acked sessions)")
+		addr     = fs.String("addr", "", "deliver records to this ddpmd TCP address (acked session)")
+		targets  = fs.String("targets", "", "comma-separated ddpmd TCP addresses: spray batches round-robin across a cluster fleet, one acked session each")
 		jsonl    = fs.String("jsonl", "", "write records as JSONL to this file (\"-\" = stdout)")
-		retry    = fs.Int("retry", 0, "reconnect attempts per delivery (0 = legacy fire-and-forget stream)")
+		retry    = fs.Int("retry", 1, "consecutive connection attempts before a session gives up and counts its unacked records lost (at least 1)")
 		buffer   = fs.Int("buffer", 1<<16, "unacked records the resilient client buffers across reconnects")
 		batch    = fs.Int("batch", 1024, "records per sealed frame (capped by the wire format; oversize is an error)")
-		trace    = fs.Bool("trace", false, "stamp a trace context on every record (negotiated over the acked session; implies -retry 1)")
+		trace    = fs.Bool("trace", false, "stamp a trace context on every record (negotiated in the session hello)")
 	)
 	fs.Parse(args)
 	sinks := 0
@@ -280,11 +280,6 @@ func runLoadgen(args []string) {
 	}
 	if sinks != 1 {
 		fatal(fmt.Errorf("loadgen: exactly one of -addr, -targets or -jsonl is required"))
-	}
-	if *trace && *addr != "" && *retry <= 0 {
-		// Trace contexts ride the negotiated session protocol; the
-		// legacy fire-and-forget stream has no hello to negotiate on.
-		*retry = 1
 	}
 
 	dimList, err := parseDims(*dims)
@@ -304,96 +299,26 @@ func runLoadgen(args []string) {
 		res.TopoName, res.Victim, res.Zombies, len(res.Records), res.AttackRecords)
 
 	switch {
-	case *targets != "":
-		// Cluster spray: one acked session per instance, batches dealt
-		// round-robin — every instance ingests a slice of the campaign
-		// and the fleet's forwarding tier reassembles per-victim order
-		// of magnitude (identification is order-insensitive tallying, so
-		// interleaving across instances is harmless).
-		var addrs []string
-		for _, a := range strings.Split(*targets, ",") {
+	case *addr != "" || *targets != "":
+		var addrs []string // -addr is the one-element list
+		for _, a := range strings.Split(*addr+*targets, ",") {
 			if a = strings.TrimSpace(a); a != "" {
 				addrs = append(addrs, a)
 			}
 		}
 		if len(addrs) == 0 {
-			fatal(fmt.Errorf("loadgen: -targets is empty"))
+			fatal(fmt.Errorf("loadgen: no address in -addr or -targets"))
 		}
-		attempts := *retry
-		if attempts <= 0 {
-			attempts = 1
-		}
-		clients := make([]*wire.Client, len(addrs))
-		for i, a := range addrs {
-			c, err := wire.NewClient(wire.ClientConfig{
-				Addr: a, Seed: *seed + uint64(i),
-				BufferRecords: *buffer, MaxAttempts: attempts,
-				MaxBatch: *batch, Trace: *trace,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			clients[i] = c
-		}
-		next := 0
-		if err := res.Stream(func(recs []wire.Record) error {
-			c := clients[next%len(clients)]
-			next++
-			return c.Send(recs)
-		}, *batch); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		}
-		var delivered, sent, lost uint64
-		for i, c := range clients {
-			if err := c.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: %s: %v\n", addrs[i], err)
-			}
-			delivered += c.Delivered()
-			sent += c.Sent()
-			lost += c.Lost()
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: delivered %d of %d records across %d targets (%d lost)\n",
-			delivered, sent, len(addrs), lost)
-		if lost > 0 {
-			os.Exit(1)
-		}
-	case *addr != "" && *retry > 0:
-		// Resilient delivery: acked session with reconnect/backoff, so a
-		// daemon restart mid-stream costs retransmits, not records.
-		c, err := wire.NewClient(wire.ClientConfig{
-			Addr: *addr, Seed: *seed,
-			BufferRecords: *buffer, MaxAttempts: *retry,
+		_, _, lost, err := deliver(res, addrs, wire.ClientConfig{
+			Seed: *seed, BufferRecords: *buffer, MaxAttempts: max(*retry, 1),
 			MaxBatch: *batch, Trace: *trace,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		if err := res.Stream(c.Send, *batch); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		}
-		if err := c.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: delivered %d of %d records to %s (%d lost, %d resent, %d reconnects)\n",
-			c.Delivered(), c.Sent(), *addr, c.Lost(), c.Resent(), c.Reconnects())
-		if c.Lost() > 0 {
+		if lost > 0 {
 			os.Exit(1)
 		}
-	case *addr != "":
-		conn, err := net.Dial("tcp", *addr)
-		if err != nil {
-			fatal(err)
-		}
-		defer conn.Close()
-		w := wire.NewWriter(conn)
-		if err := w.WriteRecords(res.Records); err != nil {
-			fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: streamed %d records in %d frames to %s\n",
-			w.Records(), w.Frames(), *addr)
 	default:
 		out := os.Stdout
 		if *jsonl != "-" {
@@ -414,6 +339,47 @@ func runLoadgen(args []string) {
 			}
 		}
 	}
+}
+
+// deliver streams res to the daemons at addrs over one acked session
+// each, dealing batches round-robin: every instance of a fleet ingests
+// a slice of the campaign and its forwarding tier regroups records by
+// victim (identification tallies are order-insensitive, so the
+// interleaving is harmless). -addr is the one-element list. cfg is the
+// sessions' template; the i-th takes Seed+i. It reports the summed
+// ledger and returns the records lost: every record is delivered or
+// counted, sent == delivered + lost.
+func deliver(res *loadgen.Result, addrs []string, cfg wire.ClientConfig) (sent, delivered, lost uint64, err error) {
+	clients := make([]*wire.Client, len(addrs))
+	for i, a := range addrs {
+		c := cfg
+		c.Addr, c.Seed = a, cfg.Seed+uint64(i)
+		if clients[i], err = wire.NewClient(c); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	next := 0
+	if err := res.Stream(func(recs []wire.Record) error {
+		c := clients[next%len(clients)]
+		next++
+		return c.Send(recs)
+	}, cfg.MaxBatch); err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+	}
+	var resent, reconnects uint64
+	for i, c := range clients {
+		if err := c.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "loadgen: %s: %v\n", addrs[i], err)
+		}
+		sent += c.Sent()
+		delivered += c.Delivered()
+		lost += c.Lost()
+		resent += c.Resent()
+		reconnects += c.Reconnects()
+	}
+	fmt.Fprintf(os.Stderr, "loadgen: delivered %d of %d records to %s (%d lost, %d resent, %d reconnects)\n",
+		delivered, sent, strings.Join(addrs, ","), lost, resent, reconnects)
+	return sent, delivered, lost, nil
 }
 
 // effectiveBlockTTL maps the user-facing -block-ttl convention (0 or

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -9,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/loadgen"
 	"repro/internal/pipeline"
+	"repro/internal/wire"
 )
 
 // TestEffectiveBlockTTL: the serve flag promises "0 or negative =
@@ -71,5 +76,64 @@ func TestAdminGet(t *testing.T) {
 	srv.Close()
 	if code, _, err := adminGet(client, addr, "/victims", &reports); code != 0 || err == nil {
 		t.Fatalf("closed server: %d, %v", code, err)
+	}
+}
+
+// TestDeliverAccountsForEveryRecord: loadgen's one delivery path, over
+// in-process daemons. With one target and with two, every record is
+// acked and the daemons together process exactly what was sent; a
+// closed listener's address gets every record counted lost, the exit-1
+// case a fire-and-forget stream could not report.
+func TestDeliverAccountsForEveryRecord(t *testing.T) {
+	res, err := loadgen.Generate(loadgen.Scenario{
+		Topo: core.TopoSpec{Kind: "torus", Dims: []int{4, 4}}, Victim: -1,
+		Zombies: 2, Seed: 5, Warmup: 300, Attack: 600,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net2, err := buildNet("torus", "4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(len(res.Records))
+	for _, targets := range []int{1, 2} {
+		daemons := make([]*pipeline.Daemon, targets)
+		addrs := make([]string, targets)
+		for i := range daemons {
+			d, err := pipeline.Start(pipeline.ServerConfig{Pipeline: pipeline.Config{Net: net2}, TCPAddr: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			daemons[i], addrs[i] = d, d.TCPAddr().String()
+		}
+		sent, delivered, lost, err := deliver(res, addrs, wire.ClientConfig{Seed: 3, MaxBatch: 64})
+		if err != nil || sent != n || delivered != n || lost != 0 {
+			t.Fatalf("%d targets: sent %d, delivered %d, lost %d of %d records (%v)", targets, sent, delivered, lost, n, err)
+		}
+		var processed uint64
+		for _, d := range daemons {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			err := d.Shutdown(ctx)
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			processed += d.Pipeline().Snapshot().Processed
+		}
+		if processed != n {
+			t.Fatalf("%d targets: daemons processed %d of %d records", targets, processed, n)
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := ln.Addr().String()
+	ln.Close()
+	sent, delivered, lost, err := deliver(res, []string{closed}, wire.ClientConfig{Seed: 3, MaxAttempts: 1, MaxBatch: 64})
+	if err != nil || sent != n || delivered != 0 || lost != n {
+		t.Fatalf("closed listener: sent %d, delivered %d, lost %d of %d records (%v)", sent, delivered, lost, n, err)
 	}
 }

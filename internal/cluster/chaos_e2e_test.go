@@ -117,9 +117,7 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 			Seed:        seed,
 			MaxBatch:    200,
 			MaxAttempts: 8,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  20 * time.Millisecond,
-			AckTimeout:  5 * time.Second,
+			Sleep:       func(d time.Duration) { time.Sleep(min(d/10, 20*time.Millisecond)) },
 		})
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
@@ -501,9 +499,7 @@ func TestClusterChaosKillOwnerMidCampaign(t *testing.T) {
 		Seed:        55,
 		MaxBatch:    200,
 		MaxAttempts: 8,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  20 * time.Millisecond,
-		AckTimeout:  5 * time.Second,
+		Sleep:       func(d time.Duration) { time.Sleep(min(d/10, 20*time.Millisecond)) },
 		Trace:       true,
 	})
 	if err != nil {

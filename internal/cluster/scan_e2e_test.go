@@ -116,9 +116,7 @@ func TestClusterScanSuppression(t *testing.T) {
 			Seed:        seed,
 			MaxBatch:    512,
 			MaxAttempts: 8,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  20 * time.Millisecond,
-			AckTimeout:  10 * time.Second,
+			Sleep:       func(d time.Duration) { time.Sleep(min(d/10, 20*time.Millisecond)) },
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -133,9 +133,7 @@ func TestChaosIngestLosesNothingSilently(t *testing.T) {
 		// — stay at the level this fault schedule was tuned for.
 		MaxBatch:    150,
 		MaxAttempts: 8,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  20 * time.Millisecond,
-		AckTimeout:  5 * time.Second,
+		Sleep:       func(d time.Duration) { time.Sleep(min(d/10, 20*time.Millisecond)) },
 		OnLost:      func(rs []wire.Record) { lost = append(lost, rs...) },
 		Trace:       true, // stamp every record with a trace context
 	})

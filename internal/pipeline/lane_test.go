@@ -310,7 +310,7 @@ func TestBlockTraceSkipsUntracedPrefix(t *testing.T) {
 	net := topology.NewMesh2D(8)
 	topo := wire.TopoID(net.Name())
 	cfg := laneConfig(net)
-	cfg.Shards, cfg.SketchAdmit = 1, -1
+	cfg.Shards, cfg.SketchAdmit = 1, 1
 	const victim, legit, zombie, quiet, prefix = 21, 5, 1, 300, 63
 	var recs []wire.Record
 	for i := 0; i < quiet; i++ {

@@ -74,7 +74,7 @@ type Config struct {
 	// being tracked. Each shard's table has sketch.DefaultSlots slots,
 	// which is also its victim-state cap, and halves every
 	// sketch.DefaultDecayEvery gated records.
-	SketchAdmit int // records to materialize a victim (default 1 = admit on first record, the legacy behavior; negative disables the gate)
+	SketchAdmit int // records to materialize a victim (default 1 = admit on first record; negative is refused)
 
 	// VictimTTL sweeps victims idle this long back to sketch-only
 	// state: their exact state is dropped (a final VictimSnapshot goes
@@ -155,7 +155,12 @@ func (c *Config) applyDefaults() error {
 	if c.BlockTTL == 0 {
 		c.BlockTTL = time.Minute
 	}
-	if c.SketchAdmit == 0 {
+	switch {
+	case c.SketchAdmit < 0:
+		// The gate is the per-shard victim-state cap; there is no
+		// ungated mode to fall back to.
+		return fmt.Errorf("pipeline: Config.SketchAdmit %d is negative", c.SketchAdmit)
+	case c.SketchAdmit == 0:
 		c.SketchAdmit = 1
 	}
 	if c.Now == nil {
@@ -316,7 +321,7 @@ type shard struct {
 	victims map[topology.NodeID]*victimState
 
 	// Admission gate a destination must be hot in before it earns a
-	// victimState (nil when SketchAdmit < 0 or the scheme is unbuildable).
+	// victimState.
 	gate *sketch.Gate[wire.Record]
 
 	// Worker-only scratch and clocks, never read by another goroutine.
@@ -415,13 +420,11 @@ func New(cfg Config) (*Pipeline, error) {
 			ch:      make(chan batch, cfg.QueueLen),
 			victims: make(map[topology.NodeID]*victimState),
 		}
-		if cfg.SketchAdmit > 0 && p.schemeErr == nil {
-			// Keyed by victim / Shards: dense over the victims this
-			// shard owns (victim mod Shards == i).
-			keys := (cfg.Net.NumNodes() + cfg.Shards - 1) / cfg.Shards
-			s.gate = sketch.NewGate[wire.Record](keys,
-				sketch.DefaultSlots, cfg.SketchAdmit, sketch.DefaultDecayEvery)
-		}
+		// Keyed by victim / Shards: dense over the victims this shard
+		// owns (victim mod Shards == i).
+		keys := (cfg.Net.NumNodes() + cfg.Shards - 1) / cfg.Shards
+		s.gate = sketch.NewGate[wire.Record](keys,
+			sketch.DefaultSlots, cfg.SketchAdmit, sketch.DefaultDecayEvery)
 		p.shards = append(p.shards, s)
 		p.wg.Add(1)
 		go p.run(s, i)
@@ -802,28 +805,24 @@ func (p *Pipeline) processSub(s *shard, si int, b batch) {
 				s.traces = p.traceEnded(s.traces, group, ctxs, b.t0, si, fc.ingest, OutcomeUndecodable)
 				continue
 			}
-			if s.gate != nil {
-				// Admission gate: feed records through the sketch one at a
-				// time until one materializes the victim; the crossing
-				// record onward takes the exact path below.
-				k := 0
-				for k < len(group) {
-					if st = p.gateRecord(s, v, group[k], &fc); st != nil {
-						break
-					}
-					k++
+			// Admission gate: feed records through the sketch one at a
+			// time until one materializes the victim; the crossing
+			// record onward takes the exact path below.
+			k := 0
+			for k < len(group) {
+				if st = p.gateRecord(s, v, group[k], &fc); st != nil {
+					break
 				}
-				if ctxs != nil {
-					s.traces = p.traceEnded(s.traces, group[:k], ctxs[:k], b.t0, si, fc.ingest, OutcomeSuppressed)
-					ctxs = ctxs[k:]
-				}
-				if st == nil {
-					continue // the whole group stayed sketch-only
-				}
-				group = group[k:]
-			} else {
-				st = p.materialize(s, v)
+				k++
 			}
+			if ctxs != nil {
+				s.traces = p.traceEnded(s.traces, group[:k], ctxs[:k], b.t0, si, fc.ingest, OutcomeSuppressed)
+				ctxs = ctxs[k:]
+			}
+			if st == nil {
+				continue // the whole group stayed sketch-only
+			}
+			group = group[k:]
 		}
 		p.processGroup(s, st, v, group, ctxs, &fc)
 	}
@@ -1346,14 +1345,11 @@ func (p *Pipeline) Snapshot() Snapshot {
 	for _, s := range p.shards {
 		snap.QueueDepths = append(snap.QueueDepths, len(s.ch))
 		snap.ShardDropped = append(snap.ShardDropped, s.dropped.Load())
-		var gated int64
 		s.mu.Lock()
 		snap.ShardProcessed = append(snap.ShardProcessed, s.processed)
 		snap.ShardIdentified = append(snap.ShardIdentified, s.identified)
-		if s.gate != nil {
-			gated = int64(s.gate.Len())
-			snap.SketchDecays += s.gate.Decays()
-		}
+		gated := int64(s.gate.Len())
+		snap.SketchDecays += s.gate.Decays()
 		snap.VictimStates += len(s.victims)
 		s.mu.Unlock()
 		snap.ShardGatedVictims = append(snap.ShardGatedVictims, gated)

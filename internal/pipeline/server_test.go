@@ -70,11 +70,7 @@ func TestGracefulShutdownDrainsWithoutLossAndHealthzFlips(t *testing.T) {
 	for i := range recs {
 		recs[i] = wire.Record{T: 1, Topo: topoID, Victim: topology.NodeID(i % 16), MF: 0}
 	}
-	w := wire.NewWriter(conn)
-	if err := w.WriteRecords(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := conn.Write(wire.AppendFrame(nil, recs)); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -213,21 +214,17 @@ func submitSlabs(t *testing.T, p *Pipeline, recs []wire.Record) {
 	}
 }
 
-// TestSketchGateDisabled: a negative SketchAdmit turns the gate off —
-// every destination materializes on first sight, nothing is suppressed.
-func TestSketchGateDisabled(t *testing.T) {
-	net := topology.NewMesh2D(4)
-	p, err := New(Config{Net: net, Shards: 1, SketchAdmit: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitWait(t, p, wire.Record{T: 1, Topo: p.TopoID(), Victim: 3, MF: 0})
-	p.Close()
-	if got := p.C.SketchSuppressed.Load(); got != 0 {
-		t.Errorf("suppressed = %d with the gate disabled", got)
-	}
-	if vs := p.Victims(); len(vs) != 1 {
-		t.Errorf("Victims() = %v, want one entry", vs)
+// TestSketchAdmitNegativeRefused: the gate is the per-shard
+// victim-state cap, so there is no ungated mode. A negative SketchAdmit
+// once turned it off and let victim state grow without bound; New now
+// refuses it.
+func TestSketchAdmitNegativeRefused(t *testing.T) {
+	p, err := New(Config{Net: topology.NewMesh2D(4), Shards: 1, SketchAdmit: -1})
+	if err == nil || !strings.Contains(err.Error(), "SketchAdmit -1 is negative") {
+		if p != nil {
+			p.Close()
+		}
+		t.Fatalf("New with SketchAdmit -1: %v, want a refusal", err)
 	}
 }
 

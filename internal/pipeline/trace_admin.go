@@ -97,8 +97,10 @@ func parseTraceFilter(q map[string][]string) (TraceFilter, error) {
 		f.Outcome, f.HasOut = o, true
 	}
 	if v := get("id"); v != "" {
+		// Id 0 marks an untraced record, so no trace has it; read as
+		// "no filter" it would answer with every retained trace.
 		id, err := strconv.ParseUint(v, 16, 64)
-		if err != nil {
+		if err != nil || id == 0 {
 			return f, fmt.Errorf("bad trace id %q", v)
 		}
 		f.ID = id

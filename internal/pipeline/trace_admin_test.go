@@ -98,6 +98,7 @@ func TestTracesEndpointFiltersAndErrors(t *testing.T) {
 		"/debug/traces?source=x",
 		"/debug/traces?outcome=nope",
 		"/debug/traces?id=zz",
+		"/debug/traces?id=0",
 		"/debug/traces?limit=-1",
 	} {
 		if code, _ := httpGet(t, d, bad); code != http.StatusBadRequest {

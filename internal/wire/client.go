@@ -77,9 +77,13 @@ type Client struct {
 }
 
 // The write rule (DESIGN §8.5): 128 untraced records are about 3 KB.
+// backOff's reconnect policy, and ackTimeout bounds each write and ack wait.
 const (
 	writeQuantum = 128
 	lingerFor    = 100 * time.Microsecond
+	backoffBase  = 10 * time.Millisecond
+	backoffMax   = 2 * time.Second
+	ackTimeout   = 5 * time.Second
 )
 
 // ClientConfig parameterizes a Client. Zero values take the defaults
@@ -111,14 +115,6 @@ type ClientConfig struct {
 	// resets the count.
 	MaxAttempts int
 
-	// BackoffBase and BackoffMax bound the jittered exponential
-	// reconnect delay (defaults 10ms and 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
-	// AckTimeout bounds each wait for a server ack (default 5s).
-	AckTimeout time.Duration
-
 	// MaxBatch caps records per sealed frame (default 1024).
 	MaxBatch int
 
@@ -126,7 +122,8 @@ type ClientConfig struct {
 	// run per call. The slice is valid only during the call.
 	OnLost func([]Record)
 
-	// Sleep replaces time.Sleep in tests.
+	// Sleep waits out each reconnect backoff (default time.Sleep): the
+	// one timing injection, which the cluster forwarder and tests set.
 	Sleep func(time.Duration)
 
 	// Trace stamps every record offered through Send with a fresh
@@ -172,15 +169,6 @@ func (c *ClientConfig) applyDefaults() {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 8
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 10 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 5 * time.Second
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1024
@@ -444,8 +432,7 @@ func (c *Client) pump(limit int) error {
 			}
 			if err := c.connect(); err != nil {
 				lastErr = err
-				c.backoff++
-				c.cfg.Sleep(c.backoffDelay())
+				c.backOff()
 				continue
 			}
 		}
@@ -456,24 +443,22 @@ func (c *Client) pump(limit int) error {
 		if err != nil {
 			lastErr = err
 			c.disconnect()
-			c.backoff++
-			c.cfg.Sleep(c.backoffDelay())
-			continue
+			c.backOff()
 		}
 	}
 	return nil
 }
 
-// backoffDelay is the jittered exponential reconnect delay for the
-// current consecutive-failure count: base·2^(n−1), capped at max, with
-// ±50% jitter so a fleet of exporters doesn't stampede a restarted
-// daemon in lockstep.
-func (c *Client) backoffDelay() time.Duration {
-	d := c.cfg.BackoffBase << (c.backoff - 1)
-	if d <= 0 || d > c.cfg.BackoffMax {
-		d = c.cfg.BackoffMax
+// backOff counts the n-th consecutive failed attempt and sleeps
+// backoffBase·2^(n−1), capped at backoffMax, with ±50% jitter so a fleet
+// of exporters doesn't stampede a restarted daemon in lockstep.
+func (c *Client) backOff() {
+	c.backoff++
+	d := backoffBase << (c.backoff - 1)
+	if d <= 0 || d > backoffMax {
+		d = backoffMax
 	}
-	return d/2 + time.Duration(c.jitter.Int63n(int64(d)))
+	c.cfg.Sleep(d/2 + time.Duration(c.jitter.Int63n(int64(d))))
 }
 
 // connect dials, sends the hello, and realigns the buffer to the
@@ -485,7 +470,7 @@ func (c *Client) connect() error {
 	}
 	c.conn, c.rd = conn, NewReader(conn)
 	c.reconnects.Add(1)
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.AckTimeout))
+	conn.SetWriteDeadline(time.Now().Add(ackTimeout))
 	var flags uint32
 	if c.cfg.Trace {
 		flags = HelloFlagTrace
@@ -535,7 +520,7 @@ func (c *Client) connect() error {
 func (c *Client) ship() error {
 	c.sealOpen()
 	if c.nextAt < len(c.enc) {
-		c.conn.SetWriteDeadline(time.Now().Add(c.cfg.AckTimeout))
+		c.conn.SetWriteDeadline(time.Now().Add(ackTimeout))
 		if _, err := c.conn.Write(c.enc[c.nextAt:]); err != nil {
 			return err
 		}
@@ -583,11 +568,11 @@ func batchTraced(ctxs []TraceContext) bool {
 }
 
 // readAck reads frames until a TypeAck arrives, bounding each read that
-// may block by AckTimeout.
+// may block by ackTimeout.
 func (c *Client) readAck() (uint64, uint32, error) {
 	for {
 		if !c.rd.FrameBuffered() {
-			c.conn.SetReadDeadline(time.Now().Add(c.cfg.AckTimeout))
+			c.conn.SetReadDeadline(time.Now().Add(ackTimeout))
 		}
 		ftype, payload, err := c.rd.ReadFrame()
 		if err != nil {

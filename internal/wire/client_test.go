@@ -151,7 +151,6 @@ func TestClientDeliversExactlyOnceThroughDisconnects(t *testing.T) {
 	cfg := ClientConfig{
 		Addr: s.ln.Addr().String(), Seed: 7,
 		MaxBatch: 64, MaxAttempts: 10,
-		BackoffBase: 1, BackoffMax: 1,
 		Sleep: func(time.Duration) {},
 	}
 	c, err := NewClient(cfg)
@@ -211,7 +210,6 @@ func TestClientHelloAckProgressResetsAttempts(t *testing.T) {
 	c, err := NewClient(ClientConfig{
 		Addr: s.ln.Addr().String(), Seed: 7,
 		MaxBatch: 64, MaxAttempts: 2,
-		BackoffBase: 1, BackoffMax: 1,
 		Sleep: func(time.Duration) {},
 	})
 	if err != nil {
@@ -273,7 +271,7 @@ func TestClientKeepsASlabInFlight(t *testing.T) {
 		}
 	}()
 	defer close(acks)
-	c, err := NewClient(ClientConfig{Addr: ln.Addr().String(), Seed: 9, MaxBatch: batch, AckTimeout: time.Minute})
+	c, err := NewClient(ClientConfig{Addr: ln.Addr().String(), Seed: 9, MaxBatch: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,9 +330,8 @@ func TestClientShedsCountedWhenUnreachable(t *testing.T) {
 		BufferRecords: 100,
 		MaxBatch:      50,
 		MaxAttempts:   2,
-		BackoffBase:   1, BackoffMax: 1,
-		Sleep:  func(time.Duration) {},
-		OnLost: func(rs []Record) { lost = append(lost, rs...) },
+		Sleep:         func(time.Duration) {},
+		OnLost:        func(rs []Record) { lost = append(lost, rs...) },
 	})
 	if nerr != nil {
 		t.Fatalf("NewClient: %v", nerr)
@@ -390,7 +387,6 @@ func TestClientResumesAcrossServerRestart(t *testing.T) {
 	c, err := NewClient(ClientConfig{
 		Dial: dial, Seed: 11,
 		MaxBatch: 32, MaxAttempts: 20,
-		BackoffBase: 1, BackoffMax: 1,
 		Sleep: func(time.Duration) {},
 	})
 	if err != nil {
@@ -789,7 +785,7 @@ func FuzzClientAcks(f *testing.F) {
 		var lost []Record
 		c, err := NewClient(ClientConfig{
 			Dial: s.dial, Seed: seed | 1, MaxBatch: 8, MaxAttempts: 3,
-			BackoffBase: 1, BackoffMax: 1, Sleep: func(time.Duration) {},
+			Sleep: func(time.Duration) {},
 			Trace: true, ForwardOrigin: s.origin,
 			OnLost: func(rs []Record) { lost = append(lost, rs...) },
 		})

@@ -326,46 +326,6 @@ func checkHeader(b []byte) (ftype uint8, n int, err error) {
 	return ftype, n, nil
 }
 
-// Writer encodes records onto a TCP stream, splitting into maximal
-// frames. It buffers internally; call Flush (or Close the conn after
-// Flush) when done.
-type Writer struct {
-	bw      *bufio.Writer
-	scratch []byte
-	frames  uint64
-	records uint64
-}
-
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriter(w)}
-}
-
-// WriteRecords frames and writes recs.
-func (w *Writer) WriteRecords(recs []Record) error {
-	for len(recs) > 0 {
-		n := len(recs)
-		if n > MaxRecordsPerFrame {
-			n = MaxRecordsPerFrame
-		}
-		w.scratch = AppendFrame(w.scratch[:0], recs[:n])
-		if _, err := w.bw.Write(w.scratch); err != nil {
-			return err
-		}
-		w.frames++
-		w.records += uint64(n)
-		recs = recs[n:]
-	}
-	return nil
-}
-
-// Flush drains the internal buffer to the underlying writer.
-func (w *Writer) Flush() error { return w.bw.Flush() }
-
-// Frames and Records report how much has been written.
-func (w *Writer) Frames() uint64  { return w.frames }
-func (w *Writer) Records() uint64 { return w.records }
-
 // Reader decodes a stream of frames (the TCP entry point). ReadFrame
 // returns whole frames, which Slab.AppendBatch decodes. io.EOF cleanly
 // ends a stream only on a frame boundary — EOF mid-frame is reported

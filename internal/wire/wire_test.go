@@ -42,23 +42,24 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// appendFrames appends recs as maximal TypeRecords frames, the plain
+// stream an external exporter writes to the daemon's TCP listener.
+func appendFrames(b []byte, recs []Record) []byte {
+	for len(recs) > 0 {
+		n := min(len(recs), MaxRecordsPerFrame)
+		b = AppendFrame(b, recs[:n])
+		recs = recs[n:]
+	}
+	return b
+}
+
 func TestFrameRoundTripAndStreamReader(t *testing.T) {
-	recs := sampleRecords(2 * MaxRecordsPerFrame / 3 * 2) // forces 2 frames via Writer
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteRecords(recs); err != nil {
-		t.Fatal(err)
+	recs := sampleRecords(2 * MaxRecordsPerFrame / 3 * 2) // forces 2 frames
+	stream := appendFrames(nil, recs)
+	if want := 2*HeaderSize + len(recs)*RecordSize; len(stream) != want {
+		t.Fatalf("encoded %d bytes, want 2 frames in %d", len(stream), want)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Records() != uint64(len(recs)) {
-		t.Fatalf("writer counted %d records, want %d", w.Records(), len(recs))
-	}
-	if w.Frames() < 2 {
-		t.Fatalf("expected multi-frame split, got %d frames", w.Frames())
-	}
-	r := newRecordReader(&buf)
+	r := newRecordReader(bytes.NewReader(stream))
 	for i, want := range recs {
 		got, err := r.next()
 		if err != nil {
