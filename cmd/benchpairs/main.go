@@ -2,8 +2,10 @@
 // statement in CHANGES.md: it runs the socket-to-block benchmark on a
 // base commit and on the working tree, alternating which side goes
 // first, and reports per end-to-end metric how often the tree won, both
-// medians and the base's own run-to-run spread (the distance between
-// its quartiles). A shift inside that spread is unresolved, not a gain.
+// medians, the shift between them — also in units of the metric's
+// BENCHMARK.json bound, positive the better way — and the base's own
+// run-to-run spread (the distance between its quartiles). A shift
+// inside that spread is unresolved, not a gain.
 // Each run's ack_p50_us and block_lag_p50_us, read off the bench's
 // "ungated:" line, follow its result line, and each side's medians
 // follow the table; the verdict never reads them.
@@ -144,11 +146,11 @@ func pairs(baseDir, base, workload string, n, seed int, metrics []metric) ([]str
 	}
 
 	fmt.Printf("\n%s, seed %d, %d pairs, base %s\n", workload, seed, n, base)
-	fmt.Printf("%-16s %9s %14s %14s %8s %12s\n", "metric", "tree wins", "base median", "tree median", "shift", "base IQR")
+	fmt.Printf("%-16s %9s %14s %14s %8s %7s %12s\n", "metric", "tree wins", "base median", "tree median", "shift", "bounds", "base IQR")
 	for _, m := range metrics {
 		s := summarize(runs["base"], runs["tree"], m)
-		fmt.Printf("%-16s %6d/%-2d %14.4f %14.4f %+7.1f%% %12.4f\n",
-			m.Name, s.wins, n, s.baseMedian, s.treeMedian, 100*s.shift, s.baseIQR)
+		fmt.Printf("%-16s %6d/%-2d %14.4f %14.4f %+7.1f%% %+7.2f %12.4f\n",
+			m.Name, s.wins, n, s.baseMedian, s.treeMedian, 100*s.shift, margin(s, m), s.baseIQR)
 	}
 	for _, side := range []string{"base", "tree"} {
 		failed, incorrect, _ := failures(runs[side])
@@ -186,6 +188,16 @@ func summarize(base, tree []contract, m metric) summary {
 	s.shift = (s.treeMedian - s.baseMedian) / s.baseMedian
 	s.baseIQR = quantile(b, 0.75) - quantile(b, 0.25)
 	return s
+}
+
+// margin is s's median shift in units of m's bound, signed so that a
+// shift the better way reads positive: verdict rejects a tree below −1,
+// and a claimed gain is as far from the bound as its margin is above +1.
+func margin(s summary, m metric) float64 {
+	if m.Better == "lower" {
+		return -s.shift / m.Bound
+	}
+	return s.shift / m.Bound
 }
 
 // failures totals one side's failed operations, counts its runs that

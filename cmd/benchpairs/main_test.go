@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,33 @@ func TestVerdict(t *testing.T) {
 			t.Errorf("%s: verdict %q, want none", tc.name, got)
 		case tc.want != "" && (len(got) != 1 || !strings.Contains(got[0], tc.want)):
 			t.Errorf("%s: verdict %q, want one line containing %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestMargin: the table's "bounds" column reads a shift in units of
+// the metric's bound, positive the better way for either kind of
+// metric, and −1 exactly where verdict starts to reject.
+func TestMargin(t *testing.T) {
+	higher := metric{Name: "m", Better: "higher", Bound: 0.25}
+	lower := metric{Name: "m", Better: "lower", Bound: 0.25}
+	for _, tc := range []struct {
+		name       string
+		base, tree []contract
+		m          metric
+		want       float64
+	}{
+		{"higher rose 35 %", runs(90, 100, 110), runs(125, 135, 150), higher, 1.4},
+		{"higher fell the bound", runs(90, 100, 110), runs(70, 75, 90), higher, -1},
+		{"lower fell 20 %", runs(90, 100, 110), runs(70, 80, 90), lower, 0.8},
+		{"lower rose 50 %", runs(90, 100, 110), runs(140, 150, 160), lower, -2},
+	} {
+		s := summarize(tc.base, tc.tree, tc.m)
+		if got := margin(s, tc.m); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("%s: margin %v, want %v", tc.name, got, tc.want)
+		}
+		if rejected := len(verdict("w", tc.base, tc.tree, []metric{tc.m})) != 0; rejected != (margin(s, tc.m) < -1) {
+			t.Errorf("%s: verdict rejects %v at margin %v", tc.name, rejected, margin(s, tc.m))
 		}
 	}
 }

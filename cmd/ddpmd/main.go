@@ -112,8 +112,8 @@ func serve(args []string) {
 		jdepth   = fs.Int("journal-depth", 1024, "audit events buffered before shedding")
 		enablePP = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the admin plane")
 		trBuf    = fs.Int("trace-buffer", 4096, "flight-recorder capacity in traces (negative disables tracing)")
-		trSample = fs.Int("trace-sample", 64, "retain 1 in N boring traces (interesting outcomes always retained)")
-		trSlow   = fs.Duration("trace-slow", time.Millisecond, "always retain traces with any span above this")
+		trSample = fs.Int("trace-sample", 64, "retain 1 in N boring traces: identified, undecodable, suppressed, blocked hits (decisions always retained)")
+		trSlow   = fs.Duration("trace-slow", time.Millisecond, "always retain traces with a daemon-side span (ingest, identify, detect, block) above this")
 
 		clSelf   = fs.String("cluster", "", "this instance's advertised TCP ingest address: enables cluster mode")
 		clPeers  = fs.String("peers", "", "comma-separated peer ingest addresses (cluster mode)")

@@ -38,11 +38,29 @@ func NewCUSUM(window eventq.Time, slack, threshold float64) *CUSUM {
 
 func (d *CUSUM) Name() string { return "cusum" }
 
+// Observe is ObserveBatch of one packet.
 func (d *CUSUM) Observe(now eventq.Time, _ *packet.Packet) {
-	for now-d.winStart >= d.Window {
-		d.closeWindow()
+	d.ObserveBatch([]eventq.Time{now})
+}
+
+// ObserveBatch feeds the arrival ticks of a run of packets, in order,
+// and returns the index of the packet whose arrival raised the alarm, or
+// -1 when none did.
+func (d *CUSUM) ObserveBatch(ts []eventq.Time) int {
+	at := -1
+	for i, now := range ts {
+		if now-d.winStart >= d.Window {
+			fired := d.fired
+			for now-d.winStart >= d.Window {
+				d.closeWindow()
+			}
+			if !fired && d.fired {
+				at = i
+			}
+		}
+		d.winCount++
 	}
-	d.winCount++
+	return at
 }
 
 func (d *CUSUM) closeWindow() {

@@ -103,7 +103,7 @@ type EntropyDetector struct {
 
 	base      *stats.EWMA
 	winStart  eventq.Time
-	counter   *stats.Counter[packet.Addr]
+	counts    stats.Tally // the open window's sources
 	windowsOK int
 }
 
@@ -113,26 +113,44 @@ func NewEntropyDetector(window eventq.Time, delta float64) *EntropyDetector {
 		panic(fmt.Sprintf("detect: bad entropy detector spec window=%d delta=%v", window, delta))
 	}
 	return &EntropyDetector{
-		Window:  window,
-		Delta:   delta,
-		base:    stats.NewEWMA(0.3),
-		counter: stats.NewCounter[packet.Addr](),
+		Window: window,
+		Delta:  delta,
+		base:   stats.NewEWMA(0.3),
+		counts: stats.NewTally(0),
 	}
 }
 
 func (d *EntropyDetector) Name() string { return "entropy" }
 
+// Observe is ObserveBatch of one packet.
 func (d *EntropyDetector) Observe(now eventq.Time, pk *packet.Packet) {
-	for now-d.winStart >= d.Window {
-		d.closeWindow()
+	d.ObserveBatch([]eventq.Time{now}, []packet.Addr{pk.Hdr.Src})
+}
+
+// ObserveBatch feeds a run of packets in arrival order, ts[i] and
+// srcs[i] being the i-th one's tick and source, and returns the index of
+// the packet whose arrival raised the alarm, or -1 when none did.
+func (d *EntropyDetector) ObserveBatch(ts []eventq.Time, srcs []packet.Addr) int {
+	at := -1
+	for i, now := range ts {
+		if now-d.winStart >= d.Window {
+			fired := d.fired
+			for now-d.winStart >= d.Window {
+				d.closeWindow()
+			}
+			if !fired && d.fired {
+				at = i
+			}
+		}
+		d.counts.Add(uint32(srcs[i]), 1)
 	}
-	d.counter.Add(pk.Hdr.Src)
+	return at
 }
 
 func (d *EntropyDetector) closeWindow() {
-	h := d.counter.Entropy()
-	n := d.counter.Total()
-	d.counter.Reset()
+	h := d.counts.Entropy()
+	n := d.counts.Total()
+	d.counts.Reset()
 	d.winStart += d.Window
 	if n == 0 {
 		return // empty window: keep the baseline

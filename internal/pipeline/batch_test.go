@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/eventq"
+	"repro/internal/filter"
+	"repro/internal/packet"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -218,3 +221,50 @@ func TestTracedSlabDrainsWithoutAllocating(t *testing.T) {
 		t.Fatalf("traced 1024-record slab allocates %.1f/op, untraced %.1f/op — want 0 allocations per traced record", traced, plain)
 	}
 }
+
+// benchProcessSub times the shard worker's path alone: processSub over
+// one 1 024-record slab of 16 victims' groups, 64 records each from 8
+// sources of which 4 are blocked — half the slab blocked hits — with
+// every context nonzero when traced. Each op moves the slab's ticks on by
+// 64, so the detectors' windows keep closing.
+func benchProcessSub(b *testing.B, traced bool) {
+	net := topology.NewMesh2D(8)
+	p, err := New(Config{Net: net, Shards: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	slab := p.GetSlab()
+	defer slab.Release()
+	for i := 0; i < 1024; i++ {
+		v, src := topology.NodeID(i/64), topology.NodeID(32+i%8)
+		rec := wire.Record{T: eventq.Time(i % 64), Topo: p.TopoID(), Victim: v, MF: mkMF(b, net, src, v), Src: packet.Addr(src)}
+		if traced {
+			slab.AppendTraced(wire.TracedRecord{Record: rec, Ctx: wire.TraceContext{ID: uint64(i) + 1, Sent: 1}})
+		} else {
+			slab.Append(rec)
+		}
+		if i < 64 && i%8 < 4 {
+			p.Blocklist().BlockUntilFor(src, filter.Permanent, v)
+		}
+	}
+	s := p.shards[0]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	run := func() {
+		p.processSub(s, 0, batch{slab: slab, end: int32(slab.Len()), t0: time.Now().UnixNano()})
+		for i := range slab.Recs {
+			slab.Recs[i].T += 64
+		}
+	}
+	run() // admit the victims
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slab.Len()), "ns/rec")
+}
+
+func BenchmarkProcessSubTraced(b *testing.B)   { benchProcessSub(b, true) }
+func BenchmarkProcessSubUntraced(b *testing.B) { benchProcessSub(b, false) }

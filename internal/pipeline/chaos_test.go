@@ -269,13 +269,15 @@ func TestChaosIngestLosesNothingSilently(t *testing.T) {
 			t.Errorf("trace %s served over HTTP but not findable in the recorder", bt.ID)
 		}
 	}
-	// Interesting endings are always retained and the ring is too big
-	// to evict, so the recorder's tally of them must equal the
-	// pipeline's counters: decisions and traces come from one pass.
+	// Decisions are always retained and the ring is too big to evict,
+	// so the recorder's tally of them must equal the pipeline's
+	// counters: decisions and traces come from one pass. Blocked hits
+	// are boring, sampled 1 in 2^30 here: none is kept, and the counter
+	// alone counts them.
 	snapNow := p.Snapshot()
 	for out, want := range map[pipeline.Outcome]uint64{
 		pipeline.OutcomeBlock:      snapNow.Blocks,
-		pipeline.OutcomeBlockedHit: snapNow.BlockedHits,
+		pipeline.OutcomeBlockedHit: 0,
 	} {
 		f := pipeline.AllTraces()
 		f.Outcome, f.HasOut = out, true

@@ -2,14 +2,18 @@ package pipeline
 
 // The flight recorder: per-record span timelines for wire records that
 // carried a trace context, kept in a fixed-size in-memory ring with
-// tail-based sampling. Aggregate histograms (PR 4) say how long stages
-// take; the recorder says what happened to one specific record between
+// tail-based sampling. Aggregate histograms say how long stages take;
+// the recorder says what happened to one specific record between
 // exporter send and block decision. Retention is decided at the *end*
-// of a record's journey (tail sampling): traces that end in an alarm,
-// a block, a blocked-source hit, a drop, a rejection or a stream
-// resync are always retained, as is anything with a stage slower than
-// the configured threshold; boring traces (identified or undecodable,
+// of a record's journey (tail sampling), and before its trace is built:
+// a decision — alarm, block, drop, rejection, stream resync, cluster
+// event — is always retained, as is a forwarded half and anything with
+// a daemon-side span slower than the configured threshold; boring
+// endings (identified, undecodable, suppressed, blocked-source hit,
 // fast) are sampled 1-in-N so the ring still carries baseline context.
+// The decisions made once per victim, source, stream or cluster
+// operation keep a quarter of the ring to themselves, so no flood of
+// per-record endings evicts them.
 
 import (
 	"fmt"
@@ -93,9 +97,10 @@ const SpanMissing int64 = -1
 //	Block    threshold check (+ insertion and journaling on a block)
 //
 // Identify, Detect and Block are the wall time of the victim group's
-// pass ÷ group length — the amortized figure the stage histograms
-// record — so every trace of a group reads the same; the outcome says
-// which record alarmed or blocked.
+// pass ÷ group length, so every trace of a group reads the same; the
+// outcome says which record alarmed or blocked. (The stage histograms
+// amortize over the whole sub-batch instead; an exemplar still
+// resolves, because a trace stamps the bin of its own span.)
 type Trace struct {
 	ID      uint64
 	Sent    int64 // exporter send time, unix nanos (0 = unknown)
@@ -135,18 +140,48 @@ func (t *Trace) stages() [numStages]int64 {
 	return [numStages]int64{t.Ingest, t.Identify, t.Detect, t.Block}
 }
 
-// Interesting reports whether tail sampling must retain the trace
-// regardless of the boring 1-in-N counter: any outcome beyond the
-// ordinary identified/undecodable/suppressed triple, or any span over
-// slowNS.
-func (t *Trace) Interesting(slowNS int64) bool {
-	if t.Outcome != OutcomeIdentified && t.Outcome != OutcomeUndecodable && t.Outcome != OutcomeSuppressed {
+// boring reports whether a trace ending in o is one of the many tail
+// sampling may drop: a record identified (or not), kept sketch-only or
+// dropped at the blocklist. Every other outcome is kept.
+func (o Outcome) boring() bool {
+	switch o {
+	case OutcomeIdentified, OutcomeUndecodable, OutcomeSuppressed, OutcomeBlockedHit:
 		return true
 	}
+	return false
+}
+
+// decision reports whether a trace ending in o goes to the ring's
+// decision share: a kept outcome that happens once per victim, source,
+// stream or cluster operation. The per-record kept endings share the
+// ring with the samples instead — a forwarded half (one per forwarded
+// record) and a record shed or rejected at ingest (a whole sub-batch
+// at a time, and most when the daemon is overloaded) — so no flood of
+// them evicts a block.
+func (o Outcome) decision() bool {
+	switch o {
+	case OutcomeAlarm, OutcomeBlock, OutcomeResync,
+		OutcomeRingChange, OutcomeGossip, OutcomeHandback, OutcomeTakeover, OutcomeGateAdmit:
+		return true
+	}
+	return false
+}
+
+// Interesting reports whether tail sampling must retain the trace
+// regardless of the boring 1-in-N counter: a kept outcome, or a
+// daemon-side span over slowNS. Wire and Forward cross hosts' clocks, so
+// they are not read: a skewed exporter would make every trace slow.
+func (t *Trace) Interesting(slowNS int64) bool {
+	return !t.Outcome.boring() || slowSpans(slowNS, t.Ingest, t.Identify, t.Detect, t.Block)
+}
+
+// slowSpans reports whether any of the spans exceeds slowNS (never when
+// slowNS <= 0: the slow gate is off).
+func slowSpans(slowNS int64, spans ...int64) bool {
 	if slowNS <= 0 {
 		return false
 	}
-	for _, d := range [...]int64{t.Wire, t.Forward, t.Ingest, t.Identify, t.Detect, t.Block} {
+	for _, d := range spans {
 		if d > slowNS {
 			return true
 		}
@@ -155,30 +190,72 @@ func (t *Trace) Interesting(slowNS int64) bool {
 }
 
 // FlightRecorder is the fixed-size ring of retained traces plus the
-// tail-sampling policy and its accounting. Shard workers, the ingest
-// path and the cluster tier Commit batches of traces, each one mutex
-// acquisition; readers (the /debug/traces endpoint, SIGQUIT dumps,
-// tests) snapshot under the same mutex.
+// tail-sampling policy and its accounting. A producer decides retention
+// for a run of completed records before building any trace — reserve
+// claims the run's sampler ticks — and Commits the kept ones in batches,
+// each one mutex acquisition; readers (the /debug/traces endpoint,
+// SIGQUIT dumps, tests) snapshot under the same mutex.
 type FlightRecorder struct {
 	sampleN uint64 // retain 1 in N boring traces (1 = all)
-	slowNS  int64  // any span above this is always retained
+	slowNS  int64  // any daemon-side span above this is always retained
 
-	observed atomic.Uint64 // completed traces offered to Commit
-	retained atomic.Uint64 // traces written into the ring
-	sampled  atomic.Uint64 // boring traces retained by the 1-in-N sampler
-	evicted  atomic.Uint64 // ring overwrites of a previously retained trace
-	boring   atomic.Uint64 // boring-trace counter driving the sampler
+	retained    atomic.Uint64 // traces written into the ring
+	sampled     atomic.Uint64 // boring traces retained by the 1-in-N sampler
+	evicted     atomic.Uint64 // ring overwrites of a previously retained trace
+	boring      atomic.Uint64 // boring traces observed: the sampler's clock
+	interesting atomic.Uint64 // interesting traces observed, every one retained
 
 	synthSeq atomic.Uint64 // synthetic ids for stream-level events
 
-	mu   sync.Mutex
-	ring []Trace
+	mu        sync.Mutex
+	seq       uint64    // commits so far: orders the two shares for Snapshot
+	decisions traceRing // decision outcomes, which samples never evict
+	samples   traceRing // everything else kept
+}
+
+// traceRing is one share of the recorder's ring. seqs[i] is the commit
+// order of buf[i].
+type traceRing struct {
+	buf  []Trace
+	seqs []uint64
 	next int
 	full bool
 }
 
-// NewFlightRecorder builds a recorder holding up to size traces,
-// retaining 1 in sampleN boring traces and everything with a span over
+func newTraceRing(n int) traceRing {
+	return traceRing{buf: make([]Trace, n), seqs: make([]uint64, n)}
+}
+
+// put writes t as commit number seq and reports whether it overwrote an
+// older trace.
+func (g *traceRing) put(t *Trace, seq uint64) (evicted bool) {
+	evicted = g.full
+	g.buf[g.next], g.seqs[g.next] = *t, seq
+	if g.next++; g.next == len(g.buf) {
+		g.next, g.full = 0, true
+	}
+	return evicted
+}
+
+// len is how many traces the share holds.
+func (g *traceRing) len() int {
+	if g.full {
+		return len(g.buf)
+	}
+	return g.next
+}
+
+// slot returns where the i-th newest trace is held, for i < len().
+func (g *traceRing) slot(i int) int {
+	if i = g.next - 1 - i; i < 0 {
+		i += len(g.buf)
+	}
+	return i
+}
+
+// NewFlightRecorder builds a recorder holding up to size traces — a
+// quarter of them, rounded down, for decisions alone — retaining 1 in
+// sampleN boring traces and everything with a daemon-side span over
 // slow. size <= 0 returns nil — the disabled recorder; every method is
 // nil-safe on the hot path via the callers' nil checks.
 func NewFlightRecorder(size, sampleN int, slow time.Duration) *FlightRecorder {
@@ -189,60 +266,78 @@ func NewFlightRecorder(size, sampleN int, slow time.Duration) *FlightRecorder {
 		sampleN = 64
 	}
 	return &FlightRecorder{
-		sampleN: uint64(sampleN),
-		slowNS:  slow.Nanoseconds(),
-		ring:    make([]Trace, size),
+		sampleN:   uint64(sampleN),
+		slowNS:    slow.Nanoseconds(),
+		decisions: newTraceRing(size / 4),
+		samples:   newTraceRing(size - size/4),
 	}
 }
 
-// Counters for /metrics.
-func (r *FlightRecorder) Observed() uint64 { return r.observed.Load() }
+// Counters for /metrics. The traces observed are the boring ones plus
+// the interesting ones; both terms only grow, so a scrape racing a
+// Commit never reads the counter going down.
+func (r *FlightRecorder) Observed() uint64 {
+	return r.boring.Load() + r.interesting.Load()
+}
 func (r *FlightRecorder) Retained() uint64 { return r.retained.Load() }
 func (r *FlightRecorder) Sampled() uint64  { return r.sampled.Load() }
 func (r *FlightRecorder) Evicted() uint64  { return r.evicted.Load() }
 
-// Commit offers completed traces to tail sampling, moves the retained
-// ones to the front of ts in order (the ring keeps copies) and returns
-// how many. One add reserves the batch's range of the boring counter,
-// so each trace samples exactly as it would committed alone.
-func (r *FlightRecorder) Commit(ts []Trace) int {
-	r.observed.Add(uint64(len(ts)))
-	var nb uint64
-	for i := range ts {
-		if !ts[i].Interesting(r.slowNS) {
-			nb++
-		}
+// sampler is the retention decision for a run of boring traces, taken
+// before any of them is built: reserve claims the run's range of the
+// boring counter with one add, and keep then tells, trace by trace in
+// order, whether the 1-in-N sampler retains it — exactly as each would
+// have sampled offered alone, the i-th boring trace ever observed being
+// kept when i is a multiple of N.
+type sampler struct {
+	every, skip uint64 // skip: boring traces before the next one kept
+}
+
+// reserve counts n boring traces observed and returns their sampler.
+func (r *FlightRecorder) reserve(n int) sampler {
+	tick := r.boring.Add(uint64(n)) - uint64(n)
+	return sampler{every: r.sampleN, skip: r.sampleN - 1 - tick%r.sampleN}
+}
+
+// keep reports whether the run's next boring trace is retained.
+func (s *sampler) keep() bool {
+	if s.skip == 0 {
+		s.skip = s.every - 1
+		return true
 	}
-	tick := r.boring.Add(nb) - nb
+	s.skip--
+	return false
+}
+
+// Commit stores traces the caller decided to keep, in order: every
+// interesting trace it completed and the boring ones its sampler kept.
+// A boring trace reaches Commit only through reserve, which counted it.
+// Decisions go to their own share of the ring, the rest to the other.
+func (r *FlightRecorder) Commit(ts []Trace) {
+	if len(ts) == 0 {
+		return
+	}
 	var sampled, evicted uint64
-	kept := 0
+	r.mu.Lock()
 	for i := range ts {
-		if !ts[i].Interesting(r.slowNS) {
-			if tick++; tick%r.sampleN != 0 {
-				continue
-			}
+		t := &ts[i]
+		if !t.Interesting(r.slowNS) {
 			sampled++
 		}
-		ts[kept] = ts[i]
-		kept++
-	}
-	r.sampled.Add(sampled)
-	r.retained.Add(uint64(kept))
-	r.mu.Lock()
-	for i := range ts[:kept] {
-		if r.full {
+		g := &r.samples
+		if t.Outcome.decision() && len(r.decisions.buf) > 0 {
+			g = &r.decisions
+		}
+		if g.put(t, r.seq) {
 			evicted++
 		}
-		r.ring[r.next] = ts[i]
-		r.next++
-		if r.next == len(r.ring) {
-			r.next = 0
-			r.full = true
-		}
+		r.seq++
 	}
 	r.mu.Unlock()
+	r.retained.Add(uint64(len(ts)))
+	r.sampled.Add(sampled)
+	r.interesting.Add(uint64(len(ts)) - sampled)
 	r.evicted.Add(evicted)
-	return kept
 }
 
 // CommitEventWithID retains a synthetic event under id — minted by
@@ -280,23 +375,22 @@ const MatchAny int64 = -2
 // AllTraces is the match-everything filter.
 func AllTraces() TraceFilter { return TraceFilter{Victim: MatchAny, Source: MatchAny} }
 
-// Snapshot returns retained traces matching f, newest first.
+// Snapshot returns retained traces matching f, newest first across
+// both shares of the ring.
 func (r *FlightRecorder) Snapshot(f TraceFilter) []Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.next
-	total := n
-	if r.full {
-		total = len(r.ring)
-	}
-	out := make([]Trace, 0, min(total, max(f.Limit, 16)))
-	for i := 0; i < total; i++ {
-		// Walk newest → oldest.
-		idx := n - 1 - i
-		if idx < 0 {
-			idx += len(r.ring)
+	d, sm := &r.decisions, &r.samples
+	nd, ns := d.len(), sm.len()
+	out := make([]Trace, 0, min(nd+ns, max(f.Limit, 16)))
+	// Walk both shares newest → oldest, merging on commit order.
+	for i, j := 0, 0; i < nd || j < ns; {
+		var t *Trace
+		if di, sj := d.slot(i), sm.slot(j); j == ns || (i < nd && d.seqs[di] > sm.seqs[sj]) {
+			t, i = &d.buf[di], i+1
+		} else {
+			t, j = &sm.buf[sj], j+1
 		}
-		t := &r.ring[idx]
 		if f.ID != 0 && t.ID != f.ID {
 			continue
 		}

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/stats"
+	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 // mkBoring builds a fast identified trace — the kind tail sampling is
@@ -19,8 +21,37 @@ func mkBoring(id uint64) Trace {
 	}
 }
 
+// keptOf takes the retention decision for already built traces, as
+// the trace lane takes it before building them: one reserve claims the
+// boring traces' sampler ticks, and the kept traces move to the front
+// of ts, in order.
+func keptOf(r *FlightRecorder, ts []Trace) []Trace {
+	nb := 0
+	for i := range ts {
+		if !ts[i].Interesting(r.slowNS) {
+			nb++
+		}
+	}
+	sm := r.reserve(nb)
+	kept := ts[:0]
+	for i := range ts {
+		if ts[i].Interesting(r.slowNS) || sm.keep() {
+			kept = append(kept, ts[i])
+		}
+	}
+	return kept
+}
+
+// offer decides retention for ts, commits the kept traces and returns
+// how many it kept.
+func offer(r *FlightRecorder, ts []Trace) int {
+	kept := keptOf(r, ts)
+	r.Commit(kept)
+	return len(kept)
+}
+
 // commitOne offers one trace to r and reports whether it was retained.
-func commitOne(r *FlightRecorder, t Trace) bool { return r.Commit([]Trace{t}) == 1 }
+func commitOne(r *FlightRecorder, t Trace) bool { return offer(r, []Trace{t}) == 1 }
 
 func TestFlightRecorderDisabledIsNil(t *testing.T) {
 	if r := NewFlightRecorder(0, 64, 0); r != nil {
@@ -36,14 +67,24 @@ func TestTailSamplingAlwaysRetainsInterestingOutcomes(t *testing.T) {
 	// outcome-based "interesting" rule.
 	r := NewFlightRecorder(64, 1<<30, time.Hour)
 	interesting := []Outcome{
-		OutcomeBlockedHit, OutcomeAlarm, OutcomeBlock,
-		OutcomeDrop, OutcomeRejected, OutcomeResync,
+		OutcomeAlarm, OutcomeBlock, OutcomeDrop, OutcomeRejected, OutcomeResync,
+		OutcomeForwarded, OutcomeRingChange, OutcomeGossip, OutcomeHandback,
+		OutcomeTakeover, OutcomeGateAdmit,
 	}
 	for _, out := range interesting {
 		tr := mkBoring(uint64(out) + 1)
 		tr.Outcome = out
 		if !commitOne(r, tr) {
 			t.Errorf("outcome %v not retained", out)
+		}
+	}
+	// A blocked hit is as boring as an identified record: the blocklist
+	// decided it earlier, and ddpmd_blocked_hits_total counts it.
+	for _, out := range []Outcome{OutcomeIdentified, OutcomeUndecodable, OutcomeSuppressed, OutcomeBlockedHit} {
+		tr := mkBoring(uint64(out) + 100)
+		tr.Outcome = out
+		if commitOne(r, tr) {
+			t.Errorf("boring outcome %v retained despite 1-in-2^30 sampling", out)
 		}
 	}
 	if got := r.Retained(); got != uint64(len(interesting)) {
@@ -101,6 +142,15 @@ func TestTailSamplingRetainsSlowSpans(t *testing.T) {
 		t.Fatal("span exactly at the threshold should not count as slow")
 	}
 
+	// The slow gate reads daemon-side spans only: Wire and Forward cross
+	// hosts' clocks, and an exporter skewed past the threshold must not
+	// make every trace slow.
+	skewed := mkBoring(5)
+	skewed.Wire, skewed.Forward = 10*slow.Nanoseconds(), 10*slow.Nanoseconds()
+	if commitOne(r, skewed) {
+		t.Fatal("trace with fast daemon spans kept for its cross-host spans")
+	}
+
 	// Threshold <= 0 disables the slow rule entirely.
 	r2 := NewFlightRecorder(64, 1<<30, 0)
 	huge := mkBoring(4)
@@ -111,7 +161,9 @@ func TestTailSamplingRetainsSlowSpans(t *testing.T) {
 }
 
 func TestRingEvictionAndSnapshotOrder(t *testing.T) {
-	r := NewFlightRecorder(4, 1, time.Hour) // sampleN 1: keep everything
+	// sampleN 1: keep everything. Boring traces fill the samples' share:
+	// 4 of the 5 slots.
+	r := NewFlightRecorder(5, 1, time.Hour)
 	for i := 1; i <= 6; i++ {
 		tr := mkBoring(uint64(i))
 		if !commitOne(r, tr) {
@@ -309,16 +361,26 @@ func TestBatchCommitMatchesSequential(t *testing.T) {
 			}
 		}
 		batched := NewFlightRecorder(256, 3, time.Microsecond)
-		got := commitInBatches(seed, ts, batched.Commit)
+		got := commitInBatches(seed, ts, func(b []Trace) int { return offer(batched, b) })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: batches retained %d traces, one at a time %d (or in another order)", seed, len(got), len(want))
 		}
 		if !reflect.DeepEqual(batched.Snapshot(AllTraces()), one.Snapshot(AllTraces())) {
 			t.Fatalf("seed %d: ring order differs", seed)
 		}
-		if n := uint64(len(want)); one.Observed() != uint64(len(ts)) || one.Retained() != n || one.Evicted() != n-256 {
+		// Each share evicts what overflows it: 64 slots for decisions, 192
+		// for the rest.
+		var decisions uint64
+		for _, tr := range want {
+			if tr.Outcome.decision() {
+				decisions++
+			}
+		}
+		n := uint64(len(want))
+		evicted := decisions - 64 + n - decisions - 192
+		if one.Observed() != uint64(len(ts)) || one.Retained() != n || one.Evicted() != evicted {
 			t.Fatalf("seed %d: observed %d retained %d evicted %d, want %d, %d and %d",
-				seed, one.Observed(), one.Retained(), one.Evicted(), len(ts), n, n-256)
+				seed, one.Observed(), one.Retained(), one.Evicted(), len(ts), n, evicted)
 		}
 		for _, c := range [...]struct {
 			name     string
@@ -363,7 +425,7 @@ func TestCommitTracesStampsLikeEveryTrace(t *testing.T) {
 		}
 		batched := newP()
 		commitInBatches(seed, ts, func(b []Trace) int {
-			batched.commitTraces(b)
+			batched.commitTraces(keptOf(batched.fr, b))
 			return 0
 		})
 		for stage := range batched.lat {
@@ -375,5 +437,51 @@ func TestCommitTracesStampsLikeEveryTrace(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDecisionsOutliveSamples: one block trace, then a shed traced
+// slab of 1 024 records (every one a kept drop ending, as SubmitSlab
+// builds them when a shard queue is full) and 13 600 sampled traces —
+// about 100 ms of flood_traced at 1 in 64 — and the block is still
+// there, the oldest trace of a snapshot that stays newest first.
+func TestDecisionsOutliveSamples(t *testing.T) {
+	p, err := New(Config{Net: topology.NewMesh2D(4), Shards: 1, TraceBuffer: 4096, TraceSampleN: 1, TraceSlowThreshold: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	r := p.Recorder()
+	block := mkBoring(1)
+	block.Outcome = OutcomeBlock
+	r.Commit([]Trace{block})
+	const shed, samples = 1024, 13600
+	recs := make([]wire.Record, shed)
+	ctxs := make([]wire.TraceContext, shed)
+	for i := range ctxs {
+		ctxs[i].ID = uint64(i + 2)
+	}
+	p.commitTraces(p.traceEnded(nil, recs, ctxs, 1000, -1, SpanMissing, OutcomeDrop))
+	for i := 0; i < samples; i++ {
+		if !commitOne(r, mkBoring(uint64(shed+i+2))) {
+			t.Fatal("1-in-1 sampling dropped a trace")
+		}
+	}
+	f := AllTraces()
+	f.ID = 1
+	if got := r.Snapshot(f); len(got) != 1 || got[0].Outcome != OutcomeBlock {
+		t.Fatalf("block trace evicted by the shed slab and samples: %+v", got)
+	}
+	all := r.Snapshot(AllTraces())
+	if len(all) != 1+4096-4096/4 || all[0].ID != shed+samples+1 || all[len(all)-1].ID != 1 {
+		t.Fatalf("snapshot of %d traces from id %d to %d, want %d from %d to the block", len(all), all[0].ID, all[len(all)-1].ID, 1+4096-4096/4, shed+samples+1)
+	}
+	for i := 1; i < len(all)-1; i++ {
+		if all[i].ID != all[i-1].ID-1 {
+			t.Fatalf("snapshot not newest first at %d: %d after %d", i, all[i].ID, all[i-1].ID)
+		}
+	}
+	if got, want := r.Evicted(), uint64(shed+samples-(4096-4096/4)); got != want {
+		t.Errorf("Evicted() = %d, want %d", got, want)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/eventq"
 	"repro/internal/filter"
+	"repro/internal/rng"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -340,5 +341,103 @@ func TestBlockTraceSkipsUntracedPrefix(t *testing.T) {
 	p.WritePrometheus(&metrics, time.Second)
 	if !strings.Contains(metrics.String(), "\nddpmd_detection_latency_seconds_count 1\n") {
 		t.Errorf("detection latency samples: want the block's:\n%s", metrics.String())
+	}
+}
+
+// TestKeptTracesMatchCommitRule is the differential test of deciding
+// retention before building: over seeded trace lanes on one shard, the
+// traces the pipeline keeps are exactly those the build-then-sample rule
+// keeps out of every ending — all of them, read off a run that retains
+// every trace — with blocked hits sampled like identified records.
+func TestKeptTracesMatchCommitRule(t *testing.T) {
+	net := topology.NewMesh2D(8)
+	recs, _ := laneStream(t, net, wire.TopoID(net.Name()))
+	ids := func(p *Pipeline) []uint64 {
+		ts := p.Recorder().Snapshot(AllTraces())
+		out := make([]uint64, len(ts))
+		for i := range ts {
+			out[len(ts)-1-i] = ts[i].ID // commit order
+		}
+		return out
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		r := rng.NewStream(seed)
+		coins := make([]bool, len(recs))
+		contexts := 0
+		for i := range coins {
+			if coins[i] = r.Intn(4) != 0; coins[i] {
+				contexts++
+			}
+		}
+		ctx := func(i int) wire.TraceContext {
+			if !coins[i] {
+				return wire.TraceContext{}
+			}
+			return everyRecord(i)
+		}
+		cfg := laneConfig(net)
+		cfg.Shards = 1
+		slabLen := 16 + r.Intn(1024)
+		all, _ := runLane(t, cfg, recs, slabLen, ctx)
+		endings := all.Recorder().Snapshot(AllTraces())
+		if len(endings) != contexts {
+			t.Fatalf("seed %d: %d endings retained for %d contexts at 1-in-1", seed, len(endings), contexts)
+		}
+		cfg.TraceSampleN = 2 + int(seed)
+		p, _ := runLane(t, cfg, recs, slabLen, ctx)
+		var want []uint64
+		var tick, sampled uint64
+		for i := len(endings) - 1; i >= 0; i-- {
+			switch endings[i].Outcome {
+			case OutcomeIdentified, OutcomeUndecodable, OutcomeSuppressed, OutcomeBlockedHit:
+				if tick++; tick%uint64(cfg.TraceSampleN) != 0 {
+					continue
+				}
+				sampled++
+			}
+			want = append(want, endings[i].ID)
+		}
+		fr := p.Recorder()
+		if got := ids(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d (1 in %d, slabs of %d): kept %d traces, the commit rule keeps %d (or others, or in another order)",
+				seed, cfg.TraceSampleN, slabLen, len(got), len(want))
+		}
+		if fr.Observed() != uint64(contexts) || fr.Sampled() != sampled || fr.Retained() != uint64(len(want)) {
+			t.Errorf("seed %d: observed %d sampled %d retained %d, want %d, %d and %d",
+				seed, fr.Observed(), fr.Sampled(), fr.Retained(), contexts, sampled, len(want))
+		}
+	}
+}
+
+// TestSlowGateReadsDaemonSpansOnly: an exporter clock far behind the
+// daemon's makes every trace's Wire span huge, and fast daemon-side spans
+// must leave those traces to the sampler — here 1 in 2^30, so only the
+// decisions stay.
+func TestSlowGateReadsDaemonSpansOnly(t *testing.T) {
+	net := topology.NewMesh2D(8)
+	recs, _ := laneStream(t, net, wire.TopoID(net.Name()))
+	cfg := laneConfig(net)
+	cfg.TraceSampleN, cfg.TraceSlowThreshold = 1<<30, time.Second
+	// everyRecord stamps Sent a second past the Unix epoch: decades
+	// behind the daemon's clock.
+	p, st := runLane(t, cfg, recs, 1024, everyRecord)
+	kept := p.Recorder().Snapshot(AllTraces())
+	for _, tr := range kept {
+		switch tr.Outcome {
+		case OutcomeIdentified, OutcomeUndecodable, OutcomeSuppressed, OutcomeBlockedHit:
+			t.Fatalf("%v trace kept for its cross-host span: %+v", tr.Outcome, tr)
+		}
+	}
+	if want := st.Alarms + st.Blocks + st.TopoMismatch + st.BadVictim; uint64(len(kept)) != want {
+		t.Fatalf("%d traces kept, want the %d decisions", len(kept), want)
+	}
+
+	// A 1 ns threshold makes every worker-side ending slow: each one is
+	// kept, none by the sampler, whatever its outcome.
+	cfg.TraceSlowThreshold = time.Nanosecond
+	p, _ = runLane(t, cfg, recs, 1024, everyRecord)
+	fr := p.Recorder()
+	if n := uint64(len(recs)); fr.Observed() != n || fr.Retained() != n || fr.Sampled() != 0 {
+		t.Fatalf("observed %d retained %d sampled %d, want every one of %d kept as slow", fr.Observed(), fr.Retained(), fr.Sampled(), n)
 	}
 }

@@ -113,14 +113,20 @@ type Config struct {
 	TraceBuffer int
 
 	// TraceSampleN is the tail-sampling rate for boring traces: 1 in N
-	// traces that end in plain identified/undecodable are retained
-	// (default 64; 1 retains all). Interesting outcomes — alarm, block,
-	// blocked-source hit, drop, rejection, resync — are always retained.
+	// traces that end identified, undecodable, suppressed or in a
+	// blocked-source hit are retained (default 64; 1 retains all), and
+	// the others are never built. Decisions — alarm, block, drop,
+	// rejection, resync, cluster events — and forwarded halves are
+	// always retained. Alarms, blocks, resyncs and cluster events keep a
+	// quarter of the TraceBuffer ring that nothing else overwrites; drops,
+	// rejections and forwarded halves come per record and share the rest
+	// with the samples.
 	TraceSampleN int
 
-	// TraceSlowThreshold forces retention of any trace with a single
-	// span above it, whatever its outcome (default 1ms; negative
-	// disables the slow gate).
+	// TraceSlowThreshold forces retention of any trace with a
+	// daemon-side span (ingest, identify, detect, block) above it,
+	// whatever its outcome (default 1ms; negative disables the slow
+	// gate). The cross-host wire and forward spans are not read.
 	TraceSlowThreshold time.Duration
 }
 
@@ -281,11 +287,10 @@ type Snapshot struct {
 // one shard, whose mu guards every field.
 type victimState struct {
 	ident    *traceback.DDPMIdentifier
-	cusum    detect.Detector
-	entropy  detect.Detector
-	alarmed  bool          // latch: set once, on the first detector firing or by a seed
-	scratch  packet.Packet // reused to feed packet-shaped detectors
-	lastSeen int64         // cfg.Now() of the latest record (or of creation), read by the TTL sweep
+	cusum    *detect.CUSUM
+	entropy  *detect.EntropyDetector // nil when EntropyWindow <= 0
+	alarmed  bool                    // latch: set once, on the first detector firing or by a seed
+	lastSeen int64                   // cfg.Now() of the latest record (or of creation), read by the TTL sweep
 }
 
 // batch is one shard-queue element, of two kinds. A record batch is a
@@ -326,12 +331,16 @@ type shard struct {
 
 	// Worker-only scratch and clocks, never read by another goroutine.
 	// srcs is the per-group identification scratch: the identified
-	// source per record, or a negative sentinel. outs is the trace
-	// lane's per-group outcome scratch, sized when a lane is first seen.
-	// traces are the lane's, built in place, committed by addTrace and
+	// source per record, or a negative sentinel. ts and addrs are the
+	// detect pass's columns: the arrival tick and source address of each
+	// record that reached the detectors. outs is the trace lane's
+	// per-group outcome scratch, sized when a lane is first seen. traces
+	// are the lane's kept ones, built in place, committed by addTrace and
 	// per sub-batch. lastSweep is the in-band TTL-sweep clock in cfg.Now()
 	// nanos.
 	srcs      []int32
+	ts        []eventq.Time
+	addrs     []packet.Addr
 	outs      []Outcome
 	traces    []Trace
 	lastSweep int64
@@ -581,15 +590,32 @@ func (p *Pipeline) addTrace(ts []Trace, tc *wire.TraceContext, start int64, vict
 	return ts
 }
 
-// traceEnded adds to ts a trace for every traced record of a run whose
+// traceEnded adds to ts the kept traces of a run of records whose
 // journey ended short of a victim's exact state: rejected or shed in
 // SubmitSlab (shard −1, ingest SpanMissing — no worker saw it), or, on
 // a worker, kept sketch-only by the admission gate or addressed to a
 // fabric the scheme cannot cover. No pass ran for such records, so
-// every worker span stays SpanMissing.
+// every worker span stays SpanMissing, and the run shares one retention
+// rule: a decision or a slow ingest keeps every traced record, a boring
+// ending keeps those its sampler picks. An untraced run (no contexts,
+// as when the recorder is off) adds nothing.
 func (p *Pipeline) traceEnded(ts []Trace, recs []wire.Record, ctxs []wire.TraceContext, start int64, shard int, ingest int64, out Outcome) []Trace {
+	if len(ctxs) == 0 {
+		return ts
+	}
+	keepAll := !out.boring() || slowSpans(p.fr.slowNS, ingest)
+	var sm sampler
+	if !keepAll {
+		n := 0
+		for i := range ctxs {
+			if ctxs[i].ID != 0 {
+				n++
+			}
+		}
+		sm = p.fr.reserve(n)
+	}
 	for i := range ctxs {
-		if ctxs[i].ID == 0 {
+		if ctxs[i].ID == 0 || (!keepAll && !sm.keep()) {
 			continue
 		}
 		ts = p.addTrace(ts, &ctxs[i], start, recs[i].Victim, shard)
@@ -617,14 +643,14 @@ func (p *Pipeline) commitTraces(ts []Trace) {
 	if len(ts) == 0 {
 		return
 	}
-	kept := ts[:p.fr.Commit(ts)]
+	p.fr.Commit(ts)
 	if !p.sampleOn {
 		return
 	}
-	for i := range kept {
-		for stage, ns := range kept[i].stages() {
-			if ns >= 0 && (i+1 == len(kept) || kept[i+1].stages()[stage] != ns) {
-				p.lat[stage].hist.SetExemplar(stats.Log2NS(ns), kept[i].ID)
+	for i := range ts {
+		for stage, ns := range ts[i].stages() {
+			if ns >= 0 && (i+1 == len(ts) || ts[i+1].stages()[stage] != ns) {
+				p.lat[stage].hist.SetExemplar(stats.Log2NS(ns), ts[i].ID)
 			}
 		}
 	}
@@ -756,8 +782,8 @@ func (fc *fastCtx) flush(p *Pipeline, s *shard) {
 //
 // A slab's trace lane rides along as the matching slice of contexts
 // per group (nil without a lane or with the recorder off) and never
-// changes a decision: it only makes the group commit one trace per
-// nonzero context once its passes are done.
+// changes a decision: once its passes are done, the group decides one
+// ending per nonzero context and commits the traces it keeps.
 //
 // Batch granularity shifts two per-record behaviors by design: a block
 // inserted while processing a group takes effect from the next group
@@ -883,10 +909,10 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 	now := p.cfg.Now()
 	st.lastSeen = now
 	if need := len(group); cap(s.srcs) < need {
-		if need < wire.SlabCap {
-			need = wire.SlabCap
-		}
+		need = max(need, wire.SlabCap)
 		s.srcs = make([]int32, 0, need)
+		s.ts = make([]eventq.Time, 0, need)
+		s.addrs = make([]packet.Addr, 0, need)
 	}
 	var outs []Outcome
 	if ctxs != nil {
@@ -927,33 +953,14 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 		dIdent = fc.lap(&fc.durIdent)
 	}
 
-	// Pass B: feed both detectors. Blocked records skip them (dropped
-	// upstream of the victim); undecodable ones still count toward its
-	// arrival process.
-	cu, en := st.cusum, st.entropy
-	pk := &st.scratch
-	newAlarm := st.alarmed
-	var cuA, enA bool
-	for k := range group {
-		if srcs[k] <= srcBlocked {
-			continue
-		}
-		pk.Hdr.Src = group[k].Src
-		pk.Hdr.Proto = group[k].Proto
-		cu.Observe(group[k].T, pk)
-		en.Observe(group[k].T, pk)
-		if !newAlarm && (cu.Alarmed() || en.Alarmed()) {
-			newAlarm = true
-			cuA, enA = cu.Alarmed(), en.Alarmed()
-			if outs != nil {
-				outs[k] = OutcomeAlarm
-			}
-		}
-	}
-	if newAlarm && !st.alarmed {
+	// Pass B: feed both detectors.
+	if k, cuA, enA := s.detectGroup(st, group, srcs); k >= 0 {
 		st.alarmed = true
 		fc.alarms++
 		p.journalAlarmDetail(now, v, cuA, enA)
+		if outs != nil {
+			outs[k] = OutcomeAlarm
+		}
 	}
 	if fc.timed {
 		dDetect = fc.lap(&fc.durDetect)
@@ -1005,35 +1012,96 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 	}
 }
 
+// detectGroup is pass B over a group identified into srcs: one batch
+// call per detector over the columns of the records that reach them.
+// Blocked records skip the detectors (dropped upstream of the victim);
+// undecodable ones still count toward its arrival process. When the
+// group sets the victim's alarm latch it returns the index in group of
+// the record at which the first detector fired and which detectors had
+// fired by then; otherwise k is -1. Detectors fire only here and set the
+// latch when they do, so none has fired before a group that finds the
+// latch clear.
+func (s *shard) detectGroup(st *victimState, group []wire.Record, srcs []int32) (k int, cuA, enA bool) {
+	ts, addrs := s.ts[:0], s.addrs[:0]
+	for i := range group {
+		if srcs[i] > srcBlocked {
+			ts = append(ts, group[i].T)
+			addrs = append(addrs, group[i].Src)
+		}
+	}
+	cu, en := st.cusum.ObserveBatch(ts), -1
+	if st.entropy != nil {
+		en = st.entropy.ObserveBatch(ts, addrs)
+	}
+	if st.alarmed || (cu < 0 && en < 0) {
+		return -1, false, false
+	}
+	j := cu // the first firing, in the detectors' columns
+	if j < 0 || (en >= 0 && en < j) {
+		j = en
+	}
+	cuA, enA = cu >= 0 && cu <= j, en >= 0 && en <= j
+	for k = range group {
+		if srcs[k] > srcBlocked {
+			if j == 0 {
+				break
+			}
+			j--
+		}
+	}
+	return k, cuA, enA
+}
+
 // traceGroup is the trace lane's one extra pass over a processed
-// group: it adds a trace per nonzero context to the shard's scratch,
-// committed in order. Every worker span is its pass's wall time ÷ group
-// length — the amortized figure the stage histograms record, so an
-// exemplar read off a histogram bin resolves to a trace whose span
-// falls in that bin. A group's traces therefore all stamp the same bins
-// and the last one committed keeps them, so blocking records commit in
-// a second sweep: the record that triggered a block is the one an
-// operator following a bin's exemplar is after.
+// group: it decides which of the group's traced records keep a trace,
+// then builds only those into the shard's scratch, committed in order.
+// Every worker span is its pass's wall time ÷ group length, so a
+// group's traces all read the same spans and the slow gate is one test
+// per group (Detect aside: a blocked hit never reached the detectors).
+// Decisions — the alarming and blocking records passes B and C marked —
+// and slow traces are kept; the boring rest (identified, undecodable,
+// blocked hits) reserve their sampler ticks with one add and keep every
+// TraceSampleN-th. Blocking records commit in a second sweep: a group's
+// traces stamp the same exemplar bins and the last one committed keeps
+// them, and the record that triggered a block is the one an operator
+// following a bin's exemplar is after.
 func (p *Pipeline) traceGroup(s *shard, fc *fastCtx, v topology.NodeID, ctxs []wire.TraceContext, srcs []int32, outs []Outcome, dIdent, dDetect, dBlock time.Duration) {
 	n := int64(len(ctxs))
+	ident, det, blk := int64(dIdent)/n, int64(dDetect)/n, int64(dBlock)/n
+	slow := slowSpans(p.fr.slowNS, fc.ingest, ident, blk)
+	slowDet := slowSpans(p.fr.slowNS, det)
+	// boring reports whether traced record k's trace is one the sampler
+	// decides: passes B and C left it unmarked and no span it reached is
+	// slow.
+	boring := func(k int) bool {
+		return outs[k] == OutcomeIdentified && !slow && (!slowDet || srcs[k] <= srcBlocked)
+	}
+	nb := 0
+	for k := range ctxs {
+		if ctxs[k].ID != 0 && boring(k) {
+			nb++
+		}
+	}
+	sm := p.fr.reserve(nb)
+	build := func(k int) {
+		s.traces = p.addTrace(s.traces, &ctxs[k], fc.t0, v, fc.si)
+		t := &s.traces[len(s.traces)-1]
+		t.Ingest, t.Identify, t.Detect, t.Block = fc.ingest, ident, det, blk
+		src, out := srcs[k], outs[k]
+		switch {
+		case src <= srcBlocked:
+			src, out = srcBlocked-src, OutcomeBlockedHit
+			t.Detect = SpanMissing // dropped before the detectors
+		case src < 0 && out == OutcomeIdentified:
+			out = OutcomeUndecodable
+		}
+		t.Source, t.Outcome = int64(src), out
+	}
 	for _, blocking := range [2]bool{false, true} {
 		for k := range ctxs {
-			if ctxs[k].ID == 0 || (outs[k] == OutcomeBlock) != blocking {
-				continue
+			if ctxs[k].ID != 0 && (outs[k] == OutcomeBlock) == blocking && (!boring(k) || sm.keep()) {
+				build(k)
 			}
-			s.traces = p.addTrace(s.traces, &ctxs[k], fc.t0, v, fc.si)
-			t := &s.traces[len(s.traces)-1]
-			t.Ingest = fc.ingest
-			t.Identify, t.Detect, t.Block = int64(dIdent)/n, int64(dDetect)/n, int64(dBlock)/n
-			src, out := srcs[k], outs[k]
-			switch {
-			case src <= srcBlocked:
-				src, out = srcBlocked-src, OutcomeBlockedHit
-				t.Detect = SpanMissing // dropped before the detectors
-			case src < 0 && out == OutcomeIdentified:
-				out = OutcomeUndecodable
-			}
-			t.Source, t.Outcome = int64(src), out
 		}
 	}
 }
@@ -1106,7 +1174,6 @@ func (p *Pipeline) materialize(s *shard, victim topology.NodeID) *victimState {
 	st := &victimState{
 		ident:    traceback.NewDDPMIdentifier(p.scheme, victim),
 		cusum:    detect.NewCUSUM(p.cfg.CUSUMWindow, p.cfg.CUSUMSlack, p.cfg.CUSUMThreshold),
-		entropy:  nopDetector{},
 		lastSeen: p.cfg.Now(),
 	}
 	if p.cfg.EntropyWindow > 0 {
@@ -1223,7 +1290,7 @@ func (p *Pipeline) read(victim topology.NodeID, fn func(*victimState)) bool {
 
 // Alarmed reports whether the victim's detectors have fired.
 func (p *Pipeline) Alarmed(victim topology.NodeID) (alarmed bool) {
-	p.read(victim, func(st *victimState) { alarmed = st.cusum.Alarmed() || st.entropy.Alarmed() })
+	p.read(victim, func(st *victimState) { alarmed = st.cusum.Alarmed() || (st.entropy != nil && st.entropy.Alarmed()) })
 	return alarmed
 }
 
@@ -1367,11 +1434,3 @@ func (p *Pipeline) StageLatency(stage int) (h *stats.Histogram, sumNS int64) {
 	}
 	return p.lat[stage].hist.Snapshot(), p.lat[stage].sumNS.Load()
 }
-
-// nopDetector disables a detector slot.
-type nopDetector struct{}
-
-func (nopDetector) Name() string                        { return "nop" }
-func (nopDetector) Observe(eventq.Time, *packet.Packet) {}
-func (nopDetector) Alarmed() bool                       { return false }
-func (nopDetector) AlarmedAt() (t eventq.Time)          { return t }

@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/detect"
 	"repro/internal/eventq"
 	"repro/internal/marking"
+	"repro/internal/packet"
+	"repro/internal/rng"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -15,7 +18,7 @@ import (
 // mkMF encodes the MF an intact DDPM walk from src to victim
 // accumulates: the displacement vector D − S, packed with the codec
 // DDPM picks for net.
-func mkMF(t *testing.T, net topology.Network, src, victim topology.NodeID) uint16 {
+func mkMF(t testing.TB, net topology.Network, src, victim topology.NodeID) uint16 {
 	t.Helper()
 	scheme, err := marking.NewDDPM(net)
 	if err != nil {
@@ -253,8 +256,10 @@ func TestUndecodableRecordsAreCountedNotFatal(t *testing.T) {
 }
 
 // waitProcessed blocks until every ingested-and-queued record has been
-// consumed (queues empty is not enough: the last record may still be
-// in the worker).
+// consumed and its sub-batch finished (queues empty is not enough: the
+// last record may still be in the worker; Processed is not either: it
+// ticks when a worker picks a sub-batch up, the other counters when the
+// worker is done with it — hence the quiesce).
 func waitProcessed(t *testing.T, p *Pipeline) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -262,6 +267,7 @@ func waitProcessed(t *testing.T, p *Pipeline) {
 		queued := p.C.Ingested.Load() - p.C.Dropped.Load() - p.C.RejectedClosed.Load() -
 			p.C.TopoMismatch.Load() - p.C.BadVictim.Load()
 		if p.C.Processed.Load() == queued {
+			quiesce(p)
 			return
 		}
 		if time.Now().After(deadline) {
@@ -380,4 +386,92 @@ func TestSnapshotDerivedAcceptedAndShardCounters(t *testing.T) {
 	if sum != s.Processed {
 		t.Errorf("shard processed sum %d != global %d", sum, s.Processed)
 	}
+}
+
+// TestDetectGroupMatchesPerRecord: pass B's batch calls set the alarm
+// latch at the same record, naming the same detectors, as feeding both
+// detectors record by record and reading them after each — over seeded
+// groups with blocked hits (which skip the detectors) and undecodable
+// records (which do not), with and without the entropy detector.
+func TestDetectGroupMatchesPerRecord(t *testing.T) {
+	var kinds [4]int // by cuA | enA<<1
+	for seed := uint64(1); seed <= 80; seed++ {
+		r := rng.NewStream(seed)
+		mk := func() *victimState {
+			st := &victimState{cusum: detect.NewCUSUM(100, 4, 40)}
+			if seed%4 != 0 {
+				st.entropy = detect.NewEntropyDetector(100, 1.5)
+			}
+			return st
+		}
+		st, ref := mk(), mk()
+		s := &shard{ts: make([]eventq.Time, 0, wire.SlabCap), addrs: make([]packet.Addr, 0, wire.SlabCap)}
+		quiet, gap, spoof := eventq.Time(400+r.Intn(800)), 2+r.Intn(5), r.Intn(3)
+		var pk packet.Packet
+		var now eventq.Time
+		for now < quiet+2000 {
+			group, srcs := make([]wire.Record, 1+r.Intn(300)), []int32(nil)
+			for i := range group {
+				src := packet.Addr(1 + r.Intn(6))
+				if now < quiet {
+					now += eventq.Time(r.Intn(40))
+				} else {
+					now += eventq.Time(r.Intn(gap))
+					if spoof == 0 {
+						src = packet.Addr(r.Uint64())
+					} else if spoof == 1 {
+						src = 99
+					}
+				}
+				group[i] = wire.Record{T: now, Src: src}
+				switch r.Intn(16) {
+				case 0, 1:
+					srcs = append(srcs, srcBlocked-int32(r.Intn(64)))
+				case 2:
+					srcs = append(srcs, -1)
+				default:
+					srcs = append(srcs, int32(r.Intn(64)))
+				}
+			}
+			wantK, wantCu, wantEn := -1, false, false
+			for k := range group {
+				if srcs[k] <= srcBlocked {
+					continue
+				}
+				pk.Hdr.Src = group[k].Src
+				ref.cusum.Observe(group[k].T, &pk)
+				enAlarmed := false
+				if ref.entropy != nil {
+					ref.entropy.Observe(group[k].T, &pk)
+					enAlarmed = ref.entropy.Alarmed()
+				}
+				if !ref.alarmed && wantK < 0 && (ref.cusum.Alarmed() || enAlarmed) {
+					wantK, wantCu, wantEn = k, ref.cusum.Alarmed(), enAlarmed
+				}
+			}
+			ref.alarmed = ref.alarmed || wantK >= 0
+			k, cuA, enA := s.detectGroup(st, group, srcs)
+			if k != wantK || cuA != wantCu || enA != wantEn {
+				t.Fatalf("seed %d, group of %d at tick %d: alarm at %d (cusum %v, entropy %v), per record %d (%v, %v)",
+					seed, len(group), now, k, cuA, enA, wantK, wantCu, wantEn)
+			}
+			if k >= 0 {
+				st.alarmed = true
+				kinds[boolBit(cuA)|boolBit(enA)<<1]++
+			}
+		}
+		if st.cusum.AlarmedAt() != ref.cusum.AlarmedAt() || (st.entropy != nil && st.entropy.AlarmedAt() != ref.entropy.AlarmedAt()) {
+			t.Fatalf("seed %d: alarm instants differ", seed)
+		}
+	}
+	if kinds[1] == 0 || kinds[2] == 0 || kinds[3] == 0 {
+		t.Fatalf("alarms by detector (cusum, entropy, both) = %v: the seeds must reach every kind", kinds[1:])
+	}
+}
+
+func boolBit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

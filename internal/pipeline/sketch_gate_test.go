@@ -393,28 +393,31 @@ func TestVictimTTLExpiryAndRematerialization(t *testing.T) {
 // TestSchemeUnbuildableCachedAtNew: a fabric past DDPM's 16-bit MF
 // reach (a 256x256 torus needs 18) still builds a pipeline — records
 // are counted, not fatal, and the construction failure is cached at New
-// rather than retried per batch.
+// rather than retried per batch. With the flight recorder off
+// (TraceBuffer < 0) too: the untraced records end no trace.
 func TestSchemeUnbuildableCachedAtNew(t *testing.T) {
 	net := topology.NewTorus2D(256)
-	p, err := New(Config{Net: net, Shards: 1})
-	if err != nil {
-		t.Fatalf("New must succeed on an unbuildable-scheme fabric: %v", err)
-	}
-	for i := 0; i < 5; i++ {
-		submitWait(t, p, wire.Record{T: eventq.Time(i), Topo: p.TopoID(), Victim: 100, MF: uint16(i)})
-	}
-	p.Close()
-	if got := p.C.SchemeUnbuildable.Load(); got != 5 {
-		t.Errorf("scheme unbuildable = %d, want 5", got)
-	}
-	if got := p.C.Identified.Load() + p.C.Undecodable.Load(); got != 0 {
-		t.Errorf("identified+undecodable = %d, want 0", got)
-	}
-	if got := p.C.Processed.Load(); got != 5 {
-		t.Errorf("processed = %d, want 5", got)
-	}
-	if vs := p.Victims(); len(vs) != 0 {
-		t.Errorf("Victims() = %v, want none", vs)
+	for _, buf := range []int{0, -1} {
+		p, err := New(Config{Net: net, Shards: 1, TraceBuffer: buf})
+		if err != nil {
+			t.Fatalf("TraceBuffer %d: New must succeed on an unbuildable-scheme fabric: %v", buf, err)
+		}
+		for i := 0; i < 5; i++ {
+			submitWait(t, p, wire.Record{T: eventq.Time(i), Topo: p.TopoID(), Victim: 100, MF: uint16(i)})
+		}
+		p.Close()
+		if got := p.C.SchemeUnbuildable.Load(); got != 5 {
+			t.Errorf("TraceBuffer %d: scheme unbuildable = %d, want 5", buf, got)
+		}
+		if got := p.C.Identified.Load() + p.C.Undecodable.Load(); got != 0 {
+			t.Errorf("TraceBuffer %d: identified+undecodable = %d, want 0", buf, got)
+		}
+		if got := p.C.Processed.Load(); got != 5 {
+			t.Errorf("TraceBuffer %d: processed = %d, want 5", buf, got)
+		}
+		if vs := p.Victims(); len(vs) != 0 {
+			t.Errorf("TraceBuffer %d: Victims() = %v, want none", buf, vs)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package traceback
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/marking"
 	"repro/internal/rng"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -98,6 +100,13 @@ func checkTally(t *testing.T, d *DDPMIdentifier, ref *tallyRef) {
 
 func head(s []topology.NodeID) []topology.NodeID { return s[:min(8, len(s))] }
 
+// tallySlots reads how many table slots tab holds, 0 once it is dense
+// (its unexported keys go nil): the representation a test must see cross
+// every doubling and the switch-over, and no caller needs to.
+func tallySlots(tab *stats.Tally) int {
+	return reflect.ValueOf(tab).Elem().FieldByName("keys").Len()
+}
+
 // tallyShape is what a run of ops did to the representation, so a test
 // can require that it really crossed the doublings and the switch-over.
 type tallyShape struct {
@@ -123,13 +132,13 @@ func runTallyOps(t *testing.T, net topology.Network, victim topology.NodeID, ops
 	}
 	d := NewDDPMIdentifier(scheme, victim)
 	ref := &tallyRef{counts: make([]int64, net.NumNodes())}
-	shape := tallyShape{startedDense: d.keys == nil}
-	slots := len(d.keys)
+	shape := tallyShape{startedDense: tallySlots(&d.tab) == 0}
+	slots := tallySlots(&d.tab)
 	grown := func() {
-		if len(d.keys) > slots {
+		if tallySlots(&d.tab) > slots {
 			shape.doublings++
 		}
-		slots = len(d.keys)
+		slots = tallySlots(&d.tab)
 	}
 	observe := func(mf uint16) {
 		want, wantOK := scheme.IdentifySource(victim, mf)
@@ -183,7 +192,7 @@ func runTallyOps(t *testing.T, net topology.Network, victim topology.NodeID, ops
 		}
 	}
 	checkTally(t, d, ref)
-	shape.endedDense = d.keys == nil
+	shape.endedDense = tallySlots(&d.tab) == 0
 	return shape
 }
 

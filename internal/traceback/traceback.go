@@ -12,11 +12,11 @@ package traceback
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 
 	"repro/internal/marking"
 	"repro/internal/packet"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -24,96 +24,30 @@ import (
 // from its marking field (Figure 4's destination-side branch:
 // V := Extract_MF(); S := X − V). It also tallies identified sources so
 // a victim under attack can rank offenders. It keeps the victim's
-// decoder (marking.Victim: arithmetic, no cache), the tally and two
-// counters.
+// decoder (marking.Victim: arithmetic, no cache), the tally and a
+// reject counter.
 //
 // The tally grows with the sources heard, not with the fabric (an
 // attacker multiplies per-victim state by the victims it can make a
-// daemon track): one open-addressed source → count table, power-of-two
-// slots, linear probing, doubled at 3/4 load, nothing ever deleted;
-// 12 bytes a slot, 8 slots to start. The doubling that would cost more
-// than a counter per node (12·slots > 8·nodes: a quarter to a half of the
-// fabric heard from) lays the counters out by node id instead and drops
-// the keys, for good, so the worst case is 8 bytes a node. Not a map:
-// tests pin these bytes and the switch-over is arithmetic on them; a
-// map's bytes belong to the runtime and move with the Go version.
+// daemon track): a Tally bounded by the fabric's node count, so the
+// worst case — a quarter to a half of the fabric heard from — is one
+// 8-byte counter per node.
 type DDPMIdentifier struct {
-	at       marking.Victim
-	keys     []int32 // src+1 per slot, 0 = empty; nil once dense
-	counts   []int64 // counts[i] belongs to keys[i]; to node i once dense
-	used     int     // occupied slots
-	nodes    int
-	observed int64
-	undec    int64
+	at    marking.Victim
+	tab   stats.Tally // source → identifications; its total is Observed
+	nodes int
+	undec int64
 }
 
 // NewDDPMIdentifier builds the identifier for a victim node.
 func NewDDPMIdentifier(scheme *marking.DDPM, victim topology.NodeID) *DDPMIdentifier {
-	d := &DDPMIdentifier{at: scheme.At(victim), nodes: scheme.Net().NumNodes()}
-	d.grow()
-	return d
-}
-
-// slot finds src's place in counts, probing from the top log2(slots)
-// bits of a Fibonacci hash. fresh reports an empty slot src would
-// claim: its count reads 0 and add must write the key.
-func (d *DDPMIdentifier) slot(src topology.NodeID) (i int, fresh bool) {
-	if d.keys == nil {
-		return int(src), false
-	}
-	key, mask := int32(src)+1, len(d.keys)-1
-	i = int(uint64(key) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(mask)))
-	for ; d.keys[i] != key; i = (i + 1) & mask {
-		if d.keys[i] == 0 {
-			return i, true
-		}
-	}
-	return i, false
-}
-
-// add credits n > 0 identifications to an in-fabric src.
-func (d *DDPMIdentifier) add(src topology.NodeID, n int64) {
-	i, fresh := d.slot(src)
-	d.counts[i] += n
-	if fresh {
-		d.keys[i] = int32(src) + 1
-		if d.used++; 4*d.used >= 3*len(d.keys) {
-			d.grow()
-		}
-	}
-}
-
-// grow doubles the table and re-adds what it held or, when that would
-// cost more than a counter per node, goes dense and never grows again.
-func (d *DDPMIdentifier) grow() {
-	keys, counts := d.keys, d.counts
-	if slots := max(8, 2*len(keys)); 12*slots > 8*d.nodes {
-		d.keys, d.counts = nil, make([]int64, d.nodes)
-	} else {
-		d.keys, d.counts = make([]int32, slots), make([]int64, slots)
-	}
-	d.used = 0
-	for i, k := range keys {
-		if k != 0 {
-			d.add(topology.NodeID(k-1), counts[i])
-		}
-	}
+	n := scheme.Net().NumNodes()
+	return &DDPMIdentifier{at: scheme.At(victim), tab: stats.NewTally(n), nodes: n}
 }
 
 // sources returns every tallied source, ascending by node id.
 func (d *DDPMIdentifier) sources() []topology.NodeID {
-	out := slices.Grow([]topology.NodeID(nil), d.used) // nil while nothing is tallied
-	for i, c := range d.counts {
-		if c != 0 {
-			out = append(out, topology.NodeID(i))
-		}
-	}
-	if d.keys == nil {
-		return out // dense: slot i is node i, already in order
-	}
-	for j, i := range out {
-		out[j] = topology.NodeID(d.keys[i] - 1)
-	}
+	out := stats.AppendKeys[topology.NodeID](nil, &d.tab) // nil while nothing is tallied
 	slices.Sort(out)
 	return out
 }
@@ -133,14 +67,13 @@ func (d *DDPMIdentifier) ObserveMF(mf uint16) (topology.NodeID, bool) {
 		d.undec++
 		return topology.None, false
 	}
-	d.add(src, 1)
-	d.observed++
+	d.tab.Add(uint32(src), 1)
 	return src, true
 }
 
 // Observed returns the number of successfully identified packets;
 // Undecodable the number of rejects.
-func (d *DDPMIdentifier) Observed() int64    { return d.observed }
+func (d *DDPMIdentifier) Observed() int64    { return d.tab.Total() }
 func (d *DDPMIdentifier) Undecodable() int64 { return d.undec }
 
 // AddTally merges n prior identifications of src into the tally — the
@@ -152,8 +85,7 @@ func (d *DDPMIdentifier) AddTally(src topology.NodeID, n int64) {
 	if n <= 0 || src < 0 || int(src) >= d.nodes {
 		return
 	}
-	d.add(src, n)
-	d.observed += n
+	d.tab.Add(uint32(src), n)
 }
 
 // AddUndecodable merges n prior decode rejects (handoff sibling of
@@ -178,8 +110,7 @@ func (d *DDPMIdentifier) Count(src topology.NodeID) int64 {
 	if src < 0 || int(src) >= d.nodes {
 		return 0
 	}
-	i, _ := d.slot(src)
-	return d.counts[i]
+	return d.tab.Count(uint32(src))
 }
 
 // TopSources returns the k most frequent identified sources, most
