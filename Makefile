@@ -175,7 +175,8 @@ fuzz-smoke:
 ## six-package total, then the two the victim-side decode and the
 ## scheme-backed blocklist live in and the eight-package total, so code
 ## moving between the groups shows up as a move, not a deletion; last,
-## apart from those totals, the daemon's command (cmd/ddpmd) and every
+## apart from those totals, every package under internal/ (the simulator
+## packages included), the daemon's command (cmd/ddpmd) and every
 ## command under cmd/, whose deletions the package totals do not see
 loc:
 	@total=0; for p in pipeline wire cluster =total sketch traceback detect '=total (six)' marking filter '=total (eight)'; do \
@@ -183,6 +184,7 @@ loc:
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
 		printf '%-18s %6d\n' internal/$$p $$n; total=$$((total + n)); \
 	done; \
+	printf '%-18s %6d\n' 'internal (all)' $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	printf '%-18s %6d\n' cmd/ddpmd $$(ls cmd/ddpmd/*.go | grep -v _test.go | xargs cat | wc -l); \
 	printf '%-18s %6d\n' 'cmd (all)' $$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 

@@ -298,28 +298,3 @@ func BenchmarkAblationCodecAddVsRoundTrip(b *testing.B) {
 		_ = mf
 	})
 }
-
-// BenchmarkAblationSelector compares routing selection policies under
-// the same adaptive algorithm (DESIGN.md §6.4).
-func BenchmarkAblationSelector(b *testing.B) {
-	for _, sel := range []string{"first", "random", "congestion"} {
-		b.Run(sel, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cl, err := core.Build(core.Config{
-					Topo: core.Mesh2D(8), Selector: sel, Seed: uint64(i) + 1, QueueCap: 64,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				bg := &attack.Background{
-					Pattern: attack.Transpose, InjectionRate: 0.01,
-					Start: 0, Stop: 1000, R: cl.Rng.Stream("bg"),
-				}
-				if err := bg.Launch(cl.Sim, cl.Net, cl.Plan); err != nil {
-					b.Fatal(err)
-				}
-				cl.Sim.RunAll(100_000_000)
-			}
-		})
-	}
-}

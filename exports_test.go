@@ -14,29 +14,26 @@ import (
 	"testing"
 )
 
-// exportScanPackages are the daemon's packages plus the simulator
-// packages it imports: the directories whose exported API must be
-// production API.
-var exportScanPackages = []string{
-	"internal/pipeline", "internal/wire", "internal/cluster",
-	"internal/sketch", "internal/traceback", "internal/detect",
-	"internal/marking", "internal/filter", "internal/stats",
-}
+// exportScanRoot holds the packages whose exported API must be
+// production API: every package under it, found by walking it when the
+// test runs, so a new package cannot be left out.
+const exportScanRoot = "internal"
 
 // exportAllowlist is the committed list of test-only exports, one
-// "pkg.Name" or "pkg.Type.Method" per line, a tab, then the paper
-// claim or contract its test pins.
+// "pkg.Name", "pkg.Type.Method" or "pkg.Config.Field" per line, a tab,
+// then the paper claim, reference or harness its tests rely on.
 const exportAllowlist = "testdata/test_only_exports.txt"
 
 // TestNoTestOnlyExports lists every exported func, method, type,
-// package-level var and const declared in a non-test file of
-// exportScanPackages whose name appears in no non-test .go file of the
+// package-level var and const declared in a non-test file under
+// exportScanRoot whose name appears in no non-test .go file of the
 // module other than as a declared name, and every exported field of an
 // exported *Config struct there that no non-test file outside its
 // declaring package sets — as a composite-literal key or as an
 // assignment target — and requires that list to equal the allowlist.
 // A new test-only export or knob fails it, and so does an allowlist
-// entry that was deleted or is now used in production.
+// entry that was deleted, is now used in production, or that no test
+// uses either.
 //
 // The scan is by name, not by type: any identifier or selector with the
 // same name counts as a use, and any key or assignment target with a
@@ -53,14 +50,47 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range sortedKeys(flagged) {
-		if _, ok := allowed[key]; !ok {
+		e := flagged[key]
+		switch _, ok := allowed[key]; {
+		case !e.tested:
+			t.Errorf("%s: %s is exported but nothing uses it (or, for a config field, sets it): delete it", e.pos, key)
+		case !ok:
 			t.Errorf("%s: %s is exported but only tests use it (or, for a config field, set it): unexport or delete it, or add it to %s with the claim its test pins",
-				flagged[key], key, exportAllowlist)
+				e.pos, key, exportAllowlist)
 		}
 	}
 	for _, key := range sortedKeys(allowed) {
 		if _, ok := flagged[key]; !ok {
 			t.Errorf("%s lists %s, which is deleted or now used outside tests: remove the entry", exportAllowlist, key)
+		}
+	}
+}
+
+// TestExportScanFlagsTestOnlyNames runs the scan over a fixture module
+// holding one export of each kind: it must flag the dead export, the
+// one only a test uses and the config field set only inside its own
+// package, and must leave the export another package uses and the
+// field cmd/ sets.
+func TestExportScanFlagsTestOnlyNames(t *testing.T) {
+	got, err := testOnlyExports("testdata/exportscan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{ // key → whether a test uses it
+		"alpha.Dead":         false,
+		"alpha.TestOnly":     true,
+		"alpha.Config.Local": true,
+	}
+	for key, e := range got {
+		if tested, ok := want[key]; !ok {
+			t.Errorf("flagged %s (%s), which production code uses", key, e.pos)
+		} else if e.tested != tested {
+			t.Errorf("%s: tested = %v, want %v", key, e.tested, tested)
+		}
+	}
+	for key := range want {
+		if _, ok := got[key]; !ok {
+			t.Errorf("%s not flagged", key)
 		}
 	}
 }
@@ -110,16 +140,27 @@ func TestDaemonSendsNoHTTP(t *testing.T) {
 	}
 }
 
-// testOnlyExports maps "pkg.Name" / "pkg.Type.Method" to the position
-// of each exported declaration under root's exportScanPackages whose
-// name no non-test file of the module uses.
-func testOnlyExports(root string) (map[string]string, error) {
+// export is one flagged declaration: its position, and whether any
+// test file uses it (for a config field: sets it).
+type export struct {
+	pos    string
+	tested bool
+}
+
+// testOnlyExports maps "pkg.Name" / "pkg.Type.Method" /
+// "pkg.Config.Field" to each exported declaration under root's
+// exportScanRoot whose name no non-test file of the module uses (for a
+// config field: that no non-test file outside its package sets).
+func testOnlyExports(root string) (map[string]export, error) {
 	fset := token.NewFileSet()
-	used := map[string]bool{}
-	setIn := map[string]map[string]bool{} // field name → directories whose non-test files set it
-	scanned := map[string]bool{}
-	for _, p := range exportScanPackages {
-		scanned[filepath.Join(root, p)] = true
+	scanRoot := filepath.Join(root, exportScanRoot) + string(filepath.Separator)
+	// Index 0 counts non-test files, index 1 test files: used holds the
+	// identifiers they name, setIn maps a field name to the directories
+	// whose files set it.
+	var used [2]map[string]bool
+	var setIn [2]map[string]map[string]bool
+	for i := range used {
+		used[i], setIn[i] = map[string]bool{}, map[string]map[string]bool{}
 	}
 	type decl struct{ key, name, pos, dir string } // dir: set for a config field
 	var decls []decl
@@ -134,18 +175,23 @@ func testOnlyExports(root string) (map[string]string, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") {
 			return nil
+		}
+		side := 0
+		if strings.HasSuffix(name, "_test.go") {
+			side = 1
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		// declared holds the file's top-level declared names, which are
-		// not uses; exported ones in a scanned package are candidates.
+		// not uses; exported ones in a scanned non-test file are
+		// candidates.
 		declared := map[*ast.Ident]bool{}
 		pkg := f.Name.Name
-		scan := scanned[filepath.Dir(path)]
+		scan := side == 0 && strings.HasPrefix(path, scanRoot)
 		add := func(id *ast.Ident, key string) {
 			declared[id] = true
 			if scan && id.IsExported() {
@@ -193,16 +239,16 @@ func testOnlyExports(root string) (map[string]string, error) {
 			case *ast.SelectorExpr:
 				name = e.Sel.Name
 			}
-			if setIn[name] == nil {
-				setIn[name] = map[string]bool{}
+			if setIn[side][name] == nil {
+				setIn[side][name] = map[string]bool{}
 			}
-			setIn[name][filepath.Dir(path)] = true
+			setIn[side][name][filepath.Dir(path)] = true
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
 				if !declared[n] {
-					used[n.Name] = true
+					used[side][n.Name] = true
 				}
 			case *ast.CompositeLit:
 				for _, e := range n.Elts {
@@ -224,13 +270,13 @@ func testOnlyExports(root string) (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	flagged := map[string]string{}
+	flagged := map[string]export{}
 	for _, d := range decls {
-		if d.dir == "" && !used[d.name] {
-			flagged[d.key] = d.pos
+		if d.dir == "" && !used[0][d.name] {
+			flagged[d.key] = export{d.pos, used[1][d.name]}
 		}
-		if d.dir != "" && !setOutside(setIn[d.name], d.dir) {
-			flagged[d.key] = d.pos
+		if d.dir != "" && !setOutside(setIn[0][d.name], d.dir) {
+			flagged[d.key] = export{d.pos, len(setIn[1][d.name]) > 0}
 		}
 	}
 	return flagged, nil
@@ -292,7 +338,7 @@ func readExportAllowlist(path string) (map[string]string, error) {
 	return out, sc.Err()
 }
 
-func sortedKeys(m map[string]string) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -34,7 +34,7 @@ func RunX4(spec TopoSpec, schemeName string, badNode topology.NodeID, flows int,
 		return X4Row{}, err
 	}
 	src := rng.NewSource(seed)
-	honest, err := BuildScheme(schemeName, net, 0.04, src.Stream("mark"))
+	honest, err := BuildScheme(schemeName, net, ppmMarkProb, src.Stream("mark"))
 	if err != nil {
 		return X4Row{}, err
 	}

@@ -131,18 +131,19 @@ func BuildScheme(name string, net topology.Network, markProb float64, r *rng.Str
 	}
 }
 
-// Config assembles a full cluster simulation.
+// ppmMarkProb is the PPM schemes' sampling probability: Savage's choice.
+const ppmMarkProb = 0.04
+
+// Config assembles a full cluster simulation. The router picks among an
+// adaptive algorithm's candidate hops with routing.CongestionSelector.
 type Config struct {
-	Topo     TopoSpec
-	Routing  string  // name from RoutingNames; default minimal-adaptive
-	Selector string  // "first", "random", "congestion"; default congestion
-	Scheme   string  // name from SchemeNames; default ddpm
-	MarkProb float64 // PPM sampling probability; default 0.04 (Savage's choice)
+	Topo    TopoSpec
+	Routing string // name from RoutingNames; default minimal-adaptive
+	Scheme  string // name from SchemeNames; default ddpm
 
 	MisrouteBudget int
 	QueueCap       int
 	LinkLatency    eventq.Time
-	SwitchDelay    eventq.Time
 
 	Seed uint64
 
@@ -169,14 +170,8 @@ func Build(cfg Config) (*Cluster, error) {
 	if cfg.Routing == "" {
 		cfg.Routing = "minimal-adaptive"
 	}
-	if cfg.Selector == "" {
-		cfg.Selector = "congestion"
-	}
 	if cfg.Scheme == "" {
 		cfg.Scheme = "ddpm"
-	}
-	if cfg.MarkProb == 0 {
-		cfg.MarkProb = 0.04
 	}
 	src := rng.NewSource(cfg.Seed)
 	net, err := BuildTopology(cfg.Topo)
@@ -189,17 +184,8 @@ func Build(cfg Config) (*Cluster, error) {
 	}
 	router := routing.NewRouter(net, alg)
 	router.MisrouteBudget = cfg.MisrouteBudget
-	switch cfg.Selector {
-	case "first":
-		router.Sel = routing.FirstSelector{}
-	case "random":
-		router.Sel = routing.RandomSelector{R: src.Stream("selector")}
-	case "congestion":
-		router.Sel = routing.CongestionSelector{R: src.Stream("selector")}
-	default:
-		return nil, fmt.Errorf("core: unknown selector %q", cfg.Selector)
-	}
-	scheme, err := BuildScheme(cfg.Scheme, net, cfg.MarkProb, src.Stream("marking"))
+	router.Sel = routing.CongestionSelector{R: src.Stream("selector")}
+	scheme, err := BuildScheme(cfg.Scheme, net, ppmMarkProb, src.Stream("marking"))
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +198,7 @@ func Build(cfg Config) (*Cluster, error) {
 	plan := packet.NewAddrPlan(packet.DefaultBase, net.NumNodes())
 	sim, err := netsim.New(netsim.Config{
 		Net: net, Router: router, Scheme: scheme, Plan: plan,
-		LinkLatency: cfg.LinkLatency, QueueCap: cfg.QueueCap, SwitchDelay: cfg.SwitchDelay,
+		LinkLatency: cfg.LinkLatency, QueueCap: cfg.QueueCap,
 	})
 	if err != nil {
 		return nil, err

@@ -110,7 +110,6 @@ func TestBuildClusterBadConfigs(t *testing.T) {
 	bad := []Config{
 		{Topo: TopoSpec{Kind: "nope", Dims: []int{4}}},
 		{Topo: Mesh2D(4), Routing: "nope"},
-		{Topo: Mesh2D(4), Selector: "nope"},
 		{Topo: Mesh2D(4), Scheme: "nope"},
 		{Topo: Cube(3), Routing: "west-first"},
 	}

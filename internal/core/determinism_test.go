@@ -58,16 +58,17 @@ func TestE6Deterministic(t *testing.T) {
 	}
 }
 
-// runSeededTrace builds a fresh seeded cluster, drives a mixed workload
-// of pooled (AcquirePacket) and heap packets through adaptive routing
-// with DDPM, and returns the fabric stats plus a byte trace capturing
-// every delivery's (Seq, marking field, claimed source, delivery time).
-// Byte-level comparison of two such traces pins the engine's event
-// ordering, sequence assignment and packet-pool reset behavior at once.
+// runSeededTrace builds a fresh seeded cluster, drives a congested
+// workload through adaptive routing with DDPM, and returns the fabric
+// stats plus a byte trace capturing every delivery's (Seq, marking
+// field, claimed source, delivery time). Byte-level comparison of two
+// such traces pins the engine's event ordering and sequence assignment
+// at once; a dropped packet is missing from the trace and counted in
+// the stats' Dropped.
 func runSeededTrace(t *testing.T, seed uint64) (netsim.Stats, []byte) {
 	t.Helper()
 	cl, err := Build(Config{
-		Topo: Torus2D(8), Routing: "fully-adaptive", Selector: "congestion",
+		Topo: Torus2D(8), Routing: "fully-adaptive",
 		Scheme: "ddpm", MisrouteBudget: 2, QueueCap: 4, Seed: seed,
 	})
 	if err != nil {
@@ -81,10 +82,6 @@ func runSeededTrace(t *testing.T, seed uint64) (netsim.Stats, []byte) {
 		rec(uint64(pk.Hdr.Src))
 		rec(uint64(now))
 	})
-	cl.Sim.OnDrop(func(now eventq.Time, pk *packet.Packet, reason netsim.DropReason) {
-		rec(^pk.Seq)
-		rec(uint64(reason))
-	})
 	r := cl.Rng.Stream("traffic")
 	n := cl.Net.NumNodes()
 	for i := 0; i < 600; i++ {
@@ -93,12 +90,7 @@ func runSeededTrace(t *testing.T, seed uint64) (netsim.Stats, []byte) {
 		if i%2 == 0 {
 			dst = 0 // hotspot: force congestion, drops and misrouting
 		}
-		var pk *packet.Packet
-		if i%3 == 0 {
-			pk = packet.NewPacket(cl.Plan, src, dst, packet.ProtoUDP, 0)
-		} else {
-			pk = cl.Sim.AcquirePacket(src, dst, packet.ProtoUDP, 0)
-		}
+		pk := packet.NewPacket(cl.Plan, src, dst, packet.ProtoUDP, 0)
 		if i%5 == 0 {
 			pk.Spoof(packet.Addr(r.Uint64()))
 		}
@@ -113,8 +105,8 @@ func TestEngineStatsAndMarkingTraceBitIdentical(t *testing.T) {
 	// must agree byte-for-byte: identical Stats (delivered, dropped by
 	// reason, hops, misroutes, latency sums) and an identical delivery
 	// trace of (Seq, DDPM marking field, header source, time). This
-	// guards the freelist/pool machinery — a nextSeq or packet-reset bug
-	// shows up here before anything else.
+	// guards the event freelist — a nextSeq or slot-reuse bug shows up
+	// here before anything else.
 	sa, ta := runSeededTrace(t, 42)
 	sb, tb := runSeededTrace(t, 42)
 	if !reflect.DeepEqual(sa, sb) {

@@ -297,7 +297,7 @@ func RunE5(cfg E5Config) (E5Row, error) {
 		cfg.Routing = "minimal-adaptive"
 	}
 	cl, err := Build(Config{
-		Topo: cfg.Topo, Routing: cfg.Routing, Selector: "congestion",
+		Topo: cfg.Topo, Routing: cfg.Routing,
 		Scheme: "ddpm", Seed: cfg.Seed, QueueCap: 256,
 	})
 	if err != nil {

@@ -4,8 +4,8 @@
 // detection activity in the simulator is driven by this queue.
 //
 // Events are small payload records (a kind tag, one integer word, one
-// pointer word) posted with PostAt/PostAfter and dispatched through a
-// single Handler, so steady-state scheduling does not allocate — items
+// pointer word) posted with PostAt and dispatched through a single
+// Handler, so steady-state scheduling does not allocate — items
 // live in a freelist-backed slab ordered by an index-based 4-ary heap.
 package eventq
 
@@ -25,40 +25,14 @@ type Handler interface {
 	HandleEvent(now Time, kind int32, a int64, p any)
 }
 
-const noIndex int32 = -1
-
 // item is one scheduled event, stored in the queue's slab and reused
-// through the freelist after it fires or is released.
+// through the freelist after it fires.
 type item struct {
 	at   Time
 	seq  uint64 // insertion order; breaks ties deterministically
 	a    int64
 	p    any
 	kind int32
-	gen  uint32 // bumped on release so stale Handles cannot cancel a reused slot
-	dead bool
-}
-
-// Handle refers to a scheduled event and allows cancellation. The zero
-// Handle is valid and refers to nothing.
-type Handle struct {
-	q   *Queue
-	idx int32
-	gen uint32
-}
-
-// Cancel marks the event so it will not fire. Cancelling an already
-// fired or cancelled event is a no-op — the handle's generation tag
-// guards against the slot having been reused by a later event. Cancel
-// is O(1); the item is dropped lazily when it reaches the top of the
-// heap, without counting toward Fired.
-func (h Handle) Cancel() {
-	if h.q == nil || h.idx == noIndex {
-		return
-	}
-	if it := &h.q.slab[h.idx]; it.gen == h.gen {
-		it.dead = true
-	}
 }
 
 // heapEntry is one node of the 4-ary min-heap. The (at, seq) ordering
@@ -89,20 +63,11 @@ type Queue struct {
 func New() *Queue { return &Queue{} }
 
 // SetHandler installs the event consumer. It must be set before
-// the first PostAt/PostAfter event fires.
+// the first event fires.
 func (q *Queue) SetHandler(h Handler) { q.handler = h }
 
 // Now returns the current simulation time.
 func (q *Queue) Now() Time { return q.now }
-
-// Fired returns the number of events executed so far. Cancelled events
-// never count.
-func (q *Queue) Fired() uint64 { return q.fired }
-
-// Len returns the number of pending (non-cancelled) events. Cancelled
-// events still buried in the heap are counted until popped, so Len is
-// an upper bound; Empty is exact for scheduling purposes.
-func (q *Queue) Len() int { return len(q.heap) }
 
 // alloc takes an item from the freelist (or grows the slab), assigns
 // its (at, seq) key and pushes it onto the heap.
@@ -121,19 +86,15 @@ func (q *Queue) alloc(at Time) int32 {
 	it := &q.slab[idx]
 	it.at = at
 	it.seq = q.seq
-	it.dead = false
 	q.seq++
 	q.push(heapEntry{at: at, seq: it.seq, idx: idx})
 	return idx
 }
 
 // release returns a popped item to the freelist, clearing its payload so
-// the slab does not pin packets, and bumping the generation
-// so outstanding Handles to the old event become inert.
+// the slab does not pin packets.
 func (q *Queue) release(idx int32) {
-	it := &q.slab[idx]
-	it.p = nil
-	it.gen++
+	q.slab[idx].p = nil
 	q.free = append(q.free, idx)
 }
 
@@ -142,7 +103,7 @@ func (q *Queue) release(idx int32) {
 // posting is allocation-free (p holds pointer-shaped payloads without
 // boxing). Scheduling in the past panics: it indicates a simulator bug,
 // and silently clamping would mask causality violations.
-func (q *Queue) PostAt(at Time, kind int32, a int64, p any) Handle {
+func (q *Queue) PostAt(at Time, kind int32, a int64, p any) {
 	if kind < 0 {
 		panic(fmt.Sprintf("eventq: negative event kind %d", kind))
 	}
@@ -151,56 +112,33 @@ func (q *Queue) PostAt(at Time, kind int32, a int64, p any) Handle {
 	it.kind = kind
 	it.a = a
 	it.p = p
-	return Handle{q: q, idx: idx, gen: it.gen}
-}
-
-// PostAfter schedules an event delay ticks from now.
-func (q *Queue) PostAfter(delay Time, kind int32, a int64, p any) Handle {
-	if delay < 0 {
-		panic(fmt.Sprintf("eventq: negative delay %d", delay))
-	}
-	return q.PostAt(q.now+delay, kind, a, p)
 }
 
 // Step pops and runs the earliest event, advancing the clock to its
-// timestamp. It returns false when no events remain. Cancelled items
-// are discarded without firing.
+// timestamp. It returns false when no events remain.
 func (q *Queue) Step() bool {
-	for len(q.heap) > 0 {
-		idx := q.pop()
-		it := &q.slab[idx]
-		if it.dead {
-			q.release(idx)
-			continue
-		}
-		q.now = it.at
-		q.fired++
-		// Copy the payload and recycle the slot before dispatch, so the
-		// handler can schedule new events that reuse it immediately.
-		kind, a, p := it.kind, it.a, it.p
-		q.release(idx)
-		q.handler.HandleEvent(q.now, kind, a, p)
-		return true
+	if len(q.heap) == 0 {
+		return false
 	}
-	return false
+	idx := q.pop()
+	it := &q.slab[idx]
+	q.now = it.at
+	q.fired++
+	// Copy the payload and recycle the slot before dispatch, so the
+	// handler can schedule new events that reuse it immediately.
+	kind, a, p := it.kind, it.a, it.p
+	q.release(idx)
+	q.handler.HandleEvent(q.now, kind, a, p)
+	return true
 }
 
 // Run executes events until the queue drains or the clock passes
 // horizon (exclusive). Events at exactly horizon do not run, so
-// successive Run(h1), Run(h2) windows partition time cleanly. Dead
-// (cancelled) top items are dropped without counting toward Fired. It
+// successive Run(h1), Run(h2) windows partition time cleanly. It
 // returns the number of events executed.
 func (q *Queue) Run(horizon Time) uint64 {
 	start := q.fired
-	for len(q.heap) > 0 {
-		top := q.heap[0]
-		if q.slab[top.idx].dead {
-			q.release(q.pop())
-			continue
-		}
-		if top.at >= horizon {
-			break
-		}
+	for len(q.heap) > 0 && q.heap[0].at < horizon {
 		q.Step()
 	}
 	if q.now < horizon {

@@ -56,23 +56,6 @@ func TestClockAdvancesToEventTime(t *testing.T) {
 	}
 }
 
-func TestAfterIsRelative(t *testing.T) {
-	q := New()
-	var second Time
-	q.SetHandler(handlerFunc(func(now Time, kind int32, _ int64, _ any) {
-		if kind == 0 {
-			q.PostAfter(5, 1, 0, nil)
-		} else {
-			second = now
-		}
-	}))
-	q.PostAt(10, 0, 0, nil)
-	q.Drain(100)
-	if second != 15 {
-		t.Errorf("PostAfter(5) from t=10 fired at %d, want 15", second)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	q, _ := recordingQueue()
 	q.PostAt(10, 0, 0, nil)
@@ -83,31 +66,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}
 	}()
 	q.PostAt(5, 0, 0, nil)
-}
-
-func TestNegativeDelayPanics(t *testing.T) {
-	q := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("PostAfter(-1) did not panic")
-		}
-	}()
-	q.PostAfter(-1, 0, 0, nil)
-}
-
-func TestCancel(t *testing.T) {
-	q, r := recordingQueue()
-	h := q.PostAt(10, 0, 0, nil)
-	h.Cancel()
-	q.Drain(100)
-	if len(r.events) != 0 {
-		t.Error("cancelled event fired")
-	}
-	if q.Fired() != 0 {
-		t.Errorf("Fired = %d, want 0", q.Fired())
-	}
-	// Double cancel is a no-op.
-	h.Cancel()
 }
 
 func TestRunHorizonExclusive(t *testing.T) {
@@ -145,10 +103,10 @@ func TestSelfRescheduling(t *testing.T) {
 	q.SetHandler(handlerFunc(func(Time, int32, int64, any) {
 		count++
 		if count < 10 {
-			q.PostAfter(3, 0, 0, nil)
+			q.PostAt(q.Now()+3, 0, 0, nil)
 		}
 	}))
-	q.PostAfter(3, 0, 0, nil)
+	q.PostAt(3, 0, 0, nil)
 	q.Drain(1000)
 	if count != 10 {
 		t.Errorf("ticks = %d, want 10", count)
@@ -160,8 +118,8 @@ func TestSelfRescheduling(t *testing.T) {
 
 func TestDrainRunawayGuard(t *testing.T) {
 	q := New()
-	q.SetHandler(handlerFunc(func(Time, int32, int64, any) { q.PostAfter(1, 0, 0, nil) }))
-	q.PostAfter(1, 0, 0, nil)
+	q.SetHandler(handlerFunc(func(now Time, _ int32, _ int64, _ any) { q.PostAt(now+1, 0, 0, nil) }))
+	q.PostAt(1, 0, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("runaway Drain did not panic")
@@ -170,29 +128,13 @@ func TestDrainRunawayGuard(t *testing.T) {
 	q.Drain(100)
 }
 
-func TestCancelledBuriedEventsSkippedByRun(t *testing.T) {
-	q, _ := recordingQueue()
-	var hs []Handle
-	for i := 0; i < 5; i++ {
-		hs = append(hs, q.PostAt(Time(i+1), 0, 0, nil))
-	}
-	for _, h := range hs {
-		h.Cancel()
-	}
-	q.PostAt(10, 0, 0, nil)
-	if n := q.Run(20); n != 1 {
-		t.Errorf("Run executed %d events, want 1", n)
-	}
-}
-
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	q, _ := recordingQueue()
 	if q.Step() {
 		t.Error("Step on empty queue returned true")
 	}
-	h := q.PostAt(1, 0, 0, nil)
-	h.Cancel()
-	if q.Step() {
-		t.Error("Step with only cancelled events returned true")
+	q.PostAt(1, 0, 0, nil)
+	if !q.Step() || q.Step() {
+		t.Error("Step did not run the one posted event and then report the queue empty")
 	}
 }

@@ -46,33 +46,3 @@ func TestExecutionOrderMatchesStableSortQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCancelSubsetQuick(t *testing.T) {
-	// Property: cancelling any subset removes exactly those events.
-	f := func(stamps []uint8, cancelMask []bool) bool {
-		q := New()
-		fired := map[int]bool{}
-		q.SetHandler(handlerFunc(func(_ Time, _ int32, i int64, _ any) { fired[int(i)] = true }))
-		var hs []Handle
-		for i, s := range stamps {
-			hs = append(hs, q.PostAt(Time(s), 0, int64(i), nil))
-		}
-		cancelled := map[int]bool{}
-		for i, h := range hs {
-			if i < len(cancelMask) && cancelMask[i] {
-				h.Cancel()
-				cancelled[i] = true
-			}
-		}
-		q.Drain(uint64(len(stamps)) + 1)
-		for i := range stamps {
-			if fired[i] == cancelled[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}

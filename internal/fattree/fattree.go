@@ -127,15 +127,6 @@ func (t *Tree) LeafSwitch(l LeafID) (SwitchID, int) {
 	return SwitchID{Level: 0, Index: t.switchIndex(d[:t.N-1])}, d[t.N-1]
 }
 
-// LeafAtPort inverts LeafSwitch.
-func (t *Tree) LeafAtPort(sw SwitchID, port int) LeafID {
-	if sw.Level != 0 {
-		panic("fattree: leaves attach to level-0 switches only")
-	}
-	digits := append(t.switchDigits(sw.Index), port)
-	return t.LeafOf(digits)
-}
-
 // Up returns the level l+1 switch reached from sw through up-port u,
 // and the down-port on the upper switch through which the packet
 // enters. In the Petrini–Vanneschi wiring, switch <w, l> connects to
@@ -160,7 +151,7 @@ func (t *Tree) Up(sw SwitchID, u int) (SwitchID, int) {
 // p: the digit freed at that level is set to p.
 func (t *Tree) Down(sw SwitchID, p int) SwitchID {
 	if sw.Level == 0 {
-		panic("fattree: level-0 down-ports reach leaves; use LeafAtPort")
+		panic("fattree: level-0 down-ports reach leaves")
 	}
 	if p < 0 || p >= t.K {
 		panic(fmt.Sprintf("fattree: down port %d out of range", p))

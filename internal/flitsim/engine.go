@@ -105,7 +105,7 @@ func (f *Fabric) allocate(rt *router, vc *vcState, head flit, preferEscape bool)
 				continue
 			}
 			port := rt.portTo(next)
-			for ovc := f.escVCs; ovc < f.cfg.VCs; ovc++ {
+			for ovc := f.escVCs; ovc < f.vcs; ovc++ {
 				if rt.outOwner[port][ovc] != noOwner {
 					continue
 				}
@@ -330,7 +330,7 @@ func (f *Fabric) applyMoves(moves []move) {
 	for _, mv := range moves {
 		rt := f.routers[mv.toRouter]
 		vc := rt.in[mv.toPort][mv.toVC]
-		if len(vc.buf) >= f.cfg.BufDepth {
+		if len(vc.buf) >= bufDepth {
 			panic(fmt.Sprintf("flitsim: credit protocol violated at router %d port %d vc %d",
 				mv.toRouter, mv.toPort, mv.toVC))
 		}
@@ -342,7 +342,7 @@ func (f *Fabric) applyCredits(credits []creditReturn) {
 	for _, cr := range credits {
 		rt := f.routers[cr.router]
 		rt.credits[cr.port][cr.vc]++
-		if rt.credits[cr.port][cr.vc] > f.cfg.BufDepth {
+		if rt.credits[cr.port][cr.vc] > bufDepth {
 			panic(fmt.Sprintf("flitsim: credit overflow at router %d port %d vc %d",
 				cr.router, cr.port, cr.vc))
 		}
@@ -358,7 +358,7 @@ func (f *Fabric) injectFromQueues() {
 		}
 		rt := f.routers[node]
 		vc := rt.in[len(rt.neighbors)][0]
-		if len(vc.buf) >= f.cfg.BufDepth {
+		if len(vc.buf) >= bufDepth {
 			continue
 		}
 		vc.buf = append(vc.buf, q[0])

@@ -46,15 +46,16 @@ type Config struct {
 	Scheme marking.Scheme
 	Plan   *packet.AddrPlan
 
-	// VCs per physical channel (≥ 2: escape + ≥1 adaptive).
-	VCs int
-	// BufDepth is the per-VC input buffer depth in flits.
-	BufDepth int
-	// FlitBytes sets how many payload bytes one flit carries.
-	FlitBytes int
 	// Seed drives VC allocation and adaptive tie-breaks.
 	Seed uint64
 }
+
+const (
+	// bufDepth is the per-VC input buffer depth in flits.
+	bufDepth = 4
+	// flitBytes is how many bytes one flit carries.
+	flitBytes = 16
+)
 
 func (c *Config) defaults() error {
 	if c.Net == nil || c.Plan == nil {
@@ -62,31 +63,6 @@ func (c *Config) defaults() error {
 	}
 	if c.Scheme == nil {
 		c.Scheme = marking.Nop{}
-	}
-	// Meshes and hypercubes need one dimension-order escape VC; tori
-	// need two (Dally–Seitz dateline: packets that will still cross the
-	// wraparound link of the current dimension ride VC1, switching to
-	// VC0 after the dateline, which breaks the ring's cyclic channel
-	// dependency).
-	minVCs := 2
-	if c.Net.Wraparound() {
-		minVCs = 3
-	}
-	if c.VCs == 0 {
-		c.VCs = minVCs
-	}
-	if c.VCs < minVCs {
-		return fmt.Errorf("flitsim: %s needs >= %d VCs (%d escape + >=1 adaptive), got %d",
-			c.Net.Name(), minVCs, minVCs-1, c.VCs)
-	}
-	if c.BufDepth == 0 {
-		c.BufDepth = 4
-	}
-	if c.BufDepth < 1 {
-		return fmt.Errorf("flitsim: BufDepth must be >= 1")
-	}
-	if c.FlitBytes == 0 {
-		c.FlitBytes = 16
 	}
 	return nil
 }
@@ -127,6 +103,7 @@ type Fabric struct {
 	routers []*router
 	esc     *routing.Router // escape: dimension-order
 	escVCs  int             // 1 (mesh/hypercube) or 2 (torus dateline)
+	vcs     int             // per physical channel: escVCs + 1 adaptive
 
 	cycle    int64
 	nextPkt  uint64
@@ -166,16 +143,22 @@ func New(cfg Config) (*Fabric, error) {
 		cc:      make(topology.Coord, nd),
 		dc:      make(topology.Coord, nd),
 	}
+	// Meshes and hypercubes need one dimension-order escape VC; tori
+	// need two (Dally–Seitz dateline: packets that will still cross the
+	// wraparound link of the current dimension ride VC1, switching to
+	// VC0 after the dateline, which breaks the ring's cyclic channel
+	// dependency). One adaptive VC rides above the escape channels.
 	if cfg.Net.Wraparound() {
 		f.escVCs = 2
 	}
+	f.vcs = f.escVCs + 1
 	for id := 0; id < cfg.Net.NumNodes(); id++ {
 		nbs := cfg.Net.Neighbors(topology.NodeID(id))
 		rt := &router{id: topology.NodeID(id), neighbors: nbs}
 		ports := len(nbs) + 1 // + injection port
 		rt.in = make([][]*vcState, ports)
 		for p := range rt.in {
-			rt.in[p] = make([]*vcState, cfg.VCs)
+			rt.in[p] = make([]*vcState, f.vcs)
 			for v := range rt.in[p] {
 				rt.in[p][v] = &vcState{}
 			}
@@ -183,10 +166,10 @@ func New(cfg Config) (*Fabric, error) {
 		rt.credits = make([][]int, len(nbs))
 		rt.outOwner = make([][]uint64, len(nbs))
 		for p := range rt.credits {
-			rt.credits[p] = make([]int, cfg.VCs)
-			rt.outOwner[p] = make([]uint64, cfg.VCs)
+			rt.credits[p] = make([]int, f.vcs)
+			rt.outOwner[p] = make([]uint64, f.vcs)
 			for v := range rt.credits[p] {
-				rt.credits[p][v] = cfg.BufDepth
+				rt.credits[p][v] = bufDepth
 			}
 		}
 		f.routers = append(f.routers, rt)
@@ -197,14 +180,11 @@ func New(cfg Config) (*Fabric, error) {
 // OnDeliver registers the delivery sink.
 func (f *Fabric) OnDeliver(fn func(cycle int64, pk *packet.Packet)) { f.onDeliver = fn }
 
-// Cycle returns the current cycle count.
-func (f *Fabric) Cycle() int64 { return f.cycle }
-
 // Inject enqueues a packet at its source node. The scheme's OnInject
 // hook runs immediately (the packet is entering its first switch).
 func (f *Fabric) Inject(pk *packet.Packet) {
 	n := int(pk.Hdr.Length) - packet.HeaderLen
-	flits := 1 + (packet.HeaderLen+n+f.cfg.FlitBytes-1)/f.cfg.FlitBytes
+	flits := 1 + (packet.HeaderLen+n+flitBytes-1)/flitBytes
 	pk.Seq = f.nextPkt
 	f.nextPkt++
 	pk.InjectedAt = f.cycle
@@ -223,9 +203,6 @@ func (f *Fabric) Inject(pk *packet.Packet) {
 	}
 	f.injectQ[pk.SrcNode] = q
 }
-
-// InFlight returns the number of injected-but-undelivered packets.
-func (f *Fabric) InFlight() int { return f.inFlight }
 
 // Stats summarizes delivery counters.
 type Stats struct {

@@ -27,7 +27,7 @@ func TestTorusFabricDrainsUnderUniformLoad(t *testing.T) {
 		f.Inject(packet.NewPacket(plan, src, dst, packet.ProtoUDP, 32))
 	}
 	if !f.RunUntilDrained(500000) {
-		t.Fatalf("torus deadlock: %d stuck", f.InFlight())
+		t.Fatalf("torus deadlock: %d stuck", f.inFlight)
 	}
 	if f.Stats().Delivered != N {
 		t.Errorf("delivered %d/%d", f.Stats().Delivered, N)
@@ -40,7 +40,7 @@ func TestTorusTornadoStress(t *testing.T) {
 	// escape network.
 	tr := topology.NewTorus2D(6)
 	plan := packet.NewAddrPlan(packet.DefaultBase, tr.NumNodes())
-	f, err := New(Config{Net: tr, Plan: plan, Seed: 3, VCs: 3, BufDepth: 2})
+	f, err := New(Config{Net: tr, Plan: plan, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestTorusTornadoStress(t *testing.T) {
 		}
 	}
 	if !f.RunUntilDrained(1_000_000) {
-		t.Fatalf("tornado deadlock: %d stuck", f.InFlight())
+		t.Fatalf("tornado deadlock: %d stuck", f.inFlight)
 	}
 }
 

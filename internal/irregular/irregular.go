@@ -30,9 +30,9 @@ type Graph struct {
 	root  topology.NodeID
 }
 
-// NewRandom builds a connected irregular graph of n switches: a random
+// newRandom builds a connected irregular graph of n switches: a random
 // spanning tree plus extra random cables. Deterministic per seed.
-func NewRandom(n, extraEdges int, seed uint64) (*Graph, error) {
+func newRandom(n, extraEdges int, seed uint64) (*Graph, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("irregular: need at least 2 switches")
 	}
@@ -106,7 +106,6 @@ func (g *Graph) orient() {
 // NumNodes returns the switch count; Root the up*/down* root; Level the
 // BFS depth of a switch.
 func (g *Graph) NumNodes() int               { return g.n }
-func (g *Graph) Root() topology.NodeID       { return g.root }
 func (g *Graph) Level(v topology.NodeID) int { return g.level[v] }
 
 // Neighbors returns the adjacent switches.

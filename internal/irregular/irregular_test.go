@@ -15,11 +15,11 @@ type stampNet struct{ g *Graph }
 func (s stampNet) NumNodes() int { return s.g.NumNodes() }
 
 func TestRandomGraphConnectedAndDeterministic(t *testing.T) {
-	g1, err := NewRandom(40, 20, 7)
+	g1, err := newRandom(40, 20, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := NewRandom(40, 20, 7)
+	g2, _ := newRandom(40, 20, 7)
 	for v := 0; v < g1.NumNodes(); v++ {
 		n1, n2 := g1.Neighbors(topology.NodeID(v)), g2.Neighbors(topology.NodeID(v))
 		if len(n1) != len(n2) {
@@ -37,22 +37,22 @@ func TestRandomGraphConnectedAndDeterministic(t *testing.T) {
 			t.Fatalf("node %d unreachable from root", v)
 		}
 	}
-	if g1.Level(g1.Root()) != 0 {
+	if g1.Level(g1.root) != 0 {
 		t.Error("root level != 0")
 	}
 }
 
 func TestRandomGraphValidation(t *testing.T) {
-	if _, err := NewRandom(1, 0, 1); err == nil {
+	if _, err := newRandom(1, 0, 1); err == nil {
 		t.Error("1-switch graph accepted")
 	}
-	if _, err := NewRandom(1<<17, 0, 1); err == nil {
+	if _, err := newRandom(1<<17, 0, 1); err == nil {
 		t.Error("oversized graph accepted")
 	}
 }
 
 func TestUpDownRoutesAllPairs(t *testing.T) {
-	g, err := NewRandom(32, 16, 3)
+	g, err := newRandom(32, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestUpDownRoutesAllPairs(t *testing.T) {
 }
 
 func TestUpDownNeverTurnsDownThenUp(t *testing.T) {
-	g, _ := NewRandom(48, 30, 5)
+	g, _ := newRandom(48, 30, 5)
 	r := rng.NewStream(6)
 	chooser := func(opts []topology.NodeID) topology.NodeID {
 		return opts[r.Intn(len(opts))]
@@ -96,7 +96,7 @@ func TestUpDownNeverTurnsDownThenUp(t *testing.T) {
 }
 
 func TestUpDownAdaptivityProducesMultiplePaths(t *testing.T) {
-	g, _ := NewRandom(48, 40, 9)
+	g, _ := newRandom(48, 40, 9)
 	r := rng.NewStream(10)
 	chooser := func(opts []topology.NodeID) topology.NodeID {
 		return opts[r.Intn(len(opts))]
@@ -124,7 +124,7 @@ func TestIngressStampOnIrregularFabric(t *testing.T) {
 	// marking has nothing to difference, but the ingress stamp rides
 	// any up*/down* route to the victim intact — single-packet source
 	// identification on an unstructured fabric.
-	g, _ := NewRandom(60, 35, 11)
+	g, _ := newRandom(60, 35, 11)
 	stamp, err := marking.NewIngressStamp(stampNet{g: g})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestIngressStampOnIrregularFabric(t *testing.T) {
 func TestRouteShortestAmongLegal(t *testing.T) {
 	// The chosen path length always equals the legal BFS distance; it
 	// may exceed the raw graph distance (the price of deadlock freedom).
-	g, _ := NewRandom(32, 10, 13)
+	g, _ := newRandom(32, 10, 13)
 	for src := 0; src < g.NumNodes(); src++ {
 		for dst := 0; dst < g.NumNodes(); dst++ {
 			p1, err := g.Route(topology.NodeID(src), topology.NodeID(dst), nil)

@@ -14,22 +14,20 @@
 // The hot path is allocation-free in steady state: events are typed
 // payloads on eventq's freelist-backed heap (no closures), per-link
 // state lives in dense slices indexed by the topology's port table (no
-// map lookups per hop), output queues are fixed-capacity rings carved
-// from one slab, and AcquirePacket recycles delivered/dropped packets
-// through a freelist. Event ordering — the (time, seq) tie-break
+// map lookups per hop), and output queues are fixed-capacity rings
+// carved from one slab; the one allocation per packet is the caller's
+// packet.NewPacket. Event ordering — the (time, seq) tie-break
 // sequence — is bit-identical to the original closure engine, so seeded
 // experiment outputs are unchanged.
 package netsim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/eventq"
 	"repro/internal/marking"
 	"repro/internal/packet"
 	"repro/internal/routing"
-	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -70,10 +68,6 @@ type Config struct {
 
 	// QueueCap is the per-output-link queue capacity in packets (≥ 1).
 	QueueCap int
-
-	// SwitchDelay is the per-switch processing time in ticks (≥ 0),
-	// covering routing plus marking.
-	SwitchDelay eventq.Time
 }
 
 func (c *Config) applyDefaults() error {
@@ -89,9 +83,6 @@ func (c *Config) applyDefaults() error {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 16
 	}
-	if c.SwitchDelay < 0 {
-		return fmt.Errorf("netsim: negative SwitchDelay")
-	}
 	if c.Plan.NumNodes() != c.Net.NumNodes() {
 		return fmt.Errorf("netsim: plan has %d nodes, network has %d", c.Plan.NumNodes(), c.Net.NumNodes())
 	}
@@ -100,9 +91,6 @@ func (c *Config) applyDefaults() error {
 
 // DeliverFunc receives every packet ejected to its destination NIC.
 type DeliverFunc func(now eventq.Time, pk *packet.Packet)
-
-// DropFunc receives every discarded packet.
-type DropFunc func(now eventq.Time, pk *packet.Packet, reason DropReason)
 
 // Stats aggregates fabric-level counters.
 type Stats struct {
@@ -165,25 +153,16 @@ type Network struct {
 	// its position in the flattened neighbor table.
 	ports *topology.PortTable
 
-	// out, linkPkts and qslab are indexed by dense link index; each
-	// link's ring occupies qslab[li*QueueCap : (li+1)*QueueCap].
-	out      []outLink
-	linkPkts []uint64
-	qslab    []*packet.Packet
+	// out and qslab are indexed by dense link index; each link's ring
+	// occupies qslab[li*QueueCap : (li+1)*QueueCap].
+	out   []outLink
+	qslab []*packet.Packet
 
 	stats Stats
 
 	onDeliver DeliverFunc
-	onDrop    DropFunc
 
 	nextSeq uint64
-
-	// pool is the packet freelist behind AcquirePacket: packets flagged
-	// Recycle return here after their delivery/drop callbacks.
-	pool []*packet.Packet
-
-	// latHist, when set, receives each delivered packet's latency.
-	latHist *stats.Histogram
 }
 
 // New builds a simulator; the router's congestion oracle is wired to
@@ -195,12 +174,11 @@ func New(cfg Config) (*Network, error) {
 	ports := topology.NewPortTable(cfg.Net)
 	nl := ports.NumLinks()
 	n := &Network{
-		cfg:      cfg,
-		Q:        eventq.New(),
-		ports:    ports,
-		out:      make([]outLink, nl),
-		linkPkts: make([]uint64, nl),
-		qslab:    make([]*packet.Packet, nl*cfg.QueueCap),
+		cfg:   cfg,
+		Q:     eventq.New(),
+		ports: ports,
+		out:   make([]outLink, nl),
+		qslab: make([]*packet.Packet, nl*cfg.QueueCap),
 	}
 	n.Q.SetHandler(n)
 	n.stats.Dropped = make(map[DropReason]uint64)
@@ -228,82 +206,8 @@ func (n *Network) Stats() Stats {
 // multiple observers.
 func (n *Network) OnDeliver(fn DeliverFunc) { n.onDeliver = fn }
 
-// OnDrop registers the drop sink.
-func (n *Network) OnDrop(fn DropFunc) { n.onDrop = fn }
-
-// SetLatencyHistogram attaches a histogram that receives every
-// delivered packet's latency in ticks.
-func (n *Network) SetLatencyHistogram(h *stats.Histogram) { n.latHist = h }
-
-// LinkLoad returns the number of packets serialized onto the directed
-// link so far.
-func (n *Network) LinkLoad(l topology.Link) uint64 {
-	if li := n.ports.LinkIndex(l.From, l.To); li >= 0 {
-		return n.linkPkts[li]
-	}
-	return 0
-}
-
-// HottestLinks returns the k most-loaded directed links, descending;
-// ties break on (From, To) for determinism. k < 0 is treated as 0 and
-// k beyond the number of loaded links is clamped.
-func (n *Network) HottestLinks(k int) []topology.Link {
-	if k < 0 {
-		k = 0
-	}
-	links := make([]topology.Link, 0, k)
-	loads := make(map[topology.Link]uint64)
-	for li, c := range n.linkPkts {
-		if c > 0 {
-			l := n.ports.LinkAt(int32(li))
-			links = append(links, l)
-			loads[l] = c
-		}
-	}
-	sort.Slice(links, func(i, j int) bool {
-		ci, cj := loads[links[i]], loads[links[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		if links[i].From != links[j].From {
-			return links[i].From < links[j].From
-		}
-		return links[i].To < links[j].To
-	})
-	if k > len(links) {
-		k = len(links)
-	}
-	return links[:k]
-}
-
 // Now returns the current simulation time.
 func (n *Network) Now() eventq.Time { return n.Q.Now() }
-
-// AcquirePacket builds a packet from the fabric's freelist: identical
-// to packet.NewPacket but recycled after delivery or drop, so a steady
-// traffic stream allocates nothing. The returned packet is flagged
-// Recycle; delivery/drop sinks must not retain it past their callback.
-func (n *Network) AcquirePacket(src, dst topology.NodeID, proto packet.Proto, payload int) *packet.Packet {
-	var pk *packet.Packet
-	if last := len(n.pool) - 1; last >= 0 {
-		pk = n.pool[last]
-		n.pool = n.pool[:last]
-	} else {
-		pk = new(packet.Packet)
-	}
-	pk.Init(n.cfg.Plan, src, dst, proto, payload)
-	pk.Recycle = true
-	return pk
-}
-
-// reclaim returns a pool-owned packet to the freelist once the fabric
-// is done with it.
-func (n *Network) reclaim(pk *packet.Packet) {
-	if pk.Recycle {
-		pk.Recycle = false
-		n.pool = append(n.pool, pk)
-	}
-}
 
 // Inject introduces a packet into the fabric at its source node's
 // switch at the current simulation time. The scheme's OnInject hook
@@ -350,12 +254,12 @@ func (n *Network) arriveAtSwitch(now eventq.Time, pk *packet.Packet, cur topolog
 		return
 	}
 	if pk.Hdr.TTL == 0 {
-		n.drop(now, pk, DropTTL)
+		n.stats.Dropped[DropTTL]++
 		return
 	}
 	hop, err := n.cfg.Router.NextHop(cur, pk.DstNode, pk.MisroutesUsed)
 	if err != nil {
-		n.drop(now, pk, DropNoRoute)
+		n.stats.Dropped[DropNoRoute]++
 		return
 	}
 	if hop.Misroute {
@@ -376,7 +280,7 @@ func (n *Network) enqueue(now eventq.Time, pk *packet.Packet, li int32) {
 	ol := &n.out[li]
 	cap32 := int32(n.cfg.QueueCap)
 	if ol.count >= cap32 {
-		n.drop(now, pk, DropQueueFull)
+		n.stats.Dropped[DropQueueFull]++
 		return
 	}
 	ring := n.qslab[int(li)*n.cfg.QueueCap:]
@@ -392,10 +296,10 @@ func (n *Network) enqueue(now eventq.Time, pk *packet.Packet, li int32) {
 }
 
 // startTransmit begins serializing the head packet: one tick of
-// service plus SwitchDelay, then LinkLatency of flight.
+// service, then LinkLatency of flight.
 func (n *Network) startTransmit(now eventq.Time, li int32) {
 	n.out[li].busy = true
-	n.Q.PostAt(now+1+n.cfg.SwitchDelay, evTransmitDone, int64(li), nil)
+	n.Q.PostAt(now+1, evTransmitDone, int64(li), nil)
 }
 
 // transmitDone pops the serialized head packet onto the wire and, if
@@ -414,7 +318,6 @@ func (n *Network) transmitDone(now eventq.Time, li int32) {
 	}
 	ol.count--
 	pk.Hops++
-	n.linkPkts[li]++
 	n.Q.PostAt(now+n.cfg.LinkLatency, evArrive, int64(n.ports.To(li)), pk)
 	if ol.count > 0 {
 		n.startTransmit(now, li)
@@ -433,21 +336,9 @@ func (n *Network) deliver(now eventq.Time, pk *packet.Packet) {
 	n.stats.Delivered++
 	n.stats.TotalHops += uint64(pk.Hops)
 	n.stats.LatencySum += uint64(int64(now) - pk.InjectedAt)
-	if n.latHist != nil {
-		n.latHist.Add(float64(int64(now) - pk.InjectedAt))
-	}
 	if n.onDeliver != nil {
 		n.onDeliver(now, pk)
 	}
-	n.reclaim(pk)
-}
-
-func (n *Network) drop(now eventq.Time, pk *packet.Packet, reason DropReason) {
-	n.stats.Dropped[reason]++
-	if n.onDrop != nil {
-		n.onDrop(now, pk, reason)
-	}
-	n.reclaim(pk)
 }
 
 // Run executes events until the horizon (exclusive); RunAll drains the

@@ -79,14 +79,12 @@ func TestTTLExpiry(t *testing.T) {
 	m := topology.NewMesh2D(8)
 	n := buildNet(t, m, routing.NewXY(m), nil)
 	plan := packet.NewAddrPlan(packet.DefaultBase, m.NumNodes())
-	var reason DropReason
-	n.OnDrop(func(_ eventq.Time, _ *packet.Packet, r DropReason) { reason = r })
 	pk := packet.NewPacket(plan, m.IndexOf(topology.Coord{0, 0}), m.IndexOf(topology.Coord{7, 7}), packet.ProtoUDP, 0)
 	pk.Hdr.TTL = 3 // path needs 14 hops
 	n.Inject(pk)
 	n.RunAll(10000)
-	if reason != DropTTL {
-		t.Errorf("drop reason = %v, want ttl-expired", reason)
+	if d := n.Stats().Dropped; d[DropTTL] != 1 || len(d) != 1 {
+		t.Errorf("drops = %v, want one ttl-expired", d)
 	}
 	if n.Stats().Delivered != 0 {
 		t.Error("expired packet delivered")
@@ -99,12 +97,10 @@ func TestNoRouteDrop(t *testing.T) {
 	plan := packet.NewAddrPlan(packet.DefaultBase, m.NumNodes())
 	// Fail XY's only way out of (0,0) toward (0,3).
 	n.cfg.Router.State.Fail(m.IndexOf(topology.Coord{0, 0}), m.IndexOf(topology.Coord{0, 1}))
-	var reason DropReason
-	n.OnDrop(func(_ eventq.Time, _ *packet.Packet, r DropReason) { reason = r })
 	n.Inject(packet.NewPacket(plan, m.IndexOf(topology.Coord{0, 0}), m.IndexOf(topology.Coord{0, 3}), packet.ProtoUDP, 0))
 	n.RunAll(1000)
-	if reason != DropNoRoute {
-		t.Errorf("drop reason = %v, want no-route", reason)
+	if d := n.Stats().Dropped; d[DropNoRoute] != 1 || len(d) != 1 {
+		t.Errorf("drops = %v, want one no-route", d)
 	}
 }
 
@@ -116,12 +112,6 @@ func TestQueueOverflowDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drops := 0
-	n.OnDrop(func(_ eventq.Time, _ *packet.Packet, reason DropReason) {
-		if reason == DropQueueFull {
-			drops++
-		}
-	})
 	// Slam 50 packets into the same first link at t=0; capacity 2 and
 	// unit service rate must shed most of them.
 	src, dst := m.IndexOf(topology.Coord{0, 0}), m.IndexOf(topology.Coord{0, 3})
@@ -129,10 +119,10 @@ func TestQueueOverflowDrops(t *testing.T) {
 		n.Inject(packet.NewPacket(plan, src, dst, packet.ProtoUDP, 0))
 	}
 	n.RunAll(100000)
-	if drops == 0 {
+	st := n.Stats()
+	if st.Dropped[DropQueueFull] == 0 {
 		t.Error("no queue-full drops despite 50-packet burst into cap-2 queue")
 	}
-	st := n.Stats()
 	if st.Delivered+st.DroppedTotal() != 50 {
 		t.Errorf("conservation violated: %d delivered + %d dropped != 50",
 			st.Delivered, st.DroppedTotal())
@@ -240,9 +230,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Net: m, Router: r}); err == nil {
 		t.Error("missing Plan accepted")
 	}
-	if _, err := New(Config{Net: m, Router: r, Plan: plan, SwitchDelay: -1}); err == nil {
-		t.Error("negative SwitchDelay accepted")
-	}
 	wrongPlan := packet.NewAddrPlan(packet.DefaultBase, 4)
 	if _, err := New(Config{Net: m, Router: r, Plan: wrongPlan}); err == nil {
 		t.Error("plan/network size mismatch accepted")
@@ -258,19 +245,6 @@ func TestInjectAtInvalidNodePanics(t *testing.T) {
 		}
 	}()
 	n.Inject(&packet.Packet{SrcNode: 999, DstNode: 0})
-}
-
-func TestSwitchDelayAddsLatency(t *testing.T) {
-	m := topology.NewMesh2D(4)
-	r := routing.NewRouter(m, routing.NewXY(m))
-	plan := packet.NewAddrPlan(packet.DefaultBase, m.NumNodes())
-	n, _ := New(Config{Net: m, Router: r, Plan: plan, SwitchDelay: 5})
-	n.Inject(packet.NewPacket(plan, 0, 1, packet.ProtoUDP, 0))
-	n.RunAll(1000)
-	// 1 service + 5 switch delay + 1 link latency.
-	if got := n.Stats().AvgLatency(); got != 7 {
-		t.Errorf("latency = %v, want 7", got)
-	}
 }
 
 func TestDropReasonStrings(t *testing.T) {

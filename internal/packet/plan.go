@@ -100,12 +100,6 @@ type Packet struct {
 	// state, maintained by the simulator.
 	MisroutesUsed int
 
-	// Recycle marks packets owned by a simulator packet pool: after the
-	// delivery/drop callbacks return, the fabric reclaims the packet
-	// for reuse, so sinks must not retain the pointer past the
-	// callback. Packets built with NewPacket never set it.
-	Recycle bool
-
 	// Wide is an optional out-of-band marking record used only by the
 	// "idealized" marking variants that do not fit the 16-bit MF — the
 	// paper's IP-option alternative ("It would be possible to store the
@@ -119,15 +113,8 @@ type Packet struct {
 // NewPacket assembles a packet from src to dst with the given protocol
 // and payload size, using genuine (non-spoofed) addressing.
 func NewPacket(plan *AddrPlan, src, dst topology.NodeID, proto Proto, payload int) *Packet {
-	return new(Packet).Init(plan, src, dst, proto, payload)
-}
-
-// Init resets pk to a freshly built packet from src to dst — the
-// recycling entry point for packet pools. Every field is overwritten,
-// so a pooled packet carries no state from its previous life.
-func (pk *Packet) Init(plan *AddrPlan, src, dst topology.NodeID, proto Proto, payload int) *Packet {
 	srcAddr := plan.AddrOf(src)
-	*pk = Packet{
+	return &Packet{
 		Hdr: Header{
 			TTL:    DefaultTTL,
 			Proto:  proto,
@@ -140,7 +127,6 @@ func (pk *Packet) Init(plan *AddrPlan, src, dst topology.NodeID, proto Proto, pa
 		TrueSrc:    srcAddr,
 		PayloadLen: payload,
 	}
-	return pk
 }
 
 // Spoof overwrites the header source address, recording ground truth.

@@ -29,7 +29,7 @@ func BenchmarkGreedyCover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		monitors, _ := cov.Greedy(0)
-		if cov.Covered(monitors) != cov.NumPairs() {
+		if cov.Covered(monitors) != len(cov.pairs) {
 			b.Fatal("incomplete cover")
 		}
 	}

@@ -15,7 +15,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -35,18 +34,6 @@ func AllPairs(net topology.Network) []Pair {
 			if s != d {
 				out = append(out, Pair{Src: topology.NodeID(s), Dst: topology.NodeID(d)})
 			}
-		}
-	}
-	return out
-}
-
-// VictimPairs enumerates flows toward one destination (the common case:
-// protect a service node).
-func VictimPairs(net topology.Network, victim topology.NodeID) []Pair {
-	out := make([]Pair, 0, net.NumNodes()-1)
-	for s := 0; s < net.NumNodes(); s++ {
-		if topology.NodeID(s) != victim {
-			out = append(out, Pair{Src: topology.NodeID(s), Dst: victim})
 		}
 	}
 	return out
@@ -78,9 +65,6 @@ func BuildCoverage(r *routing.Router, pairs []Pair) (*Coverage, error) {
 	}
 	return c, nil
 }
-
-// NumPairs returns the universe size.
-func (c *Coverage) NumPairs() int { return len(c.pairs) }
 
 // Covered counts pairs observed by at least one monitor in the set.
 func (c *Coverage) Covered(monitors []topology.NodeID) int {
@@ -176,11 +160,4 @@ func AdaptiveCoverage(r *routing.Router, pairs []Pair, monitors []topology.NodeI
 		}
 	}
 	return float64(hit) / float64(total), nil
-}
-
-// SortNodes returns a sorted copy (for stable reporting).
-func SortNodes(ns []topology.NodeID) []topology.NodeID {
-	out := append([]topology.NodeID(nil), ns...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

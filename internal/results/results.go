@@ -1,13 +1,11 @@
-// Package results provides the small, dependency-free result sinks the
+// Package results provides the small, dependency-free result sink the
 // experiment harness writes through: an escaping CSV writer with a
-// fixed header discipline and a JSONL (one-object-per-line) writer, so
-// sweeps can be piped straight into plotting tools. Everything is
-// deterministic: column order is fixed at construction, map iteration
-// never leaks into output.
+// fixed header discipline, so sweeps can be piped straight into
+// plotting tools. Output is deterministic: column order is fixed at
+// construction.
 package results
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -20,7 +18,6 @@ import (
 type CSV struct {
 	w      io.Writer
 	cols   []string
-	wrote  int
 	failed error
 }
 
@@ -44,12 +41,6 @@ func NewCSV(w io.Writer, columns ...string) (*CSV, error) {
 	return c, nil
 }
 
-// Columns returns the header.
-func (c *CSV) Columns() []string { return append([]string(nil), c.cols...) }
-
-// Rows returns the number of data rows written.
-func (c *CSV) Rows() int { return c.wrote }
-
 // Row writes one record; the value count must match the header.
 // Supported types: string, bool, integers, floats, fmt.Stringer.
 func (c *CSV) Row(values ...any) error {
@@ -63,12 +54,8 @@ func (c *CSV) Row(values ...any) error {
 	for i, v := range values {
 		fields[i] = format(v)
 	}
-	if err := c.writeRecord(fields); err != nil {
-		c.failed = err
-		return err
-	}
-	c.wrote++
-	return nil
+	c.failed = c.writeRecord(fields)
+	return c.failed
 }
 
 func (c *CSV) writeRecord(fields []string) error {
@@ -107,57 +94,4 @@ func format(v any) string {
 	default:
 		return fmt.Sprintf("%v", v)
 	}
-}
-
-// JSONL writes one JSON object per line. Keys are emitted in the fixed
-// order given at construction (encoding/json maps would sort, but a
-// fixed declared order keeps columns aligned with CSV twins).
-type JSONL struct {
-	w    io.Writer
-	keys []string
-}
-
-// NewJSONL fixes the key order.
-func NewJSONL(w io.Writer, keys ...string) (*JSONL, error) {
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("results: JSONL needs at least one key")
-	}
-	return &JSONL{w: w, keys: append([]string(nil), keys...)}, nil
-}
-
-// Row writes one object; values align positionally with the keys.
-func (j *JSONL) Row(values ...any) error {
-	if len(values) != len(j.keys) {
-		return fmt.Errorf("results: row has %d values, keys have %d", len(values), len(j.keys))
-	}
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, k := range j.keys {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return err
-		}
-		vb, err := json.Marshal(normalize(values[i]))
-		if err != nil {
-			return fmt.Errorf("results: key %q: %w", k, err)
-		}
-		sb.Write(kb)
-		sb.WriteByte(':')
-		sb.Write(vb)
-	}
-	sb.WriteString("}\n")
-	_, err := io.WriteString(j.w, sb.String())
-	return err
-}
-
-// normalize renders Stringers as their string form so node ids and
-// enums serialize readably.
-func normalize(v any) any {
-	if s, ok := v.(fmt.Stringer); ok {
-		return s.String()
-	}
-	return v
 }

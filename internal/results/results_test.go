@@ -1,7 +1,6 @@
 package results
 
 import (
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -24,12 +23,6 @@ func TestCSVBasic(t *testing.T) {
 	want := "a,b,c\nx,1,2.5\ny,-7,false\n"
 	if sb.String() != want {
 		t.Errorf("csv = %q, want %q", sb.String(), want)
-	}
-	if c.Rows() != 2 {
-		t.Errorf("Rows = %d", c.Rows())
-	}
-	if got := c.Columns(); len(got) != 3 || got[0] != "a" {
-		t.Errorf("Columns = %v", got)
 	}
 }
 
@@ -70,57 +63,6 @@ func TestCSVStringer(t *testing.T) {
 	}
 }
 
-func TestJSONLBasic(t *testing.T) {
-	var sb strings.Builder
-	j, err := NewJSONL(&sb, "name", "n", "ok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Row("run1", 42, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Row("run2", 0, false); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	var obj map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &obj); err != nil {
-		t.Fatalf("line not JSON: %v", err)
-	}
-	if obj["name"] != "run1" || obj["n"] != float64(42) || obj["ok"] != true {
-		t.Errorf("obj = %v", obj)
-	}
-	// Declared key order preserved verbatim.
-	if !strings.HasPrefix(lines[0], `{"name":`) {
-		t.Errorf("key order not fixed: %q", lines[0])
-	}
-}
-
-func TestJSONLValidation(t *testing.T) {
-	var sb strings.Builder
-	if _, err := NewJSONL(&sb); err == nil {
-		t.Error("zero keys accepted")
-	}
-	j, _ := NewJSONL(&sb, "a")
-	if err := j.Row(1, 2); err == nil {
-		t.Error("long row accepted")
-	}
-}
-
-func TestJSONLStringer(t *testing.T) {
-	var sb strings.Builder
-	j, _ := NewJSONL(&sb, "reason")
-	if err := j.Row(netsim.DropQueueFull); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `"queue-full"`) {
-		t.Errorf("stringer not rendered: %q", sb.String())
-	}
-}
-
 type failWriter struct{ n int }
 
 func (f *failWriter) Write(p []byte) (int, error) {
@@ -149,8 +91,5 @@ func TestCSVStickyFailure(t *testing.T) {
 	}
 	if fw.n != n {
 		t.Error("failed CSV kept writing to the sink")
-	}
-	if c.Rows() != 0 {
-		t.Errorf("Rows = %d after failures", c.Rows())
 	}
 }

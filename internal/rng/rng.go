@@ -131,15 +131,6 @@ func (r *Stream) Perm(n int) []int {
 	return p
 }
 
-// Pick returns a uniformly random element of xs. It panics on an empty
-// slice.
-func Pick[T any](r *Stream, xs []T) T {
-	if len(xs) == 0 {
-		panic("rng: Pick from empty slice")
-	}
-	return xs[r.Intn(len(xs))]
-}
-
 // Source derives independent named streams from a root seed. Stream
 // derivation hashes the name with FNV-1a, so the same (seed, name) pair
 // always yields the same stream regardless of derivation order.

@@ -126,26 +126,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestPick(t *testing.T) {
-	r := NewStream(8)
-	xs := []string{"a", "b", "c"}
-	seen := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		seen[Pick(r, xs)] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("Pick never returned some element: %v", seen)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Pick on empty slice did not panic")
-			}
-		}()
-		Pick(r, []int{})
-	}()
-}
-
 func TestSourceNamedStreamsIndependentOfOrder(t *testing.T) {
 	s1 := NewSource(42)
 	a1 := s1.Stream("traffic").Uint64()

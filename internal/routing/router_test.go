@@ -110,7 +110,7 @@ func TestSelectorNames(t *testing.T) {
 	}
 }
 
-func TestLinkStateRepair(t *testing.T) {
+func TestLinkStateFailBoth(t *testing.T) {
 	s := NewLinkState()
 	s.FailBoth(1, 2)
 	if !s.Failed(1, 2) || !s.Failed(2, 1) {
@@ -118,13 +118,6 @@ func TestLinkStateRepair(t *testing.T) {
 	}
 	if s.NumFailed() != 2 {
 		t.Errorf("NumFailed = %d", s.NumFailed())
-	}
-	s.Repair(1, 2)
-	if s.Failed(1, 2) {
-		t.Error("Repair did not clear")
-	}
-	if !s.Failed(2, 1) {
-		t.Error("Repair cleared the wrong direction")
 	}
 }
 

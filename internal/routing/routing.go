@@ -98,11 +98,6 @@ func (s *LinkState) FailBoth(a, b topology.NodeID) {
 	s.Fail(b, a)
 }
 
-// Repair clears a directed failure.
-func (s *LinkState) Repair(from, to topology.NodeID) {
-	delete(s.failed, topology.Link{From: from, To: to})
-}
-
 // Failed reports whether the directed link is down.
 func (s *LinkState) Failed(from, to topology.NodeID) bool {
 	return s.failed[topology.Link{From: from, To: to}]

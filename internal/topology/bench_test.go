@@ -56,6 +56,6 @@ func BenchmarkMinimalDims(b *testing.B) {
 func BenchmarkBFSDistances(b *testing.B) {
 	m := NewMesh2D(16)
 	for i := 0; i < b.N; i++ {
-		_ = BFSDistances(m, NodeID(i%m.NumNodes()), nil)
+		_ = bfsDistances(m, NodeID(i%m.NumNodes()), nil)
 	}
 }

@@ -97,10 +97,6 @@ func (c Coord) String() string {
 // (transiently, on non-minimal adaptive routes).
 type Vector []int
 
-// Zero returns a zero vector of n dimensions, the initial MF state when
-// a packet first enters a switch from its compute node (§5).
-func Zero(n int) Vector { return make(Vector, n) }
-
 // Clone returns a copy of v.
 func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))
@@ -129,34 +125,6 @@ func (v Vector) AddInPlace(d Vector) {
 	for i := range v {
 		v[i] += d[i]
 	}
-}
-
-// Neg returns −v.
-func (v Vector) Neg() Vector {
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = -v[i]
-	}
-	return out
-}
-
-// IsZero reports whether every component is zero.
-func (v Vector) IsZero() bool {
-	for _, x := range v {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// L1 returns the sum of absolute components.
-func (v Vector) L1() int {
-	d := 0
-	for _, x := range v {
-		d += abs(x)
-	}
-	return d
 }
 
 // Wrap reduces each component of v into the canonical residue range for

@@ -68,7 +68,7 @@ func TestVectorWrapIsCanonicalResidue(t *testing.T) {
 }
 
 func TestVectorAddInPlaceAccumulates(t *testing.T) {
-	v := Zero(2)
+	v := make(Vector, 2)
 	for _, d := range []Vector{{1, 0}, {1, 0}, {0, -1}, {-1, 0}, {0, 1}, {0, 1}, {0, 1}} {
 		v.AddInPlace(d)
 	}
@@ -80,18 +80,6 @@ func TestVectorAddInPlaceAccumulates(t *testing.T) {
 
 func TestVectorHelpers(t *testing.T) {
 	v := Vector{3, -4}
-	if v.L1() != 7 {
-		t.Errorf("L1 = %d, want 7", v.L1())
-	}
-	if !v.Neg().Equal(Vector{-3, 4}) {
-		t.Errorf("Neg = %v", v.Neg())
-	}
-	if v.IsZero() {
-		t.Error("IsZero on nonzero vector")
-	}
-	if !Zero(3).IsZero() {
-		t.Error("Zero(3) not IsZero")
-	}
 	c := v.Clone()
 	c[0] = 99
 	if v[0] == 99 {

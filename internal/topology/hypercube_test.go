@@ -59,7 +59,7 @@ func TestHypercubeNeighborsAreSingleBitFlips(t *testing.T) {
 func TestHypercubeMinDistanceIsHamming(t *testing.T) {
 	h := NewHypercube(4)
 	for src := 0; src < h.NumNodes(); src++ {
-		dist := BFSDistances(h, NodeID(src), nil)
+		dist := bfsDistances(h, NodeID(src), nil)
 		for dst := 0; dst < h.NumNodes(); dst++ {
 			want := bits.OnesCount(uint(src ^ dst))
 			if dist[dst] != want {

@@ -130,7 +130,7 @@ func TestMeshStep(t *testing.T) {
 func TestMeshMinDistanceMatchesBFS(t *testing.T) {
 	m := NewMesh(3, 4)
 	for src := 0; src < m.NumNodes(); src++ {
-		dist := BFSDistances(m, NodeID(src), nil)
+		dist := bfsDistances(m, NodeID(src), nil)
 		for dst := 0; dst < m.NumNodes(); dst++ {
 			if got := m.MinDistance(NodeID(src), NodeID(dst)); got != dist[dst] {
 				t.Fatalf("MinDistance(%d,%d) = %d, BFS says %d", src, dst, got, dist[dst])
@@ -159,7 +159,7 @@ func TestMeshLinksCount(t *testing.T) {
 func TestMeshBisectionWidth(t *testing.T) {
 	// 4×4 mesh: 4 cables cross the bisection, 8 directed links.
 	m := NewMesh2D(4)
-	if got := BisectionWidth(m); got != 8 {
+	if got := bisectionWidth(m); got != 8 {
 		t.Errorf("BisectionWidth = %d, want 8", got)
 	}
 }

@@ -1,7 +1,5 @@
 package topology
 
-import "sort"
-
 // Stepper is implemented by every concrete topology in this package:
 // it moves one hop along a single dimension. Routing algorithms are
 // written against Stepper + Topology so they stay agnostic of the
@@ -53,12 +51,12 @@ func DisplacementInto(t Topology, cur, next NodeID, v Vector, cc, nc Coord) Vect
 	return v
 }
 
-// BFSDistances returns the hop distance from src to every node,
+// bfsDistances returns the hop distance from src to every node,
 // ignoring the links in failed (treated as bidirectional failures when
 // both directions are present; only the given directed links are
 // skipped). Unreachable nodes get −1. Used to validate MinDistance and
 // fault-tolerant routing.
-func BFSDistances(t Topology, src NodeID, failed map[Link]bool) []int {
+func bfsDistances(t Topology, src NodeID, failed map[Link]bool) []int {
 	n := t.NumNodes()
 	dist := make([]int, n)
 	for i := range dist {
@@ -183,7 +181,7 @@ func (pt *PortTable) Ports(id NodeID) []NodeID {
 }
 
 // To returns the destination node of the directed link at dense index
-// li — the hot-path counterpart of LinkAt when the source is not needed.
+// li.
 func (pt *PortTable) To(li int32) NodeID { return pt.to[li] }
 
 // LinkIndex returns the dense index of the directed link from→to, or −1
@@ -196,13 +194,6 @@ func (pt *PortTable) LinkIndex(from, to NodeID) int32 {
 		}
 	}
 	return -1
-}
-
-// LinkAt reconstructs the directed link for a dense index. It binary
-// searches the offset table, so it is for cold paths (reports, sorting).
-func (pt *PortTable) LinkAt(li int32) Link {
-	from := sort.Search(len(pt.first)-1, func(i int) bool { return pt.first[i+1] > li })
-	return Link{From: NodeID(from), To: pt.to[li]}
 }
 
 // DimDir is a (dimension, direction) pair describing one productive

@@ -25,7 +25,7 @@ func TestBFSDistancesWithFailures(t *testing.T) {
 	// distance from (0,0) to (0,1) becomes 3 (around through row 1).
 	a, b := m.IndexOf(Coord{0, 0}), m.IndexOf(Coord{0, 1})
 	failed := map[Link]bool{{From: a, To: b}: true, {From: b, To: a}: true}
-	dist := BFSDistances(m, a, failed)
+	dist := bfsDistances(m, a, failed)
 	if dist[b] != 3 {
 		t.Errorf("distance with failed link = %d, want 3", dist[b])
 	}
@@ -40,7 +40,7 @@ func TestBFSDistancesUnreachable(t *testing.T) {
 		failed[Link{From: a, To: nb}] = true
 		failed[Link{From: nb, To: a}] = true
 	}
-	dist := BFSDistances(m, a, failed)
+	dist := bfsDistances(m, a, failed)
 	for id, d := range dist {
 		if NodeID(id) == a {
 			if d != 0 {
@@ -95,7 +95,7 @@ func TestDisplacementSumsToCoordinateDifference(t *testing.T) {
 		for trial := 0; trial < 100; trial++ {
 			src := NodeID(r.Intn(net.NumNodes()))
 			cur := src
-			v := Zero(len(dims))
+			v := make(Vector, len(dims))
 			steps := r.Intn(3 * net.Diameter())
 			for s := 0; s < steps; s++ {
 				nbs := net.Neighbors(cur)
@@ -125,7 +125,7 @@ func TestDisplacementQuick(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		src := NodeID(r.Intn(tr.NumNodes()))
 		cur := src
-		v := Zero(2)
+		v := make(Vector, 2)
 		for s := 0; s < int(nsteps); s++ {
 			nbs := tr.Neighbors(cur)
 			next := nbs[r.Intn(len(nbs))]
@@ -158,7 +158,7 @@ func TestLinksSortedAndComplete(t *testing.T) {
 			set[l] = true
 		}
 		for _, l := range links {
-			if !set[l.Reverse()] {
+			if !set[Link{From: l.To, To: l.From}] {
 				t.Errorf("%s: missing reverse of %v", net.Name(), l)
 			}
 		}
@@ -168,7 +168,7 @@ func TestLinksSortedAndComplete(t *testing.T) {
 func TestHypercubeBisection(t *testing.T) {
 	// An n-cube's bisection has 2^{n−1} cables = 2^n directed links.
 	h := NewHypercube(4)
-	if got := BisectionWidth(h); got != 16 {
+	if got := bisectionWidth(h); got != 16 {
 		t.Errorf("BisectionWidth = %d, want 16", got)
 	}
 }

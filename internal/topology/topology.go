@@ -27,9 +27,6 @@ type Link struct {
 	From, To NodeID
 }
 
-// Reverse returns the link in the opposite direction.
-func (l Link) Reverse() Link { return Link{From: l.To, To: l.From} }
-
 func (l Link) String() string { return fmt.Sprintf("%d->%d", l.From, l.To) }
 
 // Topology is the common contract for all direct networks. All
@@ -122,10 +119,9 @@ func NumLinks(t Topology) int {
 	return total
 }
 
-// BisectionWidth returns the number of directed links crossing the
+// bisectionWidth returns the number of directed links crossing the
 // canonical bisection (splitting the highest-radix dimension in half).
-// It is reported for documentation and capacity planning in examples.
-func BisectionWidth(t Topology) int {
+func bisectionWidth(t Topology) int {
 	dims := t.Dims()
 	// Pick the dimension with the largest radix; ties go to the lowest
 	// dimension index, matching the usual convention.

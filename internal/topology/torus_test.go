@@ -70,7 +70,7 @@ func TestTorusRadixTwoCollapsesLinks(t *testing.T) {
 func TestTorusMinDistanceMatchesBFS(t *testing.T) {
 	for _, tr := range []*Torus{NewTorus2D(4), NewTorus2D(5), NewTorus(3, 4, 2)} {
 		for src := 0; src < tr.NumNodes(); src++ {
-			dist := BFSDistances(tr, NodeID(src), nil)
+			dist := bfsDistances(tr, NodeID(src), nil)
 			for dst := 0; dst < tr.NumNodes(); dst++ {
 				if got := tr.MinDistance(NodeID(src), NodeID(dst)); got != dist[dst] {
 					t.Fatalf("%s: MinDistance(%d,%d) = %d, BFS says %d",
@@ -108,7 +108,7 @@ func TestTorusDiameterOddRadix(t *testing.T) {
 	}
 	// Verify empirically via BFS eccentricity from node 0 (the torus is
 	// vertex-transitive, so one source suffices).
-	dist := BFSDistances(tr, 0, nil)
+	dist := bfsDistances(tr, 0, nil)
 	max := 0
 	for _, d := range dist {
 		if d > max {

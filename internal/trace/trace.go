@@ -9,7 +9,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"repro/internal/marking"
 	"repro/internal/packet"
@@ -41,8 +40,7 @@ type Tracer struct {
 	// Filter, when set, limits output to events it returns true for.
 	Filter func(Event) bool
 
-	events uint64
-	err    error
+	err error
 }
 
 // New wraps inner, logging to w.
@@ -59,9 +57,6 @@ func (t *Tracer) Name() string { return t.Inner.Name() + "+trace" }
 // Unwrap exposes the inner scheme, so core.Cluster.DDPM and similar
 // accessors see through the tracer.
 func (t *Tracer) Unwrap() marking.Scheme { return t.Inner }
-
-// Events returns the number of events emitted (post-filter).
-func (t *Tracer) Events() uint64 { return atomic.LoadUint64(&t.events) }
 
 // Err returns the latched sink error, if any.
 func (t *Tracer) Err() error { return t.err }
@@ -105,9 +100,5 @@ func (t *Tracer) emit(e Event) {
 			`{"kind":"forward","seq":%d,"cur":%d,"next":%d,"mf_in":%d,"mf_out":%d,"ttl":%d,"src":%q,"dst":%q}`+"\n",
 			e.Seq, e.Cur, e.Next, e.MFIn, e.MFOut, e.TTL, e.SrcAddr.String(), e.DstAddr.String())
 	}
-	if _, err := io.WriteString(t.W, line); err != nil {
-		t.err = err
-		return
-	}
-	atomic.AddUint64(&t.events, 1)
+	_, t.err = io.WriteString(t.W, line)
 }

@@ -54,9 +54,6 @@ func NewService(sim *netsim.Network, plan *packet.AddrPlan, node topology.NodeID
 	}, nil
 }
 
-// HalfOpen returns the current table occupancy.
-func (s *Service) HalfOpen() int { return len(s.halfOpen) }
-
 // HandleDeliver processes one packet delivered to the service's node.
 // Call it from the simulator's delivery fan-out.
 func (s *Service) HandleDeliver(now eventq.Time, pk *packet.Packet) {

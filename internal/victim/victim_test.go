@@ -70,8 +70,8 @@ func TestHandshakeCompletesWithoutAttack(t *testing.T) {
 	if rg.svc.Refused != 0 || rg.clients.Backscatter != 0 {
 		t.Errorf("refused %d, backscatter %d on clean run", rg.svc.Refused, rg.clients.Backscatter)
 	}
-	if rg.svc.HalfOpen() != 0 {
-		t.Errorf("half-open table not drained: %d", rg.svc.HalfOpen())
+	if n := len(rg.svc.halfOpen); n != 0 {
+		t.Errorf("half-open table not drained: %d", n)
 	}
 }
 

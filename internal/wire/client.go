@@ -21,10 +21,14 @@ import (
 //
 //	Sent() − Lost() == records the daemon accepted
 //
-// holds exactly. Loss is never silent — records are abandoned only
-// when the bounded buffer overflows while the daemon is unreachable or
-// when Close gives up, and each abandoned record is counted (and
-// handed to OnLost when set).
+// holds whenever every write the daemon took was acked. It fails in one
+// case: the attempt budget runs out right after a write the daemon took
+// whose ack never arrived. Close then counts those records lost though
+// the daemon accepted them, so Lost() overstates the loss by at most
+// that write (ROADMAP, "`lost` means lost"). Loss is never silent —
+// records are abandoned only when the bounded buffer overflows while
+// the daemon is unreachable or when Close gives up, and each abandoned
+// record is counted (and handed to OnLost when set).
 //
 // Send writes every unsent frame in one Write once the unsent records
 // reach max(MaxBatch, writeQuantum), then waits for acks only while
