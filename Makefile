@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: check vet lint build race bench bench-pairs fuzz-smoke loc trace-smoke cluster-smoke fleet-trace-smoke run-ddpmd clean
+.PHONY: check vet lint build race bench bench-pairs fuzz-smoke loc paper-golden trace-smoke cluster-smoke fleet-trace-smoke run-ddpmd clean
 
 ## check: lint, build, test, fuzz-smoke and trace-smoke everything (the
 ## tier-1 gate), plus one pass of every Go benchmark in the tree at one
@@ -38,6 +38,15 @@ lint: vet
 ## build: compile the command binaries into bin/ (never the repo root)
 build:
 	$(GO) build -o $(BIN)/ ./cmd/...
+
+## paper-golden: regenerate testdata/paper/ from the three commands
+## that print the paper's artifacts (core.Artifacts); the TestGolden of
+## cmd/tables, cmd/figures and cmd/report compare their output with these
+## files byte for byte. Review the diff before committing it.
+paper-golden:
+	$(GO) run ./cmd/tables > testdata/paper/tables.golden
+	$(GO) run ./cmd/figures -all > testdata/paper/figures.golden
+	$(GO) run ./cmd/report > testdata/paper/report.golden
 
 ## race: run the internal packages under the race detector
 race:

@@ -35,8 +35,7 @@ func BenchmarkE7ServiceRecovery(b *testing.B) {
 	var attacked, blocked float64
 	for i := 0; i < b.N; i++ {
 		rows, err := core.RunE7(core.E7Config{
-			Topo: core.Mesh2D(6), Zombies: 2, TableCap: 16,
-			AttackGap: 2, Clients: 40, Seed: uint64(i) + 3, WindowTicks: 4000,
+			Topo: core.Mesh2D(6), Zombies: 2, AttackGap: 2, Seed: uint64(i) + 3,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -25,9 +25,13 @@ import (
 
 func benchTable(b *testing.B, table int) {
 	b.Helper()
+	t := core.Artifacts[table-1] // T1–T3 lead the registry
+	if t.ID != fmt.Sprintf("T%d", table) {
+		b.Fatalf("registry entry %d is %s, not Table %d", table-1, t.ID, table)
+	}
 	for i := 0; i < b.N; i++ {
-		if err := core.WriteTable(io.Discard, table); err != nil {
-			b.Fatal(err)
+		if _, ok, err := t.Run(io.Discard, 1, 1); err != nil || !ok {
+			b.Fatalf("%s: ok=%v err=%v", t.Name, ok, err)
 		}
 	}
 }

@@ -183,12 +183,8 @@ var (
 	E1Analytic = core.E1Analytic
 )
 
-// Scalability re-exports for table regeneration.
-var (
-	ScalabilityTable = core.ScalabilityTable
-	WriteTable       = core.WriteTable
-	WriteFigure2     = core.WriteFigure2
-)
+// ScalabilityTable regenerates Table 1, 2 or 3.
+var ScalabilityTable = core.ScalabilityTable
 
 // NewIngressFilter exposes the Ferguson–Senie baseline over a cluster's
 // address plan (§2 [10]): switches verify the source address of locally

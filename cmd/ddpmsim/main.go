@@ -13,7 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -71,19 +71,12 @@ func main() {
 		cl.Router.Alg.Name(), cl.Scheme.Name())
 
 	victim := topology.NodeID(cl.Net.NumNodes() - 1)
-	zset, err := drawZombies(cl.Rng.Stream("zombies").Intn, cl.Net.NumNodes(), victim, *zombies)
+	znodes, err := core.DrawZombies(cl.Rng.Stream("zombies").Intn, cl.Net.NumNodes(), victim, *zombies)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ddpmsim:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	// Sorted node order: iterating the map directly would leak its
-	// random order into the banner and event tie-breaking.
-	znodes := make([]topology.NodeID, 0, len(zset))
-	for z := range zset {
-		znodes = append(znodes, z)
-	}
-	sort.Slice(znodes, func(i, j int) bool { return znodes[i] < znodes[j] })
 	var zs []attack.Zombie
 	fmt.Printf("victim: node %d %v\nzombies:", victim, cl.Net.CoordOf(victim))
 	for _, z := range znodes {
@@ -149,7 +142,7 @@ func main() {
 	correct := 0
 	for _, s := range srcs {
 		mark := "INNOCENT?"
-		if zset[s] {
+		if slices.Contains(znodes, s) {
 			mark = "zombie"
 			correct++
 		}
@@ -157,23 +150,7 @@ func main() {
 			s, cl.Net.CoordOf(s), ident.Count(s), mark)
 	}
 	fmt.Printf("result: %d/%d zombies identified, %d false positives\n",
-		correct, len(zset), len(srcs)-correct)
-}
-
-// drawZombies draws n distinct nodes other than the victim. It refuses
-// an n the fabric cannot supply — the draw would never fill the set.
-func drawZombies(intn func(int) int, numNodes int, victim topology.NodeID, n int) (map[topology.NodeID]bool, error) {
-	if n > numNodes-1 {
-		return nil, fmt.Errorf("-zombies %d: the fabric has only %d nodes besides the victim", n, numNodes-1)
-	}
-	zset := map[topology.NodeID]bool{}
-	for len(zset) < n {
-		z := topology.NodeID(intn(numNodes))
-		if z != victim {
-			zset[z] = true
-		}
-	}
-	return zset, nil
+		correct, len(znodes), len(srcs)-correct)
 }
 
 func parseDims(s string) ([]int, error) {

@@ -1,314 +1,59 @@
 // Command figures regenerates the paper's figures and the measured
-// experiment series (E1–E3, E5 in DESIGN.md §3):
+// experiment series (E1–E7, X1, X2, X4 in DESIGN.md §3), one
+// core.Artifacts entry each:
 //
 //	figures -figure 2    # routing deliverability matrix (Figure 2)
-//	figures -figure 3a   # simple-PPM edge samples (Figure 3a)
-//	figures -figure 3b   # DDPM mesh vector trace (Figure 3b)
-//	figures -figure 3c   # DDPM hypercube trace (Figure 3c)
-//	figures -figure E1   # PPM convergence vs path length (CSV)
-//	figures -figure E2   # DPM ambiguity (CSV)
-//	figures -figure E3   # DDPM accuracy matrix (CSV)
-//	figures -figure E5   # end-to-end DDoS pipeline vs zombie count (CSV)
-//	figures -figure E6   # fault tolerance: delivery vs failed cables (CSV)
-//	figures -figure E7   # service-level SYN-flood denial & recovery (CSV)
-//	figures -figure X1   # extension: fat-tree port stamping (CSV)
-//	figures -figure X2   # extension: trusted-switch placement (CSV)
-//	figures -figure X4   # extension: compromised-switch blast radius (CSV)
-//	figures -all         # everything
+//	figures -figure 3a   # simple-PPM edge samples (Figure 3a); 3b, 3c: DDPM traces
+//	figures -figure E1   # PPM convergence vs path length (CSV); E2–E7 likewise
+//	figures -figure X1   # extension: fat-tree port stamping (CSV); X2, X4 likewise
+//	figures -all         # everything, as testdata/paper/figures.golden pins it
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"repro/internal/core"
-	"repro/internal/topology"
 )
 
-func main() {
-	figure := flag.String("figure", "", "figure id: 2, 3a, 3b, 3c, E1, E2, E3, E5")
-	all := flag.Bool("all", false, "run every figure")
-	seed := flag.Uint64("seed", 1, "experiment seed")
-	trials := flag.Int("trials", 30, "trials per E1 cell / E3 row")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-	run := func(id string) error {
-		switch id {
-		case "2":
-			return core.WriteFigure2(os.Stdout, *seed)
-		case "3a":
-			return figure3a()
-		case "3b":
-			return figure3b()
-		case "3c":
-			return figure3c()
-		case "E1", "e1":
-			return figureE1(*seed, *trials)
-		case "E2", "e2":
-			return figureE2(*seed)
-		case "E3", "e3":
-			return figureE3(*seed, *trials)
-		case "E5", "e5":
-			return figureE5(*seed)
-		case "E6", "e6":
-			return figureE6(*seed)
-		case "E7", "e7":
-			return figureE7(*seed)
-		case "X4", "x4":
-			return figureX4(*seed)
-		case "X1", "x1":
-			return figureX1(*seed, *trials)
-		case "X2", "x2":
-			return figureX2(*seed)
-		default:
-			return fmt.Errorf("unknown figure %q", id)
+func run(args []string, stdout io.Writer) int {
+	var ids []string
+	for _, a := range core.Artifacts {
+		if !a.IsTable() {
+			ids = append(ids, a.ID)
 		}
 	}
-
-	ids := []string{*figure}
-	if *all {
-		ids = []string{"2", "3a", "3b", "3c", "E1", "E2", "E3", "E5", "E6", "E7", "X1", "X2", "X4"}
-	} else if *figure == "" {
-		flag.Usage()
-		os.Exit(2)
+	fs := flag.NewFlagSet("figures", flag.ExitOnError)
+	figure := fs.String("figure", "", "figure id: "+strings.Join(ids, ", "))
+	all := fs.Bool("all", false, "run every figure")
+	seed := fs.Uint64("seed", 1, "experiment seed")
+	trials := fs.Int("trials", 10, "trials per E1 cell; E3 and X1 run 10x as many per row")
+	fs.Parse(args) // ExitOnError: exits 2 on a bad flag, 0 on -h
+	if !*all && *figure == "" {
+		fs.Usage()
+		return 2
 	}
-	for i, id := range ids {
-		if i > 0 {
-			fmt.Println()
+	printed := 0
+	for _, a := range core.Artifacts {
+		if a.IsTable() || !*all && !strings.EqualFold(a.ID, *figure) {
+			continue
 		}
-		if err := run(id); err != nil {
+		if printed++; printed > 1 {
+			fmt.Fprintln(stdout)
+		}
+		if _, _, err := a.Run(stdout, *seed, *trials); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
-}
-
-func figure3a() error {
-	samples, err := core.Figure3aTrace()
-	if err != nil {
-		return err
+	if printed == 0 {
+		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *figure)
+		return 1
 	}
-	fmt.Println("Figure 3a. Simple PPM edge samples on 4x4 mesh, path 0001->0011->0010->0110->1110")
-	fmt.Println("  (victim 1110 decodes, for each possible marking switch, the sample below)")
-	for i, s := range samples {
-		fmt.Printf("  mark at hop %d: %s\n", i, s)
-	}
-	return nil
-}
-
-func figure3b() error {
-	vecs, src, err := core.Figure3bTrace()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Figure 3b. DDPM on 4x4 mesh, adaptive route (1,1)->(2,3)")
-	fmt.Print("  distance vector per hop:")
-	for _, v := range vecs {
-		fmt.Printf(" %v", v)
-	}
-	fmt.Printf("\n  victim (2,3) identifies source: %v\n", src)
-	return nil
-}
-
-func figure3c() error {
-	vecs, src, err := core.Figure3cTrace()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Figure 3c. DDPM on 3-cube, route (1,1,0)->(0,0,0)")
-	fmt.Print("  distance vector per hop:")
-	for _, v := range vecs {
-		fmt.Printf(" %v", v)
-	}
-	fmt.Printf("\n  victim (0,0,0) identifies source: %v\n", src)
-	return nil
-}
-
-func figureE1(seed uint64, trials int) error {
-	fmt.Println("E1. PPM convergence: packets the victim needs vs path length d (wide/idealized PPM, XY routing)")
-	fmt.Println("p,d,mean_packets,ci95,analytic_ln(d)/p(1-p)^(d-1)")
-	for _, p := range []float64{0.04, 0.1, 0.2} {
-		for _, d := range []int{4, 8, 16, 24, 32, 48, 62} {
-			// Skip cells whose analytic cost explodes (the paper's own
-			// point: at cluster diameters PPM needs a low p, and even
-			// then the overhead is enormous).
-			if core.E1Analytic(p, d) > 100_000 {
-				continue
-			}
-			row, err := core.RunE1(p, d, trials, seed, 1_000_000)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%.2f,%d,%.1f,%.1f,%.1f\n", row.P, row.D, row.MeanPkts, row.CI95, row.Analytic)
-		}
-	}
-	return nil
-}
-
-func figureE2(seed uint64) error {
-	fmt.Println("E2. DPM ambiguity: signatures per flow and colliding sources per signature")
-	fmt.Println("topology,routing,diameter,flows,sigs_per_flow,srcs_per_sig,max_srcs_per_sig")
-	cases := []struct {
-		spec    core.TopoSpec
-		routing string
-	}{
-		{core.Mesh2D(8), "xy"},
-		{core.Mesh2D(8), "minimal-adaptive"},
-		{core.Mesh2D(16), "xy"},
-		{core.Mesh2D(16), "minimal-adaptive"},
-		{core.Mesh2D(32), "xy"}, // diameter 62 > 16: positions wrap
-		{core.Torus2D(16), "dor"},
-		{core.Torus2D(16), "minimal-adaptive"},
-	}
-	for _, tc := range cases {
-		row, err := core.RunE2(tc.spec, tc.routing, 20, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s,%s,%d,%d,%.2f,%.2f,%d\n",
-			row.Topo, row.Routing, row.Diameter, row.FlowsMeasured,
-			row.SigsPerFlowMean, row.SrcsPerSigMean, row.MaxSrcsPerSig)
-	}
-	return nil
-}
-
-func figureE3(seed uint64, trials int) error {
-	fmt.Println("E3. DDPM single-packet identification accuracy (spoofed headers, garbage-preloaded MF)")
-	fmt.Println("topology,routing,trials,correct,undecoded,accuracy")
-	cases := []struct {
-		spec    core.TopoSpec
-		routing string
-	}{
-		{core.Mesh2D(8), "xy"},
-		{core.Mesh2D(8), "west-first"},
-		{core.Mesh2D(8), "north-last"},
-		{core.Mesh2D(8), "negative-first"},
-		{core.Mesh2D(8), "minimal-adaptive"},
-		{core.Mesh2D(8), "fully-adaptive"},
-		{core.Mesh2D(128), "minimal-adaptive"}, // Table 3 max mesh
-		{core.Torus2D(16), "dor"},
-		{core.Torus2D(16), "minimal-adaptive"},
-		{core.Cube(10), "dor"},
-		{core.Cube(10), "minimal-adaptive"},
-		{core.Mesh(16, 16, 32), "minimal-adaptive"}, // paper's 8192-node 3-D split
-	}
-	for _, tc := range cases {
-		row, err := core.RunE3(tc.spec, tc.routing, trials*10, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s,%s,%d,%d,%d,%.4f\n",
-			row.Topo, row.Routing, row.Trials, row.Correct, row.Undecoded, row.Accuracy())
-	}
-	return nil
-}
-
-func figureE5(seed uint64) error {
-	fmt.Println("E5. End-to-end DDoS pipeline on an 8x8 torus (detect -> identify -> block)")
-	fmt.Println("zombies,attack_packets,detected,detect_tick,identified_all,false_positives,blocked_fraction")
-	for _, z := range []int{1, 2, 4, 8, 16} {
-		row, err := core.RunE5(core.E5Config{
-			Topo: core.Torus2D(8), Zombies: z, Seed: seed + uint64(z),
-			AttackGap: 4, Background: 0.002,
-			WarmupTicks: 2000, AttackTicks: 3000, AfterTicks: 2000,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d,%d,%v,%d,%v,%d,%.3f\n",
-			row.Zombies, row.AttackPkts, row.Detected, row.DetectedAt,
-			row.IdentifiedAll, row.FalsePositives, row.BlockedFraction)
-	}
-	return nil
-}
-
-func figureX1(seed uint64, trials int) error {
-	fmt.Println("X1 (extension, §6.3). Fat-tree port stamping: single-packet source identification on indirect networks")
-	fmt.Println("tree,leaves,mf_bits,trials,correct,accuracy")
-	for _, cfg := range [][2]int{{2, 4}, {2, 8}, {2, 12}, {4, 3}, {4, 6}, {8, 4}} {
-		row, err := core.RunX1(cfg[0], cfg[1], trials*10, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s,%d,%d,%d,%d,%.4f\n",
-			row.Tree, row.Leaves, row.Bits, row.Trials, row.Correct,
-			float64(row.Correct)/float64(row.Trials))
-	}
-	fmt.Println("\nMF scalability (Table 3 analog for fat trees):")
-	for _, line := range core.FatTreeScalabilityRows() {
-		fmt.Println("  " + line)
-	}
-	return nil
-}
-
-func figureX2(seed uint64) error {
-	fmt.Println("X2 (extension, §6.1). Trusted-switch placement: greedy covers for all-pairs XY traffic")
-	fmt.Println("topology,pairs,monitors,deterministic_coverage,adaptive_coverage")
-	for _, k := range []int{4, 8} {
-		for _, budget := range []int{1, 2, 4, 0} { // 0 = until full cover
-			row, err := core.RunX2(k, budget, 2, seed)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%s,%d,%d,%.3f,%.3f\n",
-				row.Topo, row.Pairs, row.Monitors, row.DeterministicCov, row.AdaptiveCov)
-		}
-	}
-	return nil
-}
-
-func figureE6(seed uint64) error {
-	fmt.Println("E6. Fault tolerance (Figure 2 quantified): delivery rate vs failed-cable fraction;")
-	fmt.Println("    DDPM correctness is scored over delivered flows only")
-	fmt.Println("topology,routing,fail_fraction,failed_cables,flows,delivered,delivery_rate,ddpm_correct")
-	for _, f := range []float64{0, 0.02, 0.05, 0.1, 0.2} {
-		for _, r := range []string{"xy", "west-first", "minimal-adaptive", "fully-adaptive"} {
-			row, err := core.RunE6(core.Mesh2D(8), r, f, 500, seed)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%s,%s,%.2f,%d,%d,%d,%.3f,%d\n",
-				row.Topo, row.Routing, row.FailFraction, row.FailedCables,
-				row.Flows, row.Delivered, row.DeliveryRate(), row.DDPMCorrect)
-		}
-	}
-	return nil
-}
-
-func figureE7(seed uint64) error {
-	fmt.Println("E7. Service-level SYN-flood denial and recovery (6x6 mesh, 16-entry half-open table)")
-	fmt.Println("zombies,phase,attempts,established,completion,refused,blocked,backscatter")
-	for _, z := range []int{1, 2, 4} {
-		rows, err := core.RunE7(core.E7Config{
-			Topo: core.Mesh2D(6), Zombies: z, TableCap: 16,
-			AttackGap: 2, Clients: 40, Seed: seed + uint64(z), WindowTicks: 4000,
-		})
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			fmt.Printf("%d,%s,%d,%d,%.3f,%d,%d,%d\n",
-				z, r.Phase, r.Attempts, r.Established, r.CompletionRate(),
-				r.Refused, r.Blocked, r.Backscatter)
-		}
-	}
-	return nil
-}
-
-func figureX4(seed uint64) error {
-	fmt.Println("X4 (ablation, §4.1/§6.2). Compromised-switch blast radius on an 8x8 mesh (adaptive routing)")
-	fmt.Println("scheme,bad_switch,flows,through_bad,misattributed,misattributed_clean")
-	for _, bad := range []int{0, 27, 36} { // corner, interior, interior
-		for _, scheme := range []string{"ddpm", "ingress-stamp"} {
-			row, err := core.RunX4(core.Mesh2D(8), scheme, topology.NodeID(bad), 600, seed)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%s,%d,%d,%d,%d,%d\n",
-				row.Scheme, bad, row.Flows, row.ThroughBad, row.Misattributed, row.MisattributedClean)
-		}
-	}
-	fmt.Println("note: misattributed_clean = flows that never crossed the liar; 0 means damage is contained")
-	return nil
+	return 0
 }

@@ -1,237 +1,34 @@
-// Command report regenerates every reproduced artifact in one pass and
-// prints a one-page paper-vs-measured verdict sheet — the quickest way
-// to audit the reproduction:
+// Command report runs every core.Artifacts entry in one pass and prints
+// a one-page paper-vs-measured verdict sheet — the quickest way to
+// audit the reproduction. It exits 1 if any artifact fails its claim:
 //
-//	go run ./cmd/report          # ~seconds
+//	go run ./cmd/report          # ~1 s; testdata/paper/report.golden pins it
 //	go run ./cmd/report -trials 30
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/marking"
-	"repro/internal/topology"
 )
 
-type check struct {
-	name    string
-	paper   string
-	measure func() (string, bool, error)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-func main() {
-	trials := flag.Int("trials", 10, "trials per statistical check")
-	seed := flag.Uint64("seed", 1, "seed")
-	flag.Parse()
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("report", flag.ExitOnError)
+	trials := fs.Int("trials", 10, "trials per E1 cell; E3 and X1 run 10x as many per row")
+	seed := fs.Uint64("seed", 1, "seed")
+	fs.Parse(args) // ExitOnError: exits 2 on a bad flag, 0 on -h
 
-	checks := []check{
-		{
-			name:  "Table 1 (simple PPM)",
-			paper: "max 8x8 mesh / 2^6 cube",
-			measure: func() (string, bool, error) {
-				mn, _ := marking.MaxMesh(marking.KindSimplePPM)
-				cn, _ := marking.MaxCube(marking.KindSimplePPM)
-				return fmt.Sprintf("max %dx%d mesh / 2^%d cube", mn, mn, cn), mn == 8 && cn == 6, nil
-			},
-		},
-		{
-			name:  "Table 2 (bit-diff PPM)",
-			paper: "max 64x64 mesh / 2^8 cube",
-			measure: func() (string, bool, error) {
-				mn, _ := marking.MaxMesh(marking.KindBitDiffPPM)
-				cn, _ := marking.MaxCube(marking.KindBitDiffPPM)
-				// The mesh row is the documented paper inconsistency.
-				return fmt.Sprintf("max %dx%d mesh (paper formula caps at 16) / 2^%d cube", mn, mn, cn),
-					cn == 8, nil
-			},
-		},
-		{
-			name:  "Table 3 (DDPM)",
-			paper: "max 128x128 mesh / 2^16 cube / 8192-node 3-D",
-			measure: func() (string, bool, error) {
-				mn, _ := marking.MaxMesh(marking.KindDDPM)
-				cn, _ := marking.MaxCube(marking.KindDDPM)
-				_, n3 := marking.Mesh3DDDPMSplit()
-				return fmt.Sprintf("max %dx%d mesh / 2^%d cube / %d-node 3-D", mn, mn, cn, n3),
-					mn == 128 && cn == 16 && n3 == 8192, nil
-			},
-		},
-		{
-			name:  "Figure 2 (routing vs failures)",
-			paper: "xy: a only; west-first: a,b; fully-adaptive: a,b,c",
-			measure: func() (string, bool, error) {
-				cells, err := core.Figure2(*seed)
-				if err != nil {
-					return "", false, err
-				}
-				want := map[string]map[string]bool{
-					"a": {"xy": true, "west-first": true, "fully-adaptive": true},
-					"b": {"xy": false, "west-first": true, "fully-adaptive": true},
-					"c": {"xy": false, "west-first": false, "fully-adaptive": true},
-				}
-				for _, c := range cells {
-					w := want[c.Scenario][c.Algorithm]
-					if c.S1OK != w || c.S2OK != w {
-						return fmt.Sprintf("mismatch at (%s,%s)", c.Scenario, c.Algorithm), false, nil
-					}
-				}
-				return "matrix matches", true, nil
-			},
-		},
-		{
-			name:  "Figure 3b (mesh vector trace)",
-			paper: "(1,0)(2,0)(2,-1)(1,-1)(1,0)(1,1)(1,2) -> source (1,1)",
-			measure: func() (string, bool, error) {
-				vecs, src, err := core.Figure3bTrace()
-				if err != nil {
-					return "", false, err
-				}
-				ok := len(vecs) == 7 && vecs[6].Equal(topology.Vector{1, 2}) && src.Equal(topology.Coord{1, 1})
-				return fmt.Sprintf("final vector %v -> source %v", vecs[len(vecs)-1], src), ok, nil
-			},
-		},
-		{
-			name:  "Figure 3c (hypercube trace)",
-			paper: "final vector (1,1,0) -> source (1,1,0)",
-			measure: func() (string, bool, error) {
-				vecs, src, err := core.Figure3cTrace()
-				if err != nil {
-					return "", false, err
-				}
-				ok := vecs[len(vecs)-1].Equal(topology.Vector{1, 1, 0}) && src.Equal(topology.Coord{1, 1, 0})
-				return fmt.Sprintf("final vector %v -> source %v", vecs[len(vecs)-1], src), ok, nil
-			},
-		},
-		{
-			name:  "E1 (PPM cost grows with d)",
-			paper: "≈ ln(d)/p(1-p)^(d-1): explodes at cluster diameters",
-			measure: func() (string, bool, error) {
-				short, err := core.RunE1(0.1, 8, *trials, *seed, 500_000)
-				if err != nil {
-					return "", false, err
-				}
-				long, err := core.RunE1(0.1, 32, *trials, *seed, 500_000)
-				if err != nil {
-					return "", false, err
-				}
-				return fmt.Sprintf("d=8: %.0f pkts, d=32: %.0f pkts", short.MeanPkts, long.MeanPkts),
-					long.MeanPkts > 3*short.MeanPkts, nil
-			},
-		},
-		{
-			name:  "E2 (DPM shatters when adaptive)",
-			paper: "1 signature/flow deterministic; many when adaptive",
-			measure: func() (string, bool, error) {
-				det, err := core.RunE2(core.Mesh2D(8), "xy", 20, *seed)
-				if err != nil {
-					return "", false, err
-				}
-				ad, err := core.RunE2(core.Mesh2D(8), "minimal-adaptive", 20, *seed)
-				if err != nil {
-					return "", false, err
-				}
-				return fmt.Sprintf("xy: %.2f sigs/flow, adaptive: %.2f", det.SigsPerFlowMean, ad.SigsPerFlowMean),
-					det.SigsPerFlowMean == 1 && ad.SigsPerFlowMean > 3, nil
-			},
-		},
-		{
-			name:  "E3 (DDPM single-packet accuracy)",
-			paper: "exact source from one packet, any routing",
-			measure: func() (string, bool, error) {
-				row, err := core.RunE3(core.Mesh2D(8), "fully-adaptive", *trials*20, *seed)
-				if err != nil {
-					return "", false, err
-				}
-				return fmt.Sprintf("%d/%d correct", row.Correct, row.Trials), row.Accuracy() == 1, nil
-			},
-		},
-		{
-			name:  "E5 (detect-identify-block pipeline)",
-			paper: "spoofed zombies identified and blocked",
-			measure: func() (string, bool, error) {
-				row, err := core.RunE5(core.E5Config{
-					Topo: core.Torus2D(8), Zombies: 4, Seed: *seed,
-					AttackGap: 4, Background: 0.002,
-					WarmupTicks: 1000, AttackTicks: 1500, AfterTicks: 1000,
-				})
-				if err != nil {
-					return "", false, err
-				}
-				return fmt.Sprintf("detected=%v identified=%v fp=%d blocked=%.2f",
-						row.Detected, row.IdentifiedAll, row.FalsePositives, row.BlockedFraction),
-					row.Detected && row.IdentifiedAll && row.FalsePositives == 0 && row.BlockedFraction > 0.99, nil
-			},
-		},
-		{
-			name:  "E6 (fault-tolerance ordering)",
-			paper: "fully-adaptive ≥ west-first ≥ xy under failures",
-			measure: func() (string, bool, error) {
-				xy, err := core.RunE6(core.Mesh2D(8), "xy", 0.1, 300, *seed)
-				if err != nil {
-					return "", false, err
-				}
-				fa, err := core.RunE6(core.Mesh2D(8), "fully-adaptive", 0.1, 300, *seed)
-				if err != nil {
-					return "", false, err
-				}
-				return fmt.Sprintf("xy %.2f vs fully-adaptive %.2f; DDPM exact on delivered: %v",
-						xy.DeliveryRate(), fa.DeliveryRate(), fa.DDPMCorrect == fa.Delivered),
-					fa.DeliveryRate() > xy.DeliveryRate() && fa.DDPMCorrect == fa.Delivered, nil
-			},
-		},
-		{
-			name:  "E7 (service denial & recovery)",
-			paper: "SYN flood denies; blocking identified source restores",
-			measure: func() (string, bool, error) {
-				rows, err := core.RunE7(core.E7Config{
-					Topo: core.Mesh2D(6), Zombies: 2, TableCap: 16,
-					AttackGap: 2, Clients: 40, Seed: *seed + 2, WindowTicks: 4000,
-				})
-				if err != nil {
-					return "", false, err
-				}
-				return fmt.Sprintf("completion clean %.2f -> attack %.2f -> blocked %.2f",
-						rows[0].CompletionRate(), rows[1].CompletionRate(), rows[2].CompletionRate()),
-					rows[1].CompletionRate() < rows[0].CompletionRate() &&
-						rows[2].CompletionRate() > rows[1].CompletionRate(), nil
-			},
-		},
-		{
-			name:  "X1 (fat-tree stamping, §6.3)",
-			paper: "future work: indirect networks",
-			measure: func() (string, bool, error) {
-				row, err := core.RunX1(4, 6, *trials*20, *seed)
-				if err != nil {
-					return "", false, err
-				}
-				return fmt.Sprintf("%s: %d/%d exact in %d MF bits", row.Tree, row.Correct, row.Trials, row.Bits),
-					row.Correct == row.Trials, nil
-			},
-		},
-		{
-			name:  "X4 (compromised switch, §4.1)",
-			paper: "assumption probed: damage confined to crossing flows",
-			measure: func() (string, bool, error) {
-				row, err := core.RunX4(core.Mesh2D(8), "ddpm", 27, 400, *seed)
-				if err != nil {
-					return "", false, err
-				}
-				return fmt.Sprintf("%d/%d crossing flows corrupted, 0 clean flows affected: %v",
-						row.Misattributed, row.ThroughBad, row.MisattributedClean == 0),
-					row.MisattributedClean == 0, nil
-			},
-		},
-	}
-
-	fmt.Println("Reproduction report — Lee, Kim & Lee, \"A Source Identification Scheme")
-	fmt.Println("against DDoS Attacks in Cluster Interconnects\" (ICPP Workshops 2004)")
-	fmt.Println()
+	fmt.Fprintln(stdout, "Reproduction report — Lee, Kim & Lee, \"A Source Identification Scheme")
+	fmt.Fprintln(stdout, "against DDoS Attacks in Cluster Interconnects\" (ICPP Workshops 2004)")
+	fmt.Fprintln(stdout)
 	failures := 0
-	for _, c := range checks {
-		got, ok, err := c.measure()
+	for _, a := range core.Artifacts {
+		got, ok, err := a.Run(io.Discard, *seed, *trials)
 		status := "OK  "
 		if err != nil {
 			status, got = "ERR ", err.Error()
@@ -240,12 +37,13 @@ func main() {
 			status = "FAIL"
 			failures++
 		}
-		fmt.Printf("[%s] %-36s paper: %s\n%6smeasured: %s\n", status, c.name, c.paper, "", got)
+		fmt.Fprintf(stdout, "[%s] %-36s paper: %s\n%6smeasured: %s\n", status, a.Name, a.Claim, "", got)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if failures > 0 {
-		fmt.Printf("%d check(s) failed\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "%d check(s) failed\n", failures)
+		return 1
 	}
-	fmt.Println("all checks passed — see EXPERIMENTS.md for the full numbers")
+	fmt.Fprintln(stdout, "all checks passed — see EXPERIMENTS.md for the full numbers")
+	return 0
 }

@@ -5,8 +5,12 @@
 //	sweep -exp e2                 # DPM ambiguity over mesh sizes
 //	sweep -exp e3                 # DDPM accuracy over topologies/routings
 //	sweep -exp e5                 # end-to-end over zombie counts
-//	sweep -exp load               # fabric latency/throughput vs offered load,
-//	                              # marking on vs off (E4's end-to-end half)
+//	sweep -exp e6                 # fault tolerance over meshes and tori
+//	sweep -exp flitload           # flit-level latency vs offered load,
+//	                              # marking on vs off
+//
+// These are wider grids than the published tables; `figures` prints
+// those (core.Artifacts).
 package main
 
 import (
@@ -15,9 +19,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/flitsim"
 	"repro/internal/marking"
 	"repro/internal/packet"
@@ -27,7 +29,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment: e1, e2, e3, e5, e6, load, flitload")
+	exp := flag.String("exp", "", "experiment: e1, e2, e3, e5, e6, flitload")
 	out := flag.String("out", "", "output file (default stdout)")
 	seed := flag.Uint64("seed", 1, "seed")
 	trials := flag.Int("trials", 30, "trials per cell")
@@ -55,8 +57,6 @@ func main() {
 		err = sweepE5(w, *seed)
 	case "e6":
 		err = sweepE6(w, *seed)
-	case "load":
-		err = sweepLoad(w, *seed)
 	case "flitload":
 		err = sweepFlitLoad(w, *seed)
 	default:
@@ -148,39 +148,6 @@ func sweepE5(w io.Writer, seed uint64) error {
 			fmt.Fprintf(w, "%d,%s,%v,%d,%v,%d,%.3f\n",
 				row.Zombies, r, row.Detected, row.DetectedAt,
 				row.IdentifiedAll, row.FalsePositives, row.BlockedFraction)
-		}
-	}
-	return nil
-}
-
-// sweepLoad measures average latency and delivered throughput under
-// uniform traffic at increasing offered load, with DDPM marking on and
-// off — the end-to-end half of E4 ("we expect they would not affect
-// overall performance"): marking is pure header arithmetic, so the two
-// curves should coincide.
-func sweepLoad(w io.Writer, seed uint64) error {
-	fmt.Fprintln(w, "scheme,rate,delivered,dropped,avg_latency,avg_hops")
-	for _, scheme := range []string{"none", "ddpm"} {
-		for _, rate := range []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05} {
-			cl, err := core.Build(core.Config{
-				Topo: core.Mesh2D(8), Scheme: scheme, Seed: seed, QueueCap: 64,
-			})
-			if err != nil {
-				return err
-			}
-			bg := &attack.Background{
-				Pattern: attack.Uniform, InjectionRate: rate,
-				Start: 0, Stop: 5000, R: cl.Rng.Stream("bg"),
-				Proto: packet.ProtoRaw,
-			}
-			if err := bg.Launch(cl.Sim, cl.Net, cl.Plan); err != nil {
-				return err
-			}
-			cl.Sim.RunAll(1_000_000_000)
-			st := cl.Sim.Stats()
-			_ = eventq.Time(0)
-			fmt.Fprintf(w, "%s,%.3f,%d,%d,%.2f,%.2f\n",
-				scheme, rate, st.Delivered, st.DroppedTotal(), st.AvgLatency(), st.AvgHops())
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -120,6 +121,18 @@ func TestBuildClusterBadConfigs(t *testing.T) {
 	}
 }
 
+// artifact returns the registry entry with the given ID.
+func artifact(t *testing.T, id string) Artifact {
+	t.Helper()
+	for _, a := range Artifacts {
+		if a.ID == id {
+			return a
+		}
+	}
+	t.Fatalf("no artifact %q", id)
+	return Artifact{}
+}
+
 func TestScalabilityTables(t *testing.T) {
 	for _, table := range []int{1, 2, 3} {
 		rows, err := ScalabilityTable(table)
@@ -130,7 +143,7 @@ func TestScalabilityTables(t *testing.T) {
 			t.Fatalf("table %d has %d rows", table, len(rows))
 		}
 		var sb strings.Builder
-		if err := WriteTable(&sb, table); err != nil {
+		if _, _, err := artifact(t, fmt.Sprintf("T%d", table)).Run(&sb, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(sb.String(), "Table") {
@@ -176,7 +189,7 @@ func TestFigure2Matrix(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if err := WriteFigure2(&sb, 7); err != nil {
+	if _, _, err := artifact(t, "2").Run(&sb, 7, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Figure 2") {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/detect"
@@ -255,6 +256,26 @@ func RunE3(spec TopoSpec, routingName string, trials int, seed uint64) (E3Row, e
 	return row, nil
 }
 
+// DrawZombies draws n distinct nodes other than victim from intn and
+// returns them sorted, so the attack's event order and per-zombie
+// streams do not depend on map order. It refuses an n the fabric cannot
+// supply: the draw would never fill the set.
+func DrawZombies(intn func(int) int, nodes int, victim topology.NodeID, n int) ([]topology.NodeID, error) {
+	if n > nodes-1 {
+		return nil, fmt.Errorf("core: %d zombies, but the fabric has only %d nodes besides the victim", n, nodes-1)
+	}
+	seen := make(map[topology.NodeID]bool, n)
+	out := make([]topology.NodeID, 0, n)
+	for len(out) < n {
+		if z := topology.NodeID(intn(nodes)); z != victim && !seen[z] {
+			seen[z] = true
+			out = append(out, z)
+		}
+	}
+	slices.Sort(out)
+	return out, nil
+}
+
 // ---------------------------------------------------------------------
 // E5 — end-to-end DDoS story: zombies SYN-flood a victim through
 // background traffic; measure detection latency, identification, and
@@ -306,17 +327,16 @@ func RunE5(cfg E5Config) (E5Row, error) {
 	d, _ := cl.DDPM()
 	victim := topology.NodeID(cl.Net.NumNodes() - 1)
 
-	// Zombies: the farthest nodes from the victim, deterministically.
-	zstream := cl.Rng.Stream("zombies")
-	zombieSet := map[topology.NodeID]bool{}
-	for len(zombieSet) < cfg.Zombies {
-		z := topology.NodeID(zstream.Intn(cl.Net.NumNodes()))
-		if z != victim {
-			zombieSet[z] = true
-		}
+	zombieNodes, err := DrawZombies(cl.Rng.Stream("zombies").Intn, cl.Net.NumNodes(), victim, cfg.Zombies)
+	if err != nil {
+		return E5Row{}, err
+	}
+	isZombie := func(n topology.NodeID) bool {
+		_, ok := slices.BinarySearch(zombieNodes, n)
+		return ok
 	}
 	var zombies []attack.Zombie
-	for z := range zombieSet {
+	for _, z := range zombieNodes {
 		zombies = append(zombies, attack.Zombie{
 			Node: z, Victim: victim, Proto: packet.ProtoTCPSYN,
 			Arrival: attack.CBR{Interval: cfg.AttackGap},
@@ -355,10 +375,10 @@ func RunE5(cfg E5Config) (E5Row, error) {
 		}
 		det.Observe(now, pk)
 		src, ok := ident.Observe(pk)
-		if pk.SrcNode != victim && pk.Hdr.Proto == packet.ProtoTCPSYN && zombieSet[pk.SrcNode] {
+		if pk.SrcNode != victim && pk.Hdr.Proto == packet.ProtoTCPSYN && isZombie(pk.SrcNode) {
 			attackSeen++
 		}
-		if blocked != nil && ok && zombieSet[pk.SrcNode] {
+		if blocked != nil && ok && isZombie(pk.SrcNode) {
 			attackAfterBlock++
 			if blocked[src] {
 				attackDroppedByBlock++
@@ -383,13 +403,13 @@ func RunE5(cfg E5Config) (E5Row, error) {
 		blocked[s] = true
 	}
 	row.IdentifiedAll = true
-	for z := range zombieSet {
+	for _, z := range zombieNodes {
 		if !blocked[z] {
 			row.IdentifiedAll = false
 		}
 	}
 	for b := range blocked {
-		if !zombieSet[b] {
+		if !isZombie(b) {
 			row.FalsePositives++
 		}
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/fattree"
 	"repro/internal/packet"
 	"repro/internal/placement"
@@ -100,15 +98,4 @@ func RunX2(k, budget, adaptiveTrials int, seed uint64) (X2Row, error) {
 	}
 	row.AdaptiveCov = frac
 	return row, nil
-}
-
-// FatTreeScalabilityRows returns the fat-tree analog of Table 3: for
-// each arity, the deepest tree whose stamp fits the 16-bit MF.
-func FatTreeScalabilityRows() []string {
-	var out []string
-	for _, k := range []int{2, 4, 8, 16} {
-		n, leaves := fattree.MaxLeavesIn16Bits(k)
-		out = append(out, fmt.Sprintf("%d-ary fat tree: max n=%d (%d leaves)", k, n, leaves))
-	}
-	return out
 }

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunX1PerfectAccuracy(t *testing.T) {
 	for _, cfg := range [][2]int{{2, 4}, {4, 3}, {4, 6}} {
@@ -43,8 +46,15 @@ func TestRunX2CoverageShape(t *testing.T) {
 	}
 }
 
+// TestFatTreeScalabilityRows: X1 ends with the fat-tree analog of
+// Table 3, one row per arity.
 func TestFatTreeScalabilityRows(t *testing.T) {
-	rows := FatTreeScalabilityRows()
+	var out strings.Builder
+	if _, _, err := artifact(t, "X1").Run(&out, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(out.String(), "MF scalability (Table 3 analog for fat trees):\n")
+	rows := strings.Split(strings.TrimSuffix(table, "\n"), "\n")
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}

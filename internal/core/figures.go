@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/marking"
 	"repro/internal/packet"
@@ -65,32 +64,6 @@ func ScalabilityTable(table int) ([]TableRow, error) {
 			Agree: pc == ec,
 		},
 	}, nil
-}
-
-// WriteTable renders a scalability table in the paper's layout.
-func WriteTable(w io.Writer, table int) error {
-	rows, err := ScalabilityTable(table)
-	if err != nil {
-		return err
-	}
-	name := map[int]string{1: "Simple PPM", 2: "Simple Bit Difference PPM", 3: "DDPM"}[table]
-	fmt.Fprintf(w, "Table %d. Scalability of %s\n", table, name)
-	fmt.Fprintf(w, "%-20s %-36s %-22s %-22s %s\n",
-		"Topology", "Required Field", "Paper Max Cluster", "Exact Max Cluster", "Agree")
-	for _, r := range rows {
-		paper := fmt.Sprintf("%d (%d nodes)", r.PaperMaxN, r.PaperNodes)
-		exact := fmt.Sprintf("%d (%d nodes)", r.ExactMaxN, r.ExactNodes)
-		agree := "yes"
-		if !r.Agree {
-			agree = "NO (see EXPERIMENTS.md)"
-		}
-		fmt.Fprintf(w, "%-20s %-36s %-22s %-22s %s\n", r.Topology, r.Formula, paper, exact, agree)
-	}
-	if table == 3 {
-		widths, nodes := marking.Mesh3DDDPMSplit()
-		fmt.Fprintf(w, "3-D mesh/torus split %v -> 16x16x32 = %d nodes\n", widths, nodes)
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -157,21 +130,6 @@ func Figure2(seed uint64) ([]Figure2Cell, error) {
 	return out, nil
 }
 
-// WriteFigure2 renders the matrix.
-func WriteFigure2(w io.Writer, seed uint64) error {
-	cells, err := Figure2(seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Figure 2. Routing algorithms on a 4x4 mesh: S1=(2,0), S2=(0,0), D=(1,2)")
-	fmt.Fprintln(w, "  (a) no failures  (b) east links out of S1/S2 failed  (c) only (1,3)->D live")
-	fmt.Fprintf(w, "%-10s %-16s %-8s %-8s\n", "Scenario", "Algorithm", "S1->D", "S2->D")
-	for _, c := range cells {
-		fmt.Fprintf(w, "%-10s %-16s %-8v %-8v\n", c.Scenario, c.Algorithm, c.S1OK, c.S2OK)
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------
 // Figure 3 — marking-field traces along the paper's example routes.
 // ---------------------------------------------------------------------
@@ -180,48 +138,37 @@ func WriteFigure2(w io.Writer, seed uint64) error {
 // mesh and returns the DDPM vector after each hop plus the identified
 // source.
 func Figure3bTrace() (vectors []topology.Vector, identified topology.Coord, err error) {
-	m := topology.NewMesh2D(4)
-	d, err := marking.NewDDPM(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	coords := []topology.Coord{
+	return ddpmTrace(topology.NewMesh2D(4), "3b", []topology.Coord{
 		{1, 1}, {2, 1}, {3, 1}, {3, 0}, {2, 0}, {2, 1}, {2, 2}, {2, 3},
-	}
-	pk := &packet.Packet{}
-	d.OnInject(pk)
-	for i := 0; i+1 < len(coords); i++ {
-		d.OnForward(m.IndexOf(coords[i]), m.IndexOf(coords[i+1]), pk)
-		vectors = append(vectors, topology.Vector(d.Codec().Decode(pk.Hdr.ID)))
-	}
-	srcID, ok := d.IdentifySource(m.IndexOf(coords[len(coords)-1]), pk.Hdr.ID)
-	if !ok {
-		return vectors, nil, fmt.Errorf("core: figure 3b identification failed")
-	}
-	return vectors, m.CoordOf(srcID), nil
+	})
 }
 
 // Figure3cTrace replays the §5 hypercube route (1,1,0)→(0,0,0).
 func Figure3cTrace() (vectors []topology.Vector, identified topology.Coord, err error) {
-	h := topology.NewHypercube(3)
-	d, err := marking.NewDDPM(h)
+	return ddpmTrace(topology.NewHypercube(3), "3c", []topology.Coord{
+		{1, 1, 0}, {0, 1, 0}, {0, 1, 1}, {1, 1, 1}, {1, 0, 1}, {1, 0, 0}, {0, 0, 0},
+	})
+}
+
+// ddpmTrace marks one packet along route on net with DDPM and returns
+// the vector after each hop and the source the last node identifies.
+func ddpmTrace(net topology.Network, figure string, route []topology.Coord) ([]topology.Vector, topology.Coord, error) {
+	d, err := marking.NewDDPM(net)
 	if err != nil {
 		return nil, nil, err
 	}
-	coords := []topology.Coord{
-		{1, 1, 0}, {0, 1, 0}, {0, 1, 1}, {1, 1, 1}, {1, 0, 1}, {1, 0, 0}, {0, 0, 0},
-	}
+	var vectors []topology.Vector
 	pk := &packet.Packet{}
 	d.OnInject(pk)
-	for i := 0; i+1 < len(coords); i++ {
-		d.OnForward(h.IndexOf(coords[i]), h.IndexOf(coords[i+1]), pk)
+	for i := 0; i+1 < len(route); i++ {
+		d.OnForward(net.IndexOf(route[i]), net.IndexOf(route[i+1]), pk)
 		vectors = append(vectors, topology.Vector(d.Codec().Decode(pk.Hdr.ID)))
 	}
-	srcID, ok := d.IdentifySource(h.IndexOf(coords[len(coords)-1]), pk.Hdr.ID)
+	srcID, ok := d.IdentifySource(net.IndexOf(route[len(route)-1]), pk.Hdr.ID)
 	if !ok {
-		return vectors, nil, fmt.Errorf("core: figure 3c identification failed")
+		return vectors, nil, fmt.Errorf("core: figure %s identification failed", figure)
 	}
-	return vectors, h.CoordOf(srcID), nil
+	return vectors, net.CoordOf(srcID), nil
 }
 
 // Figure3aTrace replays the simple-PPM example: for each mark position

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/eventq"
@@ -38,31 +39,27 @@ func (r E7Row) CompletionRate() float64 {
 	return float64(r.Established) / float64(r.Attempts)
 }
 
-// E7Config parameterizes the experiment.
+// E7Config parameterizes the experiment. The server's half-open table
+// holds e7TableCap entries, and e7Clients handshakes are spread over an
+// e7Window-tick window.
 type E7Config struct {
-	Topo        TopoSpec
-	Zombies     int
-	TableCap    int
-	AttackGap   eventq.Time
-	Clients     int
-	Seed        uint64
-	WindowTicks eventq.Time
+	Topo      TopoSpec
+	Zombies   int
+	AttackGap eventq.Time // default 2
+	Seed      uint64
 }
+
+const (
+	e7TableCap             = 16
+	e7Clients              = 40
+	e7Window   eventq.Time = 4000
+)
 
 // RunE7 executes the three phases with identical seeds and client
 // schedules, differing only in the flood and the blocklist.
 func RunE7(cfg E7Config) ([]E7Row, error) {
-	if cfg.TableCap <= 0 {
-		cfg.TableCap = 16
-	}
 	if cfg.AttackGap <= 0 {
 		cfg.AttackGap = 2
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 50
-	}
-	if cfg.WindowTicks <= 0 {
-		cfg.WindowTicks = 4000
 	}
 
 	runPhase := func(phase string) (E7Row, error) {
@@ -72,7 +69,7 @@ func RunE7(cfg E7Config) ([]E7Row, error) {
 		}
 		d, _ := cl.DDPM()
 		svcNode := topology.NodeID(cl.Net.NumNodes() - 1)
-		svc, err := victim.NewService(cl.Sim, cl.Plan, svcNode, cfg.TableCap, cfg.WindowTicks/2)
+		svc, err := victim.NewService(cl.Sim, cl.Plan, svcNode, e7TableCap, e7Window/2)
 		if err != nil {
 			return E7Row{}, err
 		}
@@ -82,32 +79,27 @@ func RunE7(cfg E7Config) ([]E7Row, error) {
 			clients.HandleDeliver(now, pk)
 		})
 
-		// Zombies: deterministic set from the seed.
-		zstream := cl.Rng.Stream("zombies")
-		zset := map[topology.NodeID]bool{}
-		for len(zset) < cfg.Zombies {
-			z := topology.NodeID(zstream.Intn(cl.Net.NumNodes()))
-			if z != svcNode {
-				zset[z] = true
-			}
+		zombies, err := DrawZombies(cl.Rng.Stream("zombies").Intn, cl.Net.NumNodes(), svcNode, cfg.Zombies)
+		if err != nil {
+			return E7Row{}, err
 		}
 		if phase == "blocked" {
 			bl := filter.NewBlocklist(d, svcNode)
-			for z := range zset {
+			for _, z := range zombies {
 				bl.Block(z)
 			}
 			svc.Blocklist = bl
 		}
 		if phase != "clean" {
 			var zs []attack.Zombie
-			for z := range zset {
+			for _, z := range zombies {
 				zs = append(zs, attack.Zombie{
 					Node: z, Victim: svcNode, Proto: packet.ProtoTCPSYN,
 					Arrival: attack.CBR{Interval: cfg.AttackGap},
 					Spoof:   attack.RandomSpoof{Plan: cl.Plan, R: cl.Rng.Stream(fmt.Sprintf("spoof%d", z))},
 				})
 			}
-			flood := &attack.Flood{Zombies: zs, Start: 0, Stop: cfg.WindowTicks,
+			flood := &attack.Flood{Zombies: zs, Start: 0, Stop: e7Window,
 				RandomID: cl.Rng.Stream("ids")}
 			if err := flood.Launch(cl.Sim, cl.Plan); err != nil {
 				return E7Row{}, err
@@ -116,13 +108,10 @@ func RunE7(cfg E7Config) ([]E7Row, error) {
 
 		// Identical client schedule across phases.
 		cstream := cl.Rng.Stream("clients")
-		gap := cfg.WindowTicks / eventq.Time(cfg.Clients+1)
-		if gap < 1 {
-			gap = 1
-		}
-		for i := 0; i < cfg.Clients; i++ {
+		const gap = e7Window / (e7Clients + 1)
+		for i := 0; i < e7Clients; i++ {
 			node := topology.NodeID(cstream.Intn(cl.Net.NumNodes()))
-			if node == svcNode || zset[node] {
+			if node == svcNode || slices.Contains(zombies, node) {
 				continue
 			}
 			clients.Connect(eventq.Time(i+1)*gap, node)

@@ -4,8 +4,7 @@ import "testing"
 
 func TestRunE7ThreePhaseStory(t *testing.T) {
 	rows, err := RunE7(E7Config{
-		Topo: Mesh2D(6), Zombies: 2, TableCap: 16,
-		AttackGap: 2, Clients: 40, Seed: 3, WindowTicks: 4000,
+		Topo: Mesh2D(6), Zombies: 2, AttackGap: 2, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
